@@ -1,15 +1,10 @@
 //! Criterion-free simulator-core benchmark: the repo's perf trajectory.
 //!
-//! Runs the corner-case hotspot and uniform-random workloads per scheme,
-//! each on **both** event-queue backends (calendar queue and the legacy
-//! binary heap), and writes `BENCH_simcore.json` in a stable, flat,
-//! line-oriented schema: one JSON object per kernel with
-//! `calendar_*`/`heap_*` metrics (events/sec, wall secs, peak
-//! event-queue depth) and the calendar-over-heap speedup.
-//!
-//! Because both backends are bit-exact (same `(time, seq)` delivery
-//! order), every kernel doubles as an A/B check: event counts and peak
-//! queue depths must match across backends or the run aborts.
+//! Runs the corner-case hotspot, uniform-random and incast workloads per
+//! scheme plus the pure routing walks, and writes `BENCH_simcore.json` in a
+//! stable, flat, line-oriented schema (`bench_core/v2`): one JSON object
+//! per kernel with its event total, peak event-queue depth, wall seconds
+//! and events/sec.
 //!
 //! ```text
 //! bench_core [--quick] [--only SUBSTR] [--repeat N] [--out FILE]
@@ -19,36 +14,34 @@
 //! * `--quick`      CI subset (a few 64-host kernels; minutes not tens).
 //!   `--small` is the deprecated spelling and still works.
 //! * `--only S`     keep only kernels whose name contains `S`.
-//! * `--repeat N`   run each kernel×backend N times, keep the fastest
-//!   wall time (default 1; the minimum is the least noisy estimator on a
-//!   busy machine).
+//! * `--repeat N`   run each kernel N times, keep the fastest wall time
+//!   (default 1; the minimum is the least noisy estimator on a busy
+//!   machine).
 //! * `--out FILE`   where to write the JSON (default `BENCH_simcore.json`).
 //! * `--check F`    compare against a baseline JSON (same schema); exit
-//!   nonzero if any kernel's calendar events/sec regressed more than the
-//!   tolerance (default 0.25) below the baseline, or if any simulation
-//!   kernel's deterministic event total (eager or lazy) differs from the
-//!   baseline's at all — count drift is a behavior change, not noise.
+//!   nonzero if any kernel's events/sec regressed more than the tolerance
+//!   (default 0.25) below the baseline, or if any simulation kernel's
+//!   deterministic event total differs from the baseline's at all — count
+//!   drift is a behavior change, not noise.
 //! * `--tolerance F` fractional allowed regression for `--check`.
+//!
+//! Before the first timed row one fixed sub-second kernel (`hotspot64/1Q`,
+//! whatever `--only` selects) runs once, discarded: the run that first
+//! touches the event queue's memory in a process reads 8–50 % slow, so row
+//! order would otherwise be measured.
 
 use bench::BENCH_TIME_DIV;
 use experiments::opts::{parse_flags, render_help, FlagDef};
 use experiments::runner::{run_one, RunOutput, SchemeSet, Workload};
 use experiments::sweep::{events_per_sec, RunSpec};
 use fabric::ArnTable;
-use simcore::{Picos, SchedulerKind};
+use simcore::Picos;
 use topology::{FatTreeParams, HostId, MinParams, PortId, Topology};
 
 /// What a kernel measures.
 enum KernelKind {
-    /// A full simulation run, once per event-queue backend.
+    /// A full simulation run.
     Sim(Box<RunSpec>),
-    /// A lazy-event-model run measured against the eager run's event
-    /// count: the spec runs once eagerly (reference), then lazily on both
-    /// backends, and events/sec is *reference events ÷ lazy wall seconds*
-    /// — the rate at which the lazy model retires the eager model's work.
-    /// Comparable against the eager kernel's baseline row: same work,
-    /// different wall clock.
-    SimLazy(Box<RunSpec>),
     /// Pure route computation + wiring walk on the 8-ary 3-tree (no
     /// simulator): all-pairs `route()`/`next_hop` with an FNV checksum so
     /// the work cannot be optimized away. `events` = routed pairs. See
@@ -83,16 +76,12 @@ struct Kernel {
     hosts: u32,
 }
 
-/// Measurements of one kernel on one scheduler backend.
+/// Measurements of one kernel.
 struct Sample {
     wall_secs: f64,
     events: u64,
     events_per_sec: f64,
     peak_depth: usize,
-    /// Events the lazy model actually scheduled (lazy kernels only; the
-    /// headline `events`/`events_per_sec` then refer to the eager
-    /// reference count so rates stay comparable across models).
-    lazy_events: Option<u64>,
 }
 
 fn sample(out: &RunOutput) -> Sample {
@@ -102,19 +91,6 @@ fn sample(out: &RunOutput) -> Sample {
         // A degenerate wall clock reports as rate 0, never infinity.
         events_per_sec: events_per_sec(out).unwrap_or(0.0),
         peak_depth: out.peak_event_queue_depth,
-        lazy_events: None,
-    }
-}
-
-/// A lazy-model sample rated against the eager reference event count.
-fn lazy_sample(out: &RunOutput, reference_events: u64) -> Sample {
-    let wall = out.wall_secs.max(1e-9);
-    Sample {
-        wall_secs: out.wall_secs,
-        events: reference_events,
-        events_per_sec: reference_events as f64 / wall,
-        peak_depth: out.peak_event_queue_depth,
-        lazy_events: Some(out.events),
     }
 }
 
@@ -217,7 +193,6 @@ fn run_route_fattree(passes: u32, mode: RouteMode) -> Sample {
         events: pairs,
         events_per_sec: pairs as f64 / wall_secs,
         peak_depth: 0,
-        lazy_events: None,
     }
 }
 
@@ -298,28 +273,6 @@ fn kernels(small: bool) -> Vec<Kernel> {
             hosts: 4096,
         });
     }
-    // Lazy-event-model reference kernels: the RECN hotspots again under
-    // `--event-model lazy`, rated in *eager-reference* events/sec so
-    // their rows compare one-to-one against the eager RECN rows above.
-    let recn = fabric::SchemeKind::Recn(bench::bench_recn_config());
-    v.push(Kernel {
-        name: "hotspot64/RECN-lazy".to_owned(),
-        kind: KernelKind::SimLazy(Box::new(
-            bench::corner_spec(2, recn).with_event_model(fabric::EventModel::Lazy),
-        )),
-        workload: "corner_hotspot",
-        hosts: 64,
-    });
-    if !small {
-        v.push(Kernel {
-            name: "hotspot256/RECN-lazy".to_owned(),
-            kind: KernelKind::SimLazy(Box::new(
-                bench::scale_spec(recn).with_event_model(fabric::EventModel::Lazy),
-            )),
-            workload: "corner_hotspot",
-            hosts: 256,
-        });
-    }
     // Pure routing-layer kernels (all three selector modes): track the
     // cost of the topology abstraction itself, independent of the
     // simulator, the overhead of the late-bound adaptive up-phase
@@ -344,42 +297,19 @@ fn kernels(small: bool) -> Vec<Kernel> {
 
 /// One flat JSON object per kernel, one per line — trivially greppable
 /// and parseable without a JSON library (the offline serde is a stub).
-fn render(mode: &str, rows: &[(Kernel, Sample, Sample)]) -> String {
+fn render(mode: &str, rows: &[(Kernel, Sample)]) -> String {
     let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"bench_core/v1\",\n");
+    s.push_str("  \"schema\": \"bench_core/v2\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"time_div\": {BENCH_TIME_DIV},\n"));
     s.push_str("  \"kernels\": [\n");
-    for (i, (k, cal, heap)) in rows.iter().enumerate() {
+    for (i, (k, m)) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
-        let speedup = if heap.events_per_sec > 0.0 {
-            cal.events_per_sec / heap.events_per_sec
-        } else {
-            0.0
-        };
-        // Lazy kernels carry both event totals: `events` stays the eager
-        // reference (the join key for rate comparisons), `lazy_events` is
-        // what the lazy model actually scheduled.
-        let lazy = match cal.lazy_events {
-            Some(n) => format!(", \"lazy_events\": {n}, \"eager_events\": {}", cal.events),
-            None => String::new(),
-        };
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"workload\": \"{}\", \"hosts\": {}, \
              \"events\": {}, \"peak_event_queue_depth\": {}, \
-             \"calendar_wall_secs\": {:.4}, \"calendar_events_per_sec\": {:.1}, \
-             \"heap_wall_secs\": {:.4}, \"heap_events_per_sec\": {:.1}, \
-             \"calendar_over_heap\": {:.4}{lazy}}}{sep}\n",
-            k.name,
-            k.workload,
-            k.hosts,
-            cal.events,
-            cal.peak_depth,
-            cal.wall_secs,
-            cal.events_per_sec,
-            heap.wall_secs,
-            heap.events_per_sec,
-            speedup,
+             \"wall_secs\": {:.4}, \"events_per_sec\": {:.1}}}{sep}\n",
+            k.name, k.workload, k.hosts, m.events, m.peak_depth, m.wall_secs, m.events_per_sec,
         ));
     }
     s.push_str("  ]\n}\n");
@@ -404,13 +334,12 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// One baseline kernel row: the perf floor plus the deterministic event
-/// totals that `--check` enforces exactly.
+/// total that `--check` enforces exactly.
 struct BaselineRow {
     name: String,
     workload: String,
     events_per_sec: f64,
     events: u64,
-    lazy_events: Option<u64>,
 }
 
 /// Baseline kernel rows, parsed line-by-line.
@@ -420,9 +349,8 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
             Some(BaselineRow {
                 name: field_str(l, "name")?.to_owned(),
                 workload: field_str(l, "workload")?.to_owned(),
-                events_per_sec: field_f64(l, "calendar_events_per_sec")?,
+                events_per_sec: field_f64(l, "events_per_sec")?,
                 events: field_f64(l, "events")? as u64,
-                lazy_events: field_f64(l, "lazy_events").map(|v| v as u64),
             })
         })
         .collect()
@@ -432,29 +360,29 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
 /// with baseline-comparison columns when a baseline is loaded.
 fn render_markdown(
     mode: &str,
-    rows: &[(Kernel, Sample, Sample)],
+    rows: &[(Kernel, Sample)],
     baseline: Option<&[BaselineRow]>,
 ) -> String {
     let mut s = format!("### bench_core ({mode})\n\n");
-    s.push_str("| kernel | events | calendar ev/s | heap ev/s |");
+    s.push_str("| kernel | events | ev/s |");
     if baseline.is_some() {
         s.push_str(" baseline ev/s | delta |");
     }
     s.push('\n');
-    s.push_str("|:--|--:|--:|--:|");
+    s.push_str("|:--|--:|--:|");
     if baseline.is_some() {
         s.push_str("--:|--:|");
     }
     s.push('\n');
-    for (k, cal, heap) in rows {
+    for (k, m) in rows {
         s.push_str(&format!(
-            "| {} | {} | {:.2e} | {:.2e} |",
-            k.name, cal.events, cal.events_per_sec, heap.events_per_sec
+            "| {} | {} | {:.2e} |",
+            k.name, m.events, m.events_per_sec
         ));
         if let Some(base) = baseline {
             match base.iter().find(|b| b.name == k.name) {
                 Some(b) if b.events_per_sec > 0.0 => {
-                    let delta = (cal.events_per_sec - b.events_per_sec) / b.events_per_sec * 100.0;
+                    let delta = (m.events_per_sec - b.events_per_sec) / b.events_per_sec * 100.0;
                     s.push_str(&format!(" {:.2e} | {delta:+.1}% |", b.events_per_sec));
                 }
                 _ => s.push_str(" - | - |"),
@@ -484,7 +412,7 @@ const BENCH_FLAGS: &[FlagDef] = &[
         name: "--repeat",
         aliases: &[],
         value: Some(("N", "a count")),
-        help: "run each kernel x backend N times, keep the fastest (default 1)",
+        help: "run each kernel N times, keep the fastest (default 1)",
     },
     FlagDef {
         name: "--out",
@@ -496,7 +424,7 @@ const BENCH_FLAGS: &[FlagDef] = &[
         name: "--check",
         aliases: &[],
         value: Some(("BASELINE", "a baseline file")),
-        help: "fail if calendar events/sec regressed below BASELINE",
+        help: "fail if events/sec regressed below BASELINE",
     },
     FlagDef {
         name: "--tolerance",
@@ -588,113 +516,33 @@ fn main() {
         ks.retain(|k| k.name.contains(pat.as_str()));
         assert!(!ks.is_empty(), "--only {pat} matches no kernel");
     }
+    // Discarded warm-up (see the module docs): a fixed sub-second kernel,
+    // whatever `--only` selected.
+    run_one(&bench::corner_spec(2, fabric::SchemeKind::OneQ));
     let n = ks.len();
-    let mut rows: Vec<(Kernel, Sample, Sample)> = Vec::with_capacity(n);
+    let mut rows: Vec<(Kernel, Sample)> = Vec::with_capacity(n);
     for (i, k) in ks.into_iter().enumerate() {
-        let (cal, heap) = match &k.kind {
-            KernelKind::Sim(spec) => {
-                // Serial, alternating backends in one process, best-of-
-                // `repeat` wall time per backend: the fairest comparison
-                // this side of perf counters (the minimum discards
-                // scheduler/dvfs noise spikes).
-                let mut heap = run_one(&spec.clone().with_scheduler(SchedulerKind::Heap));
-                let mut cal = run_one(&spec.clone().with_scheduler(SchedulerKind::Calendar));
-                for _ in 1..repeat {
-                    let h = run_one(&spec.clone().with_scheduler(SchedulerKind::Heap));
-                    if h.wall_secs < heap.wall_secs {
-                        heap = h;
-                    }
-                    let c = run_one(&spec.clone().with_scheduler(SchedulerKind::Calendar));
-                    if c.wall_secs < cal.wall_secs {
-                        cal = c;
-                    }
-                }
-                // The backends are bit-exact by contract; a mismatch here
-                // means a scheduler bug, and timing it would be
-                // meaningless.
-                assert_eq!(
-                    cal.events, heap.events,
-                    "{}: backend event counts diverged",
-                    k.name
-                );
-                assert_eq!(
-                    cal.peak_event_queue_depth, heap.peak_event_queue_depth,
-                    "{}: backend peak depths diverged",
-                    k.name
-                );
-                (sample(&cal), sample(&heap))
-            }
-            KernelKind::SimLazy(spec) => {
-                // One eager run fixes the reference work; the lazy runs
-                // are then timed retiring exactly that work. The eager and
-                // lazy models are bit-exact (the differential suite proves
-                // it with trace digests), so equal delivery counters here
-                // are a cheap cross-check, not the proof.
-                let eager = run_one(&spec.clone().with_event_model(fabric::EventModel::Eager));
-                let mut heap = run_one(&spec.clone().with_scheduler(SchedulerKind::Heap));
-                let mut cal = run_one(&spec.clone().with_scheduler(SchedulerKind::Calendar));
-                for _ in 1..repeat {
-                    let h = run_one(&spec.clone().with_scheduler(SchedulerKind::Heap));
-                    if h.wall_secs < heap.wall_secs {
-                        heap = h;
-                    }
-                    let c = run_one(&spec.clone().with_scheduler(SchedulerKind::Calendar));
-                    if c.wall_secs < cal.wall_secs {
-                        cal = c;
-                    }
-                }
-                assert_eq!(
-                    cal.events, heap.events,
-                    "{}: backend event counts diverged",
-                    k.name
-                );
-                assert!(
-                    cal.events < eager.events,
-                    "{}: the lazy model must schedule fewer events \
-                     (eager {} vs lazy {})",
-                    k.name,
-                    eager.events,
-                    cal.events
-                );
-                assert_eq!(
-                    cal.counters.delivered_packets, eager.counters.delivered_packets,
-                    "{}: lazy run diverged from the eager reference",
-                    k.name
-                );
-                (
-                    lazy_sample(&cal, eager.events),
-                    lazy_sample(&heap, eager.events),
-                )
-            }
-            KernelKind::RouteFatTree { passes, mode } => {
-                // No event queue involved — fill both schema slots with
-                // independent best-of-`repeat` measurements of the same
-                // walk (their ratio doubles as a noise floor estimate).
-                let mut a = run_route_fattree(*passes, *mode);
-                let mut b = run_route_fattree(*passes, *mode);
-                for _ in 1..repeat {
-                    let x = run_route_fattree(*passes, *mode);
-                    if x.wall_secs < a.wall_secs {
-                        a = x;
-                    }
-                    let y = run_route_fattree(*passes, *mode);
-                    if y.wall_secs < b.wall_secs {
-                        b = y;
-                    }
-                }
-                (a, b)
-            }
+        // Serial, best-of-`repeat` wall time: the minimum discards
+        // scheduler/dvfs noise spikes.
+        let run = || match &k.kind {
+            KernelKind::Sim(spec) => sample(&run_one(spec)),
+            KernelKind::RouteFatTree { passes, mode } => run_route_fattree(*passes, *mode),
         };
+        let mut best = run();
+        for _ in 1..repeat {
+            let next = run();
+            if next.wall_secs < best.wall_secs {
+                best = next;
+            }
+        }
         eprintln!(
-            "[{}/{n}] {:<18} {:>10} events  calendar {:>9.2e} ev/s  heap {:>9.2e} ev/s  ({:.2}x)",
+            "[{}/{n}] {:<18} {:>10} events  {:>9.2e} ev/s",
             i + 1,
             k.name,
-            cal.events,
-            cal.events_per_sec,
-            heap.events_per_sec,
-            cal.events_per_sec / heap.events_per_sec.max(1e-9),
+            best.events,
+            best.events_per_sec,
         );
-        rows.push((k, cal, heap));
+        rows.push((k, best));
     }
 
     let json = render(mode, &rows);
@@ -724,18 +572,18 @@ fn main() {
     if let Some(baseline) = baseline {
         let mut failures = Vec::new();
         let mut compared = 0;
-        for (k, cal, _) in &rows {
+        for (k, m) in &rows {
             let Some(base) = baseline.iter().find(|b| b.name == k.name) else {
                 eprintln!("note: kernel {} not in baseline, skipping", k.name);
                 continue;
             };
             compared += 1;
             let floor = base.events_per_sec * (1.0 - tolerance);
-            if cal.events_per_sec < floor {
+            if m.events_per_sec < floor {
                 failures.push(format!(
                     "{}: {:.0} events/s < {:.0} (baseline {:.0} - {:.0}% tolerance)",
                     k.name,
-                    cal.events_per_sec,
+                    m.events_per_sec,
                     floor,
                     base.events_per_sec,
                     tolerance * 100.0
@@ -749,19 +597,11 @@ fn main() {
             if base.workload == "routing" {
                 continue;
             }
-            if cal.events != base.events {
+            if m.events != base.events {
                 failures.push(format!(
                     "{}: {} events != baseline {} (deterministic count drifted)",
-                    k.name, cal.events, base.events
+                    k.name, m.events, base.events
                 ));
-            }
-            if let (Some(have), Some(want)) = (cal.lazy_events, base.lazy_events) {
-                if have != want {
-                    failures.push(format!(
-                        "{}: {} lazy events != baseline {} (deterministic count drifted)",
-                        k.name, have, want
-                    ));
-                }
             }
         }
         assert!(

@@ -47,8 +47,8 @@ pub fn incast_flows(opts: &Opts) -> FlowSet {
 }
 
 /// Runs incast64 across the five schemes in one sweep (the transport,
-/// metrics mode, routing, and event model come from `opts`, like every
-/// other experiment binary) and folds each run into an [`IncastRow`].
+/// metrics mode and routing come from `opts`, like every other
+/// experiment binary) and folds each run into an [`IncastRow`].
 pub fn incast_sweep(opts: &Opts) -> Vec<IncastRow> {
     let flows = incast_flows(opts);
     let specs: Vec<RunSpec> = SchemeSet::All

@@ -13,7 +13,6 @@
 
 use std::path::PathBuf;
 
-use simcore::SchedulerKind;
 use topology::{FatTreeParams, MinParams, TopoParams};
 
 use crate::runner::RunOutput;
@@ -167,12 +166,6 @@ pub const OPTS_FLAGS: &[FlagDef] = &[
         help: "trace ring capacity (default 4096; digest covers the whole run)",
     },
     FlagDef {
-        name: "--scheduler",
-        aliases: &[],
-        value: Some(("calendar|heap", "calendar or heap")),
-        help: "event-queue backend (A/B escape hatch; results bit-identical)",
-    },
-    FlagDef {
         name: "--topology",
         aliases: &[],
         value: Some(("min|fattree", "min or fattree")),
@@ -186,12 +179,6 @@ pub const OPTS_FLAGS: &[FlagDef] = &[
             "deterministic, adaptive or arn",
         )),
         help: "routing policy (deterministic default; arn = notification-driven adaptive)",
-    },
-    FlagDef {
-        name: "--event-model",
-        aliases: &[],
-        value: Some(("eager|lazy", "eager or lazy")),
-        help: "event scheduling model (eager default; lazy is bit-identical with fewer events)",
     },
     FlagDef {
         name: "--metrics",
@@ -292,10 +279,6 @@ pub struct Opts {
     /// events the JSONL retains (`--trace-last N`, default 4096; the
     /// digest always covers the whole run).
     pub trace_last: usize,
-    /// Event-queue scheduler backend for every run of the sweep
-    /// (`--scheduler calendar|heap`; calendar is the default, the heap is
-    /// the A/B validation escape hatch — results are bit-identical).
-    pub scheduler: SchedulerKind,
     /// Topology family to build (`--topology min|fattree`; MIN default).
     pub topology: TopologyChoice,
     /// Routing policy for every run of the sweep
@@ -304,11 +287,6 @@ pub struct Opts {
     /// at forwarding time; arn additionally steers them away from subtrees
     /// with live congestion notifications).
     pub routing: fabric::RoutingPolicy,
-    /// Event scheduling model for every run of the sweep
-    /// (`--event-model eager|lazy`; eager default. Lazy coalesces
-    /// same-time arbiter wakeups into sweep batches — metrics and trace
-    /// digests are bit-identical, only event counts shrink).
-    pub event_model: simcore::EventModel,
     /// Metrics mode for every run of the sweep
     /// (`--metrics full|streaming`; full default. Streaming replaces the
     /// per-bin series with fold-exact O(1) summaries — the memory knob
@@ -392,10 +370,6 @@ impl Opts {
                         .map_err(|_| format!("--trace-last expects a count, got {v:?}"))?;
                     opts.trace_last = n.max(1);
                 }
-                "--scheduler" => {
-                    opts.scheduler =
-                        SchedulerKind::parse(&v()).map_err(|e| format!("{e}; {}", usage()))?;
-                }
                 "--topology" => {
                     opts.topology =
                         TopologyChoice::parse(&v()).map_err(|e| format!("{e}; {}", usage()))?;
@@ -408,10 +382,6 @@ impl Opts {
                             usage()
                         )
                     })?;
-                }
-                "--event-model" => {
-                    opts.event_model = simcore::EventModel::parse(&v())
-                        .map_err(|e| format!("{e}; {}", usage()))?;
                 }
                 "--metrics" => {
                     opts.metrics = simcore::MetricsMode::parse(&v())
@@ -478,9 +448,7 @@ impl Opts {
         let specs: Vec<RunSpec> = specs
             .into_iter()
             .map(|s| {
-                s.with_scheduler(self.scheduler)
-                    .with_routing(self.routing)
-                    .with_event_model(self.event_model)
+                s.with_routing(self.routing)
                     .with_metrics(self.metrics)
                     .with_transport(self.transport)
             })
@@ -590,20 +558,18 @@ mod tests {
             .contains("--trace-last expects a count"));
     }
 
+    /// The engine has one configuration: the scheduler and event-model
+    /// selectors are gone, not merely hidden.
     #[test]
-    fn scheduler_flag_parses() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.scheduler, SchedulerKind::Calendar);
-        let o = parse(&["--scheduler", "heap"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerKind::Heap);
-        let o = parse(&["--scheduler", "calendar"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerKind::Calendar);
-        assert!(parse(&["--scheduler", "wheel"])
-            .unwrap_err()
-            .contains("unknown scheduler"));
-        assert!(parse(&["--scheduler"])
-            .unwrap_err()
-            .contains("--scheduler needs"));
+    fn removed_engine_flags_are_rejected_as_unknown() {
+        for words in [["--event-model", "lazy"], ["--scheduler", "heap"]] {
+            let err = parse(&words).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option {}", words[0])),
+                "{err}"
+            );
+            assert!(err.contains(&usage()), "usage text attached: {err}");
+        }
     }
 
     #[test]
@@ -641,23 +607,6 @@ mod tests {
         assert!(parse(&["--routing"])
             .unwrap_err()
             .contains("--routing needs"));
-    }
-
-    #[test]
-    fn event_model_flag_parses() {
-        use simcore::EventModel;
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.event_model, EventModel::Eager);
-        let o = parse(&["--event-model", "lazy"]).unwrap();
-        assert_eq!(o.event_model, EventModel::Lazy);
-        let o = parse(&["--event-model", "eager"]).unwrap();
-        assert_eq!(o.event_model, EventModel::Eager);
-        assert!(parse(&["--event-model", "warp"])
-            .unwrap_err()
-            .contains("unknown event model"));
-        assert!(parse(&["--event-model"])
-            .unwrap_err()
-            .contains("--event-model needs"));
     }
 
     #[test]

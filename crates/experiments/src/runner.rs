@@ -9,7 +9,7 @@ use fabric::{
 };
 use metrics::{FctSummary, Probe, ProbeHandle, StreamSummary};
 use recn::RecnConfig;
-use simcore::{MetricsMode, Picos, SeriesPoint};
+use simcore::{EventModel, MetricsMode, Picos, SeriesPoint};
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
 
@@ -19,16 +19,10 @@ use crate::spec::RunSpec;
 /// cache's body format. Bump on any field addition/removal/meaning change;
 /// cache entries written under another version are rejected on load.
 ///
-/// Version 3 added `peak_bytes_estimate` (deterministic simulator-memory
-/// accounting) and the streaming-metrics `stream` summary block.
-///
-/// Version 4 added the transport-layer counters (retransmissions,
-/// timeouts, acks/nacks, flow completions, PFC pauses/drops) and the
-/// per-flow completion-time summary `fct`.
-///
-/// Version 5 added the ARN notification counters (`arn_hot_notifications`,
-/// `arn_cold_notifications`).
-pub const OUTPUT_SCHEMA_VERSION: u32 = 5;
+/// Version 6 dropped the per-run `scheduler` and `event_model` fields from
+/// the sweep summaries (one engine configuration); `events` and
+/// `peak_event_queue_depth` are lazy-model counts from here on.
+pub const OUTPUT_SCHEMA_VERSION: u32 = 6;
 
 /// The workload of a run.
 #[derive(Debug, Clone)]
@@ -231,13 +225,25 @@ impl SchemeSet {
 /// only the plain-data [`RunOutput`] escapes, which is what lets
 /// [`crate::sweep::Sweep`] fan runs out across threads.
 pub fn run_one(spec: &RunSpec) -> RunOutput {
+    run_with(spec, EventModel::Lazy)
+}
+
+/// [`run_one`] on the eager event model: the reference the differential
+/// suites compare production runs against (DESIGN.md §6f). Not part of the
+/// API — no binary or library module calls it.
+#[doc(hidden)]
+pub fn run_one_eager_reference(spec: &RunSpec) -> RunOutput {
+    run_with(spec, EventModel::Eager)
+}
+
+fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
     let mut fabric_cfg = if spec.params().hosts() >= 512 {
         FabricConfig::paper_512(spec.scheme())
     } else {
         FabricConfig::paper(spec.scheme())
     }
     .with_routing(spec.routing())
-    .with_event_model(spec.event_model())
+    .with_event_model(event_model)
     .with_transport(spec.transport());
     fabric_cfg.admit_cap = spec.workload().admit_cap();
     let sources = spec
@@ -272,7 +278,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutput {
         net.install_flows(&f.build());
     }
     let started = Instant::now();
-    let mut engine = net.build_engine_with(spec.scheduler());
+    let mut engine = net.build_engine();
     engine.run_until(spec.horizon());
     let wall_secs = started.elapsed().as_secs_f64();
     let events = engine.processed();
@@ -382,31 +388,5 @@ mod tests {
             out.saq_peaks
         );
         assert!(out.counters.order_violations == 0);
-    }
-
-    /// The scheduler A/B contract end-to-end: the same spec run on the
-    /// calendar queue and on the legacy heap produces the same events, the
-    /// same trace digest and the same peak queue depth.
-    #[test]
-    fn heap_and_calendar_runs_are_bit_identical() {
-        use simcore::SchedulerKind;
-        let corner = CornerCase::case1_64().shrunk(40);
-        let base = RunSpec::corner(MinParams::paper_64(), SchemeKind::OneQ, corner)
-            .with_horizon(Picos::from_us(40))
-            .with_bin(Picos::from_us(2))
-            .with_trace(64);
-        let cal = run_one(&base.clone().with_scheduler(SchedulerKind::Calendar));
-        let heap = run_one(&base.with_scheduler(SchedulerKind::Heap));
-        assert_eq!(cal.trace_digest, heap.trace_digest);
-        assert_eq!(cal.events, heap.events);
-        assert_eq!(
-            cal.counters.delivered_packets,
-            heap.counters.delivered_packets
-        );
-        assert_eq!(cal.peak_event_queue_depth, heap.peak_event_queue_depth);
-        assert!(
-            cal.peak_event_queue_depth > 0,
-            "a live run must queue events"
-        );
     }
 }

@@ -12,10 +12,10 @@
 //! * **Canonical encoding.** [`RunSpec::encode`] produces the stable,
 //!   versioned `spec_v1` byte string covering every behaviour-affecting
 //!   field — topology parameters, scheme (including the full
-//!   [`recn::RecnConfig`]), workload, routing, scheduler, packet size,
-//!   horizon and bin — and **excluding** observers and presentation (label,
-//!   `validate`, trace capacity, jobs, progress). Two specs with equal
-//!   encodings produce bit-identical simulations.
+//!   [`recn::RecnConfig`]), workload, routing, packet size, horizon, bin,
+//!   metrics mode and transport — and **excluding** observers and
+//!   presentation (label, `validate`, trace capacity, jobs, progress). Two
+//!   specs with equal encodings produce bit-identical simulations.
 //! * **Content address.** [`RunSpec::spec_hash`] is the FNV-1a 64 digest of
 //!   the encoding; `results/cache/<hash>.json` is keyed on it.
 //!
@@ -34,10 +34,7 @@
 //! ```
 
 use fabric::{RoutingPolicy, SchemeKind, TransportKind};
-use simcore::{
-    fnv1a64, Canon, CanonError, CanonReader, CanonWriter, EventModel, MetricsMode, Picos,
-    SchedulerKind,
-};
+use simcore::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, MetricsMode, Picos};
 use topology::TopoParams;
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
@@ -47,39 +44,14 @@ use crate::runner::Workload;
 
 /// Magic prefix of every `spec_v1` byte string (`"RS"` + version byte).
 const SPEC_MAGIC: [u8; 2] = *b"RS";
-/// Version byte of the current spec encoding. Bump it (and add a decode
-/// arm) whenever a behaviour-affecting field is added, removed or
-/// reordered; old cache entries then simply stop matching.
-///
-/// Version 2 appended the [`EventModel`] tag byte: the two models are
-/// bit-exact in every reported metric, but their event counts (and thus
-/// `events`/`peak_event_queue_depth` in cached outputs) differ, so specs
-/// differing only in event model must never alias in the run cache.
-pub const SPEC_VERSION: u8 = 2;
-/// Version byte used when the spec selects streaming metrics: the version-2
-/// fields followed by the [`MetricsMode`] tag. Specs in the default `Full`
-/// mode keep encoding as plain version 2 — every pre-existing spec hash and
-/// cache key is untouched — and a version-3 encoding claiming `Full` is
-/// rejected so each spec has exactly one canonical byte string.
-pub const SPEC_VERSION_STREAMING: u8 = 3;
-/// Version byte used when the spec selects a non-open-loop transport: the
-/// version-2 fields followed by the [`MetricsMode`] tag (always present,
-/// unlike version 3) and the [`TransportKind`] block. Open-loop specs keep
-/// encoding as version 2/3 — every pre-existing spec hash and cache key is
-/// untouched — and a version-4 encoding claiming open loop is rejected so
-/// each spec has exactly one canonical byte string.
-pub const SPEC_VERSION_TRANSPORT: u8 = 4;
-/// Version byte used when the spec selects ARN routing
-/// ([`RoutingPolicy::ArnUp`]): the version-2 fields followed by the
-/// [`MetricsMode`] tag and the [`TransportKind`] block, both present
-/// unconditionally (the routing tag inside the common fields is what
-/// selects this version, so the trailing blocks cannot be elided without
-/// making some byte strings ambiguous). Non-ARN specs keep encoding as
-/// version 2/3/4 — every pre-existing spec hash and cache key is
-/// untouched — and version-5 encodings with non-ARN routing (or ARN
-/// routing smuggled into a version-2/3/4 string) are rejected so each
-/// spec has exactly one canonical byte string.
-pub const SPEC_VERSION_ARN: u8 = 5;
+/// Version byte of the spec encoding. There is one layout: the common
+/// fields, then the [`MetricsMode`] tag and the [`TransportKind`] block,
+/// all always present. Bump it whenever a behaviour-affecting field is
+/// added, removed or reordered: every spec hash then moves at once
+/// (`tests/spec_hash_golden.rs` is re-pinned, old cache entries stop
+/// matching) and [`RunSpec::decode`] rejects every other version
+/// (DESIGN.md §6e).
+pub const SPEC_VERSION: u8 = 6;
 
 impl Canon for Workload {
     fn encode_canon(&self, w: &mut CanonWriter) {
@@ -169,9 +141,7 @@ pub struct RunSpec {
     bin: Picos,
     validate: bool,
     trace_capacity: Option<usize>,
-    scheduler: SchedulerKind,
     routing: RoutingPolicy,
-    event_model: EventModel,
     metrics: MetricsMode,
     transport: TransportKind,
 }
@@ -191,9 +161,7 @@ impl RunSpec {
             bin: Picos::from_us(5),
             validate: false,
             trace_capacity: None,
-            scheduler: SchedulerKind::default(),
             routing: RoutingPolicy::Deterministic,
-            event_model: EventModel::default(),
             metrics: MetricsMode::default(),
             transport: TransportKind::default(),
         }
@@ -262,25 +230,10 @@ impl RunSpec {
         self
     }
 
-    /// Selects the event-queue scheduler backend (calendar by default; the
-    /// heap is the A/B validation escape hatch).
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> RunSpec {
-        self.scheduler = kind;
-        self
-    }
-
     /// Selects the routing policy (deterministic by default; adaptive lets
     /// fat-tree switches pick up-ports at forwarding time).
     pub fn with_routing(mut self, routing: RoutingPolicy) -> RunSpec {
         self.routing = routing;
-        self
-    }
-
-    /// Selects the event model (eager by default; lazy coalesces same-time
-    /// arbiter wakeups and elides no-op scans for a bit-identical run with
-    /// fewer scheduled events — see `DESIGN.md` §6f).
-    pub fn with_event_model(mut self, model: EventModel) -> RunSpec {
-        self.event_model = model;
         self
     }
 
@@ -348,19 +301,9 @@ impl RunSpec {
         self.trace_capacity
     }
 
-    /// Event-queue scheduler backend for the run.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
     /// Routing policy for the run.
     pub fn routing(&self) -> RoutingPolicy {
         self.routing
-    }
-
-    /// Event model for the run.
-    pub fn event_model(&self) -> EventModel {
-        self.event_model
     }
 
     /// Metrics mode for the run.
@@ -382,37 +325,16 @@ impl RunSpec {
         let mut w = CanonWriter::new();
         w.u8(SPEC_MAGIC[0]);
         w.u8(SPEC_MAGIC[1]);
-        let version = if self.routing.is_arn() {
-            SPEC_VERSION_ARN
-        } else if !self.transport.is_open_loop() {
-            SPEC_VERSION_TRANSPORT
-        } else if self.metrics != MetricsMode::Full {
-            SPEC_VERSION_STREAMING
-        } else {
-            SPEC_VERSION
-        };
-        w.u8(version);
+        w.u8(SPEC_VERSION);
         self.params.encode_canon(&mut w);
         self.scheme.encode_canon(&mut w);
         self.workload.encode_canon(&mut w);
         self.routing.encode_canon(&mut w);
-        self.scheduler.encode_canon(&mut w);
         w.u32(self.packet_size);
         self.horizon.encode_canon(&mut w);
         self.bin.encode_canon(&mut w);
-        self.event_model.encode_canon(&mut w);
-        if version == SPEC_VERSION_STREAMING {
-            self.metrics.encode_canon(&mut w);
-        }
-        if version == SPEC_VERSION_TRANSPORT || version == SPEC_VERSION_ARN {
-            // Versions 4 and 5 carry the metrics tag unconditionally
-            // (unlike version 3, whose presence *is* the streaming flag),
-            // then the transport block (which version 5 carries even for
-            // the open-loop default — ARN is selected by the routing tag,
-            // not by the trailing blocks).
-            self.metrics.encode_canon(&mut w);
-            self.transport.encode_canon(&mut w);
-        }
+        self.metrics.encode_canon(&mut w);
+        self.transport.encode_canon(&mut w);
         w.finish()
     }
 
@@ -430,60 +352,20 @@ impl RunSpec {
             )));
         }
         let version = r.u8()?;
-        if version != SPEC_VERSION
-            && version != SPEC_VERSION_STREAMING
-            && version != SPEC_VERSION_TRANSPORT
-            && version != SPEC_VERSION_ARN
-        {
+        if version != SPEC_VERSION {
             return Err(CanonError::new(format!(
-                "unsupported spec version {version} (this build reads \
-                 {SPEC_VERSION} through {SPEC_VERSION_ARN})"
+                "unsupported spec version {version} (this build reads version {SPEC_VERSION} only)"
             )));
         }
         let params = TopoParams::decode_canon(&mut r)?;
         let scheme = SchemeKind::decode_canon(&mut r)?;
         let workload = Workload::decode_canon(&mut r)?;
         let routing = RoutingPolicy::decode_canon(&mut r)?;
-        let scheduler = SchedulerKind::decode_canon(&mut r)?;
         let packet_size = r.u32()?;
         let horizon = Picos::decode_canon(&mut r)?;
         let bin = Picos::decode_canon(&mut r)?;
-        let event_model = EventModel::decode_canon(&mut r)?;
-        if routing.is_arn() != (version == SPEC_VERSION_ARN) {
-            return Err(CanonError::new(if routing.is_arn() {
-                "ARN routing in a pre-ARN encoding (canonical form is version 5)"
-            } else {
-                "version 5 spec without ARN routing (canonical form is version 2/3/4)"
-            }));
-        }
-        let metrics = if version == SPEC_VERSION_STREAMING {
-            let m = MetricsMode::decode_canon(&mut r)?;
-            if m == MetricsMode::Full {
-                return Err(CanonError::new(
-                    "version 3 spec claiming full metrics (canonical form is version 2)",
-                ));
-            }
-            m
-        } else if version == SPEC_VERSION_TRANSPORT || version == SPEC_VERSION_ARN {
-            MetricsMode::decode_canon(&mut r)?
-        } else {
-            MetricsMode::Full
-        };
-        let transport = if version == SPEC_VERSION_TRANSPORT {
-            let t = TransportKind::decode_canon(&mut r)?;
-            if t.is_open_loop() {
-                return Err(CanonError::new(
-                    "version 4 spec claiming open-loop transport (canonical form is version 2/3)",
-                ));
-            }
-            t
-        } else if version == SPEC_VERSION_ARN {
-            // Version 5 carries the transport block unconditionally —
-            // open loop included — so no canonicality check applies here.
-            TransportKind::decode_canon(&mut r)?
-        } else {
-            TransportKind::OpenLoop
-        };
+        let metrics = MetricsMode::decode_canon(&mut r)?;
+        let transport = TransportKind::decode_canon(&mut r)?;
         r.finish()?;
         if packet_size == 0 {
             return Err(CanonError::new("packet size must be positive"));
@@ -511,11 +393,9 @@ impl RunSpec {
         }
         Ok(RunSpec::new(params, scheme, workload)
             .with_routing(routing)
-            .with_scheduler(scheduler)
             .with_packet_size(packet_size)
             .with_horizon(horizon)
             .with_bin(bin)
-            .with_event_model(event_model)
             .with_metrics(metrics)
             .with_transport(transport))
     }
@@ -586,9 +466,7 @@ mod tests {
                 CornerCase::fattree_64(),
             )
             .with_routing(RoutingPolicy::adaptive())
-            .with_scheduler(SchedulerKind::Heap)
-            .with_packet_size(512)
-            .with_event_model(EventModel::Lazy),
+            .with_packet_size(512),
         );
         specs.push(
             RunSpec::corner(
@@ -651,152 +529,71 @@ mod tests {
             assert_eq!(back.packet_size(), spec.packet_size());
             assert_eq!(back.horizon(), spec.horizon());
             assert_eq!(back.bin(), spec.bin());
-            assert_eq!(back.scheduler(), spec.scheduler());
             assert_eq!(back.routing(), spec.routing());
-            assert_eq!(back.event_model(), spec.event_model());
             assert_eq!(back.metrics(), spec.metrics());
             assert_eq!(back.transport(), spec.transport());
         }
     }
 
     #[test]
-    fn metrics_mode_versions_the_encoding() {
+    fn every_spec_encodes_under_the_one_version_and_layout() {
+        for spec in sample_specs() {
+            assert_eq!(spec.encode()[2], SPEC_VERSION, "{spec:?}");
+        }
         let base = RunSpec::corner(
             MinParams::paper_64(),
             SchemeKind::OneQ,
             CornerCase::case1_64(),
         );
-        // Full mode is plain version 2 — the pre-streaming byte string,
-        // so every existing spec hash and cache key is unchanged.
-        let full = base.clone().encode();
-        assert_eq!(full[2], SPEC_VERSION);
-        // Streaming appends exactly one byte under version 3.
+        // The metrics tag and the transport block are always present, so
+        // toggling streaming flips one byte and changes no length...
+        let full = base.encode();
         let streaming = base.clone().with_metrics(MetricsMode::Streaming).encode();
-        assert_eq!(streaming[2], SPEC_VERSION_STREAMING);
-        assert_eq!(streaming.len(), full.len() + 1);
-        assert_eq!(&streaming[3..full.len()], &full[3..]);
-        // A version-3 encoding claiming Full is non-canonical: rejected.
-        let mut fake = streaming.clone();
-        *fake.last_mut().unwrap() = 0;
-        let err = RunSpec::decode(&fake).unwrap_err();
-        assert!(err.to_string().contains("canonical form"), "{err}");
-        // A version-2 encoding with a trailing metrics byte is rejected
-        // by the trailing-byte check.
-        let mut v2_trailing = full.clone();
-        v2_trailing.push(1);
-        assert!(RunSpec::decode(&v2_trailing).is_err());
-    }
-
-    #[test]
-    fn transport_versions_the_encoding() {
-        let base = RunSpec::corner(
-            MinParams::paper_64(),
-            SchemeKind::OneQ,
-            CornerCase::case1_64(),
-        );
-        let v2 = base.clone().encode();
-        assert_eq!(v2[2], SPEC_VERSION);
-        // A closed-loop transport re-versions the same fields to 4 with
-        // the metrics tag and transport block appended.
+        assert_eq!(streaming.len(), full.len());
+        assert_eq!(full[full.len() - 2..], [0, 0], "Full, OpenLoop");
+        assert_eq!(streaming[full.len() - 2..], [1, 0], "Streaming, OpenLoop");
+        // ...and a closed-loop transport only extends the tail.
         let gbn = base
             .clone()
-            .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default()));
-        let v4 = gbn.encode();
-        assert_eq!(v4[2], SPEC_VERSION_TRANSPORT);
-        assert_eq!(&v4[3..v2.len()], &v2[3..], "version-2 fields unchanged");
-        assert_ne!(gbn.spec_hash(), base.spec_hash());
-        // Distinct transports are distinct behaviours.
-        assert_ne!(
-            gbn.spec_hash(),
-            base.clone()
-                .with_transport(TransportKind::Nack(fabric::TransportConfig::default()))
-                .spec_hash()
-        );
-        // Streaming metrics compose with transport inside version 4.
-        let both = gbn.clone().with_metrics(MetricsMode::Streaming);
-        assert_eq!(both.encode()[2], SPEC_VERSION_TRANSPORT);
-        assert_ne!(both.spec_hash(), gbn.spec_hash());
-        let back = RunSpec::decode(&both.encode()).unwrap();
-        assert_eq!(back.metrics(), MetricsMode::Streaming);
-        assert_eq!(back.transport(), both.transport());
-        // A version-4 encoding claiming open loop is non-canonical.
-        let mut fake = v2.clone();
-        fake[2] = SPEC_VERSION_TRANSPORT;
-        fake.push(0); // metrics tag: Full
-        fake.push(0); // transport tag: OpenLoop
-        let err = RunSpec::decode(&fake).unwrap_err();
-        assert!(err.to_string().contains("canonical form"), "{err}");
+            .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default()))
+            .encode();
+        assert_eq!(gbn[..full.len() - 1], full[..full.len() - 1]);
+        assert!(gbn.len() > full.len());
+        // A future version byte is refused by name (the pre-collapse ones
+        // are covered on real bytes by `tests/spec_hash_golden.rs`).
+        let mut next = full.clone();
+        next[2] = SPEC_VERSION + 1;
+        let err = RunSpec::decode(&next).unwrap_err().to_string();
+        let want = format!("unsupported spec version {}", SPEC_VERSION + 1);
+        assert!(err.contains(&want), "{err}");
     }
 
-    #[test]
-    fn arn_versions_the_encoding() {
-        let base = RunSpec::corner(
-            FatTreeParams::ft_64(),
-            SchemeKind::OneQ,
-            CornerCase::fattree_64(),
-        );
-        let adaptive = base.clone().with_routing(RoutingPolicy::adaptive());
-        let arn = base.clone().with_routing(RoutingPolicy::arn());
-        // Non-ARN specs keep their pre-ARN version bytes and hashes.
-        assert_eq!(base.encode()[2], SPEC_VERSION);
-        assert_eq!(adaptive.encode()[2], SPEC_VERSION);
-        // ARN re-versions to 5 with metrics tag + transport block appended
-        // (and a different routing tag inside the common fields).
-        let v5 = arn.encode();
-        assert_eq!(v5[2], SPEC_VERSION_ARN);
-        assert_ne!(arn.spec_hash(), adaptive.spec_hash());
-        assert_ne!(arn.spec_hash(), base.spec_hash());
-        let back = RunSpec::decode(&v5).unwrap();
-        assert_eq!(back.routing(), RoutingPolicy::arn());
-        assert_eq!(back.spec_hash(), arn.spec_hash());
-        // Streaming metrics and closed-loop transport compose inside v5.
-        let loaded = arn
-            .clone()
-            .with_metrics(MetricsMode::Streaming)
-            .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default()));
-        assert_eq!(loaded.encode()[2], SPEC_VERSION_ARN);
-        assert_ne!(loaded.spec_hash(), arn.spec_hash());
-        let back = RunSpec::decode(&loaded.encode()).unwrap();
-        assert_eq!(back.metrics(), MetricsMode::Streaming);
-        assert_eq!(back.transport(), loaded.transport());
-        // A version-5 encoding without ARN routing is non-canonical...
-        let mut fake = base.encode();
-        fake[2] = SPEC_VERSION_ARN;
-        fake.push(0); // metrics tag: Full
-        fake.push(0); // transport tag: OpenLoop
-        let err = RunSpec::decode(&fake).unwrap_err();
-        assert!(err.to_string().contains("canonical form"), "{err}");
-        // ...and ARN routing inside a version-2 string is rejected too:
-        // re-tag the v5 bytes as v2 and drop the trailing blocks.
-        let mut smuggled = v5.clone();
-        smuggled[2] = SPEC_VERSION;
-        smuggled.truncate(v5.len() - 2);
-        let err = RunSpec::decode(&smuggled).unwrap_err();
-        assert!(
-            err.to_string().contains("canonical form is version 5"),
-            "{err}"
-        );
+    /// `spec`'s canonical bytes with the topology swapped for `params` —
+    /// an inconsistency the builders cannot express but foreign bytes can.
+    fn encode_on(params: impl Into<TopoParams>, spec: &RunSpec) -> Vec<u8> {
+        let mut w = CanonWriter::new();
+        w.u8(SPEC_MAGIC[0]);
+        w.u8(SPEC_MAGIC[1]);
+        w.u8(SPEC_VERSION);
+        params.into().encode_canon(&mut w);
+        spec.scheme().encode_canon(&mut w);
+        spec.workload().encode_canon(&mut w);
+        spec.routing().encode_canon(&mut w);
+        w.u32(spec.packet_size());
+        spec.horizon().encode_canon(&mut w);
+        spec.bin().encode_canon(&mut w);
+        spec.metrics().encode_canon(&mut w);
+        spec.transport().encode_canon(&mut w);
+        w.finish()
     }
 
     #[test]
     fn flows_workload_requires_matching_hosts() {
         let spec = RunSpec::flows(MinParams::paper_64(), SchemeKind::OneQ, FlowSet::incast64());
         let bytes = spec.encode();
+        assert_eq!(encode_on(MinParams::paper_64(), &spec), bytes);
         // Same workload bytes on a 256-host network: rejected.
-        let mut w = CanonWriter::new();
-        w.u8(SPEC_MAGIC[0]);
-        w.u8(SPEC_MAGIC[1]);
-        w.u8(SPEC_VERSION);
-        TopoParams::from(MinParams::paper_256()).encode_canon(&mut w);
-        spec.scheme().encode_canon(&mut w);
-        spec.workload().encode_canon(&mut w);
-        spec.routing().encode_canon(&mut w);
-        spec.scheduler().encode_canon(&mut w);
-        w.u32(spec.packet_size());
-        spec.horizon().encode_canon(&mut w);
-        spec.bin().encode_canon(&mut w);
-        spec.event_model().encode_canon(&mut w);
-        let err = RunSpec::decode(&w.finish()).unwrap_err();
+        let err = RunSpec::decode(&encode_on(MinParams::paper_256(), &spec)).unwrap_err();
         assert!(err.to_string().contains("flow set sized"), "{err}");
         // The well-formed encoding round-trips (open-loop flows are legal:
         // the counting-receiver mode).
@@ -845,10 +642,8 @@ mod tests {
             base.clone().with_packet_size(512),
             base.clone().with_horizon(Picos::from_us(40)),
             base.clone().with_bin(Picos::from_us(2)),
-            base.clone().with_scheduler(SchedulerKind::Heap),
             base.clone().with_routing(RoutingPolicy::adaptive()),
             base.clone().with_routing(RoutingPolicy::arn()),
-            base.clone().with_event_model(EventModel::Lazy),
             base.clone().with_metrics(MetricsMode::Streaming),
             base.clone()
                 .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default())),
@@ -902,20 +697,7 @@ mod tests {
             SchemeKind::OneQ,
             CornerCase::case1_64(),
         );
-        let mut w = CanonWriter::new();
-        w.u8(SPEC_MAGIC[0]);
-        w.u8(SPEC_MAGIC[1]);
-        w.u8(SPEC_VERSION);
-        TopoParams::from(MinParams::paper_256()).encode_canon(&mut w);
-        spec.scheme().encode_canon(&mut w);
-        spec.workload().encode_canon(&mut w);
-        spec.routing().encode_canon(&mut w);
-        spec.scheduler().encode_canon(&mut w);
-        w.u32(spec.packet_size());
-        spec.horizon().encode_canon(&mut w);
-        spec.bin().encode_canon(&mut w);
-        spec.event_model().encode_canon(&mut w);
-        let err = RunSpec::decode(&w.finish()).unwrap_err();
+        let err = RunSpec::decode(&encode_on(MinParams::paper_256(), &spec)).unwrap_err();
         assert!(err.to_string().contains("corner case sized"), "{err}");
     }
 }

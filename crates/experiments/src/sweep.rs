@@ -282,9 +282,8 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
         let sep = if i + 1 == n { "" } else { "," };
         let status = report.cache.get(i).copied().unwrap_or(CacheStatus::Off);
         s.push_str(&format!(
-            "    {{\"label\": {}, \"scheme\": {}, \"scheduler\": {}, \"topology\": {}, \
-             \"routing\": {}, \"event_model\": {}, \
-             \"hosts\": {}, \
+            "    {{\"label\": {}, \"scheme\": {}, \"topology\": {}, \
+             \"routing\": {}, \"hosts\": {}, \
              \"packet_size\": {}, \
              \"spec_hash\": {}, \"cache\": {}, \
              \"delivered_packets\": {}, \"delivered_bytes\": {}, \"mean_latency_ns\": {}, \
@@ -296,10 +295,8 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
              \"arn_hot_notifications\": {}, \"arn_cold_notifications\": {}}}{sep}\n",
             jstr(spec.label()),
             jstr(out.scheme),
-            jstr(spec.scheduler().name()),
             jstr(spec.params().name()),
             jstr(spec.routing().name()),
-            jstr(spec.event_model().name()),
             spec.params().hosts(),
             spec.packet_size(),
             jstr(&format!("{:016x}", spec.spec_hash())),
@@ -448,10 +445,8 @@ mod tests {
         assert!(json.contains("\"total_wall_secs\": 1.25"));
         assert!(json.contains("\"wall_secs\""));
         assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"scheduler\": \"calendar\""));
         assert!(json.contains("\"topology\": \"min\""));
         assert!(json.contains("\"routing\": \"deterministic\""));
-        assert!(json.contains("\"event_model\": \"eager\""));
         assert!(json.contains("\"cache\": \"off\""));
         assert!(json.contains("\"spec_hash\": \""));
         assert!(json.contains("\"peak_event_queue_depth\""));

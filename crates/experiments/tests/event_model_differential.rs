@@ -1,18 +1,23 @@
-//! Differential proof that the lazy event model is bit-exact.
+//! Differential proof that the production (lazy) event model is bit-exact
+//! with the eager reference.
 //!
-//! The lazy model (DESIGN.md §6f) coalesces same-time arbiter wakeups into
-//! sweep batches and elides provably-no-op arbiter scans; it schedules far
-//! fewer events than the eager model but must execute the *same observable
-//! handler sequence*. The trace digest folds every observer hook of a run
-//! into one 64-bit FNV value, so digest equality is equality of the whole
-//! event-level behaviour — injections, hops, queue ops, credit flow, SAQ
-//! lifecycle — not just of the headline counters.
+//! The lazy model (DESIGN.md §6f) — the only one `run_one` and every binary
+//! use — coalesces same-time arbiter wakeups into sweep batches and elides
+//! provably-no-op arbiter scans; it schedules far fewer events than the
+//! eager reference (`run_one_eager_reference`, which exists for this suite)
+//! but must execute the *same observable handler sequence*. The trace
+//! digest folds every observer hook of a run into one 64-bit FNV value, so
+//! digest equality is equality of the whole event-level behaviour —
+//! injections, hops, queue ops, credit flow, SAQ lifecycle — not just of
+//! the headline counters.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! * a fixed matrix — all five schemes × {MIN corner 2, fat-tree hotspot}
 //!   × {deterministic, adaptive, ARN up-routing} at golden-trace scale
-//!   with the online invariant validator on, and
+//!   with the online invariant validator on,
+//! * the closed-loop cell — incast64 on RECN under go-back-N, NACK and
+//!   PFC, where acks, RTO timers and retransmissions join the schedule, and
 //! * an LCG-seeded property suite over uniform random traffic on small
 //!   MIN and fat-tree instances, with the seeds of past failures pinned in
 //!   [`REGRESSION_SEEDS`] so they rerun forever.
@@ -20,12 +25,15 @@
 //! Every cell also asserts the lazy run scheduled *strictly fewer* events:
 //! the fast path must actually elide work, not just match.
 
-use experiments::runner::{run_one, RunOutput, SchemeSet, Workload};
+use experiments::runner::{
+    paper_recn_config, run_one, run_one_eager_reference, RunOutput, SchemeSet, Workload,
+};
 use experiments::RunSpec;
-use fabric::{EventModel, RoutingPolicy};
+use fabric::{RoutingPolicy, SchemeKind, TransportKind};
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams};
 use traffic::corner::CornerCase;
+use traffic::FlowSet;
 
 /// Golden-trace scale: corner case time-compressed 40×, every scheme,
 /// validation and tracing on (same shape as `golden_trace.rs`).
@@ -46,9 +54,10 @@ fn matrix_specs(params: impl Into<TopoParams>, corner: CornerCase) -> Vec<RunSpe
         .collect()
 }
 
-/// Runs `spec` under both event models and asserts the lazy run is
-/// observably identical and schedules strictly fewer events. Returns the
-/// `(eager, lazy)` event totals for callers that pin absolute counts.
+/// Runs `spec` on the eager reference and on production (`run_one`, lazy)
+/// and asserts the production run is observably identical and schedules
+/// strictly fewer events. Returns the `(eager, lazy)` event totals for
+/// callers that pin absolute counts.
 fn assert_bit_exact(spec: RunSpec) -> (u64, u64) {
     let ctx = format!(
         "{} on {:?} ({} routing)",
@@ -56,8 +65,8 @@ fn assert_bit_exact(spec: RunSpec) -> (u64, u64) {
         spec.params(),
         spec.routing().name(),
     );
-    let eager = run_one(&spec.clone().with_event_model(EventModel::Eager));
-    let lazy = run_one(&spec.with_event_model(EventModel::Lazy));
+    let eager = run_one_eager_reference(&spec);
+    let lazy = run_one(&spec);
     assert_outputs_equal(&eager, &lazy, &ctx);
     assert!(
         lazy.events < eager.events,
@@ -71,8 +80,7 @@ fn assert_bit_exact(spec: RunSpec) -> (u64, u64) {
 
 /// Field-by-field equality of everything observable. Event totals, queue
 /// depths and wall time are *excluded* by design: scheduling fewer events
-/// is the whole point, and the spec encoding keeps the two models from
-/// aliasing in the run cache precisely because those fields differ.
+/// is the whole point.
 fn assert_outputs_equal(eager: &RunOutput, lazy: &RunOutput, ctx: &str) {
     assert_eq!(
         eager.trace_digest, lazy.trace_digest,
@@ -98,6 +106,7 @@ fn assert_outputs_equal(eager: &RunOutput, lazy: &RunOutput, ctx: &str) {
     );
     assert_eq!(eager.saq_total, lazy.saq_total, "{ctx}: SAQ total series");
     assert_eq!(eager.saq_peaks, lazy.saq_peaks, "{ctx}: SAQ peaks");
+    assert_eq!(eager.fct, lazy.fct, "{ctx}: flow completion times");
     assert_eq!(eager.scheme, lazy.scheme);
 }
 
@@ -126,6 +135,25 @@ fn fattree_adaptive_all_schemes_are_bit_exact() {
 fn fattree_arn_all_schemes_are_bit_exact() {
     for spec in matrix_specs(FatTreeParams::ft_64(), CornerCase::fattree_64()) {
         assert_bit_exact(spec.with_routing(RoutingPolicy::arn()));
+    }
+}
+
+/// The closed-loop cell: a small incast64 (16 senders × 2 KiB to host 32)
+/// on RECN under every closed-loop transport, run to completion.
+#[test]
+fn closed_loop_incast_is_bit_exact() {
+    for transport in ["gbn", "nack", "pfc"] {
+        let spec = RunSpec::flows(
+            MinParams::paper_64(),
+            SchemeKind::Recn(paper_recn_config()),
+            FlowSet::incast64().with_flow_bytes(2048),
+        )
+        .with_transport(TransportKind::parse(transport).expect("known transport"))
+        .with_horizon(Picos::from_us(2000))
+        .with_bin(Picos::from_us(10))
+        .with_label("diff")
+        .with_trace(64);
+        assert_bit_exact(spec);
     }
 }
 

@@ -13,7 +13,6 @@
 
 use experiments::runner::SchemeSet;
 use experiments::{RunSpec, Sweep};
-use fabric::EventModel;
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams};
 use traffic::corner::CornerCase;
@@ -167,69 +166,19 @@ fn fattree_arn_trace_digests_match_golden_and_are_parallel_stable() {
     );
 }
 
-/// The lazy event model pins to the *same* golden tables: trace digests
-/// are model-invariant because laziness only removes scheduled no-op
-/// events, never reorders or changes an observable one (DESIGN.md §6f).
-/// No separate lazy digest tables exist on purpose — if these runs ever
-/// need their own table, the lazy model has stopped being bit-exact.
-#[test]
-fn lazy_trace_digests_match_the_eager_golden_tables() {
-    check_golden(
-        || {
-            golden_specs(MinParams::paper_64(), CornerCase::case2_64())
-                .into_iter()
-                .map(|s| s.with_event_model(EventModel::Lazy))
-                .collect()
-        },
-        GOLDEN,
-    );
-}
-
-#[test]
-fn lazy_fattree_trace_digests_match_the_eager_golden_tables() {
-    check_golden(
-        || {
-            golden_specs(FatTreeParams::ft_64(), CornerCase::fattree_64())
-                .into_iter()
-                .map(|s| {
-                    s.with_routing(fabric::RoutingPolicy::adaptive())
-                        .with_event_model(EventModel::Lazy)
-                })
-                .collect()
-        },
-        GOLDEN_FATTREE_ADAPTIVE,
-    );
-}
-
-#[test]
-fn lazy_fattree_arn_trace_digests_match_the_eager_golden_tables() {
-    check_golden(
-        || {
-            golden_specs(FatTreeParams::ft_64(), CornerCase::fattree_64())
-                .into_iter()
-                .map(|s| {
-                    s.with_routing(fabric::RoutingPolicy::arn())
-                        .with_event_model(EventModel::Lazy)
-                })
-                .collect()
-        },
-        GOLDEN_FATTREE_ARN,
-    );
-}
-
 /// Expected digest for the 512-host ARN cell pinned below.
 const GOLDEN_FATTREE_512_ARN_RECN: u64 = 0x0195_c546_7d47_6c93;
 
 /// The acceptance-level 512-host pin: the hardest cell of the routing ×
 /// scheme matrix — RECN under `--routing arn` on the 8-ary 3-tree with
 /// one attacker per leaf switch — is bit-deterministic: serial ≡
-/// 4-worker ≡ lazy, digest checked in. One cell rather than the whole
+/// 4-worker, digest checked in. One cell rather than the whole
 /// matrix on purpose: RECN×ARN is the only row where CAM churn drives
 /// the notifications, and the full 3×5 table at this scale lives in
 /// EXPERIMENTS.md (regenerated by `figures --net 512 --routing arn`).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: 512-host preset")]
-fn fattree_512_arn_recn_digest_is_pinned_and_model_invariant() {
+fn fattree_512_arn_recn_digest_is_pinned() {
     let specs = || -> Vec<RunSpec> {
         golden_specs(FatTreeParams::ft_512(), CornerCase::fattree_512())
             .into_iter()
@@ -238,14 +187,4 @@ fn fattree_512_arn_recn_digest_is_pinned_and_model_invariant() {
             .collect()
     };
     check_golden(specs, &[("RECN", GOLDEN_FATTREE_512_ARN_RECN)]);
-    let lazy: Vec<RunSpec> = specs()
-        .into_iter()
-        .map(|s| s.with_event_model(EventModel::Lazy))
-        .collect();
-    let out = Sweep::new(lazy).jobs(1).run();
-    assert_eq!(
-        out[0].trace_digest,
-        Some(GOLDEN_FATTREE_512_ARN_RECN),
-        "lazy model diverged from the eager 512-host ARN digest"
-    );
 }

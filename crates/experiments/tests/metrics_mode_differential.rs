@@ -15,12 +15,12 @@
 //!   the derived means all match exactly.
 //!
 //! The matrix covers every corner-case preset the repo ships: the
-//! 64/256/512-host MINs, the 64/512-host fat trees (deterministic and
-//! adaptive), and a lazy-event-model cell to show the two knobs compose.
+//! 64/256/512-host MINs and the 64/512-host fat trees (deterministic and
+//! adaptive).
 
 use experiments::runner::{run_one, RunOutput, SchemeSet};
 use experiments::RunSpec;
-use fabric::{EventModel, RoutingPolicy};
+use fabric::RoutingPolicy;
 use metrics::StreamSummary;
 use simcore::{MetricsMode, Picos, SeriesPoint, StreamStats};
 use topology::{FatTreeParams, MinParams, TopoParams};
@@ -158,12 +158,4 @@ fn larger_presets_fold_exactly() {
         assert!(full.counters.delivered_packets > 0);
         assert!(s.throughput.sum > 0.0);
     }
-}
-
-#[test]
-fn streaming_composes_with_the_lazy_event_model() {
-    let spec =
-        recn_spec(MinParams::paper_64(), CornerCase::case2_64()).with_event_model(EventModel::Lazy);
-    let (_, s) = assert_fold_exact(spec);
-    assert!(s.throughput.bins > 0);
 }

@@ -7,7 +7,7 @@ use experiments::cache::{CacheStatus, RunCache};
 use experiments::runner::{scaled_recn_config, summarize};
 use experiments::spec::RunSpec;
 use experiments::sweep::{render_summary, Sweep};
-use fabric::{EventModel, SchemeKind};
+use fabric::SchemeKind;
 use simcore::Picos;
 use topology::MinParams;
 use traffic::corner::CornerCase;
@@ -202,52 +202,36 @@ fn stale_schema_or_foreign_spec_is_ignored_not_evicted() {
     assert!(cache.load(&spec).is_some());
 }
 
+/// A file left behind by the pre-collapse build (output schema 5, a
+/// version-2 spec string in its envelope) at the path a current spec maps
+/// to is a plain miss: not an error, not evicted, and the re-run overwrites
+/// it. The fixture is a real entry the old build wrote for this spec.
 #[test]
-fn event_models_never_alias_and_lazy_replays_byte_identically() {
-    let dir = scratch("cache_event_model");
+fn pre_collapse_cache_entry_is_a_miss_and_is_overwritten() {
+    let dir = scratch("cache_pre_collapse");
     let cache = RunCache::new(&dir);
-    let eager_spec = quick_specs().remove(2); // RECN: exercises every counter
-    let lazy_spec = eager_spec.clone().with_event_model(EventModel::Lazy);
+    let spec = RunSpec::corner(
+        MinParams::paper_64(),
+        SchemeKind::OneQ,
+        CornerCase::case2_64().shrunk(40),
+    )
+    .with_horizon(Picos::from_us(4))
+    .with_bin(Picos::from_us(2));
+    let path = cache.path_for(&spec);
+    let old = include_str!("fixtures/pre_collapse_cache_entry.json");
+    assert!(old.contains("\"output_schema\": 5"));
+    std::fs::write(&path, old).expect("plant the old entry");
 
-    // Distinct content addresses: an eager entry can never serve a lazy
-    // spec (their event totals differ even though the behaviour is
-    // bit-exact), and vice versa.
-    assert_ne!(eager_spec.spec_hash(), lazy_spec.spec_hash());
-    assert_ne!(cache.path_for(&eager_spec), cache.path_for(&lazy_spec));
-    let eager_out = experiments::run_one(&eager_spec);
-    cache.store(&eager_spec, &eager_out).expect("store eager");
-    assert!(
-        cache.load(&lazy_spec).is_none(),
-        "an eager entry must not serve the lazy spec"
-    );
+    assert!(cache.load(&spec).is_none(), "old schema is a miss");
+    assert!(path.exists(), "an intact old entry is not corruption");
 
-    // A cached lazy run replays byte for byte — including its (smaller)
-    // stored event total.
-    let lazy_out = experiments::run_one(&lazy_spec);
-    assert!(
-        lazy_out.events < eager_out.events,
-        "lazy must schedule fewer events"
-    );
-    cache.store(&lazy_spec, &lazy_out).expect("store lazy");
-    let back = cache.load(&lazy_spec).expect("hit after store");
-    assert_eq!(summarize(&back), summarize(&lazy_out));
-    assert_eq!(back.events, lazy_out.events);
-    assert_eq!(back.wall_secs.to_bits(), lazy_out.wall_secs.to_bits());
-    assert_eq!(
-        format!("{:?}", back.counters),
-        format!("{:?}", lazy_out.counters)
-    );
-    // Both entries still hit independently.
-    assert!(cache.load(&eager_spec).is_some());
-
-    // And through a sweep: the warm rerun is all hits, byte-identical.
-    let specs = || vec![eager_spec.clone(), lazy_spec.clone()];
-    let first = Sweep::new(specs()).cache(&dir).run_report();
-    assert_eq!(first.cache, vec![CacheStatus::Hit; 2]);
-    for (out, fresh) in first.outputs.iter().zip([&eager_out, &lazy_out]) {
-        assert_eq!(summarize(out), summarize(fresh));
-        assert_eq!(out.events, fresh.events);
-    }
+    let report = Sweep::new(vec![spec.clone()]).cache(&dir).run_report();
+    assert_eq!(report.cache, vec![CacheStatus::Miss]);
+    let back = cache.load(&spec).expect("the re-run replaced the entry");
+    assert_eq!(back.schema_version, experiments::OUTPUT_SCHEMA_VERSION);
+    // Same simulation as the old build ran, fewer scheduled events.
+    assert_eq!(back.counters.delivered_packets, 2462);
+    assert!(back.events < 76_206);
 }
 
 #[test]
@@ -341,7 +325,7 @@ fn arn_specs_never_alias_adaptive_and_counters_replay() {
     );
 
     // An ARN entry replays byte for byte — including the notification
-    // counters, which only exist since output schema v5.
+    // counters.
     let arn_out = experiments::run_one(&arn);
     assert!(
         arn_out.counters.arn_hot_notifications > 0,

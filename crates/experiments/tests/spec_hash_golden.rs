@@ -1,14 +1,17 @@
 //! Pinned `spec_v1` hashes: the content addresses of the run cache.
 //!
 //! These constants are the contract that makes cache directories (and
-//! spool files full of `spec_v1` hex) portable across versions: if any
+//! spool files full of `spec_v1` hex) portable across builds: if any
 //! hash here drifts, old cache entries silently stop matching. A failure
 //! means the canonical encoding changed — that requires bumping
-//! `SPEC_VERSION`, not updating the table.
+//! `SPEC_VERSION` and re-pinning every table here in the same change
+//! (last done for version 6, which collapsed the 2–5 version ladder and
+//! dropped the scheduler and event-model tag bytes); bytes of any other
+//! version are then rejected, which the fixture test at the bottom pins.
 
 use experiments::runner::paper_recn_config;
 use experiments::spec::RunSpec;
-use fabric::{EventModel, RoutingPolicy, SchemeKind};
+use fabric::{RoutingPolicy, SchemeKind};
 use simcore::MetricsMode;
 use topology::{FatTreeParams, MinParams};
 use traffic::corner::CornerCase;
@@ -25,73 +28,53 @@ fn schemes() -> [SchemeKind; 5] {
 }
 
 /// Corner case 2 on the 64-host MIN, spec defaults (64 B packets, 1600 µs
-/// horizon, deterministic routing, eager events) — one hash per scheme.
-/// (spec version 2: the event-model tag byte is part of the encoding.)
+/// horizon, deterministic routing) — one hash per scheme.
 const GOLDEN_MIN: [u64; 5] = [
-    0xd7d2430aae1754fe,
-    0xc5fc9a30ea2fa45b,
-    0x189b0e30359f554c,
-    0xa88ffdbae0009b91,
-    0xefc664f6b3f92164,
+    0x8d711da457226536,
+    0x2669e0b1515aad6f,
+    0xab5ed5478865e834,
+    0x3432cfba5e3f6405,
+    0xc37d213d02dfb53c,
 ];
 
 /// The fat-tree hotspot under the same five schemes with adaptive
 /// up-routing and 512-byte packets.
 const GOLDEN_FATTREE_ADAPTIVE: [u64; 5] = [
-    0x2a81a71957c888ac,
-    0x7aceee15cc425e5f,
-    0x760be39a327a007e,
-    0xf2eeebdb18abf1e9,
-    0x9c343e87f3d76032,
-];
-
-/// The MIN table again under the lazy event model: same simulation
-/// behaviour, different content address — lazy outputs report different
-/// event counts, so the two models must never alias in the cache.
-const GOLDEN_MIN_LAZY: [u64; 5] = [
-    0xd7d2440aae1756b1,
-    0xc5fc9930ea2fa2a8,
-    0x189b0f30359f56ff,
-    0xa88ffcbae00099de,
-    0xefc665f6b3f92317,
+    0xb856df5cf1f74868,
+    0xbfe6ab26373ef9e3,
+    0xd1978e18e6e47522,
+    0x8e274e23f5b8b51d,
+    0xf372c5c4abbde866,
 ];
 
 /// The MIN table under streaming metrics: the run's *behaviour* is
 /// identical (streaming is a metrics-storage knob), but the probe's
 /// output shape differs — series render empty, a `StreamSummary` rides
-/// along — so the two modes must never alias in the cache. Full-mode
-/// specs still encode as version 2 (every pre-streaming hash above is
-/// untouched); these version-3 addresses pin the new field.
+/// along — so the two modes must never alias in the cache.
 const GOLDEN_MIN_STREAMING: [u64; 5] = [
-    0x50a90f95afd16806,
-    0xe02906c06bc26585,
-    0x3def4c3d775566a8,
-    0xa47abd53566b0bcf,
-    0xaee34453543cf134,
+    0x8d7483a45725485f,
+    0x26667ab15157ca46,
+    0xab623b478868cb5d,
+    0x342f69ba5e3c80dc,
+    0xc380873d02e29865,
 ];
 
 /// Closed-loop incast64 on RECN under each non-open transport, plus the
-/// go-back-N spec with streaming metrics (spec version 4: the metrics
-/// tag and transport block join the encoding). Open-loop specs still
-/// encode as version 2/3 — every table above is untouched by the
-/// transport layer.
+/// go-back-N spec with streaming metrics.
 const GOLDEN_MIN_TRANSPORT: [u64; 4] = [
-    0xdb295620407af4c7, // go-back-N
-    0x93a51afca889fa82, // NACK
-    0x474a1cf339532da1, // PFC
-    0x45af02f99fdd4712, // go-back-N + streaming metrics
+    0x941c3be28e0832d1, // go-back-N
+    0x3c55bf72b75fb440, // NACK
+    0xb39211affd6d5877, // PFC
+    0x3ad0880ecd2695d4, // go-back-N + streaming metrics
 ];
 
-/// The fat-tree hotspot under ARN routing (spec version 5: the routing
-/// tag selects the version and the metrics tag + transport block join the
-/// encoding unconditionally). Non-ARN specs still encode as version
-/// 2/3/4 — every table above is untouched by the ARN layer.
+/// The fat-tree hotspot under ARN routing.
 const GOLDEN_FATTREE_ARN: [u64; 5] = [
-    0x1bec6d55e69f9a22,
-    0x9574f6daa666f765,
-    0xb24049c921ca0b1c,
-    0x551069f80d9bce3f,
-    0x6379ad4b5b574d54,
+    0x4e21b7ba669636c7,
+    0x225cbc1202fc6274,
+    0x03e9b0fcabbe62fd,
+    0x60234ca31c5cb542,
+    0x7a907f2605b5c561,
 ];
 
 fn min_spec(scheme: SchemeKind) -> RunSpec {
@@ -160,30 +143,6 @@ fn fattree_arn_spec_hashes_are_pinned_and_distinct() {
         let back = RunSpec::decode_hex(&spec.encode_hex()).expect("round trip");
         assert_eq!(back.routing(), RoutingPolicy::arn());
         assert_eq!(back.spec_hash(), golden);
-    }
-}
-
-#[test]
-fn lazy_spec_hashes_are_pinned_and_distinct() {
-    for ((scheme, golden), eager) in schemes().into_iter().zip(GOLDEN_MIN_LAZY).zip(GOLDEN_MIN) {
-        let spec = min_spec(scheme).with_event_model(EventModel::Lazy);
-        assert_eq!(
-            spec.spec_hash(),
-            golden,
-            "{}: lazy spec_v1 encoding drifted (hash {:#018x})",
-            scheme.name(),
-            spec.spec_hash(),
-        );
-        assert_ne!(
-            golden,
-            eager,
-            "{}: the two event models must have distinct content addresses",
-            scheme.name(),
-        );
-        // The decoded spec carries the model back out — a cache replay of a
-        // lazy entry reruns lazily.
-        let back = RunSpec::decode_hex(&spec.encode_hex()).expect("round trip");
-        assert_eq!(back.event_model(), EventModel::Lazy);
     }
 }
 
@@ -281,7 +240,6 @@ fn every_scheme_gets_a_distinct_address() {
         .iter()
         .chain(GOLDEN_FATTREE_ADAPTIVE.iter())
         .chain(GOLDEN_FATTREE_ARN.iter())
-        .chain(GOLDEN_MIN_LAZY.iter())
         .chain(GOLDEN_MIN_STREAMING.iter())
         .chain(GOLDEN_MIN_TRANSPORT.iter())
         .copied()
@@ -290,7 +248,29 @@ fn every_scheme_gets_a_distinct_address() {
     hashes.dedup();
     assert_eq!(
         hashes.len(),
-        29,
-        "all twenty-nine golden hashes are distinct"
+        24,
+        "all twenty-four golden hashes are distinct"
     );
+}
+
+/// Pre-collapse bytes fail structurally: each checked-in version-2/3/4/5
+/// string (the specs the old tables pinned) is refused with an error that
+/// names its version, and nothing panics on the way.
+#[test]
+fn pre_collapse_spec_bytes_are_rejected_by_version() {
+    let fixture = include_str!("fixtures/pre_collapse_specs.txt");
+    let mut seen = Vec::new();
+    for line in fixture.lines().filter(|l| !l.starts_with('#')) {
+        let mut words = line.split_whitespace();
+        let version = words.next().expect("version word").trim_start_matches('v');
+        let hex = words.nth(1).expect("hex word");
+        let err = RunSpec::decode_hex(hex).expect_err("old versions must not decode");
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported spec version {version}")),
+            "v{version}: {err}"
+        );
+        seen.push(version.to_owned());
+    }
+    assert_eq!(seen, ["2", "3", "4", "5"]);
 }

@@ -1,0 +1,54 @@
+//! `sweepd` against a spool that still holds pre-collapse spec lines: the
+//! batch carrying them is answered with an error line naming the
+//! unsupported version and set aside as `.err`, and the daemon keeps
+//! draining — the batch after it is served.
+
+use std::process::Command;
+
+#[test]
+fn pre_collapse_spool_lines_are_rejected_and_the_drain_continues() {
+    let spool = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweepd_pre_collapse");
+    let _ = std::fs::remove_dir_all(&spool);
+    std::fs::create_dir_all(&spool).expect("create spool");
+
+    // One old line per retired version (the specs the pre-collapse golden
+    // tables pinned), then a batch this build can run.
+    let old: String = include_str!("fixtures/pre_collapse_specs.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let hex = l.split_whitespace().nth(2).expect("hex word");
+            format!("{{\"spec_v1\": \"{hex}\"}}\n")
+        })
+        .collect();
+    std::fs::write(spool.join("a_old.jsonl"), old).expect("write old batch");
+    let demo = Command::new(env!("CARGO_BIN_EXE_sweepd"))
+        .args(["--demo", "1"])
+        .output()
+        .expect("run sweepd --demo");
+    std::fs::write(spool.join("b_new.jsonl"), demo.stdout).expect("write new batch");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_sweepd"))
+        .arg("--spool")
+        .arg(&spool)
+        .args(["--cache", "none", "--once", "--jobs", "1"])
+        .output()
+        .expect("run sweepd");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(out.status.success(), "sweepd must not die: {stderr}");
+    assert!(
+        stderr.contains("a_old.jsonl:1: bad spec_v1:")
+            && stderr.contains("unsupported spec version 2"),
+        "{stderr}"
+    );
+    assert!(
+        spool.join("a_old.jsonl.err").exists(),
+        "old batch set aside"
+    );
+    assert!(spool.join("b_new.jsonl.done").exists(), "drain continued");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    assert!(stdout.contains("\"label\": \"demo0\""), "{stdout}");
+}

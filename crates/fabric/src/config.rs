@@ -285,10 +285,10 @@ pub struct FabricConfig {
     /// switches pick among equivalent up-ports (and relaxes
     /// `strict_order`, since per-packet path choice can reorder a flow).
     pub routing: RoutingPolicy,
-    /// How wakeups become scheduled events: `Eager` (reference — one event
-    /// per kick) or `Lazy` (same-time kicks coalesce into sweep events and
-    /// idle arbiters are elided). Behaviour is bit-exact either way; only
-    /// event counts differ. See DESIGN.md §6f.
+    /// How wakeups become scheduled events: `Lazy` (every run — same-time
+    /// kicks coalesce into sweep events and idle arbiters are elided) or
+    /// `Eager` (the test reference — one event per kick). Behaviour is
+    /// bit-exact either way; only event counts differ. See DESIGN.md §6f.
     pub event_model: EventModel,
     /// End-host transport: open-loop passthrough (the default — bit-exact
     /// with the pre-transport fabric), windowed go-back-N, NACK, or the
@@ -311,7 +311,7 @@ impl FabricConfig {
             saq_idle_timeout: Picos::from_us(20),
             strict_order: scheme.preserves_order(),
             routing: RoutingPolicy::Deterministic,
-            event_model: EventModel::Eager,
+            event_model: EventModel::default(),
             transport: TransportKind::OpenLoop,
         }
     }
@@ -327,7 +327,8 @@ impl FabricConfig {
         self
     }
 
-    /// Installs an event model (eager reference or lazy fast path).
+    /// Installs an event model: how the differential suites reach the
+    /// eager reference. Nothing outside tests calls this.
     pub fn with_event_model(mut self, model: EventModel) -> FabricConfig {
         self.event_model = model;
         self
@@ -407,6 +408,7 @@ mod tests {
         assert_eq!(cfg.input_mem, 128 * 1024);
         assert_eq!(cfg.link_time(64), Picos::from_ns(64));
         assert_eq!(cfg.xbar_time(64), Picos::new(42_667));
+        assert_eq!(cfg.event_model, EventModel::Lazy);
     }
 
     #[test]

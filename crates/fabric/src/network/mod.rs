@@ -676,16 +676,9 @@ impl Network {
         }
     }
 
-    /// Convenience: wraps the network in a primed [`simcore::Engine`] on
-    /// the default scheduler.
+    /// Convenience: wraps the network in a primed [`simcore::Engine`].
     pub fn build_engine(self) -> simcore::Engine<Network> {
-        self.build_engine_with(simcore::SchedulerKind::default())
-    }
-
-    /// Wraps the network in a primed [`simcore::Engine`] whose event queue
-    /// runs on the given scheduler backend.
-    pub fn build_engine_with(self, kind: simcore::SchedulerKind) -> simcore::Engine<Network> {
-        let mut engine = simcore::Engine::with_scheduler(self, kind);
+        let mut engine = simcore::Engine::new(self);
         let mut queue = std::mem::take(engine.queue_mut());
         engine.model_mut().prime(&mut queue);
         *engine.queue_mut() = queue;

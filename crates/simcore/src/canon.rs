@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use crate::{EventModel, MetricsMode, Picos, SchedulerKind};
+use crate::{MetricsMode, Picos};
 
 /// Error produced when canonical bytes cannot be decoded (truncation, an
 /// unknown enum tag, or a value that fails the type's own invariants).
@@ -205,40 +205,6 @@ impl Canon for Picos {
     }
 }
 
-impl Canon for SchedulerKind {
-    fn encode_canon(&self, w: &mut CanonWriter) {
-        w.u8(match self {
-            SchedulerKind::Calendar => 0,
-            SchedulerKind::Heap => 1,
-        });
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(SchedulerKind::Calendar),
-            1 => Ok(SchedulerKind::Heap),
-            t => Err(CanonError::new(format!("unknown scheduler tag {t}"))),
-        }
-    }
-}
-
-impl Canon for EventModel {
-    fn encode_canon(&self, w: &mut CanonWriter) {
-        w.u8(match self {
-            EventModel::Eager => 0,
-            EventModel::Lazy => 1,
-        });
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(EventModel::Eager),
-            1 => Ok(EventModel::Lazy),
-            t => Err(CanonError::new(format!("unknown event model tag {t}"))),
-        }
-    }
-}
-
 impl Canon for MetricsMode {
     fn encode_canon(&self, w: &mut CanonWriter) {
         w.u8(match self {
@@ -307,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn picos_and_scheduler_round_trip() {
+    fn picos_round_trips() {
         for t in [Picos::ZERO, Picos::from_us(800), Picos::MAX] {
             let mut w = CanonWriter::new();
             t.encode_canon(&mut w);
@@ -315,32 +281,6 @@ mod tests {
             let mut r = CanonReader::new(&bytes);
             assert_eq!(Picos::decode_canon(&mut r).unwrap(), t);
         }
-        for k in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let mut w = CanonWriter::new();
-            k.encode_canon(&mut w);
-            let bytes = w.finish();
-            let mut r = CanonReader::new(&bytes);
-            assert_eq!(SchedulerKind::decode_canon(&mut r).unwrap(), k);
-        }
-        let mut r = CanonReader::new(&[9]);
-        assert!(SchedulerKind::decode_canon(&mut r).is_err());
-    }
-
-    #[test]
-    fn event_model_round_trips() {
-        for m in [EventModel::Eager, EventModel::Lazy] {
-            let mut w = CanonWriter::new();
-            m.encode_canon(&mut w);
-            let bytes = w.finish();
-            let mut r = CanonReader::new(&bytes);
-            assert_eq!(EventModel::decode_canon(&mut r).unwrap(), m);
-            r.finish().unwrap();
-        }
-        let mut r = CanonReader::new(&[7]);
-        assert!(EventModel::decode_canon(&mut r).is_err());
-        assert_eq!(EventModel::default(), EventModel::Eager);
-        assert_eq!(EventModel::parse("lazy"), Ok(EventModel::Lazy));
-        assert!(EventModel::parse("warp").is_err());
     }
 
     #[test]

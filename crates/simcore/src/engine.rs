@@ -1,52 +1,34 @@
 //! The simulation driver loop.
 
-use crate::{EventQueue, Picos, SchedulerKind};
+use crate::{EventQueue, Picos};
 
 /// How a model turns state changes into scheduled events.
 ///
 /// The engine itself is agnostic — it drains whatever the model schedules.
-/// The knob lives here because it names a contract *between* models and
-/// observers: under [`EventModel::Lazy`] a model may coalesce same-time
-/// wakeups into batch events and elide no-op work, but it must produce the
-/// exact same observable behaviour (observer hook sequence, counters,
-/// series) as [`EventModel::Eager`]. Only bookkeeping internals — the
+/// The type lives here because it names a contract *between* models and
+/// observers: [`EventModel::Lazy`], the model every run uses, may coalesce
+/// same-time wakeups into batch events and elide no-op work, but it must
+/// produce the exact same observable behaviour (observer hook sequence,
+/// counters, series) as [`EventModel::Eager`], the reference the
+/// differential suite checks it against. Only bookkeeping internals — the
 /// number of events processed and the queue depth — are allowed to differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventModel {
     /// Reference implementation: one dedicated event per wakeup, arbiters
     /// polled whenever a kick arrives, no elision. Every behaviour claim
-    /// is defined against this model.
-    #[default]
+    /// is defined against this model; only tests run it.
     Eager,
-    /// Event-reduction fast path: same-time arbiter wakeups coalesce into
-    /// one sweep event, idle arbiters return without scanning, and no-op
+    /// The production model: same-time arbiter wakeups coalesce into one
+    /// sweep event, idle arbiters return without scanning, and no-op
     /// wakeups are elided at execution time. Bit-exact with `Eager` by
     /// construction (see DESIGN.md §6f); proven by the differential suite.
+    #[default]
     Lazy,
-}
-
-impl EventModel {
-    /// The CLI / JSON name (`eager` or `lazy`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventModel::Eager => "eager",
-            EventModel::Lazy => "lazy",
-        }
-    }
-
-    /// Parses a `--event-model` value.
-    pub fn parse(s: &str) -> Result<EventModel, String> {
-        match s {
-            "eager" => Ok(EventModel::Eager),
-            "lazy" => Ok(EventModel::Lazy),
-            other => Err(format!("unknown event model {other:?} (eager|lazy)")),
-        }
-    }
 }
 
 /// How a run records its time series.
 ///
-/// Like [`EventModel`], this is a behaviour-preserving knob: the simulated
+/// This is a behaviour-preserving knob: the simulated
 /// network is identical under both modes (trace digests and counters are
 /// byte-for-byte the same); only the metrics pipeline changes. `Full` keeps
 /// one slot per bin and renders whole curves; `Streaming` keeps O(1) state
@@ -109,18 +91,11 @@ pub struct Engine<M: SimModel> {
 }
 
 impl<M: SimModel> Engine<M> {
-    /// Creates an engine around `model` with an empty event queue on the
-    /// default scheduler.
+    /// Creates an engine around `model` with an empty event queue.
     pub fn new(model: M) -> Self {
-        Engine::with_scheduler(model, SchedulerKind::default())
-    }
-
-    /// Creates an engine whose event queue runs on the given scheduler
-    /// backend (see [`SchedulerKind`]).
-    pub fn with_scheduler(model: M, kind: SchedulerKind) -> Self {
         Engine {
             model,
-            queue: EventQueue::with_scheduler(kind),
+            queue: EventQueue::new(),
             now: Picos::ZERO,
             processed: 0,
         }

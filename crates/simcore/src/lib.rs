@@ -8,9 +8,10 @@
 //! * [`EventQueue`] and [`Engine`]: a stable priority queue of events and a
 //!   driver loop. Events scheduled for the same instant are delivered in
 //!   insertion order, which makes the simulation deterministic even when many
-//!   components act "simultaneously". Two [`SchedulerKind`] backends deliver
-//!   that exact order: a calendar queue (default, O(1) amortized) and the
-//!   legacy binary heap (escape hatch for A/B validation).
+//!   components act "simultaneously". The queue is a calendar queue (O(1)
+//!   amortized); a binary heap delivering the exact same order is kept
+//!   behind [`SchedulerKind`] as the oracle the equivalence tests check it
+//!   against.
 //! * [`SplitMix64`] / [`Xoshiro256`]: small, dependency-free PRNGs with
 //!   explicit seeding, so traffic generation is reproducible.
 //! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`]: the stable

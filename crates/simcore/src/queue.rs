@@ -1,4 +1,5 @@
-//! Stable event priority queue with pluggable scheduler backends.
+//! Stable event priority queue: the calendar queue, plus the binary heap
+//! it is tested against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,40 +21,17 @@ pub struct ScheduledEvent<E> {
 
 /// Which scheduler backend an [`EventQueue`] runs on.
 ///
-/// Both deliver the exact same `(time, seq)` order — the calendar queue is
-/// the default (O(1) amortized for the clustered event times the fabric
-/// model produces); the binary heap is kept as an escape hatch for A/B
-/// validation and for adversarial schedules where the calendar's density
-/// assumptions don't hold. Selectable per run via
-/// `experiments::RunSpec::scheduler`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Every simulation runs on the calendar queue ([`EventQueue::new`]; O(1)
+/// amortized for the clustered event times the fabric model produces). The
+/// binary heap is the test oracle the calendar is checked against, op for
+/// op, by `tests/scheduler_equivalence.rs`: both deliver the exact same
+/// `(time, seq)` order. Nothing above this crate selects a backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Calendar queue / timing wheel (the default; see `calendar.rs`).
-    #[default]
+    /// Calendar queue / timing wheel (see `calendar.rs`).
     Calendar,
-    /// The legacy `BinaryHeap` scheduler.
+    /// `BinaryHeap` reference implementation.
     Heap,
-}
-
-impl SchedulerKind {
-    /// Display name (also the `--scheduler` CLI value).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Calendar => "calendar",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-
-    /// Parses a `--scheduler` CLI value.
-    pub fn parse(s: &str) -> Result<SchedulerKind, String> {
-        match s {
-            "calendar" => Ok(SchedulerKind::Calendar),
-            "heap" => Ok(SchedulerKind::Heap),
-            other => Err(format!(
-                "unknown scheduler {other:?} (expected calendar|heap)"
-            )),
-        }
-    }
 }
 
 /// Min-heap wrapper ordered by `(time, seq)`.
@@ -122,12 +100,13 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default scheduler (calendar queue).
+    /// Creates an empty queue (on the calendar queue).
     pub fn new() -> Self {
-        EventQueue::with_scheduler(SchedulerKind::default())
+        EventQueue::with_scheduler(SchedulerKind::Calendar)
     }
 
-    /// Creates an empty queue on the given scheduler backend.
+    /// Creates an empty queue on the given backend (the equivalence tests'
+    /// way to reach the heap oracle).
     pub fn with_scheduler(kind: SchedulerKind) -> Self {
         let backend = match kind {
             SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new()),
@@ -138,14 +117,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             scheduled_total: 0,
             peak_len: 0,
-        }
-    }
-
-    /// The scheduler backend this queue runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Calendar(_) => SchedulerKind::Calendar,
-            Backend::Heap(_) => SchedulerKind::Heap,
         }
     }
 
@@ -317,23 +288,15 @@ mod tests {
         });
     }
 
+    /// Pins the production backend: the two are bit-exact, so no other
+    /// test would notice `new()` building the heap.
     #[test]
     fn default_scheduler_is_calendar() {
         let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.scheduler(), SchedulerKind::Calendar);
+        assert!(matches!(q.backend, Backend::Calendar(_)));
+        let q: EventQueue<()> = EventQueue::default();
+        assert!(matches!(q.backend, Backend::Calendar(_)));
         let q: EventQueue<()> = EventQueue::with_scheduler(SchedulerKind::Heap);
-        assert_eq!(q.scheduler(), SchedulerKind::Heap);
-    }
-
-    #[test]
-    fn scheduler_kind_parses() {
-        assert_eq!(
-            SchedulerKind::parse("calendar"),
-            Ok(SchedulerKind::Calendar)
-        );
-        assert_eq!(SchedulerKind::parse("heap"), Ok(SchedulerKind::Heap));
-        assert!(SchedulerKind::parse("wheel").is_err());
-        assert_eq!(SchedulerKind::Calendar.name(), "calendar");
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
+        assert!(matches!(q.backend, Backend::Heap(_)));
     }
 }

@@ -20,11 +20,12 @@ echo "== tier1: rustdoc gate (RUSTDOCFLAGS=-D warnings) + doc tests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo test --workspace --doc -q
 
-echo "== tier1: event-model differential (Eager vs Lazy, release) =="
-# The lazy event model must be bit-exact: the full 5-scheme × 2-topology ×
-# 2-routing matrix plus the seeded property suite compare trace digests,
-# counters, and series between the two models. Release mode: the matrix is
-# 30 full runs and debug would dominate the gate's wall time.
+echo "== tier1: event-model oracle suite (production vs the eager reference, release) =="
+# Every run uses the lazy event model, which must be bit-exact with the
+# eager reference that defines it: the scheme × topology × routing matrix,
+# the closed-loop incast cell and the seeded property suite compare trace
+# digests, counters, series and FCTs between run_one and the reference.
+# Release mode: debug would dominate the gate's wall time.
 cargo test --release -q -p experiments --test event_model_differential
 
 echo "== tier1: metrics-mode differential (Full vs Streaming, release) =="
