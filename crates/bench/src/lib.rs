@@ -107,9 +107,7 @@ pub fn scale_spec(scheme: SchemeKind) -> RunSpec {
 }
 
 /// The 4096-host fat-tree scalability kernel as a spec (16-ary 3-tree,
-/// one attacker per leaf switch). Uses streaming metrics so the probe's
-/// series storage does not contribute to the ~60M-event run's memory
-/// high-water mark.
+/// one attacker per leaf switch).
 pub fn scale4096_spec(scheme: SchemeKind) -> RunSpec {
     RunSpec::corner(
         topology::FatTreeParams::ft_4096(),
@@ -118,7 +116,6 @@ pub fn scale4096_spec(scheme: SchemeKind) -> RunSpec {
     )
     .with_horizon(bench_horizon())
     .with_bin(Picos::from_us(1))
-    .with_metrics(simcore::MetricsMode::Streaming)
     .with_label("scale4096")
 }
 

@@ -65,17 +65,9 @@ fn run_recn_sweep(
     let row = |setting: String, out: RunOutput| {
         let from = 810.0 / opts.time_div() as f64;
         let to = 960.0 / opts.time_div() as f64;
-        // Streaming runs record no per-bin series; fall back to the O(1)
-        // whole-run mean (the relative ordering across settings is what
-        // the ablation tables compare).
-        let window_throughput = if out.throughput.is_empty() {
-            out.stream.as_ref().map_or(0.0, |s| s.throughput.mean())
-        } else {
-            window_stats(&out.throughput, from, to).0
-        };
         AblationRow {
             setting,
-            window_throughput,
+            window_throughput: window_stats(&out.throughput, from, to).0,
             saq_peaks: out.saq_peaks,
             rejects: out.counters.recn_rejects,
             allocs: out.counters.saq_allocs,
@@ -248,22 +240,6 @@ mod tests {
         assert!(one.rejects > eight.rejects, "{one:?} vs {eight:?}");
         // And more SAQs never hurt window throughput much.
         assert!(eight.window_throughput >= one.window_throughput * 0.95);
-    }
-
-    #[test]
-    fn streaming_metrics_fall_back_to_stream_means() {
-        let opts = Opts {
-            metrics: simcore::MetricsMode::Streaming,
-            ..quick()
-        };
-        let rows = drain_boost_ablation(&opts);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(
-                r.window_throughput > 0.0,
-                "streaming ablation must report the stream mean: {r:?}"
-            );
-        }
     }
 
     #[test]

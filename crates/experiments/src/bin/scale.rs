@@ -11,8 +11,7 @@
 //! attached to the RECN rows.
 //!
 //! ```text
-//! scale [--net N] [--time-div D] [--metrics full|streaming]
-//!       [--json FILE] [--budget BYTES]
+//! scale [--net N] [--time-div D] [--json FILE] [--budget BYTES]
 //! ```
 //!
 //! `--budget BYTES` is the CI scale gate: the process exits nonzero if
@@ -24,7 +23,7 @@ use experiments::runner::{run_one, scaled_recn_config, summarize};
 use experiments::scale::{analytic_rows, render_scale_table, scale_points, ScaleRow};
 use experiments::RunSpec;
 use fabric::SchemeKind;
-use simcore::{MetricsMode, Picos};
+use simcore::Picos;
 use traffic::corner::CornerCase;
 
 const SCALE_FLAGS: &[FlagDef] = &[
@@ -39,12 +38,6 @@ const SCALE_FLAGS: &[FlagDef] = &[
         aliases: &[],
         value: Some(("D", "a divisor")),
         help: "time compression for the measured runs (default 16)",
-    },
-    FlagDef {
-        name: "--metrics",
-        aliases: &[],
-        value: Some(("full|streaming", "full or streaming")),
-        help: "metrics mode for the measured runs (default streaming)",
     },
     FlagDef {
         name: "--json",
@@ -63,7 +56,6 @@ const SCALE_FLAGS: &[FlagDef] = &[
 struct ScaleArgs {
     net: Option<u32>,
     time_div: u64,
-    metrics: MetricsMode,
     json: Option<String>,
     budget: Option<u64>,
     help: bool,
@@ -73,7 +65,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ScaleArgs, Strin
     let mut cfg = ScaleArgs {
         net: None,
         time_div: 16,
-        metrics: MetricsMode::Streaming,
         json: None,
         budget: None,
         help: false,
@@ -95,7 +86,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ScaleArgs, Strin
                     .map_err(|_| format!("--time-div expects a divisor, got {v:?}"))?
                     .max(1);
             }
-            "--metrics" => cfg.metrics = MetricsMode::parse(&v())?,
             "--json" => cfg.json = Some(v()),
             "--budget" => {
                 let v = v();
@@ -120,16 +110,10 @@ fn corner_for(hosts: u32) -> CornerCase {
     }
 }
 
-fn render_json(
-    rows: &[ScaleRow],
-    time_div: u64,
-    metrics: MetricsMode,
-    budget: Option<u64>,
-) -> String {
+fn render_json(rows: &[ScaleRow], time_div: u64, budget: Option<u64>) -> String {
     let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"scale/v1\",\n");
+    s.push_str("  \"schema\": \"scale/v2\",\n");
     s.push_str(&format!("  \"time_div\": {time_div},\n"));
-    s.push_str(&format!("  \"metrics\": \"{}\",\n", metrics.name()));
     s.push_str(&format!(
         "  \"budget_bytes\": {},\n",
         budget.map_or("null".to_owned(), |b| b.to_string())
@@ -182,12 +166,8 @@ fn main() {
         let spec = RunSpec::corner(*p, recn, corner_for(hosts).shrunk(div))
             .with_horizon(Picos::from_us(1600 / div))
             .with_bin(Picos::from_us(1))
-            .with_metrics(args.metrics)
             .with_label(format!("scale_{hosts}"));
-        eprintln!(
-            "running {hosts}-host RECN hotspot (time/{div}, {} metrics)...",
-            args.metrics.name()
-        );
+        eprintln!("running {hosts}-host RECN hotspot (time/{div})...");
         let out = run_one(&spec);
         eprintln!(
             "  {} [peak {} bytes, {:.1}s wall]",
@@ -214,7 +194,7 @@ fn main() {
 
     println!("{}", render_scale_table(&rows));
     if let Some(path) = &args.json {
-        let json = render_json(&rows, div, args.metrics, args.budget);
+        let json = render_json(&rows, div, args.budget);
         std::fs::write(path, &json).expect("write scale JSON");
         eprintln!("wrote {path}");
     }
@@ -227,5 +207,22 @@ fn main() {
     }
     if let Some(budget) = args.budget {
         eprintln!("memory budget OK: all runs under {budget} bytes");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use experiments::opts::usage_line;
+
+    /// `scale` runs the one probe storage there is: the metrics-mode
+    /// selector is gone from its flag table too.
+    #[test]
+    fn removed_metrics_flag_is_rejected_as_unknown() {
+        let err = parse_args(["--metrics".to_owned(), "full".to_owned()])
+            .err()
+            .expect("--metrics must not parse");
+        assert!(err.contains("unknown option --metrics"), "{err}");
+        assert!(err.contains(&usage_line(SCALE_FLAGS)), "{err}");
     }
 }

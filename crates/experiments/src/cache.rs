@@ -24,8 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fabric::NetCounters;
-use metrics::StreamSummary;
-use simcore::{fnv1a64, Running, SeriesPoint, StreamStats};
+use simcore::{fnv1a64, Running, SeriesPoint};
 
 use crate::runner::{RunOutput, OUTPUT_SCHEMA_VERSION};
 use crate::spec::RunSpec;
@@ -197,7 +196,7 @@ fn render_body(out: &RunOutput) -> String {
          \"pfc_resumes\":{},\"pfc_dropped_packets\":{},\"pfc_dropped_bytes\":{},\
          \"arn_hot_notifications\":{},\"arn_cold_notifications\":{}}},\
          \"wall_secs\":{},\"events\":{},\"peak_event_queue_depth\":{},\"trace_digest\":{},\
-         \"peak_bytes_estimate\":{},\"stream\":{},\"fct\":{}}}",
+         \"peak_bytes_estimate\":{},\"fct\":{}}}",
         out.scheme,
         series_json(&out.throughput),
         series_json(&out.saq_ingress),
@@ -248,10 +247,6 @@ fn render_body(out: &RunOutput) -> String {
             None => "null".to_owned(),
         },
         out.peak_bytes_estimate,
-        match &out.stream {
-            Some(s) => render_stream(s),
-            None => "null".to_owned(),
-        },
         render_fct(&out.fct),
     )
 }
@@ -285,22 +280,6 @@ fn parse_fct(v: &Json) -> Result<Option<metrics::FctSummary>, String> {
             }))
         }
     }
-}
-
-/// Renders a [`StreamSummary`] as five `[bins, sum, max]` triples (floats
-/// in shortest round-tripping form, exactly like the series cells).
-fn render_stream(s: &StreamSummary) -> String {
-    let stats = |st: &StreamStats| format!("[{},{},{}]", st.bins, fnum(st.sum), fnum(st.max));
-    format!(
-        "{{\"throughput\":{},\"offered\":{},\"saq_max_ingress\":{},\
-         \"saq_max_egress\":{},\"saq_total\":{},\"fct\":{}}}",
-        stats(&s.throughput),
-        stats(&s.offered),
-        stats(&s.saq_max_ingress),
-        stats(&s.saq_max_egress),
-        stats(&s.saq_total),
-        render_fct(&s.fct),
-    )
 }
 
 // ---- entry parsing -----------------------------------------------------
@@ -450,37 +429,9 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
             .get("peak_bytes_estimate")
             .and_then(|v| v.u64())
             .ok_or("bad peak_bytes_estimate")?,
-        stream: match body.get("stream").ok_or("missing stream")? {
-            Json::Null => None,
-            v => Some(parse_stream(v)?),
-        },
         fct: parse_fct(body.get("fct").ok_or("missing fct")?)?,
     };
     Ok(Some(out))
-}
-
-/// Inverse of [`render_stream`].
-fn parse_stream(v: &Json) -> Result<StreamSummary, String> {
-    let stats = |k: &str| -> Result<StreamStats, String> {
-        let a = v
-            .get(k)
-            .and_then(|s| s.arr())
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| format!("bad stream stats {k:?}"))?;
-        Ok(StreamStats {
-            bins: a[0].u64().ok_or("bad stream bins")?,
-            sum: a[1].f64().ok_or("bad stream sum")?,
-            max: a[2].f64().ok_or("bad stream max")?,
-        })
-    };
-    Ok(StreamSummary {
-        throughput: stats("throughput")?,
-        offered: stats("offered")?,
-        saq_max_ingress: stats("saq_max_ingress")?,
-        saq_max_egress: stats("saq_max_egress")?,
-        saq_total: stats("saq_total")?,
-        fct: parse_fct(v.get("fct").ok_or("missing stream fct")?)?,
-    })
 }
 
 // ---- minimal JSON ------------------------------------------------------

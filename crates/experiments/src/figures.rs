@@ -32,46 +32,7 @@ pub struct Figure {
 impl Figure {
     /// Prints the figure as a text table (thinned by `opts.stride`) and
     /// optionally CSV, plus per-run summaries.
-    ///
-    /// Under `--metrics streaming` the per-bin series were never recorded;
-    /// the figure degrades to the O(1) stream summaries (mean/max per
-    /// curve) instead of printing empty point tables, and no CSV is
-    /// written.
     pub fn print(&self, opts: &Opts) {
-        if self.series.iter().all(|l| l.points.is_empty()) {
-            if self.runs.iter().any(|r| r.stream.is_some()) {
-                println!(
-                    "# {} — {} (streaming metrics: summaries only)",
-                    self.name, self.title
-                );
-                println!(
-                    "{:>10} {:>14} {:>13} {:>14} {:>10}",
-                    "scheme", "thr-mean(B/ns)", "thr-max(B/ns)", "offered(B/ns)", "saq-peak"
-                );
-                for r in &self.runs {
-                    let s = r.stream.as_ref().expect("streaming run has a summary");
-                    println!(
-                        "{:>10} {:>14.4} {:>13.4} {:>14.4} {:>10.0}",
-                        r.scheme,
-                        s.throughput.mean(),
-                        s.throughput.max,
-                        s.offered.mean(),
-                        s.saq_total.max,
-                    );
-                }
-                for r in &self.runs {
-                    println!("  {}", summarize(r));
-                }
-                println!();
-                return;
-            }
-            if self.runs.is_empty() {
-                // Derived figures (e.g. the fig2 zooms) carry no runs of
-                // their own; with no points there is nothing to derive.
-                println!("# {} — {} (no series points)\n", self.name, self.title);
-                return;
-            }
-        }
         let thinned: Vec<Labeled> = self
             .series
             .iter()
@@ -623,28 +584,6 @@ mod tests {
             quick: true,
             stride: 8,
             ..Opts::default()
-        }
-    }
-
-    #[test]
-    fn streaming_figures_degrade_to_summaries() {
-        let opts = Opts {
-            metrics: simcore::MetricsMode::Streaming,
-            ..quick_opts()
-        };
-        let figs = fig4(&opts);
-        for f in &figs {
-            assert!(
-                f.series.iter().all(|l| l.points.is_empty()),
-                "{}: streaming runs record no series",
-                f.name
-            );
-            for r in &f.runs {
-                let s = r.stream.as_ref().expect("stream summary rides along");
-                assert!(s.throughput.mean() > 0.0);
-            }
-            // Exercises the summaries-only rendering path.
-            f.print(&opts);
         }
     }
 

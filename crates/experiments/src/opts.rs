@@ -181,12 +181,6 @@ pub const OPTS_FLAGS: &[FlagDef] = &[
         help: "routing policy (deterministic default; arn = notification-driven adaptive)",
     },
     FlagDef {
-        name: "--metrics",
-        aliases: &[],
-        value: Some(("full|streaming", "full or streaming")),
-        help: "metrics mode (full default; streaming keeps O(1) summaries instead of series)",
-    },
-    FlagDef {
         name: "--transport",
         aliases: &[],
         value: Some(("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
@@ -287,11 +281,6 @@ pub struct Opts {
     /// at forwarding time; arn additionally steers them away from subtrees
     /// with live congestion notifications).
     pub routing: fabric::RoutingPolicy,
-    /// Metrics mode for every run of the sweep
-    /// (`--metrics full|streaming`; full default. Streaming replaces the
-    /// per-bin series with fold-exact O(1) summaries — the memory knob
-    /// for 4096-host fabrics).
-    pub metrics: simcore::MetricsMode,
     /// End-host transport for every run of the sweep
     /// (`--transport open|gbn|nack|pfc`; open-loop default — today's
     /// behaviour bit-exactly. gbn/nack add windowed senders with
@@ -383,10 +372,6 @@ impl Opts {
                         )
                     })?;
                 }
-                "--metrics" => {
-                    opts.metrics = simcore::MetricsMode::parse(&v())
-                        .map_err(|e| format!("{e}; {}", usage()))?;
-                }
                 "--transport" => {
                     let v = v();
                     opts.transport = fabric::TransportKind::parse(&v).ok_or_else(|| {
@@ -447,11 +432,7 @@ impl Opts {
     pub fn sweep_report(&self, name: &str, specs: Vec<RunSpec>) -> SweepReport {
         let specs: Vec<RunSpec> = specs
             .into_iter()
-            .map(|s| {
-                s.with_routing(self.routing)
-                    .with_metrics(self.metrics)
-                    .with_transport(self.transport)
-            })
+            .map(|s| s.with_routing(self.routing).with_transport(self.transport))
             .collect();
         let mut sweep = Sweep::new(specs)
             .jobs(self.jobs.unwrap_or(0))
@@ -558,11 +539,16 @@ mod tests {
             .contains("--trace-last expects a count"));
     }
 
-    /// The engine has one configuration: the scheduler and event-model
-    /// selectors are gone, not merely hidden.
+    /// The engine has one configuration and the probe one storage: the
+    /// scheduler, event-model and metrics-mode selectors are gone, not
+    /// merely hidden.
     #[test]
-    fn removed_engine_flags_are_rejected_as_unknown() {
-        for words in [["--event-model", "lazy"], ["--scheduler", "heap"]] {
+    fn removed_flags_are_rejected_as_unknown() {
+        for words in [
+            ["--event-model", "lazy"],
+            ["--scheduler", "heap"],
+            ["--metrics", "full"],
+        ] {
             let err = parse(&words).unwrap_err();
             assert!(
                 err.contains(&format!("unknown option {}", words[0])),
@@ -607,23 +593,6 @@ mod tests {
         assert!(parse(&["--routing"])
             .unwrap_err()
             .contains("--routing needs"));
-    }
-
-    #[test]
-    fn metrics_flag_parses() {
-        use simcore::MetricsMode;
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.metrics, MetricsMode::Full);
-        let o = parse(&["--metrics", "streaming"]).unwrap();
-        assert_eq!(o.metrics, MetricsMode::Streaming);
-        let o = parse(&["--metrics", "full"]).unwrap();
-        assert_eq!(o.metrics, MetricsMode::Full);
-        assert!(parse(&["--metrics", "sampled"])
-            .unwrap_err()
-            .contains("unknown metrics mode"));
-        assert!(parse(&["--metrics"])
-            .unwrap_err()
-            .contains("--metrics needs"));
     }
 
     #[test]

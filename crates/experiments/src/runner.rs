@@ -7,9 +7,9 @@ use fabric::{
     FabricConfig, FanoutObserver, MessageSource, NetCounters, Network, SchemeKind, SilentSource,
     TraceHandle, TraceSink, ValidatingObserver,
 };
-use metrics::{FctSummary, Probe, ProbeHandle, StreamSummary};
+use metrics::{FctSummary, Probe, ProbeHandle};
 use recn::RecnConfig;
-use simcore::{EventModel, MetricsMode, Picos, SeriesPoint};
+use simcore::{EventModel, Picos, SeriesPoint};
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
 
@@ -19,10 +19,10 @@ use crate::spec::RunSpec;
 /// cache's body format. Bump on any field addition/removal/meaning change;
 /// cache entries written under another version are rejected on load.
 ///
-/// Version 6 dropped the per-run `scheduler` and `event_model` fields from
-/// the sweep summaries (one engine configuration); `events` and
-/// `peak_event_queue_depth` are lazy-model counts from here on.
-pub const OUTPUT_SCHEMA_VERSION: u32 = 6;
+/// Version 7 dropped the `stream` block from the cache body and the
+/// per-run `metrics` field from the sweep summaries (the series are the
+/// only probe storage).
+pub const OUTPUT_SCHEMA_VERSION: u32 = 7;
 
 /// The workload of a run.
 #[derive(Debug, Clone)]
@@ -132,12 +132,8 @@ pub struct RunOutput {
     /// Deterministic — derived from high-water marks, never from the
     /// allocator — so cached results replay it exactly.
     pub peak_bytes_estimate: u64,
-    /// Fold-exact series summaries when the spec ran with
-    /// [`MetricsMode::Streaming`]; `None` in full mode (render the series
-    /// fields instead).
-    pub stream: Option<StreamSummary>,
     /// Per-flow completion-time summary (`None` unless the run completed
-    /// closed-loop flows). Available in both metrics modes.
+    /// closed-loop flows).
     pub fct: Option<FctSummary>,
 }
 
@@ -249,10 +245,7 @@ fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
     let sources = spec
         .workload()
         .sources(spec.params().hosts(), spec.horizon());
-    let (probe, handle) = match spec.metrics() {
-        MetricsMode::Full => Probe::new(spec.bin()),
-        MetricsMode::Streaming => Probe::streaming(spec.bin(), spec.horizon()),
-    };
+    let (probe, handle) = Probe::new(spec.bin());
     // Validator and tracer ride the same observer slot as the probe via a
     // fan-out; all three are Rc<RefCell>-based and constructed here, on the
     // worker thread, per the sweep's thread-locality contract.
@@ -323,7 +316,6 @@ fn finish(
         peak_event_queue_depth,
         trace_digest: None,
         peak_bytes_estimate,
-        stream: handle.stream_summary(),
         fct: handle.fct_summary(),
     }
 }

@@ -12,8 +12,8 @@
 //! * **Canonical encoding.** [`RunSpec::encode`] produces the stable,
 //!   versioned `spec_v1` byte string covering every behaviour-affecting
 //!   field — topology parameters, scheme (including the full
-//!   [`recn::RecnConfig`]), workload, routing, packet size, horizon, bin,
-//!   metrics mode and transport — and **excluding** observers and
+//!   [`recn::RecnConfig`]), workload, routing, packet size, horizon, bin
+//!   and transport — and **excluding** observers and
 //!   presentation (label, `validate`, trace capacity, jobs, progress). Two
 //!   specs with equal encodings produce bit-identical simulations.
 //! * **Content address.** [`RunSpec::spec_hash`] is the FNV-1a 64 digest of
@@ -34,7 +34,7 @@
 //! ```
 
 use fabric::{RoutingPolicy, SchemeKind, TransportKind};
-use simcore::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, MetricsMode, Picos};
+use simcore::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, Picos};
 use topology::TopoParams;
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
@@ -45,13 +45,19 @@ use crate::runner::Workload;
 /// Magic prefix of every `spec_v1` byte string (`"RS"` + version byte).
 const SPEC_MAGIC: [u8; 2] = *b"RS";
 /// Version byte of the spec encoding. There is one layout: the common
-/// fields, then the [`MetricsMode`] tag and the [`TransportKind`] block,
-/// all always present. Bump it whenever a behaviour-affecting field is
-/// added, removed or reordered: every spec hash then moves at once
-/// (`tests/spec_hash_golden.rs` is re-pinned, old cache entries stop
-/// matching) and [`RunSpec::decode`] rejects every other version
-/// (DESIGN.md §6e).
-pub const SPEC_VERSION: u8 = 6;
+/// fields, then the [`TransportKind`] block, always present. Bump it
+/// whenever a behaviour-affecting field is added, removed or reordered:
+/// every spec hash then moves at once (`tests/spec_hash_golden.rs` is
+/// re-pinned, old cache entries stop matching) and [`RunSpec::decode`]
+/// rejects every other version (DESIGN.md §6e).
+pub const SPEC_VERSION: u8 = 7;
+
+/// Most bins (`horizon / bin`) a spec may ask the probe to record. Every
+/// run allocates and renders that many points for each of its five series
+/// whatever the traffic, so [`RunSpec::decode`] refuses foreign bytes that
+/// would make the process abort on allocation; 50× the longest series any
+/// preset uses (20,000 bins).
+pub const MAX_SERIES_BINS: u64 = 1 << 20;
 
 impl Canon for Workload {
     fn encode_canon(&self, w: &mut CanonWriter) {
@@ -142,7 +148,6 @@ pub struct RunSpec {
     validate: bool,
     trace_capacity: Option<usize>,
     routing: RoutingPolicy,
-    metrics: MetricsMode,
     transport: TransportKind,
 }
 
@@ -162,7 +167,6 @@ impl RunSpec {
             validate: false,
             trace_capacity: None,
             routing: RoutingPolicy::Deterministic,
-            metrics: MetricsMode::default(),
             transport: TransportKind::default(),
         }
     }
@@ -237,14 +241,6 @@ impl RunSpec {
         self
     }
 
-    /// Selects the metrics mode (full by default; streaming replaces the
-    /// per-bin series with O(1) fold-exact summary accumulators — the
-    /// memory knob that makes 4096-host runs affordable).
-    pub fn with_metrics(mut self, metrics: MetricsMode) -> RunSpec {
-        self.metrics = metrics;
-        self
-    }
-
     /// Selects the end-host transport (open-loop passthrough by default;
     /// the closed-loop kinds pace flows against a send window and recover
     /// losses — go-back-N on timeout, NACK-assisted, or PFC pause/drop).
@@ -306,11 +302,6 @@ impl RunSpec {
         self.routing
     }
 
-    /// Metrics mode for the run.
-    pub fn metrics(&self) -> MetricsMode {
-        self.metrics
-    }
-
     /// End-host transport for the run.
     pub fn transport(&self) -> TransportKind {
         self.transport
@@ -333,7 +324,6 @@ impl RunSpec {
         w.u32(self.packet_size);
         self.horizon.encode_canon(&mut w);
         self.bin.encode_canon(&mut w);
-        self.metrics.encode_canon(&mut w);
         self.transport.encode_canon(&mut w);
         w.finish()
     }
@@ -342,7 +332,8 @@ impl RunSpec {
     /// [`encode`](RunSpec::encode) for the encoded fields; the excluded
     /// fields come back at their defaults (label = scheme name, no
     /// validation, no trace). Rejects wrong magic/version, truncated or
-    /// trailing bytes, and values that violate the types' invariants.
+    /// trailing bytes, values that violate the types' invariants, and
+    /// series longer than [`MAX_SERIES_BINS`].
     pub fn decode(bytes: &[u8]) -> Result<RunSpec, CanonError> {
         let mut r = CanonReader::new(bytes);
         let magic = [r.u8()?, r.u8()?];
@@ -364,7 +355,6 @@ impl RunSpec {
         let packet_size = r.u32()?;
         let horizon = Picos::decode_canon(&mut r)?;
         let bin = Picos::decode_canon(&mut r)?;
-        let metrics = MetricsMode::decode_canon(&mut r)?;
         let transport = TransportKind::decode_canon(&mut r)?;
         r.finish()?;
         if packet_size == 0 {
@@ -372,6 +362,12 @@ impl RunSpec {
         }
         if bin == Picos::ZERO {
             return Err(CanonError::new("series bin must be positive"));
+        }
+        let bins = horizon.div_duration(bin);
+        if bins > MAX_SERIES_BINS {
+            return Err(CanonError::new(format!(
+                "horizon / bin asks for {bins} series bins (at most {MAX_SERIES_BINS})"
+            )));
         }
         if let Workload::Corner(c) = &workload {
             if c.hosts != params.hosts() {
@@ -396,7 +392,6 @@ impl RunSpec {
             .with_packet_size(packet_size)
             .with_horizon(horizon)
             .with_bin(bin)
-            .with_metrics(metrics)
             .with_transport(transport))
     }
 
@@ -477,14 +472,6 @@ mod tests {
             .with_routing(RoutingPolicy::arn()),
         );
         specs.push(RunSpec::san(SchemeKind::VoqSw, SanParams::cello_like(20.0)));
-        specs.push(
-            RunSpec::corner(
-                MinParams::paper_64(),
-                SchemeKind::Recn(paper_recn_config()),
-                CornerCase::case1_64(),
-            )
-            .with_metrics(MetricsMode::Streaming),
-        );
         specs.push(RunSpec::new(
             MinParams::paper_64(),
             SchemeKind::OneQ,
@@ -511,8 +498,7 @@ mod tests {
             .with_transport(TransportKind::Pfc(
                 fabric::TransportConfig::default(),
                 fabric::PfcConfig::default(),
-            ))
-            .with_metrics(MetricsMode::Streaming),
+            )),
         );
         specs
     }
@@ -530,7 +516,6 @@ mod tests {
             assert_eq!(back.horizon(), spec.horizon());
             assert_eq!(back.bin(), spec.bin());
             assert_eq!(back.routing(), spec.routing());
-            assert_eq!(back.metrics(), spec.metrics());
             assert_eq!(back.transport(), spec.transport());
         }
     }
@@ -545,14 +530,10 @@ mod tests {
             SchemeKind::OneQ,
             CornerCase::case1_64(),
         );
-        // The metrics tag and the transport block are always present, so
-        // toggling streaming flips one byte and changes no length...
+        // The transport block is always present: open-loop is one tag
+        // byte, and a closed-loop transport only extends the tail.
         let full = base.encode();
-        let streaming = base.clone().with_metrics(MetricsMode::Streaming).encode();
-        assert_eq!(streaming.len(), full.len());
-        assert_eq!(full[full.len() - 2..], [0, 0], "Full, OpenLoop");
-        assert_eq!(streaming[full.len() - 2..], [1, 0], "Streaming, OpenLoop");
-        // ...and a closed-loop transport only extends the tail.
+        assert_eq!(full[full.len() - 1], 0, "OpenLoop");
         let gbn = base
             .clone()
             .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default()))
@@ -582,7 +563,6 @@ mod tests {
         w.u32(spec.packet_size());
         spec.horizon().encode_canon(&mut w);
         spec.bin().encode_canon(&mut w);
-        spec.metrics().encode_canon(&mut w);
         spec.transport().encode_canon(&mut w);
         w.finish()
     }
@@ -644,7 +624,6 @@ mod tests {
             base.clone().with_bin(Picos::from_us(2)),
             base.clone().with_routing(RoutingPolicy::adaptive()),
             base.clone().with_routing(RoutingPolicy::arn()),
-            base.clone().with_metrics(MetricsMode::Streaming),
             base.clone()
                 .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default())),
             RunSpec::corner(
@@ -687,6 +666,25 @@ mod tests {
         bytes.pop();
         bytes.pop();
         assert!(RunSpec::decode(&bytes).is_err(), "truncation");
+    }
+
+    #[test]
+    fn decode_bounds_the_series_length() {
+        let base = RunSpec::corner(
+            MinParams::paper_64(),
+            SchemeKind::OneQ,
+            CornerCase::case2_64(),
+        );
+        // The default 1.6 ms horizon in 1 ps bins: 1.6e9 points per series.
+        let err = RunSpec::decode(&base.clone().with_bin(Picos::new(1)).encode()).unwrap_err();
+        assert!(err.to_string().contains("1600000000 series bins"), "{err}");
+        // The bound itself is legal, one bin more is not.
+        let at_bound = base
+            .with_bin(Picos::from_ns(1))
+            .with_horizon(Picos::from_ns(MAX_SERIES_BINS));
+        assert!(RunSpec::decode(&at_bound.encode()).is_ok());
+        let over = at_bound.with_horizon(Picos::from_ns(MAX_SERIES_BINS + 1));
+        assert!(RunSpec::decode(&over.encode()).is_err());
     }
 
     #[test]

@@ -289,7 +289,7 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
              \"delivered_packets\": {}, \"delivered_bytes\": {}, \"mean_latency_ns\": {}, \
              \"saq_peaks\": [{}, {}, {}], \"wall_secs\": {}, \"events\": {}, \
              \"events_per_sec\": {}, \"peak_event_queue_depth\": {}, \
-             \"metrics\": {}, \"peak_bytes_estimate\": {}, \
+             \"peak_bytes_estimate\": {}, \
              \"transport\": {}, \"fct\": {}, \"retransmitted_packets\": {}, \
              \"transport_timeouts\": {}, \"pfc_dropped_packets\": {}, \
              \"arn_hot_notifications\": {}, \"arn_cold_notifications\": {}}}{sep}\n",
@@ -311,7 +311,6 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
             out.events,
             jopt(events_per_sec(out)),
             out.peak_event_queue_depth,
-            jstr(spec.metrics().name()),
             out.peak_bytes_estimate,
             jstr(spec.transport().name()),
             jfct(&out.fct),
@@ -450,7 +449,6 @@ mod tests {
         assert!(json.contains("\"cache\": \"off\""));
         assert!(json.contains("\"spec_hash\": \""));
         assert!(json.contains("\"peak_event_queue_depth\""));
-        assert!(json.contains("\"metrics\": \"full\""));
         assert!(json.contains("\"peak_bytes_estimate\""));
         // ARN counters are present (and zero) even for non-ARN sweeps, so
         // matrix post-processing never needs key-existence checks.

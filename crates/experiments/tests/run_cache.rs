@@ -202,14 +202,17 @@ fn stale_schema_or_foreign_spec_is_ignored_not_evicted() {
     assert!(cache.load(&spec).is_some());
 }
 
-/// A file left behind by the pre-collapse build (output schema 5, a
-/// version-2 spec string in its envelope) at the path a current spec maps
-/// to is a plain miss: not an error, not evicted, and the re-run overwrites
-/// it. The fixture is a real entry the old build wrote for this spec.
+/// A file left behind by an older build (output schema 5 with a version-2
+/// spec string in its envelope, or schema 6 with a version-6 one) at the
+/// path a current spec maps to is a plain miss: not an error, not evicted,
+/// and the re-run overwrites it. The fixtures are real entries the old
+/// builds wrote for this spec.
 #[test]
-fn pre_collapse_cache_entry_is_a_miss_and_is_overwritten() {
-    let dir = scratch("cache_pre_collapse");
-    let cache = RunCache::new(&dir);
+fn pre_collapse_cache_entries_are_misses_and_are_overwritten() {
+    let fixtures = [
+        (5, include_str!("fixtures/pre_collapse_cache_entry.json")),
+        (6, include_str!("fixtures/pre_collapse_cache_entry_v6.json")),
+    ];
     let spec = RunSpec::corner(
         MinParams::paper_64(),
         SchemeKind::OneQ,
@@ -217,21 +220,25 @@ fn pre_collapse_cache_entry_is_a_miss_and_is_overwritten() {
     )
     .with_horizon(Picos::from_us(4))
     .with_bin(Picos::from_us(2));
-    let path = cache.path_for(&spec);
-    let old = include_str!("fixtures/pre_collapse_cache_entry.json");
-    assert!(old.contains("\"output_schema\": 5"));
-    std::fs::write(&path, old).expect("plant the old entry");
+    for (schema, old) in fixtures {
+        let dir = scratch(&format!("cache_pre_collapse_{schema}"));
+        let cache = RunCache::new(&dir);
+        let path = cache.path_for(&spec);
+        assert!(old.contains(&format!("\"output_schema\": {schema}")));
+        std::fs::write(&path, old).expect("plant the old entry");
 
-    assert!(cache.load(&spec).is_none(), "old schema is a miss");
-    assert!(path.exists(), "an intact old entry is not corruption");
+        assert!(cache.load(&spec).is_none(), "old schema is a miss");
+        assert!(path.exists(), "an intact old entry is not corruption");
 
-    let report = Sweep::new(vec![spec.clone()]).cache(&dir).run_report();
-    assert_eq!(report.cache, vec![CacheStatus::Miss]);
-    let back = cache.load(&spec).expect("the re-run replaced the entry");
-    assert_eq!(back.schema_version, experiments::OUTPUT_SCHEMA_VERSION);
-    // Same simulation as the old build ran, fewer scheduled events.
-    assert_eq!(back.counters.delivered_packets, 2462);
-    assert!(back.events < 76_206);
+        let report = Sweep::new(vec![spec.clone()]).cache(&dir).run_report();
+        assert_eq!(report.cache, vec![CacheStatus::Miss]);
+        let back = cache.load(&spec).expect("the re-run replaced the entry");
+        assert_eq!(back.schema_version, experiments::OUTPUT_SCHEMA_VERSION);
+        // Same simulation as the old builds ran; the schema-5 build still
+        // scheduled eager events (76,206), the schema-6 one today's 44,264.
+        assert_eq!(back.counters.delivered_packets, 2462);
+        assert_eq!(back.events, 44_264);
+    }
 }
 
 #[test]

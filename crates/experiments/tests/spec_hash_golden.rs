@@ -5,14 +5,13 @@
 //! hash here drifts, old cache entries silently stop matching. A failure
 //! means the canonical encoding changed — that requires bumping
 //! `SPEC_VERSION` and re-pinning every table here in the same change
-//! (last done for version 6, which collapsed the 2–5 version ladder and
-//! dropped the scheduler and event-model tag bytes); bytes of any other
-//! version are then rejected, which the fixture test at the bottom pins.
+//! (last done for version 7, which dropped the metrics-mode tag byte);
+//! bytes of any other version are then rejected, which the fixture test
+//! at the bottom pins.
 
 use experiments::runner::paper_recn_config;
 use experiments::spec::RunSpec;
 use fabric::{RoutingPolicy, SchemeKind};
-use simcore::MetricsMode;
 use topology::{FatTreeParams, MinParams};
 use traffic::corner::CornerCase;
 
@@ -30,51 +29,37 @@ fn schemes() -> [SchemeKind; 5] {
 /// Corner case 2 on the 64-host MIN, spec defaults (64 B packets, 1600 µs
 /// horizon, deterministic routing) — one hash per scheme.
 const GOLDEN_MIN: [u64; 5] = [
-    0x8d711da457226536,
-    0x2669e0b1515aad6f,
-    0xab5ed5478865e834,
-    0x3432cfba5e3f6405,
-    0xc37d213d02dfb53c,
+    0xa1dc8ceb8550dc2d,
+    0xf96b58638bb98b4a,
+    0xee188b3bea1f0ddf,
+    0xec39591528bbc0b4,
+    0x7afc47767aca039b,
 ];
 
 /// The fat-tree hotspot under the same five schemes with adaptive
 /// up-routing and 512-byte packets.
 const GOLDEN_FATTREE_ADAPTIVE: [u64; 5] = [
-    0xb856df5cf1f74868,
-    0xbfe6ab26373ef9e3,
-    0xd1978e18e6e47522,
-    0x8e274e23f5b8b51d,
-    0xf372c5c4abbde866,
+    0xea769e54f0265d45,
+    0xd7fca3f3a2a48eac,
+    0x3803c3da147bc8a3,
+    0xe6da3b517033b8fa,
+    0xe2d50ac315ec737b,
 ];
 
-/// The MIN table under streaming metrics: the run's *behaviour* is
-/// identical (streaming is a metrics-storage knob), but the probe's
-/// output shape differs — series render empty, a `StreamSummary` rides
-/// along — so the two modes must never alias in the cache.
-const GOLDEN_MIN_STREAMING: [u64; 5] = [
-    0x8d7483a45725485f,
-    0x26667ab15157ca46,
-    0xab623b478868cb5d,
-    0x342f69ba5e3c80dc,
-    0xc380873d02e29865,
-];
-
-/// Closed-loop incast64 on RECN under each non-open transport, plus the
-/// go-back-N spec with streaming metrics.
-const GOLDEN_MIN_TRANSPORT: [u64; 4] = [
-    0x941c3be28e0832d1, // go-back-N
-    0x3c55bf72b75fb440, // NACK
-    0xb39211affd6d5877, // PFC
-    0x3ad0880ecd2695d4, // go-back-N + streaming metrics
+/// Closed-loop incast64 on RECN under each non-open transport.
+const GOLDEN_MIN_TRANSPORT: [u64; 3] = [
+    0xba3b83b9121c3818, // go-back-N
+    0x4a151ffea3b6ff09, // NACK
+    0x46faf7b98141060a, // PFC
 ];
 
 /// The fat-tree hotspot under ARN routing.
 const GOLDEN_FATTREE_ARN: [u64; 5] = [
-    0x4e21b7ba669636c7,
-    0x225cbc1202fc6274,
-    0x03e9b0fcabbe62fd,
-    0x60234ca31c5cb542,
-    0x7a907f2605b5c561,
+    0x90386c57569a9780,
+    0x3640c70111d43d01,
+    0x1d41ec615b197b8a,
+    0x721bedfefcf692d3,
+    0xf034b1b4193ccf62,
 ];
 
 fn min_spec(scheme: SchemeKind) -> RunSpec {
@@ -147,34 +132,6 @@ fn fattree_arn_spec_hashes_are_pinned_and_distinct() {
 }
 
 #[test]
-fn streaming_spec_hashes_are_pinned_and_distinct() {
-    for ((scheme, golden), full) in schemes()
-        .into_iter()
-        .zip(GOLDEN_MIN_STREAMING)
-        .zip(GOLDEN_MIN)
-    {
-        let spec = min_spec(scheme).with_metrics(MetricsMode::Streaming);
-        assert_eq!(
-            spec.spec_hash(),
-            golden,
-            "{}: streaming spec_v1 encoding drifted (hash {:#018x})",
-            scheme.name(),
-            spec.spec_hash(),
-        );
-        assert_ne!(
-            golden,
-            full,
-            "{}: the two metrics modes must have distinct content addresses",
-            scheme.name(),
-        );
-        // The decoded spec carries the mode back out — a cache replay of
-        // a streaming entry replays with the streaming output shape.
-        let back = RunSpec::decode_hex(&spec.encode_hex()).expect("round trip");
-        assert_eq!(back.metrics(), MetricsMode::Streaming);
-    }
-}
-
-#[test]
 fn transport_spec_hashes_are_pinned_and_distinct() {
     use fabric::{PfcConfig, TransportConfig, TransportKind};
     use traffic::FlowSet;
@@ -193,9 +150,6 @@ fn transport_spec_hashes_are_pinned_and_distinct() {
             TransportConfig::default(),
             PfcConfig::default(),
         )),
-        base()
-            .with_transport(TransportKind::GoBackN(TransportConfig::default()))
-            .with_metrics(MetricsMode::Streaming),
     ];
     for (spec, golden) in specs.into_iter().zip(GOLDEN_MIN_TRANSPORT) {
         assert_eq!(
@@ -240,22 +194,18 @@ fn every_scheme_gets_a_distinct_address() {
         .iter()
         .chain(GOLDEN_FATTREE_ADAPTIVE.iter())
         .chain(GOLDEN_FATTREE_ARN.iter())
-        .chain(GOLDEN_MIN_STREAMING.iter())
         .chain(GOLDEN_MIN_TRANSPORT.iter())
         .copied()
         .collect();
     hashes.sort_unstable();
     hashes.dedup();
-    assert_eq!(
-        hashes.len(),
-        24,
-        "all twenty-four golden hashes are distinct"
-    );
+    assert_eq!(hashes.len(), 18, "all eighteen golden hashes are distinct");
 }
 
-/// Pre-collapse bytes fail structurally: each checked-in version-2/3/4/5
-/// string (the specs the old tables pinned) is refused with an error that
-/// names its version, and nothing panics on the way.
+/// Retired bytes fail structurally: each checked-in version-2/3/4/5/6
+/// string (the specs the old tables pinned, both metrics modes for
+/// version 6) is refused with an error that names its version, and nothing
+/// panics on the way.
 #[test]
 fn pre_collapse_spec_bytes_are_rejected_by_version() {
     let fixture = include_str!("fixtures/pre_collapse_specs.txt");
@@ -272,5 +222,5 @@ fn pre_collapse_spec_bytes_are_rejected_by_version() {
         );
         seen.push(version.to_owned());
     }
-    assert_eq!(seen, ["2", "3", "4", "5"]);
+    assert_eq!(seen, ["2", "3", "4", "5", "6", "6"]);
 }

@@ -1,12 +1,19 @@
-//! `sweepd` against a spool that still holds pre-collapse spec lines: the
-//! batch carrying them is answered with an error line naming the
-//! unsupported version and set aside as `.err`, and the daemon keeps
-//! draining — the batch after it is served.
+//! `sweepd` against spool lines it must refuse — retired spec versions,
+//! and a current-version spec whose series would not fit in memory: the
+//! batch carrying them is answered with an error line naming the reason
+//! and set aside as `.err`, and the daemon keeps draining — the batch
+//! after it is served.
 
 use std::process::Command;
 
+use experiments::RunSpec;
+use fabric::SchemeKind;
+use simcore::Picos;
+use topology::MinParams;
+use traffic::corner::CornerCase;
+
 #[test]
-fn pre_collapse_spool_lines_are_rejected_and_the_drain_continues() {
+fn refused_spool_lines_become_err_batches_and_the_drain_continues() {
     let spool = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweepd_pre_collapse");
     let _ = std::fs::remove_dir_all(&spool);
     std::fs::create_dir_all(&spool).expect("create spool");
@@ -22,6 +29,19 @@ fn pre_collapse_spool_lines_are_rejected_and_the_drain_continues() {
         })
         .collect();
     std::fs::write(spool.join("a_old.jsonl"), old).expect("write old batch");
+    // 1.6 ms of 1 ps bins: decodes field by field, but running it would
+    // allocate 1.6e9 points per series and abort the whole process.
+    let long = RunSpec::corner(
+        MinParams::paper_64(),
+        SchemeKind::OneQ,
+        CornerCase::case2_64(),
+    )
+    .with_bin(Picos::new(1));
+    std::fs::write(
+        spool.join("a_long.jsonl"),
+        format!("{{\"spec_v1\": \"{}\"}}\n", long.encode_hex()),
+    )
+    .expect("write long batch");
     let demo = Command::new(env!("CARGO_BIN_EXE_sweepd"))
         .args(["--demo", "1"])
         .output()
@@ -47,6 +67,15 @@ fn pre_collapse_spool_lines_are_rejected_and_the_drain_continues() {
     assert!(
         spool.join("a_old.jsonl.err").exists(),
         "old batch set aside"
+    );
+    assert!(
+        stderr.contains("a_long.jsonl:1: bad spec_v1:")
+            && stderr.contains("1600000000 series bins"),
+        "{stderr}"
+    );
+    assert!(
+        spool.join("a_long.jsonl.err").exists(),
+        "long batch set aside"
     );
     assert!(spool.join("b_new.jsonl.done").exists(), "drain continued");
     assert_eq!(stdout.lines().count(), 1, "{stdout}");

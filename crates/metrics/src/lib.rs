@@ -31,9 +31,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use fabric::{NetObserver, Packet};
-use simcore::{
-    BinnedSeries, GaugeSeries, Picos, SeriesPoint, StreamBinned, StreamGauge, StreamStats,
-};
+use simcore::{BinnedSeries, GaugeSeries, Picos, SeriesPoint};
 use topology::HostId;
 
 /// Per-flow completion-time summary for closed-loop transport workloads.
@@ -71,54 +69,14 @@ impl FctSummary {
     }
 }
 
-/// Fold-exact scalar summaries of every probe series, produced in
-/// streaming metrics mode ([`Probe::streaming`]). Each field is exactly
-/// the [`StreamStats`] that folding the corresponding full-mode series
-/// (same bin, same horizon) point-by-point would yield — the contract the
-/// differential suite asserts bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamSummary {
-    /// Delivered throughput in bytes/ns per bin.
-    pub throughput: StreamStats,
-    /// Injected (offered) throughput in bytes/ns per bin.
-    pub offered: StreamStats,
-    /// Per-bin maximum of "most SAQs at any switch input port".
-    pub saq_max_ingress: StreamStats,
-    /// Per-bin maximum of "most SAQs at any switch output port".
-    pub saq_max_egress: StreamStats,
-    /// Per-bin maximum of the network-wide SAQ total.
-    pub saq_total: StreamStats,
-    /// Flow-completion-time summary (`None` when the run completed no
-    /// closed-loop flows). Unlike the series fields this is per-flow, not
-    /// per-bin: streaming mode stores one `Picos` per completed flow,
-    /// bounded by the workload's flow count rather than the horizon.
-    pub fct: Option<FctSummary>,
-}
-
-/// Series storage behind a probe: full per-bin vectors (renderable into
-/// figure curves) or O(1) streaming accumulators (summaries only).
-#[derive(Debug)]
-enum SeriesStore {
-    Full {
-        delivered: BinnedSeries,
-        injected: BinnedSeries,
-        saq_max_ingress: GaugeSeries,
-        saq_max_egress: GaugeSeries,
-        saq_total: GaugeSeries,
-    },
-    Streaming {
-        delivered: StreamBinned,
-        injected: StreamBinned,
-        saq_max_ingress: StreamGauge,
-        saq_max_egress: StreamGauge,
-        saq_total: StreamGauge,
-    },
-}
-
 /// Shared measurement state filled by a [`Probe`] during a run.
 #[derive(Debug)]
 pub struct ProbeState {
-    series: SeriesStore,
+    delivered: BinnedSeries,
+    injected: BinnedSeries,
+    saq_max_ingress: GaugeSeries,
+    saq_max_egress: GaugeSeries,
+    saq_total: GaugeSeries,
     peak_saq_total: u32,
     peak_saq_ingress: u32,
     peak_saq_egress: u32,
@@ -138,36 +96,15 @@ pub struct ProbeHandle(Rc<RefCell<ProbeState>>);
 pub struct Probe(Rc<RefCell<ProbeState>>);
 
 impl Probe {
-    /// Creates a full-mode probe with the given series bin width (the
-    /// paper uses a few microseconds per point).
+    /// Creates a probe with the given series bin width (the paper uses a
+    /// few microseconds per point).
     pub fn new(bin: Picos) -> (Probe, ProbeHandle) {
-        Probe::with_store(SeriesStore::Full {
+        let state = Rc::new(RefCell::new(ProbeState {
             delivered: BinnedSeries::new(bin),
             injected: BinnedSeries::new(bin),
             saq_max_ingress: GaugeSeries::new(bin),
             saq_max_egress: GaugeSeries::new(bin),
             saq_total: GaugeSeries::new(bin),
-        })
-    }
-
-    /// Creates a streaming-mode probe: O(1) state per series instead of
-    /// one slot per bin. Series getters return empty renders; summaries
-    /// come from [`ProbeHandle::stream_summary`] and are fold-exact
-    /// against a full-mode probe rendered at the same `horizon`.
-    pub fn streaming(bin: Picos, horizon: Picos) -> (Probe, ProbeHandle) {
-        let ns = bin.as_ns_f64();
-        Probe::with_store(SeriesStore::Streaming {
-            delivered: StreamBinned::new(bin, horizon).with_divisor(ns),
-            injected: StreamBinned::new(bin, horizon).with_divisor(ns),
-            saq_max_ingress: StreamGauge::new(bin, horizon),
-            saq_max_egress: StreamGauge::new(bin, horizon),
-            saq_total: StreamGauge::new(bin, horizon),
-        })
-    }
-
-    fn with_store(series: SeriesStore) -> (Probe, ProbeHandle) {
-        let state = Rc::new(RefCell::new(ProbeState {
-            series,
             peak_saq_total: 0,
             peak_saq_ingress: 0,
             peak_saq_egress: 0,
@@ -182,43 +119,18 @@ impl Probe {
 
 impl NetObserver for Probe {
     fn on_injected(&mut self, now: Picos, pkt: &Packet) {
-        match &mut self.0.borrow_mut().series {
-            SeriesStore::Full { injected, .. } => injected.add(now, pkt.size as f64),
-            SeriesStore::Streaming { injected, .. } => injected.add(now, pkt.size as f64),
-        }
+        self.0.borrow_mut().injected.add(now, pkt.size as f64);
     }
 
     fn on_delivered(&mut self, now: Picos, pkt: &Packet) {
-        match &mut self.0.borrow_mut().series {
-            SeriesStore::Full { delivered, .. } => delivered.add(now, pkt.size as f64),
-            SeriesStore::Streaming { delivered, .. } => delivered.add(now, pkt.size as f64),
-        }
+        self.0.borrow_mut().delivered.add(now, pkt.size as f64);
     }
 
     fn on_saq_census(&mut self, now: Picos, max_ingress: u32, max_egress: u32, total: u32) {
         let mut s = self.0.borrow_mut();
-        match &mut s.series {
-            SeriesStore::Full {
-                saq_max_ingress,
-                saq_max_egress,
-                saq_total,
-                ..
-            } => {
-                saq_max_ingress.set(now, max_ingress as f64);
-                saq_max_egress.set(now, max_egress as f64);
-                saq_total.set(now, total as f64);
-            }
-            SeriesStore::Streaming {
-                saq_max_ingress,
-                saq_max_egress,
-                saq_total,
-                ..
-            } => {
-                saq_max_ingress.set(now, max_ingress as f64);
-                saq_max_egress.set(now, max_egress as f64);
-                saq_total.set(now, total as f64);
-            }
-        }
+        s.saq_max_ingress.set(now, max_ingress as f64);
+        s.saq_max_egress.set(now, max_egress as f64);
+        s.saq_total.set(now, total as f64);
         s.peak_saq_total = s.peak_saq_total.max(total);
         s.peak_saq_ingress = s.peak_saq_ingress.max(max_ingress);
         s.peak_saq_egress = s.peak_saq_egress.max(max_egress);
@@ -243,114 +155,54 @@ impl NetObserver for Probe {
 }
 
 impl ProbeHandle {
-    /// Delivered throughput in bytes/ns per bin, up to `horizon` (empty
-    /// in streaming mode — use [`stream_summary`](ProbeHandle::stream_summary)).
+    /// Delivered throughput in bytes/ns per bin, up to `horizon`.
     pub fn throughput(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        match &self.0.borrow().series {
-            SeriesStore::Full { delivered, .. } => delivered.rate_per_ns(horizon),
-            SeriesStore::Streaming { .. } => Vec::new(),
-        }
+        self.0.borrow().delivered.rate_per_ns(horizon)
     }
 
-    /// Injected (offered) throughput in bytes/ns per bin (empty in
-    /// streaming mode).
+    /// Injected (offered) throughput in bytes/ns per bin.
     pub fn offered(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        match &self.0.borrow().series {
-            SeriesStore::Full { injected, .. } => injected.rate_per_ns(horizon),
-            SeriesStore::Streaming { .. } => Vec::new(),
-        }
+        self.0.borrow().injected.rate_per_ns(horizon)
     }
 
-    /// Total bytes delivered (exact in both modes).
+    /// Total bytes delivered.
     pub fn delivered_bytes(&self) -> f64 {
-        match &self.0.borrow().series {
-            SeriesStore::Full { delivered, .. } => delivered.total(),
-            SeriesStore::Streaming { delivered, .. } => delivered.total(),
-        }
+        self.0.borrow().delivered.total()
     }
 
-    /// Per-bin maximum of "most SAQs at any switch input port" (empty in
-    /// streaming mode).
+    /// Per-bin maximum of "most SAQs at any switch input port".
     pub fn saq_max_ingress(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        match &self.0.borrow().series {
-            SeriesStore::Full {
-                saq_max_ingress, ..
-            } => saq_max_ingress.maxima_until(horizon),
-            SeriesStore::Streaming { .. } => Vec::new(),
-        }
+        self.0.borrow().saq_max_ingress.maxima_until(horizon)
     }
 
-    /// Per-bin maximum of "most SAQs at any switch output port" (empty in
-    /// streaming mode).
+    /// Per-bin maximum of "most SAQs at any switch output port".
     pub fn saq_max_egress(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        match &self.0.borrow().series {
-            SeriesStore::Full { saq_max_egress, .. } => saq_max_egress.maxima_until(horizon),
-            SeriesStore::Streaming { .. } => Vec::new(),
-        }
+        self.0.borrow().saq_max_egress.maxima_until(horizon)
     }
 
-    /// Per-bin maximum of the network-wide SAQ total (empty in streaming
-    /// mode).
+    /// Per-bin maximum of the network-wide SAQ total.
     pub fn saq_total(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        match &self.0.borrow().series {
-            SeriesStore::Full { saq_total, .. } => saq_total.maxima_until(horizon),
-            SeriesStore::Streaming { .. } => Vec::new(),
-        }
+        self.0.borrow().saq_total.maxima_until(horizon)
     }
 
-    /// Streaming-mode summaries (`None` in full mode). Non-destructive:
-    /// the accumulators are cloned and closed, so this can be called at
-    /// any point and repeatedly.
-    pub fn stream_summary(&self) -> Option<StreamSummary> {
-        match &self.0.borrow().series {
-            SeriesStore::Full { .. } => None,
-            SeriesStore::Streaming {
-                delivered,
-                injected,
-                saq_max_ingress,
-                saq_max_egress,
-                saq_total,
-            } => Some(StreamSummary {
-                throughput: delivered.clone().finish(),
-                offered: injected.clone().finish(),
-                saq_max_ingress: saq_max_ingress.clone().finish(),
-                saq_max_egress: saq_max_egress.clone().finish(),
-                saq_total: saq_total.clone().finish(),
-                fct: FctSummary::from_fcts(&self.0.borrow().fcts),
-            }),
-        }
-    }
-
-    /// Estimated bytes of backing storage behind the probe's series state
-    /// — simulation-model accounting for `peak_bytes_estimate`. Streaming
-    /// mode is O(1); full mode grows with bins touched.
+    /// Estimated bytes of backing storage behind the probe's state —
+    /// simulation-model accounting for `peak_bytes_estimate`. The series
+    /// part is one `f64` per bin touched per series, so it grows with
+    /// `horizon / bin` and not with the fabric.
     pub fn backing_bytes(&self) -> u64 {
         let s = self.0.borrow();
-        let series = match &s.series {
-            SeriesStore::Full {
-                delivered,
-                injected,
-                saq_max_ingress,
-                saq_max_egress,
-                saq_total,
-            } => {
-                (delivered.bin_slots() + injected.bin_slots()) * std::mem::size_of::<f64>()
-                    + (saq_max_ingress.bin_slots()
-                        + saq_max_egress.bin_slots()
-                        + saq_total.bin_slots())
-                        * std::mem::size_of::<f64>()
-            }
-            SeriesStore::Streaming { .. } => {
-                2 * std::mem::size_of::<StreamBinned>() + 3 * std::mem::size_of::<StreamGauge>()
-            }
-        };
-        (series
+        let bin_slots = s.delivered.bin_slots()
+            + s.injected.bin_slots()
+            + s.saq_max_ingress.bin_slots()
+            + s.saq_max_egress.bin_slots()
+            + s.saq_total.bin_slots();
+        (bin_slots * std::mem::size_of::<f64>()
             + s.root_events.capacity() * std::mem::size_of::<(Picos, usize, usize, bool)>()
             + s.fcts.capacity() * std::mem::size_of::<Picos>()) as u64
     }
 
     /// Flow-completion-time summary across all completed flows (`None`
-    /// when the run had none). Available in both metrics modes.
+    /// when the run had none).
     pub fn fct_summary(&self) -> Option<FctSummary> {
         FctSummary::from_fcts(&self.0.borrow().fcts)
     }
@@ -437,54 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_probe_summarizes_like_full_renders() {
-        let bin = Picos::from_us(1);
-        let horizon = Picos::from_us(4);
-        let (mut full, full_h) = Probe::new(bin);
-        let (mut stream, stream_h) = Probe::streaming(bin, horizon);
-        let p = pkt(1000);
-        for probe in [&mut full, &mut stream] {
-            probe.on_injected(Picos::from_ns(50), &p);
-            probe.on_delivered(Picos::from_ns(100), &p);
-            probe.on_delivered(Picos::from_ns(1500), &p);
-            probe.on_saq_census(Picos::from_ns(10), 2, 1, 5);
-            probe.on_saq_census(Picos::from_ns(2200), 1, 3, 9);
-            probe.on_saq_census(Picos::from_ns(2400), 0, 0, 0);
-        }
-        assert!(full_h.stream_summary().is_none());
-        let s = stream_h.stream_summary().expect("streaming mode");
-        use simcore::StreamStats;
-        assert_eq!(
-            s.throughput,
-            StreamStats::from_points(&full_h.throughput(horizon))
-        );
-        assert_eq!(
-            s.offered,
-            StreamStats::from_points(&full_h.offered(horizon))
-        );
-        assert_eq!(
-            s.saq_max_ingress,
-            StreamStats::from_points(&full_h.saq_max_ingress(horizon))
-        );
-        assert_eq!(
-            s.saq_max_egress,
-            StreamStats::from_points(&full_h.saq_max_egress(horizon))
-        );
-        assert_eq!(
-            s.saq_total,
-            StreamStats::from_points(&full_h.saq_total(horizon))
-        );
-        // Scalar readbacks agree across modes; renders are empty (that is
-        // the memory saving), and the summary is repeatable.
-        assert_eq!(stream_h.delivered_bytes(), full_h.delivered_bytes());
-        assert_eq!(stream_h.saq_peaks(), full_h.saq_peaks());
-        assert!(stream_h.throughput(horizon).is_empty());
-        assert!(stream_h.saq_total(horizon).is_empty());
-        assert_eq!(stream_h.stream_summary(), Some(s));
-        assert!(stream_h.backing_bytes() < full_h.backing_bytes() + 1024);
-    }
-
-    #[test]
     fn fct_summary_uses_nearest_rank() {
         assert_eq!(FctSummary::from_fcts(&[]), None);
         let fcts: Vec<Picos> = (1..=100).map(Picos::from_ns).collect();
@@ -502,29 +306,19 @@ mod tests {
     }
 
     #[test]
-    fn probe_collects_fcts_in_both_modes() {
-        let (mut full, full_h) = Probe::new(Picos::from_us(1));
-        let (mut stream, stream_h) = Probe::streaming(Picos::from_us(1), Picos::from_us(4));
-        for probe in [&mut full, &mut stream] {
+    fn probe_collects_fcts() {
+        let (mut probe, handle) = Probe::new(Picos::from_us(1));
+        for (src, us) in [(0, 2), (2, 3)] {
             probe.on_flow_complete(
-                Picos::from_us(2),
-                HostId::new(0),
+                Picos::from_us(us),
+                HostId::new(src),
                 HostId::new(1),
-                Picos::from_us(2),
-            );
-            probe.on_flow_complete(
-                Picos::from_us(3),
-                HostId::new(2),
-                HostId::new(1),
-                Picos::from_us(3),
+                Picos::from_us(us),
             );
         }
         let expect = FctSummary::from_fcts(&[Picos::from_us(2), Picos::from_us(3)]);
-        assert_eq!(full_h.fct_summary(), expect);
-        assert_eq!(full_h.flows_completed(), 2);
-        assert_eq!(stream_h.fct_summary(), expect);
-        // Streaming summaries carry the same FCT block.
-        assert_eq!(stream_h.stream_summary().unwrap().fct, expect);
+        assert_eq!(handle.fct_summary(), expect);
+        assert_eq!(handle.flows_completed(), 2);
         // A flowless run reports no FCT at all.
         let (_, empty_h) = Probe::new(Picos::from_us(1));
         assert_eq!(empty_h.fct_summary(), None);

@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use crate::{MetricsMode, Picos};
+use crate::Picos;
 
 /// Error produced when canonical bytes cannot be decoded (truncation, an
 /// unknown enum tag, or a value that fails the type's own invariants).
@@ -202,23 +202,6 @@ impl Canon for Picos {
 
     fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
         Ok(Picos::new(r.u64()?))
-    }
-}
-
-impl Canon for MetricsMode {
-    fn encode_canon(&self, w: &mut CanonWriter) {
-        w.u8(match self {
-            MetricsMode::Full => 0,
-            MetricsMode::Streaming => 1,
-        });
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(MetricsMode::Full),
-            1 => Ok(MetricsMode::Streaming),
-            t => Err(CanonError::new(format!("unknown metrics mode tag {t}"))),
-        }
     }
 }
 

@@ -26,45 +26,6 @@ pub enum EventModel {
     Lazy,
 }
 
-/// How a run records its time series.
-///
-/// This is a behaviour-preserving knob: the simulated
-/// network is identical under both modes (trace digests and counters are
-/// byte-for-byte the same); only the metrics pipeline changes. `Full` keeps
-/// one slot per bin and renders whole curves; `Streaming` keeps O(1) state
-/// per series and reports only fold-exact summaries (mean/max/total), so
-/// 4096-host runs do not pay per-bin memory for plots nobody renders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricsMode {
-    /// Reference implementation: full per-bin time series, rendered into
-    /// the figure curves. Every summary claim is defined against this mode.
-    #[default]
-    Full,
-    /// Memory-light path: streaming accumulators producing the exact
-    /// summary the full series would fold to (see `simcore::series`);
-    /// series renders come back empty. Proven by the differential suite.
-    Streaming,
-}
-
-impl MetricsMode {
-    /// The CLI / JSON name (`full` or `streaming`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            MetricsMode::Full => "full",
-            MetricsMode::Streaming => "streaming",
-        }
-    }
-
-    /// Parses a `--metrics` value.
-    pub fn parse(s: &str) -> Result<MetricsMode, String> {
-        match s {
-            "full" => Ok(MetricsMode::Full),
-            "streaming" => Ok(MetricsMode::Streaming),
-            other => Err(format!("unknown metrics mode {other:?} (full|streaming)")),
-        }
-    }
-}
-
 /// A simulation model driven by [`Engine`].
 ///
 /// The model receives each event together with the current simulated time

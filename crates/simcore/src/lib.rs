@@ -57,10 +57,10 @@ mod time;
 mod timer;
 
 pub use canon::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter};
-pub use engine::{Engine, EventModel, MetricsMode, SimModel};
+pub use engine::{Engine, EventModel, SimModel};
 pub use queue::{EventQueue, ScheduledEvent, SchedulerKind};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use series::{BinnedSeries, GaugeSeries, SeriesPoint, StreamBinned, StreamGauge, StreamStats};
+pub use series::{BinnedSeries, GaugeSeries, SeriesPoint};
 pub use stats::{Histogram, Running};
 pub use time::Picos;
 pub use timer::TimerGen;

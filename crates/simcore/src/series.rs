@@ -191,243 +191,10 @@ impl GaugeSeries {
     }
 }
 
-/// Online summary of one rendered series: bin count, running sum, and
-/// maximum, folded bin-by-bin in ascending order. The fold order is part
-/// of the contract — [`StreamStats::from_points`] applies exactly the
-/// same f64 operations, so a streaming accumulator that folds each bin
-/// value once, in order, reproduces the full-series summary bit-exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StreamStats {
-    /// Number of bins folded.
-    pub bins: u64,
-    /// Sum of folded values (left fold, in bin order).
-    pub sum: f64,
-    /// Maximum folded value (0.0 when no bins were folded).
-    pub max: f64,
-}
-
-impl Default for StreamStats {
-    fn default() -> Self {
-        StreamStats::new()
-    }
-}
-
-impl StreamStats {
-    /// An empty summary.
-    pub fn new() -> StreamStats {
-        StreamStats {
-            bins: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-
-    /// Folds one bin value.
-    pub fn fold(&mut self, value: f64) {
-        self.sum += value;
-        self.max = if self.bins == 0 {
-            value
-        } else {
-            self.max.max(value)
-        };
-        self.bins += 1;
-    }
-
-    /// Mean folded value (0.0 when no bins were folded).
-    pub fn mean(&self) -> f64 {
-        if self.bins == 0 {
-            0.0
-        } else {
-            self.sum / self.bins as f64
-        }
-    }
-
-    /// Summarizes a rendered series by folding each point's value in
-    /// order — the reference the streaming accumulators are checked
-    /// against.
-    pub fn from_points(points: &[SeriesPoint]) -> StreamStats {
-        let mut s = StreamStats::new();
-        for p in points {
-            s.fold(p.value);
-        }
-        s
-    }
-}
-
-/// Streaming replacement for [`BinnedSeries`]: O(1) state instead of one
-/// slot per bin, producing the [`StreamStats`] that
-/// [`StreamStats::from_points`] would compute over
-/// `sums_until(horizon)` (or `rate_per_ns` when a divisor is set) —
-/// bit-exactly, because bins are closed and folded one at a time in
-/// ascending order with the same f64 operations.
-///
-/// Feed times must be non-decreasing (simulation event order).
-#[derive(Debug, Clone)]
-pub struct StreamBinned {
-    bin: Picos,
-    /// Number of bins inside the reporting horizon.
-    nbins: usize,
-    /// Per-bin divisor applied at fold time (e.g. ns per bin to fold
-    /// rates); 1.0 folds raw sums.
-    divisor: f64,
-    cur_idx: usize,
-    cur_sum: f64,
-    total: f64,
-    stats: StreamStats,
-}
-
-impl StreamBinned {
-    /// Creates a streaming series folding raw per-bin sums over
-    /// `horizon / bin` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` is zero.
-    pub fn new(bin: Picos, horizon: Picos) -> StreamBinned {
-        assert!(bin > Picos::ZERO, "bin width must be positive");
-        StreamBinned {
-            bin,
-            nbins: horizon.div_duration(bin) as usize,
-            divisor: 1.0,
-            cur_idx: 0,
-            cur_sum: 0.0,
-            total: 0.0,
-            stats: StreamStats::new(),
-        }
-    }
-
-    /// Folds `bin_sum / divisor` instead of the raw sum — matching
-    /// [`BinnedSeries::rate_per_ns`] when `divisor` is the bin width in
-    /// nanoseconds.
-    pub fn with_divisor(mut self, divisor: f64) -> StreamBinned {
-        self.divisor = divisor;
-        self
-    }
-
-    /// Adds `amount` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the currently open bin (times must be
-    /// non-decreasing).
-    pub fn add(&mut self, t: Picos, amount: f64) {
-        let idx = t.div_duration(self.bin) as usize;
-        assert!(idx >= self.cur_idx, "stream times must be non-decreasing");
-        if idx > self.cur_idx {
-            self.roll_to(idx);
-        }
-        self.cur_sum += amount;
-        self.total += amount;
-    }
-
-    /// Total accumulated across all bins (matches
-    /// [`BinnedSeries::total`]: bin-local sums folded in bin order,
-    /// which with non-decreasing feed times equals the arrival-order
-    /// fold).
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    fn roll_to(&mut self, idx: usize) {
-        if self.cur_idx < self.nbins {
-            self.stats.fold(self.cur_sum / self.divisor);
-        }
-        for _ in self.cur_idx + 1..idx.min(self.nbins) {
-            self.stats.fold(0.0 / self.divisor);
-        }
-        self.cur_idx = idx;
-        self.cur_sum = 0.0;
-    }
-
-    /// Closes the open bin, folds trailing empty bins up to the horizon,
-    /// and returns the summary.
-    pub fn finish(mut self) -> StreamStats {
-        let end = self.nbins.max(self.cur_idx);
-        self.roll_to(end);
-        self.stats
-    }
-}
-
-/// Streaming replacement for [`GaugeSeries`]: O(1) state producing the
-/// [`StreamStats`] that [`StreamStats::from_points`] would compute over
-/// `maxima_until(horizon)` — bit-exactly, mirroring the carry semantics
-/// (a silent bin reports the value held from the previous update, the
-/// open bin the maximum of entry value and updates within it).
-///
-/// Feed times must be non-decreasing (simulation event order).
-#[derive(Debug, Clone)]
-pub struct StreamGauge {
-    bin: Picos,
-    nbins: usize,
-    cur_idx: usize,
-    /// Maximum within the open bin (entry held value folded in).
-    cur_max: f64,
-    /// Last set value (carried into silent bins).
-    current: f64,
-    stats: StreamStats,
-}
-
-impl StreamGauge {
-    /// Creates a streaming gauge over `horizon / bin` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` is zero.
-    pub fn new(bin: Picos, horizon: Picos) -> StreamGauge {
-        assert!(bin > Picos::ZERO, "bin width must be positive");
-        StreamGauge {
-            bin,
-            nbins: horizon.div_duration(bin) as usize,
-            cur_idx: 0,
-            cur_max: 0.0,
-            current: 0.0,
-            stats: StreamStats::new(),
-        }
-    }
-
-    /// Sets the gauge to `value` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the currently open bin.
-    pub fn set(&mut self, t: Picos, value: f64) {
-        let idx = t.div_duration(self.bin) as usize;
-        assert!(idx >= self.cur_idx, "stream times must be non-decreasing");
-        if idx > self.cur_idx {
-            self.roll_to(idx);
-        }
-        self.cur_max = self.cur_max.max(value);
-        self.current = value;
-    }
-
-    /// Current gauge value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    fn roll_to(&mut self, idx: usize) {
-        if self.cur_idx < self.nbins {
-            self.stats.fold(self.cur_max);
-        }
-        for _ in self.cur_idx + 1..idx.min(self.nbins) {
-            self.stats.fold(self.current);
-        }
-        self.cur_idx = idx;
-        self.cur_max = self.current;
-    }
-
-    /// Closes the open bin, folds the held value into trailing bins up
-    /// to the horizon, and returns the summary.
-    pub fn finish(mut self) -> StreamStats {
-        let end = self.nbins.max(self.cur_idx);
-        self.roll_to(end);
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
 
     #[test]
     fn binned_accumulates_by_bin() {
@@ -488,144 +255,65 @@ mod tests {
         assert_eq!(pts[2].value, 0.0);
     }
 
+    /// Seeded property: per-bin sums and the total agree with a plain
+    /// array indexed by `t / bin`, for unordered samples (integer
+    /// amounts, so every f64 sum is exact whatever the order).
     #[test]
-    fn stream_stats_folds_sum_max_mean() {
-        let mut s = StreamStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.max, 0.0);
-        s.fold(-3.0);
-        s.fold(7.0);
-        s.fold(2.0);
-        assert_eq!(s.bins, 3);
-        assert_eq!(s.sum, 6.0);
-        assert_eq!(s.max, 7.0);
-        assert_eq!(s.mean(), 2.0);
-        // A single negative fold keeps max negative (no phantom 0.0 bin).
-        let mut neg = StreamStats::new();
-        neg.fold(-1.0);
-        assert_eq!(neg.max, -1.0);
-    }
-
-    #[test]
-    fn stream_binned_matches_full_sums_exactly() {
-        let bin = Picos::from_us(5);
-        let horizon = Picos::from_us(50);
-        let mut full = BinnedSeries::new(bin);
-        let mut stream = StreamBinned::new(bin, horizon);
-        // Irregular f64 amounts at non-decreasing times, with gaps and a
-        // point past the horizon (counted in totals, not in bins).
-        let feed = [
-            (0u64, 64.17),
-            (1, 3.25),
-            (7, 100.0),
-            (7, 0.125),
-            (23, 9.5),
-            (24, 1e-3),
-            (49, 2.0),
-            (61, 5.0),
-        ];
-        for (us, v) in feed {
-            full.add(Picos::from_us(us), v);
-            stream.add(Picos::from_us(us), v);
+    fn binned_series_matches_naive() {
+        let bin = Picos::from_ns(1000);
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut s = BinnedSeries::new(bin);
+            let mut naive = [0.0f64; 101];
+            let mut total = 0.0;
+            for _ in 0..rng.next_u64() % 200 {
+                let t_ns = rng.next_u64() % 100_000;
+                let v = (1 + rng.next_u64() % 999) as f64;
+                s.add(Picos::from_ns(t_ns), v);
+                naive[(t_ns / 1000) as usize] += v;
+                total += v;
+            }
+            let rendered = s.sums_until(Picos::from_ns(101_000));
+            let values: Vec<f64> = rendered.iter().map(|p| p.value).collect();
+            assert_eq!(values, naive, "seed {seed}");
+            assert_eq!(rendered[100].t_us, 100.0);
+            assert_eq!(s.total(), total, "seed {seed}");
         }
-        assert_eq!(stream.total(), full.total());
-        let summary = stream.finish();
-        let reference = StreamStats::from_points(&full.sums_until(horizon));
-        assert_eq!(summary, reference);
-        assert_eq!(summary.bins, 10);
     }
 
+    /// Seeded property: per-bin maxima agree with replaying the step
+    /// function — each bin reports the larger of the value held on entry
+    /// and every update inside it, and bins past the last update report
+    /// the held value.
     #[test]
-    fn stream_binned_with_divisor_matches_rate_per_ns() {
-        let bin = Picos::from_us(5);
-        let horizon = Picos::from_us(30);
-        let mut full = BinnedSeries::new(bin);
-        let mut stream = StreamBinned::new(bin, horizon).with_divisor(bin.as_ns_f64());
-        for (us, v) in [(2u64, 640.0), (3, 64.0), (11, 1500.0), (29, 64.0)] {
-            full.add(Picos::from_us(us), v);
-            stream.add(Picos::from_us(us), v);
+    fn gauge_series_matches_naive() {
+        let bin = Picos::from_ns(1000);
+        let nbins = 60;
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut updates: Vec<(u64, f64)> = (0..1 + rng.next_u64() % 99)
+                .map(|_| (rng.next_u64() % 50_000, (rng.next_u64() % 100) as f64))
+                .collect();
+            updates.sort_by_key(|&(t, _)| t);
+            let mut g = GaugeSeries::new(bin);
+            for &(t_ns, v) in &updates {
+                g.set(Picos::from_ns(t_ns), v);
+            }
+            let mut naive = Vec::with_capacity(nbins);
+            let mut held = 0.0f64;
+            let mut next = 0;
+            for b in 0..nbins as u64 {
+                let mut m = held;
+                while next < updates.len() && updates[next].0 < (b + 1) * 1000 {
+                    held = updates[next].1;
+                    m = m.max(held);
+                    next += 1;
+                }
+                naive.push(m);
+            }
+            let rendered = g.maxima_until(bin * nbins as u64);
+            let values: Vec<f64> = rendered.iter().map(|p| p.value).collect();
+            assert_eq!(values, naive, "seed {seed}");
         }
-        let summary = stream.finish();
-        let reference = StreamStats::from_points(&full.rate_per_ns(horizon));
-        assert_eq!(summary, reference);
-    }
-
-    #[test]
-    fn stream_binned_empty_folds_zero_bins() {
-        let stream = StreamBinned::new(Picos::from_us(5), Picos::from_us(20));
-        let full = BinnedSeries::new(Picos::from_us(5));
-        let summary = stream.finish();
-        assert_eq!(
-            summary,
-            StreamStats::from_points(&full.sums_until(Picos::from_us(20)))
-        );
-        assert_eq!(summary.bins, 4);
-        assert_eq!(summary.sum, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn stream_binned_rejects_time_regression() {
-        let mut s = StreamBinned::new(Picos::from_us(5), Picos::from_us(20));
-        s.add(Picos::from_us(12), 1.0);
-        s.add(Picos::from_us(3), 1.0);
-    }
-
-    #[test]
-    fn stream_gauge_matches_full_maxima_exactly() {
-        let bin = Picos::from_us(5);
-        let horizon = Picos::from_us(40);
-        let mut full = GaugeSeries::new(bin);
-        let mut stream = StreamGauge::new(bin, horizon);
-        // Rises, falls within a bin, silence (carry), and a drop whose
-        // held value spans several bins — every GaugeSeries semantic.
-        let feed = [
-            (1u64, 3.0),
-            (2, 8.0),
-            (4, 5.0),
-            (16, 2.0),
-            (17, 9.0),
-            (18, 1.0),
-            (39, 4.0),
-        ];
-        for (us, v) in feed {
-            full.set(Picos::from_us(us), v);
-            stream.set(Picos::from_us(us), v);
-        }
-        assert_eq!(stream.current(), 4.0);
-        let summary = stream.finish();
-        let reference = StreamStats::from_points(&full.maxima_until(horizon));
-        assert_eq!(summary, reference);
-        assert_eq!(summary.bins, 8);
-        assert_eq!(summary.max, 9.0);
-    }
-
-    #[test]
-    fn stream_gauge_carries_past_horizon_updates_like_full() {
-        let bin = Picos::from_us(5);
-        let horizon = Picos::from_us(10);
-        let mut full = GaugeSeries::new(bin);
-        let mut stream = StreamGauge::new(bin, horizon);
-        for (us, v) in [(1u64, 6.0), (12, 3.0), (14, 7.0)] {
-            full.set(Picos::from_us(us), v);
-            stream.set(Picos::from_us(us), v);
-        }
-        let summary = stream.finish();
-        assert_eq!(
-            summary,
-            StreamStats::from_points(&full.maxima_until(horizon))
-        );
-    }
-
-    #[test]
-    fn stream_gauge_untouched_reports_zero_bins() {
-        let stream = StreamGauge::new(Picos::from_us(5), Picos::from_us(15));
-        let full = GaugeSeries::new(Picos::from_us(5));
-        let summary = stream.finish();
-        assert_eq!(
-            summary,
-            StreamStats::from_points(&full.maxima_until(Picos::from_us(15)))
-        );
-        assert_eq!(summary.bins, 3);
     }
 }

@@ -1,13 +1,14 @@
 //! Property tests for the simulation core: the event queue must behave as
-//! a stable priority queue, and the series types must agree with naive
-//! reference implementations.
+//! a stable priority queue, and the summary types must agree with naive
+//! reference implementations. (The series properties run always-on,
+//! seeded, in `src/series.rs`.)
 
 // Gated: the offline build has no proptest dependency; re-add it and
 // run with `--features slow-proptests` to exercise these.
 #![cfg(feature = "slow-proptests")]
 
 use proptest::prelude::*;
-use simcore::{BinnedSeries, EventQueue, GaugeSeries, Histogram, Picos, Running, SchedulerKind};
+use simcore::{EventQueue, Histogram, Picos, Running, SchedulerKind};
 
 /// An op for the scheduler differential property: schedule at a (possibly
 /// colliding) time, or pop.
@@ -103,66 +104,6 @@ proptest! {
                 // Schedule in the "future" only, like the engine does.
                 q.schedule(Picos::from_ns(floor + t), ());
             }
-        }
-    }
-
-    /// BinnedSeries agrees with a naive per-bin accumulation.
-    #[test]
-    fn binned_series_matches_naive(
-        samples in prop::collection::vec((0u64..100_000, 1u32..1000), 0..200)
-    ) {
-        let bin = Picos::from_ns(1000);
-        let mut s = BinnedSeries::new(bin);
-        let mut naive = vec![0.0f64; 101];
-        for &(t_ns, v) in &samples {
-            s.add(Picos::from_ns(t_ns), v as f64);
-            naive[(t_ns / 1000) as usize] += v as f64;
-        }
-        let rendered = s.sums_until(Picos::from_ns(101_000));
-        prop_assert_eq!(rendered.len(), 101);
-        for (i, p) in rendered.iter().enumerate() {
-            prop_assert!((p.value - naive[i]).abs() < 1e-9);
-        }
-        let total: f64 = samples.iter().map(|&(_, v)| v as f64).sum();
-        prop_assert!((s.total() - total).abs() < 1e-9);
-    }
-
-    /// GaugeSeries per-bin maxima match a naive simulation of a held value.
-    #[test]
-    fn gauge_series_matches_naive(
-        mut updates in prop::collection::vec((0u64..50_000, 0u32..100), 1..100)
-    ) {
-        updates.sort_by_key(|&(t, _)| t);
-        let bin = Picos::from_ns(1000);
-        let mut g = GaugeSeries::new(bin);
-        for &(t_ns, v) in &updates {
-            g.set(Picos::from_ns(t_ns), v as f64);
-        }
-        // Naive: replay the step function and take per-bin maxima.
-        let nbins = 60usize;
-        let mut naive = vec![0.0f64; nbins];
-        let mut current = 0.0f64;
-        let mut idx = 0usize;
-        for b in 0..nbins {
-            let bin_start = b as u64 * 1000;
-            let bin_end = bin_start + 1000;
-            let mut m = current;
-            while idx < updates.len() && (updates[idx].0) < bin_end {
-                current = updates[idx].1 as f64;
-                if updates[idx].0 >= bin_start {
-                    m = m.max(current);
-                }
-                idx += 1;
-            }
-            m = m.max(if idx > 0 && updates[idx-1].0 < bin_start { current } else { m });
-            naive[b] = m;
-        }
-        let rendered = g.maxima_until(Picos::from_ns(nbins as u64 * 1000));
-        for (b, p) in rendered.iter().enumerate() {
-            prop_assert!(
-                (p.value - naive[b]).abs() < 1e-9,
-                "bin {} got {} want {}", b, p.value, naive[b]
-            );
         }
     }
 

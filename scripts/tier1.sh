@@ -28,14 +28,6 @@ echo "== tier1: event-model oracle suite (production vs the eager reference, rel
 # Release mode: debug would dominate the gate's wall time.
 cargo test --release -q -p experiments --test event_model_differential
 
-echo "== tier1: metrics-mode differential (Full vs Streaming, release) =="
-# Streaming metrics must be storage-only: identical digests and counters,
-# and every StreamSummary field must equal the left-fold of the series the
-# full probe renders — exactly, on every corner-case preset. Release mode
-# for the same reason as above (the 256/512-host cells are full runs; the
-# `--include-ignored` picks up the release-only large presets).
-cargo test --release -q -p experiments --test metrics_mode_differential -- --include-ignored
-
 echo "== tier1: quick-mode sweep smoke test (fig2, --jobs 4 vs --jobs 1) =="
 # The parallel executor must return results in submission order, so the
 # rendered tables are byte-identical at any parallelism; the JSON sweep
@@ -105,8 +97,8 @@ echo "transport smoke passed: all four transports parallel-stable, PFC recovered
 echo "== tier1: scale smoke test (ft_4096 RECN under the memory budget) =="
 # The same short-horizon 4096-host hotspot CI's scale-smoke job runs: the
 # 16-ary 3-tree must build, route, and absorb the one-attacker-per-leaf
-# congestion tree with streaming metrics, and the run's peak_bytes_estimate
-# must stay under the checked-in ceiling (ci/scale_budget.txt).
+# congestion tree, and the run's peak_bytes_estimate must stay under the
+# checked-in ceiling (ci/scale_budget.txt).
 ./target/release/scale --net 4096 --time-div 256 --json "$smoke/scale_smoke.json" \
   --budget "$(cat ci/scale_budget.txt)" > "$smoke/scale.txt" 2> /dev/null
 grep -q '"peak_bytes_estimate": [0-9]' "$smoke/scale_smoke.json"
