@@ -31,7 +31,7 @@
 //! order would otherwise be measured.
 
 use bench::BENCH_TIME_DIV;
-use experiments::opts::{parse_flags, render_help, FlagDef};
+use experiments::opts::{is_help, parse_flags, render_help, FlagDef, Value};
 use experiments::runner::{run_one, RunOutput, SchemeSet, Workload};
 use experiments::sweep::{events_per_sec, RunSpec};
 use fabric::ArnTable;
@@ -263,7 +263,7 @@ fn kernels(small: bool) -> Vec<Kernel> {
         }
         // The order-of-magnitude rung: ~60M events on the 16-ary 3-tree.
         // RECN only (VOQnet's per-destination queues are the strawman the
-        // `scale` binary quantifies analytically) and never in --quick.
+        // `recn scale` quantifies analytically) and never in --quick.
         v.push(Kernel {
             name: "hotspot4096/RECN".to_owned(),
             kind: KernelKind::Sim(Box::new(bench::scale4096_spec(fabric::SchemeKind::Recn(
@@ -405,115 +405,71 @@ const BENCH_FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--only",
         aliases: &[],
-        value: Some(("SUBSTR", "a substring")),
+        value: Some(Value::Text("SUBSTR", "a substring")),
         help: "keep only kernels whose name contains SUBSTR",
     },
     FlagDef {
         name: "--repeat",
         aliases: &[],
-        value: Some(("N", "a count")),
+        value: Some(Value::Count("N", "a count")),
         help: "run each kernel N times, keep the fastest (default 1)",
     },
     FlagDef {
         name: "--out",
         aliases: &[],
-        value: Some(("FILE", "a file")),
+        value: Some(Value::Text("FILE", "a file")),
         help: "where to write the JSON (default BENCH_simcore.json)",
     },
     FlagDef {
         name: "--check",
         aliases: &[],
-        value: Some(("BASELINE", "a baseline file")),
+        value: Some(Value::Text("BASELINE", "a baseline file")),
         help: "fail if events/sec regressed below BASELINE",
     },
     FlagDef {
         name: "--tolerance",
         aliases: &[],
-        value: Some(("F", "a fraction")),
+        value: Some(Value::Text("F", "a fraction")),
         help: "allowed fractional regression for --check (default 0.25)",
     },
     FlagDef {
         name: "--md",
         aliases: &[],
-        value: Some(("FILE", "a file")),
+        value: Some(Value::Text("FILE", "a file")),
         help: "append a markdown result table to FILE (e.g. $GITHUB_STEP_SUMMARY)",
     },
 ];
 
-struct BenchArgs {
-    small: bool,
-    only: Option<String>,
-    repeat: usize,
-    out_path: String,
-    check: Option<String>,
-    tolerance: f64,
-    md: Option<String>,
-    help: bool,
-}
-
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
-    let mut cfg = BenchArgs {
-        small: false,
-        only: None,
-        repeat: 1,
-        out_path: String::from("BENCH_simcore.json"),
-        check: None,
-        tolerance: 0.25,
-        md: None,
-        help: false,
-    };
-    for (name, value) in parse_flags(args, BENCH_FLAGS)? {
-        let v = || value.clone().expect("value enforced by parse_flags");
-        match name {
-            "--quick" => cfg.small = true,
-            "--only" => cfg.only = Some(v()),
-            "--repeat" => {
-                let v = v();
-                cfg.repeat = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--repeat expects a count, got {v:?}"))?
-                    .max(1);
-            }
-            "--out" => cfg.out_path = v(),
-            "--check" => cfg.check = Some(v()),
-            "--md" => cfg.md = Some(v()),
-            "--tolerance" => {
-                let v = v();
-                cfg.tolerance = v
-                    .parse()
-                    .map_err(|_| format!("--tolerance expects a number, got {v:?}"))?;
-            }
-            "--help" => cfg.help = true,
-            other => unreachable!("flag {other} in table but not matched"),
-        }
-    }
-    Ok(cfg)
+fn usage_error(e: String) -> ! {
+    eprintln!("{e}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if args.help {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| is_help(a)) {
         println!("{}", render_help(BENCH_FLAGS));
         return;
     }
-    let BenchArgs {
-        small,
-        only,
-        repeat,
-        out_path,
-        check,
-        tolerance,
-        md,
-        ..
-    } = args;
+    let f = parse_flags(args, BENCH_FLAGS).unwrap_or_else(|e| usage_error(e));
+    let small = f.has("--quick");
+    let only = f.get("--only");
+    let repeat: usize = f
+        .num("--repeat")
+        .unwrap_or_else(|e| usage_error(e))
+        .unwrap_or(1);
+    let out_path = f.get("--out").unwrap_or("BENCH_simcore.json");
+    let check = f.get("--check");
+    let tolerance: f64 = f
+        .num("--tolerance")
+        .unwrap_or_else(|e| usage_error(e))
+        .unwrap_or(0.25);
+    let md = f.get("--md");
 
     let mode = if small { "small" } else { "full" };
     let mut ks = kernels(small);
-    if let Some(pat) = &only {
-        ks.retain(|k| k.name.contains(pat.as_str()));
+    if let Some(pat) = only {
+        ks.retain(|k| k.name.contains(pat));
         assert!(!ks.is_empty(), "--only {pat} matches no kernel");
     }
     // Discarded warm-up (see the module docs): a fixed sub-second kernel,
@@ -546,17 +502,17 @@ fn main() {
     }
 
     let json = render(mode, &rows);
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    std::fs::write(out_path, &json).expect("write benchmark JSON");
     eprintln!("wrote {out_path}");
 
     // Load the baseline before the check so the markdown summary can
     // carry the comparison columns even when the check then fails.
-    let baseline: Option<Vec<BaselineRow>> = check.as_ref().map(|p| {
+    let baseline: Option<Vec<BaselineRow>> = check.map(|p| {
         let text =
             std::fs::read_to_string(p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"));
         parse_baseline(&text)
     });
-    if let Some(md_path) = &md {
+    if let Some(md_path) = md {
         use std::io::Write as _;
         let table = render_markdown(mode, &rows, baseline.as_deref());
         let mut f = std::fs::OpenOptions::new()
@@ -607,7 +563,7 @@ fn main() {
         assert!(
             compared > 0,
             "no kernels in common with baseline {}",
-            check.as_deref().unwrap_or_default()
+            check.unwrap_or_default()
         );
         if failures.is_empty() {
             eprintln!(

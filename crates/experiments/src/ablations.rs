@@ -35,6 +35,8 @@ pub struct AblationRow {
     pub rejects: u64,
     /// SAQs allocated over the run.
     pub allocs: u64,
+    /// SAQs deallocated over the run.
+    pub deallocs: u64,
 }
 
 fn corner2(opts: &Opts) -> Workload {
@@ -71,6 +73,7 @@ fn run_recn_sweep(
             saq_peaks: out.saq_peaks,
             rejects: out.counters.recn_rejects,
             allocs: out.counters.saq_allocs,
+            deallocs: out.counters.saq_deallocs,
         }
     };
     settings
@@ -240,6 +243,12 @@ mod tests {
         assert!(one.rejects > eight.rejects, "{one:?} vs {eight:?}");
         // And more SAQs never hurt window throughput much.
         assert!(eight.window_throughput >= one.window_throughput * 0.95);
+        // SAQ conservation, with and without the drain boost: every
+        // deallocation matches an allocation. (Not equality — at the
+        // compressed horizon a few trees are still live at the cutoff.)
+        for r in drain_boost_ablation(&quick()) {
+            assert!(r.allocs > 0 && r.deallocs <= r.allocs, "{r:?}");
+        }
     }
 
     #[test]

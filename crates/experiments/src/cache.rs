@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fabric::NetCounters;
 use simcore::{fnv1a64, Running, SeriesPoint};
 
+use crate::json::{self, parse_json, Json};
 use crate::runner::{RunOutput, OUTPUT_SCHEMA_VERSION};
 use crate::spec::RunSpec;
 
@@ -155,27 +156,9 @@ pub fn render_entry(spec: &RunSpec, out: &RunOutput) -> String {
 fn series_json(points: &[SeriesPoint]) -> String {
     let cells: Vec<String> = points
         .iter()
-        .map(|p| format!("[{},{}]", fnum(p.t_us), fnum(p.value)))
+        .map(|p| format!("[{},{}]", json::num(p.t_us), json::num(p.value)))
         .collect();
     format!("[{}]", cells.join(","))
-}
-
-/// Finite floats as their shortest round-tripping decimal form. A
-/// non-finite value cannot appear in stored outputs; render it as `null`
-/// so the entry fails verification honestly instead of emitting bad JSON.
-fn fnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn fopt(x: Option<f64>) -> String {
-    match x {
-        Some(v) => fnum(v),
-        None => "null".to_owned(),
-    }
 }
 
 fn render_body(out: &RunOutput) -> String {
@@ -211,10 +194,10 @@ fn render_body(out: &RunOutput) -> String {
         c.delivered_bytes,
         c.order_violations,
         count,
-        fnum(mean),
-        fnum(m2),
-        fopt(min),
-        fopt(max),
+        json::num(mean),
+        json::num(m2),
+        json::opt(min),
+        json::opt(max),
         c.recn_notifications,
         c.saq_allocs,
         c.saq_deallocs,
@@ -239,7 +222,7 @@ fn render_body(out: &RunOutput) -> String {
         c.pfc_dropped_bytes,
         c.arn_hot_notifications,
         c.arn_cold_notifications,
-        fnum(out.wall_secs),
+        json::num(out.wall_secs),
         out.events,
         out.peak_event_queue_depth,
         match out.trace_digest {
@@ -247,26 +230,11 @@ fn render_body(out: &RunOutput) -> String {
             None => "null".to_owned(),
         },
         out.peak_bytes_estimate,
-        render_fct(&out.fct),
+        json::fct(&out.fct, ","),
     )
 }
 
-/// A flow-completion-time summary as `[flows, p50, p99, max]` (ns), or
-/// `null` when the run completed no flows.
-fn render_fct(fct: &Option<metrics::FctSummary>) -> String {
-    match fct {
-        Some(f) => format!(
-            "[{},{},{},{}]",
-            f.flows,
-            fnum(f.p50_ns),
-            fnum(f.p99_ns),
-            fnum(f.max_ns)
-        ),
-        None => "null".to_owned(),
-    }
-}
-
-/// Inverse of [`render_fct`].
+/// Inverse of [`json::fct`].
 fn parse_fct(v: &Json) -> Result<Option<metrics::FctSummary>, String> {
     match v {
         Json::Null => Ok(None),
@@ -434,277 +402,9 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
     Ok(Some(out))
 }
 
-// ---- minimal JSON ------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw token so integers parse as
-/// exact `u64` and floats as the exact shortest-representation `f64`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, kept as its raw token.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string value, when a string.
-    pub fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number as an exact `u64`, when an integer token.
-    pub fn u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(t) => t.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `f64`, when a (finite) number token.
-    pub fn f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(t) => t.parse().ok().filter(|x: &f64| x.is_finite()),
-            _ => None,
-        }
-    }
-
-    /// Like [`f64`](Json::f64) but mapping `null` to `Some(None)`.
-    pub fn f64_or_null(&self) -> Option<Option<f64>> {
-        match self {
-            Json::Null => Some(None),
-            v => v.f64().map(Some),
-        }
-    }
-
-    /// The elements, when an array.
-    pub fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (rejecting trailing garbage). Supports the
-/// subset this crate writes: objects, arrays, strings with basic escapes,
-/// number tokens, `true`/`false`/`null`.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' if self.eat_word("true") => Ok(Json::Bool(true)),
-            b'f' if self.eat_word("false") => Ok(Json::Bool(false)),
-            b'n' if self.eat_word("null") => Ok(Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            c => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek().ok_or("unterminated escape")? {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        c => return Err(format!("unknown escape \\{}", c as char)),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
-            self.pos += 1;
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if token.parse::<f64>().is_err() {
-            return Err(format!("bad number token {token:?}"));
-        }
-        Ok(Json::Num(token.to_owned()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parser_round_trips_the_shapes_we_write() {
-        let v = parse_json(r#"{"a": [1, 2.5, null], "b": "x\"y", "c": {"d": true}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().arr().unwrap()[0].u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().arr().unwrap()[1].f64(), Some(2.5));
-        assert_eq!(v.get("a").unwrap().arr().unwrap()[2], Json::Null);
-        assert_eq!(v.get("b").unwrap().str(), Some("x\"y"));
-        assert_eq!(v.get("c").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2] tail").is_err());
-        assert!(parse_json("").is_err());
-    }
-
-    #[test]
-    fn float_tokens_parse_exactly() {
-        for x in [0.1f64, 1.0 / 3.0, 1e-300, -0.0, 123_456_789.123_456_79] {
-            let text = format!("[{x}]");
-            let v = parse_json(&text).unwrap();
-            assert_eq!(
-                v.arr().unwrap()[0].f64().unwrap().to_bits(),
-                x.to_bits(),
-                "{text}"
-            );
-        }
-    }
 
     #[test]
     fn status_names() {

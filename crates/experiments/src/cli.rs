@@ -1,0 +1,467 @@
+//! The `recn` command line: one table of commands, one dispatcher.
+//!
+//! `recn <command> [options]` — each [`Command`] carries its name, a
+//! one-line description, the flag table [`parse_flags`] checks its
+//! arguments against, and the function that runs it. `recn --help` lists
+//! the table, `recn <command> --help` renders that command's flags, and
+//! an unknown command, flag or value is an `Err` carrying the usage text
+//! (the binary prints it and exits 2).
+
+use fabric::{
+    render_port, FabricConfig, FanoutObserver, Network, SchemeKind, TraceSink, ValidatingObserver,
+};
+use simcore::Picos;
+use topology::{FatTreeParams, MinParams, TopoParams};
+use traffic::corner::CornerCase;
+
+use crate::figures::{self, FIGURES};
+use crate::opts::{
+    is_help, opts_flags, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed,
+    TopologyChoice, OPTS_FLAGS,
+};
+use crate::runner::{paper_recn_config, scaled_recn_config, summarize, SchemeSet};
+use crate::spec::RunSpec;
+use crate::sweep::Sweep;
+use crate::{ablations, incast, scale, serve, table1};
+
+/// One `recn` command.
+pub struct Command {
+    /// The word after `recn`.
+    pub name: &'static str,
+    /// The words the command's positional operand may be (empty: none).
+    pub operand: &'static [&'static str],
+    /// One-line description for `recn --help`.
+    pub about: &'static str,
+    /// The flags the command accepts.
+    pub flags: &'static [FlagDef],
+    /// Runs the command on its operand (`""` without one) and flags.
+    pub run: fn(&str, &Parsed<'_>) -> Result<(), String>,
+}
+
+const FIG_FLAGS: [FlagDef; 13] = opts_flags(&[256, 512]);
+const HOTSPOT_FLAGS: [FlagDef; 13] = opts_flags(&[64, 512]);
+
+/// Every command of the binary, in `recn --help` order.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "fig",
+        operand: &["2", "3", "4", "5", "6", "all"],
+        about: "regenerate one of the paper's figures (or all, back to back)",
+        flags: &FIG_FLAGS,
+        run: fig,
+    },
+    Command {
+        name: "table1",
+        operand: &[],
+        about: "print Table 1 and audit the generators' injection rates",
+        flags: &[],
+        run: |_, _| table1_audit(),
+    },
+    Command {
+        name: "hotspot",
+        operand: &[],
+        about:
+            "five-scheme hotspot table on --topology min|fattree (routing matrix with --routing)",
+        flags: &HOTSPOT_FLAGS,
+        run: |_, f| hotspot(&Opts::from_flags(f)?),
+    },
+    Command {
+        name: "incast",
+        operand: &[],
+        about: "incast64 flow-completion times, five schemes under --transport",
+        flags: &OPTS_FLAGS,
+        run: |_, f| {
+            let rows = incast::incast_sweep(&Opts::from_flags(f)?);
+            print!("{}", incast::render_rows(&rows));
+            Ok(())
+        },
+    },
+    Command {
+        name: "ablations",
+        operand: &[],
+        about: "RECN design ablations and the per-class latency split",
+        flags: &OPTS_FLAGS,
+        run: |_, f| ablation_tables(&Opts::from_flags(f)?),
+    },
+    Command {
+        name: "validate",
+        operand: &[],
+        about: "one hotspot run per scheme with the invariant checker on",
+        flags: &OPTS_FLAGS,
+        run: |_, f| validate(&Opts::from_flags(f)?),
+    },
+    Command {
+        name: "inspect",
+        operand: &[],
+        about: "mid-congestion port/SAQ state of corner case 2 under RECN",
+        flags: &OPTS_FLAGS,
+        run: |_, f| inspect(&Opts::from_flags(f)?),
+    },
+    Command {
+        name: "scale",
+        operand: &[],
+        about: "queue-memory scaling ladder ft_64 -> ft_512 -> ft_4096",
+        flags: scale::SCALE_FLAGS,
+        run: |_, f| scale::command(f),
+    },
+    Command {
+        name: "serve",
+        operand: &[],
+        about: "batch daemon: run spooled spec files through the run cache",
+        flags: serve::SERVE_FLAGS,
+        run: |_, f| serve::command(f),
+    },
+];
+
+impl Command {
+    /// `usage: recn <name> [operand]` plus the rendered flag table.
+    pub fn help(&self) -> String {
+        format!("{}\n{}", self.usage(), render_help(self.flags))
+    }
+
+    fn usage(&self) -> String {
+        let operand = if self.operand.is_empty() {
+            String::new()
+        } else {
+            format!(" {}", self.operand.join("|"))
+        };
+        format!("usage: recn {}{operand} [options]", self.name)
+    }
+}
+
+/// The command list `recn --help` prints.
+pub fn overview() -> String {
+    let mut s = String::from("usage: recn <command> [options]\ncommands:\n");
+    for c in COMMANDS {
+        s.push_str(&format!("  {:<10} {}\n", c.name, c.about));
+    }
+    s.push_str("`recn <command> --help` lists a command's options");
+    s
+}
+
+/// Runs `recn` on `args` (without the program name). `Err` is a usage
+/// error: the message to print before exiting with status 2.
+pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), String> {
+    let mut args: Vec<String> = args.into_iter().collect();
+    if args.is_empty() {
+        return Err(overview());
+    }
+    let name = args.remove(0);
+    if is_help(&name) {
+        println!("{}", overview());
+        return Ok(());
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name}; {}", overview()))?;
+    if args.iter().any(|a| is_help(a)) {
+        println!("{}", cmd.help());
+        return Ok(());
+    }
+    let operand = match args.first() {
+        _ if cmd.operand.is_empty() => String::new(),
+        Some(word) if cmd.operand.contains(&word.as_str()) => args.remove(0),
+        _ => return Err(cmd.usage()),
+    };
+    (cmd.run)(&operand, &parse_flags(args, cmd.flags)?)
+}
+
+fn fig(which: &str, f: &Parsed<'_>) -> Result<(), String> {
+    let opts = Opts::from_flags(f)?;
+    for (n, figure) in FIGURES {
+        if which == "all" {
+            eprintln!("== Figure {n} ==");
+        } else if which != n {
+            continue;
+        }
+        for fig in figure(&opts) {
+            fig.print(&opts);
+        }
+    }
+    Ok(())
+}
+
+/// Table 1, plus an audit that the generators realize the specified
+/// injection rates.
+fn table1_audit() -> Result<(), String> {
+    print!("{}", table1::render(&table1::spec()));
+    for (case, corner) in [(1, CornerCase::case1_64()), (2, CornerCase::case2_64())] {
+        let (bg, hot) = table1::audit_rates(&corner, Picos::from_us(1600));
+        println!(
+            "audit case {case}: background {bg:.3} B/ns per source, hotspot {hot:.3} B/ns per source"
+        );
+    }
+    Ok(())
+}
+
+/// The RECN design ablations and the per-class latency measurement.
+fn ablation_tables(opts: &Opts) -> Result<(), String> {
+    type Sweep = fn(&Opts) -> Vec<ablations::AblationRow>;
+    let tables: [(&str, Sweep); 3] = [
+        (
+            "SAQ pool size sweep (corner case 2)",
+            ablations::saq_pool_sweep,
+        ),
+        (
+            "detection threshold sweep (corner case 2)",
+            ablations::detection_sweep,
+        ),
+        (
+            "drain-boost rule (paper §3.8)",
+            ablations::drain_boost_ablation,
+        ),
+    ];
+    for (title, sweep) in tables {
+        println!("{}", ablations::render_rows(title, &sweep(opts)));
+    }
+    let splits: Vec<_> = [
+        SchemeKind::VoqNet,
+        SchemeKind::OneQ,
+        SchemeKind::Recn(scaled_recn_config(opts.time_div())),
+    ]
+    .into_iter()
+    .map(|s| ablations::latency_split(opts, s))
+    .collect();
+    println!("{}", ablations::render_latency(&splits));
+    Ok(())
+}
+
+/// Cross-topology headline table: the five-scheme hotspot comparison on
+/// the selected topology — the throughput-over-time table plus the mean
+/// throughput inside the congestion window. With `--routing adaptive` the
+/// sweep additionally reruns under deterministic self-routing and prints
+/// the deterministic-vs-adaptive comparison; with `--routing arn` it
+/// reruns under *both* other policies and prints the full
+/// {deterministic, adaptive, arn} × scheme matrix (the EXPERIMENTS.md
+/// fat-tree headline tables).
+fn hotspot(opts: &Opts) -> Result<(), String> {
+    if opts.net == Some(512) && opts.topology != TopologyChoice::FatTree {
+        return Err(format!(
+            "--net 512 needs --topology fattree; {}",
+            usage_line(&HOTSPOT_FLAGS)
+        ));
+    }
+    let fig = figures::topology_hotspot(opts);
+    fig.print(opts);
+    println!("mean throughput inside the congestion window:");
+    for (label, mean) in figures::congestion_window_means(&fig, opts) {
+        println!("  {label:>7}: {mean:.3} bytes/ns");
+    }
+    if opts.routing.is_arn() {
+        println!();
+        let rows = figures::scheme_matrix(opts);
+        print!("{}", figures::render_scheme_matrix(&rows));
+    } else if opts.routing.is_adaptive() {
+        println!();
+        let rows = figures::routing_comparison(&fig, opts);
+        print!("{}", figures::render_routing_comparison(&rows));
+    }
+    Ok(())
+}
+
+/// Validation smoke: one corner-case hotspot run per scheme with the
+/// online [`ValidatingObserver`] fanned in. The validator panics on the
+/// first invariant violation, so finishing at all means every scheme
+/// completed its run with zero violations; each run's stable trace digest
+/// is printed for eyeballing against the golden-trace suite. `--quick`
+/// shortens the run 8× further, `--topology fattree` validates the same
+/// matrix on the 64-host 4-ary 3-tree, and `--routing adaptive|arn`
+/// reruns it under the late-bound up-port selectors.
+fn validate(opts: &Opts) -> Result<(), String> {
+    // Time-compressed hotspot: the corner case exercises every RECN path
+    // (SAQ allocation, markers, Xon/Xoff, dealloc cascades) while staying
+    // fast enough for a CI gate.
+    let div = 40 * opts.time_div();
+    let horizon = Picos::from_us(1600 / div);
+    let (params, corner) = match opts.topology {
+        TopologyChoice::Min => (
+            TopoParams::from(MinParams::paper_64()),
+            CornerCase::case2_64(),
+        ),
+        TopologyChoice::FatTree => (
+            TopoParams::from(FatTreeParams::ft_64()),
+            CornerCase::fattree_64(),
+        ),
+    };
+    let corner = corner.shrunk(div);
+    let specs: Vec<RunSpec> = SchemeSet::All
+        .schemes_scaled(div)
+        .into_iter()
+        .map(|scheme| {
+            RunSpec::corner(params, scheme, corner)
+                .with_horizon(horizon)
+                .with_bin(Picos::from_us(2))
+                .with_label("validate")
+                .with_routing(opts.routing)
+                .with_validation(true)
+                .with_trace(opts.trace_capacity())
+        })
+        .collect();
+    let n = specs.len();
+    let outs = Sweep::new(specs).jobs(opts.jobs.unwrap_or(0)).run();
+    for out in &outs {
+        let digest = out.trace_digest.expect("tracing was requested");
+        println!("{}  trace digest {digest:#018x}", summarize(out));
+    }
+    println!("{n} schemes validated: zero invariant violations");
+    Ok(())
+}
+
+/// Mid-congestion state inspector: runs corner case 2 under RECN to the
+/// middle of the congestion window and prints the most loaded ports with
+/// their SAQ state — a window into how the congestion tree is isolated.
+/// With `--trace FILE` the run records an event trace (ring capacity
+/// `--trace-last N`, digest over the whole run) and writes it to FILE as
+/// JSONL; every run also rides a [`ValidatingObserver`], so reaching the
+/// report at all means no lossless invariant broke on the way there.
+fn inspect(opts: &Opts) -> Result<(), String> {
+    let div = opts.time_div();
+    let corner = CornerCase::case2_64()
+        .with_msg_bytes(opts.packet_size())
+        .shrunk(div);
+    let recn_cfg = if div == 1 {
+        paper_recn_config()
+    } else {
+        scaled_recn_config(div)
+    };
+    let sources = corner.build_sources(Picos::from_us(1600 / div));
+
+    let (validator, vhandle) = ValidatingObserver::new();
+    let mut fan = FanoutObserver::new().push(Box::new(validator));
+    let mut trace = None;
+    if opts.trace_file.is_some() {
+        let (sink, handle) = TraceSink::new(opts.trace_capacity(), "inspect case2_64 RECN");
+        fan = fan.push(Box::new(sink));
+        trace = Some(handle);
+    }
+
+    let net = Network::new(
+        MinParams::paper_64(),
+        FabricConfig::paper(SchemeKind::Recn(recn_cfg)),
+        opts.packet_size(),
+        sources,
+        Box::new(fan),
+    );
+    let mut engine = net.build_engine();
+    // Halt in the middle of the congestion window (paper: 800–970 µs).
+    engine.run_until(Picos::from_us(885 / div));
+    let net = engine.model();
+    let c = net.counters();
+    println!(
+        "t = {} — census {:?} | allocs {} deallocs {} rejects {} markers {} xoff/xon {}/{} roots {}/{}",
+        engine.now(),
+        net.saq_census(),
+        c.saq_allocs,
+        c.saq_deallocs,
+        c.recn_rejects,
+        c.markers,
+        c.xoffs,
+        c.xons,
+        c.root_activations,
+        c.root_clears,
+    );
+    println!(
+        "validated {} events: {} in flight, {} SAQs live, {} source drops",
+        vhandle.events_checked(),
+        vhandle.in_flight(),
+        vhandle.live_saqs(),
+        vhandle.drop_attempts().0,
+    );
+    let (pi, po, pn) = net.peak_occupancies();
+    println!("peak buffer occupancy: inputs {pi}B, outputs {po}B, NICs {pn}B\n");
+    for (name, snap) in net.hottest_ports(24) {
+        println!("{}", render_port(&name, &snap));
+    }
+    if let (Some(handle), Some(path)) = (trace, &opts.trace_file) {
+        std::fs::write(path, handle.render_jsonl()).expect("write trace file");
+        eprintln!(
+            "wrote {} ({} of {} events retained, digest {:#018x})",
+            path.display(),
+            handle.retained(),
+            handle.recorded(),
+            handle.digest(),
+        );
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flag names each command's `--help` lists are the ones its
+    /// binary accepted before the mains were folded into `recn`.
+    #[test]
+    fn flag_surface_is_the_binaries() {
+        const OPTS: &[&str] = &[
+            "--quick",
+            "--pkt",
+            "--csv",
+            "--json",
+            "--cache",
+            "--jobs",
+            "--net",
+            "--stride",
+            "--trace",
+            "--trace-last",
+            "--topology",
+            "--routing",
+            "--transport",
+        ];
+        let expected: [(&str, &[&str]); 9] = [
+            ("fig", OPTS),
+            ("table1", &[]),
+            ("hotspot", OPTS),
+            ("incast", OPTS),
+            ("ablations", OPTS),
+            ("validate", OPTS),
+            ("inspect", OPTS),
+            ("scale", &["--net", "--time-div", "--json", "--budget"]),
+            (
+                "serve",
+                &[
+                    "--spool",
+                    "--cache",
+                    "--jobs",
+                    "--once",
+                    "--poll-ms",
+                    "--demo",
+                ],
+            ),
+        ];
+        assert_eq!(COMMANDS.len(), expected.len());
+        for (cmd, (name, flags)) in COMMANDS.iter().zip(expected) {
+            assert_eq!(cmd.name, name);
+            let names: Vec<&str> = cmd.flags.iter().map(|d| d.name).collect();
+            assert_eq!(names, flags, "{name}");
+            let help = cmd.help();
+            for flag in flags {
+                assert!(help.contains(flag), "{name} --help lists {flag}");
+            }
+            assert!(overview().contains(cmd.about));
+        }
+    }
+
+    /// Usage errors surface as `Err` with a usage line, before any
+    /// simulation starts — never as a panic.
+    #[test]
+    fn bad_commands_and_operands_are_usage_errors() {
+        let run = |words: &[&str]| run(words.iter().map(|s| s.to_string()));
+        let cases: [(&[&str], &str); 6] = [
+            (&[], "usage: recn <command>"),
+            (&["nosuch"], "unknown command nosuch; usage: recn <command>"),
+            (&["fig"], "usage: recn fig 2|3|4|5|6|all"),
+            (&["fig", "7"], "usage: recn fig 2|3|4|5|6|all"),
+            (&["table1", "--quick"], "unknown option --quick; options:"),
+            (
+                &["hotspot", "--net", "512"],
+                "--net 512 needs --topology fattree; options:",
+            ),
+        ];
+        for (words, needle) in cases {
+            let err = run(words).expect_err(&words.join(" "));
+            assert!(err.contains(needle), "{words:?}: {err}");
+        }
+    }
+}

@@ -1,4 +1,5 @@
-//! One function per figure of the paper.
+//! One function per figure of the paper ([`FIGURES`] is the table `recn fig`
+//! dispatches through).
 //!
 //! Each figure describes its runs as [`RunSpec`]s and executes them in a
 //! single [`Sweep`](crate::sweep::Sweep) (via [`Opts::sweep`]), so the
@@ -15,6 +16,19 @@ use traffic::san::SanParams;
 use crate::opts::{Opts, TopologyChoice};
 use crate::runner::{summarize, RunOutput, SchemeSet};
 use crate::sweep::RunSpec;
+
+/// A figure regenerator: runs the figure's sweep and returns its panels.
+pub type FigureFn = fn(&Opts) -> Vec<Figure>;
+
+/// The paper's figures by number: what `recn fig N` runs, and `recn fig
+/// all` walks in order.
+pub const FIGURES: [(&str, FigureFn); 5] = [
+    ("2", fig2),
+    ("3", fig3),
+    ("4", fig4),
+    ("5", fig5),
+    ("6", fig6),
+];
 
 /// A reproduced figure: its labeled series plus run summaries.
 #[derive(Debug)]
@@ -260,10 +274,13 @@ fn san_figures(
 /// Figure 6: throughput and RECN SAQ utilization on the 256- and 512-host
 /// networks under the scaled corner case 2.
 pub fn fig6(opts: &Opts) -> Vec<Figure> {
-    let nets: Vec<u32> = match opts.net {
-        Some(n) => vec![n],
-        None => vec![256, 512],
-    };
+    let nets: Vec<(u32, MinParams, CornerCase)> = [
+        (256, MinParams::paper_256(), CornerCase::case2_256()),
+        (512, MinParams::paper_512(), CornerCase::case2_512()),
+    ]
+    .into_iter()
+    .filter(|(hosts, ..)| opts.net.is_none_or(|n| n == *hosts))
+    .collect();
     // Threshold scaling is capped at 2x for the large networks: their
     // saturated uniform traffic legitimately builds multi-KB queues, so
     // fully time-scaled (sub-KB) detection thresholds would flag every
@@ -272,12 +289,7 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
     let schemes = SchemeSet::Scalability.schemes_scaled(opts.time_div().min(2));
     let per_net = schemes.len();
     let mut specs = Vec::new();
-    for &hosts in &nets {
-        let (params, corner) = match hosts {
-            256 => (MinParams::paper_256(), CornerCase::case2_256()),
-            512 => (MinParams::paper_512(), CornerCase::case2_512()),
-            other => panic!("fig6 supports 256 or 512 hosts, not {other}"),
-        };
+    for &(hosts, params, corner) in &nets {
         let corner = corner
             .with_msg_bytes(opts.packet_size())
             .shrunk(opts.time_div());
@@ -293,7 +305,7 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
     }
     let mut outs = opts.sweep("fig6", specs).into_iter();
     let mut figures = Vec::new();
-    for hosts in nets {
+    for (hosts, ..) in nets {
         let mut series = Vec::new();
         let mut saq = Vec::new();
         let mut runs = Vec::new();
@@ -330,25 +342,32 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
 /// the congestion tree spans every level). `--net 512` on the fat tree
 /// swaps in the 8-ary 3-tree and its strided-gang hotspot — the scale the
 /// EXPERIMENTS.md routing-matrix tables are produced at. One throughput
-/// curve per scheme — the `figures` binary renders this as the
-/// cross-topology headline table.
+/// curve per scheme — `recn hotspot` renders this as the cross-topology
+/// headline table.
+///
+/// # Panics
+///
+/// Panics on a `(topology, net)` pair without a preset (the `hotspot`
+/// command refuses those before getting here).
 pub fn topology_hotspot(opts: &Opts) -> Figure {
-    let (params, corner, desc) = match (opts.topology, opts.net) {
-        (TopologyChoice::Min, _) => (
+    let hosts = opts.net.unwrap_or(64);
+    let (params, corner, desc) = match (opts.topology, hosts) {
+        (TopologyChoice::Min, 64) => (
             TopoParams::from(MinParams::paper_64()),
             CornerCase::case2_64(),
             "64-host MIN, corner case 2",
         ),
-        (TopologyChoice::FatTree, Some(512)) => (
-            TopoParams::from(FatTreeParams::ft_512()),
-            CornerCase::fattree_512(),
-            "512-host 8-ary 3-tree, one-attacker-per-leaf hotspot",
-        ),
-        (TopologyChoice::FatTree, _) => (
+        (TopologyChoice::FatTree, 64) => (
             TopoParams::from(FatTreeParams::ft_64()),
             CornerCase::fattree_64(),
             "64-host 4-ary 3-tree, one-attacker-per-leaf hotspot",
         ),
+        (TopologyChoice::FatTree, 512) => (
+            TopoParams::from(FatTreeParams::ft_512()),
+            CornerCase::fattree_512(),
+            "512-host 8-ary 3-tree, one-attacker-per-leaf hotspot",
+        ),
+        (topology, _) => panic!("no {} hotspot preset at {hosts} hosts", topology.name()),
     };
     let corner = corner
         .with_msg_bytes(opts.packet_size())
@@ -356,9 +375,10 @@ pub fn topology_hotspot(opts: &Opts) -> Figure {
     // Each routing policy gets its own summary file so the back-to-back
     // sweeps of `routing_comparison` / `scheme_matrix` never overwrite
     // each other; a non-default network size gets its own file too.
-    let net = match (opts.topology, opts.net) {
-        (TopologyChoice::FatTree, Some(512)) => "512",
-        _ => "",
+    let net = if hosts == 64 {
+        String::new()
+    } else {
+        hosts.to_string()
     };
     let name = if opts.routing.is_arn() {
         format!("hotspot_{}{net}_arn", opts.topology.name())

@@ -46,9 +46,8 @@ pub fn incast_flows(opts: &Opts) -> FlowSet {
     base.with_flow_bytes((16384 / opts.time_div()).max(1024))
 }
 
-/// Runs incast64 across the five schemes in one sweep (the transport,
-/// metrics mode and routing come from `opts`, like every other
-/// experiment binary) and folds each run into an [`IncastRow`].
+/// Runs incast64 across the five schemes in one sweep (the transport and
+/// routing come from `opts`, like every other command) and folds each run into an [`IncastRow`].
 pub fn incast_sweep(opts: &Opts) -> Vec<IncastRow> {
     let flows = incast_flows(opts);
     let specs: Vec<RunSpec> = SchemeSet::All

@@ -1,19 +1,24 @@
 //! # experiments — the paper's evaluation, re-runnable
 //!
-//! One entry point per table/figure of the paper (§4):
+//! One entry point per table/figure of the paper (§4), all behind the one
+//! binary `recn` (`cargo run -p experiments --release -- <command>`; the
+//! command table is [`cli::COMMANDS`]):
 //!
-//! | paper item | function | binary |
-//! |------------|----------|--------|
-//! | Table 1    | [`table1::spec`] | `cargo run -p experiments --bin table1 --release` |
-//! | Figure 2 (a–d) | [`figures::fig2`] | `--bin fig2` |
-//! | Figure 3   | [`figures::fig3`] | `--bin fig3` |
-//! | Figure 4   | [`figures::fig4`] | `--bin fig4` |
-//! | Figure 5   | [`figures::fig5`] | `--bin fig5` |
-//! | Figure 6   | [`figures::fig6`] | `--bin fig6` |
+//! | paper item | function | command |
+//! |------------|----------|---------|
+//! | Table 1    | [`table1::spec`] | `recn table1` |
+//! | Figure 2 (a–d) | [`figures::fig2`] | `recn fig 2` |
+//! | Figure 3   | [`figures::fig3`] | `recn fig 3` |
+//! | Figure 4   | [`figures::fig4`] | `recn fig 4` |
+//! | Figure 5   | [`figures::fig5`] | `recn fig 5` |
+//! | Figure 6   | [`figures::fig6`] | `recn fig 6` (`recn fig all` runs 2–6) |
 //!
 //! Beyond the paper, [`ablations`] sweeps the design parameters (SAQ pool
 //! size, detection threshold, drain boost) and measures the per-class
-//! latency split — run them with `--bin ablations`.
+//! latency split (`recn ablations`); `recn hotspot`, `incast`, `validate`,
+//! `inspect`, `scale` and `serve` cover the routing × scheme matrix, flow
+//! completion times, the invariant checker, mid-run state, the 4096-host
+//! memory ladder and the batch daemon.
 //!
 //! Each run simulates the exact scenario of the paper (64/256/512-host
 //! perfect-shuffle MINs, 8 Gbps links, 12 Gbps crossbars, 128 KB port
@@ -52,7 +57,7 @@
 //! assert_eq!(spec.routing().name(), "adaptive");
 //! // `experiments::run_one(&spec)` (or a `Sweep` of many specs) runs it;
 //! // `spec.spec_hash()` is the content address the run cache files it
-//! // under (`Sweep::cache`, the `sweepd` service).
+//! // under (`Sweep::cache`, `recn serve`).
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,11 +65,14 @@
 
 pub mod ablations;
 pub mod cache;
+pub mod cli;
 pub mod figures;
 pub mod incast;
+pub mod json;
 pub mod opts;
 pub mod runner;
 pub mod scale;
+pub mod serve;
 pub mod spec;
 pub mod sweep;
 pub mod table1;

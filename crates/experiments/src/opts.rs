@@ -1,68 +1,164 @@
-//! Command-line options shared by the experiment binaries.
+//! Command-line options shared by the `recn` commands.
 //!
 //! Two layers:
 //!
 //! * A reusable declarative flag parser — [`FlagDef`], [`parse_flags`],
-//!   [`usage_line`], [`render_help`] — used by every binary in the
-//!   workspace (the figure binaries through [`Opts`], and `bench_core` /
-//!   `sweepd` with their own flag tables). One table per binary, one
-//!   `--help` renderer, `Result` errors instead of panics, and deprecated
-//!   flag spellings ride along as aliases.
-//! * [`Opts`], the typed option set of the figure/validation binaries,
+//!   [`usage_line`], [`render_help`] — used by every command of the `recn`
+//!   binary (see [`crate::cli`]) and by `bench_core`. One table per
+//!   command, one `--help` renderer, `Result` errors instead of panics;
+//!   the table states each value's legal set, so a bad value is rejected
+//!   with the usage line before any command code runs.
+//! * [`Opts`], the typed option set of the figure/validation commands,
 //!   built on that parser.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use topology::{FatTreeParams, MinParams, TopoParams};
 
 use crate::runner::RunOutput;
 use crate::sweep::{RunSpec, Sweep, SweepReport};
 
-/// One command-line flag a binary accepts.
+/// One command-line flag a command accepts.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagDef {
     /// Canonical spelling, e.g. `--jobs`.
     pub name: &'static str,
     /// Deprecated spellings that still parse (mapped to `name`).
     pub aliases: &'static [&'static str],
-    /// `Some((metavar, description))` when the flag takes a value — the
-    /// metavar lands in the usage line, the description in "needs" errors.
-    pub value: Option<(&'static str, &'static str)>,
+    /// What follows the flag; `None` for a switch.
+    pub value: Option<Value>,
     /// One-line help text.
     pub help: &'static str,
 }
 
-/// Parses `args` against a flag table. Returns `(canonical name, value)`
-/// pairs in argument order; `--help`/`-h` come back as a `"--help"` entry
-/// for the caller to render. Errors (with the usage line attached) on
-/// unknown flags and on missing values — value *syntax* is the caller's
-/// to check, so typed errors stay next to the typed fields.
+/// The value a flag takes. [`parse_flags`] rejects anything outside it.
+#[derive(Debug, Clone, Copy)]
+pub enum Value {
+    /// Free text — a path, or a name the typed layer parses: the metavar
+    /// of the usage line and the description used in error messages.
+    Text(&'static str, &'static str),
+    /// A positive integer (metavar, description).
+    Count(&'static str, &'static str),
+    /// One of a closed set of integers; the usage line renders it `a|b`.
+    OneOf(&'static [u64]),
+}
+
+impl Value {
+    fn metavar(&self) -> String {
+        match self {
+            Value::Text(metavar, _) | Value::Count(metavar, _) => (*metavar).to_owned(),
+            Value::OneOf(set) => set.iter().map(u64::to_string).collect::<Vec<_>>().join("|"),
+        }
+    }
+
+    /// The description error messages use ("needs …", "expects …").
+    fn what(&self) -> String {
+        match self {
+            Value::Text(_, what) | Value::Count(_, what) => (*what).to_owned(),
+            Value::OneOf(_) => format!("one of {}", self.metavar()),
+        }
+    }
+
+    fn admits(&self, v: &str) -> bool {
+        match self {
+            Value::Text(..) => true,
+            Value::Count(..) => v.parse::<u64>().is_ok_and(|n| n > 0),
+            Value::OneOf(set) => v.parse().is_ok_and(|n| set.contains(&n)),
+        }
+    }
+}
+
+/// A parsed argument list: `(canonical name, value)` pairs in argument
+/// order, read back through the table that admitted them.
+#[derive(Debug)]
+pub struct Parsed<'a> {
+    defs: &'a [FlagDef],
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Parsed<'_> {
+    /// Whether `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of `name` (the last one, when repeated).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().rev().find(|(n, _)| *n == name)?;
+        value.as_deref()
+    }
+
+    /// The directory a `DIR|none` flag selects: `none` switches the output
+    /// off, an absent flag means `default`.
+    pub fn dir_or(&self, name: &str, default: Option<&str>) -> Option<PathBuf> {
+        let dir = self.get(name).or(default).filter(|d| *d != "none");
+        dir.map(PathBuf::from)
+    }
+
+    /// The value of `name` read through `parse`; `None` from `parse` is
+    /// the "`name` expects …, got …" error with the usage line attached.
+    pub fn named<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| parse(v).ok_or_else(|| expects(self.defs, name, v)))
+            .transpose()
+    }
+
+    /// The value of `name` parsed as a number.
+    pub fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.named(name, |v| v.parse().ok())
+    }
+}
+
+fn expects(defs: &[FlagDef], name: &str, v: &str) -> String {
+    let what = defs
+        .iter()
+        .find(|d| d.name == name)
+        .and_then(|d| d.value)
+        .map_or(String::from("no value"), |value| value.what());
+    format!("{name} expects {what}, got {v:?}; {}", usage_line(defs))
+}
+
+/// Whether `arg` asks for help (`--help` / `-h`); callers check this
+/// before parsing and render [`render_help`].
+pub fn is_help(arg: &str) -> bool {
+    arg == "--help" || arg == "-h"
+}
+
+/// Parses `args` against a flag table. Errors (with the usage line
+/// attached) on unknown flags, missing values and values outside the
+/// table's [`Value`] for the flag.
 pub fn parse_flags(
     args: impl IntoIterator<Item = String>,
     defs: &[FlagDef],
-) -> Result<Vec<(&'static str, Option<String>)>, String> {
+) -> Result<Parsed<'_>, String> {
     let usage = usage_line(defs);
-    let mut out = Vec::new();
+    let mut flags = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        if arg == "--help" || arg == "-h" {
-            out.push(("--help", None));
-            continue;
-        }
         let def = defs
             .iter()
             .find(|d| d.name == arg || d.aliases.contains(&arg.as_str()))
             .ok_or_else(|| format!("unknown option {arg}; {usage}"))?;
         let value = match def.value {
             None => None,
-            Some((_, what)) => Some(
-                it.next()
-                    .ok_or_else(|| format!("{} needs {what}; {usage}", def.name))?,
-            ),
+            Some(value) => {
+                let v = it
+                    .next()
+                    .ok_or_else(|| format!("{} needs {}; {usage}", def.name, value.what()))?;
+                if !value.admits(&v) {
+                    return Err(expects(defs, def.name, &v));
+                }
+                Some(v)
+            }
         };
-        out.push((def.name, value));
+        flags.push((def.name, value));
     }
-    Ok(out)
+    Ok(Parsed { defs, flags })
 }
 
 /// The one-line usage summary for a flag table:
@@ -70,12 +166,16 @@ pub fn parse_flags(
 pub fn usage_line(defs: &[FlagDef]) -> String {
     let mut s = String::from("options:");
     for d in defs {
-        match d.value {
-            None => s.push_str(&format!(" [{}]", d.name)),
-            Some((metavar, _)) => s.push_str(&format!(" [{} {metavar}]", d.name)),
-        }
+        s.push_str(&format!(" [{}]", left_column(d)));
     }
     s
+}
+
+fn left_column(d: &FlagDef) -> String {
+    match d.value {
+        None => d.name.to_owned(),
+        Some(value) => format!("{} {}", d.name, value.metavar()),
+    }
 }
 
 /// The full `--help` text for a flag table: the usage line plus one
@@ -83,13 +183,7 @@ pub fn usage_line(defs: &[FlagDef]) -> String {
 pub fn render_help(defs: &[FlagDef]) -> String {
     let mut s = usage_line(defs);
     s.push('\n');
-    let left: Vec<String> = defs
-        .iter()
-        .map(|d| match d.value {
-            None => d.name.to_owned(),
-            Some((metavar, _)) => format!("{} {metavar}", d.name),
-        })
-        .collect();
+    let left: Vec<String> = defs.iter().map(left_column).collect();
     let width = left.iter().map(|l| l.len()).max().unwrap_or(0);
     for (d, l) in defs.iter().zip(&left) {
         s.push_str(&format!("  {l:width$}  {}", d.help));
@@ -101,99 +195,101 @@ pub fn render_help(defs: &[FlagDef]) -> String {
     s
 }
 
-/// The flag table of the figure/validation binaries (what [`Opts::parse`]
-/// accepts).
-pub const OPTS_FLAGS: &[FlagDef] = &[
-    FlagDef {
-        name: "--quick",
-        aliases: &[],
-        value: None,
-        help: "8x time compression (benches/CI; curve shapes preserved)",
-    },
-    FlagDef {
-        name: "--pkt",
-        aliases: &[],
-        value: Some(("64|512", "a value")),
-        help: "packet size in bytes (default 64)",
-    },
-    FlagDef {
-        name: "--csv",
-        aliases: &[],
-        value: Some(("DIR", "a directory")),
-        help: "also write CSV files under DIR",
-    },
-    FlagDef {
-        name: "--json",
-        aliases: &[],
-        value: Some(("DIR|none", "a directory (or `none`)")),
-        help: "JSON sweep summaries under DIR (default results/; `none` disables)",
-    },
-    FlagDef {
-        name: "--cache",
-        aliases: &[],
-        value: Some(("DIR|none", "a directory (or `none`)")),
-        help: "content-addressed run cache under DIR (resumes interrupted sweeps)",
-    },
-    FlagDef {
-        name: "--jobs",
-        aliases: &[],
-        value: Some(("N", "a worker count")),
-        help: "sweep worker count (default = available parallelism)",
-    },
-    FlagDef {
-        name: "--net",
-        aliases: &[],
-        value: Some(("256|512", "256 or 512")),
-        help: "network size for fig6 (both when absent) and the fat-tree \
-               hotspot (512 swaps in the 8-ary 3-tree)",
-    },
-    FlagDef {
-        name: "--stride",
-        aliases: &[],
-        value: Some(("N", "a value")),
-        help: "print every Nth series row (default 4)",
-    },
-    FlagDef {
-        name: "--trace",
-        aliases: &[],
-        value: Some(("FILE", "a file")),
-        help: "write an event-trace JSONL file",
-    },
-    FlagDef {
-        name: "--trace-last",
-        aliases: &[],
-        value: Some(("N", "a record count")),
-        help: "trace ring capacity (default 4096; digest covers the whole run)",
-    },
-    FlagDef {
-        name: "--topology",
-        aliases: &[],
-        value: Some(("min|fattree", "min or fattree")),
-        help: "topology family to build (MIN default)",
-    },
-    FlagDef {
-        name: "--routing",
-        aliases: &[],
-        value: Some((
-            "deterministic|adaptive|arn",
-            "deterministic, adaptive or arn",
-        )),
-        help: "routing policy (deterministic default; arn = notification-driven adaptive)",
-    },
-    FlagDef {
-        name: "--transport",
-        aliases: &[],
-        value: Some(("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
-        help: "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)",
-    },
-];
-
-/// The usage text attached to parse errors (generated from [`OPTS_FLAGS`]).
-pub fn usage() -> String {
-    usage_line(OPTS_FLAGS)
+/// The flag table of the figure/validation commands (what
+/// [`Opts::from_flags`] reads), with `--net` admitting the sizes in `net`
+/// — each command runs its own set of networks.
+pub const fn opts_flags(net: &'static [u64]) -> [FlagDef; 13] {
+    [
+        FlagDef {
+            name: "--quick",
+            aliases: &[],
+            value: None,
+            help: "8x time compression (benches/CI; curve shapes preserved)",
+        },
+        FlagDef {
+            name: "--pkt",
+            aliases: &[],
+            value: Some(Value::OneOf(&[64, 512])),
+            help: "packet size in bytes (default 64)",
+        },
+        FlagDef {
+            name: "--csv",
+            aliases: &[],
+            value: Some(Value::Text("DIR", "a directory")),
+            help: "also write CSV files under DIR",
+        },
+        FlagDef {
+            name: "--json",
+            aliases: &[],
+            value: Some(Value::Text("DIR|none", "a directory (or `none`)")),
+            help: "JSON sweep summaries under DIR (default results/; `none` disables)",
+        },
+        FlagDef {
+            name: "--cache",
+            aliases: &[],
+            value: Some(Value::Text("DIR|none", "a directory (or `none`)")),
+            help: "content-addressed run cache under DIR (resumes interrupted sweeps)",
+        },
+        FlagDef {
+            name: "--jobs",
+            aliases: &[],
+            value: Some(Value::Count("N", "a worker count")),
+            help: "sweep worker count (default = available parallelism)",
+        },
+        FlagDef {
+            name: "--net",
+            aliases: &[],
+            value: Some(Value::OneOf(net)),
+            help: "network size for fig 6 (both when absent) and the fat-tree \
+                   hotspot (512 swaps in the 8-ary 3-tree)",
+        },
+        FlagDef {
+            name: "--stride",
+            aliases: &[],
+            value: Some(Value::Count("N", "a row count")),
+            help: "print every Nth series row (default 4)",
+        },
+        FlagDef {
+            name: "--trace",
+            aliases: &[],
+            value: Some(Value::Text("FILE", "a file")),
+            help: "write an event-trace JSONL file",
+        },
+        FlagDef {
+            name: "--trace-last",
+            aliases: &[],
+            value: Some(Value::Count("N", "a record count")),
+            help: "trace ring capacity (default 4096; digest covers the whole run)",
+        },
+        FlagDef {
+            name: "--topology",
+            aliases: &[],
+            value: Some(Value::Text("min|fattree", "min or fattree")),
+            help: "topology family to build (MIN default)",
+        },
+        FlagDef {
+            name: "--routing",
+            aliases: &[],
+            value: Some(Value::Text(
+                "deterministic|adaptive|arn",
+                "deterministic, adaptive or arn",
+            )),
+            help: "routing policy (deterministic default; arn = notification-driven adaptive)",
+        },
+        FlagDef {
+            name: "--transport",
+            aliases: &[],
+            value: Some(Value::Text("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
+            help: "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)",
+        },
+    ]
 }
 
-/// Which topology family the binaries should build (`--topology`).
+/// [`opts_flags`] with `--net` admitting every preset size: the table of
+/// the commands that build one fixed network and do not read `--net`.
+pub const OPTS_FLAGS: [FlagDef; 13] = opts_flags(&[64, 256, 512]);
+
+/// Which topology family the commands should build (`--topology`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopologyChoice {
     /// The paper's perfect-shuffle MIN (default).
@@ -205,11 +301,11 @@ pub enum TopologyChoice {
 
 impl TopologyChoice {
     /// Parses a `--topology` value.
-    pub fn parse(s: &str) -> Result<TopologyChoice, String> {
+    pub fn parse(s: &str) -> Option<TopologyChoice> {
         match s {
-            "min" => Ok(TopologyChoice::Min),
-            "fattree" | "fat-tree" => Ok(TopologyChoice::FatTree),
-            other => Err(format!("unknown topology {other:?} (min|fattree)")),
+            "min" => Some(TopologyChoice::Min),
+            "fattree" | "fat-tree" => Some(TopologyChoice::FatTree),
+            _ => None,
         }
     }
 
@@ -222,7 +318,7 @@ impl TopologyChoice {
     }
 
     /// The preset topology parameters for a preset host count (64, 256,
-    /// 512 or 4096 — the sizes the experiment binaries sweep).
+    /// 512 or 4096 — the sizes the commands sweep).
     ///
     /// # Panics
     ///
@@ -242,7 +338,7 @@ impl TopologyChoice {
     }
 }
 
-/// Options common to every experiment binary.
+/// Options common to the figure/validation commands.
 #[derive(Debug, Clone, Default)]
 pub struct Opts {
     /// 8× time compression: shorter warm-up, earlier hotspot, shorter run.
@@ -253,7 +349,7 @@ pub struct Opts {
     /// Write CSV files into this directory in addition to stdout tables.
     pub csv_dir: Option<PathBuf>,
     /// Write machine-readable JSON sweep summaries into this directory.
-    /// [`Opts::parse`] defaults it to `results/` (`--json none` disables);
+    /// [`Opts::from_flags`] defaults it to `results/` (`--json none` disables);
     /// the programmatic `Opts::default()` leaves it off.
     pub json_dir: Option<PathBuf>,
     /// Content-addressed run cache directory (`--cache DIR`; off by
@@ -262,11 +358,12 @@ pub struct Opts {
     pub cache_dir: Option<PathBuf>,
     /// Sweep worker count (`--jobs N`; default = available parallelism).
     pub jobs: Option<usize>,
-    /// Network size selector for `fig6` (256 or 512; both when `None`).
+    /// Network size selector (`fig 6`: 256 or 512, both when `None`;
+    /// `hotspot`: 64, or 512 on the fat tree).
     pub net: Option<u32>,
     /// Print every Nth series row (default 4; 1 = all rows).
     pub stride: usize,
-    /// Write an event-trace JSONL file here (`--trace FILE`; binaries that
+    /// Write an event-trace JSONL file here (`--trace FILE`; commands that
     /// support it install a [`fabric::TraceSink`]).
     pub trace_file: Option<PathBuf>,
     /// Ring-buffer capacity for `--trace`: how many of the run's last
@@ -289,120 +386,39 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses `args` (without the program name).
-    ///
-    /// Returns `Err` with a message that includes the usage text on
-    /// unknown flags or missing/invalid values. `--help` still prints the
-    /// full help and exits successfully.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
-        let mut opts = Opts {
-            stride: 4,
-            json_dir: Some(PathBuf::from("results")),
-            trace_last: 4096,
-            ..Opts::default()
-        };
-        for (name, value) in parse_flags(args, OPTS_FLAGS)? {
-            // Flags with a value always carry Some(..) here (parse_flags
-            // enforced it); unwrap via expect to keep the match readable.
-            let v = || value.clone().expect("value enforced by parse_flags");
-            match name {
-                "--quick" => opts.quick = true,
-                "--pkt" => {
-                    let v = v();
-                    opts.pkt = Some(
-                        v.parse()
-                            .map_err(|_| format!("--pkt expects bytes, got {v:?}"))?,
-                    );
-                }
-                "--csv" => opts.csv_dir = Some(PathBuf::from(v())),
-                "--json" => {
-                    let v = v();
-                    opts.json_dir = if v == "none" {
-                        None
-                    } else {
-                        Some(PathBuf::from(v))
-                    };
-                }
-                "--cache" => {
-                    let v = v();
-                    opts.cache_dir = if v == "none" {
-                        None
-                    } else {
-                        Some(PathBuf::from(v))
-                    };
-                }
-                "--jobs" => {
-                    let v = v();
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--jobs expects a count, got {v:?}"))?;
-                    opts.jobs = Some(n.max(1));
-                }
-                "--net" => {
-                    let v = v();
-                    opts.net = Some(
-                        v.parse()
-                            .map_err(|_| format!("--net expects a host count, got {v:?}"))?,
-                    );
-                }
-                "--stride" => {
-                    let v = v();
-                    opts.stride = v
-                        .parse()
-                        .map_err(|_| format!("--stride expects a count, got {v:?}"))?;
-                }
-                "--trace" => opts.trace_file = Some(PathBuf::from(v())),
-                "--trace-last" => {
-                    let v = v();
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--trace-last expects a count, got {v:?}"))?;
-                    opts.trace_last = n.max(1);
-                }
-                "--topology" => {
-                    opts.topology =
-                        TopologyChoice::parse(&v()).map_err(|e| format!("{e}; {}", usage()))?;
-                }
-                "--routing" => {
-                    let v = v();
-                    opts.routing = fabric::RoutingPolicy::parse(&v).ok_or_else(|| {
-                        format!(
-                            "unknown routing policy {v:?} (deterministic|adaptive|arn); {}",
-                            usage()
-                        )
-                    })?;
-                }
-                "--transport" => {
-                    let v = v();
-                    opts.transport = fabric::TransportKind::parse(&v).ok_or_else(|| {
-                        format!("unknown transport {v:?} (open|gbn|nack|pfc); {}", usage())
-                    })?;
-                }
-                "--help" => {
-                    println!("{}", render_help(OPTS_FLAGS));
-                    std::process::exit(0);
-                }
-                other => unreachable!("flag {other} in table but not matched"),
-            }
-        }
-        if opts.stride == 0 {
-            opts.stride = 1;
-        }
-        Ok(opts)
+    /// Reads the options out of a parsed argument list (a table built by
+    /// [`opts_flags`]). Returns `Err` with a message that includes the
+    /// usage text on a name `--topology`/`--routing`/`--transport` do not
+    /// know; everything else the table already checked.
+    pub fn from_flags(f: &Parsed<'_>) -> Result<Opts, String> {
+        let path = |name| f.get(name).map(PathBuf::from);
+        Ok(Opts {
+            quick: f.has("--quick"),
+            pkt: f.num("--pkt")?,
+            csv_dir: path("--csv"),
+            json_dir: f.dir_or("--json", Some("results")),
+            cache_dir: f.dir_or("--cache", None),
+            jobs: f.num("--jobs")?,
+            net: f.num("--net")?,
+            stride: f.num("--stride")?.unwrap_or(4),
+            trace_file: path("--trace"),
+            trace_last: f.num("--trace-last")?.unwrap_or(4096),
+            topology: f
+                .named("--topology", TopologyChoice::parse)?
+                .unwrap_or_default(),
+            routing: f
+                .named("--routing", fabric::RoutingPolicy::parse)?
+                .unwrap_or_default(),
+            transport: f
+                .named("--transport", fabric::TransportKind::parse)?
+                .unwrap_or_default(),
+        })
     }
 
-    /// The trace ring capacity when tracing is on (always at least 1).
+    /// The trace ring capacity when tracing is on (always at least 1; the
+    /// programmatic `Opts::default()` leaves `trace_last` at 0).
     pub fn trace_capacity(&self) -> usize {
         self.trace_last.max(1)
-    }
-
-    /// Parses the process arguments; prints the error and exits with
-    /// status 2 on bad input (the binaries' entry point).
-    pub fn from_env() -> Opts {
-        Opts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
     }
 
     /// Packet size to use (default 64, per the paper's headline figures).
@@ -461,8 +477,12 @@ impl Opts {
 mod tests {
     use super::*;
 
+    fn parse_with(words: &[&str], defs: &[FlagDef]) -> Result<Opts, String> {
+        Opts::from_flags(&parse_flags(words.iter().map(|s| s.to_string()), defs)?)
+    }
+
     fn parse(words: &[&str]) -> Result<Opts, String> {
-        Opts::parse(words.iter().map(|s| s.to_string()))
+        parse_with(words, &OPTS_FLAGS)
     }
 
     #[test]
@@ -504,21 +524,45 @@ mod tests {
         assert!(err.contains("--jobs"), "usage text attached: {err}");
     }
 
+    /// The table states each value's legal set, so a value outside it is
+    /// an error carrying the usage line — never a panic further in, and
+    /// never a silently different run. `--net` is checked against the
+    /// running command's networks.
     #[test]
-    fn zero_stride_coerced() {
-        let o = parse(&["--stride", "0"]).unwrap();
-        assert_eq!(o.stride, 1);
-    }
-
-    #[test]
-    fn missing_or_bad_values_are_errors() {
+    fn values_outside_the_table_are_errors() {
+        let flags_of = |name: &str| {
+            let cmd = crate::cli::COMMANDS.iter().find(|c| c.name == name);
+            cmd.expect("command exists").flags
+        };
+        let cases: [(&str, [&str; 2]); 16] = [
+            ("fig", ["--pkt", "0"]),
+            ("fig", ["--pkt", "100"]),
+            ("fig", ["--pkt", "tiny"]),
+            ("fig", ["--net", "100"]),
+            ("fig", ["--net", "64"]),
+            ("hotspot", ["--net", "256"]),
+            ("scale", ["--net", "100"]),
+            ("scale", ["--time-div", "0"]),
+            ("scale", ["--time-div", "fast"]),
+            ("fig", ["--jobs", "0"]),
+            ("serve", ["--jobs", "zero"]),
+            ("fig", ["--stride", "0"]),
+            ("fig", ["--stride", "-1"]),
+            ("inspect", ["--trace-last", "0"]),
+            ("inspect", ["--trace-last", "many"]),
+            ("validate", ["--topology", "torus"]),
+        ];
+        for (cmd, words) in cases {
+            let defs = flags_of(cmd);
+            let err = parse_with(&words, defs).expect_err(&words.join(" "));
+            assert!(err.contains(&format!("{} expects", words[0])), "{err}");
+            assert!(err.contains(&usage_line(defs)), "usage attached: {err}");
+        }
+        let fig = flags_of("fig");
+        assert_eq!(parse_with(&["--net", "512"], fig).unwrap().net, Some(512));
+        assert!(usage_line(fig).contains("[--net 256|512]"));
+        assert!(usage_line(flags_of("hotspot")).contains("[--net 64|512]"));
         assert!(parse(&["--jobs"]).unwrap_err().contains("--jobs needs"));
-        assert!(parse(&["--pkt", "tiny"])
-            .unwrap_err()
-            .contains("--pkt expects bytes"));
-        assert!(parse(&["--jobs", "zero"])
-            .unwrap_err()
-            .contains("--jobs expects a count"));
     }
 
     #[test]
@@ -530,13 +574,9 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.trace_file, None);
         assert_eq!(o.trace_capacity(), 4096);
-        // A zero ring is coerced to hold at least one record.
-        let o = parse(&["--trace-last", "0"]).unwrap();
-        assert_eq!(o.trace_capacity(), 1);
+        // The programmatic default still holds at least one record.
+        assert_eq!(Opts::default().trace_capacity(), 1);
         assert!(parse(&["--trace"]).unwrap_err().contains("--trace needs"));
-        assert!(parse(&["--trace-last", "many"])
-            .unwrap_err()
-            .contains("--trace-last expects a count"));
     }
 
     /// The engine has one configuration and the probe one storage: the
@@ -554,7 +594,7 @@ mod tests {
                 err.contains(&format!("unknown option {}", words[0])),
                 "{err}"
             );
-            assert!(err.contains(&usage()), "usage text attached: {err}");
+            assert!(err.contains(&usage_line(&OPTS_FLAGS)), "usage: {err}");
         }
     }
 
@@ -570,7 +610,7 @@ mod tests {
         assert_eq!(o.topology.params_for(256), MinParams::paper_256().into());
         assert!(parse(&["--topology", "torus"])
             .unwrap_err()
-            .contains("unknown topology"));
+            .contains("--topology expects min or fattree"));
         assert!(parse(&["--topology"])
             .unwrap_err()
             .contains("--topology needs"));
@@ -589,7 +629,7 @@ mod tests {
         assert_eq!(o.routing, RoutingPolicy::arn());
         assert!(parse(&["--routing", "random"])
             .unwrap_err()
-            .contains("unknown routing policy"));
+            .contains("--routing expects deterministic, adaptive or arn"));
         assert!(parse(&["--routing"])
             .unwrap_err()
             .contains("--routing needs"));
@@ -610,23 +650,16 @@ mod tests {
         assert_eq!(o.transport, TransportKind::OpenLoop);
         assert!(parse(&["--transport", "tcp"])
             .unwrap_err()
-            .contains("unknown transport"));
+            .contains("--transport expects open, gbn, nack or pfc"));
         assert!(parse(&["--transport"])
             .unwrap_err()
             .contains("--transport needs"));
     }
 
     #[test]
-    fn json_none_disables_summaries() {
+    fn none_disables_summaries_and_cache() {
         let o = parse(&["--json", "none"]).unwrap();
         assert_eq!(o.json_dir, None);
-        // --jobs 0 is coerced to 1 rather than an empty pool.
-        let o = parse(&["--jobs", "0"]).unwrap();
-        assert_eq!(o.jobs, Some(1));
-    }
-
-    #[test]
-    fn cache_flag_parses() {
         let o = parse(&["--cache", "results/cache"]).unwrap();
         assert_eq!(o.cache_dir, Some(PathBuf::from("results/cache")));
         let o = parse(&["--cache", "none"]).unwrap();
@@ -636,13 +669,17 @@ mod tests {
 
     #[test]
     fn flag_machinery_renders_usage_and_help() {
-        let u = usage();
+        let u = usage_line(&OPTS_FLAGS);
         assert!(u.starts_with("options:"));
         assert!(u.contains("[--jobs N]"));
+        assert!(
+            u.contains("[--pkt 64|512]"),
+            "closed sets render themselves"
+        );
         assert!(u.contains("[--cache DIR|none]"));
         assert!(u.contains("[--quick]"), "boolean flags have no metavar");
-        let help = render_help(OPTS_FLAGS);
-        for d in OPTS_FLAGS {
+        let help = render_help(&OPTS_FLAGS);
+        for d in &OPTS_FLAGS {
             assert!(help.contains(d.name), "{} in help", d.name);
             assert!(help.contains(d.help), "{} help text present", d.name);
         }
@@ -658,7 +695,7 @@ mod tests {
         }];
         let parsed =
             parse_flags(["--small".to_owned()], DEFS).expect("deprecated alias still parses");
-        assert_eq!(parsed, vec![("--quick", None)]);
+        assert!(parsed.has("--quick"));
         assert!(render_help(DEFS).contains("deprecated alias: --small"));
         let err = parse_flags(["--tiny".to_owned()], DEFS).unwrap_err();
         assert!(err.contains("unknown option --tiny"), "{err}");

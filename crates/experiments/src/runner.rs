@@ -226,7 +226,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutput {
 
 /// [`run_one`] on the eager event model: the reference the differential
 /// suites compare production runs against (DESIGN.md §6f). Not part of the
-/// API — no binary or library module calls it.
+/// API — no command or library module calls it.
 #[doc(hidden)]
 pub fn run_one_eager_reference(spec: &RunSpec) -> RunOutput {
     run_with(spec, EventModel::Eager)

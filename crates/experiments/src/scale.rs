@@ -6,10 +6,19 @@
 //! (superlinear in `N`, since port count itself grows with `N`), while
 //! RECN caps every port at one cold queue plus a fixed SAQ pool
 //! regardless of network size. This module computes that comparison
-//! analytically for the fat-tree ladder `ft_64 → ft_512 → ft_4096` and
-//! lets the `scale` binary attach *measured* numbers (network-wide peak
-//! SAQs and the simulator's own [`peak_bytes_estimate`]) from real
-//! hotspot runs.
+//! analytically for the fat-tree ladder `ft_64 → ft_512 → ft_4096`, and
+//! `recn scale` ([`command`]) attaches *measured* numbers (network-wide
+//! peak SAQs and the simulator's own [`peak_bytes_estimate`]) from real
+//! hotspot runs — serially, since the memory high-water mark is the
+//! measurement and runs must not overlap.
+//!
+//! ```text
+//! recn scale [--net N] [--time-div D] [--json FILE] [--budget BYTES]
+//! ```
+//!
+//! `--budget BYTES` is the CI scale gate: the process exits nonzero if
+//! any measured run's `peak_bytes_estimate` exceeds the budget (CI
+//! passes the checked-in `ci/scale_budget.txt`).
 //!
 //! The analytic side is deliberately small: it only counts queue
 //! *descriptors* (head/tail/occupancy — the control state a hardware
@@ -21,7 +30,13 @@
 //! [`peak_bytes_estimate`]: crate::runner::RunOutput::peak_bytes_estimate
 
 use fabric::SchemeKind;
+use simcore::Picos;
 use topology::FatTreeParams;
+use traffic::corner::CornerCase;
+
+use crate::opts::{FlagDef, Parsed, Value};
+use crate::runner::{run_one, scaled_recn_config, summarize};
+use crate::spec::RunSpec;
 
 /// Bytes of control state per queue in the analytic model: head, tail
 /// and occupancy, three 64-bit words — matching the simulator's SoA
@@ -29,14 +44,20 @@ use topology::FatTreeParams;
 /// `len` per queue).
 pub const QUEUE_DESCRIPTOR_BYTES: u64 = 24;
 
-/// The fat-tree ladder the scaling table walks: 64 → 512 → 4096 hosts,
-/// all 3-level trees so only `N` (and radix) varies between rows.
-pub fn scale_points() -> Vec<FatTreeParams> {
+/// The fat-tree ladder the scaling table walks, each rung with its
+/// one-attacker-per-leaf hotspot: 64 → 512 → 4096 hosts, all 3-level
+/// trees so only `N` (and radix) varies between rows.
+fn ladder() -> Vec<(FatTreeParams, CornerCase)> {
     vec![
-        FatTreeParams::ft_64(),
-        FatTreeParams::ft_512(),
-        FatTreeParams::ft_4096(),
+        (FatTreeParams::ft_64(), CornerCase::fattree_64()),
+        (FatTreeParams::ft_512(), CornerCase::fattree_512()),
+        (FatTreeParams::ft_4096(), CornerCase::fattree_4096()),
     ]
+}
+
+/// The network sizes of the ladder.
+pub fn scale_points() -> Vec<FatTreeParams> {
+    ladder().into_iter().map(|(p, _)| p).collect()
 }
 
 /// Queues one *port unit* (one input or one output) needs under a
@@ -163,6 +184,124 @@ pub fn render_scale_table(rows: &[ScaleRow]) -> String {
         ));
     }
     s
+}
+
+/// The flag table of `recn scale`.
+pub const SCALE_FLAGS: &[FlagDef] = &[
+    FlagDef {
+        name: "--net",
+        aliases: &[],
+        value: Some(Value::OneOf(&[64, 512, 4096])),
+        help: "run only the N-host rung of the ladder (default: all)",
+    },
+    FlagDef {
+        name: "--time-div",
+        aliases: &[],
+        value: Some(Value::Count("D", "a divisor")),
+        help: "time compression for the measured runs (default 16)",
+    },
+    FlagDef {
+        name: "--json",
+        aliases: &[],
+        value: Some(Value::Text("FILE", "a file")),
+        help: "write the table as flat JSON to FILE",
+    },
+    FlagDef {
+        name: "--budget",
+        aliases: &[],
+        value: Some(Value::Text("BYTES", "a byte count")),
+        help: "exit nonzero if any run's peak_bytes_estimate exceeds BYTES",
+    },
+];
+
+fn render_json(rows: &[ScaleRow], time_div: u64, budget: Option<u64>) -> String {
+    fn opt<T: ToString>(v: Option<T>) -> String {
+        v.map_or("null".to_owned(), |v| v.to_string())
+    }
+    let mut s = String::from("{\n");
+    s.push_str("  \"schema\": \"scale/v2\",\n");
+    s.push_str(&format!("  \"time_div\": {time_div},\n"));
+    s.push_str(&format!("  \"budget_bytes\": {},\n", opt(budget)));
+    s.push_str("  \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        s.push_str(&format!(
+            "    {{\"hosts\": {}, \"scheme\": \"{}\", \"queues_per_port\": {}, \
+             \"network_queues\": {}, \"queue_state_bytes\": {}, \
+             \"peak_port_saqs\": {}, \"total_saqs\": {}, \"peak_bytes_estimate\": {}}}{sep}\n",
+            r.hosts,
+            r.scheme,
+            r.queues_per_port,
+            r.network_queues,
+            r.queue_state_bytes,
+            opt(r.peak_port_saqs),
+            opt(r.total_saqs),
+            opt(r.peak_bytes_estimate),
+        ));
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// `recn scale`: runs the strided fat-tree hotspot under RECN on each
+/// rung and prints the scaling table with the measured columns filled in.
+pub fn command(f: &Parsed<'_>) -> Result<(), String> {
+    let net: Option<u32> = f.num("--net")?;
+    let div: u64 = f.num("--time-div")?.unwrap_or(16);
+    let budget: Option<u64> = f.num("--budget")?;
+    let mut rungs = ladder();
+    rungs.retain(|(p, _)| net.is_none_or(|n| n == p.hosts()));
+    let recn = SchemeKind::Recn(scaled_recn_config(div));
+    let schemes = [SchemeKind::VoqNet, SchemeKind::VoqSw, recn];
+    let points: Vec<FatTreeParams> = rungs.iter().map(|(p, _)| *p).collect();
+    let mut rows = analytic_rows(&points, &schemes);
+
+    let mut over_budget = Vec::new();
+    for (p, corner) in rungs {
+        let hosts = p.hosts();
+        let spec = RunSpec::corner(p, recn, corner.shrunk(div))
+            .with_horizon(Picos::from_us(1600 / div))
+            .with_bin(Picos::from_us(1))
+            .with_label(format!("scale_{hosts}"));
+        eprintln!("running {hosts}-host RECN hotspot (time/{div})...");
+        let out = run_one(&spec);
+        eprintln!(
+            "  {} [peak {} bytes, {:.1}s wall]",
+            summarize(&out),
+            out.peak_bytes_estimate,
+            out.wall_secs
+        );
+        let row = rows
+            .iter_mut()
+            .find(|r| r.hosts == hosts && r.scheme == "RECN")
+            .expect("RECN row exists for every rung");
+        row.peak_port_saqs = Some(out.saq_peaks.0.max(out.saq_peaks.1));
+        row.total_saqs = Some(out.saq_peaks.2);
+        row.peak_bytes_estimate = Some(out.peak_bytes_estimate);
+        if let Some(budget) = budget.filter(|b| out.peak_bytes_estimate > *b) {
+            over_budget.push(format!(
+                "{hosts}-host run: peak_bytes_estimate {} > budget {budget}",
+                out.peak_bytes_estimate
+            ));
+        }
+    }
+
+    println!("{}", render_scale_table(&rows));
+    if let Some(path) = f.get("--json") {
+        std::fs::write(path, render_json(&rows, div, budget)).expect("write scale JSON");
+        eprintln!("wrote {path}");
+    }
+    if !over_budget.is_empty() {
+        eprintln!("memory budget exceeded:");
+        for line in &over_budget {
+            eprintln!("  {line}");
+        }
+        std::process::exit(1);
+    }
+    if let Some(budget) = budget {
+        eprintln!("memory budget OK: all runs under {budget} bytes");
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! `sweepd` — a small batch-serving daemon over the run cache.
+//! `recn serve` — a small batch-serving daemon over the run cache.
 //!
 //! Watches a spool directory for `*.jsonl` files of canonical run specs
 //! (or, with no `--spool`, reads one batch from stdin), schedules every
@@ -21,28 +21,29 @@
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
-use experiments::cache::parse_json;
-use experiments::opts::{parse_flags, render_help, FlagDef};
-use experiments::sweep::{events_per_sec, RunSpec, Sweep, SweepReport};
-use experiments::OUTPUT_SCHEMA_VERSION;
+use crate::json::{self, parse_json};
+use crate::opts::{FlagDef, Parsed, Value};
+use crate::runner::OUTPUT_SCHEMA_VERSION;
+use crate::sweep::{events_per_sec, RunSpec, Sweep, SweepReport};
 
-const SWEEPD_FLAGS: &[FlagDef] = &[
+/// The flag table of `recn serve`.
+pub const SERVE_FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--spool",
         aliases: &[],
-        value: Some(("DIR", "a directory")),
+        value: Some(Value::Text("DIR", "a directory")),
         help: "watch DIR for *.jsonl spec batches (absent: one batch from stdin)",
     },
     FlagDef {
         name: "--cache",
         aliases: &[],
-        value: Some(("DIR|none", "a directory (or `none`)")),
+        value: Some(Value::Text("DIR|none", "a directory (or `none`)")),
         help: "content-addressed run cache (default results/cache; `none` disables)",
     },
     FlagDef {
         name: "--jobs",
         aliases: &[],
-        value: Some(("N", "a worker count")),
+        value: Some(Value::Count("N", "a worker count")),
         help: "sweep worker count (default = available parallelism)",
     },
     FlagDef {
@@ -54,13 +55,13 @@ const SWEEPD_FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--poll-ms",
         aliases: &[],
-        value: Some(("MS", "a duration in milliseconds")),
+        value: Some(Value::Text("MS", "a duration in milliseconds")),
         help: "spool polling interval (default 500)",
     },
     FlagDef {
         name: "--demo",
         aliases: &[],
-        value: Some(("N", "a count")),
+        value: Some(Value::Text("N", "a count")),
         help: "print N sample spec lines (for smoke tests) and exit",
     },
 ];
@@ -74,55 +75,15 @@ struct Args {
     demo: Option<usize>,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
-    let mut cfg = Args {
-        spool: None,
-        cache: Some(PathBuf::from("results/cache")),
-        jobs: 0,
-        once: false,
-        poll_ms: 500,
-        demo: None,
-    };
-    for (name, value) in parse_flags(args, SWEEPD_FLAGS)? {
-        let v = || value.clone().expect("value enforced by parse_flags");
-        match name {
-            "--spool" => cfg.spool = Some(PathBuf::from(v())),
-            "--cache" => {
-                let v = v();
-                cfg.cache = if v == "none" {
-                    None
-                } else {
-                    Some(PathBuf::from(v))
-                };
-            }
-            "--jobs" => {
-                let v = v();
-                cfg.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs expects a count, got {v:?}"))?;
-            }
-            "--once" => cfg.once = true,
-            "--poll-ms" => {
-                let v = v();
-                cfg.poll_ms = v
-                    .parse()
-                    .map_err(|_| format!("--poll-ms expects milliseconds, got {v:?}"))?;
-            }
-            "--demo" => {
-                let v = v();
-                cfg.demo = Some(
-                    v.parse()
-                        .map_err(|_| format!("--demo expects a count, got {v:?}"))?,
-                );
-            }
-            "--help" => {
-                println!("{}", render_help(SWEEPD_FLAGS));
-                return Ok(None);
-            }
-            other => unreachable!("flag {other} in table but not matched"),
-        }
-    }
-    Ok(Some(cfg))
+fn read_args(f: &Parsed<'_>) -> Result<Args, String> {
+    Ok(Args {
+        spool: f.get("--spool").map(PathBuf::from),
+        cache: f.dir_or("--cache", Some("results/cache")),
+        jobs: f.num("--jobs")?.unwrap_or(0),
+        once: f.has("--once"),
+        poll_ms: f.num("--poll-ms")?.unwrap_or(500),
+        demo: f.num("--demo")?,
+    })
 }
 
 /// Parses one spool line into a spec. Lines are JSON objects with a
@@ -140,25 +101,6 @@ fn parse_line(line: &str) -> Result<RunSpec, String> {
     })
 }
 
-/// Escapes a string for a JSON output line.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Runs a batch of specs through the (optionally cached) sweep and writes
 /// one JSONL result line per run.
 fn serve_batch(specs: Vec<RunSpec>, args: &Args, out: &mut impl Write) {
@@ -172,18 +114,15 @@ fn serve_batch(specs: Vec<RunSpec>, args: &Args, out: &mut impl Write) {
     }
     let report: SweepReport = sweep.run_report();
     for (i, run) in report.outputs.iter().enumerate() {
-        let rate = match events_per_sec(run) {
-            Some(r) => format!("{r}"),
-            None => "null".to_owned(),
-        };
+        let rate = json::opt(events_per_sec(run));
         let line = format!(
             "{{\"spec_hash\": \"{:016x}\", \"label\": {}, \"scheme\": {}, \"cache\": {}, \
              \"delivered_packets\": {}, \"wall_secs\": {}, \"events\": {}, \
              \"events_per_sec\": {rate}, \"schema_version\": {}}}",
             hashes[i],
-            jstr(report.specs[i].label()),
-            jstr(run.scheme),
-            jstr(report.cache[i].name()),
+            json::string(report.specs[i].label()),
+            json::string(run.scheme),
+            json::string(report.cache[i].name()),
             run.counters.delivered_packets,
             run.wall_secs,
             run.events,
@@ -193,7 +132,7 @@ fn serve_batch(specs: Vec<RunSpec>, args: &Args, out: &mut impl Write) {
     }
     out.flush().expect("flush results");
     eprintln!(
-        "sweepd: batch of {} done, {} cache hits, {:.2}s",
+        "serve: batch of {} done, {} cache hits, {:.2}s",
         report.outputs.len(),
         report.cache_hits(),
         report.total_wall_secs,
@@ -218,7 +157,7 @@ fn read_batch(path: &Path) -> Result<Vec<RunSpec>, String> {
 /// One spool scan: process every `*.jsonl` file in name order.
 fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        eprintln!("sweepd: cannot read spool {}", dir.display());
+        eprintln!("serve: cannot read spool {}", dir.display());
         return;
     };
     let mut files: Vec<PathBuf> = entries
@@ -230,12 +169,12 @@ fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) {
     for path in files {
         match read_batch(&path) {
             Ok(specs) => {
-                eprintln!("sweepd: {} ({} specs)", path.display(), specs.len());
+                eprintln!("serve: {} ({} specs)", path.display(), specs.len());
                 serve_batch(specs, args, out);
                 let _ = std::fs::rename(&path, path.with_extension("jsonl.done"));
             }
             Err(e) => {
-                eprintln!("sweepd: rejecting batch: {e}");
+                eprintln!("serve: rejecting batch: {e}");
                 let _ = std::fs::rename(&path, path.with_extension("jsonl.err"));
             }
         }
@@ -245,7 +184,7 @@ fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) {
 /// The `--demo` batch: one quick corner-case spec per scheme, small
 /// enough for CI smoke tests (milliseconds each).
 fn demo_lines(n: usize) -> String {
-    use experiments::runner::SchemeSet;
+    use crate::runner::SchemeSet;
     use simcore::Picos;
     use topology::MinParams;
     use traffic::corner::CornerCase;
@@ -270,18 +209,12 @@ fn demo_lines(n: usize) -> String {
     s
 }
 
-fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(a)) => a,
-        Ok(None) => return, // --help
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+/// `recn serve`: drains the spool (or one stdin batch) through the cache.
+pub fn command(f: &Parsed<'_>) -> Result<(), String> {
+    let args = read_args(f)?;
     if let Some(n) = args.demo {
         print!("{}", demo_lines(n));
-        return;
+        return Ok(());
     }
     let mut out = std::io::stdout().lock();
     match &args.spool {
@@ -294,13 +227,7 @@ fn main() {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match parse_line(&line) {
-                    Ok(s) => specs.push(s),
-                    Err(e) => {
-                        eprintln!("stdin:{}: {e}", no + 1);
-                        std::process::exit(2);
-                    }
-                }
+                specs.push(parse_line(&line).map_err(|e| format!("stdin:{}: {e}", no + 1))?);
             }
             serve_batch(specs, &args, &mut out);
         }
@@ -315,4 +242,5 @@ fn main() {
             }
         }
     }
+    Ok(())
 }

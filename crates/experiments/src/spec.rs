@@ -401,8 +401,8 @@ impl RunSpec {
         fnv1a64(&self.encode())
     }
 
-    /// [`encode`](Self::encode) as lowercase hex — the line format `sweepd`
-    /// reads from spool files and stdin.
+    /// [`encode`](Self::encode) as lowercase hex — the line format `recn
+    /// serve` reads from spool files and stdin.
     pub fn encode_hex(&self) -> String {
         to_hex(&self.encode())
     }

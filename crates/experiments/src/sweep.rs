@@ -34,8 +34,8 @@
 //!
 //! [`Sweep::json`] writes a JSON summary of the sweep (per run: scheme,
 //! delivered packets/bytes, mean latency, SAQ peaks, wall seconds,
-//! events/sec, cache status) under a directory — the binaries default this
-//! to `results/`. The shape is versioned by
+//! events/sec, cache status) under a directory — the `recn` commands default
+//! this to `results/`. The shape is versioned by
 //! [`OUTPUT_SCHEMA_VERSION`] and
 //! documented in `DESIGN.md`.
 
@@ -45,6 +45,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::cache::{CacheStatus, RunCache};
+use crate::json;
 use crate::runner::{run_one, RunOutput, OUTPUT_SCHEMA_VERSION};
 
 pub use crate::spec::RunSpec;
@@ -269,12 +270,12 @@ fn write_summary(dir: &Path, name: &str, report: &SweepReport) -> std::io::Resul
 /// documented in `DESIGN.md`.
 pub fn render_summary(name: &str, report: &SweepReport) -> String {
     let mut s = String::from("{\n");
-    s.push_str(&format!("  \"sweep\": {},\n", jstr(name)));
+    s.push_str(&format!("  \"sweep\": {},\n", json::string(name)));
     s.push_str(&format!("  \"schema_version\": {OUTPUT_SCHEMA_VERSION},\n"));
     s.push_str(&format!("  \"jobs\": {},\n", report.jobs));
     s.push_str(&format!(
         "  \"total_wall_secs\": {},\n",
-        jnum(report.total_wall_secs)
+        json::num(report.total_wall_secs)
     ));
     s.push_str("  \"runs\": [\n");
     let n = report.outputs.len();
@@ -293,27 +294,27 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
              \"transport\": {}, \"fct\": {}, \"retransmitted_packets\": {}, \
              \"transport_timeouts\": {}, \"pfc_dropped_packets\": {}, \
              \"arn_hot_notifications\": {}, \"arn_cold_notifications\": {}}}{sep}\n",
-            jstr(spec.label()),
-            jstr(out.scheme),
-            jstr(spec.params().name()),
-            jstr(spec.routing().name()),
+            json::string(spec.label()),
+            json::string(out.scheme),
+            json::string(spec.params().name()),
+            json::string(spec.routing().name()),
             spec.params().hosts(),
             spec.packet_size(),
-            jstr(&format!("{:016x}", spec.spec_hash())),
-            jstr(status.name()),
+            json::string(&format!("{:016x}", spec.spec_hash())),
+            json::string(status.name()),
             out.counters.delivered_packets,
             out.counters.delivered_bytes,
-            jnum(out.counters.latency_ns.mean()),
+            json::num(out.counters.latency_ns.mean()),
             out.saq_peaks.0,
             out.saq_peaks.1,
             out.saq_peaks.2,
-            jnum(out.wall_secs),
+            json::num(out.wall_secs),
             out.events,
-            jopt(events_per_sec(out)),
+            json::opt(events_per_sec(out)),
             out.peak_event_queue_depth,
             out.peak_bytes_estimate,
-            jstr(spec.transport().name()),
-            jfct(&out.fct),
+            json::string(spec.transport().name()),
+            json::fct(&out.fct, ", "),
             out.counters.retransmitted_packets,
             out.counters.transport_timeouts,
             out.counters.pfc_dropped_packets,
@@ -323,52 +324,6 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn jopt(x: Option<f64>) -> String {
-    match x {
-        Some(v) => jnum(v),
-        None => "null".to_owned(),
-    }
-}
-
-/// A flow-completion-time summary as `[flows, p50, p99, max]` (ns), or
-/// `null` for a run with no completed flows.
-fn jfct(fct: &Option<metrics::FctSummary>) -> String {
-    match fct {
-        Some(f) => format!(
-            "[{}, {}, {}, {}]",
-            f.flows,
-            jnum(f.p50_ns),
-            jnum(f.p99_ns),
-            jnum(f.max_ns)
-        ),
-        None => "null".to_owned(),
-    }
 }
 
 #[cfg(test)]
@@ -484,15 +439,6 @@ mod tests {
         assert!(json.contains("\"routing\": \"arn\""));
         assert!(!json.contains("\"routing\": \"deterministic\""));
         assert!(json.contains("\"arn_hot_notifications\": "));
-    }
-
-    #[test]
-    fn jstr_escapes() {
-        assert_eq!(jstr("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(jnum(f64::NAN), "null");
-        assert_eq!(jnum(2.5), "2.5");
-        assert_eq!(jopt(None), "null");
-        assert_eq!(jopt(Some(0.5)), "0.5");
     }
 
     /// The events/sec bug fix (satellite c): a near-zero wall clock must

@@ -1,7 +1,7 @@
 //! Differential proof that the production (lazy) event model is bit-exact
 //! with the eager reference.
 //!
-//! The lazy model (DESIGN.md §6f) — the only one `run_one` and every binary
+//! The lazy model (DESIGN.md §6f) — the only one `run_one` and every command
 //! use — coalesces same-time arbiter wakeups into sweep batches and elides
 //! provably-no-op arbiter scans; it schedules far fewer events than the
 //! eager reference (`run_one_eager_reference`, which exists for this suite)

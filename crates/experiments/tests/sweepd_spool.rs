@@ -1,4 +1,4 @@
-//! `sweepd` against spool lines it must refuse — retired spec versions,
+//! `recn serve` against spool lines it must refuse — retired spec versions,
 //! and a current-version spec whose series would not fit in memory: the
 //! batch carrying them is answered with an error line naming the reason
 //! and set aside as `.err`, and the daemon keeps draining — the batch
@@ -42,23 +42,23 @@ fn refused_spool_lines_become_err_batches_and_the_drain_continues() {
         format!("{{\"spec_v1\": \"{}\"}}\n", long.encode_hex()),
     )
     .expect("write long batch");
-    let demo = Command::new(env!("CARGO_BIN_EXE_sweepd"))
-        .args(["--demo", "1"])
+    let demo = Command::new(env!("CARGO_BIN_EXE_recn"))
+        .args(["serve", "--demo", "1"])
         .output()
-        .expect("run sweepd --demo");
+        .expect("run recn serve --demo");
     std::fs::write(spool.join("b_new.jsonl"), demo.stdout).expect("write new batch");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_sweepd"))
-        .arg("--spool")
+    let out = Command::new(env!("CARGO_BIN_EXE_recn"))
+        .args(["serve", "--spool"])
         .arg(&spool)
         .args(["--cache", "none", "--once", "--jobs", "1"])
         .output()
-        .expect("run sweepd");
+        .expect("run recn serve");
     let (stdout, stderr) = (
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
-    assert!(out.status.success(), "sweepd must not die: {stderr}");
+    assert!(out.status.success(), "serve must not die: {stderr}");
     assert!(
         stderr.contains("a_old.jsonl:1: bad spec_v1:")
             && stderr.contains("unsupported spec version 2"),

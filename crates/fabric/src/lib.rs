@@ -84,8 +84,5 @@ pub use queue::{PortSide, QueueSet};
 pub use simcore::EventModel;
 pub use source::{ConstantRateSource, MessageSource, ScriptSource, SilentSource, SourcedMessage};
 pub use trace::{json_escape, TraceEvent, TraceHandle, TraceRecord, TraceSink};
-pub use transport::{
-    FlowDesc, GoBackNTransport, NackTransport, OpenLoopTransport, PfcConfig, Transport,
-    TransportConfig, TransportKind,
-};
+pub use transport::{FlowDesc, PfcConfig, TransportConfig, TransportKind};
 pub use validate::{ValidatingObserver, ValidatorHandle};

@@ -1,7 +1,7 @@
 //! Closed-loop flow machinery: the sender window/retransmission state at
 //! each NIC, the receiver sequence accounting, and the out-of-band
-//! ack/timeout event handlers. See `crate::transport` for the policy
-//! layer and DESIGN.md § "Transport layer" for the model.
+//! ack/timeout event handlers. See `crate::transport` for the knobs
+//! and DESIGN.md § "Transport layer" for the model.
 //!
 //! Everything here is gated on `Network::has_flows` (or on per-map
 //! lookups that miss when no flows exist), so the open-loop default
@@ -11,7 +11,7 @@ use simcore::{EventQueue, Picos, TimerGen};
 use topology::HostId;
 
 use crate::packet::Packet;
-use crate::transport::FlowDesc;
+use crate::transport::{FlowDesc, TransportKind};
 
 use super::{Event, Network};
 
@@ -161,7 +161,8 @@ impl Network {
         host: usize,
         dst: u32,
     ) {
-        let window = self.transport.window_pkts().map(u64::from);
+        let transport = self.cfg.transport.config().copied();
+        let window = transport.map(|c| u64::from(c.window_pkts));
         let mut pushed = false;
         loop {
             let Some(f) = self.nics[host].flows.get(&dst) else {
@@ -212,7 +213,7 @@ impl Network {
             f.high_sent = f.high_sent.max(f.send_next);
             pushed = true;
         }
-        if let Some(timeout) = self.transport.timeout() {
+        if let Some(timeout) = transport.map(|c| c.timeout) {
             let f = self.nics[host].flows.get_mut(&dst).expect("flow exists");
             if !f.timer.is_armed() && f.base < f.send_next {
                 let gen = f.timer.arm();
@@ -259,9 +260,8 @@ impl Network {
         self.observer.on_delivered(now, &pkt);
 
         let k = flow_key(&pkt);
-        let windowed = self.transport.window_pkts().is_some();
         let rx = self.flow_rx.get_mut(&k).expect("caller checked membership");
-        if !windowed {
+        let Some(ack_delay) = self.cfg.transport.config().map(|c| c.ack_delay) else {
             // Open loop: no retransmission, so every arrival is distinct.
             if rx.done {
                 return;
@@ -273,7 +273,7 @@ impl Network {
                 self.flow_complete(now, pkt.src, pkt.dst, start);
             }
             return;
-        }
+        };
         let mut nack = NO_NACK;
         let mut completed = None;
         if rx.done {
@@ -289,7 +289,9 @@ impl Network {
             // Gap: a go-back-N receiver discards out-of-order arrivals and
             // keeps acking the stall point; a NACK receiver additionally
             // asks for a rewind, once per distinct stall point.
-            if self.transport.nack_on_gap() && rx.last_nack_at != rx.rcv_next {
+            if matches!(self.cfg.transport, TransportKind::Nack(_))
+                && rx.last_nack_at != rx.rcv_next
+            {
                 rx.last_nack_at = rx.rcv_next;
                 nack = rx.rcv_next;
                 self.counters.transport_nacks += 1;
@@ -302,7 +304,7 @@ impl Network {
         // is unidirectional for data, and modeling the response path would
         // change credit/control semantics for all five schemes.
         q.schedule(
-            now + self.transport.ack_delay(),
+            now + ack_delay,
             Event::TransportAck {
                 host: pkt.src.index(),
                 dst: pkt.dst.index() as u32,

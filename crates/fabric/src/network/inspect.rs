@@ -1,5 +1,5 @@
 //! Port-state inspection: structured snapshots of queue occupancies and
-//! RECN state, for debugging, the `inspect` experiment binary, and tests.
+//! RECN state, for debugging, `recn inspect`, and tests.
 
 use topology::PathSpec;
 

@@ -17,7 +17,6 @@ use crate::observer::{NetObserver, NullObserver};
 use crate::packet::{Packet, Payload, RevPayload};
 use crate::queue::{PortSide, QueueSet};
 use crate::source::{MessageSource, SourcedMessage};
-use crate::transport::Transport;
 
 pub(crate) use flow::{FlowRx, FlowTx};
 
@@ -402,8 +401,6 @@ pub struct Network {
     pub(crate) lazy: LazyState,
     /// Packet size used when splitting messages.
     pub(crate) packet_size: u32,
-    /// Transport policy (knobs) the flow machinery dispatches through.
-    pub(crate) transport: Box<dyn Transport>,
     /// Closed-loop receiver state keyed `(src << 32) | dst`. Entries stay
     /// after completion (marked done) so late duplicates are recognized.
     pub(crate) flow_rx: std::collections::BTreeMap<u64, FlowRx>,
@@ -601,7 +598,6 @@ impl Network {
             arn_out_hot: Vec::new(),
             lazy: LazyState::default(),
             packet_size,
-            transport: cfg.transport.build(),
             flow_rx: std::collections::BTreeMap::new(),
             has_flows: false,
         };

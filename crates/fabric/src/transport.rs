@@ -234,18 +234,6 @@ impl TransportKind {
         }
     }
 
-    /// Builds the policy object the network dispatches through.
-    pub fn build(&self) -> Box<dyn Transport> {
-        match self {
-            TransportKind::OpenLoop => Box::new(OpenLoopTransport),
-            TransportKind::GoBackN(c) => Box::new(GoBackNTransport(*c)),
-            TransportKind::Nack(c) => Box::new(NackTransport(*c)),
-            // PFC uses go-back-N recovery at the hosts; the pause/drop
-            // machinery lives in the switches (keyed off `is_pfc`).
-            TransportKind::Pfc(c, _) => Box::new(GoBackNTransport(*c)),
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -295,96 +283,6 @@ impl Canon for TransportKind {
     }
 }
 
-/// Sender/receiver policy the network queries at each transport decision
-/// point. Implementations are stateless knob bundles; the per-flow state
-/// itself lives at the NICs (sender) and the network (receiver), so one
-/// policy object serves every flow.
-pub trait Transport {
-    /// Policy name (matches [`TransportKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Per-flow window in packets, or `None` for open loop (no window,
-    /// no acks, no timers).
-    fn window_pkts(&self) -> Option<u32>;
-
-    /// Retransmission timeout, or `None` when the sender never rewinds.
-    fn timeout(&self) -> Option<Picos>;
-
-    /// Latency of the out-of-band ack path.
-    fn ack_delay(&self) -> Picos;
-
-    /// Whether the receiver NACKs the first out-of-order arrival at each
-    /// stalled receive point.
-    fn nack_on_gap(&self) -> bool;
-}
-
-/// Open-loop passthrough: flows push as fast as admittance allows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpenLoopTransport;
-
-impl Transport for OpenLoopTransport {
-    fn name(&self) -> &'static str {
-        "open"
-    }
-    fn window_pkts(&self) -> Option<u32> {
-        None
-    }
-    fn timeout(&self) -> Option<Picos> {
-        None
-    }
-    fn ack_delay(&self) -> Picos {
-        Picos::ZERO
-    }
-    fn nack_on_gap(&self) -> bool {
-        false
-    }
-}
-
-/// Go-back-N: windowed, cumulative acks, timeout rewinds to the base.
-#[derive(Debug, Clone, Copy)]
-pub struct GoBackNTransport(pub TransportConfig);
-
-impl Transport for GoBackNTransport {
-    fn name(&self) -> &'static str {
-        "gbn"
-    }
-    fn window_pkts(&self) -> Option<u32> {
-        Some(self.0.window_pkts)
-    }
-    fn timeout(&self) -> Option<Picos> {
-        Some(self.0.timeout)
-    }
-    fn ack_delay(&self) -> Picos {
-        self.0.ack_delay
-    }
-    fn nack_on_gap(&self) -> bool {
-        false
-    }
-}
-
-/// Go-back-N plus receiver NACKs (fast rewind without waiting out the
-/// timeout).
-#[derive(Debug, Clone, Copy)]
-pub struct NackTransport(pub TransportConfig);
-
-impl Transport for NackTransport {
-    fn name(&self) -> &'static str {
-        "nack"
-    }
-    fn window_pkts(&self) -> Option<u32> {
-        Some(self.0.window_pkts)
-    }
-    fn timeout(&self) -> Option<Picos> {
-        Some(self.0.timeout)
-    }
-    fn ack_delay(&self) -> Picos {
-        self.0.ack_delay
-    }
-    fn nack_on_gap(&self) -> bool {
-        true
-    }
-}
-
 /// One closed-loop flow: `bytes` from `src` to `dst`, starting at
 /// `start`. The traffic crate's generators produce these; the network
 /// installs them via `Network::install_flows`.
@@ -427,28 +325,13 @@ mod tests {
         );
         assert_eq!(TransportKind::parse("tcp"), None);
         assert!(TransportKind::default().is_open_loop());
-    }
-
-    #[test]
-    fn policy_knobs_match_kind() {
-        let open = TransportKind::OpenLoop.build();
-        assert_eq!(open.window_pkts(), None);
-        assert_eq!(open.timeout(), None);
-        assert!(!open.nack_on_gap());
-
-        let gbn = TransportKind::parse("gbn").unwrap().build();
-        assert_eq!(gbn.window_pkts(), Some(32));
-        assert!(gbn.timeout().is_some());
-        assert!(!gbn.nack_on_gap());
-
-        let nack = TransportKind::parse("nack").unwrap().build();
-        assert!(nack.nack_on_gap());
-
-        // PFC recovers with go-back-N at the hosts.
-        let pfc = TransportKind::parse("pfc").unwrap().build();
-        assert_eq!(pfc.name(), "gbn");
-        assert!(TransportKind::parse("pfc").unwrap().is_pfc());
-        assert!(TransportKind::parse("pfc").unwrap().pfc().is_some());
+        // The knobs the network reads: no config means no window, acks or
+        // timers; PFC recovers with the same go-back-N config at the hosts.
+        assert_eq!(TransportKind::OpenLoop.config(), None);
+        let pfc = TransportKind::parse("pfc").unwrap();
+        assert_eq!(pfc.config(), TransportKind::parse("gbn").unwrap().config());
+        assert_eq!(pfc.config().map(|c| c.window_pkts), Some(32));
+        assert!(pfc.is_pfc() && pfc.pfc().is_some());
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! The fabric crate tests the same protocol with timing and buffering; the
 //! value here is that every step is explicit, so a regression pinpoints
 //! the exact protocol transition that broke.
+//!
+//! The last test drives one ingress port with seeded *random* protocol
+//! traffic against a shadow model instead of a script.
 
 use recn::{Classify, NotifOutcome, RecnConfig, RecnPort, SaqId, TokenDest};
+use simcore::Xoshiro256;
 use topology::PathSpec;
 
 fn cfg() -> RecnConfig {
@@ -464,4 +468,116 @@ fn drain_boost_window() {
     input.on_token_from_upstream(PathSpec::from_turns(&[2]));
     input.saq_dequeued(saq, 400);
     assert!(input.drain_boost(saq));
+}
+
+/// One live SAQ of the shadow model in
+/// [`ingress_port_protocol_invariants`].
+struct Shadow {
+    saq: SaqId,
+    /// Queued packet sizes, oldest first.
+    queue: Vec<u64>,
+    /// Markers not yet consumed (the SAQ is blocked while nonzero).
+    markers: usize,
+    /// Whether an upstream child SAQ is outstanding.
+    child: bool,
+}
+
+/// Random single-port protocol driving: an ingress port receives
+/// notifications, packets, token returns and marker consumptions in
+/// arbitrary order; the shadow model's invariants must hold throughout
+/// and every SAQ must be reclaimable at the end. Seeds: the case the
+/// retired property suite pinned (marker consumption racing token
+/// returns), then a fixed range.
+#[test]
+fn ingress_port_protocol_invariants() {
+    let cfg = RecnConfig {
+        max_saqs: 8,
+        detection_threshold: 4000,
+        propagation_threshold: 1500,
+        xoff_threshold: 3000,
+        xon_threshold: 500,
+        drain_boost_pkts: 2,
+        root_clear_threshold: 2000,
+    };
+    for seed in std::iter::once(0x1cea_9f0e_f492_67ea).chain(0..400) {
+        let mut rng = Xoshiro256::new(seed);
+        let mut port = RecnPort::new_ingress(cfg);
+        let mut live: Vec<Shadow> = Vec::new();
+        for _ in 0..1 + rng.next_below(120) {
+            let op = rng.next_below(5);
+            if op == 0 {
+                let len = 1 + rng.next_below(3);
+                let path: Vec<u8> = (0..len).map(|_| rng.next_below(4) as u8).collect();
+                match port.alloc_on_notification(PathSpec::from_turns(&path)) {
+                    NotifOutcome::Accepted { saq } => live.push(Shadow {
+                        saq,
+                        queue: Vec::new(),
+                        markers: 1 + port.marker_plan(saq).len(),
+                        child: false,
+                    }),
+                    NotifOutcome::AlreadyPresent { saq } => assert!(port.is_live(saq)),
+                    NotifOutcome::Rejected => assert_eq!(port.saqs_in_use(), 8),
+                }
+            } else if !live.is_empty() {
+                let idx = rng.next_below(8) as usize % live.len();
+                let s = &mut live[idx];
+                // Whether the op left the SAQ reclaimable (then it must be
+                // empty, unblocked and childless, and is deallocated).
+                let reclaim = match op {
+                    1 => {
+                        let bytes = 1 + rng.next_below(1999);
+                        s.queue.push(bytes);
+                        if port.saq_enqueued(s.saq, bytes).propagate.is_some() {
+                            assert!(!s.child, "no double propagation (seed {seed})");
+                            s.child = true;
+                        }
+                        false
+                    }
+                    // Only unblocked, nonempty SAQs may transmit.
+                    2 if s.markers == 0 && !s.queue.is_empty() => {
+                        let bytes = s.queue.remove(0);
+                        port.saq_dequeued(s.saq, bytes).deallocatable
+                    }
+                    3 if s.markers > 0 => {
+                        s.markers -= 1;
+                        port.marker_consumed(s.saq)
+                    }
+                    4 if s.child => {
+                        s.child = false;
+                        let back = port.on_token_from_upstream(port.path_of(s.saq));
+                        assert!(back.is_none_or(|d| d == s.saq), "seed {seed}");
+                        back.is_some()
+                    }
+                    _ => false,
+                };
+                if reclaim {
+                    let s = live.remove(idx);
+                    assert!(
+                        s.queue.is_empty() && s.markers == 0 && !s.child,
+                        "reclaimed a busy SAQ (seed {seed})"
+                    );
+                    port.dealloc(s.saq);
+                }
+            }
+            assert_eq!(port.saqs_in_use(), live.len(), "seed {seed}");
+        }
+
+        // Drain everything: consume markers, return tokens, dequeue.
+        for mut s in live {
+            for _ in 0..s.markers {
+                port.marker_consumed(s.saq);
+            }
+            if s.child {
+                port.on_token_from_upstream(port.path_of(s.saq));
+            }
+            while let Some(bytes) = s.queue.pop() {
+                port.saq_dequeued(s.saq, bytes);
+            }
+            // Idle (never-used) or freshly drained: both must satisfy the
+            // reclaim predicate now.
+            assert!(port.is_empty_leaf(s.saq), "not reclaimable (seed {seed})");
+            port.dealloc(s.saq);
+        }
+        assert_eq!(port.saqs_in_use(), 0, "seed {seed}");
+    }
 }

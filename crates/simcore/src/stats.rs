@@ -251,6 +251,29 @@ mod tests {
         assert!((a.variance() - all.variance()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
+        // Seeded sweep against the naive mean/min/max, merged at a random
+        // split point.
+        let mut rng = crate::Xoshiro256::new(0x57a7);
+        for _ in 0..200 {
+            let n = 1 + rng.next_below(199) as usize;
+            let xs: Vec<f64> = (0..n).map(|_| (rng.next_f64() - 0.5) * 2e6).collect();
+            let split = rng.next_below(n as u64 + 1) as usize;
+            let push_all = |xs: &[f64]| {
+                let mut r = Running::new();
+                xs.iter().for_each(|&x| r.push(x));
+                r
+            };
+            let all = push_all(&xs);
+            let mut merged = push_all(&xs[..split]);
+            merged.merge(&push_all(&xs[split..]));
+            let mean = xs.iter().sum::<f64>() / n as f64;
+            let tol = 1e-6 * (1.0 + mean.abs());
+            assert!((all.mean() - mean).abs() < tol);
+            assert!((merged.mean() - all.mean()).abs() < tol);
+            assert_eq!(merged.count(), n as u64);
+            assert_eq!(all.min(), xs.iter().copied().reduce(f64::min));
+            assert_eq!(all.max(), xs.iter().copied().reduce(f64::max));
+        }
     }
 
     #[test]
@@ -277,6 +300,26 @@ mod tests {
         let med = h.quantile(0.5).unwrap();
         assert!(med >= Picos::from_ns(1) && med <= Picos::from_ns(16));
         assert!(h.quantile(1.0).unwrap() >= Picos::from_ns(512));
+        // Quantiles bracket arbitrary data: the single 1 ps sample a
+        // property run once shrank a failure to, then a seeded sweep.
+        let mut rng = crate::Xoshiro256::new(0x4157);
+        let mut cases = vec![vec![1u64]];
+        cases.extend((0..200).map(|_| {
+            let n = 1 + rng.next_below(299);
+            (0..n).map(|_| 1 + rng.next_below(9_999_999)).collect()
+        }));
+        for ds in cases {
+            let mut h = Histogram::new(Picos::from_ns(1));
+            ds.iter().for_each(|&d| h.record(Picos::new(d)));
+            assert_eq!(h.count(), ds.len() as u64);
+            let (min, max) = (*ds.iter().min().unwrap(), *ds.iter().max().unwrap());
+            // Bucket midpoints are within a factor of 2 of the true
+            // extremes — except inside bucket 0, which spans [0, base):
+            // its midpoint (500 ps here) can exceed tiny minima.
+            assert!(h.quantile(0.0).unwrap().as_ps() <= min.saturating_mul(2).max(500));
+            assert!(h.quantile(1.0).unwrap().as_ps().saturating_mul(2) >= max);
+            assert!((min..=max).contains(&h.mean().as_ps()));
+        }
     }
 
     #[test]

@@ -157,6 +157,23 @@ mod tests {
         assert!(!p.matches_turns(&[2]));
         assert!(!p.matches_turns(&[1, 2, 1]));
         assert!(!p.matches_turns(&[]));
+        // Seeded sweep: matching is exactly the naive slice-prefix test,
+        // and prepend/split_first round-trip on every path with room.
+        let mut rng = simcore::Xoshiro256::new(0x9a7b);
+        let turns = |rng: &mut simcore::Xoshiro256| -> Vec<u8> {
+            (0..rng.next_below(8))
+                .map(|_| rng.next_below(4) as u8)
+                .collect()
+        };
+        for _ in 0..2000 {
+            let (path, remaining) = (turns(&mut rng), turns(&mut rng));
+            let p = PathSpec::from_turns(&path);
+            assert_eq!(p.turns(), &path[..]);
+            assert_eq!(p.matches_turns(&remaining), remaining.starts_with(&path));
+            let extra = rng.next_below(4) as u8;
+            let (head, rest) = p.prepend(extra).split_first().unwrap();
+            assert_eq!((head, rest), (extra, p));
+        }
     }
 
     #[test]
@@ -190,6 +207,19 @@ mod tests {
         route.advance(); // consumed the stage-0 turn
         assert!(at_stage1_in.matches(&route));
         assert!(!at_injection.matches(&route));
+        // At every point of every route: each prefix of the remaining
+        // turns matches, a wrong first turn never does.
+        for dst in 0..64 {
+            let mut route = Route::to_host(HostId::new(dst), 4, 3);
+            while !route.is_exhausted() {
+                let rem = route.remaining().to_vec();
+                for take in 0..=rem.len() {
+                    assert!(PathSpec::from_turns(&rem[..take]).matches(&route));
+                }
+                assert!(!PathSpec::from_turns(&[(rem[0] + 1) % 4]).matches(&route));
+                route.advance();
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! down-phase digits are untouched, and the walk delivers to the
 //! destination.
 //!
-//! These are the always-on deterministic companions to the gated proptest
-//! in `prop.rs` (`--features slow-proptests`): a seeded-LCG sweep over
-//! random k-ary n-tree shapes plus `REGRESSION_SEEDS` replaying specific
-//! `(shape, pair, selector seed)` cases that shook out of property runs.
+//! A seeded-LCG sweep over random k-ary n-tree shapes, plus
+//! `REGRESSION_SEEDS` replaying specific `(shape, pair, selector seed)`
+//! cases that shook out of property runs.
 
 use topology::{FatTreeParams, FatTreeTopology, HostId, PortId, Route};
 
@@ -77,9 +76,7 @@ fn check_adaptive_walk(topo: &FatTreeTopology, src: HostId, dst: HostId, seed: u
     );
 }
 
-/// `(k, n, src, dst, selector seed)` cases replayed on every run. Keep
-/// failures from the `slow-proptests` runs here so they stay covered in
-/// the default build.
+/// `(k, n, src, dst, selector seed)` cases replayed on every run.
 const REGRESSION_SEEDS: &[(u32, u32, u32, u32, u64)] = &[
     (4, 3, 0, 63, 0x5eed_0001),    // full diameter, ft_64
     (4, 3, 63, 0, 0x5eed_0002),    // and its mirror

@@ -6,8 +6,12 @@ cd "$(dirname "$0")/.."
 
 echo "== tier1: cargo build --release --workspace =="
 # --workspace: the root manifest is itself a package, so a bare build would
-# only cover it and skip the experiment binaries the smoke tests run.
+# only cover it and skip the `recn` binary the smoke tests run.
 cargo build --release --workspace
+recn="$PWD/target/release/recn"
+# One front door: the workspace links exactly two executables.
+exes="$(cargo build --release --workspace --message-format=json 2> /dev/null | grep -o '"executable":"[^"]*"' | sed 's|.*/||; s|"||' | sort | xargs)"
+test "$exes" = "bench_core recn" || { echo "unexpected executables: $exes" >&2; exit 1; }
 
 echo "== tier1: cargo test -q =="
 cargo test -q
@@ -28,14 +32,14 @@ echo "== tier1: event-model oracle suite (production vs the eager reference, rel
 # Release mode: debug would dominate the gate's wall time.
 cargo test --release -q -p experiments --test event_model_differential
 
-echo "== tier1: quick-mode sweep smoke test (fig2, --jobs 4 vs --jobs 1) =="
+echo "== tier1: quick-mode sweep smoke test (recn fig 2, --jobs 4 vs --jobs 1) =="
 # The parallel executor must return results in submission order, so the
 # rendered tables are byte-identical at any parallelism; the JSON sweep
 # summary must report per-run wall seconds and events/sec.
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
-(cd "$smoke" && "$OLDPWD/target/release/fig2" --quick --jobs 1 --json j1 > serial.txt 2> /dev/null)
-(cd "$smoke" && "$OLDPWD/target/release/fig2" --quick --jobs 4 --json j4 > parallel.txt 2> /dev/null)
+(cd "$smoke" && "$recn" fig 2 --quick --jobs 1 --json j1 > serial.txt 2> /dev/null)
+(cd "$smoke" && "$recn" fig 2 --quick --jobs 4 --json j4 > parallel.txt 2> /dev/null)
 cmp "$smoke/serial.txt" "$smoke/parallel.txt"
 grep -q '"wall_secs"' "$smoke/j4/fig2.sweep.json"
 grep -q '"events_per_sec"' "$smoke/j4/fig2.sweep.json"
@@ -43,10 +47,10 @@ echo "smoke test passed: parallel output byte-identical to serial, JSON summary 
 
 echo "== tier1: validation smoke test (every scheme, invariants on) =="
 # One corner-case hotspot run per scheme with the ValidatingObserver fanned
-# in: the binary panics on the first invariant violation, and its digests
+# in: the command panics on the first invariant violation, and its digests
 # must be identical at any parallelism (the golden-trace contract).
-(cd "$smoke" && "$OLDPWD/target/release/validate" --quick --jobs 1 --json none > v1.txt 2> /dev/null)
-(cd "$smoke" && "$OLDPWD/target/release/validate" --quick --jobs 4 --json none > v4.txt 2> /dev/null)
+(cd "$smoke" && "$recn" validate --quick --jobs 1 --json none > v1.txt 2> /dev/null)
+(cd "$smoke" && "$recn" validate --quick --jobs 4 --json none > v4.txt 2> /dev/null)
 cmp "$smoke/v1.txt" "$smoke/v4.txt"
 grep -q "zero invariant violations" "$smoke/v1.txt"
 echo "validation smoke passed: zero violations, digests parallel-stable"
@@ -55,8 +59,8 @@ echo "== tier1: fat-tree smoke test (--topology fattree, validator on) =="
 # The same scheme matrix on the 64-host 4-ary 3-tree: self-routing,
 # variable-width turnpool digits, and the RECN glue must all hold up under
 # the strided hotspot with the invariant checker fanned in.
-(cd "$smoke" && "$OLDPWD/target/release/validate" --quick --topology fattree --jobs 1 --json none > ft1.txt 2> /dev/null)
-(cd "$smoke" && "$OLDPWD/target/release/validate" --quick --topology fattree --jobs 4 --json none > ft4.txt 2> /dev/null)
+(cd "$smoke" && "$recn" validate --quick --topology fattree --jobs 1 --json none > ft1.txt 2> /dev/null)
+(cd "$smoke" && "$recn" validate --quick --topology fattree --jobs 4 --json none > ft4.txt 2> /dev/null)
 cmp "$smoke/ft1.txt" "$smoke/ft4.txt"
 grep -q "zero invariant violations" "$smoke/ft1.txt"
 echo "fat-tree smoke passed: zero violations, digests parallel-stable"
@@ -66,8 +70,8 @@ echo "== tier1: ARN smoke test (--routing arn, validator on) =="
 # notifications ride modeled reverse channels and age out at read time, so
 # the runs must stay exactly as deterministic as the other two policies —
 # byte-identical digests at any parallelism, zero invariant violations.
-(cd "$smoke" && "$OLDPWD/target/release/validate" --quick --topology fattree --routing arn --jobs 1 --json none > arn1.txt 2> /dev/null)
-(cd "$smoke" && "$OLDPWD/target/release/validate" --quick --topology fattree --routing arn --jobs 4 --json none > arn4.txt 2> /dev/null)
+(cd "$smoke" && "$recn" validate --quick --topology fattree --routing arn --jobs 1 --json none > arn1.txt 2> /dev/null)
+(cd "$smoke" && "$recn" validate --quick --topology fattree --routing arn --jobs 4 --json none > arn4.txt 2> /dev/null)
 cmp "$smoke/arn1.txt" "$smoke/arn4.txt"
 grep -q "zero invariant violations" "$smoke/arn1.txt"
 # ARN must actually change behaviour where notifications fire: the RECN
@@ -84,8 +88,8 @@ echo "== tier1: transport smoke test (incast64, every transport, --jobs 1 vs 4) 
 # byte-identical at any parallelism under every transport — open loop,
 # go-back-N, NACK, and PFC pause/drop.
 for transport in open gbn nack pfc; do
-  (cd "$smoke" && "$OLDPWD/target/release/incast" --quick --transport "$transport" --jobs 1 > "t1_$transport.txt" 2> /dev/null)
-  (cd "$smoke" && "$OLDPWD/target/release/incast" --quick --transport "$transport" --jobs 4 > "t4_$transport.txt" 2> /dev/null)
+  (cd "$smoke" && "$recn" incast --quick --transport "$transport" --jobs 1 > "t1_$transport.txt" 2> /dev/null)
+  (cd "$smoke" && "$recn" incast --quick --transport "$transport" --jobs 4 > "t4_$transport.txt" 2> /dev/null)
   cmp "$smoke/t1_$transport.txt" "$smoke/t4_$transport.txt"
   grep -q "RECN" "$smoke/t1_$transport.txt"
 done
@@ -95,23 +99,22 @@ awk '$2 == "pfc" && $7 > 0 { found = 1 } END { exit !found }' "$smoke/t1_pfc.txt
 echo "transport smoke passed: all four transports parallel-stable, PFC recovered from loss"
 
 echo "== tier1: scale smoke test (ft_4096 RECN under the memory budget) =="
-# The same short-horizon 4096-host hotspot CI's scale-smoke job runs: the
-# 16-ary 3-tree must build, route, and absorb the one-attacker-per-leaf
-# congestion tree, and the run's peak_bytes_estimate must stay under the
+# A short-horizon 4096-host hotspot: the 16-ary 3-tree must build, route,
+# and absorb the one-attacker-per-leaf congestion tree, and the run's peak_bytes_estimate must stay under the
 # checked-in ceiling (ci/scale_budget.txt).
-./target/release/scale --net 4096 --time-div 256 --json "$smoke/scale_smoke.json" \
+"$recn" scale --net 4096 --time-div 256 --json "$smoke/scale_smoke.json" \
   --budget "$(cat ci/scale_budget.txt)" > "$smoke/scale.txt" 2> /dev/null
 grep -q '"peak_bytes_estimate": [0-9]' "$smoke/scale_smoke.json"
 grep -q 'SAQs/port pk' "$smoke/scale.txt"
 echo "scale smoke passed: 4096-host run under budget, JSON summary written"
 
-echo "== tier1: run-cache smoke test (fig2 --cache twice, all hits) =="
+echo "== tier1: run-cache smoke test (recn fig 2 --cache twice, all hits) =="
 # Second pass over a warm cache must serve every run from disk and render
 # byte-identical output: stdout tables compare exactly, and the JSON
 # summaries compare after masking the per-run cache status and the sweep's
 # own wall time (the only fields allowed to differ on a replay).
-(cd "$smoke" && "$OLDPWD/target/release/fig2" --quick --jobs 2 --json c1 --cache rc > cold.txt 2> /dev/null)
-(cd "$smoke" && "$OLDPWD/target/release/fig2" --quick --jobs 2 --json c2 --cache rc > warm.txt 2> /dev/null)
+(cd "$smoke" && "$recn" fig 2 --quick --jobs 2 --json c1 --cache rc > cold.txt 2> /dev/null)
+(cd "$smoke" && "$recn" fig 2 --quick --jobs 2 --json c2 --cache rc > warm.txt 2> /dev/null)
 cmp "$smoke/cold.txt" "$smoke/warm.txt"
 grep -q '"cache": "miss"' "$smoke/c1/fig2.sweep.json"
 grep -q '"cache": "hit"' "$smoke/c2/fig2.sweep.json"
@@ -124,21 +127,21 @@ sed -e 's/"cache": "[a-z]*"/"cache": "X"/' -e '/"total_wall_secs"/d' "$smoke/c2/
 cmp "$smoke/c1.masked" "$smoke/c2.masked"
 echo "run-cache smoke passed: warm pass all hits, output byte-identical"
 
-echo "== tier1: sweepd smoke test (--once over a two-spec spool) =="
+echo "== tier1: serve smoke test (recn serve --once over a two-spec spool) =="
 # The serving daemon drains a spool of canonical specs through the same
 # cache: first pass runs them (miss), second pass re-serves them (hit),
 # and the result lines agree apart from the hit/miss marker.
 mkdir -p "$smoke/spool"
-"$OLDPWD/target/release/sweepd" --demo 2 > "$smoke/spool/batch.jsonl"
-(cd "$smoke" && "$OLDPWD/target/release/sweepd" --spool spool --cache rc --once > d1.jsonl 2> /dev/null)
+"$recn" serve --demo 2 > "$smoke/spool/batch.jsonl"
+(cd "$smoke" && "$recn" serve --spool spool --cache rc --once > d1.jsonl 2> /dev/null)
 test -f "$smoke/spool/batch.jsonl.done"
 cp "$smoke/spool/batch.jsonl.done" "$smoke/spool/batch.jsonl"
-(cd "$smoke" && "$OLDPWD/target/release/sweepd" --spool spool --cache rc --once > d2.jsonl 2> /dev/null)
+(cd "$smoke" && "$recn" serve --spool spool --cache rc --once > d2.jsonl 2> /dev/null)
 test "$(grep -c '"cache": "miss"' "$smoke/d1.jsonl")" = 2
 test "$(grep -c '"cache": "hit"' "$smoke/d2.jsonl")" = 2
 sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d1.jsonl" > "$smoke/d1.masked"
 sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d2.jsonl" > "$smoke/d2.masked"
 cmp "$smoke/d1.masked" "$smoke/d2.masked"
-echo "sweepd smoke passed: spool drained, warm pass served from cache"
+echo "serve smoke passed: spool drained, warm pass served from cache"
 
 echo "== tier1: all checks passed =="

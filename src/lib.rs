@@ -14,7 +14,8 @@
 //!   schemes.
 //! * [`traffic`] — corner-case and synthetic-SAN workloads.
 //! * [`metrics`] — probes and report rendering.
-//! * [`experiments`] — one runner per paper table/figure.
+//! * [`experiments`] — one runner per paper table/figure, and the `recn`
+//!   binary that fronts them all.
 //!
 //! See the repository `README.md` for a guided tour, `DESIGN.md` for the
 //! system inventory, and `EXPERIMENTS.md` for paper-vs-measured results.

@@ -2,8 +2,7 @@
 //! paper's evaluation does and check its headline claims end to end.
 //!
 //! These use 16×-time-compressed scenarios so the whole file runs in
-//! seconds; the full-scale reproduction lives in the `experiments`
-//! binaries.
+//! seconds; the full-scale reproduction is `recn fig all`.
 
 use experiments::runner::{run_one, scaled_recn_config, Workload};
 use experiments::sweep::RunSpec;
