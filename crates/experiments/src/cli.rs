@@ -176,7 +176,7 @@ fn fig(which: &str, f: &Parsed<'_>) -> Result<(), String> {
             continue;
         }
         for fig in figure(&opts) {
-            fig.print(&opts);
+            fig.print(&opts)?;
         }
     }
     Ok(())
@@ -243,7 +243,7 @@ fn hotspot(opts: &Opts) -> Result<(), String> {
         ));
     }
     let fig = figures::topology_hotspot(opts);
-    fig.print(opts);
+    fig.print(opts)?;
     println!("mean throughput inside the congestion window:");
     for (label, mean) in figures::congestion_window_means(&fig, opts) {
         println!("  {label:>7}: {mean:.3} bytes/ns");
@@ -374,7 +374,8 @@ fn inspect(opts: &Opts) -> Result<(), String> {
         println!("{}", render_port(&name, &snap));
     }
     if let (Some(handle), Some(path)) = (trace, &opts.trace_file) {
-        std::fs::write(path, handle.render_jsonl()).expect("write trace file");
+        std::fs::write(path, handle.render_jsonl())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!(
             "wrote {} ({} of {} events retained, digest {:#018x})",
             path.display(),
@@ -463,5 +464,20 @@ mod tests {
             let err = run(words).expect_err(&words.join(" "));
             assert!(err.contains(needle), "{words:?}: {err}");
         }
+    }
+
+    /// An output path that cannot be written is the command's `Err` (one
+    /// line, nonzero exit), not a panic after the sweep has run.
+    #[test]
+    fn unwritable_csv_dir_is_an_error_not_a_panic() {
+        // A regular file where `--csv` wants a directory.
+        let blocker = std::env::temp_dir().join(format!("recn_cli_csv_{}", std::process::id()));
+        std::fs::write(&blocker, "").expect("temp dir is writable");
+        let words = ["fig", "4", "--quick", "--json", "none", "--csv"];
+        let csv = blocker.to_string_lossy().into_owned();
+        let result = run(words.iter().map(|s| s.to_string()).chain([csv]));
+        std::fs::remove_file(&blocker).expect("blocker still a file");
+        let err = result.expect_err("fig 4 wrote CSVs under a regular file");
+        assert!(err.starts_with("cannot write "), "{err}");
     }
 }

@@ -46,7 +46,11 @@ pub struct Figure {
 impl Figure {
     /// Prints the figure as a text table (thinned by `opts.stride`) and
     /// optionally CSV, plus per-run summaries.
-    pub fn print(&self, opts: &Opts) {
+    ///
+    /// # Errors
+    ///
+    /// `--csv` names a directory that cannot be written.
+    pub fn print(&self, opts: &Opts) -> Result<(), String> {
         let thinned: Vec<Labeled> = self
             .series
             .iter()
@@ -60,7 +64,7 @@ impl Figure {
             println!("  {}", summarize(r));
         }
         println!();
-        opts.maybe_write_csv(&self.name, &render_csv(&self.series));
+        opts.maybe_write_csv(&self.name, &render_csv(&self.series))
     }
 }
 

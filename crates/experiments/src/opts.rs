@@ -4,7 +4,7 @@
 //!
 //! * A reusable declarative flag parser — [`FlagDef`], [`parse_flags`],
 //!   [`usage_line`], [`render_help`] — used by every command of the `recn`
-//!   binary (see [`crate::cli`]) and by `bench_core`. One table per
+//!   binary (see [`crate::cli`]). One table per
 //!   command, one `--help` renderer, `Result` errors instead of panics;
 //!   the table states each value's legal set, so a bad value is rejected
 //!   with the usage line before any command code runs.
@@ -463,13 +463,19 @@ impl Opts {
     }
 
     /// Writes a CSV file if `--csv` was given.
-    pub fn maybe_write_csv(&self, name: &str, content: &str) {
+    ///
+    /// # Errors
+    ///
+    /// The directory cannot be created or the file cannot be written.
+    pub fn maybe_write_csv(&self, name: &str, content: &str) -> Result<(), String> {
         if let Some(dir) = &self.csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
             let path = dir.join(format!("{name}.csv"));
-            std::fs::write(&path, content).expect("write csv");
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, content))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!("wrote {}", path.display());
         }
+        Ok(())
     }
 }
 

@@ -232,7 +232,8 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
             serve_batch(specs, &args, &mut out);
         }
         Some(dir) => {
-            std::fs::create_dir_all(dir).expect("create spool dir");
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create spool {}: {e}", dir.display()))?;
             loop {
                 drain_spool(dir, &args, &mut out);
                 if args.once {

@@ -5,7 +5,7 @@ use topology::PathSpec;
 
 use crate::queue::QueueSet;
 
-use super::Network;
+use super::{Network, PortRef};
 
 /// Snapshot of one SAQ.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,19 +65,9 @@ fn snapshot_of(qs: &QueueSet) -> PortSnapshot {
 }
 
 impl Network {
-    /// Snapshot of a switch input port.
-    pub fn snapshot_input(&self, sw: usize, port: usize) -> PortSnapshot {
-        snapshot_of(&self.switches[sw].inputs[port])
-    }
-
-    /// Snapshot of a switch output port.
-    pub fn snapshot_output(&self, sw: usize, port: usize) -> PortSnapshot {
-        snapshot_of(&self.switches[sw].outputs[port])
-    }
-
-    /// Snapshot of a NIC injection port.
-    pub fn snapshot_nic(&self, host: usize) -> PortSnapshot {
-        snapshot_of(&self.nics[host].inject)
+    /// Snapshot of one port.
+    pub fn snapshot(&self, port: PortRef) -> PortSnapshot {
+        snapshot_of(self.port(port))
     }
 
     /// The ports holding the most bytes right now: up to `top` entries of
@@ -165,7 +155,7 @@ mod tests {
     #[test]
     fn snapshots_of_idle_network_are_empty() {
         let net = paper_network(MinParams::new(16, 4, 2), SchemeKind::OneQ, 64);
-        let s = net.snapshot_input(0, 0);
+        let s = net.snapshot(PortRef::SwitchIn { sw: 0, port: 0 });
         assert_eq!(s.used_bytes, 0);
         assert_eq!(s.capacity, 128 * 1024);
         assert!(!s.is_root);

@@ -1,5 +1,6 @@
 //! The assembled network: switches, NICs, links, and the event dispatcher.
 
+mod egress;
 mod flow;
 mod inspect;
 mod nic;
@@ -37,7 +38,8 @@ pub enum Event {
         /// The NIC.
         host: usize,
     },
-    /// Try to transmit from the NIC injection port.
+    /// Egress arbitration of `host`'s injection link: try to transmit from
+    /// the NIC injection port (same handler as [`Event::OutputArb`]).
     NicArb {
         /// The NIC.
         host: usize,
@@ -70,7 +72,8 @@ pub enum Event {
         /// Destination output port.
         output: usize,
     },
-    /// Output-link arbitration at a switch output port.
+    /// Egress arbitration of a switch output port's link (same handler as
+    /// [`Event::NicArb`]: an egress port is the transmitter of a link).
     OutputArb {
         /// The switch.
         sw: usize,
@@ -129,8 +132,7 @@ pub enum Event {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Wakeup {
     InputArb { sw: usize },
-    OutputArb { sw: usize, port: usize },
-    NicArb { host: usize },
+    EgressArb { link: usize },
     NicTransfer { host: usize },
 }
 
@@ -157,7 +159,9 @@ pub(crate) struct LazyState {
     fifo: std::collections::VecDeque<Option<Wakeup>>,
 }
 
-/// Addresses one queue set in the network (for deferred RECN maintenance).
+/// Addresses one queue set in the network — the only port name inside
+/// `network/`. An egress port (`SwitchOut`, `Nic`) is the transmitter of
+/// exactly one link, which is how the transmit path reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortRef {
     /// A switch input port.
@@ -188,6 +192,16 @@ pub(crate) enum LinkUp {
     Switch { sw: usize, port: usize },
 }
 
+impl LinkUp {
+    /// The egress port transmitting on this link.
+    pub(crate) fn port(self) -> PortRef {
+        match self {
+            LinkUp::Nic(host) => PortRef::Nic { host },
+            LinkUp::Switch { sw, port } => PortRef::SwitchOut { sw, port },
+        }
+    }
+}
+
 /// Downstream endpoint of a link (the receiver of the data direction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkDown {
@@ -207,6 +221,9 @@ pub(crate) struct LinkState {
     /// PFC: the downstream input port paused this link's transmitter.
     /// Always `false` outside the PFC transport.
     pub paused: bool,
+    /// Whether an egress-arbiter wakeup for this link's transmitter is
+    /// already pending.
+    pub arb_scheduled: bool,
     pub up: LinkUp,
     pub down: LinkDown,
 }
@@ -231,7 +248,6 @@ pub(crate) struct Switch {
     pub in_flight: Vec<Option<XbarTransfer>>,
     pub out_busy: Vec<bool>,
     pub input_arb_scheduled: bool,
-    pub output_arb_scheduled: Vec<bool>,
     pub in_rr: usize,
     /// Link driven by each output port.
     pub out_link: Vec<usize>,
@@ -277,7 +293,6 @@ pub(crate) struct Nic {
     pub admit_rr: usize,
     pub inject: QueueSet,
     pub link: usize,
-    pub arb_scheduled: bool,
     pub transfer_scheduled: bool,
     pub source: Box<dyn MessageSource>,
     pub pending: Option<SourcedMessage>,
@@ -468,6 +483,7 @@ impl Network {
                 fwd_busy_total: Picos::ZERO,
                 credits: Self::input_credit_view(&cfg, ports[sw.index()], hosts),
                 paused: false,
+                arb_scheduled: false,
                 up: LinkUp::Nic(h),
                 down: LinkDown::Switch {
                     sw: sw.index(),
@@ -498,6 +514,7 @@ impl Network {
                     fwd_busy_total: Picos::ZERO,
                     credits,
                     paused: false,
+                    arb_scheduled: false,
                     up: LinkUp::Switch { sw: s, port: p },
                     down,
                 });
@@ -533,7 +550,6 @@ impl Network {
                     in_flight: (0..np).map(|_| None).collect(),
                     out_busy: vec![false; np],
                     input_arb_scheduled: false,
-                    output_arb_scheduled: vec![false; np],
                     in_rr: 0,
                     out_link: (0..np).map(|p| hosts + port_base[s] + p).collect(),
                     in_link: vec![usize::MAX; np],
@@ -571,7 +587,6 @@ impl Network {
                         cfg.nic_inject_mem,
                     ),
                     link: h,
-                    arb_scheduled: false,
                     transfer_scheduled: false,
                     source,
                     pending: None,
@@ -733,7 +748,7 @@ impl Network {
                 total += qs.backing_bytes();
             }
             total += (s.in_flight.capacity() * size_of::<Option<XbarTransfer>>()) as u64;
-            total += (s.out_busy.capacity() + s.output_arb_scheduled.capacity()) as u64;
+            total += s.out_busy.capacity() as u64;
             total += ((s.out_link.capacity() + s.in_link.capacity()) * size_of::<usize>()) as u64;
         }
         for n in &self.nics {
@@ -871,19 +886,21 @@ impl Network {
         (self.max_saq_in, self.max_saq_out, self.saq_total)
     }
 
-    /// Direct access to a switch input queue set (tests/metrics).
-    pub fn switch_input(&self, sw: usize, port: usize) -> &QueueSet {
-        &self.switches[sw].inputs[port]
+    /// Direct access to a port's queue set (tests/metrics).
+    pub fn port(&self, port: PortRef) -> &QueueSet {
+        match port {
+            PortRef::SwitchIn { sw, port } => &self.switches[sw].inputs[port],
+            PortRef::SwitchOut { sw, port } => &self.switches[sw].outputs[port],
+            PortRef::Nic { host } => &self.nics[host].inject,
+        }
     }
 
-    /// Direct access to a switch output queue set (tests/metrics).
-    pub fn switch_output(&self, sw: usize, port: usize) -> &QueueSet {
-        &self.switches[sw].outputs[port]
-    }
-
-    /// Direct access to a NIC injection queue set (tests/metrics).
-    pub fn nic_injection(&self, host: usize) -> &QueueSet {
-        &self.nics[host].inject
+    pub(crate) fn port_mut(&mut self, port: PortRef) -> &mut QueueSet {
+        match port {
+            PortRef::SwitchIn { sw, port } => &mut self.switches[sw].inputs[port],
+            PortRef::SwitchOut { sw, port } => &mut self.switches[sw].outputs[port],
+            PortRef::Nic { host } => &mut self.nics[host].inject,
+        }
     }
 
     /// Replaces the observer (e.g. to install probes between phases).
@@ -975,47 +992,6 @@ impl Network {
         }
     }
 
-    /// Schedules an `OutputArb` for `(sw, port)` at `at` unless one is
-    /// already pending. `now` is the current time: same-time kicks may
-    /// coalesce under the lazy model, future ones (busy retries,
-    /// post-transmit self-kicks) always get a dedicated event.
-    pub(crate) fn kick_output_arb(
-        &mut self,
-        now: Picos,
-        at: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-    ) {
-        if !self.switches[sw].output_arb_scheduled[port] {
-            self.switches[sw].output_arb_scheduled[port] = true;
-            if at == now && self.cfg.event_model == EventModel::Lazy {
-                self.lazy_push(now, q, Wakeup::OutputArb { sw, port });
-            } else {
-                q.schedule(at, Event::OutputArb { sw, port });
-            }
-        }
-    }
-
-    /// Schedules a `NicArb` at `at` unless pending (`now` as in
-    /// [`kick_output_arb`](Network::kick_output_arb)).
-    pub(crate) fn kick_nic_arb(
-        &mut self,
-        now: Picos,
-        at: Picos,
-        q: &mut EventQueue<Event>,
-        host: usize,
-    ) {
-        if !self.nics[host].arb_scheduled {
-            self.nics[host].arb_scheduled = true;
-            if at == now && self.cfg.event_model == EventModel::Lazy {
-                self.lazy_push(now, q, Wakeup::NicArb { host });
-            } else {
-                q.schedule(at, Event::NicArb { host });
-            }
-        }
-    }
-
     /// Schedules a `NicTransfer` unless pending.
     pub(crate) fn kick_nic_transfer(&mut self, now: Picos, q: &mut EventQueue<Event>, host: usize) {
         if !self.nics[host].transfer_scheduled {
@@ -1080,8 +1056,7 @@ impl Network {
             match self.lazy.fifo.pop_front() {
                 Some(Some(w)) => match w {
                     Wakeup::InputArb { sw } => self.on_input_arb(now, q, sw),
-                    Wakeup::OutputArb { sw, port } => self.on_output_arb(now, q, sw, port),
-                    Wakeup::NicArb { host } => self.on_nic_arb(now, q, host),
+                    Wakeup::EgressArb { link } => self.on_egress_arb(now, q, link),
                     Wakeup::NicTransfer { host } => self.on_nic_transfer(now, q, host),
                 },
                 // Batch boundary: the next batch's sweep is already queued.
@@ -1177,10 +1152,7 @@ impl Network {
             RevPayload::Credit { queue, bytes } => {
                 self.links[link].credits.replenish(queue, bytes as u64);
                 self.note_credit_replenished(now, link, queue, bytes as u64);
-                match self.links[link].up {
-                    LinkUp::Nic(h) => self.kick_nic_arb(now, now, q, h),
-                    LinkUp::Switch { sw, port } => self.kick_output_arb(now, now, q, sw, port),
-                }
+                self.kick_egress_arb(now, now, q, link);
             }
             RevPayload::RecnNotification { path } => {
                 self.egress_recn_notification(now, q, link, path)
@@ -1193,10 +1165,7 @@ impl Network {
                 self.counters.xons += 1;
                 self.egress_set_remote_xoff(link, path, false);
                 // The SAQ may transmit again.
-                match self.links[link].up {
-                    LinkUp::Nic(h) => self.kick_nic_arb(now, now, q, h),
-                    LinkUp::Switch { sw, port } => self.kick_output_arb(now, now, q, sw, port),
-                }
+                self.kick_egress_arb(now, now, q, link);
             }
             RevPayload::PfcPause => {
                 self.links[link].paused = true;
@@ -1206,10 +1175,7 @@ impl Network {
                 self.links[link].paused = false;
                 self.observer.on_pause_change(now, link, false);
                 // The transmitter may send again.
-                match self.links[link].up {
-                    LinkUp::Nic(h) => self.kick_nic_arb(now, now, q, h),
-                    LinkUp::Switch { sw, port } => self.kick_output_arb(now, now, q, sw, port),
-                }
+                self.kick_egress_arb(now, now, q, link);
             }
             RevPayload::ArnHot => self.on_arn_notification(now, link, true),
             RevPayload::ArnCold => self.on_arn_notification(now, link, false),
@@ -1311,12 +1277,14 @@ impl SimModel for Network {
         match event {
             Event::NextMessage { host } => self.on_next_message(now, q, host),
             Event::NicTransfer { host } => self.on_nic_transfer(now, q, host),
-            Event::NicArb { host } => self.on_nic_arb(now, q, host),
+            Event::NicArb { host } => self.on_egress_arb(now, q, self.nics[host].link),
             Event::Deliver { link, payload } => self.on_deliver(now, q, link, payload),
             Event::DeliverRev { link, payload } => self.on_deliver_rev(now, q, link, payload),
             Event::InputArb { sw } => self.on_input_arb(now, q, sw),
             Event::XbarDone { sw, input, output } => self.on_xbar_done(now, q, sw, input, output),
-            Event::OutputArb { sw, port } => self.on_output_arb(now, q, sw, port),
+            Event::OutputArb { sw, port } => {
+                self.on_egress_arb(now, q, self.switches[sw].out_link[port])
+            }
             Event::SaqIdleCheck { port, saq } => self.on_saq_idle_check(now, q, port, saq),
             Event::FlowStart { host, dst } => self.on_flow_start(now, q, host, dst),
             Event::TransportAck {

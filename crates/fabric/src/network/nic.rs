@@ -1,10 +1,11 @@
-//! NIC behaviour: message admittance, packetization, transfer to the
-//! injection port, and injection-link arbitration.
+//! NIC behaviour: message admittance, packetization, and transfer to the
+//! injection port (which transmits like any other egress port, see
+//! `egress.rs`).
 
 use simcore::{EventQueue, Picos};
 
 use crate::observer::QueueKind;
-use crate::packet::{Packet, Payload, QueueItem};
+use crate::packet::{Packet, QueueItem};
 
 use super::{Event, Network, PortRef};
 
@@ -158,132 +159,9 @@ impl Network {
         self.scratch = order;
         self.nics[host].admit_rr = (self.nics[host].admit_rr + 1) % hosts;
         if moved_any {
-            self.kick_nic_arb(now, now, q, host);
+            self.kick_egress_arb(now, now, q, self.nics[host].link);
         }
         // Admittance space may have freed: refill stalled flows.
         self.pump_host_flows(now, q, host);
-    }
-
-    /// `Event::NicArb` — try to transmit one packet from the injection port
-    /// onto the injection link.
-    pub(crate) fn on_nic_arb(&mut self, now: Picos, q: &mut EventQueue<Event>, host: usize) {
-        self.nics[host].arb_scheduled = false;
-        let link = self.nics[host].link;
-        let busy = self.links[link].fwd_busy_until;
-        if busy > now {
-            self.kick_nic_arb(now, busy, q, host);
-            return;
-        }
-        // PFC: a paused link transmits nothing; the resume message kicks
-        // this arbiter again. (Never true outside the PFC transport.)
-        if self.links[link].paused {
-            return;
-        }
-        // Work elision (both event models): with nothing queued, or a pooled
-        // credit view at zero, the scan below can grant nothing and performs
-        // no observable work — returning early is exact.
-        if !self.nics[host].inject.has_items() {
-            return;
-        }
-        if let crate::credit::CreditView::Pooled { free: 0, .. } = self.links[link].credits {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.nics[host].inject.service_order(&mut scratch);
-        let mut granted: Option<(usize, u16)> = None;
-        for &qidx in &scratch {
-            let QueueItem::Packet(p) = self.nics[host].inject.head(qidx).expect("listed queue")
-            else {
-                unreachable!("markers are drained before reaching arbitration");
-            };
-            let tq = self.downstream_queue(link, p);
-            if self.links[link].credits.has_room(tq, p.size as u64) {
-                granted = Some((qidx, tq));
-                break;
-            }
-        }
-        self.scratch = scratch;
-        let Some((qidx, tq)) = granted else { return };
-        let QueueItem::Packet(pkt) = self.nics[host].inject.pop(qidx) else {
-            unreachable!("head was a packet");
-        };
-        let kind = if self.nics[host].inject.is_saq_queue(qidx) {
-            QueueKind::Saq
-        } else {
-            QueueKind::Normal
-        };
-        self.observer
-            .on_dequeue(now, PortRef::Nic { host }, qidx, kind, &pkt);
-        let size = pkt.size as u64;
-        if self.nics[host].inject.is_saq_queue(qidx) {
-            // SAQ dequeue bookkeeping; a NIC SAQ is always a leaf, so it may
-            // become deallocatable right here.
-            let saq = self.nics[host]
-                .inject
-                .saq_at_queue(qidx)
-                .expect("popped from a live SAQ queue");
-            let signals = self.nics[host]
-                .inject
-                .recn_mut()
-                .expect("SAQ queue implies RECN")
-                .saq_dequeued(saq, size);
-            self.drain_nic_markers(now, q, host, qidx);
-            if signals.deallocatable {
-                self.nic_dealloc(now, q, host, saq);
-            }
-        } else if qidx == 0 {
-            self.drain_nic_markers(now, q, host, 0);
-        }
-        self.links[link].credits.consume(tq, size);
-        self.note_credit_consumed(now, link, tq, size);
-        self.observer.on_hop(now, &pkt, link);
-        let ser = self.cfg.link_time(size);
-        self.links[link].fwd_busy_until = now + ser;
-        self.links[link].fwd_busy_total += ser;
-        let at = now + ser + self.cfg.link_delay;
-        if at == now {
-            self.lazy_note_same_time_schedule(now);
-        }
-        q.schedule(
-            at,
-            Event::Deliver {
-                link,
-                payload: Payload::Data {
-                    pkt,
-                    target_queue: tq,
-                },
-            },
-        );
-        self.nics[host].inject.rr_granted(qidx);
-        if self.nics[host].inject.has_items() {
-            self.kick_nic_arb(now, now + ser, q, host);
-        }
-        // Injection buffer space freed: refill from admittance.
-        self.kick_nic_transfer(now, q, host);
-    }
-
-    /// The queue index a packet will occupy at the downstream switch input
-    /// port, as reserved by the sender's credit view.
-    pub(crate) fn downstream_queue(&self, link: usize, pkt: &Packet) -> u16 {
-        use crate::config::SchemeKind;
-        match self.links[link].down {
-            super::LinkDown::Host(_) => 0,
-            super::LinkDown::Switch { sw, port } => match self.cfg.scheme {
-                SchemeKind::OneQ => 0,
-                // PFC replaces the credit view with an infinite one; mirror
-                // the receiver's lowest-occupancy rule by inspecting the
-                // input port directly instead of the (absent) credit state.
-                SchemeKind::FourQ if self.cfg.transport.is_pfc() => {
-                    let inp = &self.switches[sw].inputs[port];
-                    (0..inp.num_queues())
-                        .min_by_key(|&qi| inp.queue_bytes(qi))
-                        .expect("4Q port has queues") as u16
-                }
-                SchemeKind::FourQ => self.links[link].credits.roomiest_queue(),
-                SchemeKind::VoqSw => pkt.route.remaining().first().copied().unwrap_or(0) as u16,
-                SchemeKind::VoqNet => pkt.dst.index() as u16,
-                SchemeKind::Recn(_) => crate::credit::POOLED_QUEUE,
-            },
-        }
     }
 }

@@ -10,15 +10,7 @@ use crate::observer::SaqSite;
 use crate::packet::{Payload, QueueItem, RevPayload};
 use crate::queue::QueueSet;
 
-use super::{Event, LinkUp, Network, PortRef};
-
-/// Which census bucket a port belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Site {
-    In,
-    Out,
-    Nic,
-}
+use super::{Event, Network, PortRef};
 
 impl Network {
     // ------------------------------------------------------------------
@@ -44,12 +36,7 @@ impl Network {
             .alloc_on_notification(path);
         match outcome {
             NotifOutcome::Accepted { saq } => {
-                self.counters.saq_allocs += 1;
-                let idx = self.port_index(sw, input);
-                self.observer
-                    .on_saq_alloc(now, SaqSite::SwitchIngress, idx, saq.line(), &path);
-                self.census_change(now, Site::In, idx, 1);
-                self.place_marker_input(now, q, sw, input, saq);
+                self.saq_allocated(now, q, PortRef::SwitchIn { sw, port: input }, saq, &path);
             }
             NotifOutcome::AlreadyPresent { .. } | NotifOutcome::Rejected => {
                 if matches!(outcome, NotifOutcome::Rejected) {
@@ -68,7 +55,11 @@ impl Network {
                     .on_token_rejected_from_input(input, path_at_egress);
                 self.note_root_change(now, q, sw, egress_port, change);
                 if let Some(saq) = dealloc {
-                    self.egress_dealloc(now, q, sw, egress_port, saq);
+                    let port = PortRef::SwitchOut {
+                        sw,
+                        port: egress_port,
+                    };
+                    self.dealloc(now, q, port, saq);
                 }
             }
         }
@@ -83,40 +74,15 @@ impl Network {
         link: usize,
         path: PathSpec,
     ) {
-        let up = self.links[link].up;
+        let port = self.links[link].up.port();
         let outcome = self
-            .egress_port_mut(up)
+            .port_mut(port)
             .recn_mut()
             .expect("RECN scheme")
             .alloc_on_notification(path);
         match outcome {
             NotifOutcome::Accepted { saq } => {
-                self.counters.saq_allocs += 1;
-                match up {
-                    LinkUp::Nic(h) => {
-                        self.observer.on_saq_alloc(
-                            now,
-                            SaqSite::NicInjection,
-                            h,
-                            saq.line(),
-                            &path,
-                        );
-                        self.census_change(now, Site::Nic, h, 1);
-                        self.place_marker_nic(now, q, h, saq);
-                    }
-                    LinkUp::Switch { sw, port } => {
-                        let idx = self.port_index(sw, port);
-                        self.observer.on_saq_alloc(
-                            now,
-                            SaqSite::SwitchEgress,
-                            idx,
-                            saq.line(),
-                            &path,
-                        );
-                        self.census_change(now, Site::Out, idx, 1);
-                        self.place_marker_output(now, q, sw, port, saq);
-                    }
-                }
+                self.saq_allocated(now, q, port, saq, &path);
                 self.send_fwd_ctrl(
                     now,
                     q,
@@ -175,7 +141,7 @@ impl Network {
             .expect("RECN scheme")
             .on_upstream_reject(path);
         if let Some(saq) = dealloc {
-            self.ingress_dealloc(now, q, sw, port, saq);
+            self.dealloc(now, q, PortRef::SwitchIn { sw, port }, saq);
         }
     }
 
@@ -192,7 +158,7 @@ impl Network {
             .expect("RECN scheme")
             .on_token_from_upstream(path);
         if let Some(saq) = dealloc {
-            self.ingress_dealloc(now, q, sw, port, saq);
+            self.dealloc(now, q, PortRef::SwitchIn { sw, port }, saq);
         }
     }
 
@@ -200,268 +166,115 @@ impl Network {
     // Deallocation cascades
     // ------------------------------------------------------------------
 
-    /// Deallocates an ingress SAQ and hands its token to the parent egress
-    /// port of the same switch, which may clear its root or cascade.
-    pub(crate) fn ingress_dealloc(
+    /// Deallocates `saq` at `port` and delivers its token to the parent:
+    /// an ingress SAQ hands it to the egress port of the same switch (which
+    /// may clear its root or cascade), an egress or NIC SAQ sends it
+    /// downstream across the port's link.
+    pub(crate) fn dealloc(
         &mut self,
         now: Picos,
         q: &mut EventQueue<Event>,
-        sw: usize,
-        input: usize,
+        port: PortRef,
         saq: SaqId,
     ) {
-        let path = self.switches[sw].inputs[input]
-            .recn()
-            .expect("RECN scheme")
-            .path_of(saq);
-        let action = self.switches[sw].inputs[input]
-            .recn_mut()
-            .expect("RECN scheme")
-            .dealloc(saq);
+        let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
+        let path = recn.path_of(saq);
+        let action = recn.dealloc(saq);
         self.counters.saq_deallocs += 1;
-        let idx = self.port_index(sw, input);
+        let (site, idx) = self.saq_site(port);
         self.observer
-            .on_saq_dealloc(now, SaqSite::SwitchIngress, idx, saq.line(), &path);
-        self.census_change(now, Site::In, idx, -1);
-        let TokenDest::EgressSameSwitch {
-            out_port,
-            path_at_egress,
-        } = action.token_to
-        else {
-            unreachable!("ingress SAQ tokens stay within the switch");
-        };
-        if action.xon_needed {
-            let in_link = self.switches[sw].in_link[input];
-            let path = path_at_egress.prepend(out_port);
-            self.counters.xons += 1;
-            self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
+            .on_saq_dealloc(now, site, idx, saq.line(), &path);
+        self.census_change(now, site, idx, -1);
+        match action.token_to {
+            TokenDest::EgressSameSwitch {
+                out_port,
+                path_at_egress,
+            } => {
+                let PortRef::SwitchIn { sw, port: input } = port else {
+                    unreachable!("only ingress SAQ tokens stay within the switch");
+                };
+                if action.xon_needed {
+                    let in_link = self.switches[sw].in_link[input];
+                    let path = path_at_egress.prepend(out_port);
+                    self.counters.xons += 1;
+                    self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
+                }
+                let out_port = out_port as usize;
+                let (change, dealloc) = self.switches[sw].outputs[out_port]
+                    .recn_mut()
+                    .expect("RECN scheme")
+                    .on_token_from_input(input, path_at_egress);
+                self.note_root_change(now, q, sw, out_port, change);
+                if let Some(next) = dealloc {
+                    let parent = PortRef::SwitchOut { sw, port: out_port };
+                    self.dealloc(now, q, parent, next);
+                }
+            }
+            TokenDest::DownstreamLink { path } => {
+                let link = self.egress_link(port);
+                self.counters.recn_tokens += 1;
+                self.send_fwd_ctrl(now, q, link, Payload::RecnToken { path });
+            }
         }
-        let (change, dealloc) = self.switches[sw].outputs[out_port as usize]
-            .recn_mut()
-            .expect("RECN scheme")
-            .on_token_from_input(input, path_at_egress);
-        self.note_root_change(now, q, sw, out_port as usize, change);
-        if let Some(next) = dealloc {
-            self.egress_dealloc(now, q, sw, out_port as usize, next);
-        }
-    }
-
-    /// Deallocates a switch-egress SAQ and sends its token downstream
-    /// across the output link.
-    pub(crate) fn egress_dealloc(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-        saq: SaqId,
-    ) {
-        let path = self.switches[sw].outputs[port]
-            .recn()
-            .expect("RECN scheme")
-            .path_of(saq);
-        let action = self.switches[sw].outputs[port]
-            .recn_mut()
-            .expect("RECN scheme")
-            .dealloc(saq);
-        self.counters.saq_deallocs += 1;
-        let idx = self.port_index(sw, port);
-        self.observer
-            .on_saq_dealloc(now, SaqSite::SwitchEgress, idx, saq.line(), &path);
-        self.census_change(now, Site::Out, idx, -1);
-        let TokenDest::DownstreamLink { path } = action.token_to else {
-            unreachable!("egress SAQ tokens cross the downstream link");
-        };
-        let link = self.switches[sw].out_link[port];
-        self.counters.recn_tokens += 1;
-        self.send_fwd_ctrl(now, q, link, Payload::RecnToken { path });
-    }
-
-    /// Deallocates a NIC-injection SAQ and sends its token downstream on
-    /// the injection link.
-    pub(crate) fn nic_dealloc(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        host: usize,
-        saq: SaqId,
-    ) {
-        let path = self.nics[host]
-            .inject
-            .recn()
-            .expect("RECN scheme")
-            .path_of(saq);
-        let action = self.nics[host]
-            .inject
-            .recn_mut()
-            .expect("RECN scheme")
-            .dealloc(saq);
-        self.counters.saq_deallocs += 1;
-        self.observer
-            .on_saq_dealloc(now, SaqSite::NicInjection, host, saq.line(), &path);
-        self.census_change(now, Site::Nic, host, -1);
-        let TokenDest::DownstreamLink { path } = action.token_to else {
-            unreachable!("NIC SAQ tokens cross the injection link");
-        };
-        let link = self.nics[host].link;
-        self.counters.recn_tokens += 1;
-        self.send_fwd_ctrl(now, q, link, Payload::RecnToken { path });
     }
 
     // ------------------------------------------------------------------
-    // In-order markers
+    // Allocation & in-order markers
     // ------------------------------------------------------------------
 
-    fn place_marker_input(
+    /// Books a freshly allocated `saq` at `port` (counter, observer,
+    /// census) and places its in-order markers: one in the normal queue
+    /// plus one in the queue slot of every proper-prefix SAQ.
+    fn saq_allocated(
         &mut self,
         now: Picos,
         q: &mut EventQueue<Event>,
-        sw: usize,
-        input: usize,
+        port: PortRef,
         saq: SaqId,
+        path: &PathSpec,
     ) {
-        let plan = self.switches[sw].inputs[input]
+        self.counters.saq_allocs += 1;
+        let (site, idx) = self.saq_site(port);
+        self.observer.on_saq_alloc(now, site, idx, saq.line(), path);
+        self.census_change(now, site, idx, 1);
+        let plan = self
+            .port(port)
             .recn()
             .expect("RECN scheme")
             .marker_plan(saq);
-        for target in Self::marker_queues(&plan) {
+        for target in std::iter::once(0).chain(plan.into_iter().map(QueueSet::saq_queue)) {
             self.counters.markers += 1;
-            self.switches[sw].inputs[input].push_direct(target, QueueItem::Marker(saq));
-            self.drain_input_markers(now, q, sw, input, target);
-        }
-    }
-
-    fn place_marker_output(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-        saq: SaqId,
-    ) {
-        let plan = self.switches[sw].outputs[port]
-            .recn()
-            .expect("RECN scheme")
-            .marker_plan(saq);
-        for target in Self::marker_queues(&plan) {
-            self.counters.markers += 1;
-            self.switches[sw].outputs[port].push_direct(target, QueueItem::Marker(saq));
-            self.drain_output_markers(now, q, sw, port, target);
-        }
-    }
-
-    fn place_marker_nic(&mut self, now: Picos, q: &mut EventQueue<Event>, host: usize, saq: SaqId) {
-        let plan = self.nics[host]
-            .inject
-            .recn()
-            .expect("RECN scheme")
-            .marker_plan(saq);
-        for target in Self::marker_queues(&plan) {
-            self.counters.markers += 1;
-            self.nics[host]
-                .inject
+            self.port_mut(port)
                 .push_direct(target, QueueItem::Marker(saq));
-            self.drain_nic_markers(now, q, host, target);
+            self.drain_markers(now, q, port, target);
         }
     }
 
-    /// Queue indices to receive markers: the normal queue plus the queue
-    /// slot of every proper-prefix SAQ from the plan.
-    fn marker_queues(plan: &[SaqId]) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(0).chain(plan.iter().map(|&s| QueueSet::saq_queue(s)))
-    }
-
-    /// Consumes markers at the head of an input-port queue, unblocking
-    /// (and possibly deallocating) the SAQs they reference.
-    pub(crate) fn drain_input_markers(
+    /// Consumes markers at the head of `queue` at `port`, unblocking (and
+    /// possibly deallocating) the SAQs they reference, then wakes the
+    /// port's arbiter: unblocked SAQs may now compete.
+    pub(crate) fn drain_markers(
         &mut self,
         now: Picos,
         q: &mut EventQueue<Event>,
-        sw: usize,
-        input: usize,
+        port: PortRef,
         queue: usize,
     ) {
-        while let Some(QueueItem::Marker(_)) = self.switches[sw].inputs[input].head(queue) {
-            let QueueItem::Marker(saq) = self.switches[sw].inputs[input].pop(queue) else {
+        while let Some(QueueItem::Marker(_)) = self.port(port).head(queue) {
+            let QueueItem::Marker(saq) = self.port_mut(port).pop(queue) else {
                 unreachable!("head was a marker");
             };
-            let recn = self.switches[sw].inputs[input]
-                .recn_mut()
-                .expect("RECN scheme");
-            let ready = recn.marker_consumed(saq);
-            if ready {
-                self.ingress_dealloc(now, q, sw, input, saq);
-            } else if self.switches[sw].inputs[input]
-                .recn()
-                .expect("RECN scheme")
-                .is_empty_leaf(saq)
-            {
-                self.schedule_idle_check(now, q, PortRef::SwitchIn { sw, port: input }, saq);
+            let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
+            if recn.marker_consumed(saq) {
+                self.dealloc(now, q, port, saq);
+            } else if recn.is_empty_leaf(saq) {
+                self.schedule_idle_check(now, q, port, saq);
             }
         }
-        // Unblocked SAQs may now compete for the crossbar.
-        self.kick_input_arb(now, q, sw);
-    }
-
-    /// Same for an output-port queue.
-    pub(crate) fn drain_output_markers(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-        queue: usize,
-    ) {
-        while let Some(QueueItem::Marker(_)) = self.switches[sw].outputs[port].head(queue) {
-            let QueueItem::Marker(saq) = self.switches[sw].outputs[port].pop(queue) else {
-                unreachable!("head was a marker");
-            };
-            let ready = self.switches[sw].outputs[port]
-                .recn_mut()
-                .expect("RECN scheme")
-                .marker_consumed(saq);
-            if ready {
-                self.egress_dealloc(now, q, sw, port, saq);
-            } else if self.switches[sw].outputs[port]
-                .recn()
-                .expect("RECN scheme")
-                .is_empty_leaf(saq)
-            {
-                self.schedule_idle_check(now, q, PortRef::SwitchOut { sw, port }, saq);
-            }
+        match port {
+            PortRef::SwitchIn { sw, .. } => self.kick_input_arb(now, q, sw),
+            _ => self.kick_egress_arb(now, now, q, self.egress_link(port)),
         }
-        self.kick_output_arb(now, now, q, sw, port);
-    }
-
-    /// Same for a NIC injection-port queue.
-    pub(crate) fn drain_nic_markers(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        host: usize,
-        queue: usize,
-    ) {
-        while let Some(QueueItem::Marker(_)) = self.nics[host].inject.head(queue) {
-            let QueueItem::Marker(saq) = self.nics[host].inject.pop(queue) else {
-                unreachable!("head was a marker");
-            };
-            let ready = self.nics[host]
-                .inject
-                .recn_mut()
-                .expect("RECN scheme")
-                .marker_consumed(saq);
-            if ready {
-                self.nic_dealloc(now, q, host, saq);
-            } else if self.nics[host]
-                .inject
-                .recn()
-                .expect("RECN scheme")
-                .is_empty_leaf(saq)
-            {
-                self.schedule_idle_check(now, q, PortRef::Nic { host }, saq);
-            }
-        }
-        self.kick_nic_arb(now, now, q, host);
     }
 
     // ------------------------------------------------------------------
@@ -469,18 +282,10 @@ impl Network {
     // ------------------------------------------------------------------
 
     pub(crate) fn egress_set_remote_xoff(&mut self, link: usize, path: PathSpec, xoff: bool) {
-        let up = self.links[link].up;
-        self.egress_port_mut(up)
+        self.port_mut(self.links[link].up.port())
             .recn_mut()
             .expect("RECN scheme")
             .set_remote_xoff(path, xoff);
-    }
-
-    fn egress_port_mut(&mut self, up: LinkUp) -> &mut QueueSet {
-        match up {
-            LinkUp::Nic(h) => &mut self.nics[h].inject,
-            LinkUp::Switch { sw, port } => &mut self.switches[sw].outputs[port],
-        }
     }
 
     // ------------------------------------------------------------------
@@ -539,40 +344,36 @@ impl Network {
         port: PortRef,
         saq: SaqId,
     ) {
-        let idle = match port {
-            PortRef::SwitchIn { sw, port } => self.switches[sw].inputs[port]
-                .recn()
-                .expect("RECN scheme")
-                .is_empty_leaf(saq),
-            PortRef::SwitchOut { sw, port } => self.switches[sw].outputs[port]
-                .recn()
-                .expect("RECN scheme")
-                .is_empty_leaf(saq),
-            PortRef::Nic { host } => self.nics[host]
-                .inject
-                .recn()
-                .expect("RECN scheme")
-                .is_empty_leaf(saq),
-        };
-        if !idle {
-            return;
+        let recn = self.port(port).recn().expect("RECN scheme");
+        if recn.is_empty_leaf(saq) {
+            self.dealloc(now, q, port, saq);
         }
+    }
+
+    /// The link an egress `port` transmits on.
+    fn egress_link(&self, port: PortRef) -> usize {
         match port {
-            PortRef::SwitchIn { sw, port } => self.ingress_dealloc(now, q, sw, port, saq),
-            PortRef::SwitchOut { sw, port } => self.egress_dealloc(now, q, sw, port, saq),
-            PortRef::Nic { host } => self.nic_dealloc(now, q, host, saq),
+            PortRef::SwitchOut { sw, port } => self.switches[sw].out_link[port],
+            PortRef::Nic { host } => self.nics[host].link,
+            PortRef::SwitchIn { .. } => unreachable!("input ports drive no link"),
         }
     }
 
-    fn port_index(&self, sw: usize, port: usize) -> usize {
-        self.port_base[sw] + port
+    /// `port` as the observer and the census name it: the site plus the
+    /// flat per-site index.
+    fn saq_site(&self, port: PortRef) -> (SaqSite, usize) {
+        match port {
+            PortRef::SwitchIn { sw, port } => (SaqSite::SwitchIngress, self.port_base[sw] + port),
+            PortRef::SwitchOut { sw, port } => (SaqSite::SwitchEgress, self.port_base[sw] + port),
+            PortRef::Nic { host } => (SaqSite::NicInjection, host),
+        }
     }
 
-    fn census_change(&mut self, now: Picos, site: Site, idx: usize, delta: i32) {
+    fn census_change(&mut self, now: Picos, site: SaqSite, idx: usize, delta: i32) {
         let (vec, max_tracker) = match site {
-            Site::In => (&mut self.saq_in, Some(&mut self.max_saq_in)),
-            Site::Out => (&mut self.saq_out, Some(&mut self.max_saq_out)),
-            Site::Nic => (&mut self.saq_nic, None),
+            SaqSite::SwitchIngress => (&mut self.saq_in, Some(&mut self.max_saq_in)),
+            SaqSite::SwitchEgress => (&mut self.saq_out, Some(&mut self.max_saq_out)),
+            SaqSite::NicInjection => (&mut self.saq_nic, None),
         };
         let old = vec[idx];
         let new = (old as i32 + delta).max(0) as u16;

@@ -1,18 +1,18 @@
-//! Switch behaviour: input arrival, crossbar arbitration and transfer,
-//! and output-link arbitration.
+//! Switch behaviour: input arrival, crossbar arbitration and transfer
+//! (output ports transmit through `egress.rs`).
 
 use simcore::{EventQueue, Picos};
 
 use crate::config::SchemeKind;
-use crate::credit::{CreditView, POOLED_QUEUE};
+use crate::credit::POOLED_QUEUE;
 use crate::observer::QueueKind;
-use crate::packet::{Packet, Payload, QueueItem, RevPayload};
+use crate::packet::{Packet, QueueItem, RevPayload};
 
 use super::{Event, Network, PortRef, XbarTransfer};
 
 /// Queue classification for observer events: under RECN every non-zero
 /// queue index is a SAQ slot; baseline schemes have only normal queues.
-fn kind_of(is_recn: bool, queue: usize) -> QueueKind {
+pub(super) fn kind_of(is_recn: bool, queue: usize) -> QueueKind {
     if is_recn && queue != 0 {
         QueueKind::Saq
     } else {
@@ -243,17 +243,17 @@ impl Network {
                     let path = recn_port.path_of(saq);
                     let signals = recn_port.saq_dequeued(saq, size);
                     // Markers of younger nested SAQs may now head this queue.
-                    self.drain_input_markers(now, q, sw, i, qidx);
+                    self.drain_markers(now, q, PortRef::SwitchIn { sw, port: i }, qidx);
                     if signals.xon {
                         let in_link = self.switches[sw].in_link[i];
                         self.counters.xons += 1;
                         self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
                     }
                     if signals.deallocatable {
-                        self.ingress_dealloc(now, q, sw, i, saq);
+                        self.dealloc(now, q, PortRef::SwitchIn { sw, port: i }, saq);
                     }
                 } else {
-                    self.drain_input_markers(now, q, sw, i, 0);
+                    self.drain_markers(now, q, PortRef::SwitchIn { sw, port: i }, 0);
                 }
             }
             self.pfc_check_resume(now, q, sw, i);
@@ -497,124 +497,8 @@ impl Network {
             );
         }
 
-        self.kick_output_arb(now, now, q, sw, output);
-        self.kick_input_arb(now, q, sw);
-    }
-
-    /// `Event::OutputArb` — transmit one packet from an output port onto
-    /// its link.
-    pub(crate) fn on_output_arb(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-    ) {
-        self.switches[sw].output_arb_scheduled[port] = false;
-        let link = self.switches[sw].out_link[port];
-        let busy = self.links[link].fwd_busy_until;
-        if busy > now {
-            // The busy retry happens before any emptiness check — eager
-            // semantics re-arm an idle-but-busy port the same way.
-            self.kick_output_arb(now, busy, q, sw, port);
-            return;
-        }
-        // PFC: a paused link transmits nothing; the resume message kicks
-        // this arbiter again. (Never true outside the PFC transport.)
-        if self.links[link].paused {
-            return;
-        }
-        // Work-elision fast paths (both event models): with nothing queued,
-        // or a pooled downstream view out of credit, the scan below grants
-        // nothing and mutates nothing — skip it.
-        if !self.switches[sw].outputs[port].has_items() {
-            return;
-        }
-        if let CreditView::Pooled { free: 0, .. } = self.links[link].credits {
-            return;
-        }
-        let is_recn = matches!(self.cfg.scheme, SchemeKind::Recn(_));
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.switches[sw].outputs[port].service_order(&mut scratch);
-        let mut granted: Option<(usize, u16)> = None;
-        for &qidx in &scratch {
-            let QueueItem::Packet(p) = self.switches[sw].outputs[port]
-                .head(qidx)
-                .expect("listed queue")
-            else {
-                unreachable!("markers are drained before reaching arbitration");
-            };
-            let tq = self.downstream_queue(link, p);
-            if self.links[link].credits.has_room(tq, p.size as u64) {
-                granted = Some((qidx, tq));
-                break;
-            }
-        }
-        self.scratch = scratch;
-        let Some((qidx, tq)) = granted else { return };
-        let QueueItem::Packet(pkt) = self.switches[sw].outputs[port].pop(qidx) else {
-            unreachable!("head was a packet");
-        };
-        self.observer.on_dequeue(
-            now,
-            PortRef::SwitchOut { sw, port },
-            qidx,
-            kind_of(is_recn, qidx),
-            &pkt,
-        );
-        let size = pkt.size as u64;
-        if is_recn {
-            if qidx != 0 {
-                let saq = self.switches[sw].outputs[port]
-                    .saq_at_queue(qidx)
-                    .expect("popped from a live SAQ queue");
-                let signals = self.switches[sw].outputs[port]
-                    .recn_mut()
-                    .expect("RECN scheme")
-                    .saq_dequeued(saq, size);
-                debug_assert!(!signals.xon, "egress SAQs have no upstream Xoff");
-                self.drain_output_markers(now, q, sw, port, qidx);
-                if signals.deallocatable {
-                    self.egress_dealloc(now, q, sw, port, saq);
-                }
-            } else {
-                let occ = self.switches[sw].outputs[port].queue_bytes(0);
-                let change = self.switches[sw].outputs[port]
-                    .recn_mut()
-                    .expect("RECN scheme")
-                    .normal_occupancy_changed(occ);
-                self.note_root_change(now, q, sw, port, change);
-                self.drain_output_markers(now, q, sw, port, 0);
-            }
-        }
-        // ARN occupancy trigger (non-RECN schemes): the dequeue may have
-        // drained this output below the cold threshold.
-        self.arn_occupancy_check(now, q, sw, port);
-        self.links[link].credits.consume(tq, size);
-        self.note_credit_consumed(now, link, tq, size);
-        self.observer.on_hop(now, &pkt, link);
-        let ser = self.cfg.link_time(size);
-        self.links[link].fwd_busy_until = now + ser;
-        self.links[link].fwd_busy_total += ser;
-        let at = now + ser + self.cfg.link_delay;
-        if at == now {
-            self.lazy_note_same_time_schedule(now);
-        }
-        q.schedule(
-            at,
-            Event::Deliver {
-                link,
-                payload: Payload::Data {
-                    pkt,
-                    target_queue: tq,
-                },
-            },
-        );
-        self.switches[sw].outputs[port].rr_granted(qidx);
-        if self.switches[sw].outputs[port].has_items() {
-            self.kick_output_arb(now, now + ser, q, sw, port);
-        }
-        // Output buffer space freed: inputs may proceed.
+        let out_link = self.switches[sw].out_link[output];
+        self.kick_egress_arb(now, now, q, out_link);
         self.kick_input_arb(now, q, sw);
     }
 }

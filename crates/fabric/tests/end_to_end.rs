@@ -10,13 +10,13 @@
 //! drives seeded random bursty scripts through every scheme.
 
 use fabric::{
-    assert_recn_idle, ConstantRateSource, FabricConfig, FanoutObserver, MessageSource, NetObserver,
-    Network, SchemeKind, ScriptSource, SilentSource, SourcedMessage, ValidatingObserver,
-    ValidatorHandle,
+    assert_recn_idle, ConstantRateSource, EventModel, FabricConfig, FanoutObserver, MessageSource,
+    NetObserver, Network, Packet, PortRef, QueueKind, SaqSite, SchemeKind, ScriptSource,
+    SilentSource, SourcedMessage, TraceSink, ValidatingObserver, ValidatorHandle,
 };
 use recn::RecnConfig;
 use simcore::{Picos, Xoshiro256};
-use topology::{HostId, MinParams};
+use topology::{HostId, MinParams, PathSpec};
 
 /// An online invariant checker for one run: panics mid-simulation on the
 /// first violation, and the handle lets drained runs assert emptiness.
@@ -507,4 +507,97 @@ fn random_scripts_conserve_balance_and_replay() {
         total_allocs > 0 && total_drops > 0,
         "the sweep went vacuous"
     );
+}
+
+/// Counts, per [`SaqSite`], the SAQs deallocated without ever having
+/// stored a packet — only the idle-reclaim timer (`Event::SaqIdleCheck`)
+/// frees those — on the 16-host 4-port MIN (flat index `sw * 4 + port`).
+#[derive(Default)]
+struct UnusedSaqs {
+    /// `(site, flat index, CAM line)` of every live SAQ → stored a packet.
+    live: std::collections::BTreeMap<(usize, usize, usize), bool>,
+    /// Never-used deallocs at `[ingress, egress, NIC]`.
+    reclaimed: std::rc::Rc<std::cell::Cell<[u32; 3]>>,
+}
+
+fn site_slot(site: SaqSite) -> usize {
+    match site {
+        SaqSite::SwitchIngress => 0,
+        SaqSite::SwitchEgress => 1,
+        SaqSite::NicInjection => 2,
+    }
+}
+
+impl NetObserver for UnusedSaqs {
+    fn on_saq_alloc(&mut self, _: Picos, site: SaqSite, idx: usize, line: usize, _: &PathSpec) {
+        self.live.insert((site_slot(site), idx, line), false);
+    }
+
+    fn on_enqueue(&mut self, _: Picos, port: PortRef, queue: usize, kind: QueueKind, _: &Packet) {
+        if kind == QueueKind::Saq {
+            let (slot, idx) = match port {
+                PortRef::SwitchIn { sw, port } => (0, sw * 4 + port),
+                PortRef::SwitchOut { sw, port } => (1, sw * 4 + port),
+                PortRef::Nic { host } => (2, host),
+            };
+            *self
+                .live
+                .get_mut(&(slot, idx, queue - 1))
+                .expect("live SAQ") = true;
+        }
+    }
+
+    fn on_saq_dealloc(&mut self, _: Picos, site: SaqSite, idx: usize, line: usize, _: &PathSpec) {
+        let slot = site_slot(site);
+        if !self.live.remove(&(slot, idx, line)).expect("live SAQ") {
+            let mut n = self.reclaimed.get();
+            n[slot] += 1;
+            self.reclaimed.set(n);
+        }
+    }
+}
+
+/// A 5 µs hotspot burst, short enough that notifications outrun the
+/// traffic: SAQs are allocated upstream (switch outputs, NICs) after the
+/// last matching packet has passed. Returns the drained network, the
+/// never-used deallocs per site and the trace digest.
+fn idle_reclaim_run(timeout: Picos, model: EventModel) -> (Network, [u32; 3], u64) {
+    let sources = hotspot_sources(16, &[0, 1, 2, 3, 4, 5], 15, 8, 12, Picos::from_us(5));
+    let mut cfg = FabricConfig::paper(SchemeKind::Recn(test_recn_config())).with_event_model(model);
+    cfg.saq_idle_timeout = timeout;
+    let unused = UnusedSaqs::default();
+    let reclaimed = unused.reclaimed.clone();
+    let (obs, vh) = validator();
+    let (sink, trace) = TraceSink::new(1, "idle");
+    let fan = FanoutObserver::new()
+        .push(obs)
+        .push(Box::new(unused))
+        .push(Box::new(sink));
+    let net = Network::new(MinParams::new(16, 4, 2), cfg, 64, sources, Box::new(fan));
+    let net = run_to_drain(net);
+    vh.assert_drained();
+    (net, reclaimed.get(), trace.digest())
+}
+
+#[test]
+fn idle_timer_reclaims_never_used_saqs_at_every_site() {
+    let (net, unused, _) = idle_reclaim_run(Picos::from_us(1), EventModel::Lazy);
+    assert!(
+        unused.iter().all(|&n| n > 0),
+        "never-used SAQs reclaimed at [ingress, egress, NIC]: {unused:?}"
+    );
+    let c = net.counters();
+    assert_eq!(c.saq_allocs, c.saq_deallocs, "every SAQ must be reclaimed");
+    assert!(net.is_quiescent());
+    assert_recn_idle(&net);
+
+    // Zero timeout: the check lands at the time it was scheduled, so it is
+    // a same-time non-wakeup event and must close the lazy model's open
+    // wakeup batch exactly as the eager reference orders it.
+    let (lazy_net, lazy_unused, lazy) = idle_reclaim_run(Picos::ZERO, EventModel::Lazy);
+    let (_, eager_unused, eager) = idle_reclaim_run(Picos::ZERO, EventModel::Eager);
+    assert!(lazy_unused.iter().sum::<u32>() > 0, "{lazy_unused:?}");
+    assert_eq!(lazy_unused, eager_unused);
+    assert_eq!(lazy, eager, "lazy digest {lazy:#x} != eager {eager:#x}");
+    assert_recn_idle(&lazy_net);
 }

@@ -40,10 +40,8 @@
 pub mod corner;
 pub mod flows;
 pub mod san;
-pub mod trace;
 
 mod random;
 
 pub use flows::{FlowPattern, FlowSet};
 pub use random::{RandomUniformSource, Spacing};
-pub use trace::Trace;

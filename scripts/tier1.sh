@@ -9,9 +9,9 @@ echo "== tier1: cargo build --release --workspace =="
 # only cover it and skip the `recn` binary the smoke tests run.
 cargo build --release --workspace
 recn="$PWD/target/release/recn"
-# One front door: the workspace links exactly two executables.
+# One front door: the workspace links exactly one executable.
 exes="$(cargo build --release --workspace --message-format=json 2> /dev/null | grep -o '"executable":"[^"]*"' | sed 's|.*/||; s|"||' | sort | xargs)"
-test "$exes" = "bench_core recn" || { echo "unexpected executables: $exes" >&2; exit 1; }
+test "$exes" = "recn" || { echo "unexpected executables: $exes" >&2; exit 1; }
 
 echo "== tier1: cargo test -q =="
 cargo test -q
@@ -143,5 +143,15 @@ sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d1.jsonl" > "$smoke/d1.masked"
 sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d2.jsonl" > "$smoke/d2.masked"
 cmp "$smoke/d1.masked" "$smoke/d2.masked"
 echo "serve smoke passed: spool drained, warm pass served from cache"
+
+echo "== tier1: benchmark-harness guard (benchmark/ builds against the crates, digests hold) =="
+# benchmark/ is a separate package that the pipeline builds from this
+# checkout and gates every PR with. This only *reads* it: one short pass of
+# one workload must build against the current `fabric::{Event, PortRef,
+# NetObserver, ..}` surface and reproduce benchmark/expected.json.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload hotspot256_recn --seed 2005 --seconds 2 --trace 0 2> /dev/null \
+  | tail -n 1 | grep -q '"correct": true'
+echo "benchmark-harness guard passed: hotspot256_recn builds and reports correct"
 
 echo "== tier1: all checks passed =="
