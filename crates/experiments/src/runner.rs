@@ -9,7 +9,7 @@ use fabric::{
 };
 use metrics::{FctSummary, Probe, ProbeHandle};
 use recn::RecnConfig;
-use simcore::{EventModel, Picos, SeriesPoint};
+use simcore::{Engine, EventModel, Picos, SeriesPoint};
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
 
@@ -128,8 +128,10 @@ pub struct RunOutput {
     pub trace_digest: Option<u64>,
     /// Estimated peak bytes of simulator backing storage for the run:
     /// network model (queue slabs, admit pools, credit views, per-flow
-    /// arrays) + event queue at its deepest + the probe's series state.
-    /// Deterministic — derived from high-water marks, never from the
+    /// arrays) + the event queue's reserved backing
+    /// ([`EventQueue::backing_bytes`](simcore::EventQueue::backing_bytes):
+    /// node slab, bucket index, overflow tier) + the probe's series state.
+    /// Deterministic — derived from capacities, never from the
     /// allocator — so cached results replay it exactly.
     pub peak_bytes_estimate: u64,
     /// Per-flow completion-time summary (`None` unless the run completed
@@ -274,34 +276,23 @@ fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
     let mut engine = net.build_engine();
     engine.run_until(spec.horizon());
     let wall_secs = started.elapsed().as_secs_f64();
-    let events = engine.processed();
-    let peak_depth = engine.queue().peak_len();
-    let model = engine.into_model();
-    let mut out = finish(
-        spec.scheme(),
-        model,
-        handle,
-        spec.horizon(),
-        wall_secs,
-        events,
-        peak_depth,
-    );
+    let mut out = finish(spec.scheme(), engine, handle, spec.horizon(), wall_secs);
     out.trace_digest = trace.map(|t| t.digest());
     out
 }
 
 fn finish(
     scheme: SchemeKind,
-    model: Network,
+    engine: Engine<Network>,
     handle: ProbeHandle,
     horizon: Picos,
     wall_secs: f64,
-    events: u64,
-    peak_event_queue_depth: usize,
 ) -> RunOutput {
-    let peak_bytes_estimate = model.memory_footprint()
-        + Network::event_queue_bytes(peak_event_queue_depth)
-        + handle.backing_bytes();
+    let events = engine.processed();
+    let peak_event_queue_depth = engine.queue().peak_len();
+    let event_queue_bytes = engine.queue().backing_bytes() as u64;
+    let model = engine.into_model();
+    let peak_bytes_estimate = model.memory_footprint() + event_queue_bytes + handle.backing_bytes();
     RunOutput {
         schema_version: OUTPUT_SCHEMA_VERSION,
         scheme: scheme.name(),

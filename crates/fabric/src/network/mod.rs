@@ -791,15 +791,6 @@ impl Network {
         total
     }
 
-    /// Estimated bytes of event-queue backing at `depth` pending events —
-    /// the engine-side companion to
-    /// [`memory_footprint`](Network::memory_footprint), sized from this
-    /// network's scheduled-event record. Pass the queue's peak depth to
-    /// account for the run's high-water mark.
-    pub fn event_queue_bytes(depth: usize) -> u64 {
-        (depth * std::mem::size_of::<simcore::ScheduledEvent<Event>>()) as u64
-    }
-
     /// Mean forward-channel utilization over all links at `now`
     /// (busy-time fraction, data + control traffic).
     pub fn mean_link_utilization(&self, now: Picos) -> f64 {

@@ -5,29 +5,33 @@
 //! of "day" buckets, each bucket a sorted run of `(time, seq)` keys. For
 //! the near-uniform event-time distributions a cycle-ish switch model
 //! produces (most events land within a couple of link times of `now`),
-//! `schedule` and `pop` are O(1) amortized, versus the O(log n) of the
-//! binary-heap scheduler it replaces.
+//! `schedule` and `pop` are O(1) amortized, versus the O(log n) of a
+//! binary heap.
 //!
 //! ## Ordering contract
 //!
 //! Delivery order is *exactly* nondecreasing `(time, seq)` — identical,
-//! event for event, to the legacy heap (see
+//! event for event, to the binary heap kept as the test oracle (see
 //! [`SchedulerKind`](crate::SchedulerKind)). This is load-bearing: the
-//! golden-trace digests pin whole-run event sequences, so the scheduler
-//! swap must be invisible at the per-event level. The differential tests
-//! in `tests/` drive random schedules through both backends and assert
-//! identical pop sequences, including FIFO stability at equal times.
+//! golden-trace digests pin whole-run event sequences, so nothing the
+//! scheduler does may be visible at the per-event level. The differential
+//! tests in `tests/` drive random schedules through both backends and
+//! assert identical pop sequences, including FIFO stability at equal times.
 //!
 //! ## Mechanics
 //!
 //! * A *day* is `1 << width_shift` picoseconds; day `d` lives in bucket
-//!   `d % nbuckets`. Buckets are `VecDeque`s kept ascending by
-//!   `(time, seq)`, so the common append (later key into its day) and the
-//!   common removal (pop the front) are both O(1); out-of-order inserts
-//!   binary-search their slot.
+//!   `d % nbuckets`. Every bucketed event sits in one node slab, and a
+//!   bucket is a `(head, tail)` pair of slab indices: a doubly linked run
+//!   kept ascending by `(time, seq)` (Brown's original layout). The common
+//!   append (later key into its day) and the common removal (pop the
+//!   front) are O(1); an out-of-order insert walks back from the tail.
+//!   Freed nodes go on a LIFO free list, so the slab's size follows the
+//!   peak number of bucketed events — however many buckets the window
+//!   sweeps over a run — and the node reused next is the one freed last.
 //! * An occupancy bitmap (one bit per bucket) mirrors which buckets are
 //!   non-empty, so head relocation skips runs of empty buckets a word at
-//!   a time instead of touching every `VecDeque` header.
+//!   a time instead of touching every bucket's index entry.
 //! * `cur_day` tracks the day being drained. A pop takes the cached head;
 //!   relocating the next head scans the bitmap forward from `cur_day`,
 //!   visiting each *occupied* bucket at most once per lap. If a whole lap
@@ -40,22 +44,21 @@
 //!   tier (à la the ladder queue). Without it, far-future events wrap
 //!   around the circular array and sit in the same buckets as the dense
 //!   cluster near `now`, turning the majority of near-term schedules
-//!   into binary-search mid-`VecDeque` inserts — the dominant cost in
-//!   hotspot workloads. Every overflow key is strictly greater than
-//!   every bucketed key, so the head always lives in the buckets; when
-//!   the window drains, a cheap migration (sort the mostly-sorted
-//!   overflow, append the next cohort) re-anchors it at the overflow
-//!   minimum.
-//! * A rebuild (bucket overload, a run outgrowing [`LONG_RUN`], or a
-//!   migration finding mostly tail) re-derives the geometry: the day
+//!   into out-of-order mid-run inserts — the dominant cost in hotspot
+//!   workloads. Every overflow key is strictly greater than every
+//!   bucketed key, so the head always lives in the buckets; when the
+//!   window drains, a cheap migration (sort the mostly-sorted overflow,
+//!   append the next cohort) re-anchors it at the overflow minimum.
+//! * A rebuild (bucket overload, an insert walking [`LONG_RUN`] nodes, or
+//!   a migration finding mostly tail) re-derives the geometry: the day
 //!   width is the *coarsest* one whose longest same-day run stays within
-//!   [`RUN_LIMIT`] (so mid-`VecDeque` inserts shift little — same-time
+//!   [`RUN_LIMIT`] (so a mid-run insert walks few nodes — same-time
 //!   events can't be split by any width, but they arrive in `seq` order
 //!   and append), and the bucket count gives ~2 buckets per event *and*
 //!   a window reaching the last pending event's day (capped), so only
 //!   the far tail overflows.
 
-use std::collections::VecDeque;
+use std::mem::size_of;
 
 use crate::queue::ScheduledEvent;
 use crate::Picos;
@@ -63,7 +66,7 @@ use crate::Picos;
 /// Lower bound on the day width: a single picosecond (the time base's
 /// resolution). Hotspot workloads really do reach >1 event/ps near the
 /// head — clamping coarser than this packs hundreds of events per day
-/// and turns same-day schedules into long mid-`VecDeque` shifts.
+/// and turns same-day schedules into long walks back from the tail.
 const MIN_WIDTH_SHIFT: u32 = 0;
 /// Upper bound on the day width (2²⁰ ps ≈ 1.05 µs): events further apart
 /// than this are rare enough that coarse buckets suffice.
@@ -72,12 +75,25 @@ const MAX_WIDTH_SHIFT: u32 = 20;
 const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 20;
 /// Day-width selection: the rebuild picks the coarsest width whose
-/// longest same-day run stays within this bound, so mid-`VecDeque`
-/// inserts shift at most this many events.
+/// longest same-day run stays within this bound, so a mid-run insert
+/// walks at most this many nodes.
 const RUN_LIMIT: usize = 16;
-/// A bucket run growing past this between rebuilds (the workload got
-/// denser than the last width choice) forces an early re-width.
+/// An out-of-order insert walking this many nodes between rebuilds (the
+/// workload got denser than the last width choice) forces an early
+/// re-width.
 const LONG_RUN: usize = 4 * RUN_LIMIT;
+/// "No node": an empty bucket's head and tail, the ends of a run, the
+/// end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a pending event linked into its bucket's run, or a
+/// free slot linked (through `next`) into the free list.
+#[derive(Debug)]
+struct Node<E> {
+    ev: Option<ScheduledEvent<E>>,
+    prev: u32,
+    next: u32,
+}
 
 /// A calendar queue over [`ScheduledEvent`]s; see the module docs.
 ///
@@ -86,7 +102,13 @@ const LONG_RUN: usize = 4 * RUN_LIMIT;
 /// stability at equal times — exact.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue<E> {
-    buckets: Vec<VecDeque<ScheduledEvent<E>>>,
+    /// Every bucketed event. Grows only when the free list is empty, so
+    /// its length is the peak number of events the buckets ever held.
+    nodes: Vec<Node<E>>,
+    /// Most recently freed node (LIFO, so reuse stays cache-hot), or `NIL`.
+    free: u32,
+    /// `(head, tail)` of each bucket's ascending run; `(NIL, NIL)` if empty.
+    buckets: Vec<(u32, u32)>,
     /// Bit `b` set ⇔ `buckets[b]` is non-empty.
     occupied: Vec<u64>,
     /// `buckets.len() - 1`; bucket count is always a power of two.
@@ -111,22 +133,6 @@ pub(crate) struct CalendarQueue<E> {
     len: usize,
     /// Schedules since the last rebuild (cooldown for early re-widths).
     sched_since_rebuild: usize,
-    pub(crate) stats: CalStats,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct CalStats {
-    pub sched_empty: u64,
-    pub sched_append: u64,
-    pub sched_insert: u64,
-    pub sched_overflow: u64,
-    pub sched_rewind: u64,
-    pub pop_fast: u64,
-    pub pop_scan: u64,
-    pub pop_fallback: u64,
-    pub scan_steps: u64,
-    pub rebuilds: u64,
-    pub migrations: u64,
 }
 
 /// Longest run of events (in a `(time, seq)`-sorted slice) sharing a day
@@ -145,23 +151,12 @@ fn max_run<E>(events: &[ScheduledEvent<E>], shift: u32) -> usize {
     best
 }
 
-impl<E> Drop for CalendarQueue<E> {
-    fn drop(&mut self) {
-        if std::env::var_os("CAL_STATS").is_some() && self.stats.rebuilds > 0 {
-            eprintln!(
-                "CAL_STATS shift={} nbuckets={} {:?}",
-                self.width_shift,
-                self.buckets.len(),
-                self.stats
-            );
-        }
-    }
-}
-
 impl<E> CalendarQueue<E> {
     pub(crate) fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: vec![(NIL, NIL); MIN_BUCKETS],
             occupied: vec![0; MIN_BUCKETS / 64],
             mask: (MIN_BUCKETS - 1) as u64,
             width_shift: 13, // 8.2 ns: a fraction of a 64 B serialization time
@@ -172,7 +167,6 @@ impl<E> CalendarQueue<E> {
             cal_len: 0,
             len: 0,
             sched_since_rebuild: 0,
-            stats: CalStats::default(),
         }
     }
 
@@ -184,18 +178,105 @@ impl<E> CalendarQueue<E> {
         self.head.map(|(t, s, _)| (t, s))
     }
 
+    /// Bytes of backing store currently reserved: capacities, not
+    /// residency, so the figure is deterministic. The slab and the
+    /// overflow tier never shrink; the bucket index and its bitmap are
+    /// re-sized by [`rebuild`](Self::rebuild).
+    pub(crate) fn backing_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node<E>>()
+            + self.buckets.capacity() * size_of::<(u32, u32)>()
+            + self.occupied.capacity() * size_of::<u64>()
+            + self.overflow.capacity() * size_of::<ScheduledEvent<E>>()
+    }
+
     fn day_of(&self, time: Picos) -> u64 {
         time.as_ps() >> self.width_shift
     }
 
+    /// Key of the event in linked node `n`.
     #[inline]
-    fn set_bit(&mut self, b: usize) {
-        self.occupied[b >> 6] |= 1 << (b & 63);
+    fn key(&self, n: u32) -> (Picos, u64) {
+        let ev = self.nodes[n as usize].ev.as_ref().expect("linked node");
+        (ev.time, ev.seq)
     }
 
-    #[inline]
-    fn clear_bit(&mut self, b: usize) {
-        self.occupied[b >> 6] &= !(1 << (b & 63));
+    /// Stores `ev` in a slab slot (the most recently freed one, if any)
+    /// with the given links.
+    fn alloc(&mut self, ev: ScheduledEvent<E>, prev: u32, next: u32) -> u32 {
+        let ev = Some(ev);
+        let node = Node { ev, prev, next };
+        if self.free == NIL {
+            let n = u32::try_from(self.nodes.len()).ok().filter(|&n| n != NIL);
+            self.nodes.push(node);
+            n.expect("fewer than 2^32 - 1 bucketed events")
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        }
+    }
+
+    /// Empties the slab. Only valid while no bucket holds an event; the
+    /// next cohort then lands in the slab in key order, front to back.
+    fn reset_slab(&mut self) {
+        debug_assert!(self.nodes.iter().all(|n| n.ev.is_none()));
+        self.nodes.clear();
+        self.free = NIL;
+    }
+
+    /// Appends `ev` to bucket `b`'s run; its key exceeds the tail's.
+    fn push_back(&mut self, b: usize, ev: ScheduledEvent<E>) {
+        let tail = self.buckets[b].1;
+        let n = self.alloc(ev, tail, NIL);
+        if tail == NIL {
+            self.buckets[b].0 = n;
+            self.occupied[b >> 6] |= 1 << (b & 63);
+        } else {
+            self.nodes[tail as usize].next = n;
+        }
+        self.buckets[b].1 = n;
+    }
+
+    /// Links `ev` into non-empty bucket `b` ahead of every later key,
+    /// walking back from the tail (whose key exceeds `ev`'s). Returns the
+    /// number of nodes walked.
+    fn insert_before_tail(&mut self, b: usize, ev: ScheduledEvent<E>) -> usize {
+        let key = (ev.time, ev.seq);
+        let mut after = self.buckets[b].1;
+        let mut before = self.nodes[after as usize].prev;
+        let mut walked = 1;
+        while before != NIL && self.key(before) > key {
+            after = before;
+            before = self.nodes[before as usize].prev;
+            walked += 1;
+        }
+        let n = self.alloc(ev, before, after);
+        self.nodes[after as usize].prev = n;
+        if before == NIL {
+            self.buckets[b].0 = n;
+        } else {
+            self.nodes[before as usize].next = n;
+        }
+        walked
+    }
+
+    /// Unlinks and frees the front of non-empty bucket `b`.
+    fn pop_front(&mut self, b: usize) -> ScheduledEvent<E> {
+        let n = self.buckets[b].0;
+        let node = &mut self.nodes[n as usize];
+        let ev = node.ev.take().expect("linked node");
+        let next = node.next;
+        node.next = self.free;
+        self.free = n;
+        self.buckets[b].0 = next;
+        if next == NIL {
+            self.buckets[b].1 = NIL;
+            self.occupied[b >> 6] &= !(1 << (b & 63));
+        } else {
+            self.nodes[next as usize].prev = NIL;
+        }
+        ev
     }
 
     /// Circular distance from bucket `start` to the next occupied bucket
@@ -227,31 +308,20 @@ impl<E> CalendarQueue<E> {
             // overflow key exceeds every bucketed key, so the cached head
             // is untouched, and the window stays dense — far-future
             // events never pollute the near buckets with mid-run inserts.
-            self.stats.sched_overflow += 1;
             self.overflow.push(ev);
             self.len += 1;
             return;
         }
         let b = (day & self.mask) as usize;
-        let bucket = &mut self.buckets[b];
+        let tail = self.buckets[b].1;
         let mut long_run = false;
-        if bucket.is_empty() {
-            self.stats.sched_empty += 1;
-            bucket.push_back(ev);
-            self.set_bit(b);
-        } else if bucket
-            .back()
-            .is_some_and(|back| (back.time, back.seq) > key)
-        {
-            // Out-of-order for this bucket: binary-search the slot.
-            self.stats.sched_insert += 1;
-            long_run = bucket.len() >= LONG_RUN;
-            let pos = bucket.partition_point(|e| (e.time, e.seq) < key);
-            bucket.insert(pos, ev);
+        if tail == NIL || self.key(tail) < key {
+            // Fast path: the day's first event, or one extending its
+            // bucket's ascending run.
+            self.push_back(b, ev);
         } else {
-            // Fast path: the key extends the bucket's ascending run.
-            self.stats.sched_append += 1;
-            bucket.push_back(ev);
+            // Out of order for this bucket: walk back to its slot.
+            long_run = self.insert_before_tail(b, ev) >= LONG_RUN;
         }
         self.len += 1;
         self.cal_len += 1;
@@ -260,7 +330,6 @@ impl<E> CalendarQueue<E> {
             Some((ht, hs, _)) if (ht, hs) < key => {}
             // New earliest event (or empty queue): rewind to its day.
             _ => {
-                self.stats.sched_rewind += 1;
                 self.cur_day = day;
                 self.head = Some((key.0, key.1, b));
             }
@@ -271,31 +340,28 @@ impl<E> CalendarQueue<E> {
             && self.width_shift > MIN_WIDTH_SHIFT
             && self.sched_since_rebuild > self.len
         {
-            // The workload got denser than the last width choice: a run
-            // has outgrown LONG_RUN and every insert into it shifts that
-            // much. Re-derive the width (cooldown: at most one early
-            // re-width per queue's-worth of schedules).
+            // The workload got denser than the last width choice: inserts
+            // into this run walk LONG_RUN nodes. Re-derive the width
+            // (cooldown: at most one early re-width per queue's-worth of
+            // schedules).
             self.rebuild();
         }
     }
 
     pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let (_, _, b) = self.head?;
-        let ev = self.buckets[b]
-            .pop_front()
-            .expect("cached head bucket is non-empty");
+        let ev = self.pop_front(b);
         self.len -= 1;
         self.cal_len -= 1;
         // Fast path: the drained bucket's next front is due the same day —
         // it is the new head, and the bucket is already in cache.
-        if let Some(front) = self.buckets[b].front() {
-            if self.day_of(front.time) == self.cur_day {
-                self.stats.pop_fast += 1;
-                self.head = Some((front.time, front.seq, b));
+        let front = self.buckets[b].0;
+        if front != NIL {
+            let (t, s) = self.key(front);
+            if self.day_of(t) == self.cur_day {
+                self.head = Some((t, s, b));
                 return Some(ev);
             }
-        } else {
-            self.clear_bit(b);
         }
         if self.cal_len == 0 && !self.overflow.is_empty() {
             self.migrate(); // window drained: re-anchor at the overflow min
@@ -318,7 +384,6 @@ impl<E> CalendarQueue<E> {
         let nb = self.buckets.len() as u64;
         let mut off = 0u64;
         while off < nb {
-            self.stats.scan_steps += 1;
             let from = ((self.cur_day + off) & self.mask) as usize;
             let Some(extra) = self.next_occupied_offset(from) else {
                 break;
@@ -329,11 +394,10 @@ impl<E> CalendarQueue<E> {
             }
             let day = self.cur_day + off;
             let b = (day & self.mask) as usize;
-            let front = self.buckets[b].front().expect("bitmap says non-empty");
-            if self.day_of(front.time) == day {
-                self.stats.pop_scan += 1;
+            let (t, s) = self.key(self.buckets[b].0);
+            if self.day_of(t) == day {
                 self.cur_day = day;
-                self.head = Some((front.time, front.seq, b));
+                self.head = Some((t, s, b));
                 return;
             }
             // Front belongs to a later lap: skip this bucket for now.
@@ -341,15 +405,13 @@ impl<E> CalendarQueue<E> {
         }
         // Sparse tail: nothing due within a lap. Take the minimum over the
         // occupied bucket fronts (each front is its bucket's minimum).
-        self.stats.pop_fallback += 1;
         let mut best: Option<(Picos, u64, usize)> = None;
         for (wi, &word) in self.occupied.iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 let b = (wi << 6) + w.trailing_zeros() as usize;
                 w &= w - 1;
-                let front = self.buckets[b].front().expect("bitmap says non-empty");
-                let key = (front.time, front.seq);
+                let key = self.key(self.buckets[b].0);
                 if best.is_none_or(|(t, s, _)| key < (t, s)) {
                     best = Some((key.0, key.1, b));
                 }
@@ -380,17 +442,18 @@ impl<E> CalendarQueue<E> {
             self.rebuild(); // re-derive the width for the sparser tail
             return;
         }
-        self.stats.migrations += 1;
         self.epoch_day = first_day;
         self.cur_day = first_day;
         self.cal_len = split;
         let first = &self.overflow[0];
         self.head = Some((first.time, first.seq, (first_day & self.mask) as usize));
-        for ev in self.overflow.drain(..split) {
-            let b = ((ev.time.as_ps() >> self.width_shift) & self.mask) as usize;
-            self.buckets[b].push_back(ev);
-            self.occupied[b >> 6] |= 1 << (b & 63);
+        self.reset_slab();
+        let mut overflow = std::mem::take(&mut self.overflow);
+        for ev in overflow.drain(..split) {
+            let b = (self.day_of(ev.time) & self.mask) as usize;
+            self.push_back(b, ev);
         }
+        self.overflow = overflow;
     }
 
     /// Resizes the calendar to the current population: ~2 buckets per
@@ -398,19 +461,24 @@ impl<E> CalendarQueue<E> {
     /// the events nearest the head (robust against far-future stragglers
     /// stretching the span — see the module docs).
     fn rebuild(&mut self) {
-        self.stats.rebuilds += 1;
         self.sched_since_rebuild = 0;
         let mut events: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.len);
         // Drain via the bitmap: empty buckets (the vast majority in a
         // sparse calendar) aren't even touched.
-        for (wi, word) in self.occupied.iter().enumerate() {
-            let mut w = *word;
+        for (wi, word) in self.occupied.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
             while w != 0 {
                 let b = (wi << 6) + w.trailing_zeros() as usize;
                 w &= w - 1;
-                events.extend(self.buckets[b].drain(..));
+                let mut n = std::mem::replace(&mut self.buckets[b], (NIL, NIL)).0;
+                while n != NIL {
+                    let node = &mut self.nodes[n as usize];
+                    events.extend(node.ev.take());
+                    n = node.next;
+                }
             }
         }
+        self.reset_slab();
         events.append(&mut self.overflow);
         debug_assert_eq!(events.len(), self.len);
         events.sort_unstable_by_key(|e| (e.time, e.seq));
@@ -418,10 +486,10 @@ impl<E> CalendarQueue<E> {
         // Coarsest day width whose longest same-day run stays within
         // RUN_LIMIT (max_run is monotone in the shift, so binary search).
         // Wider days mean a larger window (fewer overflow migrations);
-        // the run bound keeps every mid-insert shift small. Events at the
+        // the run bound keeps every mid-run walk short. Events at the
         // *identical* picosecond can't be split by any width; if even
         // 1 ps days exceed the bound, take them anyway (same-time events
-        // arrive in seq order, so they append rather than shift).
+        // arrive in seq order, so they append rather than walk).
         if events.len() > 1 {
             if max_run(&events, MIN_WIDTH_SHIFT) > RUN_LIMIT {
                 self.width_shift = MIN_WIDTH_SHIFT;
@@ -460,11 +528,9 @@ impl<E> CalendarQueue<E> {
         };
 
         if self.buckets.len() != nbuckets {
-            self.buckets = (0..nbuckets).map(|_| VecDeque::new()).collect();
+            self.buckets = vec![(NIL, NIL); nbuckets];
             self.mask = (nbuckets - 1) as u64;
             self.occupied = vec![0; nbuckets / 64];
-        } else {
-            self.occupied.fill(0);
         }
         // Re-anchor the window at the earliest event and redistribute in
         // ascending key order: every in-window push is the O(1) append
@@ -480,9 +546,7 @@ impl<E> CalendarQueue<E> {
         for ev in events {
             let day = self.day_of(ev.time);
             if day < limit {
-                let b = (day & self.mask) as usize;
-                self.buckets[b].push_back(ev);
-                self.occupied[b >> 6] |= 1 << (b & 63);
+                self.push_back((day & self.mask) as usize, ev);
                 self.cal_len += 1;
             } else {
                 self.overflow.push(ev);
@@ -491,3 +555,6 @@ impl<E> CalendarQueue<E> {
         debug_assert!(self.cal_len > 0 || self.len == 0);
     }
 }
+
+#[cfg(test)]
+mod tests;

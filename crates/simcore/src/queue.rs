@@ -157,6 +157,18 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Bytes of backing store the queue currently holds reserved — node
+    /// slab, bucket index, occupancy bitmap and overflow tier by capacity
+    /// (the heap oracle: its one array). Deterministic for a given
+    /// schedule, unlike resident-set size, and bounded by the deepest the
+    /// queue ever got plus the index, not by how long the run was.
+    pub fn backing_bytes(&self) -> usize {
+        match &self.backend {
+            Backend::Calendar(c) => c.backing_bytes(),
+            Backend::Heap(h) => h.capacity() * std::mem::size_of::<Entry<E>>(),
+        }
+    }
+
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

@@ -1,4 +1,4 @@
-//! Differential tests: the calendar queue and the legacy heap must pop
+//! Differential tests: the calendar queue and the heap oracle must pop
 //! identical `(time, seq, event)` sequences for identical schedules —
 //! including FIFO stability at equal times and interleaved pops.
 //!
@@ -116,4 +116,155 @@ fn monotone_engine_like_schedules_match() {
         }
         assert!(heap.pop().is_none());
     }
+}
+
+/// The calendar and the heap oracle side by side: every pop is checked.
+struct Pair {
+    cal: EventQueue<u64>,
+    heap: EventQueue<u64>,
+}
+
+impl Pair {
+    fn new() -> Self {
+        Pair {
+            cal: EventQueue::with_scheduler(SchedulerKind::Calendar),
+            heap: EventQueue::with_scheduler(SchedulerKind::Heap),
+        }
+    }
+
+    fn schedule(&mut self, time: Picos) {
+        let payload = self.cal.scheduled_total();
+        self.cal.schedule(time, payload);
+        self.heap.schedule(time, payload);
+    }
+
+    fn pop(&mut self) -> Option<Picos> {
+        let a = self.cal.pop().map(|e| (e.time, e.seq, e.event));
+        let b = self.heap.pop().map(|e| (e.time, e.seq, e.event));
+        assert_eq!(a, b, "pop diverged");
+        assert_eq!(self.cal.peek_time(), self.heap.peek_time());
+        a.map(|(time, ..)| time)
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert_eq!(self.cal.peak_len(), self.heap.peak_len());
+    }
+
+    /// What the calendar may hold reserved at this peak depth: slab and
+    /// overflow tier each at most double the peak (`Vec` growth), a node
+    /// being an event plus 16 B of option tag and links — plus the index
+    /// at its ceiling, 2^20 buckets of 8 B and one bit.
+    fn assert_memory_follows_depth(&self) {
+        let node = std::mem::size_of::<simcore::ScheduledEvent<u64>>() + 16;
+        let bound = 4 * self.cal.peak_len() * node + (8 << 20) + (1 << 17);
+        let bytes = self.cal.backing_bytes();
+        assert!(bytes <= bound, "{bytes} B reserved, bound {bound} B");
+    }
+}
+
+#[test]
+fn memory_follows_depth_not_simulated_time() {
+    // The hotspot profile that used to hold 222 MiB for 6.4 k events: a
+    // hold model of 50 same-picosecond bursts of 20 events (ties force
+    // 1 ps days), each re-scheduled whole 43–512 ns ahead, so ~1 k pending
+    // events span ~0.5 µs of 1 ps buckets and the window sweeps the whole
+    // bucket array again and again — 20 k bursts × ~4 ns is ~80 µs, over
+    // 70 windows even at the 2^20-bucket cap.
+    let mut rng = SplitMix64::new(0xca1e_0da2);
+    let mut q = Pair::new();
+    for burst in 0..50 {
+        for _ in 0..20 {
+            q.schedule(Picos::new(burst * 7_919));
+        }
+    }
+    let mut after_first_windows = 0;
+    for round in 0..20_000 {
+        let now = q.cal.peek_time().expect("a hold model never drains");
+        let mut burst = 0;
+        while q.cal.peek_time() == Some(now) {
+            q.pop();
+            burst += 1;
+        }
+        let hop = match rng.next_u64() % 64 {
+            0 => 50_000_000, // a timer: past the window, into the overflow tier
+            r => [42_667, 84_000, 512_000][(r % 3) as usize],
+        };
+        let at = now + Picos::new(hop + rng.next_u64() % 997);
+        for _ in 0..burst {
+            q.schedule(at);
+        }
+        if round == 2_500 {
+            after_first_windows = q.cal.backing_bytes();
+        }
+    }
+    assert!(
+        q.cal.peek_time() > Some(Picos::from_us(9)),
+        "swept 8+ windows"
+    );
+    assert!(q.cal.peak_len() <= 1_000);
+    let bytes = q.cal.backing_bytes();
+    assert!(
+        bytes <= after_first_windows,
+        "{after_first_windows} B after the first windows grew to {bytes} B"
+    );
+    q.assert_memory_follows_depth();
+    q.drain();
+}
+
+#[test]
+fn insert_heavy_schedules_match() {
+    // The incast/go-back-N profile: ~1 k pending events 300 ps apart (the
+    // rebuild settles on 4 ns days, `width_shift` 12), two thirds of them
+    // scheduled a fixed ack or serialization time ahead — monotone, so
+    // they append — and a third at a random nearer offset, which lands
+    // mid-run in an occupied bucket (30 % of all schedules, counted with
+    // the calendar's internals once while writing this).
+    for seed in 400..404 {
+        let mut rng = SplitMix64::new(seed);
+        let mut q = Pair::new();
+        for i in 0..1_000 {
+            q.schedule(Picos::new(i * 300));
+        }
+        for _ in 0..60_000 {
+            let now = q.pop().expect("a hold model never drains");
+            let ahead = match rng.next_u64() % 3 {
+                0 => rng.next_u64() % 300_000,
+                _ => 300_000,
+            };
+            q.schedule(now + Picos::new(ahead));
+        }
+        q.assert_memory_follows_depth();
+        q.drain();
+    }
+}
+
+#[test]
+fn slab_is_reused_across_rebuilds_that_resize_the_index() {
+    // A sawtooth: grow to 4096 pending (two schedules per pop), fall back
+    // to 32, four times over, at alternately fine and coarse time scales —
+    // so rebuilds re-derive the width and re-size the index both up and
+    // down (128 … 2^17 buckets) while events are pending and freed slots
+    // sit on the free list. The slab is recycled from tooth to tooth.
+    let mut rng = SplitMix64::new(0x51ab);
+    let mut q = Pair::new();
+    let mut now = Picos::ZERO;
+    q.schedule(now);
+    for range in [10_000, 10_000_000, 10_000, 1_000_000_000] {
+        while q.cal.len() < 4_096 {
+            now = q.pop().expect("never empty while growing");
+            q.schedule(now + Picos::new(rng.next_u64() % range));
+            q.schedule(now + Picos::new(rng.next_u64() % range));
+        }
+        q.assert_memory_follows_depth();
+        while q.cal.len() > 32 {
+            now = q.pop().expect("len > 32");
+            if rng.next_u64().is_multiple_of(4) {
+                q.schedule(now + Picos::new(rng.next_u64() % range));
+            }
+        }
+        assert_eq!(q.cal.peak_len(), 4_096);
+        q.assert_memory_follows_depth();
+    }
+    q.drain();
 }

@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# Parent-vs-change benchmark trajectory: BENCHMARK.json's command, every
+# workload, end-to-end pass (--trace 0), in alternating parent/change pairs.
+#
+#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [seconds=run_seconds]
+#
+# Writes BENCH_<pr>.json at the repo root (<pr> from ISSUE.md's heading):
+# per workload × end-to-end metric, the parent's and the change's median,
+# the parent's interquartile range, and in how many pairs the change read
+# better — the numbers the choosing-metrics rule needs (a gain counts when
+# the change wins ≥ 9/10 pairs and the medians differ by more than the
+# parent's IQR). The parent is `git archive`d into target/bench_pairs/ and
+# built there; the change is the working tree. Only *reads* benchmark/ and
+# BENCHMARK.json. Needs python3 for the JSON.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+parent_ref="${1:?usage: scripts/bench_pairs.sh <parent-ref> [pairs] [seconds]}"
+pairs="${2:-10}"
+seconds="${3:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
+seed=2005
+pr="$(sed -n '1s/^# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md)"
+test -n "$pr" || { echo "no '# ISSUE <n>' heading in ISSUE.md" >&2; exit 1; }
+parent_sha="$(git rev-parse --verify "$parent_ref^{commit}")"
+
+work="$PWD/target/bench_pairs"
+rm -rf "$work/parent"
+mkdir -p "$work/parent"
+git archive "$parent_sha" | tar -x -C "$work/parent"
+runs="$work/runs.jsonl"
+: > "$runs"
+
+mapfile -t command < <(python3 -c 'import json; print(*json.load(open("BENCHMARK.json"))["command"], sep="\n")')
+mapfile -t workloads < <(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]], sep="\n")')
+
+# One pass of one workload on one side; appends its result line to $runs.
+pass() {
+  local side="$1" pair="$2" workload="$3" dir="$PWD"
+  [ "$side" = parent ] && dir="$work/parent"
+  local line
+  line="$(cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 2> /dev/null | tail -n 1)"
+  echo "{\"side\": \"$side\", \"pair\": $pair, \"workload\": \"$workload\", \"result\": $line}" >> "$runs"
+}
+
+echo "== bench_pairs: building parent $parent_sha and the working tree =="
+for side in parent change; do pass "$side" 0 "${workloads[0]}"; done
+: > "$runs" # the build passes are not measurements
+
+for pair in $(seq 1 "$pairs"); do
+  # Alternate which side runs first, so drift on the host cancels.
+  order=(parent change)
+  [ $((pair % 2)) -eq 0 ] && order=(change parent)
+  for workload in "${workloads[@]}"; do
+    for side in "${order[@]}"; do pass "$side" "$pair" "$workload"; done
+  done
+  echo "pair $pair/$pairs done"
+done
+
+python3 - "$runs" "BENCH_$pr.json" "$pr" "$parent_sha" "$pairs" "$seconds" "$seed" "$(nproc)" << 'EOF'
+import json, statistics, sys
+
+runs_path, out_path, pr, parent_sha, pairs, seconds, seed, cpus = sys.argv[1:]
+bench = json.load(open("BENCHMARK.json"))
+runs = [json.loads(line) for line in open(runs_path)]
+
+
+def quartiles(xs):
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q3
+
+
+workloads = {}
+for w in (w["name"] for w in bench["workloads"]):
+    mine = [r for r in runs if r["workload"] == w]
+    rows = {}
+    for m in bench["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        value = lambda r: r["result"]["metrics"][name]["value"]
+        side = {s: {r["pair"]: value(r) for r in mine if r["side"] == s} for s in ("parent", "change")}
+        parent, change = list(side["parent"].values()), list(side["change"].values())
+        q1, q3 = quartiles(parent)
+        better = lambda c, p: c < p if lower else c > p
+        pm, cm = statistics.median(parent), statistics.median(change)
+        rows[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent_median": pm,
+            "change_median": cm,
+            "change_vs_parent_pct": round((cm / pm - 1) * 100, 2) if pm else None,
+            "parent_iqr": q3 - q1,
+            "pairs_change_better": sum(better(side["change"][p], side["parent"][p]) for p in side["parent"]),
+            "pairs_tied": sum(side["change"][p] == side["parent"][p] for p in side["parent"]),
+        }
+    workloads[w] = {
+        "all_correct": all(r["result"]["correct"] for r in mine),
+        "failed": sum(r["result"]["failed"] for r in mine),
+        "metrics": rows,
+    }
+
+json.dump(
+    {
+        "pr": int(pr),
+        "parent": parent_sha,
+        "protocol": {
+            "command": bench["command"] + ["--workload", "<name>", "--seed", seed, "--seconds", seconds, "--trace", "0"],
+            "pairs": int(pairs),
+            "host_cpus": int(cpus),
+            "alternating": "odd pairs run the parent first, even pairs the change",
+        },
+        "workloads": workloads,
+    },
+    open(out_path, "w"),
+    indent=2,
+)
+open(out_path, "a").write("\n")
+print(f"wrote {out_path}")
+EOF
