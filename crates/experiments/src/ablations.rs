@@ -39,12 +39,10 @@ pub struct AblationRow {
     pub deallocs: u64,
 }
 
-fn corner2(opts: &Opts) -> Workload {
-    Workload::Corner(
-        CornerCase::case2_64()
-            .with_msg_bytes(opts.packet_size())
-            .shrunk(opts.time_div()),
-    )
+fn corner2(opts: &Opts) -> CornerCase {
+    CornerCase::case2_64()
+        .with_msg_bytes(opts.packet_size())
+        .shrunk(opts.time_div())
 }
 
 /// Fans the RECN configurations out over one parallel sweep (corner case
@@ -57,7 +55,8 @@ fn run_recn_sweep(
     let specs = settings
         .iter()
         .map(|(setting, cfg)| {
-            RunSpec::new(MinParams::paper_64(), SchemeKind::Recn(*cfg), corner2(opts))
+            let workload = Workload::Corner(corner2(opts));
+            RunSpec::new(MinParams::paper_64(), SchemeKind::Recn(*cfg), workload)
                 .with_packet_size(opts.packet_size())
                 .with_horizon(Picos::from_us(1600 / opts.time_div()))
                 .with_bin(Picos::from_us((5 / opts.time_div()).max(1)))
@@ -178,7 +177,7 @@ pub fn latency_split(opts: &Opts, scheme: SchemeKind) -> LatencySplit {
             }
         }
     }
-    let corner = CornerCase::case2_64().shrunk(opts.time_div());
+    let corner = corner2(opts);
     let horizon = Picos::from_us(1600 / opts.time_div());
     let state = Rc::new(RefCell::new((Running::new(), Running::new())));
     let sources = corner.build_sources(horizon);
@@ -264,5 +263,15 @@ mod tests {
         }
         let text = render_latency(&splits);
         assert!(text.contains("RECN") && text.contains("1Q"));
+        // `--pkt 512` sizes the messages too: the same byte rates then
+        // take an eighth of the packets (64-byte messages in 512-byte
+        // packetization would deliver as many packets as `--pkt 64`).
+        let big = Opts {
+            pkt: Some(512),
+            ..quick()
+        };
+        let packets = |s: &LatencySplit| s.hotspot.count() + s.innocent.count();
+        let big = latency_split(&big, SchemeKind::OneQ);
+        assert!(packets(&big) * 4 < packets(&splits[0]), "{big:?}");
     }
 }

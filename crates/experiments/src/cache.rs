@@ -15,7 +15,7 @@
 //! sweep that populated it (apart from the per-run `"cache"` marker and
 //! the sweep's own total wall time).
 //!
-//! The offline build's serde is a no-op stub, so both directions are
+//! The workspace has no external dependencies, so both directions are
 //! hand-rolled: a one-line JSON body plus a tiny recursive-descent parser
 //! that keeps number tokens as text (`u64` and `f64` parse exactly —
 //! Rust's shortest-representation float formatting round-trips).

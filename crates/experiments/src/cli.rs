@@ -15,9 +15,12 @@ use topology::{FatTreeParams, MinParams, TopoParams};
 use traffic::corner::CornerCase;
 
 use crate::figures::{self, FIGURES};
+use crate::opts::flag::{
+    net, CACHE, CSV, JOBS, JSON, PKT, QUICK, ROUTING, STRIDE, TOPOLOGY, TRACE, TRACE_LAST,
+    TRANSPORT,
+};
 use crate::opts::{
-    is_help, opts_flags, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed,
-    TopologyChoice, OPTS_FLAGS,
+    is_help, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed, TopologyChoice,
 };
 use crate::runner::{paper_recn_config, scaled_recn_config, summarize, SchemeSet};
 use crate::spec::RunSpec;
@@ -38,8 +41,37 @@ pub struct Command {
     pub run: fn(&str, &Parsed<'_>) -> Result<(), String>,
 }
 
-const FIG_FLAGS: [FlagDef; 13] = opts_flags(&[256, 512]);
-const HOTSPOT_FLAGS: [FlagDef; 13] = opts_flags(&[64, 512]);
+// Each command's table is the flags it reads: anything else is an unknown
+// option, not a flag accepted and silently ignored.
+const FIG_FLAGS: &[FlagDef] = &[
+    QUICK,
+    PKT,
+    CSV,
+    JSON,
+    CACHE,
+    JOBS,
+    net(&[256, 512]),
+    STRIDE,
+    ROUTING,
+    TRANSPORT,
+];
+const HOTSPOT_FLAGS: &[FlagDef] = &[
+    QUICK,
+    PKT,
+    CSV,
+    JSON,
+    CACHE,
+    JOBS,
+    net(&[64, 512]),
+    STRIDE,
+    TOPOLOGY,
+    ROUTING,
+    TRANSPORT,
+];
+const INCAST_FLAGS: &[FlagDef] = &[QUICK, JSON, CACHE, JOBS, ROUTING, TRANSPORT];
+const ABLATIONS_FLAGS: &[FlagDef] = &[QUICK, PKT, JSON, CACHE, JOBS, ROUTING, TRANSPORT];
+const VALIDATE_FLAGS: &[FlagDef] = &[QUICK, JOBS, TOPOLOGY, ROUTING];
+const INSPECT_FLAGS: &[FlagDef] = &[QUICK, PKT, TRACE, TRACE_LAST];
 
 /// Every command of the binary, in `recn --help` order.
 pub const COMMANDS: &[Command] = &[
@@ -47,7 +79,7 @@ pub const COMMANDS: &[Command] = &[
         name: "fig",
         operand: &["2", "3", "4", "5", "6", "all"],
         about: "regenerate one of the paper's figures (or all, back to back)",
-        flags: &FIG_FLAGS,
+        flags: FIG_FLAGS,
         run: fig,
     },
     Command {
@@ -62,14 +94,14 @@ pub const COMMANDS: &[Command] = &[
         operand: &[],
         about:
             "five-scheme hotspot table on --topology min|fattree (routing matrix with --routing)",
-        flags: &HOTSPOT_FLAGS,
+        flags: HOTSPOT_FLAGS,
         run: |_, f| hotspot(&Opts::from_flags(f)?),
     },
     Command {
         name: "incast",
         operand: &[],
         about: "incast64 flow-completion times, five schemes under --transport",
-        flags: &OPTS_FLAGS,
+        flags: INCAST_FLAGS,
         run: |_, f| {
             let rows = incast::incast_sweep(&Opts::from_flags(f)?);
             print!("{}", incast::render_rows(&rows));
@@ -80,21 +112,21 @@ pub const COMMANDS: &[Command] = &[
         name: "ablations",
         operand: &[],
         about: "RECN design ablations and the per-class latency split",
-        flags: &OPTS_FLAGS,
+        flags: ABLATIONS_FLAGS,
         run: |_, f| ablation_tables(&Opts::from_flags(f)?),
     },
     Command {
         name: "validate",
         operand: &[],
         about: "one hotspot run per scheme with the invariant checker on",
-        flags: &OPTS_FLAGS,
+        flags: VALIDATE_FLAGS,
         run: |_, f| validate(&Opts::from_flags(f)?),
     },
     Command {
         name: "inspect",
         operand: &[],
         about: "mid-congestion port/SAQ state of corner case 2 under RECN",
-        flags: &OPTS_FLAGS,
+        flags: INSPECT_FLAGS,
         run: |_, f| inspect(&Opts::from_flags(f)?),
     },
     Command {
@@ -239,7 +271,7 @@ fn hotspot(opts: &Opts) -> Result<(), String> {
     if opts.net == Some(512) && opts.topology != TopologyChoice::FatTree {
         return Err(format!(
             "--net 512 needs --topology fattree; {}",
-            usage_line(&HOTSPOT_FLAGS)
+            usage_line(HOTSPOT_FLAGS)
         ));
     }
     let fig = figures::topology_hotspot(opts);
@@ -391,33 +423,71 @@ fn inspect(opts: &Opts) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// The flag names each command's `--help` lists are the ones its
-    /// binary accepted before the mains were folded into `recn`.
+    /// The flag names each command's `--help` lists are exactly the ones
+    /// the command reads.
     #[test]
     fn flag_surface_is_the_binaries() {
-        const OPTS: &[&str] = &[
-            "--quick",
-            "--pkt",
-            "--csv",
-            "--json",
-            "--cache",
-            "--jobs",
-            "--net",
-            "--stride",
-            "--trace",
-            "--trace-last",
-            "--topology",
-            "--routing",
-            "--transport",
-        ];
         let expected: [(&str, &[&str]); 9] = [
-            ("fig", OPTS),
+            (
+                "fig",
+                &[
+                    "--quick",
+                    "--pkt",
+                    "--csv",
+                    "--json",
+                    "--cache",
+                    "--jobs",
+                    "--net",
+                    "--stride",
+                    "--routing",
+                    "--transport",
+                ],
+            ),
             ("table1", &[]),
-            ("hotspot", OPTS),
-            ("incast", OPTS),
-            ("ablations", OPTS),
-            ("validate", OPTS),
-            ("inspect", OPTS),
+            (
+                "hotspot",
+                &[
+                    "--quick",
+                    "--pkt",
+                    "--csv",
+                    "--json",
+                    "--cache",
+                    "--jobs",
+                    "--net",
+                    "--stride",
+                    "--topology",
+                    "--routing",
+                    "--transport",
+                ],
+            ),
+            (
+                "incast",
+                &[
+                    "--quick",
+                    "--json",
+                    "--cache",
+                    "--jobs",
+                    "--routing",
+                    "--transport",
+                ],
+            ),
+            (
+                "ablations",
+                &[
+                    "--quick",
+                    "--pkt",
+                    "--json",
+                    "--cache",
+                    "--jobs",
+                    "--routing",
+                    "--transport",
+                ],
+            ),
+            (
+                "validate",
+                &["--quick", "--jobs", "--topology", "--routing"],
+            ),
+            ("inspect", &["--quick", "--pkt", "--trace", "--trace-last"]),
             ("scale", &["--net", "--time-div", "--json", "--budget"]),
             (
                 "serve",
@@ -449,12 +519,25 @@ mod tests {
     #[test]
     fn bad_commands_and_operands_are_usage_errors() {
         let run = |words: &[&str]| run(words.iter().map(|s| s.to_string()));
-        let cases: [(&[&str], &str); 6] = [
+        let cases: [(&[&str], &str); 9] = [
             (&[], "usage: recn <command>"),
             (&["nosuch"], "unknown command nosuch; usage: recn <command>"),
             (&["fig"], "usage: recn fig 2|3|4|5|6|all"),
             (&["fig", "7"], "usage: recn fig 2|3|4|5|6|all"),
             (&["table1", "--quick"], "unknown option --quick; options:"),
+            // A flag another command reads is not silently ignored here.
+            (
+                &["validate", "--transport", "pfc"],
+                "unknown option --transport; options: [--quick] [--jobs N]",
+            ),
+            (
+                &["incast", "--pkt", "512"],
+                "unknown option --pkt; options: [--quick] [--json DIR|none]",
+            ),
+            (
+                &["inspect", "--routing", "arn"],
+                "unknown option --routing; options: [--quick] [--pkt 64|512]",
+            ),
             (
                 &["hotspot", "--net", "512"],
                 "--net 512 needs --topology fattree; options:",

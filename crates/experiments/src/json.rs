@@ -1,5 +1,5 @@
 //! The crate's hand-rolled JSON: the writers every renderer shares and a
-//! minimal reader (the offline build's serde is a no-op stub).
+//! minimal reader (the workspace has no external dependencies).
 //!
 //! The reader keeps number tokens as text, so `u64` and `f64` parse
 //! exactly — Rust's shortest-representation float formatting round-trips.

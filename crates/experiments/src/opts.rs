@@ -195,99 +195,96 @@ pub fn render_help(defs: &[FlagDef]) -> String {
     s
 }
 
-/// The flag table of the figure/validation commands (what
-/// [`Opts::from_flags`] reads), with `--net` admitting the sizes in `net`
-/// — each command runs its own set of networks.
-pub const fn opts_flags(net: &'static [u64]) -> [FlagDef; 13] {
-    [
-        FlagDef {
-            name: "--quick",
-            aliases: &[],
-            value: None,
-            help: "8x time compression (benches/CI; curve shapes preserved)",
-        },
-        FlagDef {
-            name: "--pkt",
-            aliases: &[],
-            value: Some(Value::OneOf(&[64, 512])),
-            help: "packet size in bytes (default 64)",
-        },
-        FlagDef {
-            name: "--csv",
-            aliases: &[],
-            value: Some(Value::Text("DIR", "a directory")),
-            help: "also write CSV files under DIR",
-        },
-        FlagDef {
-            name: "--json",
-            aliases: &[],
-            value: Some(Value::Text("DIR|none", "a directory (or `none`)")),
-            help: "JSON sweep summaries under DIR (default results/; `none` disables)",
-        },
-        FlagDef {
-            name: "--cache",
-            aliases: &[],
-            value: Some(Value::Text("DIR|none", "a directory (or `none`)")),
-            help: "content-addressed run cache under DIR (resumes interrupted sweeps)",
-        },
-        FlagDef {
-            name: "--jobs",
-            aliases: &[],
-            value: Some(Value::Count("N", "a worker count")),
-            help: "sweep worker count (default = available parallelism)",
-        },
-        FlagDef {
-            name: "--net",
-            aliases: &[],
-            value: Some(Value::OneOf(net)),
-            help: "network size for fig 6 (both when absent) and the fat-tree \
-                   hotspot (512 swaps in the 8-ary 3-tree)",
-        },
-        FlagDef {
-            name: "--stride",
-            aliases: &[],
-            value: Some(Value::Count("N", "a row count")),
-            help: "print every Nth series row (default 4)",
-        },
-        FlagDef {
-            name: "--trace",
-            aliases: &[],
-            value: Some(Value::Text("FILE", "a file")),
-            help: "write an event-trace JSONL file",
-        },
-        FlagDef {
-            name: "--trace-last",
-            aliases: &[],
-            value: Some(Value::Count("N", "a record count")),
-            help: "trace ring capacity (default 4096; digest covers the whole run)",
-        },
-        FlagDef {
-            name: "--topology",
-            aliases: &[],
-            value: Some(Value::Text("min|fattree", "min or fattree")),
-            help: "topology family to build (MIN default)",
-        },
-        FlagDef {
-            name: "--routing",
-            aliases: &[],
-            value: Some(Value::Text(
-                "deterministic|adaptive|arn",
-                "deterministic, adaptive or arn",
-            )),
-            help: "routing policy (deterministic default; arn = notification-driven adaptive)",
-        },
-        FlagDef {
-            name: "--transport",
-            aliases: &[],
-            value: Some(Value::Text("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
-            help: "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)",
-        },
-    ]
-}
+/// The flags [`Opts::from_flags`] reads, one constant each: a command's
+/// table lists exactly the ones the command acts on (see
+/// [`crate::cli::COMMANDS`]), so a flag it would ignore is an unknown
+/// option there rather than a silent no-op.
+pub(crate) mod flag {
+    use super::{FlagDef, Value};
 
-/// [`opts_flags`] with `--net` admitting every preset size: the table of
-/// the commands that build one fixed network and do not read `--net`.
-pub const OPTS_FLAGS: [FlagDef; 13] = opts_flags(&[64, 256, 512]);
+    const fn flag(name: &'static str, value: Option<Value>, help: &'static str) -> FlagDef {
+        FlagDef {
+            name,
+            aliases: &[],
+            value,
+            help,
+        }
+    }
+
+    pub const QUICK: FlagDef = flag(
+        "--quick",
+        None,
+        "8x time compression (benches/CI; curve shapes preserved)",
+    );
+    pub const PKT: FlagDef = flag(
+        "--pkt",
+        Some(Value::OneOf(&[64, 512])),
+        "packet size in bytes (default 64)",
+    );
+    pub const CSV: FlagDef = flag(
+        "--csv",
+        Some(Value::Text("DIR", "a directory")),
+        "also write CSV files under DIR",
+    );
+    pub const JSON: FlagDef = flag(
+        "--json",
+        Some(Value::Text("DIR|none", "a directory (or `none`)")),
+        "JSON sweep summaries under DIR (default results/; `none` disables)",
+    );
+    pub const CACHE: FlagDef = flag(
+        "--cache",
+        Some(Value::Text("DIR|none", "a directory (or `none`)")),
+        "content-addressed run cache under DIR (resumes interrupted sweeps)",
+    );
+    pub const JOBS: FlagDef = flag(
+        "--jobs",
+        Some(Value::Count("N", "a worker count")),
+        "sweep worker count (default = available parallelism)",
+    );
+    /// `--net`, admitting the sizes in `sizes` — each command runs its own
+    /// set of networks.
+    pub const fn net(sizes: &'static [u64]) -> FlagDef {
+        flag(
+            "--net",
+            Some(Value::OneOf(sizes)),
+            "network size for fig 6 (both when absent) and the fat-tree \
+             hotspot (512 swaps in the 8-ary 3-tree)",
+        )
+    }
+    pub const STRIDE: FlagDef = flag(
+        "--stride",
+        Some(Value::Count("N", "a row count")),
+        "print every Nth series row (default 4)",
+    );
+    pub const TRACE: FlagDef = flag(
+        "--trace",
+        Some(Value::Text("FILE", "a file")),
+        "write an event-trace JSONL file",
+    );
+    pub const TRACE_LAST: FlagDef = flag(
+        "--trace-last",
+        Some(Value::Count("N", "a record count")),
+        "trace ring capacity (default 4096; digest covers the whole run)",
+    );
+    pub const TOPOLOGY: FlagDef = flag(
+        "--topology",
+        Some(Value::Text("min|fattree", "min or fattree")),
+        "topology family to build (MIN default)",
+    );
+    pub const ROUTING: FlagDef = flag(
+        "--routing",
+        Some(Value::Text(
+            "deterministic|adaptive|arn",
+            "deterministic, adaptive or arn",
+        )),
+        "routing policy (deterministic default; arn = notification-driven adaptive)",
+    );
+    pub const TRANSPORT: FlagDef = flag(
+        "--transport",
+        Some(Value::Text("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
+        "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)",
+    );
+}
 
 /// Which topology family the commands should build (`--topology`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -386,10 +383,11 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Reads the options out of a parsed argument list (a table built by
-    /// [`opts_flags`]). Returns `Err` with a message that includes the
-    /// usage text on a name `--topology`/`--routing`/`--transport` do not
-    /// know; everything else the table already checked.
+    /// Reads the options out of a parsed argument list (a command's table
+    /// of these flags; one the table leaves out keeps its default).
+    /// Returns `Err` with a message that includes the usage text on a name
+    /// `--topology`/`--routing`/`--transport` do not know; everything else
+    /// the table already checked.
     pub fn from_flags(f: &Parsed<'_>) -> Result<Opts, String> {
         let path = |name| f.get(name).map(PathBuf::from);
         Ok(Opts {
@@ -487,8 +485,25 @@ mod tests {
         Opts::from_flags(&parse_flags(words.iter().map(|s| s.to_string()), defs)?)
     }
 
+    /// Every flag [`Opts::from_flags`] reads (no command takes them all).
+    const ALL: [FlagDef; 13] = [
+        flag::QUICK,
+        flag::PKT,
+        flag::CSV,
+        flag::JSON,
+        flag::CACHE,
+        flag::JOBS,
+        flag::net(&[64, 256, 512]),
+        flag::STRIDE,
+        flag::TRACE,
+        flag::TRACE_LAST,
+        flag::TOPOLOGY,
+        flag::ROUTING,
+        flag::TRANSPORT,
+    ];
+
     fn parse(words: &[&str]) -> Result<Opts, String> {
-        parse_with(words, &OPTS_FLAGS)
+        parse_with(words, &ALL)
     }
 
     #[test]
@@ -571,6 +586,24 @@ mod tests {
         assert!(parse(&["--jobs"]).unwrap_err().contains("--jobs needs"));
     }
 
+    /// A command's table lists only the flags it reads: the others keep
+    /// their defaults and are unknown options on that command line.
+    #[test]
+    fn a_table_without_a_flag_leaves_its_default_and_rejects_it() {
+        let defs = [flag::QUICK, flag::JOBS];
+        let o = parse_with(&["--quick", "--jobs", "2"], &defs).unwrap();
+        assert!(o.quick && o.jobs == Some(2));
+        assert_eq!(
+            (o.packet_size(), o.stride, o.trace_capacity()),
+            (64, 4, 4096)
+        );
+        assert_eq!(o.json_dir, Some(PathBuf::from("results")));
+        assert_eq!(o.routing, fabric::RoutingPolicy::Deterministic);
+        assert_eq!(o.transport, fabric::TransportKind::OpenLoop);
+        let err = parse_with(&["--pkt", "512"], &defs).unwrap_err();
+        assert_eq!(err, "unknown option --pkt; options: [--quick] [--jobs N]");
+    }
+
     #[test]
     fn trace_flags_parse() {
         let o = parse(&["--trace", "out.jsonl", "--trace-last", "100"]).unwrap();
@@ -600,7 +633,7 @@ mod tests {
                 err.contains(&format!("unknown option {}", words[0])),
                 "{err}"
             );
-            assert!(err.contains(&usage_line(&OPTS_FLAGS)), "usage: {err}");
+            assert!(err.contains(&usage_line(&ALL)), "usage: {err}");
         }
     }
 
@@ -675,7 +708,7 @@ mod tests {
 
     #[test]
     fn flag_machinery_renders_usage_and_help() {
-        let u = usage_line(&OPTS_FLAGS);
+        let u = usage_line(&ALL);
         assert!(u.starts_with("options:"));
         assert!(u.contains("[--jobs N]"));
         assert!(
@@ -684,8 +717,8 @@ mod tests {
         );
         assert!(u.contains("[--cache DIR|none]"));
         assert!(u.contains("[--quick]"), "boolean flags have no metavar");
-        let help = render_help(&OPTS_FLAGS);
-        for d in &OPTS_FLAGS {
+        let help = render_help(&ALL);
+        for d in &ALL {
             assert!(help.contains(d.name), "{} in help", d.name);
             assert!(help.contains(d.help), "{} help text present", d.name);
         }

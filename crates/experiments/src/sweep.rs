@@ -264,8 +264,8 @@ fn write_summary(dir: &Path, name: &str, report: &SweepReport) -> std::io::Resul
     Ok(path)
 }
 
-/// Renders the machine-readable summary (hand-rolled JSON: the offline
-/// build's serde is a no-op stub, and the shape is small and stable). The
+/// Renders the machine-readable summary (hand-rolled JSON: the workspace
+/// has no external dependencies, and the shape is small and stable). The
 /// shape is versioned by the top-level `schema_version` field and
 /// documented in `DESIGN.md`.
 pub fn render_summary(name: &str, report: &SweepReport) -> String {

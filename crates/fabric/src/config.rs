@@ -1,14 +1,13 @@
 //! Fabric configuration: queueing scheme and physical parameters.
 
 use recn::RecnConfig;
-use serde::{Deserialize, Serialize};
 use simcore::{Canon, CanonError, CanonReader, CanonWriter, EventModel, Picos};
 
 use crate::transport::TransportKind;
 
 /// The queueing scheme installed at every port — the five mechanisms
 /// compared in the paper's §4.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeKind {
     /// `1Q` — one queue per input and output port (the HOL-blocking
     /// worst case).
@@ -98,22 +97,9 @@ impl Canon for SchemeKind {
     }
 }
 
-/// How a switch picks among equivalent output ports when the topology
-/// offers a choice (the fat tree's up*/down* climbing phase).
-///
-/// Selection is fully deterministic — no RNG — so runs stay bit-identical
-/// per policy and the golden-trace digests remain meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum UpSelector {
-    /// Score each candidate up-port by local output occupancy plus
-    /// consumed downstream credit (bytes in flight or queued downstream),
-    /// and take the minimum with a stable `(score, port_id)` tie-break.
-    CreditWeighted,
-}
-
 /// Routing policy threaded from the run spec into NIC injection and
 /// per-switch forwarding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// The paper's deterministic self-routing: one fixed path per
     /// `(src, dst)` pair (source-digit up-turns on the fat tree).
@@ -121,37 +107,32 @@ pub enum RoutingPolicy {
     Deterministic,
     /// Adaptive up-phase routing: fat-tree routes are injected with a
     /// late-bound up-phase and each climbing switch binds the next up-turn
-    /// at forwarding time using `selector`. Topologies without path
-    /// diversity (the MIN) fall back to deterministic routes.
-    AdaptiveUp {
-        /// The deterministic output-port selector.
-        selector: UpSelector,
-    },
+    /// at forwarding time. Every candidate up-port is scored by local
+    /// output occupancy plus consumed downstream credit (bytes in flight
+    /// or queued downstream) and the minimum wins with a stable
+    /// `(score, port)` tie-break — no RNG, so runs stay bit-identical per
+    /// policy and the golden-trace digests remain meaningful. Topologies
+    /// without path diversity (the MIN) fall back to deterministic routes.
+    AdaptiveUp,
     /// Notification-driven adaptive routing (ARN, Rocher-Gonzalez et al.):
     /// like [`AdaptiveUp`](Self::AdaptiveUp), but each switch also keeps a
     /// per-up-port table of live congestion notifications received from
     /// the switch above, and up-ports leading toward congested subtrees
-    /// are penalized before the `selector` tie-break applies. Under RECN
+    /// are penalized before the credit score applies. Under RECN
     /// the notifications are driven by SAQ (congested-root CAM entry)
     /// allocation and deallocation; other schemes fall back to an
     /// output-queue occupancy threshold. With zero live notifications the
     /// policy is decision-for-decision identical to `AdaptiveUp`.
-    ArnUp {
-        /// The deterministic selector used as the final tie-break.
-        selector: UpSelector,
-    },
+    ArnUp,
 }
 
 impl RoutingPolicy {
-    /// The adaptive policy with the default (credit-weighted) selector.
+    /// The adaptive policy.
     pub fn adaptive() -> RoutingPolicy {
-        RoutingPolicy::AdaptiveUp {
-            selector: UpSelector::CreditWeighted,
-        }
+        RoutingPolicy::AdaptiveUp
     }
 
-    /// The notification-driven policy with the default (credit-weighted)
-    /// selector as the final tie-break.
+    /// The notification-driven policy.
     ///
     /// ```
     /// use fabric::RoutingPolicy;
@@ -160,17 +141,15 @@ impl RoutingPolicy {
     /// assert_eq!(RoutingPolicy::parse("arn"), Some(arn));
     /// ```
     pub fn arn() -> RoutingPolicy {
-        RoutingPolicy::ArnUp {
-            selector: UpSelector::CreditWeighted,
-        }
+        RoutingPolicy::ArnUp
     }
 
     /// The CLI / JSON name (`"deterministic"`, `"adaptive"` or `"arn"`).
     pub fn name(&self) -> &'static str {
         match self {
             RoutingPolicy::Deterministic => "deterministic",
-            RoutingPolicy::AdaptiveUp { .. } => "adaptive",
-            RoutingPolicy::ArnUp { .. } => "arn",
+            RoutingPolicy::AdaptiveUp => "adaptive",
+            RoutingPolicy::ArnUp => "arn",
         }
     }
 
@@ -188,65 +167,52 @@ impl RoutingPolicy {
     /// Whether this policy ever rebinds turns at forwarding time (true
     /// for both the locally-adaptive and the notification-driven policy).
     pub fn is_adaptive(&self) -> bool {
-        matches!(
-            self,
-            RoutingPolicy::AdaptiveUp { .. } | RoutingPolicy::ArnUp { .. }
-        )
+        matches!(self, RoutingPolicy::AdaptiveUp | RoutingPolicy::ArnUp)
     }
 
     /// Whether this policy consumes congestion notifications (the ARN
     /// table, [`crate::ArnTable`], is only maintained when this is true).
     pub fn is_arn(&self) -> bool {
-        matches!(self, RoutingPolicy::ArnUp { .. })
+        matches!(self, RoutingPolicy::ArnUp)
     }
 }
 
-impl Canon for UpSelector {
-    fn encode_canon(&self, w: &mut CanonWriter) {
-        match self {
-            UpSelector::CreditWeighted => w.u8(0),
-        }
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(UpSelector::CreditWeighted),
-            t => Err(CanonError::new(format!("unknown up-selector tag {t}"))),
-        }
-    }
-}
+/// Canonical tag of the one up-port selector the adaptive policies ever
+/// had (credit-weighted). The byte stays in the encoding so every spec
+/// hash and cache key keeps its value.
+const UP_SELECTOR_TAG: u8 = 0;
 
 impl Canon for RoutingPolicy {
     fn encode_canon(&self, w: &mut CanonWriter) {
         match self {
             RoutingPolicy::Deterministic => w.u8(0),
-            RoutingPolicy::AdaptiveUp { selector } => {
+            RoutingPolicy::AdaptiveUp => {
                 w.u8(1);
-                selector.encode_canon(w);
+                w.u8(UP_SELECTOR_TAG);
             }
-            RoutingPolicy::ArnUp { selector } => {
+            RoutingPolicy::ArnUp => {
                 w.u8(2);
-                selector.encode_canon(w);
+                w.u8(UP_SELECTOR_TAG);
             }
         }
     }
 
     fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
+        let policy = match r.u8()? {
+            0 => return Ok(RoutingPolicy::Deterministic),
+            1 => RoutingPolicy::AdaptiveUp,
+            2 => RoutingPolicy::ArnUp,
+            t => return Err(CanonError::new(format!("unknown routing tag {t}"))),
+        };
         match r.u8()? {
-            0 => Ok(RoutingPolicy::Deterministic),
-            1 => Ok(RoutingPolicy::AdaptiveUp {
-                selector: UpSelector::decode_canon(r)?,
-            }),
-            2 => Ok(RoutingPolicy::ArnUp {
-                selector: UpSelector::decode_canon(r)?,
-            }),
-            t => Err(CanonError::new(format!("unknown routing tag {t}"))),
+            UP_SELECTOR_TAG => Ok(policy),
+            t => Err(CanonError::new(format!("unknown up-selector tag {t}"))),
         }
     }
 }
 
 /// Physical and architectural parameters of the fabric (paper §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// Queueing scheme at every port.
     pub scheme: SchemeKind,
@@ -356,14 +322,6 @@ impl FabricConfig {
         cfg
     }
 
-    /// Overrides the per-port memory (all three pools).
-    pub fn with_port_mem(mut self, bytes: u64) -> FabricConfig {
-        self.input_mem = bytes;
-        self.output_mem = bytes;
-        self.nic_inject_mem = bytes;
-        self
-    }
-
     /// Serialization time of `bytes` on a link.
     pub fn link_time(&self, bytes: u64) -> Picos {
         Picos::serialize_bytes(bytes, self.link_gbps)
@@ -463,6 +421,30 @@ mod tests {
         assert_eq!(RoutingPolicy::parse("ARN"), Some(RoutingPolicy::arn()));
         assert_eq!(RoutingPolicy::parse("oblivious"), None);
         assert_eq!(RoutingPolicy::default(), RoutingPolicy::Deterministic);
+    }
+
+    /// The adaptive policies keep the selector byte the one-variant
+    /// `UpSelector` used to write, so spec hashes and cache keys hold; any
+    /// other selector is refused, not read as credit-weighted.
+    #[test]
+    fn routing_policy_canon_keeps_the_selector_byte() {
+        let cases: [(RoutingPolicy, &[u8]); 3] = [
+            (RoutingPolicy::Deterministic, &[0]),
+            (RoutingPolicy::adaptive(), &[1, 0]),
+            (RoutingPolicy::arn(), &[2, 0]),
+        ];
+        for (policy, bytes) in cases {
+            let mut w = CanonWriter::new();
+            policy.encode_canon(&mut w);
+            assert_eq!(w.finish(), bytes, "{}", policy.name());
+            let mut r = CanonReader::new(bytes);
+            assert_eq!(RoutingPolicy::decode_canon(&mut r).unwrap(), policy);
+            r.finish().expect("every byte consumed");
+        }
+        for bytes in [&[1u8, 1][..], &[2, 7], &[3]] {
+            let err = RoutingPolicy::decode_canon(&mut CanonReader::new(bytes)).unwrap_err();
+            assert!(err.to_string().contains("unknown"), "{bytes:?}: {err}");
+        }
     }
 
     #[test]

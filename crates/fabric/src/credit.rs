@@ -119,25 +119,6 @@ impl CreditView {
         }
     }
 
-    /// Returns credit for a batch of `(queue, bytes)` entries in one call —
-    /// the coalesced credit-return entry point. Every entry still passes
-    /// through [`replenish`](CreditView::replenish), so per-entry overflow
-    /// checking is preserved and the result is identical to replenishing
-    /// one at a time; the batch form lets a caller that accumulated several
-    /// same-instant returns touch the ledger once.
-    ///
-    /// Note what this deliberately is *not*: a merge of credit **arrival
-    /// events**. Wire credits are serialized on the reverse channel, so
-    /// same-link arrivals are spaced by serialization time and each is
-    /// observer-visible — collapsing them would change trace digests. Only
-    /// the ledger update batches; the arrivals keep their own events
-    /// (DESIGN.md §6f).
-    pub fn replenish_batch(&mut self, entries: impl IntoIterator<Item = (u16, u64)>) {
-        for (queue, bytes) in entries {
-            self.replenish(queue, bytes);
-        }
-    }
-
     /// Free bytes currently in the view toward `queue` (`None` for
     /// infinite host sinks, where the question is meaningless).
     pub fn free_bytes(&self, queue: u16) -> Option<u64> {
@@ -240,40 +221,6 @@ mod tests {
         v.consume(2, 20);
         v.consume(3, 20);
         assert_eq!(v.roomiest_queue(), 0);
-    }
-
-    #[test]
-    fn replenish_batch_matches_sequential_replenish() {
-        let mut batched = CreditView::per_queue(100, 4);
-        let mut sequential = CreditView::per_queue(100, 4);
-        for v in [&mut batched, &mut sequential] {
-            v.consume(0, 20);
-            v.consume(2, 15);
-        }
-        batched.replenish_batch([(0, 10), (2, 15), (0, 10)]);
-        sequential.replenish(0, 10);
-        sequential.replenish(2, 15);
-        sequential.replenish(0, 10);
-        for queue in 0..4 {
-            assert_eq!(batched.free_bytes(queue), sequential.free_bytes(queue));
-        }
-        // Pooled views batch the same way, and an empty batch is a no-op.
-        let mut pooled = CreditView::pooled(100);
-        pooled.consume(POOLED_QUEUE, 50);
-        pooled.replenish_batch([(POOLED_QUEUE, 20), (POOLED_QUEUE, 30)]);
-        assert_eq!(pooled.free_bytes(POOLED_QUEUE), Some(100));
-        pooled.replenish_batch(std::iter::empty());
-        assert_eq!(pooled.free_bytes(POOLED_QUEUE), Some(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "credit overflow")]
-    fn replenish_batch_checks_each_entry() {
-        let mut v = CreditView::pooled(100);
-        v.consume(POOLED_QUEUE, 10);
-        // The second entry overflows even though the batch total fits a
-        // hypothetical "sum first" implementation gone wrong.
-        v.replenish_batch([(POOLED_QUEUE, 10), (POOLED_QUEUE, 1)]);
     }
 
     #[test]

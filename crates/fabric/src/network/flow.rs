@@ -13,7 +13,7 @@ use topology::HostId;
 use crate::packet::Packet;
 use crate::transport::{FlowDesc, TransportKind};
 
-use super::{Event, Network};
+use super::{Event, Network, Wakeup};
 
 /// Sentinel for "no NACK" in [`Event::TransportAck`] (`Option<u64>` would
 /// not change event size, but a sentinel keeps the variant `Copy`-simple
@@ -139,21 +139,11 @@ impl Network {
         self.nics.iter().map(|n| n.flows.len()).sum()
     }
 
-    /// `Event::FlowStart` — the flow opens: fill the window.
-    pub(crate) fn on_flow_start(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        host: usize,
-        dst: u32,
-    ) {
-        self.flow_pump(now, q, host, dst);
-    }
-
     /// Pushes as many of the flow's packets into the admittance stage as
     /// the send window and the admittance cap allow, then (re)arms the
-    /// retransmission timer. The closed-loop counterpart of
-    /// `on_next_message`'s packetization loop.
+    /// retransmission timer (`Event::FlowStart` opens the flow by filling
+    /// its window). The closed-loop counterpart of `on_next_message`'s
+    /// packetization loop.
     pub(crate) fn flow_pump(
         &mut self,
         now: Picos,
@@ -183,31 +173,13 @@ impl Network {
             if self.nics[host].admit_bytes(dst as usize) >= self.cfg.admit_cap {
                 break; // admittance back-pressure; the transfer stage re-pumps
             }
-            let src = HostId::new(host as u32);
             let dst_host = HostId::new(dst);
-            let route = if self.cfg.routing.is_adaptive() {
-                self.topo.route_adaptive(src, dst_host)
-            } else {
-                self.topo.route(src, dst_host)
-            };
-            let pkt = Packet {
-                id: self.next_packet_id,
-                src,
-                dst: dst_host,
-                size,
-                route,
-                injected_at: now,
-                flow_seq: seq,
-            };
-            self.next_packet_id += 1;
-            self.counters.injected_packets += 1;
-            self.counters.injected_bytes += size as u64;
+            let route = self.route(host, dst_host);
             if retransmit {
                 self.counters.retransmitted_packets += 1;
                 self.observer.on_retransmit(now, host, dst_host, seq);
             }
-            self.observer.on_injected(now, &pkt);
-            self.nics[host].admit_push(pkt);
+            self.admit_packet(now, host, dst_host, size, route, seq);
             let f = self.nics[host].flows.get_mut(&dst).expect("flow exists");
             f.send_next = seq + 1;
             f.high_sent = f.high_sent.max(f.send_next);
@@ -217,9 +189,8 @@ impl Network {
             let f = self.nics[host].flows.get_mut(&dst).expect("flow exists");
             if !f.timer.is_armed() && f.base < f.send_next {
                 let gen = f.timer.arm();
-                // `timeout` is validated strictly positive, so the event is
-                // always in the future — no lazy batch-close needed.
-                q.schedule(now + timeout, Event::TransportTimeout { host, dst, gen });
+                let fire = Event::TransportTimeout { host, dst, gen };
+                self.schedule(now, q, now + timeout, fire);
             }
         } else {
             // Open loop: no acks will ever arrive; the sender is done once
@@ -233,7 +204,7 @@ impl Network {
             }
         }
         if pushed {
-            self.kick_nic_transfer(now, q, host);
+            self.kick(now, now, q, Wakeup::NicTransfer { host });
         }
     }
 
@@ -303,15 +274,13 @@ impl Network {
         // Acks are out-of-band (fixed delay, no wire contention): the MIN
         // is unidirectional for data, and modeling the response path would
         // change credit/control semantics for all five schemes.
-        q.schedule(
-            now + ack_delay,
-            Event::TransportAck {
-                host: pkt.src.index(),
-                dst: pkt.dst.index() as u32,
-                cum,
-                nack,
-            },
-        );
+        let ack = Event::TransportAck {
+            host: pkt.src.index(),
+            dst: pkt.dst.index() as u32,
+            cum,
+            nack,
+        };
+        self.schedule(now, q, now + ack_delay, ack);
         if let Some(start) = completed {
             self.flow_complete(now, pkt.src, pkt.dst, start);
         }

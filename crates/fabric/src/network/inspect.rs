@@ -1,11 +1,16 @@
-//! Port-state inspection: structured snapshots of queue occupancies and
-//! RECN state, for debugging, `recn inspect`, and tests.
+//! Reporting: structured snapshots of queue occupancies and RECN state
+//! (for debugging, `recn inspect`, and tests), the link-utilization
+//! report, and the simulator's own memory footprint.
 
+use simcore::Picos;
 use topology::PathSpec;
 
+use crate::arn::ArnTable;
+use crate::config::RoutingPolicy;
 use crate::queue::QueueSet;
 
-use super::{Network, PortRef};
+use super::nic::AdmitFifo;
+use super::{FlowRx, FlowTx, LinkDown, LinkState, LinkUp, Network, PortRef, XbarTransfer};
 
 /// Snapshot of one SAQ.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,23 +84,22 @@ impl Network {
     pub fn hottest_ports(&self, top: usize) -> Vec<(String, PortSnapshot)> {
         let tag = self.topo.stage_tag();
         let (sw_w, p_w, h_w) = self.label_widths();
-        let mut all: Vec<(String, PortSnapshot)> = Vec::new();
-        for (s, sw) in self.switches.iter().enumerate() {
-            let stage = self.topo.stage_of(topology::SwitchId::new(s as u32));
-            for p in 0..sw.inputs.len() {
-                all.push((
-                    format!("sw{s:0sw_w$}({tag}{stage}).in{p:0p_w$}"),
-                    snapshot_of(&sw.inputs[p]),
-                ));
-                all.push((
-                    format!("sw{s:0sw_w$}({tag}{stage}).out{p:0p_w$}"),
-                    snapshot_of(&sw.outputs[p]),
-                ));
-            }
-        }
-        for (h, nic) in self.nics.iter().enumerate() {
-            all.push((format!("nic{h:0h_w$}"), snapshot_of(&nic.inject)));
-        }
+        let mut all: Vec<(String, PortSnapshot)> = self
+            .ports()
+            .map(|(port, qs)| {
+                let stage = |sw| self.topo.stage_of(topology::SwitchId::new(sw as u32));
+                let name = match port {
+                    PortRef::SwitchIn { sw, port } => {
+                        format!("sw{sw:0sw_w$}({tag}{}).in{port:0p_w$}", stage(sw))
+                    }
+                    PortRef::SwitchOut { sw, port } => {
+                        format!("sw{sw:0sw_w$}({tag}{}).out{port:0p_w$}", stage(sw))
+                    }
+                    PortRef::Nic { host } => format!("nic{host:0h_w$}"),
+                };
+                (name, snapshot_of(qs))
+            })
+            .collect();
         all.sort_by(|a, b| b.1.used_bytes.cmp(&a.1.used_bytes).then(a.0.cmp(&b.0)));
         all.truncate(top);
         all
@@ -104,21 +108,139 @@ impl Network {
     /// Peak buffer occupancy (bytes) ever reached by any port, by class:
     /// `(switch inputs, switch outputs, NIC injection)`.
     pub fn peak_occupancies(&self) -> (u64, u64, u64) {
-        let mut pin = 0;
-        let mut pout = 0;
-        for sw in &self.switches {
-            for p in 0..sw.inputs.len() {
-                pin = pin.max(sw.inputs[p].peak_used());
-                pout = pout.max(sw.outputs[p].peak_used());
-            }
+        let mut peaks = (0, 0, 0);
+        for (port, qs) in self.ports() {
+            let class = match port {
+                PortRef::SwitchIn { .. } => &mut peaks.0,
+                PortRef::SwitchOut { .. } => &mut peaks.1,
+                PortRef::Nic { .. } => &mut peaks.2,
+            };
+            *class = qs.peak_used().max(*class);
         }
-        let pnic = self
-            .nics
+        peaks
+    }
+
+    /// Estimated bytes of host-process backing storage behind this
+    /// network model: queue-set slabs and per-queue arrays at their
+    /// high-water allocation, NIC admittance pools, per-flow sequence
+    /// arrays, and link descriptors with their credit views. This measures the *simulator's* memory, not
+    /// simulated buffer capacity; it is deterministic for a given run
+    /// (derived from slab high-water marks), so cached results replay it
+    /// exactly.
+    pub fn memory_footprint(&self) -> u64 {
+        use std::mem::size_of;
+        let mut total: u64 = self.ports().map(|(_, qs)| qs.backing_bytes()).sum();
+        for s in &self.switches {
+            total += (s.in_flight.capacity() * size_of::<Option<XbarTransfer>>()) as u64;
+            total += s.out_busy.capacity() as u64;
+            total += ((s.out_link.capacity() + s.in_link.capacity()) * size_of::<usize>()) as u64;
+        }
+        for n in &self.nics {
+            total += n.admit_pool.backing_bytes();
+            // At most one admit-map entry per slab slot; charge the
+            // high-water mark so a drained network still reports the peak.
+            total += (n.admit_pool.slot_count()
+                * (size_of::<AdmitFifo>() + size_of::<u32>() + 4 * size_of::<usize>()))
+                as u64;
+            total += (n.next_seq.capacity() * size_of::<u64>()) as u64;
+            // Transport flow state (zero without installed flows).
+            total += (n.flows.len() * (size_of::<u32>() + size_of::<FlowTx>())) as u64;
+        }
+        for l in &self.links {
+            total += size_of::<LinkState>() as u64 + l.credits.backing_bytes();
+        }
+        total += (self.expect_seq.capacity() * size_of::<u64>()) as u64;
+        total += (self.flow_rx.len() * (size_of::<u64>() + size_of::<FlowRx>())) as u64;
+        total += (self.port_base.capacity() * size_of::<usize>()) as u64;
+        // ARN notification state (all three vectors empty outside ArnUp,
+        // so the other policies' footprints are untouched).
+        total += self
+            .arn_tables
             .iter()
-            .map(|n| n.inject.peak_used())
-            .max()
-            .unwrap_or(0);
-        (pin, pout, pnic)
+            .map(|t| (t.len() * 16 + size_of::<ArnTable>()) as u64)
+            .sum::<u64>();
+        total += self
+            .arn_child_links
+            .iter()
+            .map(|v| (v.capacity() * size_of::<usize>() + size_of::<Vec<usize>>()) as u64)
+            .sum::<u64>();
+        total += self.arn_out_hot.capacity() as u64;
+        total
+    }
+
+    /// Mean forward-channel utilization over all links at `now`
+    /// (busy-time fraction, data + control traffic).
+    pub fn mean_link_utilization(&self, now: Picos) -> f64 {
+        if now == Picos::ZERO || self.links.is_empty() {
+            return 0.0;
+        }
+        let busy: f64 = self
+            .links
+            .iter()
+            .map(|l| l.fwd_busy_total.as_ns_f64())
+            .sum();
+        busy / (self.links.len() as f64 * now.as_ns_f64())
+    }
+
+    /// Decimal digit count of the largest index in a sequence of `count`
+    /// items — the zero-pad width that keeps labels like `sw2`/`sw10`
+    /// aligned (and lexicographically ordered by index) on any topology.
+    fn index_width(count: usize) -> usize {
+        count.saturating_sub(1).to_string().len()
+    }
+
+    /// Label padding widths derived from the topology:
+    /// `(switch, port, host)` index digit counts. Deep fabrics like the
+    /// 4-ary 6-tree carry four-digit switch indices; deriving the widths
+    /// here instead of hard-coding them keeps report columns aligned from
+    /// `ft_64` all the way to `ft_4096d`.
+    pub(crate) fn label_widths(&self) -> (usize, usize, usize) {
+        (
+            Self::index_width(self.switches.len()),
+            Self::index_width(self.topo.max_ports() as usize),
+            Self::index_width(self.nics.len()),
+        )
+    }
+
+    /// The `top` most utilized links at `now`: `(description, fraction)`.
+    /// Under adaptive routing every label carries an ` [adaptive]` suffix
+    /// (` [arn]` under notification-driven routing), so link reports from
+    /// the three policies are never mistaken for one another
+    /// (deterministic labels are unchanged). Indices are zero-padded to
+    /// the topology's own widths so the report stays column-aligned on
+    /// deep trees.
+    pub fn hottest_links(&self, now: Picos, top: usize) -> Vec<(String, f64)> {
+        if now == Picos::ZERO {
+            return Vec::new();
+        }
+        let suffix = match self.cfg.routing {
+            RoutingPolicy::Deterministic => "",
+            RoutingPolicy::AdaptiveUp => " [adaptive]",
+            RoutingPolicy::ArnUp => " [arn]",
+        };
+        let (sw_w, p_w, h_w) = self.label_widths();
+        let mut all: Vec<(String, f64)> = self
+            .links
+            .iter()
+            .map(|l| {
+                let name = match (l.up, l.down) {
+                    (LinkUp::Nic(h), _) => format!("inject h{h:0h_w$}{suffix}"),
+                    (LinkUp::Switch { sw, port }, LinkDown::Host(h)) => {
+                        format!("sw{sw:0sw_w$}.out{port:0p_w$}->h{h:0h_w$}{suffix}")
+                    }
+                    (LinkUp::Switch { sw, port }, LinkDown::Switch { sw: d, port: dp }) => {
+                        format!("sw{sw:0sw_w$}.out{port:0p_w$}->sw{d:0sw_w$}.in{dp:0p_w$}{suffix}")
+                    }
+                };
+                (name, l.fwd_busy_total.as_ns_f64() / now.as_ns_f64())
+            })
+            .collect();
+        // Stable sort on a total order: equal-utilization links keep their
+        // (deterministic) link-index order, so reports never flap between
+        // runs.
+        all.sort_by(|a, b| b.1.total_cmp(&a.1));
+        all.truncate(top);
+        all
     }
 }
 
@@ -174,6 +296,9 @@ mod tests {
         let names: Vec<&str> = hot.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["nic00", "nic01", "nic02"], "64 hosts pad to 2");
         let all = net.hottest_ports(usize::MAX);
+        let topo = net.topology();
+        let switch_ports: u32 = topo.switches().map(|s| topo.ports(s)).sum();
+        assert_eq!(all.len() as u32, 2 * switch_ports + 64, "every port listed");
         assert!(
             all.iter().any(|(n, _)| n == "sw000(lv0).in0"),
             "192 switches pad to 3 digits, 4 ports to 1"

@@ -3,13 +3,161 @@
 //! `egress.rs`).
 
 use simcore::{EventQueue, Picos};
+use topology::{HostId, Route};
 
-use crate::observer::QueueKind;
-use crate::packet::{Packet, QueueItem};
+use crate::packet::Packet;
+use crate::queue::QueueSet;
+use crate::source::{MessageSource, SourcedMessage};
 
-use super::{Event, Network, PortRef};
+use super::port::Reserved;
+use super::{Event, FlowTx, Network, PortRef, Wakeup};
+
+/// One destination's admittance FIFO: intrusive head/tail handles into
+/// the NIC's `admit_pool` plus its byte occupancy (bounded by
+/// `cfg.admit_cap`). Entries exist only while the destination has queued
+/// packets, so per-NIC admittance cost scales with the live backlog, not
+/// with the host count — the layout change that makes 4096-host fabrics
+/// affordable (the dense `Vec<VecDeque>` form was `hosts²` queues).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdmitFifo {
+    pub head: crate::arena::Handle,
+    pub tail: crate::arena::Handle,
+    pub bytes: u64,
+}
+
+/// A packet queued in the admittance stage plus its intrusive link.
+#[derive(Debug)]
+pub(crate) struct AdmitNode {
+    pub pkt: Packet,
+    pub next: Option<crate::arena::Handle>,
+}
+
+pub(crate) struct Nic {
+    /// Admittance VOQs, keyed by destination, present only while
+    /// non-empty (the generation process itself is the depth bound).
+    /// A `BTreeMap` keeps destinations in ascending order so the
+    /// round-robin transfer scan visits exactly the sequence the dense
+    /// layout produced.
+    pub admit: std::collections::BTreeMap<u32, AdmitFifo>,
+    /// Slab storing the packets queued across all admittance VOQs.
+    pub admit_pool: crate::arena::Arena<AdmitNode>,
+    pub admit_rr: usize,
+    pub inject: QueueSet,
+    pub link: usize,
+    pub transfer_scheduled: bool,
+    pub source: Box<dyn MessageSource>,
+    pub pending: Option<SourcedMessage>,
+    /// Next flow sequence number per destination.
+    pub next_seq: Vec<u64>,
+    /// Closed-loop sender state per destination (transport layer). Empty
+    /// unless flows were installed; entries are removed on completion.
+    pub flows: std::collections::BTreeMap<u32, FlowTx>,
+}
+
+impl Nic {
+    /// Bytes queued toward `dst` in the admittance stage.
+    pub fn admit_bytes(&self, dst: usize) -> u64 {
+        self.admit.get(&(dst as u32)).map_or(0, |f| f.bytes)
+    }
+
+    /// Appends `pkt` to its destination's admittance FIFO.
+    pub fn admit_push(&mut self, pkt: Packet) {
+        let (dst, size) = (pkt.dst.index() as u32, pkt.size as u64);
+        let h = self.admit_pool.insert(AdmitNode { pkt, next: None });
+        match self.admit.entry(dst) {
+            std::collections::btree_map::Entry::Occupied(mut e) => {
+                let f = e.get_mut();
+                self.admit_pool.get_mut(f.tail).next = Some(h);
+                f.tail = h;
+                f.bytes += size;
+            }
+            std::collections::btree_map::Entry::Vacant(v) => {
+                v.insert(AdmitFifo {
+                    head: h,
+                    tail: h,
+                    bytes: size,
+                });
+            }
+        }
+    }
+
+    /// The head packet of `dst`'s admittance FIFO, if any.
+    pub fn admit_front(&self, dst: u32) -> Option<&Packet> {
+        self.admit
+            .get(&dst)
+            .map(|f| &self.admit_pool.get(f.head).pkt)
+    }
+
+    /// Removes and returns the head packet of `dst`'s FIFO, dropping the
+    /// FIFO entry when it empties.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO is empty (callers check the front first).
+    pub fn admit_pop(&mut self, dst: u32) -> Packet {
+        let f = self.admit.get_mut(&dst).expect("pop from empty admit VOQ");
+        let node = self.admit_pool.remove(f.head);
+        f.bytes -= node.pkt.size as u64;
+        match node.next {
+            Some(next) => f.head = next,
+            None => {
+                debug_assert_eq!(f.bytes, 0, "byte accounting out of sync");
+                self.admit.remove(&dst);
+            }
+        }
+        node.pkt
+    }
+}
+
+impl std::fmt::Debug for Nic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Nic")
+            .field("admit_rr", &self.admit_rr)
+            .field("pending", &self.pending)
+            .finish_non_exhaustive()
+    }
+}
 
 impl Network {
+    /// The route a packet from `host` to `dst` is injected with. Under the
+    /// adaptive policies fat-tree up-turns come back late-bound: switches
+    /// pick them at forwarding time, the NIC itself never selects.
+    pub(crate) fn route(&self, host: usize, dst: HostId) -> Route {
+        let src = HostId::new(host as u32);
+        if self.cfg.routing.is_adaptive() {
+            self.topo.route_adaptive(src, dst)
+        } else {
+            self.topo.route(src, dst)
+        }
+    }
+
+    /// Creates packet `seq` of `host`'s flow toward `dst` and queues it in
+    /// the admittance stage.
+    pub(crate) fn admit_packet(
+        &mut self,
+        now: Picos,
+        host: usize,
+        dst: HostId,
+        size: u32,
+        route: Route,
+        seq: u64,
+    ) {
+        let pkt = Packet {
+            id: self.next_packet_id,
+            src: HostId::new(host as u32),
+            dst,
+            size,
+            route,
+            injected_at: now,
+            flow_seq: seq,
+        };
+        self.next_packet_id += 1;
+        self.counters.injected_packets += 1;
+        self.counters.injected_bytes += size as u64;
+        self.observer.on_injected(now, &pkt);
+        self.nics[host].admit_push(pkt);
+    }
+
     /// `Event::NextMessage` — a source's message is due: packetize it into
     /// the admittance VOQ and schedule the following message.
     pub(crate) fn on_next_message(&mut self, now: Picos, q: &mut EventQueue<Event>, host: usize) {
@@ -21,14 +169,7 @@ impl Network {
         debug_assert_eq!(msg.at, now, "message fired at the wrong time");
         let dst = msg.dst;
         assert!(dst.index() < hosts, "message to nonexistent host {dst}");
-        let src = topology::HostId::new(host as u32);
-        let route = if self.cfg.routing.is_adaptive() {
-            // Fat-tree up-turns come back late-bound; switches pick them at
-            // forwarding time. The NIC itself never selects.
-            self.topo.route_adaptive(src, dst)
-        } else {
-            self.topo.route(src, dst)
-        };
+        let route = self.route(host, dst);
         if self.nics[host].admit_bytes(dst.index()) >= self.cfg.admit_cap {
             // Admittance VOQ full: the message is dropped at the source
             // (application back-pressure); it never enters the network.
@@ -41,35 +182,16 @@ impl Network {
                 let size = remaining.min(self.packet_size);
                 let seq = self.nics[host].next_seq[dst.index()];
                 self.nics[host].next_seq[dst.index()] += 1;
-                let pkt = Packet {
-                    id: self.next_packet_id,
-                    src: topology::HostId::new(host as u32),
-                    dst,
-                    size,
-                    route,
-                    injected_at: now,
-                    flow_seq: seq,
-                };
-                self.next_packet_id += 1;
-                self.counters.injected_packets += 1;
-                self.counters.injected_bytes += size as u64;
-                self.observer.on_injected(now, &pkt);
-                self.nics[host].admit_push(pkt);
+                self.admit_packet(now, host, dst, size, route, seq);
                 remaining -= size;
             }
         }
         if let Some(next) = self.nics[host].source.next_message() {
             assert!(next.at >= now, "source times must be non-decreasing");
             self.nics[host].pending = Some(next);
-            if next.at == now {
-                // A same-time non-wakeup event enters the queue: close the
-                // open wakeup batch so later kicks sort after it, exactly as
-                // their dedicated events would under the eager model.
-                self.lazy_note_same_time_schedule(now);
-            }
-            q.schedule(next.at, Event::NextMessage { host });
+            self.schedule(now, q, next.at, Event::NextMessage { host });
         }
-        self.kick_nic_transfer(now, q, host);
+        self.kick(now, now, q, Wakeup::NicTransfer { host });
     }
 
     /// `Event::NicTransfer` — move packets from the admittance VOQs into
@@ -127,28 +249,7 @@ impl Network {
                     }
                 }
                 let pkt = self.nics[host].admit_pop(d as u32);
-                self.nics[host]
-                    .inject
-                    .push_direct(queue, QueueItem::Packet(pkt));
-                let kind = if queue != 0 && self.nics[host].inject.is_saq_queue(queue) {
-                    QueueKind::Saq
-                } else {
-                    QueueKind::Normal
-                };
-                self.observer
-                    .on_enqueue(now, PortRef::Nic { host }, queue, kind, &pkt);
-                if queue != 0 {
-                    if let Some(saq) = self.nics[host].inject.saq_at_queue(queue) {
-                        // NIC injection is terminal: enqueue signals never
-                        // propagate further upstream, but occupancy must be
-                        // tracked for Xoff bookkeeping and deallocation.
-                        let _ = self.nics[host]
-                            .inject
-                            .recn_mut()
-                            .expect("SAQ queue implies RECN")
-                            .saq_enqueued(saq, size);
-                    }
-                }
+                self.port_store(now, q, PortRef::Nic { host }, queue, pkt, Reserved::Direct);
                 progress = true;
                 moved_any = true;
             }
@@ -159,7 +260,8 @@ impl Network {
         self.scratch = order;
         self.nics[host].admit_rr = (self.nics[host].admit_rr + 1) % hosts;
         if moved_any {
-            self.kick_egress_arb(now, now, q, self.nics[host].link);
+            let link = self.nics[host].link;
+            self.kick(now, now, q, Wakeup::EgressArb { link });
         }
         // Admittance space may have freed: refill stalled flows.
         self.pump_host_flows(now, q, host);

@@ -10,12 +10,34 @@ use crate::observer::SaqSite;
 use crate::packet::{Payload, QueueItem, RevPayload};
 use crate::queue::QueueSet;
 
-use super::{Event, Network, PortRef};
+use super::{Event, Network, PortRef, Wakeup};
 
 impl Network {
     // ------------------------------------------------------------------
     // Notifications
     // ------------------------------------------------------------------
+
+    /// Runs the allocation a notification for `path` asks of `port`: an
+    /// accepted SAQ is booked and returned, a refused one (duplicate path or
+    /// no free line) is counted.
+    fn alloc_on_notification(
+        &mut self,
+        now: Picos,
+        q: &mut EventQueue<Event>,
+        port: PortRef,
+        path: PathSpec,
+    ) -> Option<SaqId> {
+        let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
+        match recn.alloc_on_notification(path) {
+            NotifOutcome::Accepted { saq } => {
+                self.saq_allocated(now, q, port, saq, &path);
+                return Some(saq);
+            }
+            NotifOutcome::AlreadyPresent { .. } => self.counters.recn_duplicates += 1,
+            NotifOutcome::Rejected => self.counters.recn_rejects += 1,
+        }
+        None
+    }
 
     /// An egress port notified same-switch input port `input` about the
     /// congestion tree at `path` (input-port coordinates). Internal wiring:
@@ -30,43 +52,33 @@ impl Network {
         path: PathSpec,
     ) {
         self.counters.recn_notifications += 1;
-        let outcome = self.switches[sw].inputs[input]
+        let notified = PortRef::SwitchIn { sw, port: input };
+        if self.alloc_on_notification(now, q, notified, path).is_some() {
+            return;
+        }
+        // The token bounces straight back to the notifying egress port; its
+        // notified flag stays set (§3.8).
+        let (_, path_at_egress) = path
+            .split_first()
+            .expect("internal notification paths are nonempty");
+        let egress = PortRef::SwitchOut {
+            sw,
+            port: egress_port,
+        };
+        let (change, dealloc) = self
+            .port_mut(egress)
             .recn_mut()
             .expect("RECN scheme")
-            .alloc_on_notification(path);
-        match outcome {
-            NotifOutcome::Accepted { saq } => {
-                self.saq_allocated(now, q, PortRef::SwitchIn { sw, port: input }, saq, &path);
-            }
-            NotifOutcome::AlreadyPresent { .. } | NotifOutcome::Rejected => {
-                if matches!(outcome, NotifOutcome::Rejected) {
-                    self.counters.recn_rejects += 1;
-                } else {
-                    self.counters.recn_duplicates += 1;
-                }
-                // The token bounces straight back to the notifying egress
-                // port; its notified flag stays set (§3.8).
-                let (_, path_at_egress) = path
-                    .split_first()
-                    .expect("internal notification paths are nonempty");
-                let (change, dealloc) = self.switches[sw].outputs[egress_port]
-                    .recn_mut()
-                    .expect("RECN scheme")
-                    .on_token_rejected_from_input(input, path_at_egress);
-                self.note_root_change(now, q, sw, egress_port, change);
-                if let Some(saq) = dealloc {
-                    let port = PortRef::SwitchOut {
-                        sw,
-                        port: egress_port,
-                    };
-                    self.dealloc(now, q, port, saq);
-                }
-            }
+            .on_token_rejected_from_input(input, path_at_egress);
+        self.note_root_change(now, q, sw, egress_port, change);
+        if let Some(saq) = dealloc {
+            self.dealloc(now, q, egress, saq);
         }
     }
 
     /// A notification arrived over a link's reverse channel at its upstream
-    /// egress port (switch output or NIC injection).
+    /// egress port (switch output or NIC injection), which answers on the
+    /// data channel: an ack naming the new SAQ's line, or a reject.
     pub(crate) fn egress_recn_notification(
         &mut self,
         now: Picos,
@@ -75,90 +87,42 @@ impl Network {
         path: PathSpec,
     ) {
         let port = self.links[link].up.port();
-        let outcome = self
-            .port_mut(port)
-            .recn_mut()
-            .expect("RECN scheme")
-            .alloc_on_notification(path);
-        match outcome {
-            NotifOutcome::Accepted { saq } => {
-                self.saq_allocated(now, q, port, saq, &path);
-                self.send_fwd_ctrl(
-                    now,
-                    q,
-                    link,
-                    Payload::RecnAck {
-                        path,
-                        line: saq.line() as u8,
-                    },
-                );
-            }
-            NotifOutcome::AlreadyPresent { .. } => {
-                self.counters.recn_duplicates += 1;
-                self.send_fwd_ctrl(now, q, link, Payload::RecnReject { path });
-            }
-            NotifOutcome::Rejected => {
-                self.counters.recn_rejects += 1;
-                self.send_fwd_ctrl(now, q, link, Payload::RecnReject { path });
-            }
-        }
+        let reply = match self.alloc_on_notification(now, q, port, path) {
+            Some(saq) => Payload::RecnAck {
+                path,
+                line: saq.line() as u8,
+            },
+            None => Payload::RecnReject { path },
+        };
+        self.send_fwd_ctrl(now, q, link, reply);
     }
 
-    // ------------------------------------------------------------------
-    // Acks / rejects / tokens arriving at ingress ports
-    // ------------------------------------------------------------------
-
-    pub(crate) fn ingress_recn_ack(
+    /// A RECN ack, reject or token arrived over `link`'s data channel at
+    /// the switch input port the link feeds; an Xoff the ack triggers goes
+    /// straight back on the same link.
+    pub(crate) fn on_recn_control(
         &mut self,
         now: Picos,
         q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-        path: PathSpec,
-        line: u8,
+        link: usize,
+        payload: Payload,
     ) {
-        let xoff_now = self.switches[sw].inputs[port]
-            .recn_mut()
-            .expect("RECN scheme")
-            .on_upstream_ack(path, line);
-        if xoff_now {
-            let in_link = self.switches[sw].in_link[port];
-            self.counters.xoffs += 1;
-            self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXoff { path });
-        }
-    }
-
-    pub(crate) fn ingress_recn_reject(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-        path: PathSpec,
-    ) {
-        let dealloc = self.switches[sw].inputs[port]
-            .recn_mut()
-            .expect("RECN scheme")
-            .on_upstream_reject(path);
+        let port = self.links[link].down.port();
+        let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
+        let dealloc = match payload {
+            Payload::RecnAck { path, line } => {
+                if recn.on_upstream_ack(path, line) {
+                    self.counters.xoffs += 1;
+                    self.send_rev_ctrl(now, q, link, RevPayload::RecnXoff { path });
+                }
+                None
+            }
+            Payload::RecnReject { path } => recn.on_upstream_reject(path),
+            Payload::RecnToken { path } => recn.on_token_from_upstream(path),
+            Payload::Data { .. } => unreachable!("data is stored, not handled as control"),
+        };
         if let Some(saq) = dealloc {
-            self.dealloc(now, q, PortRef::SwitchIn { sw, port }, saq);
-        }
-    }
-
-    pub(crate) fn ingress_recn_token(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        sw: usize,
-        port: usize,
-        path: PathSpec,
-    ) {
-        let dealloc = self.switches[sw].inputs[port]
-            .recn_mut()
-            .expect("RECN scheme")
-            .on_token_from_upstream(path);
-        if let Some(saq) = dealloc {
-            self.dealloc(now, q, PortRef::SwitchIn { sw, port }, saq);
+            self.dealloc(now, q, port, saq);
         }
     }
 
@@ -184,7 +148,7 @@ impl Network {
         let (site, idx) = self.saq_site(port);
         self.observer
             .on_saq_dealloc(now, site, idx, saq.line(), &path);
-        self.census_change(now, site, idx, -1);
+        self.census_change(now, port, false);
         match action.token_to {
             TokenDest::EgressSameSwitch {
                 out_port,
@@ -200,13 +164,14 @@ impl Network {
                     self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
                 }
                 let out_port = out_port as usize;
-                let (change, dealloc) = self.switches[sw].outputs[out_port]
+                let parent = PortRef::SwitchOut { sw, port: out_port };
+                let (change, dealloc) = self
+                    .port_mut(parent)
                     .recn_mut()
                     .expect("RECN scheme")
                     .on_token_from_input(input, path_at_egress);
                 self.note_root_change(now, q, sw, out_port, change);
                 if let Some(next) = dealloc {
-                    let parent = PortRef::SwitchOut { sw, port: out_port };
                     self.dealloc(now, q, parent, next);
                 }
             }
@@ -236,7 +201,7 @@ impl Network {
         self.counters.saq_allocs += 1;
         let (site, idx) = self.saq_site(port);
         self.observer.on_saq_alloc(now, site, idx, saq.line(), path);
-        self.census_change(now, site, idx, 1);
+        self.census_change(now, port, true);
         let plan = self
             .port(port)
             .recn()
@@ -268,13 +233,18 @@ impl Network {
             if recn.marker_consumed(saq) {
                 self.dealloc(now, q, port, saq);
             } else if recn.is_empty_leaf(saq) {
-                self.schedule_idle_check(now, q, port, saq);
+                // Never used so far: check again after the idle timeout.
+                let at = now + self.cfg.saq_idle_timeout;
+                self.schedule(now, q, at, Event::SaqIdleCheck { port, saq });
             }
         }
-        match port {
-            PortRef::SwitchIn { sw, .. } => self.kick_input_arb(now, q, sw),
-            _ => self.kick_egress_arb(now, now, q, self.egress_link(port)),
-        }
+        let arbiter = match port {
+            PortRef::SwitchIn { sw, .. } => Wakeup::InputArb { sw },
+            _ => Wakeup::EgressArb {
+                link: self.egress_link(port),
+            },
+        };
+        self.kick(now, now, q, arbiter);
     }
 
     // ------------------------------------------------------------------
@@ -318,23 +288,6 @@ impl Network {
         }
     }
 
-    /// Schedules a deferred reclaim check for a never-used SAQ.
-    fn schedule_idle_check(
-        &mut self,
-        now: Picos,
-        q: &mut EventQueue<Event>,
-        port: PortRef,
-        saq: SaqId,
-    ) {
-        let at = now + self.cfg.saq_idle_timeout;
-        if at == now {
-            // Degenerate zero-timeout config: a same-time non-wakeup event
-            // must close the open wakeup batch (see `lazy_push`).
-            self.lazy_note_same_time_schedule(now);
-        }
-        q.schedule(at, Event::SaqIdleCheck { port, saq });
-    }
-
     /// `Event::SaqIdleCheck` — reclaim the SAQ if it is still an empty,
     /// unblocked leaf (stale or busy handles are ignored).
     pub(crate) fn on_saq_idle_check(
@@ -350,17 +303,8 @@ impl Network {
         }
     }
 
-    /// The link an egress `port` transmits on.
-    fn egress_link(&self, port: PortRef) -> usize {
-        match port {
-            PortRef::SwitchOut { sw, port } => self.switches[sw].out_link[port],
-            PortRef::Nic { host } => self.nics[host].link,
-            PortRef::SwitchIn { .. } => unreachable!("input ports drive no link"),
-        }
-    }
-
-    /// `port` as the observer and the census name it: the site plus the
-    /// flat per-site index.
+    /// `port` as the observer names it: the site plus the flat per-site
+    /// index.
     fn saq_site(&self, port: PortRef) -> (SaqSite, usize) {
         match port {
             PortRef::SwitchIn { sw, port } => (SaqSite::SwitchIngress, self.port_base[sw] + port),
@@ -369,47 +313,74 @@ impl Network {
         }
     }
 
-    fn census_change(&mut self, now: Picos, site: SaqSite, idx: usize, delta: i32) {
-        let (vec, max_tracker) = match site {
-            SaqSite::SwitchIngress => (&mut self.saq_in, Some(&mut self.max_saq_in)),
-            SaqSite::SwitchEgress => (&mut self.saq_out, Some(&mut self.max_saq_out)),
-            SaqSite::NicInjection => (&mut self.saq_nic, None),
-        };
-        let old = vec[idx];
-        let new = (old as i32 + delta).max(0) as u16;
-        vec[idx] = new;
-        self.saq_total = (self.saq_total as i64 + delta as i64).max(0) as u32;
-        if let Some(max) = max_tracker {
-            if new as u32 > *max {
-                *max = new as u32;
-            } else if delta < 0 && old as u32 == *max {
-                // The port that defined the max shrank: recompute.
-                let recomputed = vec.iter().copied().max().unwrap_or(0) as u32;
-                *max = recomputed;
-            }
+    /// Books the SAQ just allocated (or deallocated) at `port` in the
+    /// census and reports the new census to the observer.
+    fn census_change(&mut self, now: Picos, port: PortRef, allocated: bool) {
+        let held = self.port(port).recn().expect("RECN scheme").saqs_in_use();
+        let was = if allocated { held - 1 } else { held + 1 };
+        self.census.moved(port, was, held);
+        let (max_in, max_out, total) = self.census.values();
+        self.observer.on_saq_census(now, max_in, max_out, total);
+    }
+}
+
+/// Network-wide SAQ census. A port's own count is its CAM occupancy
+/// (`RecnPort::saqs_in_use`); what is kept here, per switch site, is only
+/// how many ports hold exactly `k` SAQs — enough to maintain the per-site
+/// maximum in O(1) when the port that defined it shrinks.
+#[derive(Debug)]
+pub(crate) struct SaqCensus {
+    /// `[ingress, egress][k]`: ports of the site holding exactly `k` SAQs.
+    holding: [Vec<u32>; 2],
+    /// Highest per-port count over the switch input / output ports.
+    max: [u32; 2],
+    /// SAQs allocated network-wide (NIC injection ports included).
+    total: u32,
+}
+
+impl SaqCensus {
+    /// The census of `ports` idle ports per switch site, each able to hold
+    /// up to `max_saqs` SAQs.
+    pub(crate) fn new(ports: usize, max_saqs: usize) -> SaqCensus {
+        let mut holding = vec![0; max_saqs + 1];
+        holding[0] = ports as u32;
+        SaqCensus {
+            holding: [holding.clone(), holding],
+            max: [0; 2],
+            total: 0,
         }
-        let (mi, mo, tot) = (self.max_saq_in, self.max_saq_out, self.saq_total);
-        self.observer.on_saq_census(now, mi, mo, tot);
+    }
+
+    /// `(max per switch-input port, max per switch-output port, total)`.
+    pub(crate) fn values(&self) -> (u32, u32, u32) {
+        (self.max[0], self.max[1], self.total)
+    }
+
+    /// `port` went from holding `was` SAQs to `held` (one apart).
+    fn moved(&mut self, port: PortRef, was: usize, held: usize) {
+        self.total = self.total + held as u32 - was as u32;
+        let i = match port {
+            PortRef::SwitchIn { .. } => 0,
+            PortRef::SwitchOut { .. } => 1,
+            PortRef::Nic { .. } => return,
+        };
+        self.holding[i][was] -= 1;
+        self.holding[i][held] += 1;
+        // Growing past the maximum raises it; the last port at the maximum
+        // shrinking lowers it by exactly one (that port is now at `held`).
+        if held as u32 > self.max[i] || (was as u32 == self.max[i] && self.holding[i][was] == 0) {
+            self.max[i] = held as u32;
+        }
     }
 }
 
 /// Sanity helper: asserts that no RECN resource is still allocated anywhere
 /// in `net` (used by tests after congestion has fully subsided).
 pub fn assert_recn_idle(net: &Network) {
-    for (s, sw) in net.switches.iter().enumerate() {
-        for p in 0..sw.inputs.len() {
-            if let Some(r) = sw.inputs[p].recn() {
-                assert_eq!(r.saqs_in_use(), 0, "leaked ingress SAQ at sw{s} port {p}");
-            }
-            if let Some(r) = sw.outputs[p].recn() {
-                assert_eq!(r.saqs_in_use(), 0, "leaked egress SAQ at sw{s} port {p}");
-                assert!(!r.is_root(), "stale root at sw{s} port {p}");
-            }
-        }
-    }
-    for (h, nic) in net.nics.iter().enumerate() {
-        if let Some(r) = nic.inject.recn() {
-            assert_eq!(r.saqs_in_use(), 0, "leaked NIC SAQ at host {h}");
+    for (port, qs) in net.ports() {
+        if let Some(r) = qs.recn() {
+            assert_eq!(r.saqs_in_use(), 0, "leaked SAQ at {port:?}");
+            assert!(!r.is_root(), "stale root at {port:?}");
         }
     }
     assert_eq!(net.saq_total(), 0, "census out of sync");

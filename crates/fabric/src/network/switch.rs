@@ -3,22 +3,13 @@
 
 use simcore::{EventQueue, Picos};
 
-use crate::config::SchemeKind;
+use crate::config::{RoutingPolicy, SchemeKind};
 use crate::credit::POOLED_QUEUE;
-use crate::observer::QueueKind;
 use crate::packet::{Packet, QueueItem, RevPayload};
+use crate::queue::QueueSet;
 
-use super::{Event, Network, PortRef, XbarTransfer};
-
-/// Queue classification for observer events: under RECN every non-zero
-/// queue index is a SAQ slot; baseline schemes have only normal queues.
-pub(super) fn kind_of(is_recn: bool, queue: usize) -> QueueKind {
-    if is_recn && queue != 0 {
-        QueueKind::Saq
-    } else {
-        QueueKind::Normal
-    }
-}
+use super::port::Reserved;
+use super::{Event, Network, PortRef, Wakeup, XbarTransfer};
 
 impl Network {
     /// A data packet arrived at a switch input port.
@@ -31,88 +22,23 @@ impl Network {
         pkt: Packet,
         target_queue: u16,
     ) {
+        let input = PortRef::SwitchIn { sw, port };
         let size = pkt.size as u64;
-        let is_recn = matches!(self.cfg.scheme, SchemeKind::Recn(_));
-        let queue = if is_recn {
-            self.switches[sw].inputs[port].classify(&pkt)
-        } else {
-            target_queue as usize
+        let qs = self.port(input);
+        let queue = match self.cfg.scheme {
+            SchemeKind::Recn(_) => qs.classify(&pkt),
+            _ => target_queue as usize,
         };
-        if self.cfg.transport.is_pfc() && !self.switches[sw].inputs[port].has_room(queue, size) {
+        if self.cfg.transport.is_pfc() && !qs.has_room(queue, size) {
             // PFC fabric: no credits protect this buffer, so an arrival
             // beyond capacity is dropped (the lossy baseline's defining
-            // event). The pause threshold below is what keeps this rare.
+            // event). The pause threshold is what keeps this rare.
             self.counters.pfc_dropped_packets += 1;
             self.counters.pfc_dropped_bytes += size;
             return;
         }
-        self.switches[sw].inputs[port].push_direct(queue, QueueItem::Packet(pkt));
-        self.observer.on_enqueue(
-            now,
-            PortRef::SwitchIn { sw, port },
-            queue,
-            kind_of(is_recn, queue),
-            &pkt,
-        );
-        if is_recn && queue != 0 {
-            let input = &mut self.switches[sw].inputs[port];
-            let saq = input
-                .saq_at_queue(queue)
-                .expect("packet stored in a live SAQ");
-            let signals = input
-                .recn_mut()
-                .expect("RECN scheme")
-                .saq_enqueued(saq, size);
-            let in_link = self.switches[sw].in_link[port];
-            if let Some(path) = signals.propagate {
-                self.counters.recn_notifications += 1;
-                self.send_rev_ctrl(now, q, in_link, RevPayload::RecnNotification { path });
-            }
-            if signals.xoff {
-                let path = self.switches[sw].inputs[port]
-                    .recn()
-                    .expect("RECN scheme")
-                    .path_of(saq);
-                self.counters.xoffs += 1;
-                self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXoff { path });
-            }
-        }
-        self.pfc_check_pause(now, q, sw, port);
-        self.kick_input_arb(now, q, sw);
-    }
-
-    /// PFC high-water check after an arrival at input `port`: pause the
-    /// upstream link once occupancy reaches the threshold. No-op outside
-    /// the PFC transport.
-    fn pfc_check_pause(&mut self, now: Picos, q: &mut EventQueue<Event>, sw: usize, port: usize) {
-        let Some(pfc) = self.cfg.transport.pfc() else {
-            return;
-        };
-        if !self.switches[sw].pause_sent[port]
-            && self.switches[sw].inputs[port].used() >= pfc.pause_threshold
-        {
-            self.switches[sw].pause_sent[port] = true;
-            self.counters.pfc_pauses += 1;
-            let in_link = self.switches[sw].in_link[port];
-            self.send_rev_ctrl(now, q, in_link, RevPayload::PfcPause);
-        }
-    }
-
-    /// PFC low-water check after a departure from input `port`: resume the
-    /// upstream link once occupancy drains to the threshold. No-op outside
-    /// the PFC transport.
-    fn pfc_check_resume(&mut self, now: Picos, q: &mut EventQueue<Event>, sw: usize, port: usize) {
-        let Some(pfc) = self.cfg.transport.pfc() else {
-            return;
-        };
-        if self.switches[sw].pause_sent[port]
-            && self.switches[sw].inputs[port].used() <= pfc.resume_threshold
-        {
-            self.switches[sw].pause_sent[port] = false;
-            self.counters.pfc_resumes += 1;
-            let in_link = self.switches[sw].in_link[port];
-            self.send_rev_ctrl(now, q, in_link, RevPayload::PfcResume);
-        }
+        self.port_store(now, q, input, queue, pkt, Reserved::Direct);
+        self.kick(now, now, q, Wakeup::InputArb { sw });
     }
 
     /// `Event::InputArb` — grant crossbar transfers at `sw`.
@@ -223,49 +149,19 @@ impl Network {
                 continue;
             };
 
-            let QueueItem::Packet(mut pkt) = self.switches[sw].inputs[i].pop(qidx) else {
-                unreachable!("head was a packet");
-            };
-            self.observer.on_dequeue(
-                now,
-                PortRef::SwitchIn { sw, port: i },
-                qidx,
-                kind_of(is_recn, qidx),
-                &pkt,
-            );
+            let input = PortRef::SwitchIn { sw, port: i };
+            let mut pkt = self.port_take(now, q, input, qidx);
             let size = pkt.size as u64;
-            if is_recn {
-                if qidx != 0 {
-                    let saq = self.switches[sw].inputs[i]
-                        .saq_at_queue(qidx)
-                        .expect("popped from a live SAQ queue");
-                    let recn_port = self.switches[sw].inputs[i].recn_mut().expect("RECN scheme");
-                    let path = recn_port.path_of(saq);
-                    let signals = recn_port.saq_dequeued(saq, size);
-                    // Markers of younger nested SAQs may now head this queue.
-                    self.drain_markers(now, q, PortRef::SwitchIn { sw, port: i }, qidx);
-                    if signals.xon {
-                        let in_link = self.switches[sw].in_link[i];
-                        self.counters.xons += 1;
-                        self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
-                    }
-                    if signals.deallocatable {
-                        self.dealloc(now, q, PortRef::SwitchIn { sw, port: i }, saq);
-                    }
-                } else {
-                    self.drain_markers(now, q, PortRef::SwitchIn { sw, port: i }, 0);
-                }
-            }
-            self.pfc_check_resume(now, q, sw, i);
             if let Some(up) = bind {
                 pkt.route.bind_next_turn(up);
             }
             pkt.route.advance();
+            let output = self.port_mut(PortRef::SwitchOut { sw, port: out });
             match to_queue {
-                None => self.switches[sw].outputs[out].reserve_pooled(size),
-                Some(oq) => self.switches[sw].outputs[out].reserve_queue(oq, size),
+                None => output.reserve_pooled(size),
+                Some(oq) => output.reserve_queue(oq, size),
             }
-            self.switches[sw].inputs[i].rr_granted(qidx);
+            self.port_mut(input).rr_granted(qidx);
             self.switches[sw].in_flight[i] = Some(XbarTransfer {
                 pkt,
                 from_queue: qidx,
@@ -273,18 +169,12 @@ impl Network {
                 to_queue,
             });
             self.switches[sw].out_busy[out] = true;
-            let at = now + self.cfg.xbar_time(size);
-            if at == now {
-                self.lazy_note_same_time_schedule(now);
-            }
-            q.schedule(
-                at,
-                Event::XbarDone {
-                    sw,
-                    input: i,
-                    output: out,
-                },
-            );
+            let done = Event::XbarDone {
+                sw,
+                input: i,
+                output: out,
+            };
+            self.schedule(now, q, now + self.cfg.xbar_time(size), done);
         }
     }
 
@@ -293,7 +183,7 @@ impl Network {
     /// is blocked (busy crossbar output or no buffer/credit admissibility) —
     /// the packet then simply re-selects at the next arbitration round.
     ///
-    /// Scoring implements [`UpSelector::CreditWeighted`]: bytes accounted at
+    /// Scoring is credit-weighted: bytes accounted at
     /// the candidate output port plus downstream credit already consumed on
     /// its link, minimized with a stable `(score, port)` tie-break — fully
     /// deterministic, so runs stay bit-identical per policy. Returns the
@@ -314,14 +204,9 @@ impl Network {
         p: &Packet,
         is_recn: bool,
     ) -> Option<(usize, Option<usize>)> {
-        use crate::config::{RoutingPolicy, UpSelector};
         let arn = match self.cfg.routing {
-            RoutingPolicy::AdaptiveUp {
-                selector: UpSelector::CreditWeighted,
-            } => false,
-            RoutingPolicy::ArnUp {
-                selector: UpSelector::CreditWeighted,
-            } => true,
+            RoutingPolicy::AdaptiveUp => false,
+            RoutingPolicy::ArnUp => true,
             RoutingPolicy::Deterministic => {
                 unreachable!("rebindable turn under deterministic routing")
             }
@@ -384,14 +269,12 @@ impl Network {
         pkt: &Packet,
     ) {
         let out = pkt.route.next_turn() as usize;
-        let class = self.switches[sw].outputs[out]
-            .recn()
-            .expect("RECN scheme")
-            .classify(pkt.route.resolved_remaining(1));
-        let notifs = self.switches[sw].outputs[out]
+        let recn = self
+            .port_mut(PortRef::SwitchOut { sw, port: out })
             .recn_mut()
-            .expect("RECN scheme")
-            .on_forward_from_input(i, class);
+            .expect("RECN scheme");
+        let class = recn.classify(pkt.route.resolved_remaining(1));
+        let notifs = recn.on_forward_from_input(i, class);
         for path in notifs.iter() {
             self.deliver_internal_notification(now, q, sw, out, i, path);
         }
@@ -414,68 +297,32 @@ impl Network {
         debug_assert_eq!(t.to_output, output);
         self.switches[sw].out_busy[output] = false;
         let size = t.pkt.size as u64;
-
+        let port = PortRef::SwitchOut { sw, port: output };
         match t.to_queue {
-            Some(oq) => {
-                self.switches[sw].outputs[output].commit_reserved(oq, QueueItem::Packet(t.pkt));
-                self.observer.on_enqueue(
-                    now,
-                    PortRef::SwitchOut { sw, port: output },
-                    oq,
-                    QueueKind::Normal,
-                    &t.pkt,
-                );
-            }
+            Some(oq) => self.port_store(now, q, port, oq, t.pkt, Reserved::Queue),
             None => {
                 // RECN: classify at commit time so packets never land behind
                 // a marker they logically precede.
-                let recn_class = self.switches[sw].outputs[output]
+                let class = self
+                    .port(port)
                     .recn()
                     .expect("pooled reservation implies RECN")
                     .classify(t.pkt.route.resolved_remaining(0));
-                let queue = match recn_class {
+                let queue = match class {
                     recn::Classify::Normal => 0,
-                    recn::Classify::Saq(s) => crate::queue::QueueSet::saq_queue(s),
+                    recn::Classify::Saq(s) => QueueSet::saq_queue(s),
                 };
-                self.switches[sw].outputs[output].commit_pooled(queue, QueueItem::Packet(t.pkt));
-                self.observer.on_enqueue(
-                    now,
-                    PortRef::SwitchOut { sw, port: output },
-                    queue,
-                    kind_of(true, queue),
-                    &t.pkt,
-                );
-                match recn_class {
-                    recn::Classify::Saq(saq) => {
-                        // Egress SAQs never emit signals on enqueue (they
-                        // switch to notify-on-forward mode internally).
-                        let _ = self.switches[sw].outputs[output]
-                            .recn_mut()
-                            .expect("RECN scheme")
-                            .saq_enqueued(saq, size);
-                    }
-                    recn::Classify::Normal => {
-                        let occ = self.switches[sw].outputs[output].queue_bytes(0);
-                        let change = self.switches[sw].outputs[output]
-                            .recn_mut()
-                            .expect("RECN scheme")
-                            .normal_occupancy_changed(occ);
-                        self.note_root_change(now, q, sw, output, change);
-                    }
-                }
-                let notifs = self.switches[sw].outputs[output]
+                self.port_store(now, q, port, queue, t.pkt, Reserved::Pooled);
+                let notifs = self
+                    .port_mut(port)
                     .recn_mut()
                     .expect("RECN scheme")
-                    .on_forward_from_input(input, recn_class);
+                    .on_forward_from_input(input, class);
                 for path in notifs.iter() {
                     self.deliver_internal_notification(now, q, sw, output, input, path);
                 }
             }
         }
-
-        // ARN occupancy trigger (non-RECN schemes): the enqueue above may
-        // have pushed this output past the hot threshold.
-        self.arn_occupancy_check(now, q, sw, output);
 
         // Credit for the freed input-port bytes flows upstream — except
         // under PFC, which has no credits (pause/resume is the only
@@ -497,8 +344,8 @@ impl Network {
             );
         }
 
-        let out_link = self.switches[sw].out_link[output];
-        self.kick_egress_arb(now, now, q, out_link);
-        self.kick_input_arb(now, q, sw);
+        let link = self.switches[sw].out_link[output];
+        self.kick(now, now, q, Wakeup::EgressArb { link });
+        self.kick(now, now, q, Wakeup::InputArb { sw });
     }
 }

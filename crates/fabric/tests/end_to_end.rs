@@ -11,12 +11,12 @@
 
 use fabric::{
     assert_recn_idle, ConstantRateSource, EventModel, FabricConfig, FanoutObserver, MessageSource,
-    NetObserver, Network, Packet, PortRef, QueueKind, SaqSite, SchemeKind, ScriptSource,
-    SilentSource, SourcedMessage, TraceSink, ValidatingObserver, ValidatorHandle,
+    NetObserver, Network, Packet, PortRef, QueueKind, QueueSet, RoutingPolicy, SaqSite, SchemeKind,
+    ScriptSource, SilentSource, SourcedMessage, TraceSink, ValidatingObserver, ValidatorHandle,
 };
 use recn::RecnConfig;
-use simcore::{Picos, Xoshiro256};
-use topology::{HostId, MinParams, PathSpec};
+use simcore::{EventQueue, Picos, SimModel, Xoshiro256};
+use topology::{FatTreeParams, HostId, MinParams, PathSpec, SwitchId, TopoParams};
 
 /// An online invariant checker for one run: panics mid-simulation on the
 /// first violation, and the handle lets drained runs assert emptiness.
@@ -600,4 +600,140 @@ fn idle_timer_reclaims_never_used_saqs_at_every_site() {
     assert_eq!(lazy_unused, eager_unused);
     assert_eq!(lazy, eager, "lazy digest {lazy:#x} != eager {eager:#x}");
     assert_recn_idle(&lazy_net);
+}
+
+/// Packets stored per `(port, queue)`, counted from the enqueue/dequeue
+/// hooks alone — markers fire neither, so this is the packet count the
+/// RECN state machine must agree with.
+#[derive(Default)]
+struct StoredPackets(std::rc::Rc<std::cell::RefCell<std::collections::BTreeMap<QueueKey, u32>>>);
+
+/// `(site, switch or host, port, queue)`.
+type QueueKey = (usize, usize, usize, usize);
+
+fn queue_key(port: PortRef, queue: usize) -> QueueKey {
+    match port {
+        PortRef::SwitchIn { sw, port } => (0, sw, port, queue),
+        PortRef::SwitchOut { sw, port } => (1, sw, port, queue),
+        PortRef::Nic { host } => (2, host, 0, queue),
+    }
+}
+
+impl NetObserver for StoredPackets {
+    fn on_enqueue(&mut self, _: Picos, port: PortRef, queue: usize, _: QueueKind, _: &Packet) {
+        *self
+            .0
+            .borrow_mut()
+            .entry(queue_key(port, queue))
+            .or_default() += 1;
+    }
+
+    fn on_dequeue(&mut self, _: Picos, port: PortRef, queue: usize, _: QueueKind, _: &Packet) {
+        *self
+            .0
+            .borrow_mut()
+            .get_mut(&queue_key(port, queue))
+            .expect("dequeue from a queue that stored a packet") -= 1;
+    }
+}
+
+/// Every port of `net`'s topology, by name.
+fn all_ports(net: &Network) -> Vec<PortRef> {
+    let topo = net.topology();
+    let mut ports = Vec::new();
+    for sw in 0..topo.num_switches() as usize {
+        for port in 0..topo.ports(SwitchId::new(sw as u32)) as usize {
+            ports.push(PortRef::SwitchIn { sw, port });
+            ports.push(PortRef::SwitchOut { sw, port });
+        }
+    }
+    ports.extend((0..topo.num_hosts() as usize).map(|host| PortRef::Nic { host }));
+    ports
+}
+
+/// A shortened corner case 2 on 64 hosts: uniform background at half rate
+/// from three hosts in four, and from the fourth a full-rate burst at host
+/// 32 between 10 and 40 µs. Driven event by event and stopped every 200
+/// events (and after the last) to check what the one store/take pair and the CAM-derived census
+/// must keep true at every port; returns the sampled ingress maxima.
+fn check_port_bookkeeping(params: TopoParams, routing: RoutingPolicy) -> Vec<u32> {
+    let mut sources = random_sources(64, 450, 64, 0.5, 17);
+    for h in (1..64).step_by(4) {
+        sources[h] = Box::new(ConstantRateSource::new(
+            HostId::new(32),
+            64,
+            Picos::from_ns(64),
+            Picos::from_us(10),
+            Picos::from_us(40),
+        ));
+    }
+    let stored = StoredPackets::default();
+    let tally = stored.0.clone();
+    let (obs, vh) = validator();
+    let fan = FanoutObserver::new().push(obs).push(Box::new(stored));
+    let cfg = FabricConfig::paper(SchemeKind::Recn(test_recn_config())).with_routing(routing);
+    let mut net = Network::new(params, cfg, 64, sources, Box::new(fan));
+    let ports = all_ports(&net);
+
+    let mut q = EventQueue::new();
+    net.prime(&mut q);
+    let mut maxima = Vec::new();
+    let mut events = 0u64;
+    while let Some(ev) = q.pop() {
+        net.handle(ev.time, ev.event, &mut q);
+        events += 1;
+        if !events.is_multiple_of(200) && !q.is_empty() {
+            continue;
+        }
+        let (mut max_in, mut max_out, mut total) = (0, 0, 0);
+        for &port in &ports {
+            let qs = net.port(port);
+            let recn = qs.recn().expect("RECN scheme");
+            for saq in recn.iter_saqs() {
+                let queue = QueueSet::saq_queue(saq);
+                assert_eq!(
+                    recn.occupancy(saq),
+                    qs.queue_bytes(queue),
+                    "{port:?} queue {queue}: SAQ occupancy vs stored bytes"
+                );
+                let stored = tally.borrow().get(&queue_key(port, queue)).copied();
+                assert_eq!(
+                    recn.packets(saq),
+                    stored.unwrap_or(0),
+                    "{port:?} queue {queue}: SAQ packets vs stored packets"
+                );
+            }
+            let held = recn.saqs_in_use() as u32;
+            total += held;
+            match port {
+                PortRef::SwitchIn { .. } => max_in = max_in.max(held),
+                PortRef::SwitchOut { .. } => max_out = max_out.max(held),
+                PortRef::Nic { .. } => {}
+            }
+        }
+        assert_eq!(net.saq_census(), (max_in, max_out, total), "event {events}");
+        maxima.push(max_in);
+    }
+    vh.assert_drained();
+    assert_recn_idle(&net);
+    maxima
+}
+
+#[test]
+fn saq_bookkeeping_and_census_match_the_ports_at_every_sample() {
+    for (params, routing) in [
+        (MinParams::paper_64().into(), RoutingPolicy::Deterministic),
+        (FatTreeParams::ft_64().into(), RoutingPolicy::adaptive()),
+    ] {
+        let maxima = check_port_bookkeeping(params, routing);
+        // The samples cross allocations and a dealloc at the port that
+        // defined the maximum: it rose above one and fell all the way back.
+        let peak = *maxima.iter().max().expect("the run was sampled");
+        let at = maxima.iter().position(|&m| m == peak).expect("peak exists");
+        assert!(peak >= 2, "{params:?}: ingress maximum peaked at {peak}");
+        assert!(
+            maxima[at..].windows(2).any(|w| w[1] < w[0]) && maxima.last() == Some(&0),
+            "{params:?}: the maximum never fell"
+        );
+    }
 }

@@ -2,13 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use topology::{PathSpec, Route};
 
 /// Handle to an allocated SAQ (CAM line). Carries a generation counter so a
 /// stale handle (marker for a line that was deallocated and reallocated)
 /// can be detected and ignored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaqId {
     line: u8,
     generation: u32,

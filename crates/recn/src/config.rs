@@ -1,6 +1,5 @@
 //! RECN tunables.
 
-use serde::{Deserialize, Serialize};
 use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 
 /// Configuration of the RECN mechanism at every port.
@@ -18,7 +17,7 @@ use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 /// let cfg = RecnConfig::default().with_max_saqs(64).with_detection_threshold(16 * 1024);
 /// assert_eq!(cfg.max_saqs, 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecnConfig {
     /// SAQs (= CAM lines) per port. The paper evaluates 8 and states that 64
     /// fit in the reclaimed VOQ RAM of their switch design.

@@ -1,6 +1,5 @@
 //! Control messages exchanged across links by the RECN protocol.
 
-use serde::{Deserialize, Serialize};
 use topology::PathSpec;
 
 /// A RECN control message travelling on a link (upstream or downstream).
@@ -13,7 +12,7 @@ use topology::PathSpec;
 /// * `Ack` and `Reject` travel **downstream**, answering a notification.
 /// * `Token` travels **downstream** when a leaf SAQ deallocates.
 /// * `Xoff` / `Xon` travel **upstream**, throttling the matching SAQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecnMsg {
     /// Allocate a SAQ for `path` at the receiving (upstream) output port;
     /// carries the token that marks the new leaf.

@@ -1,11 +1,9 @@
 //! Time-series recording primitives for the paper's plots.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Picos;
 
 /// One rendered point of a series: bin start time and value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Start of the bin, in microseconds.
     pub t_us: f64,

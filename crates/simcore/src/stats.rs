@@ -1,7 +1,5 @@
 //! Scalar statistics: running moments and latency histograms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Picos;
 
 /// Running mean/min/max/count accumulator (Welford variance).
@@ -15,7 +13,7 @@ use crate::Picos;
 /// assert_eq!(r.min(), Some(1.0));
 /// assert_eq!(r.max(), Some(3.0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Running {
     count: u64,
     mean: f64,
@@ -132,7 +130,7 @@ impl Running {
 /// Buckets double in width starting from `base`; values below `base` land
 /// in bucket 0. Quantiles are approximated by the geometric midpoint of the
 /// answering bucket, which is plenty for orders-of-magnitude latency plots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     base_ps: u64,
     counts: Vec<u64>,

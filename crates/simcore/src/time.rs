@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time (or a duration), in integer picoseconds.
 ///
 /// Picoseconds are fine enough to express the paper's rates exactly:
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_ns(), 800_000);
 /// assert_eq!(t + Picos::from_ns(5), Picos::new(800_005_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Picos(u64);
 
 impl Picos {

@@ -21,7 +21,6 @@
 //! make the route a pure function of `(src, dst)` — deterministic, so a
 //! congestion tree's turnpool prefix identifies the same set of paths on
 //! every run.
-use serde::{Deserialize, Serialize};
 use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 
 use crate::{HostId, PortId, Route, SwitchId, MAX_STAGES};
@@ -36,7 +35,7 @@ use crate::{HostId, PortId, Route, SwitchId, MAX_STAGES};
 /// * [`FatTreeParams::ft_512`] — 8-ary 3-tree: 512 hosts, 192 switches
 /// * [`FatTreeParams::ft_4096`] — 16-ary 3-tree: 4096 hosts, 768 switches
 /// * [`FatTreeParams::ft_4096d`] — 4-ary 6-tree: 4096 hosts, 6144 switches
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FatTreeParams {
     k: u32,
     n: u32,

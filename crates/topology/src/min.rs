@@ -1,6 +1,5 @@
 //! Perfect-shuffle (delta) multistage network construction.
 
-use serde::{Deserialize, Serialize};
 use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 
 use crate::{HostId, PortId, Route, SwitchId, MAX_STAGES};
@@ -16,7 +15,7 @@ use crate::{HostId, PortId, Route, SwitchId, MAX_STAGES};
 /// * 512 hosts — 5 stages × 128 switches = 640 switches
 /// * 4096 hosts — 6 stages × 1024 switches = 6144 switches
 ///   ([`MinParams::min_4096`], 8× beyond the paper's largest net)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MinParams {
     hosts: u32,
     radix: u32,
@@ -146,7 +145,7 @@ impl Canon for MinParams {
 }
 
 /// Position of a switch as (stage, index within stage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwitchCoords {
     /// Pipeline stage, 0 at the host-injection side.
     pub stage: u32,

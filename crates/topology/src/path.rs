@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::route::MAX_STAGES;
 use crate::Route;
 
@@ -26,7 +24,7 @@ use crate::Route;
 /// An **empty** path is valid and matches every packet: it denotes a root
 /// located at the very port holding the CAM line (used by a NIC injection
 /// port whose own link is the root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PathSpec {
     turns: [u8; MAX_STAGES],
     len: u8,

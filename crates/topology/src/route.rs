@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::HostId;
 
 /// Maximum number of stages supported (fixed so routes are inline/`Copy`).
@@ -25,7 +23,7 @@ pub const MAX_STAGES: usize = 12;
 /// let r = Route::to_host(HostId::new(27), 4, 3);
 /// assert_eq!(r.remaining(), &[1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Route {
     digits: [u8; MAX_STAGES],
     len: u8,

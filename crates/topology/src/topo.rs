@@ -9,7 +9,6 @@
 //! on the simulation hot path), and [`TopoParams`] is its cheap, copyable
 //! description used by run specs and CLIs.
 
-use serde::{Deserialize, Serialize};
 use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 
 use crate::{
@@ -17,7 +16,7 @@ use crate::{
 };
 
 /// Which concrete topology a parameter set or network describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Unidirectional perfect-shuffle (delta) MIN.
     Min,
@@ -44,7 +43,7 @@ impl TopologyKind {
 /// assert_eq!(p.hosts(), 64);
 /// assert_eq!(p.name(), "min");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopoParams {
     /// A perfect-shuffle MIN shape.
     Min(MinParams),

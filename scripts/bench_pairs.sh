@@ -29,6 +29,10 @@ mkdir -p "$work/parent"
 git archive "$parent_sha" | tar -x -C "$work/parent"
 runs="$work/runs.jsonl"
 : > "$runs"
+# `cargo run --offline` rewrites benchmark/Cargo.lock in place when the
+# crates' dependency edges moved; put the checked-in one back on exit.
+cp benchmark/Cargo.lock "$work/benchmark.lock"
+trap 'cp "$work/benchmark.lock" benchmark/Cargo.lock' EXIT
 
 mapfile -t command < <(python3 -c 'import json; print(*json.load(open("BENCHMARK.json"))["command"], sep="\n")')
 mapfile -t workloads < <(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]], sep="\n")')
@@ -89,6 +93,10 @@ for w in (w["name"] for w in bench["workloads"]):
             "change_median": cm,
             "change_vs_parent_pct": round((cm / pm - 1) * 100, 2) if pm else None,
             "parent_iqr": q3 - q1,
+            "bound": m["bound"],
+            # Spread wider than the bound: a within-bound reading is
+            # "unresolved", not "unchanged" (simplicity-review guide).
+            "spread_exceeds_bound": bool(pm) and (q3 - q1) / pm > m["bound"],
             "pairs_change_better": sum(better(side["change"][p], side["parent"][p]) for p in side["parent"]),
             "pairs_tied": sum(side["change"][p] == side["parent"][p] for p in side["parent"]),
         }
