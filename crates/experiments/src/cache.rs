@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fabric::NetCounters;
+use fabric::{CounterMut, NetCounters};
 use simcore::{fnv1a64, Running, SeriesPoint};
 
 use crate::json::{self, parse_json, Json};
@@ -162,22 +162,25 @@ fn series_json(points: &[SeriesPoint]) -> String {
 }
 
 fn render_body(out: &RunOutput) -> String {
-    let c = &out.counters;
-    let (count, mean, m2, min, max) = c.latency_ns.raw_parts();
+    // `fields_mut` is the one walk over the counters; rendering reads
+    // through it on a copy.
+    let mut counters = out.counters.clone();
+    let counters: Vec<String> = counters
+        .fields_mut()
+        .into_iter()
+        .map(|(name, field)| match field {
+            CounterMut::Count(v) => format!("\"{name}\":{v}"),
+            CounterMut::Stat(r) => {
+                let (count, mean, m2, min, max) = r.raw_parts();
+                let (mean, m2) = (json::num(mean), json::num(m2));
+                let (min, max) = (json::opt(min), json::opt(max));
+                format!("\"{name}\":[{count},{mean},{m2},{min},{max}]")
+            }
+        })
+        .collect();
     format!(
         "{{\"scheme\":\"{}\",\"throughput\":{},\"saq_ingress\":{},\"saq_egress\":{},\
-         \"saq_total\":{},\"saq_peaks\":[{},{},{}],\"counters\":{{\
-         \"injected_packets\":{},\"injected_bytes\":{},\"delivered_packets\":{},\
-         \"delivered_bytes\":{},\"order_violations\":{},\
-         \"latency_ns\":[{},{},{},{},{}],\
-         \"recn_notifications\":{},\"saq_allocs\":{},\"saq_deallocs\":{},\
-         \"recn_rejects\":{},\"recn_duplicates\":{},\"recn_tokens\":{},\
-         \"xoffs\":{},\"xons\":{},\"markers\":{},\"root_activations\":{},\
-         \"root_clears\":{},\"source_dropped_messages\":{},\"source_dropped_bytes\":{},\
-         \"retransmitted_packets\":{},\"transport_timeouts\":{},\"transport_acks\":{},\
-         \"transport_nacks\":{},\"flows_completed\":{},\"pfc_pauses\":{},\
-         \"pfc_resumes\":{},\"pfc_dropped_packets\":{},\"pfc_dropped_bytes\":{},\
-         \"arn_hot_notifications\":{},\"arn_cold_notifications\":{}}},\
+         \"saq_total\":{},\"saq_peaks\":[{},{},{}],\"counters\":{{{}}},\
          \"wall_secs\":{},\"events\":{},\"peak_event_queue_depth\":{},\"trace_digest\":{},\
          \"peak_bytes_estimate\":{},\"fct\":{}}}",
         out.scheme,
@@ -188,40 +191,7 @@ fn render_body(out: &RunOutput) -> String {
         out.saq_peaks.0,
         out.saq_peaks.1,
         out.saq_peaks.2,
-        c.injected_packets,
-        c.injected_bytes,
-        c.delivered_packets,
-        c.delivered_bytes,
-        c.order_violations,
-        count,
-        json::num(mean),
-        json::num(m2),
-        json::opt(min),
-        json::opt(max),
-        c.recn_notifications,
-        c.saq_allocs,
-        c.saq_deallocs,
-        c.recn_rejects,
-        c.recn_duplicates,
-        c.recn_tokens,
-        c.xoffs,
-        c.xons,
-        c.markers,
-        c.root_activations,
-        c.root_clears,
-        c.source_dropped_messages,
-        c.source_dropped_bytes,
-        c.retransmitted_packets,
-        c.transport_timeouts,
-        c.transport_acks,
-        c.transport_nacks,
-        c.flows_completed,
-        c.pfc_pauses,
-        c.pfc_resumes,
-        c.pfc_dropped_packets,
-        c.pfc_dropped_bytes,
-        c.arn_hot_notifications,
-        c.arn_cold_notifications,
+        counters.join(","),
         json::num(out.wall_secs),
         out.events,
         out.peak_event_queue_depth,
@@ -248,6 +218,18 @@ fn parse_fct(v: &Json) -> Result<Option<metrics::FctSummary>, String> {
             }))
         }
     }
+}
+
+/// Inverse of the five-number array a [`CounterMut::Stat`] renders to.
+fn parse_running(v: &Json) -> Option<Running> {
+    let a = v.arr().filter(|a| a.len() == 5)?;
+    Some(Running::from_raw_parts(
+        a[0].u64()?,
+        a[1].f64()?,
+        a[2].f64()?,
+        a[3].f64_or_null()?,
+        a[4].f64_or_null()?,
+    ))
 }
 
 // ---- entry parsing -----------------------------------------------------
@@ -313,25 +295,16 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
             .ok_or_else(|| "bad saq peak".into())
     };
 
-    let counters = body.get("counters").ok_or("missing counters")?;
-    let cnt = |k: &str| -> Result<u64, String> {
-        counters
-            .get(k)
-            .and_then(|v| v.u64())
-            .ok_or_else(|| format!("missing counter {k:?}"))
-    };
-    let lat = counters
-        .get("latency_ns")
-        .and_then(|v| v.arr())
-        .filter(|a| a.len() == 5)
-        .ok_or("bad latency_ns")?;
-    let latency_ns = Running::from_raw_parts(
-        lat[0].u64().ok_or("bad latency count")?,
-        lat[1].f64().ok_or("bad latency mean")?,
-        lat[2].f64().ok_or("bad latency m2")?,
-        lat[3].f64_or_null().ok_or("bad latency min")?,
-        lat[4].f64_or_null().ok_or("bad latency max")?,
-    );
+    let stored = body.get("counters").ok_or("missing counters")?;
+    let mut counters = NetCounters::default();
+    for (name, field) in counters.fields_mut() {
+        let v = stored.get(name);
+        let bad = || format!("missing or malformed counter {name:?}");
+        match field {
+            CounterMut::Count(c) => *c = v.and_then(|v| v.u64()).ok_or_else(bad)?,
+            CounterMut::Stat(r) => *r = v.and_then(parse_running).ok_or_else(bad)?,
+        }
+    }
 
     let out = RunOutput {
         schema_version: output_schema as u32,
@@ -341,38 +314,7 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
         saq_egress: series("saq_egress")?,
         saq_total: series("saq_total")?,
         saq_peaks: (peak(0)?, peak(1)?, peak(2)?),
-        counters: NetCounters {
-            injected_packets: cnt("injected_packets")?,
-            injected_bytes: cnt("injected_bytes")?,
-            delivered_packets: cnt("delivered_packets")?,
-            delivered_bytes: cnt("delivered_bytes")?,
-            order_violations: cnt("order_violations")?,
-            latency_ns,
-            recn_notifications: cnt("recn_notifications")?,
-            saq_allocs: cnt("saq_allocs")?,
-            saq_deallocs: cnt("saq_deallocs")?,
-            recn_rejects: cnt("recn_rejects")?,
-            recn_duplicates: cnt("recn_duplicates")?,
-            recn_tokens: cnt("recn_tokens")?,
-            xoffs: cnt("xoffs")?,
-            xons: cnt("xons")?,
-            markers: cnt("markers")?,
-            root_activations: cnt("root_activations")?,
-            root_clears: cnt("root_clears")?,
-            source_dropped_messages: cnt("source_dropped_messages")?,
-            source_dropped_bytes: cnt("source_dropped_bytes")?,
-            retransmitted_packets: cnt("retransmitted_packets")?,
-            transport_timeouts: cnt("transport_timeouts")?,
-            transport_acks: cnt("transport_acks")?,
-            transport_nacks: cnt("transport_nacks")?,
-            flows_completed: cnt("flows_completed")?,
-            pfc_pauses: cnt("pfc_pauses")?,
-            pfc_resumes: cnt("pfc_resumes")?,
-            pfc_dropped_packets: cnt("pfc_dropped_packets")?,
-            pfc_dropped_bytes: cnt("pfc_dropped_bytes")?,
-            arn_hot_notifications: cnt("arn_hot_notifications")?,
-            arn_cold_notifications: cnt("arn_cold_notifications")?,
-        },
+        counters,
         wall_secs: body
             .get("wall_secs")
             .and_then(|v| v.f64())

@@ -11,7 +11,7 @@ use fabric::{
     render_port, FabricConfig, FanoutObserver, Network, SchemeKind, TraceSink, ValidatingObserver,
 };
 use simcore::Picos;
-use topology::{FatTreeParams, MinParams, TopoParams};
+use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
 use traffic::corner::CornerCase;
 
 use crate::figures::{self, FIGURES};
@@ -19,9 +19,7 @@ use crate::opts::flag::{
     net, CACHE, CSV, JOBS, JSON, PKT, QUICK, ROUTING, STRIDE, TOPOLOGY, TRACE, TRACE_LAST,
     TRANSPORT,
 };
-use crate::opts::{
-    is_help, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed, TopologyChoice,
-};
+use crate::opts::{is_help, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed};
 use crate::runner::{paper_recn_config, scaled_recn_config, summarize, SchemeSet};
 use crate::spec::RunSpec;
 use crate::sweep::Sweep;
@@ -268,7 +266,7 @@ fn ablation_tables(opts: &Opts) -> Result<(), String> {
 /// {deterministic, adaptive, arn} × scheme matrix (the EXPERIMENTS.md
 /// fat-tree headline tables).
 fn hotspot(opts: &Opts) -> Result<(), String> {
-    if opts.net == Some(512) && opts.topology != TopologyChoice::FatTree {
+    if opts.net == Some(512) && opts.topology != TopologyKind::FatTree {
         return Err(format!(
             "--net 512 needs --topology fattree; {}",
             usage_line(HOTSPOT_FLAGS)
@@ -307,11 +305,11 @@ fn validate(opts: &Opts) -> Result<(), String> {
     let div = 40 * opts.time_div();
     let horizon = Picos::from_us(1600 / div);
     let (params, corner) = match opts.topology {
-        TopologyChoice::Min => (
+        TopologyKind::Min => (
             TopoParams::from(MinParams::paper_64()),
             CornerCase::case2_64(),
         ),
-        TopologyChoice::FatTree => (
+        TopologyKind::FatTree => (
             TopoParams::from(FatTreeParams::ft_64()),
             CornerCase::fattree_64(),
         ),

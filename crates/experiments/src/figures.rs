@@ -9,11 +9,11 @@
 
 use metrics::report::{render_csv, render_table, thin, window_stats, Labeled};
 use simcore::Picos;
-use topology::{FatTreeParams, MinParams, TopoParams};
+use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
 
-use crate::opts::{Opts, TopologyChoice};
+use crate::opts::Opts;
 use crate::runner::{summarize, RunOutput, SchemeSet};
 use crate::sweep::RunSpec;
 
@@ -356,17 +356,17 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
 pub fn topology_hotspot(opts: &Opts) -> Figure {
     let hosts = opts.net.unwrap_or(64);
     let (params, corner, desc) = match (opts.topology, hosts) {
-        (TopologyChoice::Min, 64) => (
+        (TopologyKind::Min, 64) => (
             TopoParams::from(MinParams::paper_64()),
             CornerCase::case2_64(),
             "64-host MIN, corner case 2",
         ),
-        (TopologyChoice::FatTree, 64) => (
+        (TopologyKind::FatTree, 64) => (
             TopoParams::from(FatTreeParams::ft_64()),
             CornerCase::fattree_64(),
             "64-host 4-ary 3-tree, one-attacker-per-leaf hotspot",
         ),
-        (TopologyChoice::FatTree, 512) => (
+        (TopologyKind::FatTree, 512) => (
             TopoParams::from(FatTreeParams::ft_512()),
             CornerCase::fattree_512(),
             "512-host 8-ary 3-tree, one-attacker-per-leaf hotspot",
@@ -633,7 +633,7 @@ mod tests {
     #[test]
     fn fattree_hotspot_quick_recn_wins() {
         let opts = Opts {
-            topology: TopologyChoice::FatTree,
+            topology: TopologyKind::FatTree,
             ..quick_opts()
         };
         let fig = topology_hotspot(&opts);
@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn fattree_adaptive_quick_beats_deterministic_where_it_should() {
         let opts = Opts {
-            topology: TopologyChoice::FatTree,
+            topology: TopologyKind::FatTree,
             routing: fabric::RoutingPolicy::adaptive(),
             ..quick_opts()
         };
@@ -691,7 +691,7 @@ mod tests {
     #[test]
     fn fattree_arn_quick_matrix_holds() {
         let opts = Opts {
-            topology: TopologyChoice::FatTree,
+            topology: TopologyKind::FatTree,
             routing: fabric::RoutingPolicy::arn(),
             ..quick_opts()
         };

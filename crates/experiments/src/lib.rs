@@ -78,7 +78,7 @@ pub mod sweep;
 pub mod table1;
 
 pub use cache::{CacheStatus, RunCache};
-pub use opts::{Opts, TopologyChoice};
+pub use opts::Opts;
 pub use runner::{run_one, RunOutput, SchemeSet, Workload, OUTPUT_SCHEMA_VERSION};
 pub use spec::RunSpec;
 pub use sweep::{Sweep, SweepReport};

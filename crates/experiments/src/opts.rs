@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use topology::{FatTreeParams, MinParams, TopoParams};
+use topology::TopologyKind;
 
 use crate::runner::RunOutput;
 use crate::sweep::{RunSpec, Sweep, SweepReport};
@@ -286,55 +286,6 @@ pub(crate) mod flag {
     );
 }
 
-/// Which topology family the commands should build (`--topology`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopologyChoice {
-    /// The paper's perfect-shuffle MIN (default).
-    #[default]
-    Min,
-    /// The k-ary n-tree fat tree.
-    FatTree,
-}
-
-impl TopologyChoice {
-    /// Parses a `--topology` value.
-    pub fn parse(s: &str) -> Option<TopologyChoice> {
-        match s {
-            "min" => Some(TopologyChoice::Min),
-            "fattree" | "fat-tree" => Some(TopologyChoice::FatTree),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologyChoice::Min => "min",
-            TopologyChoice::FatTree => "fattree",
-        }
-    }
-
-    /// The preset topology parameters for a preset host count (64, 256,
-    /// 512 or 4096 — the sizes the commands sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a host count without a preset.
-    pub fn params_for(&self, hosts: u32) -> TopoParams {
-        match (self, hosts) {
-            (TopologyChoice::Min, 64) => MinParams::paper_64().into(),
-            (TopologyChoice::Min, 256) => MinParams::paper_256().into(),
-            (TopologyChoice::Min, 512) => MinParams::paper_512().into(),
-            (TopologyChoice::Min, 4096) => MinParams::min_4096().into(),
-            (TopologyChoice::FatTree, 64) => FatTreeParams::ft_64().into(),
-            (TopologyChoice::FatTree, 256) => FatTreeParams::ft_256().into(),
-            (TopologyChoice::FatTree, 512) => FatTreeParams::ft_512().into(),
-            (TopologyChoice::FatTree, 4096) => FatTreeParams::ft_4096().into(),
-            (t, h) => panic!("no {} preset for {h} hosts", t.name()),
-        }
-    }
-}
-
 /// Options common to the figure/validation commands.
 #[derive(Debug, Clone, Default)]
 pub struct Opts {
@@ -368,7 +319,7 @@ pub struct Opts {
     /// digest always covers the whole run).
     pub trace_last: usize,
     /// Topology family to build (`--topology min|fattree`; MIN default).
-    pub topology: TopologyChoice,
+    pub topology: TopologyKind,
     /// Routing policy for every run of the sweep
     /// (`--routing deterministic|adaptive|arn`; deterministic default — the
     /// paper's self-routing; adaptive lets fat-tree switches pick up-ports
@@ -402,7 +353,7 @@ impl Opts {
             trace_file: path("--trace"),
             trace_last: f.num("--trace-last")?.unwrap_or(4096),
             topology: f
-                .named("--topology", TopologyChoice::parse)?
+                .named("--topology", TopologyKind::parse)?
                 .unwrap_or_default(),
             routing: f
                 .named("--routing", fabric::RoutingPolicy::parse)?
@@ -609,6 +560,10 @@ mod tests {
         let o = parse(&["--trace", "out.jsonl", "--trace-last", "100"]).unwrap();
         assert_eq!(o.trace_file, Some(PathBuf::from("out.jsonl")));
         assert_eq!(o.trace_capacity(), 100);
+        // Any count parses: the ring grows with what a run records, so
+        // the flag bounds its memory without sizing it.
+        let o = parse(&["--trace-last", "99999999999"]).unwrap();
+        assert_eq!(o.trace_capacity(), 99_999_999_999);
         // Defaults: tracing off, generous ring.
         let o = parse(&[]).unwrap();
         assert_eq!(o.trace_file, None);
@@ -640,13 +595,13 @@ mod tests {
     #[test]
     fn topology_flag_parses() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.topology, TopologyChoice::Min);
+        assert_eq!(o.topology, TopologyKind::Min);
         let o = parse(&["--topology", "fattree"]).unwrap();
-        assert_eq!(o.topology, TopologyChoice::FatTree);
-        assert_eq!(o.topology.params_for(64), FatTreeParams::ft_64().into());
-        assert_eq!(o.topology.params_for(512).total_switches(), 192);
+        assert_eq!(o.topology, TopologyKind::FatTree);
+        let o = parse(&["--topology", "fat-tree"]).unwrap();
+        assert_eq!(o.topology, TopologyKind::FatTree);
         let o = parse(&["--topology", "min"]).unwrap();
-        assert_eq!(o.topology.params_for(256), MinParams::paper_256().into());
+        assert_eq!(o.topology, TopologyKind::Min);
         assert!(parse(&["--topology", "torus"])
             .unwrap_err()
             .contains("--topology expects min or fattree"));

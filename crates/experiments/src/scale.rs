@@ -55,11 +55,6 @@ fn ladder() -> Vec<(FatTreeParams, CornerCase)> {
     ]
 }
 
-/// The network sizes of the ladder.
-pub fn scale_points() -> Vec<FatTreeParams> {
-    ladder().into_iter().map(|(p, _)| p).collect()
-}
-
 /// Queues one *port unit* (one input or one output) needs under a
 /// scheme, in a network of `hosts` endnodes built from switches of the
 /// given `radix`. This is the per-port row of the paper's Table in §6:
@@ -328,6 +323,11 @@ mod tests {
             switch_ports(&FatTreeParams::ft_4096()),
             256 * 32 * 2 + 256 * 16
         );
+    }
+
+    /// The network sizes of the ladder.
+    fn scale_points() -> Vec<FatTreeParams> {
+        ladder().into_iter().map(|(p, _)| p).collect()
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! hit/miss, wall seconds, events and events/sec. Processed spool files
 //! are renamed `<name>.done` (`<name>.err` if any line was rejected) so a
 //! crash-restarted daemon never re-runs — and never loses — work: results
-//! are re-served from the cache byte-identically.
+//! are re-served from the cache byte-identically. A batch whose result
+//! lines could not be written (stdout closed or full) keeps its name and
+//! ends the command with that error; the next drain serves it again.
 //!
 //! Each input line is a JSON object:
 //!
@@ -102,10 +104,11 @@ fn parse_line(line: &str) -> Result<RunSpec, String> {
 }
 
 /// Runs a batch of specs through the (optionally cached) sweep and writes
-/// one JSONL result line per run.
-fn serve_batch(specs: Vec<RunSpec>, args: &Args, out: &mut impl Write) {
+/// one JSONL result line per run. `Err` is why the lines could not be
+/// written; the runs themselves are in the cache by then.
+fn serve_batch(specs: Vec<RunSpec>, args: &Args, out: &mut impl Write) -> Result<(), String> {
     if specs.is_empty() {
-        return;
+        return Ok(());
     }
     let hashes: Vec<u64> = specs.iter().map(|s| s.spec_hash()).collect();
     let mut sweep = Sweep::new(specs).jobs(args.jobs).progress(false);
@@ -128,37 +131,43 @@ fn serve_batch(specs: Vec<RunSpec>, args: &Args, out: &mut impl Write) {
             run.events,
             OUTPUT_SCHEMA_VERSION,
         );
-        writeln!(out, "{line}").expect("write result line");
+        writeln!(out, "{line}").map_err(cannot_write)?;
     }
-    out.flush().expect("flush results");
+    out.flush().map_err(cannot_write)?;
     eprintln!(
         "serve: batch of {} done, {} cache hits, {:.2}s",
         report.outputs.len(),
         report.cache_hits(),
         report.total_wall_secs,
     );
+    Ok(())
 }
 
-/// Reads a batch file: every line must parse or the whole file is
-/// rejected (renamed `.err`) — a half-run batch would be confusing.
-fn read_batch(path: &Path) -> Result<Vec<RunSpec>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+fn cannot_write(e: std::io::Error) -> String {
+    format!("cannot write results: {e}")
+}
+
+/// Reads a batch (a spool file, or stdin) as `name`: every non-blank line
+/// must be readable and parse, or the whole batch is rejected with
+/// `name:line: why` — a half-run batch would be confusing.
+fn read_batch(name: &str, input: impl BufRead) -> Result<Vec<RunSpec>, String> {
     let mut specs = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    for (no, line) in input.lines().enumerate() {
+        let at = |e: String| format!("{name}:{}: {e}", no + 1);
+        let line = line.map_err(|e| at(e.to_string()))?;
+        if !line.trim().is_empty() {
+            specs.push(parse_line(&line).map_err(at)?);
         }
-        specs.push(parse_line(line).map_err(|e| format!("{}:{}: {e}", path.display(), no + 1))?);
     }
     Ok(specs)
 }
 
-/// One spool scan: process every `*.jsonl` file in name order.
-fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) {
+/// One spool scan: process every `*.jsonl` file in name order. `Err` is a
+/// batch whose results could not be written; it is not renamed.
+fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) -> Result<(), String> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         eprintln!("serve: cannot read spool {}", dir.display());
-        return;
+        return Ok(());
     };
     let mut files: Vec<PathBuf> = entries
         .filter_map(|e| e.ok())
@@ -167,10 +176,14 @@ fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) {
         .collect();
     files.sort();
     for path in files {
-        match read_batch(&path) {
+        let name = path.display().to_string();
+        let batch = std::fs::File::open(&path)
+            .map_err(|e| format!("read {name}: {e}"))
+            .and_then(|f| read_batch(&name, std::io::BufReader::new(f)));
+        match batch {
             Ok(specs) => {
-                eprintln!("serve: {} ({} specs)", path.display(), specs.len());
-                serve_batch(specs, args, out);
+                eprintln!("serve: {name} ({} specs)", specs.len());
+                serve_batch(specs, args, out)?;
                 let _ = std::fs::rename(&path, path.with_extension("jsonl.done"));
             }
             Err(e) => {
@@ -179,6 +192,7 @@ fn drain_spool(dir: &Path, args: &Args, out: &mut impl Write) {
             }
         }
     }
+    Ok(())
 }
 
 /// The `--demo` batch: one quick corner-case spec per scheme, small
@@ -212,30 +226,23 @@ fn demo_lines(n: usize) -> String {
 /// `recn serve`: drains the spool (or one stdin batch) through the cache.
 pub fn command(f: &Parsed<'_>) -> Result<(), String> {
     let args = read_args(f)?;
-    if let Some(n) = args.demo {
-        print!("{}", demo_lines(n));
-        return Ok(());
-    }
     let mut out = std::io::stdout().lock();
+    if let Some(n) = args.demo {
+        return out
+            .write_all(demo_lines(n).as_bytes())
+            .map_err(cannot_write);
+    }
     match &args.spool {
         None => {
             // Stdin mode: one batch, then exit.
-            let stdin = std::io::stdin().lock();
-            let mut specs = Vec::new();
-            for (no, line) in stdin.lines().enumerate() {
-                let line = line.expect("read stdin");
-                if line.trim().is_empty() {
-                    continue;
-                }
-                specs.push(parse_line(&line).map_err(|e| format!("stdin:{}: {e}", no + 1))?);
-            }
-            serve_batch(specs, &args, &mut out);
+            let specs = read_batch("stdin", std::io::stdin().lock())?;
+            serve_batch(specs, &args, &mut out)?;
         }
         Some(dir) => {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create spool {}: {e}", dir.display()))?;
             loop {
-                drain_spool(dir, &args, &mut out);
+                drain_spool(dir, &args, &mut out)?;
                 if args.once {
                     break;
                 }
@@ -244,4 +251,49 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A closed pipe: every write fails.
+    struct Closed;
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn unreadable_and_unwritable_streams_are_errors_not_panics() {
+        let demo = demo_lines(1);
+        let specs = read_batch("stdin", demo.as_bytes()).unwrap();
+        assert_eq!(specs.len(), 1);
+
+        // Line 2 is not UTF-8: the batch is refused by line number.
+        let bytes = [demo.as_bytes(), b"\xff\n"].concat();
+        let err = read_batch("stdin", &bytes[..]).unwrap_err();
+        assert!(
+            err.starts_with("stdin:2: ") && err.contains("UTF-8"),
+            "{err}"
+        );
+
+        let args = Args {
+            spool: None,
+            cache: None,
+            jobs: 1,
+            once: true,
+            poll_ms: 0,
+            demo: None,
+        };
+        let err = serve_batch(specs, &args, &mut Closed).unwrap_err();
+        assert!(err.starts_with("cannot write results: "), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+    }
 }

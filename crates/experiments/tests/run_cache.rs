@@ -7,7 +7,7 @@ use experiments::cache::{CacheStatus, RunCache};
 use experiments::runner::{scaled_recn_config, summarize};
 use experiments::spec::RunSpec;
 use experiments::sweep::{render_summary, Sweep};
-use fabric::SchemeKind;
+use fabric::{CounterMut, SchemeKind};
 use simcore::Picos;
 use topology::MinParams;
 use traffic::corner::CornerCase;
@@ -69,6 +69,35 @@ fn store_then_load_round_trips_every_field() {
         format!("{:?}", out.counters)
     );
     assert_eq!(summarize(&back), summarize(&out));
+
+    // A real run leaves most counters at 0, so a swapped column would
+    // round-trip unnoticed. Give every counter its own value and check
+    // each stored name against the struct's own field names, which
+    // `derive(Debug)` prints without going through the table.
+    let mut synthetic = back;
+    for (i, (_, field)) in synthetic.counters.fields_mut().into_iter().enumerate() {
+        match field {
+            CounterMut::Count(c) => *c = 1000 + i as u64,
+            CounterMut::Stat(r) => [1.5, -2.0, 0.1].into_iter().for_each(|x| r.push(x)),
+        }
+    }
+    let debug = format!("{:?}", synthetic.counters);
+    let path = cache.store(&spec, &synthetic).expect("store");
+    let text = std::fs::read_to_string(path).unwrap();
+    for (name, field) in synthetic.counters.fields_mut() {
+        if let CounterMut::Count(v) = field {
+            assert!(
+                debug.contains(&format!(" {name}: {v}")),
+                "{name} in {debug}"
+            );
+            assert!(
+                text.contains(&format!("\"{name}\":{v}")),
+                "{name} in {text}"
+            );
+        }
+    }
+    let back = cache.load(&spec).expect("hit after store");
+    assert_eq!(format!("{:?}", back.counters), debug);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! and a current-version spec whose series would not fit in memory: the
 //! batch carrying them is answered with an error line naming the reason
 //! and set aside as `.err`, and the daemon keeps draining — the batch
-//! after it is served.
+//! after it is served. And against a stdout it cannot write: the batch
+//! keeps its name, so the next drain serves it from the cache.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use experiments::RunSpec;
 use fabric::SchemeKind;
@@ -80,4 +81,47 @@ fn refused_spool_lines_become_err_batches_and_the_drain_continues() {
     assert!(spool.join("b_new.jsonl.done").exists(), "drain continued");
     assert_eq!(stdout.lines().count(), 1, "{stdout}");
     assert!(stdout.contains("\"label\": \"demo0\""), "{stdout}");
+}
+
+#[test]
+fn a_batch_whose_results_could_not_be_written_is_not_marked_done() {
+    let spool = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweepd_closed_stdout");
+    let _ = std::fs::remove_dir_all(&spool);
+    std::fs::create_dir_all(&spool).expect("create spool");
+    let demo = Command::new(env!("CARGO_BIN_EXE_recn"))
+        .args(["serve", "--demo", "1"])
+        .output()
+        .expect("run recn serve --demo");
+    std::fs::write(spool.join("b.jsonl"), demo.stdout).expect("write batch");
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_recn"));
+    serve.args(["serve", "--once", "--jobs", "1", "--spool"]);
+    serve.arg(&spool).arg("--cache").arg(spool.join("cache"));
+
+    // First drain: stdout is a pipe nobody reads any more.
+    let mut child = serve
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn recn serve");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for recn serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "an error, not a panic: {stderr}"
+    );
+    assert!(stderr.contains("cannot write results: "), "{stderr}");
+    assert!(spool.join("b.jsonl").exists(), "batch keeps its name");
+    assert!(
+        !spool.join("b.jsonl.done").exists(),
+        "and is not marked done"
+    );
+
+    // Second drain, readable stdout: served again, from the cache.
+    let out = serve.output().expect("run recn serve");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success());
+    assert!(stdout.contains("\"cache\": \"hit\""), "{stdout}");
+    assert!(spool.join("b.jsonl.done").exists());
 }

@@ -75,7 +75,7 @@ pub use arn::{ArnTable, ARN_COLD_BYTES, ARN_HOT_BYTES, ARN_TTL};
 pub use config::{FabricConfig, RoutingPolicy, SchemeKind};
 pub use credit::{CreditView, POOLED_QUEUE};
 pub use network::{
-    assert_recn_idle, paper_network, render_port, Event, NetCounters, Network, PortRef,
+    assert_recn_idle, paper_network, render_port, CounterMut, Event, NetCounters, Network, PortRef,
     PortSnapshot, SaqSnapshot,
 };
 pub use observer::{FanoutObserver, NetObserver, NullObserver, QueueKind, SaqSite};
@@ -83,6 +83,6 @@ pub use packet::{Packet, Payload, QueueItem, RevPayload};
 pub use queue::{PortSide, QueueSet};
 pub use simcore::EventModel;
 pub use source::{ConstantRateSource, MessageSource, ScriptSource, SilentSource, SourcedMessage};
-pub use trace::{json_escape, TraceEvent, TraceHandle, TraceRecord, TraceSink};
+pub use trace::{json_escape, TraceHandle, TraceSink};
 pub use transport::{FlowDesc, PfcConfig, TransportConfig, TransportKind};
 pub use validate::{ValidatingObserver, ValidatorHandle};

@@ -133,12 +133,6 @@ impl Network {
         }
     }
 
-    /// Closed-loop flows installed that have not yet completed at the
-    /// sender (each completion removes its sender entry).
-    pub fn open_flows(&self) -> usize {
-        self.nics.iter().map(|n| n.flows.len()).sum()
-    }
-
     /// Pushes as many of the flow's packets into the admittance stage as
     /// the send window and the admittance cap allow, then (re)arms the
     /// retransmission timer (`Event::FlowStart` opens the flow by filling

@@ -37,7 +37,7 @@ use recn_glue::SaqCensus;
 pub use build::paper_network;
 pub use inspect::{render_port, PortSnapshot, SaqSnapshot};
 pub use recn_glue::assert_recn_idle;
-pub use stats::NetCounters;
+pub use stats::{CounterMut, NetCounters};
 
 /// Simulation events dispatched by [`Network::handle`].
 #[derive(Debug)]

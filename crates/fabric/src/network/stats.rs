@@ -2,6 +2,15 @@
 
 use simcore::Running;
 
+/// One [`NetCounters`] field, as [`NetCounters::fields_mut`] hands it out.
+#[derive(Debug)]
+pub enum CounterMut<'a> {
+    /// An event or byte count.
+    Count(&'a mut u64),
+    /// A running accumulator.
+    Stat(&'a mut Running),
+}
+
 /// Aggregate counters maintained by [`super::Network`].
 #[derive(Debug, Clone, Default)]
 pub struct NetCounters {
@@ -72,6 +81,51 @@ pub struct NetCounters {
 }
 
 impl NetCounters {
+    /// Every field under its external name, in declaration order: the one
+    /// table that binds a counter's name to its field. Whatever stores or
+    /// prints counters by name (the run cache body) walks this, so a new
+    /// counter is a field above and a row here.
+    pub fn fields_mut(&mut self) -> [(&'static str, CounterMut<'_>); 30] {
+        // A row is a field's kind and identifier; its name is the identifier.
+        macro_rules! table {
+            ($($kind:ident $field:ident,)*) => {
+                [$((stringify!($field), CounterMut::$kind(&mut self.$field)),)*]
+            };
+        }
+        table![
+            Count injected_packets,
+            Count injected_bytes,
+            Count delivered_packets,
+            Count delivered_bytes,
+            Count order_violations,
+            Stat latency_ns,
+            Count recn_notifications,
+            Count saq_allocs,
+            Count saq_deallocs,
+            Count recn_rejects,
+            Count recn_duplicates,
+            Count recn_tokens,
+            Count xoffs,
+            Count xons,
+            Count markers,
+            Count root_activations,
+            Count root_clears,
+            Count source_dropped_messages,
+            Count source_dropped_bytes,
+            Count retransmitted_packets,
+            Count transport_timeouts,
+            Count transport_acks,
+            Count transport_nacks,
+            Count flows_completed,
+            Count pfc_pauses,
+            Count pfc_resumes,
+            Count pfc_dropped_packets,
+            Count pfc_dropped_bytes,
+            Count arn_hot_notifications,
+            Count arn_cold_notifications,
+        ]
+    }
+
     /// Mean delivered throughput in bytes/ns over `elapsed_ns`.
     pub fn mean_throughput(&self, elapsed_ns: f64) -> f64 {
         if elapsed_ns <= 0.0 {
@@ -94,5 +148,22 @@ mod tests {
         };
         assert_eq!(c.mean_throughput(100.0), 10.0);
         assert_eq!(c.mean_throughput(0.0), 0.0);
+    }
+
+    #[test]
+    fn the_field_table_covers_the_struct() {
+        let mut c = NetCounters::default();
+        let bytes: usize = c
+            .fields_mut()
+            .iter()
+            .map(|(_, field)| match field {
+                CounterMut::Count(v) => std::mem::size_of_val(*v),
+                CounterMut::Stat(r) => std::mem::size_of_val(*r),
+            })
+            .sum();
+        // The borrow checker already refuses a field listed twice; every
+        // field is 8-aligned, so the struct has no padding and a field the
+        // table misses shows as a short sum.
+        assert_eq!(bytes, std::mem::size_of::<NetCounters>());
     }
 }

@@ -136,11 +136,6 @@ impl QueueSet {
         1 + saq.line()
     }
 
-    /// Whether `queue` is a SAQ slot.
-    pub fn is_saq_queue(&self, queue: usize) -> bool {
-        self.recn.is_some() && queue >= 1
-    }
-
     /// Bytes currently accounted at this port (stored + reserved).
     pub fn used(&self) -> u64 {
         self.used

@@ -1,432 +1,141 @@
-//! Structured event tracing: a bounded ring buffer of compact trace
-//! records with a stable 64-bit digest.
+//! Structured event tracing: a bounded ring of canonical event records
+//! with a stable 64-bit digest.
 //!
-//! [`TraceSink`] is a [`NetObserver`] that converts every hook invocation
-//! into a [`TraceRecord`], folds it into a running [FNV-1a] digest, and
-//! retains the most recent `capacity` records in a ring buffer. The digest
-//! covers **every** event ever recorded (not just the retained window), so
-//! two runs producing the same digest processed bit-identical event
-//! streams — the property the golden-trace regression suite pins down.
-//! The retained window can be rendered as JSONL for inspection
-//! (`inspect --trace FILE --trace-last N`).
+//! [`TraceSink`] is a [`NetObserver`] whose every hook writes its event
+//! once, as canonical bytes (`time ‖ tag ‖ fields`, through
+//! [`simcore::CanonWriter`]), laid out by the hook's row in the kind table
+//! below — the one place a kind's tag, JSON name, field widths and keys are
+//! written down. The bytes feed a running [`Fnv1a64::trace_variant`] digest and the last
+//! `capacity` records are retained; [`TraceHandle::render_jsonl`] decodes
+//! them through the same rows (`inspect --trace FILE --trace-last N`).
 //!
-//! No external dependencies: the digest is hand-rolled FNV-1a over a
-//! canonical little-endian field encoding, so it is stable across
-//! platforms, compiler versions and parallelism (`--jobs 1` and `--jobs 4`
-//! sweeps digest identically because each run is single-threaded and
-//! deterministic).
-//!
-//! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
+//! The digest covers **every** event ever recorded (not just the retained
+//! window), so two runs producing the same digest processed bit-identical
+//! event streams — the property the golden-trace regression suite pins
+//! down, on any platform, compiler version or `--jobs` count.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt::Write;
 use std::rc::Rc;
 
-use simcore::Picos;
+use simcore::{CanonError, CanonReader, CanonWriter, Fnv1a64, Picos};
 use topology::{HostId, PathSpec};
 
 use crate::network::PortRef;
 use crate::observer::{NetObserver, QueueKind, SaqSite};
 use crate::packet::Packet;
 
-/// One recorded simulation event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Global event sequence number (0-based, monotonically increasing).
-    pub seq: u64,
-    /// Simulation time of the event.
-    pub at: Picos,
-    /// What happened.
-    pub event: TraceEvent,
-}
-
-/// The compact payload of a [`TraceRecord`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Packet admitted at its source NIC.
-    Injected {
-        /// Packet id.
-        id: u64,
-        /// Source host.
-        src: u32,
-        /// Destination host.
-        dst: u32,
-        /// Payload bytes.
-        size: u32,
-    },
-    /// Packet delivered to its destination host.
-    Delivered {
-        /// Packet id.
-        id: u64,
-        /// Source host.
-        src: u32,
-        /// Destination host.
-        dst: u32,
-        /// Payload bytes.
-        size: u32,
-    },
-    /// Packet started crossing a link.
-    Hop {
-        /// Packet id.
-        id: u64,
-        /// Link index.
-        link: u32,
-    },
-    /// Packet stored into a port queue.
-    Enqueue {
-        /// The port.
-        port: PortRef,
-        /// Queue index within the port.
-        queue: u16,
-        /// Whether the queue is a SAQ.
-        saq: bool,
-        /// Packet id.
-        id: u64,
-    },
-    /// Packet removed from a port queue.
-    Dequeue {
-        /// The port.
-        port: PortRef,
-        /// Queue index within the port.
-        queue: u16,
-        /// Whether the queue is a SAQ.
-        saq: bool,
-        /// Packet id.
-        id: u64,
-    },
-    /// Sender-side credit view changed.
-    Credit {
-        /// Link index.
-        link: u32,
-        /// Queue the credit applies to (`u16::MAX` = pooled).
-        queue: u16,
-        /// Signed byte change (negative = consumed).
-        delta: i64,
-        /// Free bytes in the view after the change.
-        free_after: u64,
-    },
-    /// A SAQ was allocated.
-    SaqAlloc {
-        /// Port site.
-        site: SaqSite,
-        /// Port index within the site.
-        index: u32,
-        /// CAM line.
-        line: u8,
-        /// Congestion-tree path in port coordinates.
-        path: PathSpec,
-    },
-    /// A SAQ was deallocated.
-    SaqDealloc {
-        /// Port site.
-        site: SaqSite,
-        /// Port index within the site.
-        index: u32,
-        /// CAM line.
-        line: u8,
-        /// Congestion-tree path in port coordinates.
-        path: PathSpec,
-    },
-    /// A message was refused at the NIC admittance stage.
-    DropAttempt {
-        /// Source host.
-        host: u32,
-        /// Destination host.
-        dst: u32,
-        /// Message bytes refused.
-        bytes: u32,
-    },
-    /// SAQ census update.
-    Census {
-        /// Max SAQs at any switch input port.
-        max_ingress: u32,
-        /// Max SAQs at any switch output port.
-        max_egress: u32,
-        /// Network-wide total.
-        total: u32,
-    },
-    /// Congestion-tree root state change at a switch egress port.
-    Root {
-        /// Switch index.
-        sw: u32,
-        /// Output port.
-        port: u32,
-        /// `true` = became root.
-        active: bool,
-    },
-}
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// Running FNV-1a 64 hasher over canonical little-endian encodings.
+/// Wire type of one event field.
 #[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+enum Ty {
+    U8,
+    U16,
+    U32,
+    U64,
+    I64,
+    Bool,
+    /// A one-byte index, rendered as the quoted name at that index.
+    Name(&'static [&'static str]),
+    /// A turn list: one length byte, then the turns.
+    Path,
+}
+use Ty::{Bool, Name, Path, I64, U16, U32, U64, U8};
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
+type Fields = &'static [(&'static str, Ty)];
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
+/// One record kind: the tag byte that follows the time, the JSONL `"ev"`
+/// name, and the fields as `(JSON key, wire type)` in wire order. Tags and
+/// layouts are part of every checked-in digest: append, never renumber.
+struct Kind(u8, &'static str, Fields);
 
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
-    }
+const PACKET: Fields = &[("id", U64), ("src", U32), ("dst", U32), ("size", U32)];
+const QUEUE_OP: Fields = &[
+    ("side", Name(&["in", "out", "nic"])),
+    ("elem", U32),
+    ("port", U32),
+    ("queue", U16),
+    ("saq", Bool),
+    ("id", U64),
+];
+const SAQ: Fields = &[
+    ("site", Name(&["ingress", "egress", "nic"])),
+    ("index", U32),
+    ("line", U8),
+    ("path", Path),
+];
+const CREDIT_FIELDS: Fields = &[("link", U32), ("queue", U16), ("delta", I64), ("free", U64)];
+const CENSUS_FIELDS: Fields = &[("max_ingress", U32), ("max_egress", U32), ("total", U32)];
 
-    fn u16(&mut self, v: u16) {
-        self.bytes(&v.to_le_bytes());
-    }
+const INJECT: Kind = Kind(1, "inject", PACKET);
+const DELIVER: Kind = Kind(2, "deliver", PACKET);
+const HOP: Kind = Kind(3, "hop", &[("id", U64), ("link", U32)]);
+const ENQ: Kind = Kind(4, "enq", QUEUE_OP);
+const DEQ: Kind = Kind(5, "deq", QUEUE_OP);
+const CREDIT: Kind = Kind(6, "credit", CREDIT_FIELDS);
+const SAQ_ALLOC: Kind = Kind(7, "saq_alloc", SAQ);
+const SAQ_DEALLOC: Kind = Kind(8, "saq_dealloc", SAQ);
+const DROP: Kind = Kind(
+    9,
+    "drop_attempt",
+    &[("host", U32), ("dst", U32), ("bytes", U32)],
+);
+const CENSUS: Kind = Kind(10, "census", CENSUS_FIELDS);
+const ROOT: Kind = Kind(11, "root", &[("sw", U32), ("port", U32), ("active", Bool)]);
+const KINDS: [Kind; 11] = [
+    INJECT,
+    DELIVER,
+    HOP,
+    ENQ,
+    DEQ,
+    CREDIT,
+    SAQ_ALLOC,
+    SAQ_DEALLOC,
+    DROP,
+    CENSUS,
+    ROOT,
+];
 
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+/// Decodes one record (`time ‖ tag ‖ fields`) into its JSONL line.
+fn render_record(out: &mut String, seq: u64, record: &[u8]) -> Result<(), CanonError> {
+    let mut r = CanonReader::new(record);
+    let (t_ps, tag) = (r.u64()?, r.u8()?);
+    let Kind(_, name, fields) = KINDS
+        .iter()
+        .find(|k| k.0 == tag)
+        .ok_or_else(|| CanonError::new(format!("unknown record tag {tag}")))?;
+    let _ = write!(out, "{{\"seq\":{seq},\"t_ps\":{t_ps},\"ev\":\"{name}\"");
+    for &(key, ty) in *fields {
+        let _ = write!(out, ",\"{key}\":");
+        let _ = match ty {
+            U8 => write!(out, "{}", r.u8()?),
+            U16 => write!(out, "{}", r.u16()?),
+            U32 => write!(out, "{}", r.u32()?),
+            U64 => write!(out, "{}", r.u64()?),
+            I64 => write!(out, "{}", r.i64()?),
+            Bool => write!(out, "{}", r.bool()?),
+            Name(names) => match names.get(r.u8()? as usize) {
+                Some(name) => write!(out, "\"{name}\""),
+                None => return Err(CanonError::new(format!("{key:?} index out of range"))),
+            },
+            Path => {
+                let len = r.u8()? as usize;
+                write!(out, "{:?}", r.bytes(len)?)
+            }
+        };
     }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
-    }
+    out.push_str("}\n");
+    r.finish()
 }
 
-fn site_tag(site: SaqSite) -> u8 {
-    match site {
-        SaqSite::SwitchIngress => 0,
-        SaqSite::SwitchEgress => 1,
-        SaqSite::NicInjection => 2,
-    }
-}
-
-fn port_tag(port: PortRef) -> (u8, u32, u32) {
-    match port {
-        PortRef::SwitchIn { sw, port } => (0, sw as u32, port as u32),
-        PortRef::SwitchOut { sw, port } => (1, sw as u32, port as u32),
-        PortRef::Nic { host } => (2, host as u32, 0),
-    }
-}
-
-impl TraceEvent {
-    /// Short stable name used in JSONL output and digesting docs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Injected { .. } => "inject",
-            TraceEvent::Delivered { .. } => "deliver",
-            TraceEvent::Hop { .. } => "hop",
-            TraceEvent::Enqueue { .. } => "enq",
-            TraceEvent::Dequeue { .. } => "deq",
-            TraceEvent::Credit { .. } => "credit",
-            TraceEvent::SaqAlloc { .. } => "saq_alloc",
-            TraceEvent::SaqDealloc { .. } => "saq_dealloc",
-            TraceEvent::DropAttempt { .. } => "drop_attempt",
-            TraceEvent::Census { .. } => "census",
-            TraceEvent::Root { .. } => "root",
-        }
-    }
-
-    fn fold(&self, h: &mut Fnv) {
-        match self {
-            TraceEvent::Injected { id, src, dst, size } => {
-                h.u8(1);
-                h.u64(*id);
-                h.u32(*src);
-                h.u32(*dst);
-                h.u32(*size);
-            }
-            TraceEvent::Delivered { id, src, dst, size } => {
-                h.u8(2);
-                h.u64(*id);
-                h.u32(*src);
-                h.u32(*dst);
-                h.u32(*size);
-            }
-            TraceEvent::Hop { id, link } => {
-                h.u8(3);
-                h.u64(*id);
-                h.u32(*link);
-            }
-            TraceEvent::Enqueue {
-                port,
-                queue,
-                saq,
-                id,
-            } => {
-                h.u8(4);
-                let (t, a, b) = port_tag(*port);
-                h.u8(t);
-                h.u32(a);
-                h.u32(b);
-                h.u16(*queue);
-                h.u8(*saq as u8);
-                h.u64(*id);
-            }
-            TraceEvent::Dequeue {
-                port,
-                queue,
-                saq,
-                id,
-            } => {
-                h.u8(5);
-                let (t, a, b) = port_tag(*port);
-                h.u8(t);
-                h.u32(a);
-                h.u32(b);
-                h.u16(*queue);
-                h.u8(*saq as u8);
-                h.u64(*id);
-            }
-            TraceEvent::Credit {
-                link,
-                queue,
-                delta,
-                free_after,
-            } => {
-                h.u8(6);
-                h.u32(*link);
-                h.u16(*queue);
-                h.i64(*delta);
-                h.u64(*free_after);
-            }
-            TraceEvent::SaqAlloc {
-                site,
-                index,
-                line,
-                path,
-            } => {
-                h.u8(7);
-                h.u8(site_tag(*site));
-                h.u32(*index);
-                h.u8(*line);
-                h.u8(path.len() as u8);
-                h.bytes(path.turns());
-            }
-            TraceEvent::SaqDealloc {
-                site,
-                index,
-                line,
-                path,
-            } => {
-                h.u8(8);
-                h.u8(site_tag(*site));
-                h.u32(*index);
-                h.u8(*line);
-                h.u8(path.len() as u8);
-                h.bytes(path.turns());
-            }
-            TraceEvent::DropAttempt { host, dst, bytes } => {
-                h.u8(9);
-                h.u32(*host);
-                h.u32(*dst);
-                h.u32(*bytes);
-            }
-            TraceEvent::Census {
-                max_ingress,
-                max_egress,
-                total,
-            } => {
-                h.u8(10);
-                h.u32(*max_ingress);
-                h.u32(*max_egress);
-                h.u32(*total);
-            }
-            TraceEvent::Root { sw, port, active } => {
-                h.u8(11);
-                h.u32(*sw);
-                h.u32(*port);
-                h.u8(*active as u8);
-            }
-        }
-    }
-
-    fn render_fields(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            TraceEvent::Injected { id, src, dst, size }
-            | TraceEvent::Delivered { id, src, dst, size } => {
-                let _ = write!(
-                    out,
-                    "\"id\":{id},\"src\":{src},\"dst\":{dst},\"size\":{size}"
-                );
-            }
-            TraceEvent::Hop { id, link } => {
-                let _ = write!(out, "\"id\":{id},\"link\":{link}");
-            }
-            TraceEvent::Enqueue {
-                port,
-                queue,
-                saq,
-                id,
-            }
-            | TraceEvent::Dequeue {
-                port,
-                queue,
-                saq,
-                id,
-            } => {
-                let (t, a, b) = port_tag(*port);
-                let side = ["in", "out", "nic"][t as usize];
-                let _ = write!(
-                    out,
-                    "\"side\":\"{side}\",\"elem\":{a},\"port\":{b},\"queue\":{queue},\
-                     \"saq\":{saq},\"id\":{id}"
-                );
-            }
-            TraceEvent::Credit {
-                link,
-                queue,
-                delta,
-                free_after,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"link\":{link},\"queue\":{queue},\"delta\":{delta},\"free\":{free_after}"
-                );
-            }
-            TraceEvent::SaqAlloc {
-                site,
-                index,
-                line,
-                path,
-            }
-            | TraceEvent::SaqDealloc {
-                site,
-                index,
-                line,
-                path,
-            } => {
-                let site = ["ingress", "egress", "nic"][site_tag(*site) as usize];
-                let _ = write!(
-                    out,
-                    "\"site\":\"{site}\",\"index\":{index},\"line\":{line},\"path\":{:?}",
-                    path.turns()
-                );
-            }
-            TraceEvent::DropAttempt { host, dst, bytes } => {
-                let _ = write!(out, "\"host\":{host},\"dst\":{dst},\"bytes\":{bytes}");
-            }
-            TraceEvent::Census {
-                max_ingress,
-                max_egress,
-                total,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"max_ingress\":{max_ingress},\"max_egress\":{max_egress},\"total\":{total}"
-                );
-            }
-            TraceEvent::Root { sw, port, active } => {
-                let _ = write!(out, "\"sw\":{sw},\"port\":{port},\"active\":{active}");
-            }
-        }
-    }
+/// Splits ring bytes (`length byte ‖ record`, repeated) into records.
+fn records(mut ring: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (&len, rest) = ring.split_first()?;
+        let (record, rest) = rest.split_at(len as usize);
+        ring = rest;
+        Some(record)
+    })
 }
 
 /// Escapes `s` for inclusion in a JSON string literal.
@@ -451,29 +160,16 @@ pub fn json_escape(s: &str) -> String {
 /// Shared state behind a [`TraceSink`] / [`TraceHandle`] pair.
 #[derive(Debug)]
 struct TraceState {
-    ring: VecDeque<TraceRecord>,
+    /// The retained records, oldest first, each behind its length byte.
+    /// Grows with what is recorded, never ahead of it.
+    ring: VecDeque<u8>,
+    retained: usize,
     capacity: usize,
     recorded: u64,
-    digest: Fnv,
+    digest: Fnv1a64,
+    /// The record being written; reused so recording does not allocate.
+    scratch: CanonWriter,
     label: String,
-}
-
-impl TraceState {
-    fn record(&mut self, at: Picos, event: TraceEvent) {
-        let mut h = self.digest;
-        h.u64(at.as_ps());
-        event.fold(&mut h);
-        self.digest = h;
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(TraceRecord {
-            seq: self.recorded,
-            at,
-            event,
-        });
-        self.recorded += 1;
-    }
 }
 
 /// The observer half of a trace: install into [`crate::Network::new`] (or a
@@ -496,178 +192,148 @@ impl TraceSink {
             "trace ring needs room for at least one record"
         );
         let state = Rc::new(RefCell::new(TraceState {
-            ring: VecDeque::with_capacity(capacity),
+            ring: VecDeque::new(),
+            retained: 0,
             capacity,
             recorded: 0,
-            digest: Fnv::new(),
+            digest: Fnv1a64::trace_variant(),
+            scratch: CanonWriter::new(),
             label: label.into(),
         }));
         (TraceSink(state.clone()), TraceHandle(state))
     }
+
+    /// Records one event: `vals` in the row's field order, each written at
+    /// the width the row gives it; `turns` is the row's `Path` field.
+    fn record(&mut self, at: Picos, kind: &Kind, vals: &[u64], turns: &[u8]) {
+        let &Kind(tag, name, fields) = kind;
+        let s = &mut *self.0.borrow_mut();
+        let w = &mut s.scratch;
+        w.clear();
+        w.u64(at.as_ps());
+        w.u8(tag);
+        let mut vals = vals.iter();
+        for (_, ty) in fields {
+            let mut val = || *vals.next().expect("a value per non-path field");
+            match ty {
+                U8 | Bool | Name(_) => w.u8(val() as u8),
+                U16 => w.u16(val() as u16),
+                U32 => w.u32(val() as u32),
+                U64 => w.u64(val()),
+                I64 => w.i64(val() as i64),
+                Path => {
+                    w.u8(turns.len() as u8);
+                    w.bytes(turns);
+                }
+            }
+        }
+        debug_assert!(vals.next().is_none(), "more values than {name} has fields");
+        s.digest.write(w.as_bytes());
+        if s.retained == s.capacity {
+            let oldest = 1 + s.ring[0] as usize;
+            s.ring.drain(..oldest);
+            s.retained -= 1;
+        }
+        s.ring
+            .push_back(u8::try_from(w.len()).expect("a record is a few dozen bytes"));
+        s.ring.extend(w.as_bytes());
+        s.retained += 1;
+        s.recorded += 1;
+    }
+}
+
+fn packet(pkt: &Packet) -> [u64; 4] {
+    let (src, dst) = (pkt.src.index() as u64, pkt.dst.index() as u64);
+    [pkt.id, src, dst, pkt.size as u64]
+}
+
+fn queue_op(port: PortRef, queue: usize, kind: QueueKind, pkt: &Packet) -> [u64; 6] {
+    let (side, elem, index) = match port {
+        PortRef::SwitchIn { sw, port } => (0, sw, port),
+        PortRef::SwitchOut { sw, port } => (1, sw, port),
+        PortRef::Nic { host } => (2, host, 0),
+    };
+    let saq = kind == QueueKind::Saq;
+    [
+        side,
+        elem as u64,
+        index as u64,
+        queue as u64,
+        saq as u64,
+        pkt.id,
+    ]
+}
+
+fn saq(site: SaqSite, index: usize, line: usize) -> [u64; 3] {
+    let site = match site {
+        SaqSite::SwitchIngress => 0,
+        SaqSite::SwitchEgress => 1,
+        SaqSite::NicInjection => 2,
+    };
+    [site, index as u64, line as u64]
 }
 
 impl NetObserver for TraceSink {
-    fn on_injected(&mut self, now: Picos, pkt: &Packet) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Injected {
-                id: pkt.id,
-                src: pkt.src.index() as u32,
-                dst: pkt.dst.index() as u32,
-                size: pkt.size,
-            },
-        );
+    fn on_injected(&mut self, at: Picos, pkt: &Packet) {
+        self.record(at, &INJECT, &packet(pkt), &[]);
     }
 
-    fn on_delivered(&mut self, now: Picos, pkt: &Packet) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Delivered {
-                id: pkt.id,
-                src: pkt.src.index() as u32,
-                dst: pkt.dst.index() as u32,
-                size: pkt.size,
-            },
-        );
+    fn on_delivered(&mut self, at: Picos, pkt: &Packet) {
+        self.record(at, &DELIVER, &packet(pkt), &[]);
     }
 
-    fn on_saq_census(&mut self, now: Picos, max_ingress: u32, max_egress: u32, total: u32) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Census {
-                max_ingress,
-                max_egress,
-                total,
-            },
-        );
+    fn on_hop(&mut self, at: Picos, pkt: &Packet, link: usize) {
+        self.record(at, &HOP, &[pkt.id, link as u64], &[]);
     }
 
-    fn on_root_change(&mut self, now: Picos, switch: usize, port: usize, active: bool) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Root {
-                sw: switch as u32,
-                port: port as u32,
-                active,
-            },
-        );
+    fn on_enqueue(&mut self, at: Picos, port: PortRef, q: usize, kind: QueueKind, pkt: &Packet) {
+        self.record(at, &ENQ, &queue_op(port, q, kind, pkt), &[]);
     }
 
-    fn on_hop(&mut self, now: Picos, pkt: &Packet, link: usize) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Hop {
-                id: pkt.id,
-                link: link as u32,
-            },
-        );
-    }
-
-    fn on_enqueue(
-        &mut self,
-        now: Picos,
-        port: PortRef,
-        queue: usize,
-        kind: QueueKind,
-        pkt: &Packet,
-    ) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Enqueue {
-                port,
-                queue: queue as u16,
-                saq: kind == QueueKind::Saq,
-                id: pkt.id,
-            },
-        );
-    }
-
-    fn on_dequeue(
-        &mut self,
-        now: Picos,
-        port: PortRef,
-        queue: usize,
-        kind: QueueKind,
-        pkt: &Packet,
-    ) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Dequeue {
-                port,
-                queue: queue as u16,
-                saq: kind == QueueKind::Saq,
-                id: pkt.id,
-            },
-        );
+    fn on_dequeue(&mut self, at: Picos, port: PortRef, q: usize, kind: QueueKind, pkt: &Packet) {
+        self.record(at, &DEQ, &queue_op(port, q, kind, pkt), &[]);
     }
 
     fn on_credit_change(
         &mut self,
-        now: Picos,
+        at: Picos,
         link: usize,
         queue: u16,
         delta: i64,
         free_after: u64,
         _cap: Option<u64>,
     ) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::Credit {
-                link: link as u32,
-                queue,
-                delta,
-                free_after,
-            },
-        );
+        let vals = [link as u64, queue as u64, delta as u64, free_after];
+        self.record(at, &CREDIT, &vals, &[]);
     }
 
-    fn on_saq_alloc(
-        &mut self,
-        now: Picos,
-        site: SaqSite,
-        index: usize,
-        line: usize,
-        path: &PathSpec,
-    ) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::SaqAlloc {
-                site,
-                index: index as u32,
-                line: line as u8,
-                path: *path,
-            },
-        );
+    fn on_saq_alloc(&mut self, at: Picos, site: SaqSite, index: usize, line: usize, p: &PathSpec) {
+        self.record(at, &SAQ_ALLOC, &saq(site, index, line), p.turns());
     }
 
     fn on_saq_dealloc(
         &mut self,
-        now: Picos,
+        at: Picos,
         site: SaqSite,
         index: usize,
         line: usize,
-        path: &PathSpec,
+        p: &PathSpec,
     ) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::SaqDealloc {
-                site,
-                index: index as u32,
-                line: line as u8,
-                path: *path,
-            },
-        );
+        self.record(at, &SAQ_DEALLOC, &saq(site, index, line), p.turns());
     }
 
-    fn on_drop_attempt(&mut self, now: Picos, host: usize, dst: HostId, bytes: u32) {
-        self.0.borrow_mut().record(
-            now,
-            TraceEvent::DropAttempt {
-                host: host as u32,
-                dst: dst.index() as u32,
-                bytes,
-            },
-        );
+    fn on_drop_attempt(&mut self, at: Picos, host: usize, dst: HostId, bytes: u32) {
+        let vals = [host as u64, dst.index() as u64, bytes as u64];
+        self.record(at, &DROP, &vals, &[]);
+    }
+
+    fn on_saq_census(&mut self, at: Picos, max_ingress: u32, max_egress: u32, total: u32) {
+        let vals = [max_ingress as u64, max_egress as u64, total as u64];
+        self.record(at, &CENSUS, &vals, &[]);
+    }
+
+    fn on_root_change(&mut self, at: Picos, switch: usize, port: usize, active: bool) {
+        self.record(at, &ROOT, &[switch as u64, port as u64, active as u64], &[]);
     }
 }
 
@@ -680,142 +346,35 @@ impl TraceHandle {
 
     /// Records currently retained (at most the construction capacity).
     pub fn retained(&self) -> usize {
-        self.0.borrow().ring.len()
+        self.0.borrow().retained
     }
 
     /// Stable FNV-1a 64 digest over every event recorded so far.
     pub fn digest(&self) -> u64 {
-        self.0.borrow().digest.0
-    }
-
-    /// A clone of the retained window, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.0.borrow().ring.iter().cloned().collect()
+        self.0.borrow().digest.finish()
     }
 
     /// Renders the retained window as JSONL: a header line with the
     /// (escaped) label, total event count and digest, then one line per
     /// retained record.
     pub fn render_jsonl(&self) -> String {
-        use std::fmt::Write;
-        let s = self.0.borrow();
+        let mut s = self.0.borrow_mut();
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{{\"trace\":\"{}\",\"events\":{},\"retained\":{},\"digest\":\"{:#018x}\"}}",
             json_escape(&s.label),
             s.recorded,
-            s.ring.len(),
-            s.digest.0,
+            s.retained,
+            s.digest.finish(),
         );
-        for rec in &s.ring {
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"t_ps\":{},\"ev\":\"{}\",",
-                rec.seq,
-                rec.at.as_ps(),
-                rec.event.name()
-            );
-            rec.event.render_fields(&mut out);
-            out.push_str("}\n");
+        let first = s.recorded - s.retained as u64;
+        for (seq, record) in (first..).zip(records(s.ring.make_contiguous())) {
+            render_record(&mut out, seq, record).expect("the ring holds what the hooks wrote");
         }
         out
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(i: u64) -> TraceEvent {
-        TraceEvent::Hop {
-            id: i,
-            link: (i % 7) as u32,
-        }
-    }
-
-    #[test]
-    fn ring_buffer_wraps_at_capacity() {
-        let (sink, handle) = TraceSink::new(4, "wrap");
-        for i in 0..10u64 {
-            let pkt_time = Picos::from_ns(i);
-            sink.0.borrow_mut().record(pkt_time, ev(i));
-        }
-        assert_eq!(handle.recorded(), 10);
-        assert_eq!(handle.retained(), 4);
-        let recs = handle.records();
-        assert_eq!(recs.len(), 4);
-        // Oldest retained record is seq 6; order is preserved.
-        assert_eq!(recs.first().unwrap().seq, 6);
-        assert_eq!(recs.last().unwrap().seq, 9);
-        assert!(recs.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
-        let _ = sink; // keep the sink alive through the assertions
-    }
-
-    #[test]
-    fn digest_is_stable_for_fixed_sequence_and_ignores_capacity() {
-        let run = |cap: usize| {
-            let (sink, handle) = TraceSink::new(cap, "x");
-            for i in 0..50u64 {
-                sink.0.borrow_mut().record(Picos::from_ns(i * 3), ev(i));
-            }
-            handle.digest()
-        };
-        let d1 = run(4);
-        let d2 = run(4);
-        let d3 = run(1024);
-        assert_eq!(d1, d2, "same sequence, same digest");
-        assert_eq!(
-            d1, d3,
-            "digest covers all events, not just the retained window"
-        );
-        // Pinned: any change to the canonical encoding is a breaking
-        // change for checked-in golden digests and must be deliberate.
-        assert_eq!(run(4), 0x2ef0_f20e_de83_e865, "canonical encoding changed");
-    }
-
-    #[test]
-    fn digest_distinguishes_event_order_and_time() {
-        let seq = |times: &[u64]| {
-            let (sink, handle) = TraceSink::new(8, "x");
-            for (i, &t) in times.iter().enumerate() {
-                sink.0.borrow_mut().record(Picos::from_ns(t), ev(i as u64));
-            }
-            handle.digest()
-        };
-        assert_ne!(seq(&[1, 2]), seq(&[2, 1]));
-        assert_ne!(seq(&[1, 2]), seq(&[1, 3]));
-    }
-
-    #[test]
-    fn jsonl_escapes_labels() {
-        let (_sink, handle) = TraceSink::new(2, "evil \"label\"\nwith\tctrl\u{1}");
-        let jsonl = handle.render_jsonl();
-        let header = jsonl.lines().next().unwrap();
-        assert!(
-            header.contains("evil \\\"label\\\"\\nwith\\tctrl\\u0001"),
-            "{header}"
-        );
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("\r"), "\\r");
-    }
-
-    #[test]
-    fn jsonl_renders_one_line_per_retained_record() {
-        let (mut sink, handle) = TraceSink::new(3, "lines");
-        sink.on_root_change(Picos::from_ns(5), 2, 1, true);
-        sink.on_credit_change(Picos::from_ns(6), 9, 0, -64, 100, Some(128));
-        sink.on_drop_attempt(Picos::from_ns(7), 3, HostId::new(8), 512);
-        let jsonl = handle.render_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 3 records");
-        assert!(lines[1].contains("\"ev\":\"root\"") && lines[1].contains("\"active\":true"));
-        assert!(lines[2].contains("\"ev\":\"credit\"") && lines[2].contains("\"delta\":-64"));
-        assert!(lines[3].contains("\"ev\":\"drop_attempt\"") && lines[3].contains("\"bytes\":512"));
-        // Each record line is a braces-balanced object.
-        for l in &lines {
-            assert_eq!(l.matches('{').count(), l.matches('}').count());
-        }
-    }
-}
+mod tests;

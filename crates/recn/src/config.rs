@@ -71,24 +71,6 @@ impl RecnConfig {
         self
     }
 
-    /// Returns the config with a different propagation threshold (bytes).
-    pub fn with_propagation_threshold(mut self, bytes: u64) -> Self {
-        self.propagation_threshold = bytes;
-        self
-    }
-
-    /// Returns the config with different Xoff/Xon thresholds (bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xoff < xon`.
-    pub fn with_xoff_xon(mut self, xoff: u64, xon: u64) -> Self {
-        assert!(xoff >= xon, "xoff threshold must be at least xon threshold");
-        self.xoff_threshold = xoff;
-        self.xon_threshold = xon;
-        self
-    }
-
     /// Returns the config with a different drain-boost packet count.
     pub fn with_drain_boost(mut self, pkts: u32) -> Self {
         self.drain_boost_pkts = pkts;
@@ -168,14 +150,9 @@ mod tests {
         let cfg = RecnConfig::default()
             .with_max_saqs(16)
             .with_detection_threshold(1024)
-            .with_propagation_threshold(256)
-            .with_xoff_xon(512, 128)
             .with_drain_boost(4);
         assert_eq!(cfg.max_saqs, 16);
         assert_eq!(cfg.detection_threshold, 1024);
-        assert_eq!(cfg.propagation_threshold, 256);
-        assert_eq!(cfg.xoff_threshold, 512);
-        assert_eq!(cfg.xon_threshold, 128);
         assert_eq!(cfg.drain_boost_pkts, 4);
         cfg.validate();
     }
@@ -190,7 +167,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "xoff threshold must be at least xon")]
     fn inverted_xoff_xon_panics() {
-        let _ = RecnConfig::default().with_xoff_xon(10, 20);
+        RecnConfig {
+            xoff_threshold: 10,
+            xon_threshold: 20,
+            ..RecnConfig::default()
+        }
+        .validate();
     }
 
     #[test]

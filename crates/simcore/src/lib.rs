@@ -14,10 +14,10 @@
 //!   against.
 //! * [`SplitMix64`] / [`Xoshiro256`]: small, dependency-free PRNGs with
 //!   explicit seeding, so traffic generation is reproducible.
-//! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`]: the stable
-//!   canonical byte encoding (`spec_v1`) that content-addressed run caching
-//!   is keyed on.
-//! * [`BinnedSeries`], [`GaugeSeries`], [`Histogram`], [`Running`]: light
+//! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`] / [`Fnv1a64`]:
+//!   the stable canonical byte encoding that content-addressed run caching
+//!   (`spec_v1`) and trace digests are built on.
+//! * [`BinnedSeries`], [`GaugeSeries`], [`Running`]: light
 //!   measurement primitives used to build the paper's time-series plots.
 //!
 //! ## Example
@@ -56,11 +56,11 @@ mod stats;
 mod time;
 mod timer;
 
-pub use canon::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter};
+pub use canon::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, Fnv1a64};
 pub use engine::{Engine, EventModel, SimModel};
 pub use queue::{EventQueue, ScheduledEvent, SchedulerKind};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use series::{BinnedSeries, GaugeSeries, SeriesPoint};
-pub use stats::{Histogram, Running};
+pub use stats::Running;
 pub use time::Picos;
 pub use timer::TimerGen;

@@ -1,6 +1,4 @@
-//! Scalar statistics: running moments and latency histograms.
-
-use crate::Picos;
+//! Scalar statistics: running moments.
 
 /// Running mean/min/max/count accumulator (Welford variance).
 ///
@@ -83,11 +81,6 @@ impl Running {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation.
     pub fn min(&self) -> Option<f64> {
         self.min
@@ -125,92 +118,6 @@ impl Running {
     }
 }
 
-/// Logarithmically-bucketed histogram of durations, for packet latency.
-///
-/// Buckets double in width starting from `base`; values below `base` land
-/// in bucket 0. Quantiles are approximated by the geometric midpoint of the
-/// answering bucket, which is plenty for orders-of-magnitude latency plots.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    base_ps: u64,
-    counts: Vec<u64>,
-    total: u64,
-    sum_ps: u128,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given base bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero.
-    pub fn new(base: Picos) -> Self {
-        assert!(base > Picos::ZERO, "base bucket must be positive");
-        Histogram {
-            base_ps: base.as_ps(),
-            counts: vec![0; 64],
-            total: 0,
-            sum_ps: 0,
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, d: Picos) {
-        let idx = Self::bucket_of(self.base_ps, d.as_ps());
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum_ps += d.as_ps() as u128;
-    }
-
-    fn bucket_of(base: u64, ps: u64) -> usize {
-        if ps < base {
-            0
-        } else {
-            // floor(log2(ps / base)) + 1, capped to the table.
-            let ratio = ps / base;
-            ((63 - ratio.leading_zeros()) as usize + 1).min(63)
-        }
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean recorded duration.
-    pub fn mean(&self) -> Picos {
-        if self.total == 0 {
-            Picos::ZERO
-        } else {
-            Picos::new((self.sum_ps / self.total as u128) as u64)
-        }
-    }
-
-    /// Approximate quantile `q` in `[0, 1]`, as the geometric midpoint of
-    /// the bucket containing it. Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<Picos> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let lo = if i == 0 { 0 } else { self.base_ps << (i - 1) };
-                let hi = self.base_ps << i;
-                return Some(Picos::new(lo / 2 + hi / 2));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +131,6 @@ mod tests {
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
         assert!((r.variance() - 4.0).abs() < 1e-12);
-        assert!((r.stddev() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -285,54 +191,5 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 1);
         assert_eq!(e.mean(), 3.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(Picos::from_ns(1));
-        for ns in [1u64, 2, 4, 8, 16, 1000] {
-            h.record(Picos::from_ns(ns));
-        }
-        assert_eq!(h.count(), 6);
-        assert!(h.mean() > Picos::from_ns(100));
-        let med = h.quantile(0.5).unwrap();
-        assert!(med >= Picos::from_ns(1) && med <= Picos::from_ns(16));
-        assert!(h.quantile(1.0).unwrap() >= Picos::from_ns(512));
-        // Quantiles bracket arbitrary data: the single 1 ps sample a
-        // property run once shrank a failure to, then a seeded sweep.
-        let mut rng = crate::Xoshiro256::new(0x4157);
-        let mut cases = vec![vec![1u64]];
-        cases.extend((0..200).map(|_| {
-            let n = 1 + rng.next_below(299);
-            (0..n).map(|_| 1 + rng.next_below(9_999_999)).collect()
-        }));
-        for ds in cases {
-            let mut h = Histogram::new(Picos::from_ns(1));
-            ds.iter().for_each(|&d| h.record(Picos::new(d)));
-            assert_eq!(h.count(), ds.len() as u64);
-            let (min, max) = (*ds.iter().min().unwrap(), *ds.iter().max().unwrap());
-            // Bucket midpoints are within a factor of 2 of the true
-            // extremes — except inside bucket 0, which spans [0, base):
-            // its midpoint (500 ps here) can exceed tiny minima.
-            assert!(h.quantile(0.0).unwrap().as_ps() <= min.saturating_mul(2).max(500));
-            assert!(h.quantile(1.0).unwrap().as_ps().saturating_mul(2) >= max);
-            assert!((min..=max).contains(&h.mean().as_ps()));
-        }
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new(Picos::from_ns(10));
-        assert!(h.quantile(0.5).is_none());
-        assert_eq!(h.mean(), Picos::ZERO);
-    }
-
-    #[test]
-    fn histogram_small_values_bucket_zero() {
-        let mut h = Histogram::new(Picos::from_ns(100));
-        h.record(Picos::from_ns(3));
-        h.record(Picos::ZERO);
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile(0.9).unwrap() < Picos::from_ns(100));
     }
 }

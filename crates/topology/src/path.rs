@@ -105,12 +105,6 @@ impl PathSpec {
         ))
     }
 
-    /// The first turn: which output port of the local switch leads to the
-    /// root. `None` when the path is empty.
-    pub fn first_turn(&self) -> Option<u8> {
-        self.turns().first().copied()
-    }
-
     /// Whether a packet carrying `route` (at the port owning this path)
     /// will cross the root: true iff `self` is a prefix of the packet's
     /// remaining turns.
@@ -180,7 +174,6 @@ mod tests {
         assert!(p.matches_turns(&[]));
         assert!(p.matches_turns(&[3, 3, 3]));
         assert!(p.is_empty());
-        assert_eq!(p.first_turn(), None);
     }
 
     #[test]

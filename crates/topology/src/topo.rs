@@ -16,15 +16,26 @@ use crate::{
 };
 
 /// Which concrete topology a parameter set or network describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
-    /// Unidirectional perfect-shuffle (delta) MIN.
+    /// Unidirectional perfect-shuffle (delta) MIN (the paper's, and the
+    /// commands' default).
+    #[default]
     Min,
     /// k-ary n-tree fat-tree (bidirectional MIN).
     FatTree,
 }
 
 impl TopologyKind {
+    /// Parses a `--topology` value.
+    pub fn parse(s: &str) -> Option<TopologyKind> {
+        match s {
+            "min" => Some(TopologyKind::Min),
+            "fattree" | "fat-tree" => Some(TopologyKind::FatTree),
+            _ => None,
+        }
+    }
+
     /// The CLI / JSON name (`"min"` or `"fattree"`).
     pub fn name(&self) -> &'static str {
         match self {

@@ -135,19 +135,6 @@ impl CornerCase {
         }
     }
 
-    /// Scale-up of corner case 2 to 4096 hosts (Figure-6 proportions):
-    /// 3072 random sources at 100%, 1024 hotspot sources to host 2048
-    /// during the 170 µs window.
-    pub fn case2_4096() -> CornerCase {
-        CornerCase {
-            hosts: 4096,
-            random_sources: 3072,
-            random_rate: 1.0,
-            hotspot_dst: HostId::new(2048),
-            ..CornerCase::case1_64()
-        }
-    }
-
     /// Fat-tree hotspot scenario (64 hosts, 4-ary 3-tree): like corner
     /// case 2, but the 16-member gang is strided so each of the 16 leaf
     /// switches hosts exactly one attacker — the congestion tree reaches
@@ -355,14 +342,8 @@ mod tests {
             (b.hosts, b.random_sources, b.hotspot_sources()),
             (512, 384, 128)
         );
-        let c = CornerCase::case2_4096();
-        assert_eq!(
-            (c.hosts, c.random_sources, c.hotspot_sources()),
-            (4096, 3072, 1024)
-        );
         // Window length stays 170 µs.
         assert_eq!(b.hotspot_end - b.hotspot_start, Picos::from_us(170));
-        assert_eq!(c.hotspot_end - c.hotspot_start, Picos::from_us(170));
     }
 
     #[test]

@@ -76,36 +76,12 @@ impl FlowSet {
         }
     }
 
-    /// Fat-tree incast: like [`FlowSet::incast64`] but strided so each of
-    /// the 16 leaf switches hosts exactly one attacker (victim host 21,
-    /// off the stride — the corner cases' fat-tree geometry).
-    pub fn incast64_strided() -> FlowSet {
-        FlowSet {
-            pattern: FlowPattern::Incast {
-                fanin: 16,
-                victim: 21,
-                layout: GangLayout::Strided { stride: 4 },
-            },
-            ..FlowSet::incast64()
-        }
-    }
-
     /// All-to-all shuffle on 64 hosts, 4 KiB per flow.
     pub fn shuffle64() -> FlowSet {
         FlowSet {
             hosts: 64,
             pattern: FlowPattern::Shuffle,
             flow_bytes: 4 * 1024,
-            start: Picos::ZERO,
-        }
-    }
-
-    /// Permutation storm on 64 hosts: host `h` sends 16 KiB to `h + 1`.
-    pub fn permutation64() -> FlowSet {
-        FlowSet {
-            hosts: 64,
-            pattern: FlowPattern::Permutation { shift: 1 },
-            flow_bytes: 16 * 1024,
             start: Picos::ZERO,
         }
     }
@@ -303,6 +279,27 @@ impl Canon for FlowSet {
 mod tests {
     use super::*;
 
+    /// The fat-tree incast geometry: one attacker under each of the 16
+    /// leaf switches, victim host 21 off the stride.
+    fn strided() -> FlowSet {
+        FlowSet {
+            pattern: FlowPattern::Incast {
+                fanin: 16,
+                victim: 21,
+                layout: GangLayout::Strided { stride: 4 },
+            },
+            ..FlowSet::incast64()
+        }
+    }
+
+    /// Host `h` sends to `h + 1`.
+    fn permutation() -> FlowSet {
+        FlowSet {
+            pattern: FlowPattern::Permutation { shift: 1 },
+            ..FlowSet::incast64()
+        }
+    }
+
     #[test]
     fn incast_presets_expand_correctly() {
         let f = FlowSet::incast64();
@@ -311,8 +308,7 @@ mod tests {
         assert!(flows.iter().all(|d| d.dst == 32 && d.src >= 48));
         assert!(flows.iter().all(|d| d.bytes == 16 * 1024));
 
-        let f = FlowSet::incast64_strided();
-        let flows = f.build();
+        let flows = strided().build();
         assert_eq!(flows.len(), 16);
         assert!(flows.iter().all(|d| d.dst == 21 && d.src % 4 == 3));
         // One attacker under each 4-host leaf switch.
@@ -336,7 +332,7 @@ mod tests {
 
     #[test]
     fn permutation_shifts() {
-        let flows = FlowSet::permutation64().build();
+        let flows = permutation().build();
         assert_eq!(flows.len(), 64);
         assert!(flows.iter().all(|d| d.dst == (d.src + 1) % 64));
     }
@@ -345,9 +341,9 @@ mod tests {
     fn canon_round_trips() {
         for f in [
             FlowSet::incast64(),
-            FlowSet::incast64_strided(),
+            strided(),
             FlowSet::shuffle64(),
-            FlowSet::permutation64(),
+            permutation(),
         ] {
             let mut w = CanonWriter::new();
             f.encode_canon(&mut w);

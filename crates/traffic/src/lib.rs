@@ -44,4 +44,4 @@ pub mod san;
 mod random;
 
 pub use flows::{FlowPattern, FlowSet};
-pub use random::{RandomUniformSource, Spacing};
+pub use random::RandomUniformSource;

@@ -4,23 +4,13 @@ use fabric::{MessageSource, SourcedMessage};
 use simcore::{Picos, Xoshiro256};
 use topology::HostId;
 
-/// Inter-message spacing discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Spacing {
-    /// Deterministic spacing: one message every `bytes / rate` (the
-    /// paper's "injecting at X% of the link rate").
-    Constant,
-    /// Poisson arrivals with the same mean rate.
-    Poisson,
-}
-
 /// A host injecting fixed-size messages to uniformly random destinations
 /// at a fraction of the link bandwidth, within a time window.
 ///
 /// ```
 /// use fabric::MessageSource;
 /// use simcore::Picos;
-/// use traffic::{RandomUniformSource, Spacing};
+/// use traffic::RandomUniformSource;
 ///
 /// let mut src = RandomUniformSource::new(64, Some(topology::HostId::new(3)), 64, 0.5)
 ///     .window(Picos::ZERO, Picos::from_us(1))
@@ -36,7 +26,6 @@ pub struct RandomUniformSource {
     exclude: Option<HostId>,
     msg_bytes: u32,
     interval_ps: f64,
-    spacing: Spacing,
     start: Picos,
     end: Picos,
     seed: u64,
@@ -62,7 +51,6 @@ impl RandomUniformSource {
             exclude,
             msg_bytes,
             interval_ps: msg_bytes as f64 * 1_000.0 / rate,
-            spacing: Spacing::Constant,
             start: Picos::ZERO,
             end: Picos::MAX,
             seed: 0,
@@ -79,12 +67,6 @@ impl RandomUniformSource {
     /// Sets the random seed (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Uses Poisson instead of constant spacing.
-    pub fn poisson(mut self) -> Self {
-        self.spacing = Spacing::Poisson;
         self
     }
 
@@ -118,11 +100,7 @@ impl MessageSource for RandomUniformStream {
                 break d;
             }
         };
-        let gap = match self.cfg.spacing {
-            Spacing::Constant => self.cfg.interval_ps,
-            Spacing::Poisson => self.rng.next_exp(self.cfg.interval_ps),
-        };
-        self.next_at_ps += gap.max(1.0);
+        self.next_at_ps += self.cfg.interval_ps.max(1.0);
         Some(SourcedMessage {
             at,
             dst,
@@ -164,21 +142,6 @@ mod tests {
             seen.insert(m.dst);
         }
         assert_eq!(seen.len(), 7, "all other hosts hit");
-    }
-
-    #[test]
-    fn poisson_mean_rate_close() {
-        let mut s = RandomUniformSource::new(16, None, 64, 1.0)
-            .window(Picos::ZERO, Picos::from_us(100))
-            .poisson()
-            .seed(11)
-            .build();
-        let mut n = 0u64;
-        while s.next_message().is_some() {
-            n += 1;
-        }
-        // Expected 100_000 ns / 64 ns ≈ 1562 messages.
-        assert!((1200..2000).contains(&n), "got {n}");
     }
 
     #[test]

@@ -195,15 +195,6 @@ impl SanParams {
             .map(|script| Box::new(ScriptSource::new(script)) as Box<dyn MessageSource>)
             .collect()
     }
-
-    /// Total bytes offered by a script set (for load sanity checks).
-    pub fn offered_bytes(scripts: &[Vec<SourcedMessage>]) -> u64 {
-        scripts
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(|m| m.bytes as u64)
-            .sum()
-    }
 }
 
 impl Canon for SanParams {
@@ -305,8 +296,10 @@ mod tests {
         let horizon = Picos::from_us(500);
         let lo = SanParams::cello_like(10.0).build_scripts(64, horizon);
         let hi = SanParams::cello_like(40.0).build_scripts(64, horizon);
-        let lo_bytes = SanParams::offered_bytes(&lo) as f64;
-        let hi_bytes = SanParams::offered_bytes(&hi) as f64;
+        let offered = |scripts: &[Vec<SourcedMessage>]| -> f64 {
+            scripts.iter().flatten().map(|m| m.bytes as f64).sum()
+        };
+        let (lo_bytes, hi_bytes) = (offered(&lo), offered(&hi));
         // 4x compression squeezes ~4x the original-time traffic into the
         // same horizon (heavy tails add noise; accept a broad band).
         let ratio = hi_bytes / lo_bytes.max(1.0);

@@ -36,6 +36,22 @@ fi
 for f in $net/*.rs; do
   test "$(wc -l < "$f")" -le 500 || { echo "$f is over 500 lines" >&2; exit 1; }
 done
+# One record encoding (DESIGN §6c): a trace event is canonical bytes laid
+# out by trace.rs's kind table, and simcore::canon holds the workspace's
+# one hash loop. Outside test code the FNV offset basis appears once and
+# the prime twice, both in canon.rs: the standard one and the trace
+# digest's pinned variant (`Fnv1a64::trace_variant`).
+nontest() { # lines matching $1 under crates/, unit-test modules and test files left out
+  find crates -name '*.rs' -not -path '*/tests/*' -not -name tests.rs -print0 |
+    while IFS= read -r -d '' f; do sed '/#\[cfg(test)\]/,$d' "$f" | grep -H --label="$f" -- "$1" || true; done
+}
+test "$(nontest 'cbf2_9ce4' | wc -l)" = 1 || { echo "a second FNV hasher:" >&2; nontest 'cbf2_9ce4' >&2; exit 1; }
+test "$(nontest '01b3' | grep -c '^crates/simcore/src/canon.rs:')" = 2 && test "$(nontest '01b3' | wc -l)" = 2 ||
+  { echo "FNV primes outside canon.rs's two:" >&2; nontest '01b3' >&2; exit 1; }
+if grep -rnwE 'TraceEvent|TraceRecord' crates; then
+  echo "the trace enum is back beside the record table" >&2; exit 1
+fi
+test "$(wc -l < crates/fabric/src/trace.rs)" -le 400 || { echo "trace.rs is over 400 lines" >&2; exit 1; }
 # No inert dependency axis: the workspace has no serde edge to stub.
 if grep -ln serde Cargo.toml crates/*/Cargo.toml; then
   echo "a manifest outside benchmark/ mentions serde" >&2; exit 1
@@ -161,7 +177,15 @@ test "$(grep -c '"cache": "hit"' "$smoke/d2.jsonl")" = 2
 sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d1.jsonl" > "$smoke/d1.masked"
 sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d2.jsonl" > "$smoke/d2.masked"
 cmp "$smoke/d1.masked" "$smoke/d2.masked"
-echo "serve smoke passed: spool drained, warm pass served from cache"
+# Its own I/O failing is the command's one-line error (the binary's exit
+# status 2), never a panic (101): unreadable stdin, unwritable stdout.
+rc=0; printf '\xff\n' | "$recn" serve --cache none > /dev/null 2> "$smoke/badin.err" || rc=$?
+test "$rc" = 2 || { echo "serve on non-UTF-8 stdin exited $rc, want 2" >&2; exit 1; }
+test "$(wc -l < "$smoke/badin.err")" = 1 && grep -q '^stdin:1: ' "$smoke/badin.err"
+rc=0; "$recn" serve --cache none < "$smoke/spool/batch.jsonl.done" 2> "$smoke/full.err" > /dev/full || rc=$?
+test "$rc" = 2 || { echo "serve on a full stdout exited $rc, want 2" >&2; exit 1; }
+grep -q '^cannot write results: ' "$smoke/full.err"
+echo "serve smoke passed: spool drained, warm pass served from cache, I/O failures are errors"
 
 echo "== tier1: benchmark-harness guard (benchmark/ builds against the crates, digests hold) =="
 # benchmark/ is a separate package that the pipeline builds from this
