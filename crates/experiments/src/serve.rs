@@ -296,4 +296,30 @@ mod tests {
         assert!(err.starts_with("cannot write results: "), "{err}");
         assert!(!err.contains('\n'), "one line: {err}");
     }
+
+    #[test]
+    fn a_spec_of_switches_too_wide_for_a_port_mask_is_a_refused_line() {
+        use crate::runner::Workload;
+        let workload = Workload::Uniform {
+            load: 0.5,
+            msg_bytes: 64,
+            seed: 1,
+        };
+        let scheme = fabric::SchemeKind::Recn(recn::RecnConfig::default());
+        let spec = RunSpec::new(topology::FatTreeParams::new(32, 2), scheme, workload);
+        let line = |bytes: &[u8]| format!("{{\"spec_v1\": \"{}\"}}\n", crate::spec::to_hex(bytes));
+        let mut bytes = spec.encode();
+        assert!(read_batch("stdin", line(&bytes).as_bytes()).is_ok());
+        // The arity is the first word after magic, version and topology
+        // tag. A 33-ary 2-tree has 66-port leaf switches: it used to
+        // decode, start, and panic on RECN's notify mask mid-run.
+        assert_eq!(bytes[4], 32);
+        bytes[4] = 33;
+        let batch = demo_lines(1) + &line(&bytes);
+        let err = read_batch("stdin", batch.as_bytes()).unwrap_err();
+        assert!(
+            err.starts_with("stdin:2: bad spec_v1: ") && err.contains("66 ports"),
+            "{err}"
+        );
+    }
 }

@@ -11,7 +11,10 @@ use crate::observer::{NetObserver, NullObserver};
 use crate::queue::{PortSide, QueueSet};
 use crate::source::MessageSource;
 
-use super::{Event, LinkDown, LinkState, LinkUp, NetCounters, Network, Nic, SaqCensus, Switch};
+use super::{
+    ArbiterSummary, Event, LinkDown, LinkState, LinkUp, NetCounters, Network, Nic, SaqCensus,
+    Switch,
+};
 
 impl LinkState {
     fn new(credits: CreditView, up: LinkUp, down: LinkDown) -> LinkState {
@@ -114,7 +117,7 @@ impl Network {
                         })
                         .collect(),
                     in_flight: (0..np).map(|_| None).collect(),
-                    out_busy: vec![false; np],
+                    arb: ArbiterSummary::new(),
                     input_arb_scheduled: false,
                     in_rr: 0,
                     out_link: (0..np).map(|p| hosts + port_base[s] + p).collect(),
@@ -144,7 +147,6 @@ impl Network {
                     transfer_scheduled: false,
                     source,
                     pending: None,
-                    next_seq: vec![0; hosts],
                     flows: std::collections::BTreeMap::new(),
                 }
             })
@@ -163,7 +165,7 @@ impl Network {
             links,
             observer,
             counters: NetCounters::default(),
-            expect_seq: vec![0; hosts * hosts],
+            flow_seq: Default::default(),
             next_packet_id: 0,
             port_base,
             census: SaqCensus::new(total_ports, max_saqs),

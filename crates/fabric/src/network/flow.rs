@@ -67,7 +67,8 @@ pub(crate) fn flow_key(pkt: &Packet) -> u64 {
     key(pkt.src.index() as u32, pkt.dst.index() as u32)
 }
 
-fn key(src: u32, dst: u32) -> u64 {
+/// A flow's identity as one word: `src` in the upper half, `dst` below.
+pub(crate) fn key(src: u32, dst: u32) -> u64 {
     ((src as u64) << 32) | dst as u64
 }
 

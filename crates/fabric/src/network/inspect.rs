@@ -10,7 +10,9 @@ use crate::config::RoutingPolicy;
 use crate::queue::QueueSet;
 
 use super::nic::AdmitFifo;
-use super::{FlowRx, FlowTx, LinkDown, LinkState, LinkUp, Network, PortRef, XbarTransfer};
+use super::{
+    ArbiterSummary, FlowRx, FlowTx, LinkDown, LinkState, LinkUp, Network, PortRef, XbarTransfer,
+};
 
 /// Snapshot of one SAQ.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,8 +124,8 @@ impl Network {
 
     /// Estimated bytes of host-process backing storage behind this
     /// network model: queue-set slabs and per-queue arrays at their
-    /// high-water allocation, NIC admittance pools, per-flow sequence
-    /// arrays, and link descriptors with their credit views. This measures the *simulator's* memory, not
+    /// high-water allocation, NIC admittance pools, the per-flow sequence
+    /// table, and link descriptors with their credit views. This measures the *simulator's* memory, not
     /// simulated buffer capacity; it is deterministic for a given run
     /// (derived from slab high-water marks), so cached results replay it
     /// exactly.
@@ -132,7 +134,7 @@ impl Network {
         let mut total: u64 = self.ports().map(|(_, qs)| qs.backing_bytes()).sum();
         for s in &self.switches {
             total += (s.in_flight.capacity() * size_of::<Option<XbarTransfer>>()) as u64;
-            total += s.out_busy.capacity() as u64;
+            total += size_of::<ArbiterSummary>() as u64;
             total += ((s.out_link.capacity() + s.in_link.capacity()) * size_of::<usize>()) as u64;
         }
         for n in &self.nics {
@@ -142,14 +144,13 @@ impl Network {
             total += (n.admit_pool.slot_count()
                 * (size_of::<AdmitFifo>() + size_of::<u32>() + 4 * size_of::<usize>()))
                 as u64;
-            total += (n.next_seq.capacity() * size_of::<u64>()) as u64;
             // Transport flow state (zero without installed flows).
             total += (n.flows.len() * (size_of::<u32>() + size_of::<FlowTx>())) as u64;
         }
         for l in &self.links {
             total += size_of::<LinkState>() as u64 + l.credits.backing_bytes();
         }
-        total += (self.expect_seq.capacity() * size_of::<u64>()) as u64;
+        total += self.flow_seq.backing_bytes();
         total += (self.flow_rx.len() * (size_of::<u64>() + size_of::<FlowRx>())) as u64;
         total += (self.port_base.capacity() * size_of::<usize>()) as u64;
         // ARN notification state (all three vectors empty outside ArnUp,

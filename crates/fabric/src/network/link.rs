@@ -90,16 +90,15 @@ impl Network {
             pkt.route.is_exhausted(),
             "packet delivered with unconsumed turns"
         );
-        // Closed-loop flows bypass the expect_seq check: duplicates and
+        // Closed-loop flows bypass the sequence check: duplicates and
         // gaps are legal under retransmission, and the transport receiver
         // does its own sequence accounting.
         if self.has_flows && self.flow_rx.contains_key(&flow::flow_key(&pkt)) {
             self.transport_receive(now, q, pkt);
             return;
         }
-        let hosts = self.topo.num_hosts() as usize;
-        let flow = pkt.src.index() * hosts + pkt.dst.index();
-        let expected = self.expect_seq[flow];
+        let flow = self.flow_seq.entry(pkt.src, pkt.dst);
+        let expected = flow.next_expected;
         if pkt.flow_seq != expected {
             self.counters.order_violations += 1;
             assert!(
@@ -107,11 +106,9 @@ impl Network {
                 "out-of-order delivery on flow {}->{}: got {}, expected {expected}",
                 pkt.src, pkt.dst, pkt.flow_seq
             );
-            // Resynchronize past the gap.
-            self.expect_seq[flow] = self.expect_seq[flow].max(pkt.flow_seq + 1);
-        } else {
-            self.expect_seq[flow] = expected + 1;
         }
+        // In order: one past it. Otherwise resynchronize past the gap.
+        flow.next_expected = expected.max(pkt.flow_seq + 1);
         self.counters.delivered_packets += 1;
         self.counters.delivered_bytes += pkt.size as u64;
         let latency = now.saturating_sub(pkt.injected_at);

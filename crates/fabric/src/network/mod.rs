@@ -16,6 +16,7 @@ mod link;
 mod nic;
 mod port;
 mod recn_glue;
+mod seq;
 mod stats;
 mod switch;
 
@@ -38,6 +39,7 @@ pub use build::paper_network;
 pub use inspect::{render_port, PortSnapshot, SaqSnapshot};
 pub use recn_glue::assert_recn_idle;
 pub use stats::{CounterMut, NetCounters};
+pub use switch::ArbiterSummary;
 
 /// Simulation events dispatched by [`Network::handle`].
 #[derive(Debug)]
@@ -239,7 +241,8 @@ pub(crate) struct Switch {
     pub outputs: Vec<QueueSet>,
     /// In-flight crossbar transfer per input port.
     pub in_flight: Vec<Option<XbarTransfer>>,
-    pub out_busy: Vec<bool>,
+    /// The arbiter's summary of the ports above (see `switch.rs`).
+    pub arb: ArbiterSummary,
     pub input_arb_scheduled: bool,
     pub in_rr: usize,
     /// Link driven by each output port.
@@ -267,8 +270,9 @@ pub struct Network {
     pub(crate) links: Vec<LinkState>,
     pub(crate) observer: Box<dyn NetObserver>,
     pub(crate) counters: NetCounters,
-    /// Expected next flow_seq at the receiver, indexed `src * hosts + dst`.
-    pub(crate) expect_seq: Vec<u64>,
+    /// Sender and receiver sequence numbers of every open-loop flow that
+    /// has sent a packet.
+    pub(crate) flow_seq: seq::FlowSeqTable,
     pub(crate) next_packet_id: u64,
     /// Prefix sums of per-switch port counts: flat per-port indices (SAQ
     /// sites, link ids, ARN state) are `port_base[sw] + port`. Port counts

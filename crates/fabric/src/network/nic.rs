@@ -47,8 +47,6 @@ pub(crate) struct Nic {
     pub transfer_scheduled: bool,
     pub source: Box<dyn MessageSource>,
     pub pending: Option<SourcedMessage>,
-    /// Next flow sequence number per destination.
-    pub next_seq: Vec<u64>,
     /// Closed-loop sender state per destination (transport layer). Empty
     /// unless flows were installed; entries are removed on completion.
     pub flows: std::collections::BTreeMap<u32, FlowTx>,
@@ -177,12 +175,14 @@ impl Network {
             self.counters.source_dropped_bytes += msg.bytes as u64;
             self.observer.on_drop_attempt(now, host, dst, msg.bytes);
         } else {
+            let flow = self.flow_seq.entry(HostId::new(host as u32), dst);
+            let mut seq = flow.next_send;
+            flow.next_send += msg.bytes.div_ceil(self.packet_size) as u64;
             let mut remaining = msg.bytes;
             while remaining > 0 {
                 let size = remaining.min(self.packet_size);
-                let seq = self.nics[host].next_seq[dst.index()];
-                self.nics[host].next_seq[dst.index()] += 1;
                 self.admit_packet(now, host, dst, size, route, seq);
+                seq += 1;
                 remaining -= size;
             }
         }

@@ -127,12 +127,22 @@ impl Network {
             }
         }
         match port {
-            PortRef::SwitchIn { sw, port } => self.pfc_check(now, q, sw, port, true),
+            PortRef::SwitchIn { sw, port } => {
+                self.input_changed(sw, port);
+                self.pfc_check(now, q, sw, port, true)
+            }
             PortRef::SwitchOut { sw, port } => {
                 self.output_occupancy_changed(now, q, sw, port, queue)
             }
             PortRef::Nic { .. } => {}
         }
+    }
+
+    /// Input `port` of `sw` stored, released or drained an item: its words
+    /// of the arbiter summary follow.
+    pub(super) fn input_changed(&mut self, sw: usize, port: usize) {
+        let switch = &mut self.switches[sw];
+        switch.arb.input_changed(port, &switch.inputs[port]);
     }
 
     /// Removes and returns the head packet of `queue` at `port` and runs
@@ -187,6 +197,10 @@ impl Network {
             }
         }
         if let PortRef::SwitchIn { sw, port } = port {
+            // Under RECN the marker drain above already did this.
+            if !is_recn {
+                self.input_changed(sw, port);
+            }
             self.pfc_check(now, q, sw, port, false);
         }
         pkt

@@ -239,7 +239,10 @@ impl Network {
             }
         }
         let arbiter = match port {
-            PortRef::SwitchIn { sw, .. } => Wakeup::InputArb { sw },
+            PortRef::SwitchIn { sw, port } => {
+                self.input_changed(sw, port);
+                Wakeup::InputArb { sw }
+            }
             _ => Wakeup::EgressArb {
                 link: self.egress_link(port),
             },
@@ -284,8 +287,16 @@ impl Network {
                 self.observer.on_root_change(now, sw, port, false);
                 self.arn_broadcast(now, q, sw, false);
             }
-            None => {}
+            None => return,
         }
+        self.output_recn_changed(sw, port);
+    }
+
+    /// Output `port` of `sw` became or ceased to be a root, or its CAM
+    /// gained or lost a line: the arbiter summary's notify bit follows.
+    fn output_recn_changed(&mut self, sw: usize, port: usize) {
+        let switch = &mut self.switches[sw];
+        switch.arb.output_recn_changed(port, &switch.outputs[port]);
     }
 
     /// `Event::SaqIdleCheck` — reclaim the SAQ if it is still an empty,
@@ -319,6 +330,9 @@ impl Network {
         let held = self.port(port).recn().expect("RECN scheme").saqs_in_use();
         let was = if allocated { held - 1 } else { held + 1 };
         self.census.moved(port, was, held);
+        if let PortRef::SwitchOut { sw, port } = port {
+            self.output_recn_changed(sw, port);
+        }
         let (max_in, max_out, total) = self.census.values();
         self.observer.on_saq_census(now, max_in, max_out, total);
     }

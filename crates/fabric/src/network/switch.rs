@@ -11,7 +11,121 @@ use crate::queue::QueueSet;
 use super::port::Reserved;
 use super::{Event, Network, PortRef, Wakeup, XbarTransfer};
 
+/// What a switch's crossbar arbiter works from: a few words summarizing
+/// its ports, kept where the ports change, so that arbitration does not
+/// re-read a queue set to learn its head is still blocked (DESIGN.md §4).
+/// One bit per port: the topology constructors refuse switches of more
+/// than 64 ports.
+#[derive(Debug, Clone)]
+pub struct ArbiterSummary {
+    /// Input ports holding at least one stored item.
+    pub in_items: u64,
+    /// Input ports with a crossbar transfer in flight.
+    pub in_flight: u64,
+    /// Output ports a crossbar transfer is in flight to.
+    pub out_busy: u64,
+    /// Output ports whose RECN state could answer a request with a
+    /// notification: root active or CAM non-empty (zero outside RECN).
+    pub out_notify: u64,
+    /// Per input port, the output its head requests, or `NO_REQUEST`.
+    request: [u8; 64],
+}
+
+/// Whether `port`'s bit is set in `mask`.
+fn has(mask: u64, port: usize) -> bool {
+    mask >> port & 1 == 1
+}
+
+/// Sets or clears `port`'s bit in `mask`.
+fn set(mask: &mut u64, port: usize, on: bool) {
+    *mask = (*mask & !(1 << port)) | (u64::from(on) << port);
+}
+
+/// Whether the RECN state of the output port behind `qs` could answer a
+/// request with a notification: it is a root or its CAM holds a line
+/// (never outside RECN).
+fn can_notify(qs: &QueueSet) -> bool {
+    qs.recn()
+        .is_some_and(|r| r.is_root() || r.saqs_in_use() > 0)
+}
+
+impl ArbiterSummary {
+    const NO_REQUEST: u8 = u8::MAX;
+
+    pub(super) fn new() -> ArbiterSummary {
+        ArbiterSummary {
+            in_items: 0,
+            in_flight: 0,
+            out_busy: 0,
+            out_notify: 0,
+            request: [Self::NO_REQUEST; 64],
+        }
+    }
+
+    /// The output `input`'s head requests, when that is the only request
+    /// the port can make: every stored item sits in queue 0 and its head
+    /// is a packet committed to its next turn. `None` otherwise (empty
+    /// port, items in other queues, adaptive head): the arbiter then
+    /// examines the queue set itself.
+    pub fn request(&self, input: usize) -> Option<usize> {
+        let out = self.request[input];
+        (out != Self::NO_REQUEST).then_some(out as usize)
+    }
+
+    /// Re-derives `input`'s words after its queue set `qs` changed.
+    pub(super) fn input_changed(&mut self, input: usize, qs: &QueueSet) {
+        set(&mut self.in_items, input, qs.has_items());
+        self.request[input] = match qs.sole_head() {
+            Some(p) if !p.route.next_turn_rebindable() => p.route.next_turn(),
+            _ => Self::NO_REQUEST,
+        };
+    }
+
+    /// Re-derives `output`'s notify bit after the root detector or the CAM
+    /// occupancy of its queue set `qs` changed.
+    pub(super) fn output_recn_changed(&mut self, output: usize, qs: &QueueSet) {
+        set(&mut self.out_notify, output, can_notify(qs));
+    }
+}
+
 impl Network {
+    /// One switch's arbiter summary (tests compare it with the ports).
+    pub fn arbiter_summary(&self, sw: usize) -> &ArbiterSummary {
+        &self.switches[sw].arb
+    }
+
+    /// The output the crossbar transfer in flight from `input` of `sw`
+    /// goes to, if one is in flight.
+    pub fn xbar_in_flight(&self, sw: usize, input: usize) -> Option<usize> {
+        self.switches[sw].in_flight[input]
+            .as_ref()
+            .map(|t| t.to_output)
+    }
+
+    /// What the full examination of ready input `i` would find when the
+    /// summary says its head waits on busy, non-notifying output `out`:
+    /// the normal queue is the only one to serve, its head is committed to
+    /// `out`, a transfer to `out` is in flight, and `out` holds no RECN
+    /// state that answers a request — so the scan ends at the busy check
+    /// with nothing granted and nothing to notify.
+    fn examination_is_inert(&self, sw: usize, i: usize, out: usize) -> bool {
+        let switch = &self.switches[sw];
+        let mut order = Vec::new();
+        switch.inputs[i].service_order(&mut order);
+        let Some(QueueItem::Packet(p)) = switch.inputs[i].head(0) else {
+            return false;
+        };
+        order == [0]
+            && !p.route.next_turn_rebindable()
+            && p.route.next_turn() as usize == out
+            && switch
+                .in_flight
+                .iter()
+                .flatten()
+                .any(|t| t.to_output == out)
+            && !can_notify(&switch.outputs[out])
+    }
+
     /// A data packet arrived at a switch input port.
     pub(crate) fn switch_input_arrival(
         &mut self,
@@ -51,14 +165,20 @@ impl Network {
 
         for off in 0..nports {
             let i = (start + off) % nports;
-            if self.switches[sw].in_flight[i].is_some() {
+            let arb = &self.switches[sw].arb;
+            // Work-elision fast paths (both event models), decided on the
+            // summary alone. A port mid-transfer or empty can neither
+            // grant nor notify; nor can one whose only request is a busy
+            // output with no RECN state to notify from — the full scan
+            // below would end with no mutation and no observer call.
+            if !has(arb.in_items & !arb.in_flight, i) {
                 continue;
             }
-            // Work-elision fast path (both event models): an empty input
-            // port can neither grant nor notify — the full scan below would
-            // end with no mutation and no observer call, so skip it.
-            if !self.switches[sw].inputs[i].has_items() {
-                continue;
+            if let Some(out) = arb.request(i) {
+                if has(arb.out_busy & !arb.out_notify, out) {
+                    debug_assert!(self.examination_is_inert(sw, i, out));
+                    continue;
+                }
             }
             let mut scratch = std::mem::take(&mut self.scratch);
             self.switches[sw].inputs[i].service_order(&mut scratch);
@@ -100,8 +220,14 @@ impl Network {
                 let out = p.route.next_turn() as usize;
                 let size = p.size as u64;
                 if is_recn {
-                    notify_pending.push(*p);
-                    if switch.out_busy[out] {
+                    // A request to a port that is no root and holds no SAQ
+                    // triggers nothing; only the others are queued.
+                    if has(switch.arb.out_notify, out) {
+                        notify_pending.push(*p);
+                    } else {
+                        debug_assert!(!can_notify(&switch.outputs[out]));
+                    }
+                    if has(switch.arb.out_busy, out) {
                         continue;
                     }
                     if !switch.outputs[out].has_room(0, size) {
@@ -126,7 +252,7 @@ impl Network {
                     }
                     grant = Some((qidx, out, None));
                 } else {
-                    if switch.out_busy[out] {
+                    if has(switch.arb.out_busy, out) {
                         continue;
                     }
                     let mut advanced = *p;
@@ -168,7 +294,8 @@ impl Network {
                 to_output: out,
                 to_queue,
             });
-            self.switches[sw].out_busy[out] = true;
+            set(&mut self.switches[sw].arb.in_flight, i, true);
+            set(&mut self.switches[sw].arb.out_busy, out, true);
             let done = Event::XbarDone {
                 sw,
                 input: i,
@@ -215,7 +342,7 @@ impl Network {
         let switch = &self.switches[sw];
         let mut best: Option<(u32, u64, usize, Option<usize>)> = None;
         for out in switch.up_ports.clone() {
-            if switch.out_busy[out] {
+            if has(switch.arb.out_busy, out) {
                 continue;
             }
             // The committed copy: bind the candidate and advance exactly as
@@ -295,7 +422,8 @@ impl Network {
             .take()
             .expect("transfer in flight");
         debug_assert_eq!(t.to_output, output);
-        self.switches[sw].out_busy[output] = false;
+        set(&mut self.switches[sw].arb.in_flight, input, false);
+        set(&mut self.switches[sw].arb.out_busy, output, false);
         let size = t.pkt.size as u64;
         let port = PortRef::SwitchOut { sw, port: output };
         match t.to_queue {

@@ -332,6 +332,20 @@ impl QueueSet {
         self.queues[queue].head.map(|h| &self.items.get(h).item)
     }
 
+    /// The head packet of queue 0 when every stored item sits in that
+    /// queue: it is then the one packet the port can offer, whatever the
+    /// scheme's service order. `None` otherwise (empty port, an item in
+    /// another queue, a marker at the head).
+    pub(crate) fn sole_head(&self) -> Option<&Packet> {
+        if self.items.len() != self.queues[0].len {
+            return None;
+        }
+        match self.head(0)? {
+            QueueItem::Packet(p) => Some(p),
+            QueueItem::Marker(_) => None,
+        }
+    }
+
     /// Removes and returns the head of a queue, releasing its bytes.
     ///
     /// # Panics

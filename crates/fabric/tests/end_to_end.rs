@@ -11,8 +11,9 @@
 
 use fabric::{
     assert_recn_idle, ConstantRateSource, EventModel, FabricConfig, FanoutObserver, MessageSource,
-    NetObserver, Network, Packet, PortRef, QueueKind, QueueSet, RoutingPolicy, SaqSite, SchemeKind,
-    ScriptSource, SilentSource, SourcedMessage, TraceSink, ValidatingObserver, ValidatorHandle,
+    NetObserver, Network, Packet, PortRef, QueueItem, QueueKind, QueueSet, RoutingPolicy, SaqSite,
+    SchemeKind, ScriptSource, SilentSource, SourcedMessage, TraceSink, ValidatingObserver,
+    ValidatorHandle,
 };
 use recn::RecnConfig;
 use simcore::{EventQueue, Picos, SimModel, Xoshiro256};
@@ -653,10 +654,8 @@ fn all_ports(net: &Network) -> Vec<PortRef> {
 
 /// A shortened corner case 2 on 64 hosts: uniform background at half rate
 /// from three hosts in four, and from the fourth a full-rate burst at host
-/// 32 between 10 and 40 µs. Driven event by event and stopped every 200
-/// events (and after the last) to check what the one store/take pair and the CAM-derived census
-/// must keep true at every port; returns the sampled ingress maxima.
-fn check_port_bookkeeping(params: TopoParams, routing: RoutingPolicy) -> Vec<u32> {
+/// 32 between 10 and 40 µs.
+fn short_corner_case_sources() -> Vec<Box<dyn MessageSource>> {
     let mut sources = random_sources(64, 450, 64, 0.5, 17);
     for h in (1..64).step_by(4) {
         sources[h] = Box::new(ConstantRateSource::new(
@@ -667,6 +666,14 @@ fn check_port_bookkeeping(params: TopoParams, routing: RoutingPolicy) -> Vec<u32
             Picos::from_us(40),
         ));
     }
+    sources
+}
+
+/// The shortened corner case, driven event by event and stopped every 200
+/// events (and after the last) to check what the one store/take pair and the CAM-derived census
+/// must keep true at every port; returns the sampled ingress maxima.
+fn check_port_bookkeeping(params: TopoParams, routing: RoutingPolicy) -> Vec<u32> {
+    let sources = short_corner_case_sources();
     let stored = StoredPackets::default();
     let tally = stored.0.clone();
     let (obs, vh) = validator();
@@ -736,4 +743,185 @@ fn saq_bookkeeping_and_census_match_the_ports_at_every_sample() {
             "{params:?}: the maximum never fell"
         );
     }
+}
+
+/// What the arbiter summary of `sw` must read, recomputed from the switch's
+/// queue sets and in-flight transfers: `(in_items, in_flight, out_busy,
+/// out_notify, requests)`.
+fn summary_from_ports(net: &Network, sw: usize) -> (u64, u64, u64, u64, Vec<Option<usize>>) {
+    let ports = net.topology().ports(SwitchId::new(sw as u32)) as usize;
+    let (mut items, mut in_flight, mut busy, mut notify) = (0u64, 0u64, 0u64, 0u64);
+    let mut requests = Vec::new();
+    for port in 0..ports {
+        let input = net.port(PortRef::SwitchIn { sw, port });
+        items |= u64::from(input.has_items()) << port;
+        if let Some(out) = net.xbar_in_flight(sw, port) {
+            in_flight |= 1 << port;
+            busy |= 1 << out;
+        }
+        // Known only when queue 0 holds every stored item and its head is
+        // a packet committed to its next turn.
+        let stored: usize = (0..input.num_queues()).map(|q| input.queue_len(q)).sum();
+        requests.push(match input.head(0) {
+            Some(QueueItem::Packet(p))
+                if input.queue_len(0) == stored && !p.route.next_turn_rebindable() =>
+            {
+                Some(p.route.next_turn() as usize)
+            }
+            _ => None,
+        });
+        let output = net.port(PortRef::SwitchOut { sw, port });
+        let notifies = output
+            .recn()
+            .is_some_and(|r| r.is_root() || r.saqs_in_use() > 0);
+        notify |= u64::from(notifies) << port;
+    }
+    (items, in_flight, busy, notify, requests)
+}
+
+/// Samples of one [`check_arbiter_summary`] run, by what the arbiter could
+/// do with them.
+#[derive(Debug, Default)]
+struct SummarySamples {
+    /// Ready inputs whose known request was a busy, silent output — the
+    /// examinations the arbiter skips.
+    skippable: u64,
+    /// Ready inputs with no known request (SAQ traffic, adaptive heads).
+    unknown: u64,
+    /// Outputs seen able to notify (root or CAM non-empty).
+    notifying: u64,
+}
+
+/// The shortened corner case once more, stopped every 200 events to
+/// compare every switch's arbiter summary with its ports. Returns what the
+/// samples covered, the run's trace digest and its headline counters.
+fn check_arbiter_summary(
+    params: TopoParams,
+    scheme: SchemeKind,
+    routing: RoutingPolicy,
+) -> (SummarySamples, u64, [u64; 5]) {
+    let (obs, vh) = validator();
+    let (sink, trace) = TraceSink::new(16, "summary");
+    let fan = FanoutObserver::new().push(obs).push(Box::new(sink));
+    let cfg = FabricConfig::paper(scheme).with_routing(routing);
+    let mut net = Network::new(params, cfg, 64, short_corner_case_sources(), Box::new(fan));
+    let switches = net.topology().num_switches() as usize;
+
+    let mut q = EventQueue::new();
+    net.prime(&mut q);
+    let mut seen = SummarySamples::default();
+    let mut events = 0u64;
+    while let Some(ev) = q.pop() {
+        net.handle(ev.time, ev.event, &mut q);
+        events += 1;
+        if !events.is_multiple_of(200) && !q.is_empty() {
+            continue;
+        }
+        for sw in 0..switches {
+            let (items, in_flight, busy, notify, requests) = summary_from_ports(&net, sw);
+            let arb = net.arbiter_summary(sw);
+            let at = format!("event {events}, switch {sw}");
+            assert_eq!(arb.in_items, items, "{at}: inputs with items");
+            assert_eq!(arb.in_flight, in_flight, "{at}: inputs in flight");
+            assert_eq!(arb.out_busy, busy, "{at}: busy outputs");
+            assert_eq!(arb.out_notify, notify, "{at}: notifying outputs");
+            for (port, &request) in requests.iter().enumerate() {
+                assert_eq!(arb.request(port), request, "{at}: request of input {port}");
+                if (items & !in_flight) >> port & 1 == 1 {
+                    match request {
+                        Some(out) if (busy & !notify) >> out & 1 == 1 => seen.skippable += 1,
+                        Some(_) => {}
+                        None => seen.unknown += 1,
+                    }
+                }
+            }
+            seen.notifying += notify.count_ones() as u64;
+        }
+    }
+    vh.assert_drained();
+    let c = net.counters();
+    let counters = [
+        c.injected_packets,
+        c.delivered_packets,
+        c.order_violations,
+        c.saq_allocs,
+        c.recn_notifications,
+    ];
+    (seen, trace.digest(), counters)
+}
+
+#[test]
+fn arbiter_summary_matches_the_ports_at_every_sample() {
+    let recn = SchemeKind::Recn(test_recn_config());
+    let min: TopoParams = MinParams::paper_64().into();
+    let ft: TopoParams = FatTreeParams::ft_64().into();
+    // Digest and counters as pinned at the commit before the summary
+    // existed, when the arbiter examined every ready head: skipping the
+    // blocked ones changed nothing an observer or a counter can see.
+    let (seen, digest, counters) = check_arbiter_summary(min, recn, RoutingPolicy::Deterministic);
+    assert!(
+        seen.skippable > 0 && seen.unknown > 0 && seen.notifying > 0,
+        "MIN RECN: {seen:?}"
+    );
+    assert_eq!(digest, 0x39c3_498f_8006_7a1f, "MIN RECN digest {digest:#x}");
+    assert_eq!(counters, [24416, 24416, 0, 2792, 2792], "MIN RECN");
+
+    let (seen, digest, counters) =
+        check_arbiter_summary(min, SchemeKind::OneQ, RoutingPolicy::Deterministic);
+    assert!(seen.skippable > 0, "MIN 1Q: {seen:?}");
+    assert_eq!(
+        (seen.unknown, seen.notifying),
+        (0, 0),
+        "1Q: one queue, no RECN"
+    );
+    assert_eq!(digest, 0x44a4_d00e_0247_05b7, "MIN 1Q digest {digest:#x}");
+    assert_eq!(counters, [29104, 29104, 0, 0, 0], "MIN 1Q");
+
+    let (seen, digest, counters) = check_arbiter_summary(ft, recn, RoutingPolicy::adaptive());
+    assert!(
+        seen.skippable > 0 && seen.unknown > 0 && seen.notifying > 0,
+        "fat tree RECN adaptive: {seen:?}"
+    );
+    assert_eq!(
+        digest, 0xe7da_9909_8d70_a2d3,
+        "fat tree RECN adaptive digest {digest:#x}"
+    );
+    assert_eq!(
+        counters,
+        [28162, 28162, 4580, 548, 548],
+        "fat tree RECN adaptive"
+    );
+}
+
+/// The reorder detector's positive case. Adaptive up-turns let packets of
+/// one flow overtake each other, and so does 4Q's lowest-occupancy queue
+/// choice; deterministic routing through one queue cannot. The counts are
+/// pinned because they hold the resynchronization rule: a packet arriving
+/// early is one violation and moves the expectation past the gap
+/// (`max(seq + 1)`), each packet it overtook is one more when it arrives
+/// and leaves the expectation where it is.
+#[test]
+fn reorder_detector_counts_overtaking_and_resynchronizes_past_the_gap() {
+    let violations = |scheme: SchemeKind, routing: RoutingPolicy| {
+        let cfg = FabricConfig::paper(scheme).with_routing(routing);
+        let (obs, vh) = validator();
+        let ft = FatTreeParams::ft_64();
+        let net = run_to_drain(Network::new(ft, cfg, 64, short_corner_case_sources(), obs));
+        vh.assert_drained();
+        let c = net.counters();
+        assert_eq!((c.injected_packets, c.delivered_packets), (29104, 29104));
+        c.order_violations
+    };
+    assert_eq!(
+        violations(SchemeKind::OneQ, RoutingPolicy::Deterministic),
+        0
+    );
+    assert_eq!(
+        violations(SchemeKind::OneQ, RoutingPolicy::adaptive()),
+        3884
+    );
+    assert_eq!(
+        violations(SchemeKind::FourQ, RoutingPolicy::Deterministic),
+        5702
+    );
 }

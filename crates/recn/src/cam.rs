@@ -199,12 +199,20 @@ impl CamTable {
 
     /// The line with exactly this path, if any.
     pub fn find_path(&self, path: &PathSpec) -> Option<SaqId> {
+        if self.in_use == 0 {
+            return None;
+        }
         self.iter_ids().find(|id| self.get(*id).path == *path)
     }
 
     /// Longest-prefix match of the allocated paths against a packet's
     /// remaining turns. Ties are impossible (paths are unique).
     pub fn longest_match(&self, remaining: &[u8]) -> Option<SaqId> {
+        // Nearly every port's CAM is empty nearly always: answer without
+        // walking the free lines.
+        if self.in_use == 0 {
+            return None;
+        }
         let mut best: Option<SaqId> = None;
         let mut best_len = 0usize;
         for id in self.iter_ids() {

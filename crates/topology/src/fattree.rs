@@ -23,7 +23,7 @@
 //! every run.
 use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 
-use crate::{HostId, PortId, Route, SwitchId, MAX_STAGES};
+use crate::{HostId, PortId, Route, SwitchId, MAX_PORTS, MAX_STAGES};
 
 /// Shape of a k-ary n-tree: `k^n` hosts, `n` levels of `k^(n-1)` switches.
 ///
@@ -47,8 +47,8 @@ impl FatTreeParams {
     /// # Panics
     ///
     /// Panics unless `k ≥ 2`, `n ≥ 1`, the longest route (`2n − 1` turns)
-    /// fits in [`MAX_STAGES`], and the up-turn digits `k..2k` fit in a
-    /// `u8` (`k ≤ 128`).
+    /// fits in [`MAX_STAGES`], and a switch's `2k` ports fit the 64-bit
+    /// port masks the fabric and RECN keep (`k ≤ 32`).
     pub fn new(k: u32, n: u32) -> FatTreeParams {
         match FatTreeParams::checked(k, n) {
             Ok(p) => p,
@@ -73,8 +73,11 @@ impl FatTreeParams {
                 2 * n - 1
             ));
         }
-        if k > 128 {
-            return Err("up-turn digits k..2k must fit in a u8".to_owned());
+        if 2 * k as u64 > MAX_PORTS as u64 {
+            return Err(format!(
+                "{k}-ary switches have {} ports, more than the {MAX_PORTS} a port mask holds",
+                2 * k as u64
+            ));
         }
         Ok(FatTreeParams { k, n })
     }

@@ -54,3 +54,8 @@ pub use min::{MinParams, MinTopology, SwitchCoords};
 pub use path::PathSpec;
 pub use route::{Route, MAX_STAGES};
 pub use topo::{TopoParams, Topology, TopologyKind};
+
+/// Most ports a switch may have: the fabric's crossbar arbiter and RECN's
+/// notified-input sets keep one bit per port in a `u64`, so the parameter
+/// constructors refuse anything wider.
+pub(crate) const MAX_PORTS: u32 = 64;

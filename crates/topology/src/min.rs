@@ -2,7 +2,7 @@
 
 use simcore::{Canon, CanonError, CanonReader, CanonWriter};
 
-use crate::{HostId, PortId, Route, SwitchId, MAX_STAGES};
+use crate::{HostId, PortId, Route, SwitchId, MAX_PORTS, MAX_STAGES};
 
 /// Shape of a unidirectional perfect-shuffle MIN.
 ///
@@ -27,8 +27,8 @@ impl MinParams {
     ///
     /// # Panics
     ///
-    /// Panics unless `radix ≥ 2` divides `hosts`, `radix^stages ≥ hosts`,
-    /// and `stages ≤ MAX_STAGES`.
+    /// Panics unless `2 ≤ radix ≤ 64` divides `hosts`,
+    /// `radix^stages ≥ hosts`, and `stages ≤ MAX_STAGES`.
     pub fn new(hosts: u32, radix: u32, stages: u32) -> MinParams {
         match MinParams::checked(hosts, radix, stages) {
             Ok(p) => p,
@@ -42,6 +42,11 @@ impl MinParams {
     pub fn checked(hosts: u32, radix: u32, stages: u32) -> Result<MinParams, String> {
         if radix < 2 {
             return Err("radix must be at least 2".to_owned());
+        }
+        if radix > MAX_PORTS {
+            return Err(format!(
+                "radix-{radix} switches have more ports than the {MAX_PORTS} a port mask holds"
+            ));
         }
         if hosts < radix || !hosts.is_multiple_of(radix) {
             return Err("radix must divide hosts".to_owned());

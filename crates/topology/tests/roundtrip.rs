@@ -6,6 +6,7 @@
 //! on both backends, and a seeded sweep walks random shapes of both
 //! families.
 
+use simcore::{Canon, CanonReader, CanonWriter};
 use topology::{FatTreeParams, HostId, MinParams, PortId, Route, TopoParams, Topology};
 
 /// Walks `route(src, dst)` turn by turn through the wiring and asserts it
@@ -172,4 +173,33 @@ fn random_shapes_roundtrip_with_bijective_ingress() {
             }
         }
     }
+}
+
+#[test]
+fn switches_wider_than_a_port_mask_are_refused() {
+    // The fabric and RECN keep one bit per switch port in a u64. At the
+    // limit: 32-ary trees (64-port inner switches) and radix-64 MINs.
+    let widest = FatTreeParams::checked(32, 2).expect("64-port switches fit");
+    assert_eq!(Topology::new(widest).max_ports(), 64);
+    assert!(MinParams::checked(64, 64, 1).is_ok());
+    // One past it: the 33-ary 2-tree, whose 66-port leaf switches used to
+    // be accepted here and overflow a mask mid-run.
+    let err = FatTreeParams::checked(33, 2).unwrap_err();
+    assert!(err.contains("66 ports"), "{err}");
+    assert!(FatTreeParams::checked(128, 1).is_err());
+    let err = MinParams::checked(65, 65, 1).unwrap_err();
+    assert!(err.contains("radix-65"), "{err}");
+    // Outside input arrives through the canonical decoding: the same
+    // shapes, as bytes, are errors there too.
+    let decode = |tag: u8, words: &[u32]| {
+        let mut w = CanonWriter::new();
+        w.u8(tag);
+        words.iter().for_each(|&v| w.u32(v));
+        let bytes = w.finish();
+        TopoParams::decode_canon(&mut CanonReader::new(&bytes))
+    };
+    assert_eq!(decode(1, &[32, 2]).unwrap(), TopoParams::FatTree(widest));
+    assert!(decode(1, &[33, 2]).is_err());
+    assert!(decode(0, &[64, 64, 1]).is_ok());
+    assert!(decode(0, &[65, 65, 1]).is_err());
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Parent-vs-change benchmark trajectory: BENCHMARK.json's command, every
-# workload, end-to-end pass (--trace 0), in alternating parent/change pairs.
+# workload, end-to-end pass (--trace 0), in alternating parent/change pairs,
+# then one traced pass (--trace 1) per side to locate a difference.
 #
 #   scripts/bench_pairs.sh <parent-ref> [pairs=10] [seconds=run_seconds]
 #
@@ -9,7 +10,8 @@
 # the parent's interquartile range, and in how many pairs the change read
 # better — the numbers the choosing-metrics rule needs (a gain counts when
 # the change wins ≥ 9/10 pairs and the medians differ by more than the
-# parent's IQR). The parent is `git archive`d into target/bench_pairs/ and
+# parent's IQR), plus a `per_layer` block: where the traced pass of each
+# side spent its time. The parent is `git archive`d into target/bench_pairs/ and
 # built there; the change is the working tree. Only *reads* benchmark/ and
 # BENCHMARK.json. Needs python3 for the JSON.
 set -euo pipefail
@@ -38,17 +40,19 @@ mapfile -t command < <(python3 -c 'import json; print(*json.load(open("BENCHMARK
 mapfile -t workloads < <(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]], sep="\n")')
 
 # One pass of one workload on one side; appends its result line to $runs.
+# Pair 0 is the traced pass.
 pass() {
-  local side="$1" pair="$2" workload="$3" dir="$PWD"
+  local side="$1" pair="$2" workload="$3" dir="$PWD" trace=0
   [ "$side" = parent ] && dir="$work/parent"
+  [ "$pair" = 0 ] && trace=1
   local line
   line="$(cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0 2> /dev/null | tail -n 1)"
+    --seconds "$seconds" --trace "$trace" 2> /dev/null | tail -n 1)"
   echo "{\"side\": \"$side\", \"pair\": $pair, \"workload\": \"$workload\", \"result\": $line}" >> "$runs"
 }
 
 echo "== bench_pairs: building parent $parent_sha and the working tree =="
-for side in parent change; do pass "$side" 0 "${workloads[0]}"; done
+for side in parent change; do pass "$side" 1 "${workloads[0]}"; done
 : > "$runs" # the build passes are not measurements
 
 for pair in $(seq 1 "$pairs"); do
@@ -60,6 +64,10 @@ for pair in $(seq 1 "$pairs"); do
   done
   echo "pair $pair/$pairs done"
 done
+for workload in "${workloads[@]}"; do
+  for side in parent change; do pass "$side" 0 "$workload"; done
+done
+echo "traced passes done"
 
 python3 - "$runs" "BENCH_$pr.json" "$pr" "$parent_sha" "$pairs" "$seconds" "$seed" "$(nproc)" << 'EOF'
 import json, statistics, sys
@@ -74,9 +82,24 @@ def quartiles(xs):
     return q1, q3
 
 
+# Where the time went, from the one traced pass of each side: counts that
+# must agree between the sides, and the seconds of the heavy layers.
+PER_LAYER = [
+    "simcore.events",
+    "simcore.pop_s",
+    "fabric.other_n",
+    "fabric.other_s",
+    "fabric.deliver_s",
+    "fabric.xbar_done_s",
+    "fabric.output_arb_s",
+    "recn.cam_lookup_ns",
+    "experiments.peak_bytes_estimate",
+]
+
 workloads = {}
 for w in (w["name"] for w in bench["workloads"]):
-    mine = [r for r in runs if r["workload"] == w]
+    traced = {r["side"]: r["result"]["metrics"] for r in runs if r["workload"] == w and r["pair"] == 0}
+    mine = [r for r in runs if r["workload"] == w and r["pair"] != 0]
     rows = {}
     for m in bench["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -104,6 +127,11 @@ for w in (w["name"] for w in bench["workloads"]):
         "all_correct": all(r["result"]["correct"] for r in mine),
         "failed": sum(r["result"]["failed"] for r in mine),
         "metrics": rows,
+        "per_layer": {
+            name: {side: traced[side][name]["value"] for side in ("parent", "change")}
+            for name in PER_LAYER
+            if all(name in traced[side] for side in ("parent", "change"))
+        },
     }
 
 json.dump(
@@ -115,6 +143,7 @@ json.dump(
             "pairs": int(pairs),
             "host_cpus": int(cpus),
             "alternating": "odd pairs run the parent first, even pairs the change",
+            "per_layer": "one --trace 1 pass per side and workload, after the pairs",
         },
         "workloads": workloads,
     },

@@ -36,6 +36,15 @@ fi
 for f in $net/*.rs; do
   test "$(wc -l < "$f")" -le 500 || { echo "$f is over 500 lines" >&2; exit 1; }
 done
+# State follows activity (DESIGN §4, §4b): per-flow state is one table
+# keyed by the flows that exist, never an array over every host pair, and a
+# crossbar output's busy bit lives in the arbiter summary's mask only.
+if grep -rnE 'hosts *\* *hosts' crates/fabric/src; then
+  echo "crates/fabric/src: a hosts² allocation is back" >&2; exit 1
+fi
+if grep -rnE 'out_busy: *Vec' crates/fabric/src; then
+  echo "crates/fabric/src: out_busy is a Vec again beside the arbiter mask" >&2; exit 1
+fi
 # One record encoding (DESIGN §6c): a trace event is canonical bytes laid
 # out by trace.rs's kind table, and simcore::canon holds the workspace's
 # one hash loop. Outside test code the FNV offset basis appears once and
