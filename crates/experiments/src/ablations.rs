@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fabric::{FabricConfig, NetObserver, Network, Packet, SchemeKind};
+use fabric::{NetObserver, Packet, SchemeKind};
 use metrics::report::window_stats;
 use recn::RecnConfig;
 use simcore::{Picos, Running};
@@ -19,7 +19,7 @@ use topology::{HostId, MinParams};
 use traffic::corner::CornerCase;
 
 use crate::opts::Opts;
-use crate::runner::{scaled_recn_config, RunOutput, Workload};
+use crate::runner::{scaled_recn_config, RunOutput};
 use crate::sweep::RunSpec;
 
 /// One row of an ablation table.
@@ -39,10 +39,16 @@ pub struct AblationRow {
     pub deallocs: u64,
 }
 
-fn corner2(opts: &Opts) -> CornerCase {
-    CornerCase::case2_64()
+/// Corner case 2 on the 64-host MIN under `scheme`, sized and compressed
+/// by `opts` — the run every table of this module, and `recn inspect`, is
+/// made of.
+pub(crate) fn corner2_spec(opts: &Opts, scheme: SchemeKind) -> RunSpec {
+    let corner = CornerCase::case2_64()
         .with_msg_bytes(opts.packet_size())
-        .shrunk(opts.time_div())
+        .shrunk(opts.time_div());
+    RunSpec::corner(MinParams::paper_64(), scheme, corner)
+        .with_packet_size(opts.packet_size())
+        .with_horizon(Picos::from_us(1600 / opts.time_div()))
 }
 
 /// Fans the RECN configurations out over one parallel sweep (corner case
@@ -55,10 +61,7 @@ fn run_recn_sweep(
     let specs = settings
         .iter()
         .map(|(setting, cfg)| {
-            let workload = Workload::Corner(corner2(opts));
-            RunSpec::new(MinParams::paper_64(), SchemeKind::Recn(*cfg), workload)
-                .with_packet_size(opts.packet_size())
-                .with_horizon(Picos::from_us(1600 / opts.time_div()))
+            corner2_spec(opts, SchemeKind::Recn(*cfg))
                 .with_bin(Picos::from_us((5 / opts.time_div()).max(1)))
                 .with_label(format!("{name}:{setting}"))
         })
@@ -160,6 +163,12 @@ pub struct LatencySplit {
     pub innocent: Running,
 }
 
+/// The run [`latency_split`] measures: the sweeps' corner case, under the
+/// command line's routing and transport as theirs are.
+fn latency_spec(opts: &Opts, scheme: SchemeKind) -> RunSpec {
+    opts.applied_to(corner2_spec(opts, scheme))
+}
+
 /// Measures the latency split for `scheme`.
 pub fn latency_split(opts: &Opts, scheme: SchemeKind) -> LatencySplit {
     struct SplitObserver {
@@ -177,22 +186,14 @@ pub fn latency_split(opts: &Opts, scheme: SchemeKind) -> LatencySplit {
             }
         }
     }
-    let corner = corner2(opts);
-    let horizon = Picos::from_us(1600 / opts.time_div());
+    let spec = latency_spec(opts, scheme);
     let state = Rc::new(RefCell::new((Running::new(), Running::new())));
-    let sources = corner.build_sources(horizon);
-    let net = Network::new(
-        MinParams::paper_64(),
-        FabricConfig::paper(scheme),
-        opts.packet_size(),
-        sources,
-        Box::new(SplitObserver {
-            hot: HostId::new(32),
-            state: state.clone(),
-        }),
-    );
+    let net = spec.network(Box::new(SplitObserver {
+        hot: HostId::new(32),
+        state: state.clone(),
+    }));
     let mut engine = net.build_engine();
-    engine.run_until(horizon);
+    engine.run_until(spec.horizon());
     let (hotspot, innocent) = state.borrow().clone();
     LatencySplit {
         scheme: scheme.name(),
@@ -273,5 +274,24 @@ mod tests {
         let packets = |s: &LatencySplit| s.hotspot.count() + s.innocent.count();
         let big = latency_split(&big, SchemeKind::OneQ);
         assert!(packets(&big) * 4 < packets(&splits[0]), "{big:?}");
+    }
+
+    /// `recn ablations --transport pfc --routing …` reaches the latency
+    /// table too: it used to print credit-fabric, deterministic runs under
+    /// every flag value.
+    #[test]
+    fn latency_split_runs_under_the_command_lines_transport_and_routing() {
+        let pfc = Opts {
+            transport: fabric::TransportKind::parse("pfc").expect("a transport name"),
+            routing: fabric::RoutingPolicy::arn(),
+            ..quick()
+        };
+        let spec = latency_spec(&pfc, SchemeKind::OneQ);
+        assert_eq!(spec.transport(), pfc.transport);
+        assert_eq!(spec.routing(), pfc.routing);
+        let open = latency_split(&quick(), SchemeKind::OneQ);
+        let paused = latency_split(&pfc, SchemeKind::OneQ);
+        let summary = |s: &LatencySplit| (s.hotspot.count(), s.hotspot.mean(), s.innocent.mean());
+        assert_ne!(summary(&paused), summary(&open));
     }
 }

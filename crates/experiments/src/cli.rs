@@ -7,9 +7,7 @@
 //! an unknown command, flag or value is an `Err` carrying the usage text
 //! (the binary prints it and exits 2).
 
-use fabric::{
-    render_port, FabricConfig, FanoutObserver, Network, SchemeKind, TraceSink, ValidatingObserver,
-};
+use fabric::{render_port, FanoutObserver, SchemeKind, TraceSink, ValidatingObserver};
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
 use traffic::corner::CornerCase;
@@ -20,7 +18,7 @@ use crate::opts::flag::{
     TRANSPORT,
 };
 use crate::opts::{is_help, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed};
-use crate::runner::{paper_recn_config, scaled_recn_config, summarize, SchemeSet};
+use crate::runner::{scaled_recn_config, summarize, SchemeSet};
 use crate::spec::RunSpec;
 use crate::sweep::Sweep;
 use crate::{ablations, incast, scale, serve, table1};
@@ -347,15 +345,7 @@ fn validate(opts: &Opts) -> Result<(), String> {
 /// report at all means no lossless invariant broke on the way there.
 fn inspect(opts: &Opts) -> Result<(), String> {
     let div = opts.time_div();
-    let corner = CornerCase::case2_64()
-        .with_msg_bytes(opts.packet_size())
-        .shrunk(div);
-    let recn_cfg = if div == 1 {
-        paper_recn_config()
-    } else {
-        scaled_recn_config(div)
-    };
-    let sources = corner.build_sources(Picos::from_us(1600 / div));
+    let spec = ablations::corner2_spec(opts, SchemeKind::Recn(scaled_recn_config(div)));
 
     let (validator, vhandle) = ValidatingObserver::new();
     let mut fan = FanoutObserver::new().push(Box::new(validator));
@@ -366,13 +356,7 @@ fn inspect(opts: &Opts) -> Result<(), String> {
         trace = Some(handle);
     }
 
-    let net = Network::new(
-        MinParams::paper_64(),
-        FabricConfig::paper(SchemeKind::Recn(recn_cfg)),
-        opts.packet_size(),
-        sources,
-        Box::new(fan),
-    );
+    let net = spec.network(Box::new(fan));
     let mut engine = net.build_engine();
     // Halt in the middle of the congestion window (paper: 800–970 µs).
     engine.run_until(Picos::from_us(885 / div));

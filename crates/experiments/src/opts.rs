@@ -17,15 +17,13 @@ use std::str::FromStr;
 use topology::TopologyKind;
 
 use crate::runner::RunOutput;
-use crate::sweep::{RunSpec, Sweep, SweepReport};
+use crate::sweep::{RunSpec, Sweep};
 
 /// One command-line flag a command accepts.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagDef {
-    /// Canonical spelling, e.g. `--jobs`.
+    /// The flag as typed, e.g. `--jobs`.
     pub name: &'static str,
-    /// Deprecated spellings that still parse (mapped to `name`).
-    pub aliases: &'static [&'static str],
     /// What follows the flag; `None` for a switch.
     pub value: Option<Value>,
     /// One-line help text.
@@ -69,7 +67,7 @@ impl Value {
     }
 }
 
-/// A parsed argument list: `(canonical name, value)` pairs in argument
+/// A parsed argument list: `(name, value)` pairs in argument
 /// order, read back through the table that admitted them.
 #[derive(Debug)]
 pub struct Parsed<'a> {
@@ -142,7 +140,7 @@ pub fn parse_flags(
     while let Some(arg) = it.next() {
         let def = defs
             .iter()
-            .find(|d| d.name == arg || d.aliases.contains(&arg.as_str()))
+            .find(|d| d.name == arg)
             .ok_or_else(|| format!("unknown option {arg}; {usage}"))?;
         let value = match def.value {
             None => None,
@@ -179,18 +177,14 @@ fn left_column(d: &FlagDef) -> String {
 }
 
 /// The full `--help` text for a flag table: the usage line plus one
-/// aligned line per flag (aliases marked deprecated).
+/// aligned line per flag.
 pub fn render_help(defs: &[FlagDef]) -> String {
     let mut s = usage_line(defs);
     s.push('\n');
     let left: Vec<String> = defs.iter().map(left_column).collect();
     let width = left.iter().map(|l| l.len()).max().unwrap_or(0);
     for (d, l) in defs.iter().zip(&left) {
-        s.push_str(&format!("  {l:width$}  {}", d.help));
-        if !d.aliases.is_empty() {
-            s.push_str(&format!(" (deprecated alias: {})", d.aliases.join(", ")));
-        }
-        s.push('\n');
+        s.push_str(&format!("  {l:width$}  {}\n", d.help));
     }
     s
 }
@@ -202,13 +196,13 @@ pub fn render_help(defs: &[FlagDef]) -> String {
 pub(crate) mod flag {
     use super::{FlagDef, Value};
 
-    const fn flag(name: &'static str, value: Option<Value>, help: &'static str) -> FlagDef {
-        FlagDef {
-            name,
-            aliases: &[],
-            value,
-            help,
-        }
+    /// A table row: every command's flag table is written with this.
+    pub(crate) const fn flag(
+        name: &'static str,
+        value: Option<Value>,
+        help: &'static str,
+    ) -> FlagDef {
+        FlagDef { name, value, help }
     }
 
     pub const QUICK: FlagDef = flag(
@@ -384,21 +378,20 @@ impl Opts {
         }
     }
 
+    /// `spec` under the command line's `--routing` and `--transport`: what
+    /// [`sweep`](Opts::sweep) does to every spec it runs, for the commands
+    /// that drive a network by hand.
+    pub(crate) fn applied_to(&self, spec: RunSpec) -> RunSpec {
+        spec.with_routing(self.routing)
+            .with_transport(self.transport)
+    }
+
     /// Runs `specs` through a [`Sweep`] configured from these options:
     /// `--jobs` workers (default = available parallelism), progress lines
     /// on stderr, a JSON summary named after the sweep when `--json` is
     /// active, and the content-addressed run cache when `--cache` is.
     pub fn sweep(&self, name: &str, specs: Vec<RunSpec>) -> Vec<RunOutput> {
-        self.sweep_report(name, specs).outputs
-    }
-
-    /// Like [`sweep`](Opts::sweep) but returning the full [`SweepReport`]
-    /// (per-run cache statuses, sweep timing).
-    pub fn sweep_report(&self, name: &str, specs: Vec<RunSpec>) -> SweepReport {
-        let specs: Vec<RunSpec> = specs
-            .into_iter()
-            .map(|s| s.with_routing(self.routing).with_transport(self.transport))
-            .collect();
+        let specs: Vec<RunSpec> = specs.into_iter().map(|s| self.applied_to(s)).collect();
         let mut sweep = Sweep::new(specs)
             .jobs(self.jobs.unwrap_or(0))
             .progress(true);
@@ -408,7 +401,7 @@ impl Opts {
         if let Some(dir) = &self.cache_dir {
             sweep = sweep.cache(dir.clone());
         }
-        sweep.run_report()
+        sweep.run()
     }
 
     /// Writes a CSV file if `--csv` was given.
@@ -677,21 +670,5 @@ mod tests {
             assert!(help.contains(d.name), "{} in help", d.name);
             assert!(help.contains(d.help), "{} help text present", d.name);
         }
-    }
-
-    #[test]
-    fn flag_aliases_map_to_canonical_names() {
-        const DEFS: &[FlagDef] = &[FlagDef {
-            name: "--quick",
-            aliases: &["--small"],
-            value: None,
-            help: "short run",
-        }];
-        let parsed =
-            parse_flags(["--small".to_owned()], DEFS).expect("deprecated alias still parses");
-        assert!(parsed.has("--quick"));
-        assert!(render_help(DEFS).contains("deprecated alias: --small"));
-        let err = parse_flags(["--tiny".to_owned()], DEFS).unwrap_err();
-        assert!(err.contains("unknown option --tiny"), "{err}");
     }
 }

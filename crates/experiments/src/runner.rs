@@ -4,8 +4,8 @@
 use std::time::Instant;
 
 use fabric::{
-    FabricConfig, FanoutObserver, MessageSource, NetCounters, Network, SchemeKind, SilentSource,
-    TraceHandle, TraceSink, ValidatingObserver,
+    FabricConfig, FanoutObserver, MessageSource, NetCounters, NetObserver, Network, SchemeKind,
+    SilentSource, TraceHandle, TraceSink, ValidatingObserver,
 };
 use metrics::{FctSummary, Probe, ProbeHandle};
 use recn::RecnConfig;
@@ -234,19 +234,46 @@ pub fn run_one_eager_reference(spec: &RunSpec) -> RunOutput {
     run_with(spec, EventModel::Eager)
 }
 
-fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
-    let mut fabric_cfg = if spec.params().hosts() >= 512 {
-        FabricConfig::paper_512(spec.scheme())
-    } else {
-        FabricConfig::paper(spec.scheme())
+impl RunSpec {
+    /// Builds the network of this run with `observer` attached — the one
+    /// place a spec becomes a [`Network`]: the paper's fabric preset for
+    /// the host count, the spec's routing and transport, the workload's
+    /// admittance cap and message sources, and a flow workload's flows
+    /// installed. [`run_one`] and the commands that drive a network by
+    /// hand (`recn inspect`, the ablations' latency split) all start here.
+    pub fn network(&self, observer: Box<dyn NetObserver>) -> Network {
+        self.network_on(EventModel::Lazy, observer)
     }
-    .with_routing(spec.routing())
-    .with_event_model(event_model)
-    .with_transport(spec.transport());
-    fabric_cfg.admit_cap = spec.workload().admit_cap();
-    let sources = spec
-        .workload()
-        .sources(spec.params().hosts(), spec.horizon());
+
+    /// [`network`](Self::network) on either event model: the eager one is
+    /// [`run_one_eager_reference`]'s, nothing else asks for it.
+    fn network_on(&self, event_model: EventModel, observer: Box<dyn NetObserver>) -> Network {
+        let hosts = self.params().hosts();
+        let mut fabric_cfg = if hosts >= 512 {
+            FabricConfig::paper_512(self.scheme())
+        } else {
+            FabricConfig::paper(self.scheme())
+        }
+        .with_routing(self.routing())
+        .with_event_model(event_model)
+        .with_transport(self.transport());
+        fabric_cfg.admit_cap = self.workload().admit_cap();
+        let sources = self.workload().sources(hosts, self.horizon());
+        let mut net = Network::new(
+            self.params(),
+            fabric_cfg,
+            self.packet_size(),
+            sources,
+            observer,
+        );
+        if let Workload::Flows(f) = self.workload() {
+            net.install_flows(&f.build());
+        }
+        net
+    }
+}
+
+fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
     let (probe, handle) = Probe::new(spec.bin());
     // Validator and tracer ride the same observer slot as the probe via a
     // fan-out; all three are Rc<RefCell>-based and constructed here, on the
@@ -262,16 +289,7 @@ fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
         fan = fan.push(Box::new(sink));
         trace = Some(thandle);
     }
-    let mut net = Network::new(
-        spec.params(),
-        fabric_cfg,
-        spec.packet_size(),
-        sources,
-        Box::new(fan),
-    );
-    if let Workload::Flows(f) = spec.workload() {
-        net.install_flows(&f.build());
-    }
+    let net = spec.network_on(event_model, Box::new(fan));
     let started = Instant::now();
     let mut engine = net.build_engine();
     engine.run_until(spec.horizon());
@@ -338,6 +356,9 @@ mod tests {
         assert_eq!(SchemeSet::Scalability.schemes().len(), 3);
         assert_eq!(SchemeSet::RecnOnly.schemes().len(), 1);
         assert_eq!(SchemeSet::All.schemes()[0].name(), "VOQnet");
+        // Uncompressed, the scaled config is the paper's: callers need no
+        // `div == 1` special case.
+        assert_eq!(scaled_recn_config(1), paper_recn_config());
     }
 
     #[test]

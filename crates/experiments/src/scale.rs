@@ -16,9 +16,10 @@
 //! recn scale [--net N] [--time-div D] [--json FILE] [--budget BYTES]
 //! ```
 //!
-//! `--budget BYTES` is the CI scale gate: the process exits nonzero if
-//! any measured run's `peak_bytes_estimate` exceeds the budget (CI
-//! passes the checked-in `ci/scale_budget.txt`).
+//! `--budget BYTES` is the CI scale gate: the command fails (after its
+//! table and `--json` file are written) if any measured run's
+//! `peak_bytes_estimate` exceeds the budget (CI passes the checked-in
+//! `ci/scale_budget.txt`).
 //!
 //! The analytic side is deliberately small: it only counts queue
 //! *descriptors* (head/tail/occupancy — the control state a hardware
@@ -34,6 +35,7 @@ use simcore::Picos;
 use topology::FatTreeParams;
 use traffic::corner::CornerCase;
 
+use crate::opts::flag::flag;
 use crate::opts::{FlagDef, Parsed, Value};
 use crate::runner::{run_one, scaled_recn_config, summarize};
 use crate::spec::RunSpec;
@@ -183,30 +185,26 @@ pub fn render_scale_table(rows: &[ScaleRow]) -> String {
 
 /// The flag table of `recn scale`.
 pub const SCALE_FLAGS: &[FlagDef] = &[
-    FlagDef {
-        name: "--net",
-        aliases: &[],
-        value: Some(Value::OneOf(&[64, 512, 4096])),
-        help: "run only the N-host rung of the ladder (default: all)",
-    },
-    FlagDef {
-        name: "--time-div",
-        aliases: &[],
-        value: Some(Value::Count("D", "a divisor")),
-        help: "time compression for the measured runs (default 16)",
-    },
-    FlagDef {
-        name: "--json",
-        aliases: &[],
-        value: Some(Value::Text("FILE", "a file")),
-        help: "write the table as flat JSON to FILE",
-    },
-    FlagDef {
-        name: "--budget",
-        aliases: &[],
-        value: Some(Value::Text("BYTES", "a byte count")),
-        help: "exit nonzero if any run's peak_bytes_estimate exceeds BYTES",
-    },
+    flag(
+        "--net",
+        Some(Value::OneOf(&[64, 512, 4096])),
+        "run only the N-host rung of the ladder (default: all)",
+    ),
+    flag(
+        "--time-div",
+        Some(Value::Count("D", "a divisor")),
+        "time compression for the measured runs (default 16)",
+    ),
+    flag(
+        "--json",
+        Some(Value::Text("FILE", "a file")),
+        "write the table as flat JSON to FILE",
+    ),
+    flag(
+        "--budget",
+        Some(Value::Text("BYTES", "a byte count")),
+        "exit nonzero if any run's peak_bytes_estimate exceeds BYTES",
+    ),
 ];
 
 fn render_json(rows: &[ScaleRow], time_div: u64, budget: Option<u64>) -> String {
@@ -288,11 +286,10 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if !over_budget.is_empty() {
-        eprintln!("memory budget exceeded:");
-        for line in &over_budget {
-            eprintln!("  {line}");
-        }
-        std::process::exit(1);
+        return Err(format!(
+            "memory budget exceeded:\n  {}",
+            over_budget.join("\n  ")
+        ));
     }
     if let Some(budget) = budget {
         eprintln!("memory budget OK: all runs under {budget} bytes");
@@ -369,5 +366,39 @@ mod tests {
         assert!(t.contains("137") && t.contains("5.0 MiB"));
         // Every (point, scheme) pair got a row.
         assert_eq!(rows.len(), 9);
+    }
+
+    /// An over-budget run is the command's `Err` (the binary's one error
+    /// status), raised after the table and the `--json` file are out —
+    /// not an exit from inside the library.
+    #[test]
+    fn an_over_budget_run_is_the_commands_error() {
+        let json = std::env::temp_dir().join(format!("recn_scale_{}.json", std::process::id()));
+        let words = ["scale", "--net", "64", "--time-div", "256", "--json"];
+        let run = |budget: &str| {
+            let tail = [
+                json.to_string_lossy().into_owned(),
+                "--budget".into(),
+                budget.into(),
+            ];
+            crate::cli::run(words.iter().map(|s| s.to_string()).chain(tail))
+        };
+        let err = run("1").expect_err("no run fits in one byte");
+        let written = std::fs::read_to_string(&json).expect("the JSON file was written first");
+        assert!(written.contains("\"budget_bytes\": 1,"), "{written}");
+        let (first, rest) = err
+            .split_once('\n')
+            .expect("a headline and one line per run");
+        assert_eq!(first, "memory budget exceeded:");
+        assert!(
+            rest.starts_with("  64-host run: peak_bytes_estimate "),
+            "{err}"
+        );
+        assert!(
+            rest.ends_with(" > budget 1") && !rest.contains('\n'),
+            "{err}"
+        );
+        run("1000000000").expect("a 64-host run fits in a gigabyte");
+        std::fs::remove_file(&json).expect("the JSON file is ours to remove");
     }
 }

@@ -24,48 +24,39 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use crate::json::{self, parse_json};
+use crate::opts::flag::{flag, JOBS};
 use crate::opts::{FlagDef, Parsed, Value};
 use crate::runner::OUTPUT_SCHEMA_VERSION;
 use crate::sweep::{events_per_sec, RunSpec, Sweep, SweepReport};
 
 /// The flag table of `recn serve`.
 pub const SERVE_FLAGS: &[FlagDef] = &[
-    FlagDef {
-        name: "--spool",
-        aliases: &[],
-        value: Some(Value::Text("DIR", "a directory")),
-        help: "watch DIR for *.jsonl spec batches (absent: one batch from stdin)",
-    },
-    FlagDef {
-        name: "--cache",
-        aliases: &[],
-        value: Some(Value::Text("DIR|none", "a directory (or `none`)")),
-        help: "content-addressed run cache (default results/cache; `none` disables)",
-    },
-    FlagDef {
-        name: "--jobs",
-        aliases: &[],
-        value: Some(Value::Count("N", "a worker count")),
-        help: "sweep worker count (default = available parallelism)",
-    },
-    FlagDef {
-        name: "--once",
-        aliases: &[],
-        value: None,
-        help: "drain the spool once and exit instead of watching",
-    },
-    FlagDef {
-        name: "--poll-ms",
-        aliases: &[],
-        value: Some(Value::Text("MS", "a duration in milliseconds")),
-        help: "spool polling interval (default 500)",
-    },
-    FlagDef {
-        name: "--demo",
-        aliases: &[],
-        value: Some(Value::Text("N", "a count")),
-        help: "print N sample spec lines (for smoke tests) and exit",
-    },
+    flag(
+        "--spool",
+        Some(Value::Text("DIR", "a directory")),
+        "watch DIR for *.jsonl spec batches (absent: one batch from stdin)",
+    ),
+    flag(
+        "--cache",
+        Some(Value::Text("DIR|none", "a directory (or `none`)")),
+        "content-addressed run cache (default results/cache; `none` disables)",
+    ),
+    JOBS,
+    flag(
+        "--once",
+        None,
+        "drain the spool once and exit instead of watching",
+    ),
+    flag(
+        "--poll-ms",
+        Some(Value::Text("MS", "a duration in milliseconds")),
+        "spool polling interval (default 500)",
+    ),
+    flag(
+        "--demo",
+        Some(Value::Text("N", "a count")),
+        "print N sample spec lines (for smoke tests) and exit",
+    ),
 ];
 
 struct Args {

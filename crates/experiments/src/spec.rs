@@ -53,7 +53,7 @@ const SPEC_MAGIC: [u8; 2] = *b"RS";
 pub const SPEC_VERSION: u8 = 7;
 
 /// Most bins (`horizon / bin`) a spec may ask the probe to record. Every
-/// run allocates and renders that many points for each of its five series
+/// run allocates and renders that many points for each of its four series
 /// whatever the traffic, so [`RunSpec::decode`] refuses foreign bytes that
 /// would make the process abort on allocation; 50× the longest series any
 /// preset uses (20,000 bins).

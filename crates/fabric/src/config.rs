@@ -243,13 +243,10 @@ pub struct FabricConfig {
     /// deallocate and return their token, so stale trees cannot pin CAM
     /// lines. See `recn::CamTable` docs on `ever_used`.
     pub saq_idle_timeout: Picos,
-    /// Whether a per-flow order violation panics (defaults to the scheme's
-    /// order guarantee) — violations are always counted either way.
-    pub strict_order: bool,
     /// Output-port selection policy at forwarding time. Defaults to the
     /// paper's deterministic self-routing; `AdaptiveUp` lets fat-tree
-    /// switches pick among equivalent up-ports (and relaxes
-    /// `strict_order`, since per-packet path choice can reorder a flow).
+    /// switches pick among equivalent up-ports (which relaxes
+    /// [`strict_order`](Self::strict_order)).
     pub routing: RoutingPolicy,
     /// How wakeups become scheduled events: `Lazy` (every run — same-time
     /// kicks coalesce into sweep events and idle arbiters are elided) or
@@ -275,22 +272,28 @@ impl FabricConfig {
             link_delay: Picos::from_ns(20),
             admit_cap: 4 * 1024,
             saq_idle_timeout: Picos::from_us(20),
-            strict_order: scheme.preserves_order(),
             routing: RoutingPolicy::Deterministic,
             event_model: EventModel::default(),
             transport: TransportKind::OpenLoop,
         }
     }
 
-    /// Installs a routing policy. Adaptive routing may deliver one flow's
-    /// packets over different paths, so it clears `strict_order` (order
-    /// violations are still counted).
+    /// Installs a routing policy.
     pub fn with_routing(mut self, routing: RoutingPolicy) -> FabricConfig {
         self.routing = routing;
-        if routing.is_adaptive() {
-            self.strict_order = false;
-        }
         self
+    }
+
+    /// Whether a per-flow order violation is a bug in the model (and
+    /// panics) rather than something the configuration allows: the scheme
+    /// keeps a flow in one queue, routing gives it one path, and no
+    /// transport re-sends or drops its packets (retransmission legitimately
+    /// re-delivers and reorders; PFC drops break sequence continuity).
+    /// Violations are counted either way.
+    pub fn strict_order(&self) -> bool {
+        self.scheme.preserves_order()
+            && !self.routing.is_adaptive()
+            && self.transport.is_open_loop()
     }
 
     /// Installs an event model: how the differential suites reach the
@@ -300,15 +303,9 @@ impl FabricConfig {
         self
     }
 
-    /// Installs an end-host transport. Any transport other than open loop
-    /// clears `strict_order`: retransmission legitimately re-delivers and
-    /// reorders packets (and PFC drops break sequence continuity), so
-    /// order violations are counted but never fatal.
+    /// Installs an end-host transport.
     pub fn with_transport(mut self, transport: TransportKind) -> FabricConfig {
         self.transport = transport;
-        if !transport.is_open_loop() {
-            self.strict_order = false;
-        }
         self
     }
 
@@ -450,34 +447,38 @@ mod tests {
     #[test]
     fn adaptive_routing_relaxes_order() {
         let cfg = FabricConfig::paper(SchemeKind::OneQ).with_routing(RoutingPolicy::adaptive());
-        assert!(!cfg.strict_order);
+        assert!(!cfg.strict_order());
         assert!(cfg.routing.is_adaptive());
         let det = FabricConfig::paper(SchemeKind::OneQ).with_routing(RoutingPolicy::Deterministic);
-        assert!(det.strict_order);
+        assert!(det.strict_order());
         // ARN is adaptive-with-notifications: same order relaxation, and
         // only it maintains the notification table.
         let arn = FabricConfig::paper(SchemeKind::OneQ).with_routing(RoutingPolicy::arn());
-        assert!(!arn.strict_order);
+        assert!(!arn.strict_order());
         assert!(arn.routing.is_adaptive() && arn.routing.is_arn());
         assert!(!RoutingPolicy::adaptive().is_arn());
+        // Computed, not stored: a field assigned directly cannot leave it
+        // stale.
+        let mut direct = FabricConfig::paper(SchemeKind::OneQ);
+        direct.routing = RoutingPolicy::adaptive();
+        assert!(!direct.strict_order());
     }
 
     #[test]
     fn transport_defaults_open_and_clears_order_when_closed() {
         let cfg = FabricConfig::paper(SchemeKind::OneQ);
         assert!(cfg.transport.is_open_loop());
-        assert!(cfg.strict_order);
+        assert!(cfg.strict_order());
         let gbn = cfg.with_transport(TransportKind::parse("gbn").unwrap());
-        assert!(!gbn.strict_order, "retransmission may reorder");
+        assert!(!gbn.strict_order(), "retransmission may reorder");
         gbn.validate();
         let pfc = FabricConfig::paper(SchemeKind::OneQ)
             .with_transport(TransportKind::parse("pfc").unwrap());
         assert!(pfc.transport.is_pfc());
-        assert!(!pfc.strict_order, "PFC drops break sequence continuity");
+        assert!(!pfc.strict_order(), "PFC drops break sequence continuity");
         pfc.validate();
-        // Re-installing open loop keeps whatever strict_order already was.
-        let back = FabricConfig::paper(SchemeKind::OneQ).with_transport(TransportKind::OpenLoop);
-        assert!(back.strict_order);
+        // Back on open loop the scheme's guarantee holds again.
+        assert!(gbn.with_transport(TransportKind::OpenLoop).strict_order());
     }
 
     #[test]
@@ -485,6 +486,6 @@ mod tests {
         assert!(SchemeKind::OneQ.preserves_order());
         assert!(!SchemeKind::FourQ.preserves_order());
         assert!(SchemeKind::Recn(RecnConfig::default()).preserves_order());
-        assert!(!FabricConfig::paper(SchemeKind::FourQ).strict_order);
+        assert!(!FabricConfig::paper(SchemeKind::FourQ).strict_order());
     }
 }

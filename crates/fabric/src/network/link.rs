@@ -102,9 +102,11 @@ impl Network {
         if pkt.flow_seq != expected {
             self.counters.order_violations += 1;
             assert!(
-                !self.cfg.strict_order,
+                !self.cfg.strict_order(),
                 "out-of-order delivery on flow {}->{}: got {}, expected {expected}",
-                pkt.src, pkt.dst, pkt.flow_seq
+                pkt.src,
+                pkt.dst,
+                pkt.flow_seq
             );
         }
         // In order: one past it. Otherwise resynchronize past the gap.

@@ -39,48 +39,59 @@ pub enum QueueKind {
     Saq,
 }
 
-/// Receives simulation events of interest. All methods have empty default
-/// bodies so observers implement only what they need.
-pub trait NetObserver {
+/// The hook list, said once: expands to [`NetObserver`] — every hook with
+/// its documentation and an empty default body — and to
+/// [`FanoutObserver`]'s forwarding of each hook to its observers. A new
+/// hook is one entry here (plus its row in `trace.rs`'s kind table if it is
+/// traced).
+macro_rules! net_observer_hooks {
+    ($($(#[$doc:meta])* fn $hook:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
+        /// Receives simulation events of interest. All methods have empty
+        /// default bodies so observers implement only what they need.
+        pub trait NetObserver {
+            $(
+                $(#[$doc])*
+                #[allow(unused_variables)]
+                fn $hook(&mut self, $($arg: $ty),*) {}
+            )*
+        }
+
+        impl NetObserver for FanoutObserver {
+            $(
+                fn $hook(&mut self, $($arg: $ty),*) {
+                    for o in &mut self.observers {
+                        o.$hook($($arg),*);
+                    }
+                }
+            )*
+        }
+    };
+}
+
+net_observer_hooks! {
     /// A packet entered a NIC admittance queue.
-    fn on_injected(&mut self, _now: Picos, _pkt: &Packet) {}
+    fn on_injected(now: Picos, pkt: &Packet);
 
     /// A packet was delivered to its destination host.
-    fn on_delivered(&mut self, _now: Picos, _pkt: &Packet) {}
+    fn on_delivered(now: Picos, pkt: &Packet);
 
     /// The network-wide SAQ census changed. `max_ingress` / `max_egress`
     /// are the highest per-port counts over all switch input / output
     /// ports; `total` includes NIC injection ports.
-    fn on_saq_census(&mut self, _now: Picos, _max_ingress: u32, _max_egress: u32, _total: u32) {}
+    fn on_saq_census(now: Picos, max_ingress: u32, max_egress: u32, total: u32);
 
     /// An egress port became (`true`) or stopped being (`false`) a
     /// congestion-tree root.
-    fn on_root_change(&mut self, _now: Picos, _switch: usize, _port: usize, _active: bool) {}
+    fn on_root_change(now: Picos, switch: usize, port: usize, active: bool);
 
     /// A data packet started crossing `link` (injection or switch output).
-    fn on_hop(&mut self, _now: Picos, _pkt: &Packet, _link: usize) {}
+    fn on_hop(now: Picos, pkt: &Packet, link: usize);
 
     /// A data packet was stored into queue `queue` of `port`.
-    fn on_enqueue(
-        &mut self,
-        _now: Picos,
-        _port: PortRef,
-        _queue: usize,
-        _kind: QueueKind,
-        _pkt: &Packet,
-    ) {
-    }
+    fn on_enqueue(now: Picos, port: PortRef, queue: usize, kind: QueueKind, pkt: &Packet);
 
     /// A data packet left queue `queue` of `port`.
-    fn on_dequeue(
-        &mut self,
-        _now: Picos,
-        _port: PortRef,
-        _queue: usize,
-        _kind: QueueKind,
-        _pkt: &Packet,
-    ) {
-    }
+    fn on_dequeue(now: Picos, port: PortRef, queue: usize, kind: QueueKind, pkt: &Packet);
 
     /// The sender-side credit view of `link` changed: `delta` bytes were
     /// consumed (negative) or replenished (positive) toward `queue`,
@@ -88,42 +99,24 @@ pub trait NetObserver {
     /// capacity the view must never exceed (`None` for infinite host
     /// sinks).
     fn on_credit_change(
-        &mut self,
-        _now: Picos,
-        _link: usize,
-        _queue: u16,
-        _delta: i64,
-        _free_after: u64,
-        _cap: Option<u64>,
-    ) {
-    }
+        now: Picos,
+        link: usize,
+        queue: u16,
+        delta: i64,
+        free_after: u64,
+        cap: Option<u64>,
+    );
 
     /// A SAQ was allocated at CAM line `line` of the port identified by
     /// `(site, index)` (`index` is `sw * radix + port` for switch sites and
     /// the host index for NIC injection). `path` is the congestion-tree
     /// path stored in the CAM, in the port's own turn coordinates.
-    fn on_saq_alloc(
-        &mut self,
-        _now: Picos,
-        _site: SaqSite,
-        _index: usize,
-        _line: usize,
-        _path: &PathSpec,
-    ) {
-    }
+    fn on_saq_alloc(now: Picos, site: SaqSite, index: usize, line: usize, path: &PathSpec);
 
     /// The SAQ at CAM line `line` of `(site, index)` was deallocated and
     /// its token released. Every `on_saq_alloc` must eventually be balanced
     /// by exactly one `on_saq_dealloc` for the same port.
-    fn on_saq_dealloc(
-        &mut self,
-        _now: Picos,
-        _site: SaqSite,
-        _index: usize,
-        _line: usize,
-        _path: &PathSpec,
-    ) {
-    }
+    fn on_saq_dealloc(now: Picos, site: SaqSite, index: usize, line: usize, path: &PathSpec);
 
     /// A message of `bytes` bytes from `host` toward `dst` was refused at
     /// the NIC admittance stage (application back-pressure). This is the
@@ -133,19 +126,19 @@ pub trait NetObserver {
     /// (Exception: under the PFC transport, switch input ports drop on
     /// overflow by design; those drops are counted separately and the
     /// validator is not used with PFC runs.)
-    fn on_drop_attempt(&mut self, _now: Picos, _host: usize, _dst: HostId, _bytes: u32) {}
+    fn on_drop_attempt(now: Picos, host: usize, dst: HostId, bytes: u32);
 
     /// A closed-loop flow at `host` re-sent packet `seq` toward `dst`
     /// (go-back-N rewind after a timeout or NACK).
-    fn on_retransmit(&mut self, _now: Picos, _host: usize, _dst: HostId, _seq: u64) {}
+    fn on_retransmit(now: Picos, host: usize, dst: HostId, seq: u64);
 
     /// PFC pause state of `link` changed: the upstream transmitter paused
     /// (`true`) or resumed (`false`).
-    fn on_pause_change(&mut self, _now: Picos, _link: usize, _paused: bool) {}
+    fn on_pause_change(now: Picos, link: usize, paused: bool);
 
     /// A closed-loop flow `src → dst` completed: every byte was delivered,
     /// `fct` after the flow opened.
-    fn on_flow_complete(&mut self, _now: Picos, _src: HostId, _dst: HostId, _fct: Picos) {}
+    fn on_flow_complete(now: Picos, src: HostId, dst: HostId, fct: Picos);
 }
 
 /// An observer that records nothing.
@@ -202,134 +195,12 @@ impl std::fmt::Debug for FanoutObserver {
     }
 }
 
-impl NetObserver for FanoutObserver {
-    fn on_injected(&mut self, now: Picos, pkt: &Packet) {
-        for o in &mut self.observers {
-            o.on_injected(now, pkt);
-        }
-    }
-
-    fn on_delivered(&mut self, now: Picos, pkt: &Packet) {
-        for o in &mut self.observers {
-            o.on_delivered(now, pkt);
-        }
-    }
-
-    fn on_saq_census(&mut self, now: Picos, max_ingress: u32, max_egress: u32, total: u32) {
-        for o in &mut self.observers {
-            o.on_saq_census(now, max_ingress, max_egress, total);
-        }
-    }
-
-    fn on_root_change(&mut self, now: Picos, switch: usize, port: usize, active: bool) {
-        for o in &mut self.observers {
-            o.on_root_change(now, switch, port, active);
-        }
-    }
-
-    fn on_hop(&mut self, now: Picos, pkt: &Packet, link: usize) {
-        for o in &mut self.observers {
-            o.on_hop(now, pkt, link);
-        }
-    }
-
-    fn on_enqueue(
-        &mut self,
-        now: Picos,
-        port: PortRef,
-        queue: usize,
-        kind: QueueKind,
-        pkt: &Packet,
-    ) {
-        for o in &mut self.observers {
-            o.on_enqueue(now, port, queue, kind, pkt);
-        }
-    }
-
-    fn on_dequeue(
-        &mut self,
-        now: Picos,
-        port: PortRef,
-        queue: usize,
-        kind: QueueKind,
-        pkt: &Packet,
-    ) {
-        for o in &mut self.observers {
-            o.on_dequeue(now, port, queue, kind, pkt);
-        }
-    }
-
-    fn on_credit_change(
-        &mut self,
-        now: Picos,
-        link: usize,
-        queue: u16,
-        delta: i64,
-        free_after: u64,
-        cap: Option<u64>,
-    ) {
-        for o in &mut self.observers {
-            o.on_credit_change(now, link, queue, delta, free_after, cap);
-        }
-    }
-
-    fn on_saq_alloc(
-        &mut self,
-        now: Picos,
-        site: SaqSite,
-        index: usize,
-        line: usize,
-        path: &PathSpec,
-    ) {
-        for o in &mut self.observers {
-            o.on_saq_alloc(now, site, index, line, path);
-        }
-    }
-
-    fn on_saq_dealloc(
-        &mut self,
-        now: Picos,
-        site: SaqSite,
-        index: usize,
-        line: usize,
-        path: &PathSpec,
-    ) {
-        for o in &mut self.observers {
-            o.on_saq_dealloc(now, site, index, line, path);
-        }
-    }
-
-    fn on_drop_attempt(&mut self, now: Picos, host: usize, dst: HostId, bytes: u32) {
-        for o in &mut self.observers {
-            o.on_drop_attempt(now, host, dst, bytes);
-        }
-    }
-
-    fn on_retransmit(&mut self, now: Picos, host: usize, dst: HostId, seq: u64) {
-        for o in &mut self.observers {
-            o.on_retransmit(now, host, dst, seq);
-        }
-    }
-
-    fn on_pause_change(&mut self, now: Picos, link: usize, paused: bool) {
-        for o in &mut self.observers {
-            o.on_pause_change(now, link, paused);
-        }
-    }
-
-    fn on_flow_complete(&mut self, now: Picos, src: HostId, dst: HostId, fct: Picos) {
-        for o in &mut self.observers {
-            o.on_flow_complete(now, src, dst, fct);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::Picos;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use topology::Route;
 
     #[test]
     fn null_observer_accepts_everything() {
@@ -348,27 +219,134 @@ mod tests {
         );
     }
 
-    /// The transport hooks fan out like the original ones.
-    struct FlowTagged(u32, Rc<RefCell<Vec<(u32, &'static str)>>>);
+    type Log = Rc<RefCell<Vec<(u32, &'static str)>>>;
 
-    impl NetObserver for FlowTagged {
-        fn on_retransmit(&mut self, _now: Picos, _host: usize, _dst: HostId, _seq: u64) {
-            self.1.borrow_mut().push((self.0, "rtx"));
+    /// Logs `(its tag, hook name)` for every hook of the trait, so fan-out
+    /// coverage and ordering are checkable.
+    struct Tagged(u32, Log);
+
+    impl Tagged {
+        fn log(&self, hook: &'static str) {
+            self.1.borrow_mut().push((self.0, hook));
         }
-        fn on_pause_change(&mut self, _now: Picos, _link: usize, _paused: bool) {
-            self.1.borrow_mut().push((self.0, "pause"));
+    }
+
+    impl NetObserver for Tagged {
+        fn on_injected(&mut self, _: Picos, _: &Packet) {
+            self.log("injected");
         }
-        fn on_flow_complete(&mut self, _now: Picos, _src: HostId, _dst: HostId, _fct: Picos) {
-            self.1.borrow_mut().push((self.0, "fct"));
+        fn on_delivered(&mut self, _: Picos, _: &Packet) {
+            self.log("delivered");
         }
+        fn on_saq_census(&mut self, _: Picos, _: u32, _: u32, _: u32) {
+            self.log("census");
+        }
+        fn on_root_change(&mut self, _: Picos, _: usize, _: usize, _: bool) {
+            self.log("root");
+        }
+        fn on_hop(&mut self, _: Picos, _: &Packet, _: usize) {
+            self.log("hop");
+        }
+        fn on_enqueue(&mut self, _: Picos, _: PortRef, _: usize, _: QueueKind, _: &Packet) {
+            self.log("enqueue");
+        }
+        fn on_dequeue(&mut self, _: Picos, _: PortRef, _: usize, _: QueueKind, _: &Packet) {
+            self.log("dequeue");
+        }
+        fn on_credit_change(&mut self, _: Picos, _: usize, _: u16, _: i64, _: u64, _: Option<u64>) {
+            self.log("credit");
+        }
+        fn on_saq_alloc(&mut self, _: Picos, _: SaqSite, _: usize, _: usize, _: &PathSpec) {
+            self.log("alloc");
+        }
+        fn on_saq_dealloc(&mut self, _: Picos, _: SaqSite, _: usize, _: usize, _: &PathSpec) {
+            self.log("dealloc");
+        }
+        fn on_drop_attempt(&mut self, _: Picos, _: usize, _: HostId, _: u32) {
+            self.log("drop");
+        }
+        fn on_retransmit(&mut self, _: Picos, _: usize, _: HostId, _: u64) {
+            self.log("rtx");
+        }
+        fn on_pause_change(&mut self, _: Picos, _: usize, _: bool) {
+            self.log("pause");
+        }
+        fn on_flow_complete(&mut self, _: Picos, _: HostId, _: HostId, _: Picos) {
+            self.log("fct");
+        }
+    }
+
+    /// A fan-out over observers tagged `1..=n`, and their shared log.
+    fn tagged_fanout(n: u32) -> (FanoutObserver, Log) {
+        let log = Log::default();
+        let fan = (1..=n).fold(FanoutObserver::new(), |fan, tag| {
+            fan.push(Box::new(Tagged(tag, log.clone())))
+        });
+        (fan, log)
+    }
+
+    /// `hooks` as logged by observers `1..=n`, each hook reaching them in
+    /// push order before the next hook fires.
+    fn in_push_order(n: u32, hooks: &[&'static str]) -> Vec<(u32, &'static str)> {
+        hooks
+            .iter()
+            .flat_map(|&hook| (1..=n).map(move |tag| (tag, hook)))
+            .collect()
+    }
+
+    /// Every hook of the trait is forwarded: the generated fan-out cannot
+    /// leave one on its empty default.
+    #[test]
+    fn fanout_forwards_every_hook_to_every_observer_in_push_order() {
+        let (mut fan, log) = tagged_fanout(2);
+        let (t, h) = (Picos::ZERO, HostId::new(1));
+        let pkt = Packet {
+            id: 0,
+            src: HostId::new(0),
+            dst: h,
+            size: 64,
+            route: Route::to_host(h, 4, 2),
+            injected_at: t,
+            flow_seq: 0,
+        };
+        let port = PortRef::SwitchIn { sw: 0, port: 1 };
+        let path = PathSpec::from_turns(&[2, 1]);
+        fan.on_injected(t, &pkt);
+        fan.on_delivered(t, &pkt);
+        fan.on_saq_census(t, 1, 2, 3);
+        fan.on_root_change(t, 0, 0, true);
+        fan.on_hop(t, &pkt, 7);
+        fan.on_enqueue(t, port, 0, QueueKind::Normal, &pkt);
+        fan.on_dequeue(t, port, 0, QueueKind::Saq, &pkt);
+        fan.on_credit_change(t, 0, 0, -64, 100, Some(128));
+        fan.on_saq_alloc(t, SaqSite::SwitchIngress, 4, 0, &path);
+        fan.on_saq_dealloc(t, SaqSite::SwitchIngress, 4, 0, &path);
+        fan.on_drop_attempt(t, 0, h, 64);
+        fan.on_retransmit(t, 0, h, 3);
+        fan.on_pause_change(t, 5, false);
+        fan.on_flow_complete(t, HostId::new(0), h, Picos::from_ns(9));
+        let hooks = [
+            "injected",
+            "delivered",
+            "census",
+            "root",
+            "hop",
+            "enqueue",
+            "dequeue",
+            "credit",
+            "alloc",
+            "dealloc",
+            "drop",
+            "rtx",
+            "pause",
+            "fct",
+        ];
+        assert_eq!(*log.borrow(), in_push_order(2, &hooks));
     }
 
     #[test]
     fn fanout_dispatches_transport_hooks() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut fan = FanoutObserver::new()
-            .push(Box::new(FlowTagged(1, log.clone())))
-            .push(Box::new(FlowTagged(2, log.clone())));
+        let (mut fan, log) = tagged_fanout(2);
         fan.on_retransmit(Picos::ZERO, 0, HostId::new(1), 3);
         fan.on_pause_change(Picos::ZERO, 5, false);
         fan.on_flow_complete(
@@ -377,38 +355,12 @@ mod tests {
             HostId::new(1),
             Picos::from_ns(9),
         );
-        assert_eq!(
-            *log.borrow(),
-            vec![
-                (1, "rtx"),
-                (2, "rtx"),
-                (1, "pause"),
-                (2, "pause"),
-                (1, "fct"),
-                (2, "fct")
-            ]
-        );
-    }
-
-    /// Records the dispatch order so fan-out ordering is checkable.
-    struct Tagged(u32, Rc<RefCell<Vec<(u32, &'static str)>>>);
-
-    impl NetObserver for Tagged {
-        fn on_saq_census(&mut self, _now: Picos, _mi: u32, _me: u32, _t: u32) {
-            self.1.borrow_mut().push((self.0, "census"));
-        }
-        fn on_root_change(&mut self, _now: Picos, _sw: usize, _p: usize, _a: bool) {
-            self.1.borrow_mut().push((self.0, "root"));
-        }
+        assert_eq!(*log.borrow(), in_push_order(2, &["rtx", "pause", "fct"]));
     }
 
     #[test]
     fn fanout_dispatches_in_push_order() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut fan = FanoutObserver::new()
-            .push(Box::new(Tagged(1, log.clone())))
-            .push(Box::new(Tagged(2, log.clone())))
-            .push(Box::new(Tagged(3, log.clone())));
+        let (mut fan, log) = tagged_fanout(3);
         assert_eq!(fan.len(), 3);
         assert!(!fan.is_empty());
         fan.on_saq_census(Picos::ZERO, 0, 0, 1);
@@ -428,7 +380,7 @@ mod tests {
 
     #[test]
     fn fanout_over_builds_from_vec() {
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Log::default();
         let mut fan = FanoutObserver::over(vec![
             Box::new(Tagged(7, log.clone())) as Box<dyn NetObserver>,
             Box::new(NullObserver),

@@ -70,19 +70,18 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window or non-positive timers (a same-time
-    /// transport event would break the lazy event model's ordering
-    /// contract).
-    pub fn validate(&self) {
-        assert!(self.window_pkts > 0, "transport window must be positive");
-        assert!(
-            self.timeout > Picos::ZERO && self.ack_delay > Picos::ZERO,
-            "transport timers must be strictly positive"
-        );
+    /// The first violated rule, if any: a positive window, and strictly
+    /// positive timers (a same-time transport event would break the lazy
+    /// event model's ordering contract). Decoding untrusted canonical
+    /// bytes reports it; [`TransportKind::validate`] panics with it.
+    fn check(&self) -> Result<(), &'static str> {
+        if self.window_pkts == 0 {
+            return Err("transport window must be positive");
+        }
+        if self.timeout == Picos::ZERO || self.ack_delay == Picos::ZERO {
+            return Err("transport timers must be strictly positive");
+        }
+        Ok(())
     }
 }
 
@@ -99,14 +98,7 @@ impl Canon for TransportConfig {
             timeout: Picos::decode_canon(r)?,
             ack_delay: Picos::decode_canon(r)?,
         };
-        if c.window_pkts == 0 {
-            return Err(CanonError::new("transport window must be positive"));
-        }
-        if c.timeout == Picos::ZERO || c.ack_delay == Picos::ZERO {
-            return Err(CanonError::new(
-                "transport timers must be strictly positive",
-            ));
-        }
+        c.check().map_err(CanonError::new)?;
         Ok(c)
     }
 }
@@ -131,16 +123,13 @@ impl Default for PfcConfig {
 }
 
 impl PfcConfig {
-    /// Validates threshold ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `pause_threshold > resume_threshold > 0`.
-    pub fn validate(&self) {
-        assert!(
-            self.pause_threshold > self.resume_threshold && self.resume_threshold > 0,
-            "PFC thresholds must satisfy pause > resume > 0"
-        );
+    /// The threshold rule, `pause_threshold > resume_threshold > 0`, for
+    /// the decoder to report and [`TransportKind::validate`] to panic with.
+    fn check(&self) -> Result<(), &'static str> {
+        if self.resume_threshold == 0 || self.pause_threshold <= self.resume_threshold {
+            return Err("PFC thresholds must satisfy pause > resume > 0");
+        }
+        Ok(())
     }
 }
 
@@ -155,11 +144,7 @@ impl Canon for PfcConfig {
             pause_threshold: r.u64()?,
             resume_threshold: r.u64()?,
         };
-        if p.resume_threshold == 0 || p.pause_threshold <= p.resume_threshold {
-            return Err(CanonError::new(
-                "PFC thresholds must satisfy pause > resume > 0",
-            ));
-        }
+        p.check().map_err(CanonError::new)?;
         Ok(p)
     }
 }
@@ -240,11 +225,11 @@ impl TransportKind {
     ///
     /// Panics on invalid windows, timers, or PFC thresholds.
     pub fn validate(&self) {
-        if let Some(c) = self.config() {
-            c.validate();
+        if let Some(Err(e)) = self.config().map(TransportConfig::check) {
+            panic!("{e}");
         }
-        if let Some(p) = self.pfc() {
-            p.validate();
+        if let Some(Err(e)) = self.pfc().map(|p| p.check()) {
+            panic!("{e}");
         }
     }
 }
@@ -360,23 +345,56 @@ mod tests {
         }
     }
 
+    /// The decoder reports the rule `validate` panics with.
+    #[test]
+    fn decoding_refuses_what_validate_rejects() {
+        let zero_timeout = TransportConfig {
+            timeout: Picos::ZERO,
+            ..TransportConfig::default()
+        };
+        let zero_window = TransportConfig {
+            window_pkts: 0,
+            ..TransportConfig::default()
+        };
+        let inverted = PfcConfig {
+            pause_threshold: 1024,
+            resume_threshold: 4096,
+        };
+        let cases = [
+            (TransportKind::Nack(zero_timeout), "strictly positive"),
+            (
+                TransportKind::GoBackN(zero_window),
+                "window must be positive",
+            ),
+            (
+                TransportKind::Pfc(TransportConfig::default(), inverted),
+                "pause > resume",
+            ),
+        ];
+        for (kind, rule) in cases {
+            let bytes = canon_bytes(&kind);
+            let err = TransportKind::decode_canon(&mut CanonReader::new(&bytes)).unwrap_err();
+            assert!(err.to_string().contains(rule), "{kind:?}: {err}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "strictly positive")]
     fn zero_timeout_rejected() {
-        TransportConfig {
+        TransportKind::GoBackN(TransportConfig {
             timeout: Picos::ZERO,
             ..TransportConfig::default()
-        }
+        })
         .validate();
     }
 
     #[test]
     #[should_panic(expected = "pause > resume")]
     fn inverted_pfc_thresholds_rejected() {
-        PfcConfig {
+        let inverted = PfcConfig {
             pause_threshold: 1024,
             resume_threshold: 4096,
-        }
-        .validate();
+        };
+        TransportKind::Pfc(TransportConfig::default(), inverted).validate();
     }
 }

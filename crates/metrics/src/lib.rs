@@ -73,7 +73,6 @@ impl FctSummary {
 #[derive(Debug)]
 pub struct ProbeState {
     delivered: BinnedSeries,
-    injected: BinnedSeries,
     saq_max_ingress: GaugeSeries,
     saq_max_egress: GaugeSeries,
     saq_total: GaugeSeries,
@@ -101,7 +100,6 @@ impl Probe {
     pub fn new(bin: Picos) -> (Probe, ProbeHandle) {
         let state = Rc::new(RefCell::new(ProbeState {
             delivered: BinnedSeries::new(bin),
-            injected: BinnedSeries::new(bin),
             saq_max_ingress: GaugeSeries::new(bin),
             saq_max_egress: GaugeSeries::new(bin),
             saq_total: GaugeSeries::new(bin),
@@ -118,10 +116,6 @@ impl Probe {
 }
 
 impl NetObserver for Probe {
-    fn on_injected(&mut self, now: Picos, pkt: &Packet) {
-        self.0.borrow_mut().injected.add(now, pkt.size as f64);
-    }
-
     fn on_delivered(&mut self, now: Picos, pkt: &Packet) {
         self.0.borrow_mut().delivered.add(now, pkt.size as f64);
     }
@@ -160,11 +154,6 @@ impl ProbeHandle {
         self.0.borrow().delivered.rate_per_ns(horizon)
     }
 
-    /// Injected (offered) throughput in bytes/ns per bin.
-    pub fn offered(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        self.0.borrow().injected.rate_per_ns(horizon)
-    }
-
     /// Total bytes delivered.
     pub fn delivered_bytes(&self) -> f64 {
         self.0.borrow().delivered.total()
@@ -192,7 +181,6 @@ impl ProbeHandle {
     pub fn backing_bytes(&self) -> u64 {
         let s = self.0.borrow();
         let bin_slots = s.delivered.bin_slots()
-            + s.injected.bin_slots()
             + s.saq_max_ingress.bin_slots()
             + s.saq_max_egress.bin_slots()
             + s.saq_total.bin_slots();
@@ -255,13 +243,11 @@ mod tests {
         let p = pkt(1000);
         probe.on_delivered(Picos::from_ns(100), &p);
         probe.on_delivered(Picos::from_ns(200), &p);
-        probe.on_injected(Picos::from_ns(100), &p);
         let series = handle.throughput(Picos::from_us(2));
         assert_eq!(series.len(), 2);
         assert!((series[0].value - 2.0).abs() < 1e-12, "2000 B in 1000 ns");
         assert_eq!(series[1].value, 0.0);
         assert_eq!(handle.delivered_bytes(), 2000.0);
-        assert_eq!(handle.offered(Picos::from_us(1)).len(), 1);
     }
 
     #[test]

@@ -107,6 +107,20 @@ impl CamLine {
     pub fn is_blocked(&self) -> bool {
         self.markers_outstanding > 0
     }
+
+    /// An empty, unblocked leaf: no packet stored, no marker outstanding,
+    /// every child token home. The state `RecnPort::dealloc` requires and
+    /// the idle-reclaim timer looks for.
+    pub fn is_empty_leaf(&self) -> bool {
+        self.packets == 0 && self.is_leaf() && !self.is_blocked()
+    }
+
+    /// An empty leaf that has held a packet: it deallocates the moment a
+    /// marker or a token completes the condition. A never-used one is left
+    /// to the idle timer (see `ever_used`).
+    pub fn is_drained_leaf(&self) -> bool {
+        self.ever_used && self.is_empty_leaf()
+    }
 }
 
 /// The content-addressable memory of one port: up to `max_saqs` lines, each
@@ -386,6 +400,63 @@ mod tests {
         assert_eq!(cam.id_at_line(a.line()), Some(a));
         assert_eq!(cam.id_at_line(1), None);
         assert_eq!(cam.id_at_line(99), None);
+    }
+
+    /// The states that tell the two leaf predicates apart.
+    #[test]
+    fn leaf_predicates_by_state() {
+        let fresh = CamLine::new(PathSpec::from_turns(&[1]), 0);
+        let line = |edit: fn(&mut CamLine)| {
+            let mut l = fresh.clone();
+            edit(&mut l);
+            l
+        };
+        // (state, line, empty leaf, drained leaf)
+        let table = [
+            ("never used", fresh.clone(), true, false),
+            ("used and drained", line(|l| l.ever_used = true), true, true),
+            (
+                "holds a packet",
+                line(|l| {
+                    l.ever_used = true;
+                    l.packets = 1;
+                }),
+                false,
+                false,
+            ),
+            (
+                "marker-blocked",
+                line(|l| {
+                    l.ever_used = true;
+                    l.markers_outstanding = 1;
+                }),
+                false,
+                false,
+            ),
+            (
+                "child token out",
+                line(|l| {
+                    l.ever_used = true;
+                    l.tokens_sent = 1;
+                }),
+                false,
+                false,
+            ),
+            (
+                "child token home",
+                line(|l| {
+                    l.ever_used = true;
+                    l.tokens_sent = 1;
+                    l.tokens_returned = 1;
+                }),
+                true,
+                true,
+            ),
+        ];
+        for (state, l, empty, drained) in table {
+            assert_eq!(l.is_empty_leaf(), empty, "{state}");
+            assert_eq!(l.is_drained_leaf(), drained, "{state}");
+        }
     }
 
     #[test]

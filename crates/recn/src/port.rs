@@ -297,7 +297,7 @@ impl RecnPort {
             "consumed more markers than placed"
         );
         line.markers_outstanding -= 1;
-        !line.is_blocked() && line.packets == 0 && line.is_leaf() && line.ever_used
+        line.is_drained_leaf()
     }
 
     /// Whether `saq` is an empty, unblocked leaf right now — the fabric's
@@ -305,11 +305,7 @@ impl RecnPort {
     /// received a packet (their congestion subsided before any matching
     /// traffic arrived). Stale handles return `false`.
     pub fn is_empty_leaf(&self, saq: SaqId) -> bool {
-        if !self.cam.is_live(saq) {
-            return false;
-        }
-        let line = self.cam.get(saq);
-        !line.is_blocked() && line.packets == 0 && line.is_leaf()
+        self.cam.is_live(saq) && self.cam.get(saq).is_empty_leaf()
     }
 
     // ------------------------------------------------------------------
@@ -381,7 +377,7 @@ impl RecnPort {
             line.xoff_sent = false;
             signals.xon = true;
         }
-        signals.deallocatable = line.packets == 0 && line.is_leaf() && !line.is_blocked();
+        signals.deallocatable = line.is_empty_leaf();
         signals
     }
 
@@ -507,7 +503,7 @@ impl RecnPort {
             debug_assert!(line.tokens_returned <= line.tokens_sent);
             line.notified_inputs &= !bit;
             line.armed = true;
-            if line.packets == 0 && line.is_leaf() && !line.is_blocked() && line.ever_used {
+            if line.is_drained_leaf() {
                 return (None, Some(saq));
             }
         }
@@ -529,12 +525,14 @@ impl RecnPort {
         );
         if path_at_egress.is_empty() {
             self.root.tokens_returned += 1;
+            debug_assert!(self.root.tokens_returned <= self.root.tokens_sent);
             return (self.try_clear_root(), None);
         }
         if let Some(saq) = self.cam.find_path(&path_at_egress) {
             let line = self.cam.get_mut(saq);
             line.tokens_returned += 1;
-            if line.packets == 0 && line.is_leaf() && !line.is_blocked() && line.ever_used {
+            debug_assert!(line.tokens_returned <= line.tokens_sent);
+            if line.is_drained_leaf() {
                 return (None, Some(saq));
             }
         }
@@ -574,10 +572,11 @@ impl RecnPort {
         if let Some(saq) = self.cam.find_path(&path) {
             let line = self.cam.get_mut(saq);
             line.tokens_returned += 1;
+            debug_assert!(line.tokens_returned <= line.tokens_sent);
             line.notified_upstream = false;
             line.upstream_line = None;
             line.xoff_sent = false;
-            if line.packets == 0 && line.is_leaf() && !line.is_blocked() && line.ever_used {
+            if line.is_drained_leaf() {
                 return Some(saq);
             }
         }
@@ -599,7 +598,7 @@ impl RecnPort {
             line.upstream_line = None;
             line.xoff_sent = false;
             line.armed = true;
-            if line.packets == 0 && line.is_leaf() && !line.is_blocked() && line.ever_used {
+            if line.is_drained_leaf() {
                 return Some(saq);
             }
         }
@@ -619,10 +618,7 @@ impl RecnPort {
     /// leaf — the fabric must only call this when told to.
     pub fn dealloc(&mut self, saq: SaqId) -> DeallocAction {
         let line = self.cam.get(saq);
-        assert!(
-            line.packets == 0 && line.is_leaf() && !line.is_blocked(),
-            "SAQ not ready to dealloc"
-        );
+        assert!(line.is_empty_leaf(), "SAQ not ready to dealloc");
         let xon_needed = line.xoff_sent;
         let path = line.path;
         let token_to = match self.role {

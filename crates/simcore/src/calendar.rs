@@ -11,11 +11,11 @@
 //! ## Ordering contract
 //!
 //! Delivery order is *exactly* nondecreasing `(time, seq)` — identical,
-//! event for event, to the binary heap kept as the test oracle (see
-//! [`SchedulerKind`](crate::SchedulerKind)). This is load-bearing: the
-//! golden-trace digests pin whole-run event sequences, so nothing the
-//! scheduler does may be visible at the per-event level. The differential
-//! tests in `tests/` drive random schedules through both backends and
+//! event for event, to a binary heap ordered by that key. This is
+//! load-bearing: the golden-trace digests pin whole-run event sequences, so
+//! nothing the scheduler does may be visible at the per-event level. The
+//! differential tests in `tests/scheduler_equivalence.rs` drive random
+//! schedules through this queue and a heap reference model of their own and
 //! assert identical pop sequences, including FIFO stability at equal times.
 //!
 //! ## Mechanics

@@ -9,9 +9,8 @@
 //!   driver loop. Events scheduled for the same instant are delivered in
 //!   insertion order, which makes the simulation deterministic even when many
 //!   components act "simultaneously". The queue is a calendar queue (O(1)
-//!   amortized); a binary heap delivering the exact same order is kept
-//!   behind [`SchedulerKind`] as the oracle the equivalence tests check it
-//!   against.
+//!   amortized); `tests/scheduler_equivalence.rs` checks it op for op
+//!   against a binary-heap reference model.
 //! * [`SplitMix64`] / [`Xoshiro256`]: small, dependency-free PRNGs with
 //!   explicit seeding, so traffic generation is reproducible.
 //! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`] / [`Fnv1a64`]:
@@ -58,7 +57,7 @@ mod timer;
 
 pub use canon::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, Fnv1a64};
 pub use engine::{Engine, EventModel, SimModel};
-pub use queue::{EventQueue, ScheduledEvent, SchedulerKind};
+pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use series::{BinnedSeries, GaugeSeries, SeriesPoint};
 pub use stats::Running;

@@ -1,25 +1,87 @@
-//! Differential tests: the calendar queue and the heap oracle must pop
-//! identical `(time, seq, event)` sequences for identical schedules —
-//! including FIFO stability at equal times and interleaved pops.
+//! Differential tests: the calendar queue and the heap reference model
+//! below must pop identical `(time, seq, event)` sequences for identical
+//! schedules — including FIFO stability at equal times and interleaved
+//! pops.
 //!
 //! Driven by the crate's own seeded PRNG.
 
-use simcore::{EventQueue, Picos, SchedulerKind, SplitMix64};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// One randomized op-sequence driven through both backends.
+use simcore::{EventQueue, Picos, SplitMix64};
+
+/// The oracle: a binary min-heap of `(time, seq, payload)` with its own
+/// sequence counter and depth high-water mark — it shares no code with the
+/// queue it checks. `(time, seq)` is unique, so the payload never decides
+/// an ordering.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(Picos, u64, u64)>>,
+    next_seq: u64,
+    peak_len: usize,
+}
+
+impl HeapModel {
+    fn schedule(&mut self, time: Picos, payload: u64) {
+        self.heap.push(Reverse((time, self.next_seq, payload)));
+        self.next_seq += 1;
+        self.peak_len = self.peak_len.max(self.heap.len());
+    }
+
+    fn pop(&mut self) -> Option<(Picos, u64, u64)> {
+        self.heap.pop().map(|Reverse(key)| key)
+    }
+
+    fn peek_time(&self) -> Option<Picos> {
+        self.heap.peek().map(|Reverse((time, ..))| *time)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn scheduled_total(&self) -> u64 {
+        self.next_seq
+    }
+}
+
+/// Before the model is trusted as the oracle: a schedule small enough to
+/// order by hand, with ties, an interleaved pop and a schedule earlier
+/// than everything pending.
+#[test]
+fn heap_model_pops_a_hand_written_sequence() {
+    let mut m = HeapModel::default();
+    for (ns, payload) in [(30, 10), (10, 11), (30, 12), (20, 13)] {
+        m.schedule(Picos::from_ns(ns), payload);
+    }
+    assert_eq!(m.peek_time(), Some(Picos::from_ns(10)));
+    assert_eq!(m.pop(), Some((Picos::from_ns(10), 1, 11)));
+    // Same instant as seq 0 and 2, scheduled later: after both. Then one
+    // before the current head.
+    m.schedule(Picos::from_ns(30), 14);
+    m.schedule(Picos::from_ns(5), 15);
+    assert_eq!((m.len(), m.peak_len, m.scheduled_total()), (5, 5, 6));
+    let rest: Vec<(u64, u64)> = std::iter::from_fn(|| m.pop())
+        .map(|(time, seq, _)| (time.as_ps() / 1_000, seq))
+        .collect();
+    assert_eq!(rest, [(5, 5), (20, 3), (30, 0), (30, 2), (30, 4)]);
+    assert_eq!((m.len(), m.peek_time(), m.peak_len), (0, None, 5));
+}
+
+/// One randomized op-sequence driven through the queue and the model.
 ///
 /// `time_range_ps` shapes the schedule: small ranges force dense buckets
 /// and heavy same-time tie-breaking; huge ranges force calendar rebuilds
 /// and the sparse direct-search fallback.
 fn drive(seed: u64, ops: usize, time_range_ps: u64, pop_bias_percent: u64) {
     let mut rng = SplitMix64::new(seed);
-    let mut cal: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Calendar);
-    let mut heap: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Heap);
+    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut heap = HeapModel::default();
     let mut payload = 0u64;
     for _ in 0..ops {
         if rng.next_u64() % 100 < pop_bias_percent {
             let a = cal.pop().map(|e| (e.time, e.seq, e.event));
-            let b = heap.pop().map(|e| (e.time, e.seq, e.event));
+            let b = heap.pop();
             assert_eq!(a, b, "pop diverged (seed {seed})");
             assert_eq!(
                 cal.peek_time(),
@@ -40,7 +102,7 @@ fn drive(seed: u64, ops: usize, time_range_ps: u64, pop_bias_percent: u64) {
     let mut last = None;
     loop {
         let a = cal.pop().map(|e| (e.time, e.seq, e.event));
-        let b = heap.pop().map(|e| (e.time, e.seq, e.event));
+        let b = heap.pop();
         assert_eq!(a, b, "drain diverged (seed {seed})");
         if a.is_none() {
             break;
@@ -51,7 +113,7 @@ fn drive(seed: u64, ops: usize, time_range_ps: u64, pop_bias_percent: u64) {
     assert_eq!(cal.scheduled_total(), heap.scheduled_total());
     assert_eq!(
         cal.peak_len(),
-        heap.peak_len(),
+        heap.peak_len,
         "peak depth diverged (seed {seed})"
     );
 }
@@ -88,8 +150,8 @@ fn monotone_engine_like_schedules_match() {
     // deltas resembling link/crossbar latencies (0, ~43 ns, ~64+20 ns).
     for seed in 300..304 {
         let mut rng = SplitMix64::new(seed);
-        let mut cal: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Calendar);
-        let mut heap: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Heap);
+        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut heap = HeapModel::default();
         let mut now = Picos::ZERO;
         let deltas = [
             Picos::ZERO,
@@ -101,7 +163,7 @@ fn monotone_engine_like_schedules_match() {
             if rng.next_u64().is_multiple_of(3) && !cal.is_empty() {
                 let a = cal.pop().unwrap();
                 let b = heap.pop().unwrap();
-                assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
+                assert_eq!((a.time, a.seq, a.event), b);
                 assert!(a.time >= now, "popped an event from the past");
                 now = a.time;
             } else {
@@ -112,7 +174,7 @@ fn monotone_engine_like_schedules_match() {
         }
         while let Some(a) = cal.pop() {
             let b = heap.pop().unwrap();
-            assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
+            assert_eq!((a.time, a.seq, a.event), b);
         }
         assert!(heap.pop().is_none());
     }
@@ -121,14 +183,14 @@ fn monotone_engine_like_schedules_match() {
 /// The calendar and the heap oracle side by side: every pop is checked.
 struct Pair {
     cal: EventQueue<u64>,
-    heap: EventQueue<u64>,
+    heap: HeapModel,
 }
 
 impl Pair {
     fn new() -> Self {
         Pair {
-            cal: EventQueue::with_scheduler(SchedulerKind::Calendar),
-            heap: EventQueue::with_scheduler(SchedulerKind::Heap),
+            cal: EventQueue::new(),
+            heap: HeapModel::default(),
         }
     }
 
@@ -140,7 +202,7 @@ impl Pair {
 
     fn pop(&mut self) -> Option<Picos> {
         let a = self.cal.pop().map(|e| (e.time, e.seq, e.event));
-        let b = self.heap.pop().map(|e| (e.time, e.seq, e.event));
+        let b = self.heap.pop();
         assert_eq!(a, b, "pop diverged");
         assert_eq!(self.cal.peek_time(), self.heap.peek_time());
         a.map(|(time, ..)| time)
@@ -148,7 +210,7 @@ impl Pair {
 
     fn drain(&mut self) {
         while self.pop().is_some() {}
-        assert_eq!(self.cal.peak_len(), self.heap.peak_len());
+        assert_eq!(self.cal.peak_len(), self.heap.peak_len);
     }
 
     /// What the calendar may hold reserved at this peak depth: slab and

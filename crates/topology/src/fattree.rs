@@ -385,61 +385,17 @@ impl FatTreeTopology {
             k..2 * k
         }
     }
-
-    /// Iterates over all switch ids, level by level.
-    pub fn switches(&self) -> impl Iterator<Item = SwitchId> {
-        (0..self.params.total_switches()).map(SwitchId::new)
-    }
-
-    /// Iterates over all host ids.
-    pub fn hosts(&self) -> impl Iterator<Item = HostId> {
-        (0..self.params.hosts()).map(HostId::new)
-    }
-
-    /// Walks the route from `src` to `dst` through the cabling and returns
-    /// the `(switch, in_port, out_port)` hops, checking delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if routing would not reach `dst` — that would be a topology
-    /// construction bug.
-    pub fn trace(&self, src: HostId, dst: HostId) -> Vec<(SwitchId, PortId, PortId)> {
-        let mut hops = Vec::with_capacity(self.params.max_route_turns() as usize);
-        let mut route = self.route(src, dst);
-        let (mut sw, mut in_port) = self.host_ingress(src);
-        loop {
-            let out = PortId::new(route.advance() as u32);
-            hops.push((sw, in_port, out));
-            match self.next_hop(sw, out) {
-                Ok((next, port)) => {
-                    sw = next;
-                    in_port = port;
-                }
-                Err(delivered) => {
-                    assert_eq!(
-                        delivered, dst,
-                        "up*/down* routing violated: {src}->{dst} delivered to {delivered}"
-                    );
-                    assert!(route.is_exhausted(), "route not exhausted at delivery");
-                    return hops;
-                }
-            }
-        }
-    }
-
-    /// Exhaustively verifies that every source reaches every destination.
-    pub fn verify_routes(&self) {
-        for s in self.hosts() {
-            for d in self.hosts() {
-                let _ = self.trace(s, d);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Topology;
+
+    /// Every switch id of `topo`, level by level.
+    fn switches(topo: &FatTreeTopology) -> impl Iterator<Item = SwitchId> {
+        (0..topo.params().total_switches()).map(SwitchId::new)
+    }
 
     #[test]
     fn presets_match_shape() {
@@ -486,7 +442,7 @@ mod tests {
     fn host_attachment_is_a_bijection() {
         let topo = FatTreeTopology::new(FatTreeParams::ft_64());
         let mut seen = std::collections::HashSet::new();
-        for h in topo.hosts() {
+        for h in (0..64).map(HostId::new) {
             let (sw, port) = topo.host_ingress(h);
             assert_eq!(topo.level_of(sw), 0);
             assert!((port.index() as u32) < topo.params().k(), "not a down-port");
@@ -509,7 +465,7 @@ mod tests {
         ] {
             let topo = FatTreeTopology::new(params);
             let k = params.k();
-            for sw in topo.switches() {
+            for sw in switches(&topo) {
                 if topo.level_of(sw) + 1 == params.n() {
                     continue;
                 }
@@ -591,7 +547,7 @@ mod tests {
     #[test]
     fn up_ports_cover_inner_levels_only() {
         let topo = FatTreeTopology::new(FatTreeParams::ft_64());
-        for sw in topo.switches() {
+        for sw in switches(&topo) {
             let ports = topo.up_ports(sw);
             if topo.level_of(sw) + 1 == topo.params().n() {
                 assert!(ports.is_empty());
@@ -645,7 +601,7 @@ mod tests {
             FatTreeParams::new(3, 3),
             FatTreeParams::ft_64(),
         ] {
-            FatTreeTopology::new(params).verify_routes();
+            Topology::new(params).verify_routes();
         }
     }
 
@@ -653,7 +609,7 @@ mod tests {
     fn ft_512_sampled_routes_deliver() {
         // Exhaustive is 512² traces (done by tests/exhaustive.rs); keep a
         // fast coprime-stride sample in the unit suite.
-        let topo = FatTreeTopology::new(FatTreeParams::ft_512());
+        let topo = Topology::new(FatTreeParams::ft_512());
         for s in (0..512).step_by(17) {
             for d in (0..512).step_by(13) {
                 let hops = topo.trace(HostId::new(s), HostId::new(d));
@@ -664,9 +620,9 @@ mod tests {
 
     #[test]
     fn trace_levels_rise_then_fall() {
-        let topo = FatTreeTopology::new(FatTreeParams::ft_256());
+        let topo = Topology::new(FatTreeParams::ft_256());
         let hops = topo.trace(HostId::new(3), HostId::new(250));
-        let levels: Vec<u32> = hops.iter().map(|&(sw, _, _)| topo.level_of(sw)).collect();
+        let levels: Vec<u32> = hops.iter().map(|&(sw, _, _)| topo.stage_of(sw)).collect();
         let peak = *levels.iter().max().unwrap();
         let up: Vec<u32> = (0..=peak).collect();
         let down: Vec<u32> = (0..peak).rev().collect();

@@ -166,8 +166,8 @@ pub struct SwitchCoords {
 /// is applied in front of every stage (including stage 0, fed by the
 /// hosts). An output position `p` of the last stage delivers to host `p`.
 /// Destination-tag routing then reaches host `d` by turning to digit `s`
-/// of `d` at stage `s` (see [`Route`]); [`MinTopology::verify_delta`]
-/// checks this property exhaustively and is exercised by the tests.
+/// of `d` at stage `s` (see [`Route`]);
+/// [`Topology::verify_routes`](crate::Topology::verify_routes) checks this property exhaustively and is exercised by the tests.
 #[derive(Debug, Clone)]
 pub struct MinTopology {
     params: MinParams,
@@ -269,63 +269,12 @@ impl MinTopology {
         );
         Route::to_host(dest, self.params.radix, self.params.stages as usize)
     }
-
-    /// Iterates over all switch ids, stage by stage.
-    pub fn switches(&self) -> impl Iterator<Item = SwitchId> {
-        (0..self.params.total_switches()).map(SwitchId::new)
-    }
-
-    /// Iterates over all host ids.
-    pub fn hosts(&self) -> impl Iterator<Item = HostId> {
-        (0..self.params.hosts).map(HostId::new)
-    }
-
-    /// Walks the route from `src` to `dst` through the wiring and returns
-    /// the sequence of `(switch, in_port, out_port)` hops, checking the
-    /// delta property (the walk must deliver to `dst`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if routing would not reach `dst` — that would be a topology
-    /// construction bug.
-    pub fn trace(&self, src: HostId, dst: HostId) -> Vec<(SwitchId, PortId, PortId)> {
-        let mut hops = Vec::with_capacity(self.params.stages as usize);
-        let mut route = self.route(dst);
-        let (mut sw, mut in_port) = self.host_ingress(src);
-        loop {
-            let out = PortId::new(route.advance() as u32);
-            hops.push((sw, in_port, out));
-            match self.next_hop(sw, out) {
-                Ok((next, port)) => {
-                    sw = next;
-                    in_port = port;
-                }
-                Err(delivered) => {
-                    assert_eq!(
-                        delivered, dst,
-                        "delta routing violated: {src}->{dst} delivered to {delivered}"
-                    );
-                    assert!(route.is_exhausted(), "route not exhausted at delivery");
-                    return hops;
-                }
-            }
-        }
-    }
-
-    /// Exhaustively verifies the delta (destination-tag) property for this
-    /// topology: every source reaches every destination.
-    pub fn verify_delta(&self) {
-        for s in self.hosts() {
-            for d in self.hosts() {
-                let _ = self.trace(s, d);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Topology;
 
     #[test]
     fn paper_presets_match_table() {
@@ -381,14 +330,14 @@ mod tests {
             MinParams::new(8, 2, 3),
             MinParams::paper_64(),
         ] {
-            MinTopology::new(params).verify_delta();
+            Topology::new(params).verify_routes();
         }
     }
 
     #[test]
     fn delta_property_non_power_network() {
         // 512 is not a power of 4; the 5-stage wiring must still deliver.
-        let topo = MinTopology::new(MinParams::paper_512());
+        let topo = Topology::new(MinParams::paper_512());
         // Exhaustive is 512^2 traces; sample a grid instead.
         for s in (0..512).step_by(17) {
             for d in (0..512).step_by(13) {
@@ -400,7 +349,7 @@ mod tests {
     #[test]
     fn coords_roundtrip() {
         let topo = MinTopology::new(MinParams::paper_64());
-        for sw in topo.switches() {
+        for sw in (0..48).map(SwitchId::new) {
             let c = topo.coords(sw);
             assert_eq!(topo.switch_id(c), sw);
         }
@@ -408,11 +357,11 @@ mod tests {
 
     #[test]
     fn trace_has_one_hop_per_stage() {
-        let topo = MinTopology::new(MinParams::paper_64());
+        let topo = Topology::new(MinParams::paper_64());
         let hops = topo.trace(HostId::new(5), HostId::new(42));
         assert_eq!(hops.len(), 3);
         for (i, (sw, _, _)) in hops.iter().enumerate() {
-            assert_eq!(topo.coords(*sw).stage as usize, i);
+            assert_eq!(topo.stage_of(*sw) as usize, i);
         }
     }
 
@@ -421,7 +370,7 @@ mod tests {
         // Every stage-0 input port receives exactly one host.
         let topo = MinTopology::new(MinParams::paper_64());
         let mut seen = std::collections::HashSet::new();
-        for h in topo.hosts() {
+        for h in (0..64).map(HostId::new) {
             let (sw, port) = topo.host_ingress(h);
             assert_eq!(topo.coords(sw).stage, 0);
             assert!(seen.insert((sw, port)), "two hosts on one port");

@@ -258,12 +258,32 @@ impl Topology {
         }
     }
 
-    /// Walks the route from `src` to `dst` through the wiring, returning
-    /// the `(switch, in_port, out_port)` hops and asserting delivery.
+    /// Walks the route from `src` to `dst` through the wiring and returns
+    /// the `(switch, in_port, out_port)` hops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk would not deliver to `dst` with its route used
+    /// up — that would be a topology construction bug (on the MIN, a
+    /// violation of the delta property).
     pub fn trace(&self, src: HostId, dst: HostId) -> Vec<(SwitchId, PortId, PortId)> {
-        match self {
-            Topology::Min(t) => t.trace(src, dst),
-            Topology::FatTree(t) => t.trace(src, dst),
+        let mut hops = Vec::new();
+        let mut route = self.route(src, dst);
+        let (mut sw, mut in_port) = self.host_ingress(src);
+        loop {
+            let out = PortId::new(route.advance() as u32);
+            hops.push((sw, in_port, out));
+            match self.next_hop(sw, out) {
+                Ok(next) => (sw, in_port) = next,
+                Err(delivered) => {
+                    assert_eq!(
+                        delivered, dst,
+                        "routing violated: {src}->{dst} delivered to {delivered}"
+                    );
+                    assert!(route.is_exhausted(), "route not exhausted at delivery");
+                    return hops;
+                }
+            }
         }
     }
 
@@ -296,11 +316,12 @@ impl Topology {
     }
 
     /// Exhaustively verifies that every source reaches every destination
-    /// (`hosts²` traces — intended for tests).
+    /// (`hosts²` [`trace`](Self::trace)s — intended for tests).
     pub fn verify_routes(&self) {
-        match self {
-            Topology::Min(t) => t.verify_delta(),
-            Topology::FatTree(t) => t.verify_routes(),
+        for s in self.hosts() {
+            for d in self.hosts() {
+                let _ = self.trace(s, d);
+            }
         }
     }
 }

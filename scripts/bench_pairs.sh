@@ -93,6 +93,7 @@ PER_LAYER = [
     "fabric.xbar_done_s",
     "fabric.output_arb_s",
     "recn.cam_lookup_ns",
+    "metrics.probe_ns_per_call",
     "experiments.peak_bytes_estimate",
 ]
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint, and smoke-test the parallel sweep
-# executor. Run from anywhere; operates on the repo root.
+# Tier-1 gate: build, format check, test, lint, and smoke-test the parallel
+# sweep executor. Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,10 +61,27 @@ if grep -rnwE 'TraceEvent|TraceRecord' crates; then
   echo "the trace enum is back beside the record table" >&2; exit 1
 fi
 test "$(wc -l < crates/fabric/src/trace.rs)" -le 400 || { echo "trace.rs is over 400 lines" >&2; exit 1; }
+# Said once (DESIGN §6b–§6d): simcore has one scheduler type (the heap it is
+# checked against lives in tests/scheduler_equivalence.rs), the observer
+# fan-out is generated from the hook list (one forwarding loop), a run's
+# network is built in one place, and library code never ends the process.
+if grep -rnE 'SchedulerKind|BinaryHeap' crates/simcore/src; then
+  echo "crates/simcore/src: a second scheduler is back beside the calendar" >&2; exit 1
+fi
+n="$(grep -c 'for o in &mut self.observers' crates/fabric/src/observer.rs || true)"
+test "$n" -le 1 || { echo "observer.rs: $n hand-written fan-out loops, want the generated one" >&2; exit 1; }
+n="$(cat $(find crates/experiments/src -name '*.rs') | grep -c 'Network::new(')"
+test "$n" = 1 || { echo "crates/experiments/src: $n Network::new( call sites, want 1 (RunSpec::network)" >&2; exit 1; }
+if grep -rn 'process::exit' crates/*/src --include='*.rs' | grep -v '/src/bin/'; then
+  echo "library code exits the process (only bin/ may)" >&2; exit 1
+fi
 # No inert dependency axis: the workspace has no serde edge to stub.
 if grep -ln serde Cargo.toml crates/*/Cargo.toml; then
   echo "a manifest outside benchmark/ mentions serde" >&2; exit 1
 fi
+
+echo "== tier1: cargo fmt --check =="
+cargo fmt --check
 
 echo "== tier1: cargo test -q =="
 cargo test -q
@@ -150,7 +167,11 @@ echo "== tier1: scale smoke test (ft_4096 RECN under the memory budget) =="
   --budget "$(cat ci/scale_budget.txt)" > "$smoke/scale.txt" 2> /dev/null
 grep -q '"peak_bytes_estimate": [0-9]' "$smoke/scale_smoke.json"
 grep -q 'SAQs/port pk' "$smoke/scale.txt"
-echo "scale smoke passed: 4096-host run under budget, JSON summary written"
+# Over budget is the binary's one error status (2), after the table is out.
+rc=0; "$recn" scale --net 64 --time-div 256 --budget 1 > "$smoke/over.txt" 2> "$smoke/over.err" || rc=$?
+test "$rc" = 2 || { echo "scale over its budget exited $rc, want 2" >&2; exit 1; }
+grep -q 'SAQs/port pk' "$smoke/over.txt" && test "$(grep -c 'memory budget exceeded' "$smoke/over.err")" = 1
+echo "scale smoke passed: 4096-host run under budget, JSON summary written, over-budget run exits 2"
 
 echo "== tier1: run-cache smoke test (recn fig 2 --cache twice, all hits) =="
 # Second pass over a warm cache must serve every run from disk and render
