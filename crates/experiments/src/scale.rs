@@ -23,8 +23,8 @@
 //!
 //! The analytic side is deliberately small: it only counts queue
 //! *descriptors* (head/tail/occupancy — the control state a hardware
-//! implementation must keep per queue, and exactly what the simulator's
-//! SoA FIFOs keep per queue), not data memory, because data memory is a
+//! implementation must keep per queue, and what the simulator's queue
+//! records keep per queue), not data memory, because data memory is a
 //! budget shared by however many queues exist, whereas descriptor count
 //! is the quantity that scales with the scheme.
 //!
@@ -41,9 +41,9 @@ use crate::runner::{run_one, scaled_recn_config, summarize};
 use crate::spec::RunSpec;
 
 /// Bytes of control state per queue in the analytic model: head, tail
-/// and occupancy, three 64-bit words — matching the simulator's SoA
-/// FIFO descriptor (`fabric`'s queue slabs keep exactly `head`/`tail`/
-/// `len` per queue).
+/// and occupancy, three 64-bit words — the simulator's queue record
+/// (`fabric`'s queue slabs keep `head`/`tail`/`len` per queue, and the
+/// queue's byte count as a fourth word).
 pub const QUEUE_DESCRIPTOR_BYTES: u64 = 24;
 
 /// The fat-tree ladder the scaling table walks, each rung with its

@@ -1,16 +1,20 @@
 //! A safe generational slab allocator for hot-path objects.
 //!
 //! Buffered packets and queue nodes are inserted and removed millions of
-//! times per run; a [`Arena`] keeps them in one contiguous `Vec` and
-//! recycles slots through a free list, so queue churn performs no
-//! per-item heap allocation after warm-up. Handles carry a generation
-//! counter: accessing a slot after its item was removed (and possibly
-//! reused) is detected and panics instead of silently aliasing — the
-//! same class of bug a use-after-free would be in an unsafe pool.
+//! times per run; an [`Arena`] keeps them in one contiguous `Vec` and
+//! recycles slots through a free list threaded through the vacant slots
+//! themselves, so queue churn performs no per-item heap allocation after
+//! warm-up and an insert or remove touches the arena's header and the one
+//! slot, nothing else. Handles carry a generation counter: accessing a
+//! slot after its item was removed (and possibly reused) is detected and
+//! panics instead of silently aliasing — the same class of bug a
+//! use-after-free would be in an unsafe pool.
 //!
 //! The arena is deliberately minimal (insert / remove / get) because the
 //! queue structures built on top ([`crate::queue::QueueSet`], the NIC
 //! admittance VOQs) own all ordering; the arena only owns storage.
+
+use std::num::NonZeroU32;
 
 /// A generation-tagged reference to a slot in an [`Arena`].
 ///
@@ -19,15 +23,22 @@
 /// afterwards panics ("stale handle").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Handle {
-    idx: u32,
+    /// Slot index plus one: the zero niche makes `Option<Handle>` (the
+    /// intrusive links of every queue node) the size of a `Handle`.
+    slot: NonZeroU32,
     gen: u32,
 }
 
 impl Handle {
+    fn new(idx: u32, gen: u32) -> Handle {
+        let slot = NonZeroU32::new(idx.wrapping_add(1)).expect("arena exceeds u32 slots");
+        Handle { slot, gen }
+    }
+
     /// Slot index (for diagnostics only — never use to index storage
     /// directly).
     pub fn index(self) -> u32 {
-        self.idx
+        self.slot.get() - 1
     }
 
     /// Generation of the slot at the time the handle was issued.
@@ -36,15 +47,20 @@ impl Handle {
     }
 }
 
+/// "No slot": the end of the free list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
 enum Slot<T> {
     Occupied {
         gen: u32,
         value: T,
     },
-    /// Vacant slot remembering the generation to issue on next reuse.
+    /// Vacant slot remembering the generation to issue on next reuse and
+    /// the slot freed before it (or `NIL`).
     Vacant {
         next_gen: u32,
+        next_free: u32,
     },
 }
 
@@ -53,7 +69,8 @@ enum Slot<T> {
 #[derive(Debug)]
 pub struct Arena<T> {
     slots: Vec<Slot<T>>,
-    free: Vec<u32>,
+    /// Most recently vacated slot (reuse is LIFO), or `NIL`.
+    free_head: u32,
     len: usize,
 }
 
@@ -66,11 +83,7 @@ impl<T> Default for Arena<T> {
 impl<T> Arena<T> {
     /// Creates an empty arena.
     pub fn new() -> Arena<T> {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
+        Arena::with_capacity(0)
     }
 
     /// Creates an empty arena with room for `cap` items before the
@@ -78,7 +91,7 @@ impl<T> Arena<T> {
     pub fn with_capacity(cap: usize) -> Arena<T> {
         Arena {
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            free_head: NIL,
             len: 0,
         }
     }
@@ -98,31 +111,34 @@ impl<T> Arena<T> {
         self.slots.len()
     }
 
-    /// Estimated bytes of backing storage: slot array plus free list,
-    /// counted at their allocated capacity (the high-water mark the
-    /// process actually paid for, not the live item count).
+    /// Estimated bytes of backing storage: the slot array at its allocated
+    /// capacity (the high-water mark the process actually paid for, not
+    /// the live item count). The free list lives inside the vacant slots.
     pub fn backing_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Slot<T>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.slots.capacity() * std::mem::size_of::<Slot<T>>()) as u64
     }
 
-    /// Stores `value`, returning its handle. Reuses a free slot when one
-    /// exists; grows the backing storage otherwise.
+    /// Stores `value`, returning its handle. Reuses the most recently
+    /// freed slot when one exists; grows the backing storage otherwise.
     pub fn insert(&mut self, value: T) -> Handle {
         self.len += 1;
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
-            let gen = match *slot {
-                Slot::Vacant { next_gen } => next_gen,
-                Slot::Occupied { .. } => unreachable!("free list points at occupied slot"),
-            };
-            *slot = Slot::Occupied { gen, value };
-            Handle { idx, gen }
-        } else {
+        if self.free_head == NIL {
             let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
             self.slots.push(Slot::Occupied { gen: 0, value });
-            Handle { idx, gen: 0 }
+            return Handle::new(idx, 0);
         }
+        let idx = self.free_head;
+        let slot = &mut self.slots[idx as usize];
+        let Slot::Vacant {
+            next_gen: gen,
+            next_free,
+        } = *slot
+        else {
+            unreachable!("free list points at occupied slot");
+        };
+        self.free_head = next_free;
+        *slot = Slot::Occupied { gen, value };
+        Handle::new(idx, gen)
     }
 
     /// Removes and returns the item behind `h`, freeing its slot.
@@ -131,7 +147,7 @@ impl<T> Arena<T> {
     ///
     /// Panics if `h` is stale (already removed, possibly reused).
     pub fn remove(&mut self, h: Handle) -> T {
-        let slot = &mut self.slots[h.idx as usize];
+        let slot = &mut self.slots[h.index() as usize];
         match slot {
             Slot::Occupied { gen, .. } if *gen == h.gen => {}
             _ => panic!("stale arena handle {h:?}"),
@@ -140,11 +156,12 @@ impl<T> Arena<T> {
         // not a realistic hazard for simulation-length lifetimes.
         let next = Slot::Vacant {
             next_gen: h.gen.wrapping_add(1),
+            next_free: self.free_head,
         };
         let Slot::Occupied { value, .. } = std::mem::replace(slot, next) else {
             unreachable!("checked occupied above");
         };
-        self.free.push(h.idx);
+        self.free_head = h.index();
         self.len -= 1;
         value
     }
@@ -155,7 +172,7 @@ impl<T> Arena<T> {
     ///
     /// Panics if `h` is stale.
     pub fn get(&self, h: Handle) -> &T {
-        match &self.slots[h.idx as usize] {
+        match &self.slots[h.index() as usize] {
             Slot::Occupied { gen, value } if *gen == h.gen => value,
             _ => panic!("stale arena handle {h:?}"),
         }
@@ -167,7 +184,7 @@ impl<T> Arena<T> {
     ///
     /// Panics if `h` is stale.
     pub fn get_mut(&mut self, h: Handle) -> &mut T {
-        match &mut self.slots[h.idx as usize] {
+        match &mut self.slots[h.index() as usize] {
             Slot::Occupied { gen, value } if *gen == h.gen => value,
             _ => panic!("stale arena handle {h:?}"),
         }
@@ -175,7 +192,7 @@ impl<T> Arena<T> {
 
     /// Whether `h` still refers to a live item.
     pub fn contains(&self, h: Handle) -> bool {
-        matches!(&self.slots[h.idx as usize], Slot::Occupied { gen, .. } if *gen == h.gen)
+        matches!(&self.slots[h.index() as usize], Slot::Occupied { gen, .. } if *gen == h.gen)
     }
 }
 
@@ -266,5 +283,66 @@ mod tests {
         for (h, v) in live {
             assert_eq!(*a.get(h), v);
         }
+    }
+
+    /// Interleaved inserts and removes against the layout the arena used
+    /// to have — a `Vec<Option<T>>` of slots, a generation per slot and an
+    /// explicit LIFO stack of freed indices: the free list threaded through
+    /// the vacant slots hands out the same indices with the same
+    /// generations, and a handle the model calls stale panics.
+    #[test]
+    fn matches_a_slot_vector_with_an_explicit_lifo_stack() {
+        let mut rng = simcore::SplitMix64::new(0xa2e7a);
+        let mut arena = Arena::new();
+        let (mut slots, mut gens, mut free) = (Vec::new(), Vec::<u32>::new(), Vec::<u32>::new());
+        let (mut live, mut stale) = (Vec::<Handle>::new(), Vec::<Handle>::new());
+        let mut deepest_stack = 0;
+        for step in 0..30_000u64 {
+            // Phases of net growth and net shrinkage, so the free stack
+            // gets deep and is emptied again.
+            let grow = if (step / 2_000).is_multiple_of(2) {
+                65
+            } else {
+                35
+            };
+            if live.is_empty() || rng.next_u64() % 100 < grow {
+                let h = arena.insert(step);
+                let idx = free.pop().unwrap_or_else(|| {
+                    slots.push(None);
+                    gens.push(0);
+                    slots.len() as u32 - 1
+                });
+                slots[idx as usize] = Some(step);
+                assert_eq!((h.index(), h.generation()), (idx, gens[idx as usize]));
+                live.push(h);
+            } else {
+                let h = live.swap_remove((rng.next_u64() % live.len() as u64) as usize);
+                let idx = h.index() as usize;
+                assert_eq!(Some(arena.remove(h)), slots[idx].take());
+                gens[idx] += 1;
+                free.push(idx as u32);
+                stale.push(h);
+            }
+            assert_eq!(arena.len(), live.len());
+            assert_eq!(arena.slot_count(), slots.len());
+            deepest_stack = deepest_stack.max(free.len());
+        }
+        assert!(
+            deepest_stack > 100 && live.len() > 100,
+            "both paths exercised"
+        );
+        for h in &live {
+            assert_eq!(Some(*arena.get(*h)), slots[h.index() as usize]);
+        }
+        assert!(stale.iter().all(|h| !arena.contains(*h)));
+        for h in stale.iter().rev().take(4) {
+            let get = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| *arena.get(*h)));
+            assert!(get.is_err(), "stale {h:?} still reads");
+        }
+        assert_eq!(
+            arena.backing_bytes(),
+            (arena.slots.capacity() * std::mem::size_of::<Slot<u64>>()) as u64,
+            "the free list costs no storage of its own"
+        );
     }
 }

@@ -139,7 +139,7 @@ impl Network {
                 // count (VOQsw keeps one queue per downstream output port).
                 let np = ports[topo.host_ingress(HostId::new(h as u32)).0.index()];
                 Nic {
-                    admit: std::collections::BTreeMap::new(),
+                    admit: Vec::new(),
                     admit_pool: crate::arena::Arena::new(),
                     admit_rr: 0,
                     inject: queue_set(PortSide::NicInjection, np, cfg.nic_inject_mem),

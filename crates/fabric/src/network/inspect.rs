@@ -139,11 +139,8 @@ impl Network {
         }
         for n in &self.nics {
             total += n.admit_pool.backing_bytes();
-            // At most one admit-map entry per slab slot; charge the
-            // high-water mark so a drained network still reports the peak.
-            total += (n.admit_pool.slot_count()
-                * (size_of::<AdmitFifo>() + size_of::<u32>() + 4 * size_of::<usize>()))
-                as u64;
+            // By capacity: a drained network still reports the peak.
+            total += (n.admit.capacity() * size_of::<(u32, AdmitFifo)>()) as u64;
             // Transport flow state (zero without installed flows).
             total += (n.flows.len() * (size_of::<u32>() + size_of::<FlowTx>())) as u64;
         }

@@ -33,12 +33,14 @@ pub(crate) struct AdmitNode {
 }
 
 pub(crate) struct Nic {
-    /// Admittance VOQs, keyed by destination, present only while
-    /// non-empty (the generation process itself is the depth bound).
-    /// A `BTreeMap` keeps destinations in ascending order so the
-    /// round-robin transfer scan visits exactly the sequence the dense
-    /// layout produced.
-    pub admit: std::collections::BTreeMap<u32, AdmitFifo>,
+    /// Admittance VOQs as `(destination, FIFO)`, present only while
+    /// non-empty (the generation process itself is the depth bound) and
+    /// kept in ascending destination order, so the round-robin transfer
+    /// scan visits exactly the sequence the dense layout produced. Most of
+    /// the time it holds nothing or one entry; a `Vec` keeps its capacity
+    /// across that churn where a map allocates and frees a node per
+    /// message.
+    pub admit: Vec<(u32, AdmitFifo)>,
     /// Slab storing the packets queued across all admittance VOQs.
     pub admit_pool: crate::arena::Arena<AdmitNode>,
     pub admit_rr: usize,
@@ -53,37 +55,43 @@ pub(crate) struct Nic {
 }
 
 impl Nic {
+    /// Where `dst`'s FIFO is in `admit`, or where it would go.
+    fn admit_slot(&self, dst: u32) -> Result<usize, usize> {
+        self.admit.binary_search_by_key(&dst, |&(d, _)| d)
+    }
+
     /// Bytes queued toward `dst` in the admittance stage.
     pub fn admit_bytes(&self, dst: usize) -> u64 {
-        self.admit.get(&(dst as u32)).map_or(0, |f| f.bytes)
+        self.admit_slot(dst as u32)
+            .map_or(0, |at| self.admit[at].1.bytes)
     }
 
     /// Appends `pkt` to its destination's admittance FIFO.
     pub fn admit_push(&mut self, pkt: Packet) {
         let (dst, size) = (pkt.dst.index() as u32, pkt.size as u64);
         let h = self.admit_pool.insert(AdmitNode { pkt, next: None });
-        match self.admit.entry(dst) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let f = e.get_mut();
+        match self.admit_slot(dst) {
+            Ok(at) => {
+                let f = &mut self.admit[at].1;
                 self.admit_pool.get_mut(f.tail).next = Some(h);
                 f.tail = h;
                 f.bytes += size;
             }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(AdmitFifo {
+            Err(at) => {
+                let fifo = AdmitFifo {
                     head: h,
                     tail: h,
                     bytes: size,
-                });
+                };
+                self.admit.insert(at, (dst, fifo));
             }
         }
     }
 
     /// The head packet of `dst`'s admittance FIFO, if any.
     pub fn admit_front(&self, dst: u32) -> Option<&Packet> {
-        self.admit
-            .get(&dst)
-            .map(|f| &self.admit_pool.get(f.head).pkt)
+        let at = self.admit_slot(dst).ok()?;
+        Some(&self.admit_pool.get(self.admit[at].1.head).pkt)
     }
 
     /// Removes and returns the head packet of `dst`'s FIFO, dropping the
@@ -93,14 +101,15 @@ impl Nic {
     ///
     /// Panics if the FIFO is empty (callers check the front first).
     pub fn admit_pop(&mut self, dst: u32) -> Packet {
-        let f = self.admit.get_mut(&dst).expect("pop from empty admit VOQ");
+        let at = self.admit_slot(dst).expect("pop from empty admit VOQ");
+        let f = &mut self.admit[at].1;
         let node = self.admit_pool.remove(f.head);
         f.bytes -= node.pkt.size as u64;
         match node.next {
             Some(next) => f.head = next,
             None => {
                 debug_assert_eq!(f.bytes, 0, "byte accounting out of sync");
-                self.admit.remove(&dst);
+                self.admit.remove(at);
             }
         }
         node.pkt
@@ -220,9 +229,12 @@ impl Network {
         let mut order = std::mem::take(&mut self.scratch);
         loop {
             order.clear();
-            let rr = self.nics[host].admit_rr as u32;
-            order.extend(self.nics[host].admit.range(rr..).map(|(&d, _)| d as usize));
-            order.extend(self.nics[host].admit.range(..rr).map(|(&d, _)| d as usize));
+            let nic = &self.nics[host];
+            let wrap = nic
+                .admit
+                .partition_point(|&(d, _)| (d as usize) < nic.admit_rr);
+            let (below, from_rr) = nic.admit.split_at(wrap);
+            order.extend(from_rr.iter().chain(below).map(|&(d, _)| d as usize));
             let mut progress = false;
             for &d in &order {
                 let Some(front) = self.nics[host].admit_front(d as u32) else {

@@ -72,6 +72,17 @@ impl ArbiterSummary {
         (out != Self::NO_REQUEST).then_some(out as usize)
     }
 
+    /// The lowest ready input in `from..to`: one holding an item and not
+    /// mid-transfer — the one a scan over every port would stop at next.
+    fn next_ready(&self, from: usize, to: usize) -> Option<usize> {
+        let ready = self.in_items & !self.in_flight;
+        let below = |port: usize| if port >= 64 { !0 } else { (1u64 << port) - 1 };
+        let next = ready & below(to) & !below(from);
+        let next = (next != 0).then(|| next.trailing_zeros() as usize);
+        debug_assert_eq!(next, (from..to).find(|&i| has(ready, i)));
+        next
+    }
+
     /// Re-derives `input`'s words after its queue set `qs` changed.
     pub(super) fn input_changed(&mut self, input: usize, qs: &QueueSet) {
         set(&mut self.in_items, input, qs.has_items());
@@ -163,17 +174,25 @@ impl Network {
         self.switches[sw].in_rr = (start + 1) % nports;
         let is_recn = matches!(self.cfg.scheme, SchemeKind::Recn(_));
 
-        for off in 0..nports {
-            let i = (start + off) % nports;
+        // Round-robin from `start` over the ready inputs only (`start..`,
+        // then the wrap): an empty port or one mid-transfer can neither
+        // grant nor notify. The masks are re-read at every step, so these
+        // are exactly the inputs a scan of all ports would find ready.
+        let (mut from, mut to) = (start, nports);
+        loop {
             let arb = &self.switches[sw].arb;
-            // Work-elision fast paths (both event models), decided on the
-            // summary alone. A port mid-transfer or empty can neither
-            // grant nor notify; nor can one whose only request is a busy
-            // output with no RECN state to notify from — the full scan
-            // below would end with no mutation and no observer call.
-            if !has(arb.in_items & !arb.in_flight, i) {
+            let Some(i) = arb.next_ready(from, to) else {
+                if to == start {
+                    break;
+                }
+                (from, to) = (0, start);
                 continue;
-            }
+            };
+            from = i + 1;
+            // Decided on the summary alone: an input whose only request is
+            // a busy output with no RECN state to notify from — the full
+            // examination below would end with no mutation and no observer
+            // call.
             if let Some(out) = arb.request(i) {
                 if has(arb.out_busy & !arb.out_notify, out) {
                     debug_assert!(self.examination_is_inert(sw, i, out));

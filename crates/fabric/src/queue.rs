@@ -1,4 +1,13 @@
 //! Per-port queue sets implementing the five queueing schemes.
+//!
+//! A [`QueueSet`] is one record per queue (`head`, `tail`, `len`, `bytes`)
+//! over one item slab. Queue 0's record sits inside the set, beside the
+//! pool accounting and the slab header, and the records of queues `1..`
+//! in one `Vec`: every scheme's common case — the only queue of 1Q, the
+//! normal queue of a RECN port outside a congestion tree — stores and
+//! takes by touching the head of the `QueueSet` and the item's slab slot
+//! and nothing else, which at fabric sizes that leave the cache is what an
+//! operation costs (DESIGN.md §4).
 
 use recn::{Classify, RecnPort, SaqId};
 
@@ -22,16 +31,18 @@ pub enum PortSide {
     NicInjection,
 }
 
-/// Head/tail/length descriptor of one intrusive FIFO. The order links
-/// live inside the shared node slab ([`Node::next`]), so an empty queue
-/// costs these few words and nothing else — the layout that lets VOQnet
-/// instantiate thousands of queues per port without per-queue heap
-/// allocations (DESIGN.md §4b).
+/// One queue's record: the ends of its intrusive FIFO, its length and the
+/// bytes accounted to it (stored + reserved). The order links live inside
+/// the shared node slab ([`Node::next`]), so an empty queue costs these few
+/// words and nothing else — the layout that lets VOQnet instantiate
+/// thousands of queues per port without per-queue heap allocations
+/// (DESIGN.md §4b).
 #[derive(Debug, Clone, Copy, Default)]
 struct Fifo {
     head: Option<Handle>,
     tail: Option<Handle>,
     len: usize,
+    bytes: u64,
 }
 
 /// A stored item plus its intrusive successor link.
@@ -39,6 +50,17 @@ struct Fifo {
 struct Node {
     item: QueueItem,
     next: Option<Handle>,
+}
+
+/// The scheme's queue-mapping rule, as [`QueueSet::classify`] dispatches
+/// on it (the RECN parameters live in the port's [`RecnPort`]).
+#[derive(Debug, Clone, Copy)]
+enum Mapping {
+    OneQ,
+    FourQ,
+    VoqSw,
+    VoqNet,
+    Recn,
 }
 
 /// The queues of one port: a fixed array for the baseline schemes, or the
@@ -52,60 +74,72 @@ struct Node {
 /// space is never oversubscribed while a packet is in flight through the
 /// crossbar.
 ///
-/// Storage is structure-of-arrays: all items of all queues share one
-/// [`Arena`] slab and each queue is an intrusive singly-linked list
-/// threaded through it, so queue churn reuses slots and per-queue
-/// overhead is a constant few words regardless of depth.
+/// All items of all queues share one [`Arena`] slab and each queue is an
+/// intrusive singly-linked list threaded through it, so queue churn reuses
+/// slots and per-queue overhead is one 32-byte record regardless of depth.
+/// Queue 0's record is a field of the set, next to the pool accounting and
+/// the slab header: a store to or a take from the normal queue of a port
+/// whose CAM is empty reads and writes the leading fields of this struct
+/// and the item's slab slot, and no other memory (DESIGN.md §4). `repr(C)`
+/// keeps the fields in the order written, hottest first.
 #[derive(Debug)]
+#[repr(C)]
 pub struct QueueSet {
-    /// Per-queue FIFO descriptors; item order lives in `items` via the
-    /// intrusive `next` links.
-    queues: Vec<Fifo>,
+    /// Queue 0 (the only queue of 1Q, the normal queue of RECN).
+    q0: Fifo,
+    /// Items of every queue; order lives in the intrusive `next` links.
     items: Arena<Node>,
-    queue_bytes: Vec<u64>,
     used: u64,
     total_cap: u64,
-    per_queue_cap: Option<u64>,
-    recn: Option<RecnPort>,
-    scheme: SchemeKind,
-    side: PortSide,
-    rr: usize,
     peak_used: u64,
+    per_queue_cap: Option<u64>,
+    mapping: Mapping,
+    side: PortSide,
     /// Consecutive grants won by the normal queue (RECN WRR state).
     normal_streak: u32,
+    rr: usize,
+    /// Queues `1..`: record `q - 1` is queue `q`'s.
+    rest: Vec<Fifo>,
+    recn: Option<RecnPort>,
 }
 
 impl QueueSet {
     /// Builds the queue set for `scheme` at `side` with `mem` bytes of
     /// port memory. `radix` and `hosts` size the VOQsw/VOQnet layouts.
     pub fn new(scheme: SchemeKind, side: PortSide, radix: u32, hosts: u32, mem: u64) -> QueueSet {
-        let (nqueues, per_queue_cap, recn) = match scheme {
-            SchemeKind::OneQ => (1usize, Some(mem), None),
-            SchemeKind::FourQ => (4, Some(mem / 4), None),
-            SchemeKind::VoqSw => (radix as usize, Some(mem / radix as u64), None),
-            SchemeKind::VoqNet => (hosts as usize, Some(mem / hosts as u64), None),
+        let (mapping, nqueues, per_queue_cap, recn) = match scheme {
+            SchemeKind::OneQ => (Mapping::OneQ, 1usize, Some(mem), None),
+            SchemeKind::FourQ => (Mapping::FourQ, 4, Some(mem / 4), None),
+            SchemeKind::VoqSw => {
+                let per_queue = Some(mem / radix as u64);
+                (Mapping::VoqSw, radix as usize, per_queue, None)
+            }
+            SchemeKind::VoqNet => {
+                let per_queue = Some(mem / hosts as u64);
+                (Mapping::VoqNet, hosts as usize, per_queue, None)
+            }
             SchemeKind::Recn(cfg) => {
                 let port = match side {
                     PortSide::SwitchInput => RecnPort::new_ingress(cfg),
                     PortSide::SwitchOutput { turn } => RecnPort::new_egress(cfg, turn),
                     PortSide::NicInjection => RecnPort::new_nic_injection(cfg),
                 };
-                (1 + cfg.max_saqs, None, Some(port))
+                (Mapping::Recn, 1 + cfg.max_saqs, None, Some(port))
             }
         };
         QueueSet {
-            queues: vec![Fifo::default(); nqueues],
+            q0: Fifo::default(),
             items: Arena::new(),
-            queue_bytes: vec![0; nqueues],
             used: 0,
             total_cap: mem,
-            per_queue_cap,
-            recn,
-            scheme,
-            side,
-            rr: 0,
             peak_used: 0,
+            per_queue_cap,
+            mapping,
+            side,
             normal_streak: 0,
+            rr: 0,
+            rest: vec![Fifo::default(); nqueues - 1],
+            recn,
         }
     }
 
@@ -118,7 +152,23 @@ impl QueueSet {
 
     /// Number of queues.
     pub fn num_queues(&self) -> usize {
-        self.queues.len()
+        1 + self.rest.len()
+    }
+
+    #[inline]
+    fn fifo(&self, queue: usize) -> &Fifo {
+        match queue {
+            0 => &self.q0,
+            q => &self.rest[q - 1],
+        }
+    }
+
+    #[inline]
+    fn fifo_mut(&mut self, queue: usize) -> &mut Fifo {
+        match queue {
+            0 => &mut self.q0,
+            q => &mut self.rest[q - 1],
+        }
     }
 
     /// The RECN state machine, when the scheme is RECN.
@@ -153,41 +203,75 @@ impl QueueSet {
 
     /// Bytes accounted in one queue (stored + reserved).
     pub fn queue_bytes(&self, queue: usize) -> u64 {
-        self.queue_bytes[queue]
+        self.fifo(queue).bytes
     }
 
     /// Items currently stored in one queue.
     pub fn queue_len(&self, queue: usize) -> usize {
-        self.queues[queue].len
+        self.fifo(queue).len
     }
 
-    /// Estimated bytes of backing storage for this queue set: the shared
-    /// node slab (at its high-water allocation) plus the per-queue SoA
-    /// arrays. Simulation-model accounting, not simulated port memory —
-    /// see [`capacity`](Self::capacity) for the latter.
+    /// Estimated bytes of backing storage for this queue set: the set
+    /// itself (queue 0's record, the accounting, the RECN port), the shared
+    /// node slab at its high-water allocation, and the records of queues
+    /// `1..`. Simulation-model accounting, not simulated port memory — see
+    /// [`capacity`](Self::capacity) for the latter.
     pub fn backing_bytes(&self) -> u64 {
-        self.items.backing_bytes()
-            + (self.queues.capacity() * std::mem::size_of::<Fifo>()) as u64
-            + (self.queue_bytes.capacity() * std::mem::size_of::<u64>()) as u64
+        use std::mem::size_of;
+        (size_of::<QueueSet>() + self.rest.capacity() * size_of::<Fifo>()) as u64
+            + self.items.backing_bytes()
+    }
+
+    /// Charges `bytes` more to the port's pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool would overflow.
+    #[inline]
+    fn charge_pool(&mut self, bytes: u64) {
+        self.used += bytes;
+        self.peak_used = self.peak_used.max(self.used);
+        assert!(
+            self.used <= self.total_cap,
+            "buffer overflow: lossless invariant violated"
+        );
+    }
+
+    /// Charges `bytes` more to `queue`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue would overflow its share of the port memory.
+    #[inline]
+    fn charge_queue(&mut self, queue: usize, bytes: u64) {
+        let per_queue_cap = self.per_queue_cap;
+        let fifo = self.fifo_mut(queue);
+        fifo.bytes += bytes;
+        if let Some(cap) = per_queue_cap {
+            assert!(
+                fifo.bytes <= cap,
+                "queue overflow: lossless invariant violated"
+            );
+        }
     }
 
     /// Appends `item` to the tail of `queue` (storage + intrusive link).
     fn push_node(&mut self, queue: usize, item: QueueItem) {
         let h = self.items.insert(Node { item, next: None });
-        match self.queues[queue].tail {
-            Some(tail) => self.items.get_mut(tail).next = Some(h),
-            None => self.queues[queue].head = Some(h),
-        }
-        let fifo = &mut self.queues[queue];
-        fifo.tail = Some(h);
+        let fifo = self.fifo_mut(queue);
+        let tail = fifo.tail.replace(h);
         fifo.len += 1;
+        match tail {
+            Some(tail) => self.items.get_mut(tail).next = Some(h),
+            None => self.fifo_mut(queue).head = Some(h),
+        }
     }
 
     /// Removes and returns the head item of `queue`, if any.
     fn pop_node(&mut self, queue: usize) -> Option<QueueItem> {
-        let h = self.queues[queue].head?;
+        let h = self.fifo(queue).head?;
         let node = self.items.remove(h);
-        let fifo = &mut self.queues[queue];
+        let fifo = self.fifo_mut(queue);
         fifo.head = node.next;
         fifo.len -= 1;
         if fifo.head.is_none() {
@@ -207,18 +291,17 @@ impl QueueSet {
     /// scheme's mapping rule. For 4Q this inspects live occupancies
     /// (lowest-occupancy rule); for RECN it consults the CAM.
     pub fn classify(&self, pkt: &Packet) -> usize {
-        match self.scheme {
-            SchemeKind::OneQ => 0,
-            SchemeKind::FourQ => {
-                let (idx, _) = self
-                    .queue_bytes
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-                    .expect("4Q has queues");
-                idx
+        match self.mapping {
+            Mapping::OneQ => 0,
+            Mapping::FourQ => {
+                // Lowest occupancy, lowest index on ties.
+                let mut best = (self.q0.bytes, 0);
+                for (i, fifo) in self.rest.iter().enumerate() {
+                    best = best.min((fifo.bytes, i + 1));
+                }
+                best.1
             }
-            SchemeKind::VoqSw => match self.side {
+            Mapping::VoqSw => match self.side {
                 // Input side: by the output port requested at this switch.
                 PortSide::SwitchInput => pkt.route.next_turn() as usize,
                 // Output/injection side: by the port requested at the next
@@ -227,8 +310,8 @@ impl QueueSet {
                     pkt.route.remaining().first().copied().unwrap_or(0) as usize
                 }
             },
-            SchemeKind::VoqNet => pkt.dst.index(),
-            SchemeKind::Recn(_) => {
+            Mapping::VoqNet => pkt.dst.index(),
+            Mapping::Recn => {
                 let recn = self.recn.as_ref().expect("RECN scheme has a port");
                 // Only the *resolved* prefix of the route is matchable: a
                 // packet whose next turns are still adaptive placeholders
@@ -247,7 +330,7 @@ impl QueueSet {
             return false;
         }
         match self.per_queue_cap {
-            Some(cap) => self.queue_bytes[queue] + bytes <= cap,
+            Some(cap) => self.fifo(queue).bytes + bytes <= cap,
             None => true,
         }
     }
@@ -260,12 +343,7 @@ impl QueueSet {
     /// Panics if the pool would overflow — callers must check
     /// [`has_room`](Self::has_room) first.
     pub fn reserve_pooled(&mut self, bytes: u64) {
-        self.used += bytes;
-        self.peak_used = self.peak_used.max(self.used);
-        assert!(
-            self.used <= self.total_cap,
-            "buffer overflow: lossless invariant violated"
-        );
+        self.charge_pool(bytes);
     }
 
     /// Reserves bytes on a specific queue (baseline crossbar grant).
@@ -274,19 +352,8 @@ impl QueueSet {
     ///
     /// Panics if the queue or pool would overflow.
     pub fn reserve_queue(&mut self, queue: usize, bytes: u64) {
-        self.used += bytes;
-        self.queue_bytes[queue] += bytes;
-        self.peak_used = self.peak_used.max(self.used);
-        assert!(
-            self.used <= self.total_cap,
-            "buffer overflow: lossless invariant violated"
-        );
-        if let Some(cap) = self.per_queue_cap {
-            assert!(
-                self.queue_bytes[queue] <= cap,
-                "queue overflow: lossless invariant violated"
-            );
-        }
+        self.charge_pool(bytes);
+        self.charge_queue(queue, bytes);
     }
 
     /// Stores an item whose bytes were reserved via
@@ -298,7 +365,7 @@ impl QueueSet {
     /// Stores an item whose bytes were reserved via
     /// [`reserve_pooled`](Self::reserve_pooled), charging them to `queue`.
     pub fn commit_pooled(&mut self, queue: usize, item: QueueItem) {
-        self.queue_bytes[queue] += item.bytes();
+        self.fifo_mut(queue).bytes += item.bytes();
         self.push_node(queue, item);
     }
 
@@ -310,26 +377,14 @@ impl QueueSet {
     /// Panics if the buffer overflows: that would mean the credit protocol
     /// lost the lossless property.
     pub fn push_direct(&mut self, queue: usize, item: QueueItem) {
-        let bytes = item.bytes();
-        self.used += bytes;
-        self.queue_bytes[queue] += bytes;
-        self.peak_used = self.peak_used.max(self.used);
-        assert!(
-            self.used <= self.total_cap,
-            "buffer overflow: lossless invariant violated"
-        );
-        if let Some(cap) = self.per_queue_cap {
-            assert!(
-                self.queue_bytes[queue] <= cap,
-                "queue overflow: lossless invariant violated"
-            );
-        }
+        self.charge_pool(item.bytes());
+        self.charge_queue(queue, item.bytes());
         self.push_node(queue, item);
     }
 
     /// The head item of a queue.
     pub fn head(&self, queue: usize) -> Option<&QueueItem> {
-        self.queues[queue].head.map(|h| &self.items.get(h).item)
+        self.fifo(queue).head.map(|h| &self.items.get(h).item)
     }
 
     /// The head packet of queue 0 when every stored item sits in that
@@ -337,7 +392,7 @@ impl QueueSet {
     /// scheme's service order. `None` otherwise (empty port, an item in
     /// another queue, a marker at the head).
     pub(crate) fn sole_head(&self) -> Option<&Packet> {
-        if self.items.len() != self.queues[0].len {
+        if self.items.len() != self.q0.len {
             return None;
         }
         match self.head(0)? {
@@ -354,7 +409,7 @@ impl QueueSet {
     pub fn pop(&mut self, queue: usize) -> QueueItem {
         let item = self.pop_node(queue).expect("pop from empty queue");
         let bytes = item.bytes();
-        self.queue_bytes[queue] -= bytes;
+        self.fifo_mut(queue).bytes -= bytes;
         self.used -= bytes;
         item
     }
@@ -370,63 +425,57 @@ impl QueueSet {
     /// (marker-blocked or Xoff'ed) are skipped.
     pub fn service_order(&self, out: &mut Vec<usize>) {
         out.clear();
-        let n = self.queues.len();
-        match &self.recn {
-            Some(recn) => {
-                // Fast path: every stored item sits in the normal queue, so
-                // no SAQ pass can contribute and the WRR rotation cannot
-                // trigger (it needs a serviceable SAQ behind the normal
-                // queue). This is the common case outside congestion trees.
-                if self.items.len() == self.queues[0].len {
-                    if self.queues[0].len > 0 {
-                        out.push(0);
-                    }
-                    return;
-                }
-                // Pass 1: drain-boost SAQs (highest priority).
-                for saq in recn.iter_saqs() {
-                    let q = Self::saq_queue(saq);
-                    if self.queues[q].len > 0 && recn.drain_boost(saq) && recn.may_transmit(saq) {
-                        out.push(q);
-                    }
-                }
-                // Pass 2 & 3: normal queue and remaining SAQs. Normal goes
-                // first unless it has exhausted its WRR weight and some SAQ
-                // is serviceable.
-                let normal_pos = out.len();
-                if self.queues[0].len > 0 {
-                    out.push(0);
-                }
-                let saq_start = out.len();
-                let start = self.rr.max(1);
-                for off in 0..n - 1 {
-                    let q = 1 + (start - 1 + off) % (n - 1);
-                    if self.queues[q].len == 0 || out.contains(&q) {
-                        continue;
-                    }
-                    if let Some(saq) = self.saq_at_queue(q) {
-                        if recn.may_transmit(saq) && !recn.drain_boost(saq) {
-                            out.push(q);
-                        }
-                    }
-                }
-                if self.normal_streak >= Self::NORMAL_WRR_WEIGHT
-                    && out.len() > saq_start
-                    && saq_start > normal_pos
-                {
-                    // Rotate the normal queue behind the SAQs for one round.
-                    out.remove(normal_pos);
-                    out.push(0);
+        let n = self.num_queues();
+        if !matches!(self.mapping, Mapping::Recn) {
+            // Round-robin from `rr`: `rr..n`, then the wrap.
+            let listed = (self.rr..n).chain(0..self.rr);
+            out.extend(listed.filter(|&q| self.fifo(q).len > 0));
+            return;
+        }
+        // Fast path: every stored item sits in the normal queue, so no SAQ
+        // pass can contribute and the WRR rotation cannot trigger (it needs
+        // a serviceable SAQ behind the normal queue). This is the common
+        // case outside congestion trees, decided without reading the CAM.
+        if self.items.len() == self.q0.len {
+            if self.q0.len > 0 {
+                out.push(0);
+            }
+            return;
+        }
+        let recn = self.recn.as_ref().expect("RECN scheme has a port");
+        // Pass 1: drain-boost SAQs (highest priority).
+        for saq in recn.iter_saqs() {
+            let q = Self::saq_queue(saq);
+            if self.rest[q - 1].len > 0 && recn.drain_boost(saq) && recn.may_transmit(saq) {
+                out.push(q);
+            }
+        }
+        // Pass 2 & 3: normal queue and remaining SAQs. Normal goes first
+        // unless it has exhausted its WRR weight and some SAQ is
+        // serviceable.
+        let normal_pos = out.len();
+        if self.q0.len > 0 {
+            out.push(0);
+        }
+        let saq_start = out.len();
+        let start = self.rr.max(1);
+        for q in (start..n).chain(1..start) {
+            if self.rest[q - 1].len == 0 || out.contains(&q) {
+                continue;
+            }
+            if let Some(saq) = self.saq_at_queue(q) {
+                if recn.may_transmit(saq) && !recn.drain_boost(saq) {
+                    out.push(q);
                 }
             }
-            None => {
-                for off in 0..n {
-                    let q = (self.rr + off) % n;
-                    if self.queues[q].len > 0 {
-                        out.push(q);
-                    }
-                }
-            }
+        }
+        if self.normal_streak >= Self::NORMAL_WRR_WEIGHT
+            && out.len() > saq_start
+            && saq_start > normal_pos
+        {
+            // Rotate the normal queue behind the SAQs for one round.
+            out.remove(normal_pos);
+            out.push(0);
         }
     }
 
@@ -443,7 +492,11 @@ impl QueueSet {
     /// Advances the round-robin pointer past the queue that was just
     /// granted.
     pub fn rr_granted(&mut self, queue: usize) {
-        self.rr = (queue + 1) % self.queues.len().max(1);
+        self.rr = if queue + 1 == self.num_queues() {
+            0
+        } else {
+            queue + 1
+        };
         if queue == 0 {
             self.normal_streak += 1;
         } else {
@@ -462,6 +515,7 @@ mod tests {
     use super::*;
     use recn::RecnConfig;
     use simcore::Picos;
+    use std::collections::VecDeque;
     use topology::{HostId, Route};
 
     fn pkt(dst: u32, advanced: usize) -> Packet {
@@ -663,5 +717,259 @@ mod tests {
         assert_eq!(qs.queue_bytes(0), 64);
         let _ = qs.pop(0);
         assert!(qs.has_room(0, 64));
+    }
+
+    /// The queue set as plain containers: a deque and a byte count per
+    /// queue, the pool, and the two service pointers.
+    struct Model {
+        queues: Vec<VecDeque<QueueItem>>,
+        bytes: Vec<u64>,
+        used: u64,
+        peak_used: u64,
+        rr: usize,
+        normal_streak: u32,
+    }
+
+    impl Model {
+        fn push(&mut self, queue: usize, item: QueueItem, charge_pool: bool, charge_queue: bool) {
+            let bytes = item.bytes();
+            self.used += if charge_pool { bytes } else { 0 };
+            self.bytes[queue] += if charge_queue { bytes } else { 0 };
+            self.peak_used = self.peak_used.max(self.used);
+            self.queues[queue].push_back(item);
+        }
+
+        fn stored(&self) -> usize {
+            self.queues.iter().map(VecDeque::len).sum()
+        }
+
+        /// `service_order` as it was written over per-queue arrays, with a
+        /// division per queue visited; `qs` lends its RECN port.
+        fn service_order(&self, qs: &QueueSet) -> Vec<usize> {
+            let n = self.queues.len();
+            let len = |q: usize| self.queues[q].len();
+            let mut out = Vec::new();
+            let Some(recn) = qs.recn() else {
+                out.extend(
+                    (0..n)
+                        .map(|off| (self.rr + off) % n)
+                        .filter(|&q| len(q) > 0),
+                );
+                return out;
+            };
+            for saq in recn.iter_saqs() {
+                let q = QueueSet::saq_queue(saq);
+                if len(q) > 0 && recn.drain_boost(saq) && recn.may_transmit(saq) {
+                    out.push(q);
+                }
+            }
+            let normal_pos = out.len();
+            if len(0) > 0 {
+                out.push(0);
+            }
+            let saq_start = out.len();
+            let start = self.rr.max(1);
+            for off in 0..n - 1 {
+                let q = 1 + (start - 1 + off) % (n - 1);
+                let Some(saq) = qs.saq_at_queue(q) else {
+                    continue;
+                };
+                if len(q) > 0
+                    && !out.contains(&q)
+                    && recn.may_transmit(saq)
+                    && !recn.drain_boost(saq)
+                {
+                    out.push(q);
+                }
+            }
+            if self.normal_streak >= QueueSet::NORMAL_WRR_WEIGHT
+                && out.len() > saq_start
+                && saq_start > normal_pos
+            {
+                out.remove(normal_pos);
+                out.push(0);
+            }
+            out
+        }
+
+        /// Everything the queue set lets a caller see must be what the
+        /// containers say.
+        fn assert_matches(&self, qs: &QueueSet, per_queue_cap: Option<u64>, at: &str) {
+            let id = |item: Option<&QueueItem>| match item {
+                Some(QueueItem::Packet(p)) => Some(Ok(p.id)),
+                Some(QueueItem::Marker(saq)) => Some(Err(saq.line())),
+                None => None,
+            };
+            assert_eq!(qs.num_queues(), self.queues.len());
+            for (q, queue) in self.queues.iter().enumerate() {
+                assert_eq!(qs.queue_len(q), queue.len(), "{at}: length of queue {q}");
+                assert_eq!(qs.queue_bytes(q), self.bytes[q], "{at}: bytes of queue {q}");
+                assert_eq!(id(qs.head(q)), id(queue.front()), "{at}: head of queue {q}");
+                let room = self.used + 64 <= qs.capacity()
+                    && per_queue_cap.is_none_or(|cap| self.bytes[q] + 64 <= cap);
+                assert_eq!(qs.has_room(q, 64), room, "{at}: room in queue {q}");
+            }
+            assert_eq!(
+                (qs.used(), qs.peak_used()),
+                (self.used, self.peak_used),
+                "{at}"
+            );
+            assert_eq!(qs.has_items(), self.stored() > 0, "{at}");
+            assert_eq!(
+                qs.is_drained(),
+                self.used == 0 && self.stored() == 0,
+                "{at}"
+            );
+            let sole = match self.queues[0].front() {
+                Some(QueueItem::Packet(p)) if self.queues[0].len() == self.stored() => Some(p.id),
+                _ => None,
+            };
+            assert_eq!(qs.sole_head().map(|p| p.id), sole, "{at}: sole head");
+            let mut order = vec![usize::MAX];
+            qs.service_order(&mut order);
+            assert_eq!(order, self.service_order(qs), "{at}: service order");
+        }
+    }
+
+    /// A seeded sequence of every mutating call, on every scheme, against
+    /// [`Model`]: direct stores, two-phase stores whose commit comes later,
+    /// takes in service order, and under RECN SAQs allocated (marker into
+    /// the normal queue), filled, drained and freed along the way.
+    #[test]
+    fn random_operations_match_plain_containers() {
+        let recn = RecnConfig {
+            drain_boost_pkts: 2,
+            ..RecnConfig::default().with_max_saqs(4)
+        };
+        for (scheme, mem) in [
+            (SchemeKind::OneQ, 1024),
+            (SchemeKind::FourQ, 4 * 256),
+            (SchemeKind::VoqSw, 4 * 256),
+            (SchemeKind::VoqNet, 64 * 192),
+            (SchemeKind::Recn(recn), 2048),
+        ] {
+            let mut rng = simcore::SplitMix64::new(0x9e7 + mem);
+            let mut qs = QueueSet::new(scheme, PortSide::SwitchInput, 4, 64, mem);
+            let n = qs.num_queues();
+            let is_recn = qs.recn().is_some();
+            let per_queue_cap = (!is_recn).then_some(mem / n as u64);
+            let mut model = Model {
+                queues: vec![VecDeque::new(); n],
+                bytes: vec![0; n],
+                used: 0,
+                peak_used: 0,
+                rr: 0,
+                normal_streak: 0,
+            };
+            // Reserved at "grant time", committed by a later operation.
+            let mut in_flight: VecDeque<(usize, Packet)> = VecDeque::new();
+            let (mut next_id, mut takes, mut saq_takes) = (0, 0, 0);
+            for step in 0..20_000 {
+                let at = format!("{} step {step}", scheme.name());
+                let mut p = pkt((rng.next_u64() % 64) as u32, 0);
+                p.id = next_id;
+                next_id += 1;
+                let queue = qs.classify(&p);
+                match scheme {
+                    SchemeKind::OneQ => assert_eq!(queue, 0),
+                    SchemeKind::FourQ => {
+                        let least = model.bytes.iter().min().expect("four queues");
+                        assert_eq!(Some(queue), model.bytes.iter().position(|b| b == least));
+                    }
+                    SchemeKind::VoqSw => assert_eq!(queue, p.route.next_turn() as usize),
+                    SchemeKind::VoqNet => assert_eq!(queue, p.dst.index()),
+                    SchemeKind::Recn(_) => assert!(queue == 0 || qs.saq_at_queue(queue).is_some()),
+                }
+                match rng.next_u64() % 8 {
+                    0 | 1 if qs.has_room(queue, 64) => {
+                        if let Some(saq) = qs.saq_at_queue(queue) {
+                            qs.recn_mut().unwrap().saq_enqueued(saq, 64);
+                        }
+                        qs.push_direct(queue, QueueItem::Packet(p));
+                        model.push(queue, QueueItem::Packet(p), true, true);
+                    }
+                    2 if qs.has_room(queue, 64) => {
+                        if is_recn {
+                            qs.reserve_pooled(64);
+                        } else {
+                            qs.reserve_queue(queue, 64);
+                            model.bytes[queue] += 64;
+                        }
+                        model.used += 64;
+                        model.peak_used = model.peak_used.max(model.used);
+                        in_flight.push_back((queue, p));
+                    }
+                    3 => {
+                        let Some((reserved, p)) = in_flight.pop_front() else {
+                            continue;
+                        };
+                        if is_recn {
+                            // Classified at commit, as the crossbar does.
+                            let queue = qs.classify(&p);
+                            if let Some(saq) = qs.saq_at_queue(queue) {
+                                qs.recn_mut().unwrap().saq_enqueued(saq, 64);
+                            }
+                            qs.commit_pooled(queue, QueueItem::Packet(p));
+                            model.push(queue, QueueItem::Packet(p), false, true);
+                        } else {
+                            qs.commit_reserved(reserved, QueueItem::Packet(p));
+                            model.push(reserved, QueueItem::Packet(p), false, false);
+                        }
+                    }
+                    4 if is_recn && step % 16 == 4 => {
+                        // A notification for a one-turn path: a new SAQ,
+                        // blocked until its marker leaves the normal queue.
+                        let turn = (rng.next_u64() % 4) as u8;
+                        let path = topology::PathSpec::from_turns(&[turn]);
+                        let outcome = qs.recn_mut().unwrap().alloc_on_notification(path);
+                        if let recn::NotifOutcome::Accepted { saq } = outcome {
+                            qs.push_direct(0, QueueItem::Marker(saq));
+                            model.push(0, QueueItem::Marker(saq), true, true);
+                        }
+                    }
+                    _ => {
+                        let order = model.service_order(&qs);
+                        let Some(&queue) = order.first() else {
+                            continue;
+                        };
+                        let item = qs.pop(queue);
+                        let expected = model.queues[queue].pop_front().expect("listed queue");
+                        assert_eq!(item.bytes(), expected.bytes());
+                        model.bytes[queue] -= item.bytes();
+                        model.used -= item.bytes();
+                        takes += 1;
+                        match item {
+                            QueueItem::Marker(saq) => {
+                                qs.recn_mut().unwrap().marker_consumed(saq);
+                                continue;
+                            }
+                            QueueItem::Packet(_) => {}
+                        }
+                        if let Some(saq) = qs.saq_at_queue(queue) {
+                            saq_takes += 1;
+                            let port = qs.recn_mut().unwrap();
+                            if port.saq_dequeued(saq, 64).deallocatable {
+                                port.dealloc(saq);
+                            }
+                        }
+                        qs.rr_granted(queue);
+                        model.rr = (queue + 1) % n;
+                        model.normal_streak = if queue == 0 {
+                            model.normal_streak + 1
+                        } else {
+                            0
+                        };
+                    }
+                }
+                model.assert_matches(&qs, per_queue_cap, &at);
+            }
+            assert!(takes > 2_000, "{}: {takes} takes", scheme.name());
+            assert_eq!(
+                is_recn,
+                saq_takes > 200,
+                "{}: {saq_takes} from SAQs",
+                scheme.name()
+            );
+        }
     }
 }

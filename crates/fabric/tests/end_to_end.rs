@@ -10,13 +10,15 @@
 //! drives seeded random bursty scripts through every scheme.
 
 use fabric::{
-    assert_recn_idle, ConstantRateSource, EventModel, FabricConfig, FanoutObserver, MessageSource,
-    NetObserver, Network, Packet, PortRef, QueueItem, QueueKind, QueueSet, RoutingPolicy, SaqSite,
-    SchemeKind, ScriptSource, SilentSource, SourcedMessage, TraceSink, ValidatingObserver,
-    ValidatorHandle,
+    assert_recn_idle, ConstantRateSource, Event, EventModel, FabricConfig, FanoutObserver,
+    MessageSource, NetObserver, Network, Packet, PortRef, QueueItem, QueueKind, QueueSet,
+    RoutingPolicy, SaqSite, SchemeKind, ScriptSource, SilentSource, SourcedMessage, TraceSink,
+    ValidatingObserver, ValidatorHandle,
 };
 use recn::RecnConfig;
 use simcore::{EventQueue, Picos, SimModel, Xoshiro256};
+use std::cell::RefCell;
+use std::rc::Rc;
 use topology::{FatTreeParams, HostId, MinParams, PathSpec, SwitchId, TopoParams};
 
 /// An online invariant checker for one run: panics mid-simulation on the
@@ -790,20 +792,60 @@ struct SummarySamples {
     unknown: u64,
     /// Outputs seen able to notify (root or CAM non-empty).
     notifying: u64,
+    /// Arbitration rounds whose grants were compared with the per-port
+    /// scan's visit order, and how many of them granted to two inputs or
+    /// more (where the order shows).
+    rounds: u64,
+    ordered_rounds: u64,
+}
+
+/// The inputs of `sw` one arbitration round examines, in order, as the
+/// arbiter's scan of all its ports found them: from the round-robin pointer
+/// `start`, every port that holds an item and has no transfer in flight.
+fn visit_order_by_port_scan(net: &Network, sw: usize, start: usize) -> Vec<usize> {
+    let arb = net.arbiter_summary(sw);
+    let nports = net.topology().ports(SwitchId::new(sw as u32)) as usize;
+    (0..nports)
+        .map(|off| (start + off) % nports)
+        .filter(|&i| (arb.in_items & !arb.in_flight) >> i & 1 == 1)
+        .collect()
+}
+
+/// Records the switch inputs packets leave, in order: an input port is
+/// only ever emptied by a crossbar grant.
+struct Grants(Rc<RefCell<Vec<(usize, usize)>>>);
+
+impl NetObserver for Grants {
+    fn on_dequeue(&mut self, _: Picos, port: PortRef, _: usize, _: QueueKind, _: &Packet) {
+        if let PortRef::SwitchIn { sw, port } = port {
+            self.0.borrow_mut().push((sw, port));
+        }
+    }
 }
 
 /// The shortened corner case once more, stopped every 200 events to
-/// compare every switch's arbiter summary with its ports. Returns what the
-/// samples covered, the run's trace digest and its headline counters.
+/// compare every switch's arbiter summary with its ports. On the eager
+/// event model, where every arbitration round is an event of its own (so
+/// the round-robin pointer can be counted from outside), each round's
+/// grants are also checked against the order a scan of all ports would
+/// have examined the inputs in. Returns what the samples covered, the
+/// run's trace digest and its headline counters.
 fn check_arbiter_summary(
     params: TopoParams,
     scheme: SchemeKind,
     routing: RoutingPolicy,
+    model: EventModel,
 ) -> (SummarySamples, u64, [u64; 5]) {
     let (obs, vh) = validator();
     let (sink, trace) = TraceSink::new(16, "summary");
-    let fan = FanoutObserver::new().push(obs).push(Box::new(sink));
-    let cfg = FabricConfig::paper(scheme).with_routing(routing);
+    let grants = Rc::new(RefCell::new(Vec::new()));
+    let fan = FanoutObserver::new()
+        .push(obs)
+        .push(Box::new(sink))
+        .push(Box::new(Grants(grants.clone())));
+    let cfg = FabricConfig::paper(scheme)
+        .with_routing(routing)
+        .with_event_model(model);
     let mut net = Network::new(params, cfg, 64, short_corner_case_sources(), Box::new(fan));
     let switches = net.topology().num_switches() as usize;
 
@@ -811,9 +853,35 @@ fn check_arbiter_summary(
     net.prime(&mut q);
     let mut seen = SummarySamples::default();
     let mut events = 0u64;
+    // Arbitration rounds per switch so far: the round-robin pointer.
+    let mut rounds = vec![0usize; switches];
     while let Some(ev) = q.pop() {
+        let round = match ev.event {
+            Event::InputArb { sw } if model == EventModel::Eager => {
+                let nports = net.topology().ports(SwitchId::new(sw as u32)) as usize;
+                let start = rounds[sw] % nports;
+                rounds[sw] += 1;
+                Some((sw, visit_order_by_port_scan(&net, sw, start)))
+            }
+            _ => None,
+        };
+        grants.borrow_mut().clear();
         net.handle(ev.time, ev.event, &mut q);
         events += 1;
+        if let Some((sw, visited)) = round {
+            // Granted inputs are examined inputs, in examination order.
+            let mut rest = visited.iter();
+            for &(at, input) in grants.borrow().iter() {
+                assert_eq!(at, sw, "event {events}: a grant at another switch");
+                assert!(
+                    rest.any(|&i| i == input),
+                    "event {events}, switch {sw}: granted {:?}, a port scan visits {visited:?}",
+                    grants.borrow()
+                );
+            }
+            seen.rounds += 1;
+            seen.ordered_rounds += u64::from(grants.borrow().len() > 1);
+        }
         if !events.is_multiple_of(200) && !q.is_empty() {
             continue;
         }
@@ -858,7 +926,9 @@ fn arbiter_summary_matches_the_ports_at_every_sample() {
     // Digest and counters as pinned at the commit before the summary
     // existed, when the arbiter examined every ready head: skipping the
     // blocked ones changed nothing an observer or a counter can see.
-    let (seen, digest, counters) = check_arbiter_summary(min, recn, RoutingPolicy::Deterministic);
+    let lazy = EventModel::Lazy;
+    let (seen, digest, counters) =
+        check_arbiter_summary(min, recn, RoutingPolicy::Deterministic, lazy);
     assert!(
         seen.skippable > 0 && seen.unknown > 0 && seen.notifying > 0,
         "MIN RECN: {seen:?}"
@@ -867,7 +937,7 @@ fn arbiter_summary_matches_the_ports_at_every_sample() {
     assert_eq!(counters, [24416, 24416, 0, 2792, 2792], "MIN RECN");
 
     let (seen, digest, counters) =
-        check_arbiter_summary(min, SchemeKind::OneQ, RoutingPolicy::Deterministic);
+        check_arbiter_summary(min, SchemeKind::OneQ, RoutingPolicy::Deterministic, lazy);
     assert!(seen.skippable > 0, "MIN 1Q: {seen:?}");
     assert_eq!(
         (seen.unknown, seen.notifying),
@@ -877,7 +947,7 @@ fn arbiter_summary_matches_the_ports_at_every_sample() {
     assert_eq!(digest, 0x44a4_d00e_0247_05b7, "MIN 1Q digest {digest:#x}");
     assert_eq!(counters, [29104, 29104, 0, 0, 0], "MIN 1Q");
 
-    let (seen, digest, counters) = check_arbiter_summary(ft, recn, RoutingPolicy::adaptive());
+    let (seen, digest, counters) = check_arbiter_summary(ft, recn, RoutingPolicy::adaptive(), lazy);
     assert!(
         seen.skippable > 0 && seen.unknown > 0 && seen.notifying > 0,
         "fat tree RECN adaptive: {seen:?}"
@@ -891,6 +961,22 @@ fn arbiter_summary_matches_the_ports_at_every_sample() {
         [28162, 28162, 4580, 548, 548],
         "fat tree RECN adaptive"
     );
+
+    // The same two RECN runs with every arbitration round an event: the
+    // inputs granted in a round are a subsequence of the order the scan of
+    // all ports visited ready inputs in, and nothing observable moved.
+    let eager = EventModel::Eager;
+    for (params, routing, pinned) in [
+        (min, RoutingPolicy::Deterministic, 0x39c3_498f_8006_7a1f),
+        (ft, RoutingPolicy::adaptive(), 0xe7da_9909_8d70_a2d3),
+    ] {
+        let (seen, digest, _) = check_arbiter_summary(params, recn, routing, eager);
+        assert!(
+            seen.rounds > 10_000 && seen.ordered_rounds > 1_000,
+            "{params:?}: {seen:?}"
+        );
+        assert_eq!(digest, pinned, "{params:?} eager digest {digest:#x}");
+    }
 }
 
 /// The reorder detector's positive case. Adaptive up-turns let packets of

@@ -18,14 +18,30 @@
 //! schedules through this queue and a heap reference model of their own and
 //! assert identical pop sequences, including FIFO stability at equal times.
 //!
+//! `seq` is assigned here, one per `schedule`, so a newly scheduled event's
+//! `seq` exceeds that of every pending one: among events due at the same
+//! time the new one is always last. Everything below that treats the events
+//! of one timestamp as a FIFO rests on this.
+//!
 //! ## Mechanics
 //!
 //! * A *day* is `1 << width_shift` picoseconds; day `d` lives in bucket
 //!   `d % nbuckets`. Every bucketed event sits in one node slab, and a
-//!   bucket is a `(head, tail)` pair of slab indices: a doubly linked run
-//!   kept ascending by `(time, seq)` (Brown's original layout). The common
-//!   append (later key into its day) and the common removal (pop the
-//!   front) are O(1); an out-of-order insert walks back from the tail.
+//!   bucket is a `(head, tail)` pair of slab indices: a singly linked run
+//!   kept ascending by `(time, seq)`. The events due at one timestamp are
+//!   adjacent in it — a *block*, in `seq` order — and the last node of each
+//!   block also points back at the last node of the block before
+//!   ([`Node::back`]). The common append (a time at or after its day's
+//!   latest, however many events share it) and the common removal (pop the
+//!   front) are O(1) and touch what a plain list would; an out-of-order
+//!   insert walks back from the tail one *timestamp* per step, stepping
+//!   over a block of any size in O(1), and leaves a hint behind: the next
+//!   schedule, if due at the same time (the rest of a lock-step block),
+//!   goes right behind it without walking. So the cost of a run is its
+//!   number of distinct timestamps, and that — not its number of events — is what
+//!   the geometry below bounds: traffic that moves in lock step (every host
+//!   starting at t = 0, every port of a switch acting on one clock edge)
+//!   gets days as coarse as its timestamps allow.
 //!   Freed nodes go on a LIFO free list, so the slab's size follows the
 //!   peak number of bucketed events — however many buckets the window
 //!   sweeps over a run — and the node reused next is the one freed last.
@@ -39,34 +55,40 @@
 //!   over the occupied bucket fronts finds the global minimum and jumps
 //!   `cur_day` to it, which keeps sparse queues correct (just not O(1)).
 //! * Scheduling *earlier* than the current head simply rewinds `cur_day`.
-//! * Buckets only hold events inside the current *window* of
-//!   `nbuckets` days; events due past it go to an unsorted *overflow*
-//!   tier (à la the ladder queue). Without it, far-future events wrap
-//!   around the circular array and sit in the same buckets as the dense
-//!   cluster near `now`, turning the majority of near-term schedules
-//!   into out-of-order mid-run inserts — the dominant cost in hotspot
-//!   workloads. Every overflow key is strictly greater than every
-//!   bucketed key, so the head always lives in the buckets; when the
-//!   window drains, a cheap migration (sort the mostly-sorted overflow,
-//!   append the next cohort) re-anchors it at the overflow minimum.
-//! * A rebuild (bucket overload, an insert walking [`LONG_RUN`] nodes, or
-//!   a migration finding mostly tail) re-derives the geometry: the day
-//!   width is the *coarsest* one whose longest same-day run stays within
-//!   [`RUN_LIMIT`] (so a mid-run insert walks few nodes — same-time
-//!   events can't be split by any width, but they arrive in `seq` order
-//!   and append), and the bucket count gives ~2 buckets per event *and*
-//!   a window reaching the last pending event's day (capped), so only
-//!   the far tail overflows.
+//! * Buckets only hold events inside the current *window*: the
+//!   `nbuckets` days from where it was last anchored, or from the day being
+//!   drained while nothing is parked behind it. Events due past it go to
+//!   an unsorted *overflow* tier (à la the ladder queue), so that
+//!   far-future events — timers, the tail of a sparse schedule — do not
+//!   wrap around the circular array into the buckets of the dense cluster
+//!   near `now` and turn its appends into walks. A rebuild sizes the window
+//!   to reach the last pending event, and an empty overflow tier lets it
+//!   slide, so the tier is for what is scheduled more than a window ahead
+//!   of `now`; it is *not* used for near-term events, whatever their
+//!   number per timestamp, and a run whose reach fits the window never
+//!   migrates. Every overflow key is strictly greater than every bucketed
+//!   key, so the head always lives in the buckets; once something is
+//!   parked the window stays put until it drains, and a migration (sort
+//!   the overflow, append the next cohort) re-anchors it at the overflow
+//!   minimum.
+//! * A rebuild (bucket overload, an insert walking [`LONG_RUN`] timestamps,
+//!   or a migration finding mostly tail) re-derives the geometry: the day
+//!   width is the *coarsest* one whose busiest day holds at most
+//!   [`RUN_LIMIT`] distinct timestamps (so a mid-run insert walks few
+//!   steps), and the bucket count gives ~2 buckets per event *and* a
+//!   window reaching the last pending event's day (capped), so only what
+//!   is scheduled later can overflow.
+//! * [`QueueWork`] counts the work of the cold paths exactly (rebuilds,
+//!   migrations, events sorted by them, steps walked by out-of-order
+//!   inserts): a schedule replays them bit for bit on any host.
 
 use std::mem::size_of;
 
-use crate::queue::ScheduledEvent;
+use crate::queue::{QueueWork, ScheduledEvent};
 use crate::Picos;
 
 /// Lower bound on the day width: a single picosecond (the time base's
-/// resolution). Hotspot workloads really do reach >1 event/ps near the
-/// head — clamping coarser than this packs hundreds of events per day
-/// and turns same-day schedules into long walks back from the tail.
+/// resolution).
 const MIN_WIDTH_SHIFT: u32 = 0;
 /// Upper bound on the day width (2²⁰ ps ≈ 1.05 µs): events further apart
 /// than this are rare enough that coarse buckets suffice.
@@ -74,16 +96,16 @@ const MAX_WIDTH_SHIFT: u32 = 20;
 /// Bucket-count bounds (powers of two).
 const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 20;
-/// Day-width selection: the rebuild picks the coarsest width whose
-/// longest same-day run stays within this bound, so a mid-run insert
-/// walks at most this many nodes.
+/// Day-width selection: the rebuild picks the coarsest width whose busiest
+/// day holds at most this many distinct timestamps, so a mid-run insert
+/// walks at most this many steps.
 const RUN_LIMIT: usize = 16;
-/// An out-of-order insert walking this many nodes between rebuilds (the
-/// workload got denser than the last width choice) forces an early
+/// An out-of-order insert walking this many timestamps between rebuilds
+/// (the workload got denser than the last width choice) forces an early
 /// re-width.
 const LONG_RUN: usize = 4 * RUN_LIMIT;
-/// "No node": an empty bucket's head and tail, the ends of a run, the
-/// end of the free list.
+/// "No node": an empty bucket's head and tail, the end of a run, the end
+/// of the free list.
 const NIL: u32 = u32::MAX;
 
 /// One slab slot: a pending event linked into its bucket's run, or a
@@ -91,8 +113,26 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug)]
 struct Node<E> {
     ev: Option<ScheduledEvent<E>>,
-    prev: u32,
     next: u32,
+    /// On the last node of a timestamp's block: the last node of the block
+    /// before it in the run. Not maintained on other nodes, nor on the
+    /// run's first block (it has no predecessor; what it holds is stale).
+    back: u32,
+}
+
+/// Where the latest out-of-order insert went: the next schedule, if due
+/// at the same time, belongs right behind it (its `seq` is the next one)
+/// and need not walk there again. Lock-step traffic schedules its blocks
+/// back to back, so this is what most mid-run inserts find.
+#[derive(Debug, Clone, Copy)]
+struct Hint {
+    /// Key of the inserted event, which ends its timestamp's block.
+    time: Picos,
+    seq: u64,
+    /// Its node, and the last node of the block after it. Both hold while
+    /// the event is pending and nothing else has been scheduled since.
+    node: u32,
+    after: u32,
 }
 
 /// A calendar queue over [`ScheduledEvent`]s; see the module docs.
@@ -117,36 +157,47 @@ pub(crate) struct CalendarQueue<E> {
     width_shift: u32,
     /// Day currently being drained; no pending event has an earlier day.
     cur_day: u64,
-    /// First day of the calendar window `[epoch_day, epoch_day + nbuckets)`.
-    /// Events due past the window live in `overflow`, not in buckets.
-    epoch_day: u64,
-    /// Far-future events (day ≥ `epoch_day + nbuckets`), unsorted. Every
+    /// End of the calendar window: events due on or after this day live in
+    /// `overflow`, not in buckets. It is `nbuckets` days past where the
+    /// window was last anchored; while the overflow tier is empty it
+    /// slides along `nbuckets` days ahead of `cur_day`, and it never moves
+    /// back, so it is past every bucketed event.
+    window_end: u64,
+    /// Far-future events (day ≥ `window_end` when scheduled), unsorted. Every
     /// overflow key is strictly greater than every bucketed key, so the
-    /// head always lives in the buckets; when they drain, `rebuild`
+    /// head always lives in the buckets; when they drain, `migrate`
     /// re-anchors the window at the overflow minimum and pulls the next
     /// cohort in.
     overflow: Vec<ScheduledEvent<E>>,
-    /// Cached head `(time, seq, bucket)`, kept valid between mutations.
-    head: Option<(Picos, u64, usize)>,
+    /// Cached head `(time, bucket)`, kept valid between mutations. The
+    /// head is the front of its bucket, and the earliest-scheduled of the
+    /// events due at that time.
+    head: Option<(Picos, usize)>,
     /// Events resident in buckets (excludes `overflow`).
     cal_len: usize,
     len: usize,
+    /// The `seq` of the next scheduled event.
+    next_seq: u64,
     /// Schedules since the last rebuild (cooldown for early re-widths).
     sched_since_rebuild: usize,
+    /// Set by an out-of-order insert, taken by the next schedule.
+    hint: Option<Hint>,
+    work: QueueWork,
 }
 
-/// Longest run of events (in a `(time, seq)`-sorted slice) sharing a day
-/// at the given width shift. Monotone nondecreasing in `shift`.
+/// Most distinct timestamps (in a `(time, seq)`-sorted slice) sharing a
+/// day at the given width shift. Monotone nondecreasing in `shift`, and 1
+/// at 1 ps days.
 fn max_run<E>(events: &[ScheduledEvent<E>], shift: u32) -> usize {
     let mut best = 1;
     let mut cur = 1;
     for pair in events.windows(2) {
-        if pair[0].time.as_ps() >> shift == pair[1].time.as_ps() >> shift {
-            cur += 1;
-            best = best.max(cur);
-        } else {
-            cur = 1;
+        let (a, b) = (pair[0].time.as_ps(), pair[1].time.as_ps());
+        if a == b {
+            continue;
         }
+        cur = if a >> shift == b >> shift { cur + 1 } else { 1 };
+        best = best.max(cur);
     }
     best
 }
@@ -161,12 +212,15 @@ impl<E> CalendarQueue<E> {
             mask: (MIN_BUCKETS - 1) as u64,
             width_shift: 13, // 8.2 ns: a fraction of a 64 B serialization time
             cur_day: 0,
-            epoch_day: 0,
+            window_end: MIN_BUCKETS as u64,
             overflow: Vec::new(),
             head: None,
             cal_len: 0,
             len: 0,
+            next_seq: 0,
             sched_since_rebuild: 0,
+            hint: None,
+            work: QueueWork::default(),
         }
     }
 
@@ -174,8 +228,17 @@ impl<E> CalendarQueue<E> {
         self.len
     }
 
-    pub(crate) fn peek(&self) -> Option<(Picos, u64)> {
-        self.head.map(|(t, s, _)| (t, s))
+    pub(crate) fn peek_time(&self) -> Option<Picos> {
+        self.head.map(|(t, _)| t)
+    }
+
+    /// Events ever scheduled: the next one's `seq`.
+    pub(crate) fn scheduled_total(&self) -> u64 {
+        self.next_seq
+    }
+
+    pub(crate) fn work(&self) -> QueueWork {
+        self.work
     }
 
     /// Bytes of backing store currently reserved: capacities, not
@@ -193,18 +256,21 @@ impl<E> CalendarQueue<E> {
         time.as_ps() >> self.width_shift
     }
 
-    /// Key of the event in linked node `n`.
+    /// Due time of the event in linked node `n`.
     #[inline]
-    fn key(&self, n: u32) -> (Picos, u64) {
-        let ev = self.nodes[n as usize].ev.as_ref().expect("linked node");
-        (ev.time, ev.seq)
+    fn time(&self, n: u32) -> Picos {
+        self.nodes[n as usize]
+            .ev
+            .as_ref()
+            .expect("linked node")
+            .time
     }
 
     /// Stores `ev` in a slab slot (the most recently freed one, if any)
     /// with the given links.
-    fn alloc(&mut self, ev: ScheduledEvent<E>, prev: u32, next: u32) -> u32 {
+    fn alloc(&mut self, ev: ScheduledEvent<E>, next: u32, back: u32) -> u32 {
         let ev = Some(ev);
-        let node = Node { ev, prev, next };
+        let node = Node { ev, next, back };
         if self.free == NIL {
             let n = u32::try_from(self.nodes.len()).ok().filter(|&n| n != NIL);
             self.nodes.push(node);
@@ -223,42 +289,103 @@ impl<E> CalendarQueue<E> {
         debug_assert!(self.nodes.iter().all(|n| n.ev.is_none()));
         self.nodes.clear();
         self.free = NIL;
+        self.hint = None;
     }
 
-    /// Appends `ev` to bucket `b`'s run; its key exceeds the tail's.
+    /// Appends `ev` to bucket `b`'s run: it is due no earlier than the tail.
     fn push_back(&mut self, b: usize, ev: ScheduledEvent<E>) {
         let tail = self.buckets[b].1;
-        let n = self.alloc(ev, tail, NIL);
         if tail == NIL {
-            self.buckets[b].0 = n;
+            let n = self.alloc(ev, NIL, NIL);
+            self.buckets[b] = (n, n);
             self.occupied[b >> 6] |= 1 << (b & 63);
-        } else {
-            self.nodes[tail as usize].next = n;
+            return;
         }
+        // Joining the tail's block hands its back link on; a new block
+        // points back at the tail.
+        let last = &self.nodes[tail as usize];
+        let tail_time = last.ev.as_ref().expect("linked node").time;
+        debug_assert!(tail_time <= ev.time);
+        let back = if tail_time == ev.time {
+            last.back
+        } else {
+            tail
+        };
+        let n = self.alloc(ev, NIL, back);
+        self.nodes[tail as usize].next = n;
         self.buckets[b].1 = n;
     }
 
-    /// Links `ev` into non-empty bucket `b` ahead of every later key,
-    /// walking back from the tail (whose key exceeds `ev`'s). Returns the
-    /// number of nodes walked.
+    /// Links `ev` into non-empty bucket `b`, whose tail is due later:
+    /// walks back from the tail, one timestamp per step, to the last block
+    /// due no later than `ev`, and puts `ev` behind it. Returns the number
+    /// of steps walked.
     fn insert_before_tail(&mut self, b: usize, ev: ScheduledEvent<E>) -> usize {
-        let key = (ev.time, ev.seq);
-        let mut after = self.buckets[b].1;
-        let mut before = self.nodes[after as usize].prev;
+        let (head, tail) = self.buckets[b];
+        // The run's first block is known by its time: its back link is not
+        // maintained (a pop cannot reach it to clear it).
+        let head_time = self.time(head);
+        // `last` ends a block due later than `ev`.
+        let (mut last, mut last_time) = (tail, self.time(tail));
         let mut walked = 1;
-        while before != NIL && self.key(before) > key {
-            after = before;
-            before = self.nodes[before as usize].prev;
+        while last_time != head_time {
+            let before = self.nodes[last as usize].back;
+            let before_node = &self.nodes[before as usize];
+            let before_time = before_node.ev.as_ref().expect("linked node").time;
+            if before_time <= ev.time {
+                // Behind `before`: as the new end of its block (same time,
+                // later seq) or as a block of its own.
+                let next = before_node.next;
+                let back = if before_time == ev.time {
+                    before_node.back
+                } else {
+                    before
+                };
+                self.link_behind(ev, before, next, back, last);
+                return walked;
+            }
+            (last, last_time) = (before, before_time);
             walked += 1;
         }
-        let n = self.alloc(ev, before, after);
-        self.nodes[after as usize].prev = n;
-        if before == NIL {
-            self.buckets[b].0 = n;
-        } else {
-            self.nodes[before as usize].next = n;
-        }
+        // Earlier than the whole run: `ev` goes in front of its first block.
+        let n = self.link_behind(ev, NIL, head, NIL, last);
+        self.buckets[b].0 = n;
         walked
+    }
+
+    /// Stores `ev` as the end of a block between node `before` (`NIL`: the
+    /// run's front) and node `next`, the start of the block that `after`
+    /// ends; leaves the hint for a same-time schedule to follow.
+    fn link_behind(
+        &mut self,
+        ev: ScheduledEvent<E>,
+        before: u32,
+        next: u32,
+        back: u32,
+        after: u32,
+    ) -> u32 {
+        let (time, seq) = (ev.time, ev.seq);
+        let node = self.alloc(ev, next, back);
+        if before != NIL {
+            self.nodes[before as usize].next = node;
+        }
+        self.nodes[after as usize].back = node;
+        self.hint = Some(Hint {
+            time,
+            seq,
+            node,
+            after,
+        });
+        node
+    }
+
+    /// Whether an event due at `time` belongs right behind the one `hint`
+    /// names: that one is due then too, and still pending.
+    fn follows(&self, hint: &Hint, time: Picos) -> bool {
+        hint.time == time && {
+            let pending = self.nodes[hint.node as usize].ev.as_ref();
+            pending.is_some_and(|e| e.seq == hint.seq)
+        }
     }
 
     /// Unlinks and frees the front of non-empty bucket `b`.
@@ -273,8 +400,6 @@ impl<E> CalendarQueue<E> {
         if next == NIL {
             self.buckets[b].1 = NIL;
             self.occupied[b >> 6] &= !(1 << (b & 63));
-        } else {
-            self.nodes[next as usize].prev = NIL;
         }
         ev
     }
@@ -297,41 +422,61 @@ impl<E> CalendarQueue<E> {
         None
     }
 
-    pub(crate) fn schedule(&mut self, ev: ScheduledEvent<E>) {
-        let key = (ev.time, ev.seq);
-        let day = self.day_of(ev.time);
+    /// Schedules `event` at `time` behind every pending event due then.
+    pub(crate) fn schedule(&mut self, time: Picos, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let ev = ScheduledEvent { time, seq, event };
+        let hint = self.hint.take();
+        let day = self.day_of(time);
+        let nbuckets = self.buckets.len() as u64;
         if self.len == 0 {
             // Empty queue: re-anchor the window at this event.
-            self.epoch_day = day;
-        } else if day >= self.epoch_day + self.buckets.len() as u64 {
-            // Past the window: park it in the overflow tier. Every
-            // overflow key exceeds every bucketed key, so the cached head
-            // is untouched, and the window stays dense — far-future
-            // events never pollute the near buckets with mid-run inserts.
-            self.overflow.push(ev);
-            self.len += 1;
-            return;
+            self.window_end = day + nbuckets;
+        } else {
+            if self.overflow.is_empty() {
+                // Nothing is parked behind the window: it can follow the
+                // day being drained.
+                self.window_end = self.window_end.max(self.cur_day + nbuckets);
+            }
+            if day >= self.window_end {
+                // Past the window: park it in the overflow tier. Every
+                // overflow key exceeds every bucketed key, so the cached
+                // head is untouched, and the window stays dense —
+                // far-future events never pollute the near buckets with
+                // mid-run inserts.
+                self.overflow.push(ev);
+                self.len += 1;
+                return;
+            }
         }
         let b = (day & self.mask) as usize;
         let tail = self.buckets[b].1;
         let mut long_run = false;
-        if tail == NIL || self.key(tail) < key {
-            // Fast path: the day's first event, or one extending its
-            // bucket's ascending run.
+        if tail == NIL || self.time(tail) <= time {
+            // Fast path: the day's first event, or one due no earlier
+            // than the latest in its bucket's run.
             self.push_back(b, ev);
+        } else if let Some(hint) = hint.filter(|hint| self.follows(hint, time)) {
+            // Out of order for this bucket, but right behind the previous
+            // schedule, which walked to its slot: no need to walk again.
+            let node = &self.nodes[hint.node as usize];
+            self.link_behind(ev, hint.node, node.next, node.back, hint.after);
         } else {
             // Out of order for this bucket: walk back to its slot.
-            long_run = self.insert_before_tail(b, ev) >= LONG_RUN;
+            let walked = self.insert_before_tail(b, ev);
+            self.work.steps_walked += walked as u64;
+            long_run = walked >= LONG_RUN;
         }
         self.len += 1;
         self.cal_len += 1;
         self.sched_since_rebuild += 1;
         match self.head {
-            Some((ht, hs, _)) if (ht, hs) < key => {}
+            Some((head_time, _)) if head_time <= time => {}
             // New earliest event (or empty queue): rewind to its day.
             _ => {
                 self.cur_day = day;
-                self.head = Some((key.0, key.1, b));
+                self.head = Some((time, b));
             }
         }
         if self.cal_len > self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
@@ -341,7 +486,7 @@ impl<E> CalendarQueue<E> {
             && self.sched_since_rebuild > self.len
         {
             // The workload got denser than the last width choice: inserts
-            // into this run walk LONG_RUN nodes. Re-derive the width
+            // into this run walk LONG_RUN timestamps. Re-derive the width
             // (cooldown: at most one early re-width per queue's-worth of
             // schedules).
             self.rebuild();
@@ -349,7 +494,7 @@ impl<E> CalendarQueue<E> {
     }
 
     pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let (_, _, b) = self.head?;
+        let (_, b) = self.head?;
         let ev = self.pop_front(b);
         self.len -= 1;
         self.cal_len -= 1;
@@ -357,9 +502,9 @@ impl<E> CalendarQueue<E> {
         // it is the new head, and the bucket is already in cache.
         let front = self.buckets[b].0;
         if front != NIL {
-            let (t, s) = self.key(front);
+            let t = self.time(front);
             if self.day_of(t) == self.cur_day {
-                self.head = Some((t, s, b));
+                self.head = Some((t, b));
                 return Some(ev);
             }
         }
@@ -394,32 +539,33 @@ impl<E> CalendarQueue<E> {
             }
             let day = self.cur_day + off;
             let b = (day & self.mask) as usize;
-            let (t, s) = self.key(self.buckets[b].0);
+            let t = self.time(self.buckets[b].0);
             if self.day_of(t) == day {
                 self.cur_day = day;
-                self.head = Some((t, s, b));
+                self.head = Some((t, b));
                 return;
             }
             // Front belongs to a later lap: skip this bucket for now.
             off += 1;
         }
         // Sparse tail: nothing due within a lap. Take the minimum over the
-        // occupied bucket fronts (each front is its bucket's minimum).
-        let mut best: Option<(Picos, u64, usize)> = None;
+        // occupied bucket fronts (each front is its bucket's minimum, and
+        // no two buckets hold the same time).
+        let mut best: Option<(Picos, usize)> = None;
         for (wi, &word) in self.occupied.iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 let b = (wi << 6) + w.trailing_zeros() as usize;
                 w &= w - 1;
-                let key = self.key(self.buckets[b].0);
-                if best.is_none_or(|(t, s, _)| key < (t, s)) {
-                    best = Some((key.0, key.1, b));
+                let t = self.time(self.buckets[b].0);
+                if best.is_none_or(|(best_time, _)| t < best_time) {
+                    best = Some((t, b));
                 }
             }
         }
-        let (t, s, b) = best.expect("len > 0 implies some bucket is non-empty");
+        let (t, b) = best.expect("len > 0 implies some bucket is non-empty");
         self.cur_day = self.day_of(t);
-        self.head = Some((t, s, b));
+        self.head = Some((t, b));
     }
 
     /// Advances the drained window to the overflow minimum: sort the
@@ -427,11 +573,12 @@ impl<E> CalendarQueue<E> {
     /// migration is, only since-pushed events aren't) and move the
     /// in-window prefix into the (all empty) buckets as O(1) appends.
     /// No reallocation, no re-derived width: orders of magnitude cheaper
-    /// than a full [`rebuild`](Self::rebuild), which matters because a
-    /// fine-grained width migrates often. A nearly-empty prefix means the
-    /// width is too fine for what's left, so fall through to `rebuild`.
+    /// than a full [`rebuild`](Self::rebuild). A nearly-empty prefix means
+    /// the width is too fine for what's left, so fall through to `rebuild`.
     fn migrate(&mut self) {
         debug_assert!(self.cal_len == 0 && !self.overflow.is_empty());
+        self.work.migrations += 1;
+        self.work.events_sorted += self.overflow.len() as u64;
         self.overflow.sort_unstable_by_key(|e| (e.time, e.seq));
         let first_day = self.day_of(self.overflow[0].time);
         let limit = first_day + self.buckets.len() as u64;
@@ -442,11 +589,10 @@ impl<E> CalendarQueue<E> {
             self.rebuild(); // re-derive the width for the sparser tail
             return;
         }
-        self.epoch_day = first_day;
+        self.window_end = limit;
         self.cur_day = first_day;
         self.cal_len = split;
-        let first = &self.overflow[0];
-        self.head = Some((first.time, first.seq, (first_day & self.mask) as usize));
+        self.head = Some((self.overflow[0].time, (first_day & self.mask) as usize));
         self.reset_slab();
         let mut overflow = std::mem::take(&mut self.overflow);
         for ev in overflow.drain(..split) {
@@ -457,9 +603,9 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Resizes the calendar to the current population: ~2 buckets per
-    /// event, with the day width re-derived from the inter-event gaps of
-    /// the events nearest the head (robust against far-future stragglers
-    /// stretching the span — see the module docs).
+    /// event and a window that reaches the last of them, with the day
+    /// width re-derived from how the pending timestamps cluster (see the
+    /// module docs).
     fn rebuild(&mut self) {
         self.sched_since_rebuild = 0;
         let mut events: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.len);
@@ -481,35 +627,32 @@ impl<E> CalendarQueue<E> {
         self.reset_slab();
         events.append(&mut self.overflow);
         debug_assert_eq!(events.len(), self.len);
+        self.work.rebuilds += 1;
+        self.work.events_sorted += events.len() as u64;
         events.sort_unstable_by_key(|e| (e.time, e.seq));
 
-        // Coarsest day width whose longest same-day run stays within
-        // RUN_LIMIT (max_run is monotone in the shift, so binary search).
-        // Wider days mean a larger window (fewer overflow migrations);
-        // the run bound keeps every mid-run walk short. Events at the
-        // *identical* picosecond can't be split by any width; if even
-        // 1 ps days exceed the bound, take them anyway (same-time events
-        // arrive in seq order, so they append rather than walk).
+        // Coarsest day width whose busiest day stays within RUN_LIMIT
+        // distinct timestamps (max_run is monotone in the shift and 1 at
+        // 1 ps days, so binary search). Wider days mean a larger window
+        // (fewer overflow migrations); the bound keeps every mid-run walk
+        // short. Events due at the *identical* picosecond don't count:
+        // they arrive in seq order, append, and are stepped over as one.
         if events.len() > 1 {
-            if max_run(&events, MIN_WIDTH_SHIFT) > RUN_LIMIT {
-                self.width_shift = MIN_WIDTH_SHIFT;
-            } else {
-                let (mut lo, mut hi) = (MIN_WIDTH_SHIFT, MAX_WIDTH_SHIFT);
-                while lo < hi {
-                    let mid = (lo + hi).div_ceil(2);
-                    if max_run(&events, mid) <= RUN_LIMIT {
-                        lo = mid;
-                    } else {
-                        hi = mid - 1;
-                    }
+            let (mut lo, mut hi) = (MIN_WIDTH_SHIFT, MAX_WIDTH_SHIFT);
+            while lo < hi {
+                let mid = (lo + hi).div_ceil(2);
+                if max_run(&events, mid) <= RUN_LIMIT {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
                 }
-                self.width_shift = lo;
             }
+            self.width_shift = lo;
         }
 
         // Bucket count: enough for ~2 buckets per event AND for the
-        // window to reach the 90th-percentile event's day, so only the
-        // far tail overflows. Dense workloads with a wide reach get big
+        // window to reach the last pending event's day, so only later
+        // schedules overflow. Dense workloads with a wide reach get big
         // sparse arrays — that's fine, the occupancy bitmap makes empty
         // buckets nearly free, while a too-narrow window would drain and
         // migrate constantly.
@@ -536,16 +679,15 @@ impl<E> CalendarQueue<E> {
         // ascending key order: every in-window push is the O(1) append
         // fast path, and the (sorted) past-window tail returns to the
         // overflow tier.
-        self.epoch_day = events.first().map(|e| self.day_of(e.time)).unwrap_or(0);
-        self.cur_day = self.epoch_day;
+        self.cur_day = events.first().map(|e| self.day_of(e.time)).unwrap_or(0);
         self.head = events
             .first()
-            .map(|e| (e.time, e.seq, ((self.day_of(e.time)) & self.mask) as usize));
-        let limit = self.epoch_day + nbuckets as u64;
+            .map(|e| (e.time, (self.cur_day & self.mask) as usize));
+        self.window_end = self.cur_day + nbuckets as u64;
         self.cal_len = 0;
         for ev in events {
             let day = self.day_of(ev.time);
-            if day < limit {
+            if day < self.window_end {
                 self.push_back((day & self.mask) as usize, ev);
                 self.cal_len += 1;
             } else {

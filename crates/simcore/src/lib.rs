@@ -57,7 +57,7 @@ mod timer;
 
 pub use canon::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, Fnv1a64};
 pub use engine::{Engine, EventModel, SimModel};
-pub use queue::{EventQueue, ScheduledEvent};
+pub use queue::{EventQueue, QueueWork, ScheduledEvent};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use series::{BinnedSeries, GaugeSeries, SeriesPoint};
 pub use stats::Running;

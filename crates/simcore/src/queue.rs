@@ -4,7 +4,7 @@ use crate::calendar::CalendarQueue;
 use crate::Picos;
 
 /// An event with its scheduled delivery time and a tie-breaking sequence
-/// number assigned at insertion.
+/// number assigned at insertion (by the calendar: it counts schedules).
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// Delivery time.
@@ -13,6 +13,24 @@ pub struct ScheduledEvent<E> {
     pub seq: u64,
     /// The payload.
     pub event: E,
+}
+
+/// Exact counts of the work the queue's cold paths did, for a schedule
+/// rather than a host: the same schedule replays them bit for bit
+/// anywhere, so a change in them is a change in the queue's geometry (see
+/// `calendar.rs`, "Mechanics"), never noise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueWork {
+    /// Times the day width and bucket count were re-derived.
+    pub rebuilds: u64,
+    /// Times the drained window was re-anchored at the overflow tier's
+    /// earliest event.
+    pub migrations: u64,
+    /// Events sorted by those rebuilds and migrations, in total.
+    pub events_sorted: u64,
+    /// Timestamps stepped over, in total, by schedules that were due
+    /// earlier than the latest event of their day.
+    pub steps_walked: u64,
 }
 
 /// A stable priority queue of simulation events.
@@ -37,8 +55,6 @@ pub struct ScheduledEvent<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     calendar: CalendarQueue<E>,
-    next_seq: u64,
-    scheduled_total: u64,
     peak_len: usize,
 }
 
@@ -47,18 +63,13 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             calendar: CalendarQueue::new(),
-            next_seq: 0,
-            scheduled_total: 0,
             peak_len: 0,
         }
     }
 
     /// Schedules `event` for delivery at `time`.
     pub fn schedule(&mut self, time: Picos, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.calendar.schedule(ScheduledEvent { time, seq, event });
+        self.calendar.schedule(time, event);
         self.peak_len = self.peak_len.max(self.len());
     }
 
@@ -69,7 +80,7 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Picos> {
-        self.calendar.peek().map(|(t, _)| t)
+        self.calendar.peek_time()
     }
 
     /// Number of pending events.
@@ -86,6 +97,11 @@ impl<E> EventQueue<E> {
         self.calendar.backing_bytes()
     }
 
+    /// What the queue's cold paths have done so far.
+    pub fn work(&self) -> QueueWork {
+        self.calendar.work()
+    }
+
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -93,7 +109,7 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever scheduled (for engine statistics).
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.calendar.scheduled_total()
     }
 
     /// High-water mark of [`len`](Self::len): the deepest the pending-event

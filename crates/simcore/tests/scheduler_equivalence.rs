@@ -228,11 +228,13 @@ impl Pair {
 #[test]
 fn memory_follows_depth_not_simulated_time() {
     // The hotspot profile that used to hold 222 MiB for 6.4 k events: a
-    // hold model of 50 same-picosecond bursts of 20 events (ties force
-    // 1 ps days), each re-scheduled whole 43–512 ns ahead, so ~1 k pending
-    // events span ~0.5 µs of 1 ps buckets and the window sweeps the whole
-    // bucket array again and again — 20 k bursts × ~4 ns is ~80 µs, over
-    // 70 windows even at the 2^20-bucket cap.
+    // hold model of 50 same-picosecond bursts of 20 events, each
+    // re-scheduled whole 43–512 ns ahead, one in 64 as a timer 50 µs out —
+    // ~1 k pending events for 20 k bursts × ~4 ns, ~80 µs of simulated
+    // time. When ties forced 1 ps days the window swept the whole bucket
+    // array over 70 times, even at the 2^20-bucket cap; a burst now counts
+    // as one timestamp and the days are coarse. Either way what is held
+    // reserved must follow the depth, not the time simulated.
     let mut rng = SplitMix64::new(0xca1e_0da2);
     let mut q = Pair::new();
     for burst in 0..50 {
@@ -249,7 +251,7 @@ fn memory_follows_depth_not_simulated_time() {
             burst += 1;
         }
         let hop = match rng.next_u64() % 64 {
-            0 => 50_000_000, // a timer: past the window, into the overflow tier
+            0 => 50_000_000, // a timer, far behind everything else
             r => [42_667, 84_000, 512_000][(r % 3) as usize],
         };
         let at = now + Picos::new(hop + rng.next_u64() % 997);
@@ -328,5 +330,88 @@ fn slab_is_reused_across_rebuilds_that_resize_the_index() {
         assert_eq!(q.cal.peak_len(), 4_096);
         q.assert_memory_follows_depth();
     }
+    q.drain();
+}
+
+/// `n` events due at `time`: one block of a lock-step schedule.
+fn block(q: &mut Pair, time: Picos, n: usize) {
+    for _ in 0..n {
+        q.schedule(time);
+    }
+}
+
+#[test]
+fn lock_step_blocks_match() {
+    // Every host acts on the same clock edge: blocks of 4,096 events due at
+    // one picosecond, a few picoseconds apart — one day at any width the
+    // rebuilds can choose for so few timestamps. Growing the first block
+    // rebuilds three times mid-block (64 → 256 → 1,024 → 4,096 buckets).
+    let t = |ps: u64| Picos::from_ns(100) + Picos::new(ps);
+    let mut q = Pair::new();
+    block(&mut q, t(10), 4_096);
+    assert_eq!(q.cal.work().rebuilds, 3, "rebuilds while the block grew");
+    block(&mut q, t(30), 4_096);
+    block(&mut q, t(20), 4_096); // before a pending block of its day
+    for _ in 0..2_048 {
+        assert_eq!(q.pop(), Some(t(10)));
+    }
+    let walked = q.cal.work().steps_walked;
+    block(&mut q, t(10), 100); // into the block being drained: behind it
+    block(&mut q, t(25), 100); // between two pending blocks
+    block(&mut q, t(20), 100); // onto a pending block in mid-run
+    let walked = q.cal.work().steps_walked - walked;
+    assert!(
+        (3..300).contains(&walked),
+        "{walked} steps for three blocks of 100: stepped over by timestamp, once per block"
+    );
+    // A rewind below the current head while its block is half popped, then
+    // the same again once the rewound block is itself half popped.
+    block(&mut q, t(5), 64);
+    for _ in 0..32 {
+        assert_eq!(q.pop(), Some(t(5)));
+    }
+    block(&mut q, t(0), 64);
+    block(&mut q, t(5), 1);
+    // A rebuild landing mid-block: the head block is half popped when the
+    // next one outgrows the index.
+    let rebuilds = q.cal.work().rebuilds;
+    block(&mut q, t(40), 8_192);
+    assert!(q.cal.work().rebuilds > rebuilds);
+    for _ in 0..64 + 16 {
+        q.pop();
+    }
+    block(&mut q, t(5), 3);
+    q.drain();
+}
+
+#[test]
+fn migration_mid_block_matches() {
+    // Two lock-step blocks a second ahead of everything else — past any
+    // window — scheduled in alternation with near-term traffic, so the
+    // overflow tier holds their events out of order. The window drains,
+    // the migration sorts them into two blocks, and schedules keep landing
+    // in and between those blocks while they drain.
+    let far = |ps: u64| Picos::from_us(1_000_000) + Picos::new(ps);
+    let mut rng = SplitMix64::new(0x319);
+    let mut q = Pair::new();
+    for i in 0..2_000u64 {
+        q.schedule(Picos::new(rng.next_u64() % 1_000_000));
+        q.schedule(far(8 * (i % 2)));
+    }
+    for _ in 0..2_000 {
+        assert!(q.pop() < Some(far(0)));
+    }
+    assert_eq!(
+        q.cal.work().migrations,
+        1,
+        "the window drained into the overflow tier"
+    );
+    for _ in 0..500 {
+        assert_eq!(q.pop(), Some(far(0)));
+    }
+    block(&mut q, far(0), 10); // the block being drained
+    block(&mut q, far(4), 10); // between the migrated blocks
+    block(&mut q, far(8), 10); // the pending one
+    block(&mut q, far(16), 10); // behind both
     q.drain();
 }

@@ -3,9 +3,11 @@
 # workload, end-to-end pass (--trace 0), in alternating parent/change pairs,
 # then one traced pass (--trace 1) per side to locate a difference.
 #
-#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [seconds=run_seconds]
+#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [seconds=run_seconds] [seed=2005] [workload]
 #
-# Writes BENCH_<pr>.json at the repo root (<pr> from ISSUE.md's heading):
+# Writes BENCH_<pr>.json at the repo root (<pr> from ISSUE.md's heading; a
+# run on another seed or on one workload — the held-out-seed check of a
+# claim — writes target/bench_pairs/BENCH_<pr>_seed<seed>.json instead):
 # per workload × end-to-end metric, the parent's and the change's median,
 # the parent's interquartile range, and in how many pairs the change read
 # better — the numbers the choosing-metrics rule needs (a gain counts when
@@ -17,10 +19,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-parent_ref="${1:?usage: scripts/bench_pairs.sh <parent-ref> [pairs] [seconds]}"
+parent_ref="${1:?usage: scripts/bench_pairs.sh <parent-ref> [pairs] [seconds] [seed] [workload]}"
 pairs="${2:-10}"
 seconds="${3:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
-seed=2005
+seed="${4:-2005}"
+only="${5:-}"
 pr="$(sed -n '1s/^# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md)"
 test -n "$pr" || { echo "no '# ISSUE <n>' heading in ISSUE.md" >&2; exit 1; }
 parent_sha="$(git rev-parse --verify "$parent_ref^{commit}")"
@@ -38,6 +41,11 @@ trap 'cp "$work/benchmark.lock" benchmark/Cargo.lock' EXIT
 
 mapfile -t command < <(python3 -c 'import json; print(*json.load(open("BENCHMARK.json"))["command"], sep="\n")')
 mapfile -t workloads < <(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]], sep="\n")')
+out="BENCH_$pr.json"
+if [ "$seed" != 2005 ] || [ -n "$only" ]; then
+  out="$work/BENCH_${pr}_seed$seed.json"
+  [ -n "$only" ] && workloads=("$only")
+fi
 
 # One pass of one workload on one side; appends its result line to $runs.
 # Pair 0 is the traced pass.
@@ -69,7 +77,7 @@ for workload in "${workloads[@]}"; do
 done
 echo "traced passes done"
 
-python3 - "$runs" "BENCH_$pr.json" "$pr" "$parent_sha" "$pairs" "$seconds" "$seed" "$(nproc)" << 'EOF'
+python3 - "$runs" "$out" "$pr" "$parent_sha" "$pairs" "$seconds" "$seed" "$(nproc)" << 'EOF'
 import json, statistics, sys
 
 runs_path, out_path, pr, parent_sha, pairs, seconds, seed, cpus = sys.argv[1:]
@@ -86,19 +94,37 @@ def quartiles(xs):
 # must agree between the sides, and the seconds of the heavy layers.
 PER_LAYER = [
     "simcore.events",
+    "simcore.pushes",
+    "simcore.peak_depth",
     "simcore.pop_s",
     "fabric.other_n",
     "fabric.other_s",
     "fabric.deliver_s",
     "fabric.xbar_done_s",
     "fabric.output_arb_s",
+    "fabric.hops",
+    "fabric.enqueues",
+    "fabric.dequeues",
+    "fabric.credit_changes",
+    "recn.saq_allocs",
+    "recn.saq_deallocs",
+    "recn.notifications",
+    "recn.rejects",
+    "recn.xoffs",
+    "recn.peak_saqs_port",
+    "recn.peak_saqs_total",
+    "traffic.messages",
+    "simcore.hold_ns_1k",
+    "simcore.hold_ns_10k",
+    "simcore.hold_ns_100k",
+    "fabric.queueset_ns_per_op",
     "recn.cam_lookup_ns",
     "metrics.probe_ns_per_call",
     "experiments.peak_bytes_estimate",
 ]
 
 workloads = {}
-for w in (w["name"] for w in bench["workloads"]):
+for w in sorted({r["workload"] for r in runs}, key=[w["name"] for w in bench["workloads"]].index):
     traced = {r["side"]: r["result"]["metrics"] for r in runs if r["workload"] == w and r["pair"] == 0}
     mine = [r for r in runs if r["workload"] == w and r["pair"] != 0]
     rows = {}

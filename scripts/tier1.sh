@@ -12,9 +12,9 @@ recn="$PWD/target/release/recn"
 # One front door: the workspace links exactly one executable.
 exes="$(cargo build --release --message-format=json 2> /dev/null | grep -o '"executable":"[^"]*"' | sed 's|.*/||; s|"||' | sort | xargs)"
 test "$exes" = "recn" || { echo "unexpected executables: $exes" >&2; exit 1; }
-# One scheduler, one storage: the engine reads no environment (a library
-# destructor once printed stats on CAL_STATS), and calendar buckets are
-# index pairs into one node slab, not a container each (DESIGN §6d).
+# One storage: the engine reads no environment (a library destructor once
+# printed stats on CAL_STATS), and calendar buckets are index pairs into
+# one node slab, not a container each (DESIGN §6d).
 if grep -rn "std::env" crates/simcore/src; then
   echo "simcore must not read the environment" >&2; exit 1
 fi
@@ -22,17 +22,13 @@ if grep -q VecDeque crates/simcore/src/calendar.rs; then
   echo "calendar.rs: per-bucket VecDeque is back" >&2; exit 1
 fi
 # One port path (DESIGN §6c): a packet enters and leaves a queue set in
-# network/port.rs and nowhere else, every non-wakeup event goes through
-# Network::schedule (so no hand-placed batch-close hook exists to forget),
-# and no file of the module grows back into a catch-all.
+# network/port.rs and nowhere else, and no file of the module grows back
+# into a catch-all.
 net=crates/fabric/src/network
 for hook in on_enqueue on_dequeue; do
   n="$(cat $net/*.rs | grep -c "\.$hook(")"
   test "$n" = 1 || { echo "$net: $n .$hook( call sites, want 1 (port.rs)" >&2; exit 1; }
 done
-if grep -n "lazy_note_same_time_schedule" $net/*.rs; then
-  echo "$net: hand-placed batch-close hooks are back" >&2; exit 1
-fi
 for f in $net/*.rs; do
   test "$(wc -l < "$f")" -le 500 || { echo "$f is over 500 lines" >&2; exit 1; }
 done
@@ -57,27 +53,16 @@ nontest() { # lines matching $1 under crates/, unit-test modules and test files 
 test "$(nontest 'cbf2_9ce4' | wc -l)" = 1 || { echo "a second FNV hasher:" >&2; nontest 'cbf2_9ce4' >&2; exit 1; }
 test "$(nontest '01b3' | grep -c '^crates/simcore/src/canon.rs:')" = 2 && test "$(nontest '01b3' | wc -l)" = 2 ||
   { echo "FNV primes outside canon.rs's two:" >&2; nontest '01b3' >&2; exit 1; }
-if grep -rnwE 'TraceEvent|TraceRecord' crates; then
-  echo "the trace enum is back beside the record table" >&2; exit 1
-fi
 test "$(wc -l < crates/fabric/src/trace.rs)" -le 400 || { echo "trace.rs is over 400 lines" >&2; exit 1; }
-# Said once (DESIGN §6b–§6d): simcore has one scheduler type (the heap it is
-# checked against lives in tests/scheduler_equivalence.rs), the observer
-# fan-out is generated from the hook list (one forwarding loop), a run's
-# network is built in one place, and library code never ends the process.
-if grep -rnE 'SchedulerKind|BinaryHeap' crates/simcore/src; then
-  echo "crates/simcore/src: a second scheduler is back beside the calendar" >&2; exit 1
-fi
+# Said once (DESIGN §6b–§6d): the observer fan-out is generated from the
+# hook list (one forwarding loop), a run's network is built in one place,
+# and library code never ends the process.
 n="$(grep -c 'for o in &mut self.observers' crates/fabric/src/observer.rs || true)"
 test "$n" -le 1 || { echo "observer.rs: $n hand-written fan-out loops, want the generated one" >&2; exit 1; }
 n="$(cat $(find crates/experiments/src -name '*.rs') | grep -c 'Network::new(')"
 test "$n" = 1 || { echo "crates/experiments/src: $n Network::new( call sites, want 1 (RunSpec::network)" >&2; exit 1; }
 if grep -rn 'process::exit' crates/*/src --include='*.rs' | grep -v '/src/bin/'; then
   echo "library code exits the process (only bin/ may)" >&2; exit 1
-fi
-# No inert dependency axis: the workspace has no serde edge to stub.
-if grep -ln serde Cargo.toml crates/*/Cargo.toml; then
-  echo "a manifest outside benchmark/ mentions serde" >&2; exit 1
 fi
 
 echo "== tier1: cargo fmt --check =="
