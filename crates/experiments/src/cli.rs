@@ -7,6 +7,8 @@
 //! an unknown command, flag or value is an `Err` carrying the usage text
 //! (the binary prints it and exits 2).
 
+use std::io::Write;
+
 use fabric::{render_port, FanoutObserver, SchemeKind, TraceSink, ValidatingObserver};
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
@@ -100,8 +102,7 @@ pub const COMMANDS: &[Command] = &[
         flags: INCAST_FLAGS,
         run: |_, f| {
             let rows = incast::incast_sweep(&Opts::from_flags(f)?);
-            print!("{}", incast::render_rows(&rows));
-            Ok(())
+            out!("{}", incast::render_rows(&rows))
         },
     },
     Command {
@@ -167,25 +168,44 @@ pub fn overview() -> String {
     s
 }
 
-/// Runs `recn` on `args` (without the program name). `Err` is a usage
-/// error: the message to print before exiting with status 2.
+/// Writes to the process's stdout for [`out!`] and [`outln!`], the one
+/// way a command prints: a reader that went away (`recn table1 | head
+/// -c0`) is an `Err` like any other output that cannot be written, not
+/// the panic `println!` makes of it.
+pub(crate) fn write_stdout(text: std::fmt::Arguments<'_>) -> Result<(), String> {
+    std::io::stdout()
+        .lock()
+        .write_fmt(text)
+        .map_err(cannot_write_stdout)
+}
+
+fn cannot_write_stdout(e: std::io::Error) -> String {
+    format!("cannot write to stdout: {e}")
+}
+
+/// Runs `recn` on `args` (without the program name). `Err` is the message
+/// to print before exiting with status 2: a usage error, or an input or
+/// output the command could not read or write.
 pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), String> {
-    let mut args: Vec<String> = args.into_iter().collect();
+    dispatch(args.into_iter().collect())?;
+    // Output that did not end in a newline is still buffered.
+    std::io::stdout().flush().map_err(cannot_write_stdout)
+}
+
+fn dispatch(mut args: Vec<String>) -> Result<(), String> {
     if args.is_empty() {
         return Err(overview());
     }
     let name = args.remove(0);
     if is_help(&name) {
-        println!("{}", overview());
-        return Ok(());
+        return outln!("{}", overview());
     }
     let cmd = COMMANDS
         .iter()
         .find(|c| c.name == name)
         .ok_or_else(|| format!("unknown command {name}; {}", overview()))?;
     if args.iter().any(|a| is_help(a)) {
-        println!("{}", cmd.help());
-        return Ok(());
+        return outln!("{}", cmd.help());
     }
     let operand = match args.first() {
         _ if cmd.operand.is_empty() => String::new(),
@@ -213,12 +233,12 @@ fn fig(which: &str, f: &Parsed<'_>) -> Result<(), String> {
 /// Table 1, plus an audit that the generators realize the specified
 /// injection rates.
 fn table1_audit() -> Result<(), String> {
-    print!("{}", table1::render(&table1::spec()));
+    out!("{}", table1::render(&table1::spec()))?;
     for (case, corner) in [(1, CornerCase::case1_64()), (2, CornerCase::case2_64())] {
         let (bg, hot) = table1::audit_rates(&corner, Picos::from_us(1600));
-        println!(
+        outln!(
             "audit case {case}: background {bg:.3} B/ns per source, hotspot {hot:.3} B/ns per source"
-        );
+        )?;
     }
     Ok(())
 }
@@ -241,7 +261,7 @@ fn ablation_tables(opts: &Opts) -> Result<(), String> {
         ),
     ];
     for (title, sweep) in tables {
-        println!("{}", ablations::render_rows(title, &sweep(opts)));
+        outln!("{}", ablations::render_rows(title, &sweep(opts)))?;
     }
     let splits: Vec<_> = [
         SchemeKind::VoqNet,
@@ -251,8 +271,7 @@ fn ablation_tables(opts: &Opts) -> Result<(), String> {
     .into_iter()
     .map(|s| ablations::latency_split(opts, s))
     .collect();
-    println!("{}", ablations::render_latency(&splits));
-    Ok(())
+    outln!("{}", ablations::render_latency(&splits))
 }
 
 /// Cross-topology headline table: the five-scheme hotspot comparison on
@@ -272,18 +291,18 @@ fn hotspot(opts: &Opts) -> Result<(), String> {
     }
     let fig = figures::topology_hotspot(opts);
     fig.print(opts)?;
-    println!("mean throughput inside the congestion window:");
+    outln!("mean throughput inside the congestion window:")?;
     for (label, mean) in figures::congestion_window_means(&fig, opts) {
-        println!("  {label:>7}: {mean:.3} bytes/ns");
+        outln!("  {label:>7}: {mean:.3} bytes/ns")?;
     }
     if opts.routing.is_arn() {
-        println!();
+        outln!()?;
         let rows = figures::scheme_matrix(opts);
-        print!("{}", figures::render_scheme_matrix(&rows));
+        out!("{}", figures::render_scheme_matrix(&rows))?;
     } else if opts.routing.is_adaptive() {
-        println!();
+        outln!()?;
         let rows = figures::routing_comparison(&fig, opts);
-        print!("{}", figures::render_routing_comparison(&rows));
+        out!("{}", figures::render_routing_comparison(&rows))?;
     }
     Ok(())
 }
@@ -330,10 +349,9 @@ fn validate(opts: &Opts) -> Result<(), String> {
     let outs = Sweep::new(specs).jobs(opts.jobs.unwrap_or(0)).run();
     for out in &outs {
         let digest = out.trace_digest.expect("tracing was requested");
-        println!("{}  trace digest {digest:#018x}", summarize(out));
+        outln!("{}  trace digest {digest:#018x}", summarize(out))?;
     }
-    println!("{n} schemes validated: zero invariant violations");
-    Ok(())
+    outln!("{n} schemes validated: zero invariant violations")
 }
 
 /// Mid-congestion state inspector: runs corner case 2 under RECN to the
@@ -362,7 +380,7 @@ fn inspect(opts: &Opts) -> Result<(), String> {
     engine.run_until(Picos::from_us(885 / div));
     let net = engine.model();
     let c = net.counters();
-    println!(
+    outln!(
         "t = {} — census {:?} | allocs {} deallocs {} rejects {} markers {} xoff/xon {}/{} roots {}/{}",
         engine.now(),
         net.saq_census(),
@@ -374,18 +392,18 @@ fn inspect(opts: &Opts) -> Result<(), String> {
         c.xons,
         c.root_activations,
         c.root_clears,
-    );
-    println!(
+    )?;
+    outln!(
         "validated {} events: {} in flight, {} SAQs live, {} source drops",
         vhandle.events_checked(),
         vhandle.in_flight(),
         vhandle.live_saqs(),
         vhandle.drop_attempts().0,
-    );
+    )?;
     let (pi, po, pn) = net.peak_occupancies();
-    println!("peak buffer occupancy: inputs {pi}B, outputs {po}B, NICs {pn}B\n");
+    outln!("peak buffer occupancy: inputs {pi}B, outputs {po}B, NICs {pn}B\n")?;
     for (name, snap) in net.hottest_ports(24) {
-        println!("{}", render_port(&name, &snap));
+        outln!("{}", render_port(&name, &snap))?;
     }
     if let (Some(handle), Some(path)) = (trace, &opts.trace_file) {
         std::fs::write(path, handle.render_jsonl())

@@ -49,21 +49,22 @@ impl Figure {
     ///
     /// # Errors
     ///
-    /// `--csv` names a directory that cannot be written.
+    /// Stdout is closed, or `--csv` names a directory that cannot be
+    /// written.
     pub fn print(&self, opts: &Opts) -> Result<(), String> {
         let thinned: Vec<Labeled> = self
             .series
             .iter()
             .map(|l| Labeled::new(l.label.clone(), thin(&l.points, opts.stride)))
             .collect();
-        println!(
+        outln!(
             "{}",
             render_table(&format!("{} — {}", self.name, self.title), &thinned)
-        );
+        )?;
         for r in &self.runs {
-            println!("  {}", summarize(r));
+            outln!("  {}", summarize(r))?;
         }
-        println!();
+        outln!()?;
         opts.maybe_write_csv(&self.name, &render_csv(&self.series))
     }
 }

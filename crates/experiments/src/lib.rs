@@ -63,6 +63,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `print!` for a command's output: evaluates to `Result<(), String>`, the
+/// `Err` saying stdout could not be written ([`cli::write_stdout`]).
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::cli::write_stdout(format_args!($($arg)*)) };
+}
+
+/// [`out!`] with a newline, as `println!` is to `print!`.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
 pub mod ablations;
 pub mod cache;
 pub mod cli;

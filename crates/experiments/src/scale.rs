@@ -279,7 +279,7 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
         }
     }
 
-    println!("{}", render_scale_table(&rows));
+    outln!("{}", render_scale_table(&rows))?;
     if let Some(path) = f.get("--json") {
         std::fs::write(path, render_json(&rows, div, budget))
             .map_err(|e| format!("cannot write {path}: {e}"))?;

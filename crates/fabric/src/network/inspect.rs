@@ -9,10 +9,8 @@ use crate::arn::ArnTable;
 use crate::config::RoutingPolicy;
 use crate::queue::QueueSet;
 
-use super::nic::AdmitFifo;
-use super::{
-    ArbiterSummary, FlowRx, FlowTx, LinkDown, LinkState, LinkUp, Network, PortRef, XbarTransfer,
-};
+use super::nic::{AdmitFifo, Nic};
+use super::{FlowRx, FlowTx, LinkDown, LinkState, LinkUp, Network, PortRef, Switch, XbarTransfer};
 
 /// Snapshot of one SAQ.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,17 +122,21 @@ impl Network {
 
     /// Estimated bytes of host-process backing storage behind this
     /// network model: queue-set slabs and per-queue arrays at their
-    /// high-water allocation, NIC admittance pools, the per-flow sequence
-    /// table, and link descriptors with their credit views. This measures the *simulator's* memory, not
-    /// simulated buffer capacity; it is deterministic for a given run
-    /// (derived from slab high-water marks), so cached results replay it
-    /// exactly.
+    /// high-water allocation, the SAQ storage (CAM lines, SAQ records) of
+    /// the RECN ports a congestion tree has reached, the switch and NIC
+    /// records, NIC admittance pools, the per-flow sequence table, and link
+    /// descriptors with their credit views. This measures the
+    /// *simulator's* memory, not simulated buffer capacity; it is
+    /// deterministic for a given run (derived from slab high-water marks),
+    /// so cached results replay it exactly.
     pub fn memory_footprint(&self) -> u64 {
         use std::mem::size_of;
         let mut total: u64 = self.ports().map(|(_, qs)| qs.backing_bytes()).sum();
+        total += (self.switches.capacity() * size_of::<Switch>()) as u64;
+        // A NIC's injection queue set was counted with the ports.
+        total += (self.nics.capacity() * (size_of::<Nic>() - size_of::<QueueSet>())) as u64;
         for s in &self.switches {
             total += (s.in_flight.capacity() * size_of::<Option<XbarTransfer>>()) as u64;
-            total += size_of::<ArbiterSummary>() as u64;
             total += ((s.out_link.capacity() + s.in_link.capacity()) * size_of::<usize>()) as u64;
         }
         for n in &self.nics {

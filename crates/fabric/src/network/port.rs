@@ -54,8 +54,8 @@ impl Network {
         }
     }
 
-    /// Every queue set in the network with its name.
-    pub(crate) fn ports(&self) -> impl Iterator<Item = (PortRef, &QueueSet)> {
+    /// Every queue set in the network with its name (tests/metrics).
+    pub fn ports(&self) -> impl Iterator<Item = (PortRef, &QueueSet)> {
         let switches = self.switches.iter().enumerate().flat_map(|(sw, s)| {
             let inputs = s.inputs.iter().enumerate();
             let outputs = s.outputs.iter().enumerate();

@@ -7,7 +7,9 @@
 //! normal queue of a RECN port outside a congestion tree — stores and
 //! takes by touching the head of the `QueueSet` and the item's slab slot
 //! and nothing else, which at fabric sizes that leave the cache is what an
-//! operation costs (DESIGN.md §4).
+//! operation costs (DESIGN.md §4). A RECN set's SAQ records, like its CAM
+//! lines, exist from the first store to one of them on: a port no
+//! congestion tree has reached owns neither.
 
 use recn::{Classify, RecnPort, SaqId};
 
@@ -44,6 +46,14 @@ struct Fifo {
     len: usize,
     bytes: u64,
 }
+
+/// What a SAQ record reads as before the set has built any.
+const EMPTY_FIFO: Fifo = Fifo {
+    head: None,
+    tail: None,
+    len: 0,
+    bytes: 0,
+};
 
 /// A stored item plus its intrusive successor link.
 #[derive(Debug)]
@@ -97,10 +107,14 @@ pub struct QueueSet {
     side: PortSide,
     /// Consecutive grants won by the normal queue (RECN WRR state).
     normal_streak: u32,
-    rr: usize,
-    /// Queues `1..`: record `q - 1` is queue `q`'s.
-    rest: Vec<Fifo>,
+    rr: u32,
+    /// Queues the scheme defines, built or not.
+    nqueues: u32,
     recn: Option<RecnPort>,
+    /// Queues `1..`: record `q - 1` is queue `q`'s. All of them for a
+    /// baseline scheme; under RECN none until the first store to a SAQ,
+    /// `max_saqs` from then on.
+    rest: Vec<Fifo>,
 }
 
 impl QueueSet {
@@ -127,6 +141,8 @@ impl QueueSet {
                 (Mapping::Recn, 1 + cfg.max_saqs, None, Some(port))
             }
         };
+        // A baseline scheme's queues all exist; SAQ records come with a tree.
+        let built = if recn.is_some() { 0 } else { nqueues - 1 };
         QueueSet {
             q0: Fifo::default(),
             items: Arena::new(),
@@ -138,7 +154,8 @@ impl QueueSet {
             side,
             normal_streak: 0,
             rr: 0,
-            rest: vec![Fifo::default(); nqueues - 1],
+            nqueues: u32::try_from(nqueues).expect("queue count fits 32 bits"),
+            rest: vec![Fifo::default(); built],
             recn,
         }
     }
@@ -152,23 +169,39 @@ impl QueueSet {
 
     /// Number of queues.
     pub fn num_queues(&self) -> usize {
-        1 + self.rest.len()
+        self.nqueues as usize
     }
 
     #[inline]
     fn fifo(&self, queue: usize) -> &Fifo {
         match queue {
             0 => &self.q0,
-            q => &self.rest[q - 1],
+            q => self.rest.get(q - 1).unwrap_or_else(|| {
+                assert!(q < self.num_queues(), "no queue {q}");
+                &EMPTY_FIFO
+            }),
         }
     }
 
+    /// The record a store or a take changes: the first one to a SAQ of a
+    /// RECN set builds the set's SAQ records, which it keeps.
     #[inline]
     fn fifo_mut(&mut self, queue: usize) -> &mut Fifo {
         match queue {
             0 => &mut self.q0,
-            q => &mut self.rest[q - 1],
+            q => {
+                if self.rest.is_empty() {
+                    self.build_saq_records();
+                }
+                &mut self.rest[q - 1]
+            }
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn build_saq_records(&mut self) {
+        self.rest = vec![Fifo::default(); self.num_queues() - 1];
     }
 
     /// The RECN state machine, when the scheme is RECN.
@@ -213,13 +246,22 @@ impl QueueSet {
 
     /// Estimated bytes of backing storage for this queue set: the set
     /// itself (queue 0's record, the accounting, the RECN port), the shared
-    /// node slab at its high-water allocation, and the records of queues
-    /// `1..`. Simulation-model accounting, not simulated port memory — see
+    /// node slab at its high-water allocation, and what
+    /// [`queue_storage_bytes`](Self::queue_storage_bytes) counts.
+    /// Simulation-model accounting, not simulated port memory — see
     /// [`capacity`](Self::capacity) for the latter.
     pub fn backing_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        (size_of::<QueueSet>() + self.rest.capacity() * size_of::<Fifo>()) as u64
+        std::mem::size_of::<QueueSet>() as u64
             + self.items.backing_bytes()
+            + self.queue_storage_bytes()
+    }
+
+    /// Heap bytes behind the queues past queue 0: their records and, under
+    /// RECN, the port's CAM lines. Zero for 1Q, and for a RECN port until
+    /// a congestion tree reaches it.
+    pub fn queue_storage_bytes(&self) -> u64 {
+        (self.rest.capacity() * std::mem::size_of::<Fifo>()) as u64
+            + self.recn.as_ref().map_or(0, RecnPort::backing_bytes)
     }
 
     /// Charges `bytes` more to the port's pool.
@@ -428,7 +470,8 @@ impl QueueSet {
         let n = self.num_queues();
         if !matches!(self.mapping, Mapping::Recn) {
             // Round-robin from `rr`: `rr..n`, then the wrap.
-            let listed = (self.rr..n).chain(0..self.rr);
+            let rr = self.rr as usize;
+            let listed = (rr..n).chain(0..rr);
             out.extend(listed.filter(|&q| self.fifo(q).len > 0));
             return;
         }
@@ -446,7 +489,7 @@ impl QueueSet {
         // Pass 1: drain-boost SAQs (highest priority).
         for saq in recn.iter_saqs() {
             let q = Self::saq_queue(saq);
-            if self.rest[q - 1].len > 0 && recn.drain_boost(saq) && recn.may_transmit(saq) {
+            if self.fifo(q).len > 0 && recn.drain_boost(saq) && recn.may_transmit(saq) {
                 out.push(q);
             }
         }
@@ -458,9 +501,9 @@ impl QueueSet {
             out.push(0);
         }
         let saq_start = out.len();
-        let start = self.rr.max(1);
+        let start = (self.rr as usize).max(1);
         for q in (start..n).chain(1..start) {
-            if self.rest[q - 1].len == 0 || out.contains(&q) {
+            if self.fifo(q).len == 0 || out.contains(&q) {
                 continue;
             }
             if let Some(saq) = self.saq_at_queue(q) {
@@ -495,7 +538,7 @@ impl QueueSet {
         self.rr = if queue + 1 == self.num_queues() {
             0
         } else {
-            queue + 1
+            queue as u32 + 1
         };
         if queue == 0 {
             self.normal_streak += 1;

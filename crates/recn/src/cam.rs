@@ -127,6 +127,12 @@ impl CamLine {
 /// binding a [`PathSpec`] to SAQ control state, with longest-prefix-match
 /// lookup over a packet's remaining turns.
 ///
+/// The lines are the paper's dynamically allocated resource, and the table
+/// treats them so: a table owns no line storage until its first
+/// [`allocate`](Self::allocate) — the moment a congestion tree reaches the
+/// port — and then keeps the storage for good, so a tree that comes and goes
+/// at one port allocates once ([`backing_bytes`](Self::backing_bytes)).
+///
 /// ```
 /// use recn::CamTable;
 /// use topology::PathSpec;
@@ -141,11 +147,13 @@ impl CamLine {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CamTable {
-    lines: Vec<Option<CamLine>>,
+    /// Empty until the first `allocate`, `capacity` lines from then on.
+    lines: Box<[Option<CamLine>]>,
     next_generation: u32,
-    in_use: usize,
+    capacity: u8,
+    in_use: u8,
     /// High-water mark of simultaneously allocated lines.
-    peak_in_use: usize,
+    peak_in_use: u8,
 }
 
 impl CamTable {
@@ -157,8 +165,9 @@ impl CamTable {
     pub fn new(max_saqs: usize) -> CamTable {
         assert!((1..=64).contains(&max_saqs), "CAM size must be in 1..=64");
         CamTable {
-            lines: vec![None; max_saqs],
+            lines: Box::default(),
             next_generation: 0,
+            capacity: max_saqs as u8,
             in_use: 0,
             peak_in_use: 0,
         }
@@ -166,17 +175,23 @@ impl CamTable {
 
     /// Number of lines currently allocated.
     pub fn in_use(&self) -> usize {
-        self.in_use
+        self.in_use as usize
     }
 
     /// Highest number of lines ever allocated simultaneously.
     pub fn peak_in_use(&self) -> usize {
-        self.peak_in_use
+        self.peak_in_use as usize
     }
 
     /// Total number of lines.
     pub fn capacity(&self) -> usize {
-        self.lines.len()
+        self.capacity as usize
+    }
+
+    /// Bytes of line storage this table owns on the heap: zero until the
+    /// first [`allocate`](Self::allocate), every line from then on.
+    pub fn backing_bytes(&self) -> u64 {
+        std::mem::size_of_val(&*self.lines) as u64
     }
 
     /// Allocates a line for `path`. Returns `None` if the CAM is full.
@@ -185,6 +200,9 @@ impl CamTable {
     /// (see [`find_path`](Self::find_path)).
     pub fn allocate(&mut self, path: PathSpec) -> Option<SaqId> {
         debug_assert!(self.find_path(&path).is_none(), "duplicate path in CAM");
+        if self.lines.is_empty() {
+            self.lines = vec![None; self.capacity()].into_boxed_slice();
+        }
         let free = self.lines.iter().position(Option::is_none)?;
         let generation = self.next_generation;
         self.next_generation = self.next_generation.wrapping_add(1);

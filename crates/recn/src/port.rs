@@ -21,6 +21,9 @@
 //! deallocation sweeps leaf-to-root and resources are reclaimed exactly
 //! once.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use topology::PathSpec;
 
 use crate::cam::{CamTable, SaqId};
@@ -135,8 +138,9 @@ struct RootState {
     notified_inputs: u64,
     tokens_sent: u32,
     tokens_returned: u32,
-    /// Times this port became a root (statistics).
-    activations: u64,
+    /// Times this port became a root (statistics). Each one takes a packet
+    /// stored past the detection threshold, so 32 bits outlast any run.
+    activations: u32,
 }
 
 /// Change of the root detector reported to the fabric (informational; used
@@ -164,55 +168,73 @@ enum Role {
 
 /// The RECN state machine of one port. See the [crate docs](crate) for the
 /// protocol overview and an end-to-end example.
+///
+/// A port costs what the congestion trees through it cost. Inline are the
+/// words the normal-queue path reads — the root detector, the role, the
+/// CAM's counts — in 72 bytes, written hottest first (`repr(C)`). The CAM
+/// lines with their per-SAQ state live on the heap from the first accepted
+/// notification on ([`CamTable`]), and the configuration, equal at every
+/// port of a fabric, is one shared copy (`shared_config`).
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct RecnPort {
-    cfg: RecnConfig,
+    cfg: Arc<RecnConfig>,
+    normal_occupancy: u64,
+    root: RootState,
     role: Role,
     cam: CamTable,
-    root: RootState,
-    normal_occupancy: u64,
+}
+
+/// One `Arc` for equal configurations built in a row on one thread: a
+/// fabric constructs its ports back to back from one [`RecnConfig`] value,
+/// so they all share the first port's copy instead of carrying 56 bytes
+/// each. Only the latest configuration is remembered.
+fn shared_config(cfg: RecnConfig) -> Arc<RecnConfig> {
+    thread_local! {
+        static LATEST: RefCell<Option<Arc<RecnConfig>>> = const { RefCell::new(None) };
+    }
+    LATEST.with_borrow_mut(|latest| match latest {
+        Some(shared) if **shared == cfg => Arc::clone(shared),
+        _ => Arc::clone(latest.insert(Arc::new(cfg))),
+    })
 }
 
 impl RecnPort {
-    /// Creates the state machine for a switch input port.
-    pub fn new_ingress(cfg: RecnConfig) -> RecnPort {
+    fn new(cfg: RecnConfig, role: Role) -> RecnPort {
         cfg.validate();
         RecnPort {
-            cfg,
-            role: Role::Ingress,
-            cam: CamTable::new(cfg.max_saqs),
-            root: RootState::default(),
+            cfg: shared_config(cfg),
             normal_occupancy: 0,
+            root: RootState::default(),
+            role,
+            cam: CamTable::new(cfg.max_saqs),
         }
+    }
+
+    /// Creates the state machine for a switch input port.
+    pub fn new_ingress(cfg: RecnConfig) -> RecnPort {
+        RecnPort::new(cfg, Role::Ingress)
     }
 
     /// Creates the state machine for a switch output port at index `turn`.
     pub fn new_egress(cfg: RecnConfig, turn: u8) -> RecnPort {
-        cfg.validate();
-        RecnPort {
-            cfg,
-            role: Role::Egress { turn },
-            cam: CamTable::new(cfg.max_saqs),
-            root: RootState::default(),
-            normal_occupancy: 0,
-        }
+        RecnPort::new(cfg, Role::Egress { turn })
     }
 
     /// Creates the state machine for a NIC injection port.
     pub fn new_nic_injection(cfg: RecnConfig) -> RecnPort {
-        cfg.validate();
-        RecnPort {
-            cfg,
-            role: Role::NicInjection,
-            cam: CamTable::new(cfg.max_saqs),
-            root: RootState::default(),
-            normal_occupancy: 0,
-        }
+        RecnPort::new(cfg, Role::NicInjection)
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &RecnConfig {
         &self.cfg
+    }
+
+    /// Bytes this port owns on the heap: its CAM's line storage, which
+    /// exists once a congestion tree has reached the port.
+    pub fn backing_bytes(&self) -> u64 {
+        self.cam.backing_bytes()
     }
 
     fn is_egress_like(&self) -> bool {
@@ -464,7 +486,7 @@ impl RecnPort {
 
     /// How many times this port became a root (statistics).
     pub fn root_activations(&self) -> u64 {
-        self.root.activations
+        self.root.activations.into()
     }
 
     // ------------------------------------------------------------------

@@ -8,13 +8,15 @@
 # Writes BENCH_<pr>.json at the repo root (<pr> from ISSUE.md's heading; a
 # run on another seed or on one workload — the held-out-seed check of a
 # claim — writes target/bench_pairs/BENCH_<pr>_seed<seed>.json instead):
-# per workload × end-to-end metric, the parent's and the change's median,
-# the parent's interquartile range, and in how many pairs the change read
-# better — the numbers the choosing-metrics rule needs (a gain counts when
-# the change wins ≥ 9/10 pairs and the medians differ by more than the
-# parent's IQR), plus a `per_layer` block: where the traced pass of each
-# side spent its time. The parent is `git archive`d into target/bench_pairs/ and
-# built there; the change is the working tree. Only *reads* benchmark/ and
+# per workload × end-to-end metric — wall_s and peak_rss_mib alike, so a
+# memory claim is read by the rule a time claim is — the parent's and the
+# change's median and quartiles, the parent's interquartile range, and in
+# how many pairs the change read better: the numbers the choosing-metrics
+# rule needs (a gain counts when the change wins ≥ 9/10 pairs and the
+# medians differ by more than the parent's IQR), plus a `per_layer` block:
+# what the traced pass of each side counted and where it spent its time.
+# The parent is `git archive`d into target/bench_pairs/ and built there;
+# the change is the working tree. Only *reads* benchmark/ and
 # BENCHMARK.json. Needs python3 for the JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -90,37 +92,23 @@ def quartiles(xs):
     return q1, q3
 
 
-# Where the time went, from the one traced pass of each side: counts that
-# must agree between the sides, and the seconds of the heavy layers.
-PER_LAYER = [
-    "simcore.events",
-    "simcore.pushes",
-    "simcore.peak_depth",
+# Where the work and the time went, from the one traced pass of each side:
+# every count the benchmark makes (a change that claims the same work for
+# less must show them equal between the sides), and the seconds of the
+# heavy layers.
+PER_LAYER = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "B")] + [
     "simcore.pop_s",
-    "fabric.other_n",
     "fabric.other_s",
     "fabric.deliver_s",
     "fabric.xbar_done_s",
     "fabric.output_arb_s",
-    "fabric.hops",
-    "fabric.enqueues",
-    "fabric.dequeues",
-    "fabric.credit_changes",
-    "recn.saq_allocs",
-    "recn.saq_deallocs",
-    "recn.notifications",
-    "recn.rejects",
-    "recn.xoffs",
-    "recn.peak_saqs_port",
-    "recn.peak_saqs_total",
-    "traffic.messages",
     "simcore.hold_ns_1k",
     "simcore.hold_ns_10k",
     "simcore.hold_ns_100k",
     "fabric.queueset_ns_per_op",
     "recn.cam_lookup_ns",
+    "recn.port_enq_deq_ns",
     "metrics.probe_ns_per_call",
-    "experiments.peak_bytes_estimate",
 ]
 
 workloads = {}
@@ -133,7 +121,7 @@ for w in sorted({r["workload"] for r in runs}, key=[w["name"] for w in bench["wo
         value = lambda r: r["result"]["metrics"][name]["value"]
         side = {s: {r["pair"]: value(r) for r in mine if r["side"] == s} for s in ("parent", "change")}
         parent, change = list(side["parent"].values()), list(side["change"].values())
-        q1, q3 = quartiles(parent)
+        (q1, q3), (c1, c3) = quartiles(parent), quartiles(change)
         better = lambda c, p: c < p if lower else c > p
         pm, cm = statistics.median(parent), statistics.median(change)
         rows[name] = {
@@ -142,6 +130,8 @@ for w in sorted({r["workload"] for r in runs}, key=[w["name"] for w in bench["wo
             "parent_median": pm,
             "change_median": cm,
             "change_vs_parent_pct": round((cm / pm - 1) * 100, 2) if pm else None,
+            "parent_quartiles": [q1, q3],
+            "change_quartiles": [c1, c3],
             "parent_iqr": q3 - q1,
             "bound": m["bound"],
             # Spread wider than the bound: a within-bound reading is

@@ -64,6 +64,11 @@ test "$n" = 1 || { echo "crates/experiments/src: $n Network::new( call sites, wa
 if grep -rn 'process::exit' crates/*/src --include='*.rs' | grep -v '/src/bin/'; then
   echo "library code exits the process (only bin/ may)" >&2; exit 1
 fi
+# One stdout writer: a command prints through out!/outln! (cli.rs), whose
+# failure is the binary's error status, never println!'s panic.
+if grep -rnE '(^|[^e])print(ln)?!\(' crates/experiments/src --include='*.rs'; then
+  echo "crates/experiments/src prints past cli::write_stdout" >&2; exit 1
+fi
 
 echo "== tier1: cargo fmt --check =="
 cargo fmt --check
@@ -90,6 +95,13 @@ cmp "$smoke/serial.txt" "$smoke/parallel.txt"
 grep -q '"wall_secs"' "$smoke/j4/fig2.sweep.json"
 grep -q '"events_per_sec"' "$smoke/j4/fig2.sweep.json"
 echo "smoke test passed: parallel output byte-identical to serial, JSON summary written"
+
+# A reader that went away is the binary's one error status and one line,
+# like any other output that cannot be written — not a panic (101).
+{ rc=0; "$recn" table1 2> "$smoke/pipe.err" || rc=$?; echo "$rc" > "$smoke/pipe.rc"; } | head -c0
+test "$(cat "$smoke/pipe.rc")" = 2 || { echo "table1 into a closed pipe exited $(cat "$smoke/pipe.rc"), want 2" >&2; exit 1; }
+test "$(wc -l < "$smoke/pipe.err")" = 1 && grep -q '^cannot write to stdout: ' "$smoke/pipe.err"
+echo "closed-pipe smoke passed: table1 | head -c0 exits 2 with one line"
 
 echo "== tier1: validation smoke test (every scheme, invariants on) =="
 # One corner-case hotspot run per scheme with the ValidatingObserver fanned
