@@ -71,7 +71,8 @@ pub struct Arena<T> {
     slots: Vec<Slot<T>>,
     /// Most recently vacated slot (reuse is LIFO), or `NIL`.
     free_head: u32,
-    len: usize,
+    /// Occupied slots (at most `u32::MAX`, like the handles' slot index).
+    len: u32,
 }
 
 impl<T> Default for Arena<T> {
@@ -98,7 +99,7 @@ impl<T> Arena<T> {
 
     /// Number of live items.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Whether no items are live.

@@ -78,7 +78,7 @@ pub use network::{
     assert_recn_idle, paper_network, render_port, ArbiterSummary, CounterMut, Event, NetCounters,
     Network, PortRef, PortSnapshot, SaqSnapshot,
 };
-pub use observer::{FanoutObserver, NetObserver, NullObserver, QueueKind, SaqSite};
+pub use observer::{FanoutObserver, HookSet, NetObserver, NullObserver, QueueKind, SaqSite};
 pub use packet::{Packet, Payload, QueueItem, RevPayload};
 pub use queue::{PortSide, QueueSet};
 pub use simcore::EventModel;

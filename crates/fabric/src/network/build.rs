@@ -163,6 +163,7 @@ impl Network {
             switches,
             nics,
             links,
+            interests: observer.interests(),
             observer,
             counters: NetCounters::default(),
             flow_seq: Default::default(),

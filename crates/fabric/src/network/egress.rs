@@ -58,7 +58,7 @@ impl Network {
         let size = pkt.size as u64;
         self.links[link].credits.consume(tq, size);
         self.note_credit(now, link, tq, -(size as i64));
-        self.observer.on_hop(now, &pkt, link);
+        observe!(self.on_hop(now, &pkt, link));
         let ser = self.cfg.link_time(size);
         self.links[link].fwd_busy_until = now + ser;
         self.links[link].fwd_busy_total += ser;

@@ -7,6 +7,8 @@
 //! lookups that miss when no flows exist), so the open-loop default
 //! executes none of it — that is the bit-exactness contract.
 
+use std::ops::Bound;
+
 use simcore::{EventQueue, Picos, TimerGen};
 use topology::HostId;
 
@@ -172,7 +174,7 @@ impl Network {
             let route = self.route(host, dst_host);
             if retransmit {
                 self.counters.retransmitted_packets += 1;
-                self.observer.on_retransmit(now, host, dst_host, seq);
+                observe!(self.on_retransmit(now, host, dst_host, seq));
             }
             self.admit_packet(now, host, dst_host, size, route, seq);
             let f = self.nics[host].flows.get_mut(&dst).expect("flow exists");
@@ -210,35 +212,45 @@ impl Network {
         if !self.has_flows || self.nics[host].flows.is_empty() {
             return;
         }
-        let dsts: Vec<u32> = self.nics[host].flows.keys().copied().collect();
-        for dst in dsts {
+        // By successor key: a pump removes at most its own flow (an open
+        // loop one that is done) and adds none.
+        let mut next = self.nics[host].flows.keys().next().copied();
+        while let Some(dst) = next {
             self.flow_pump(now, q, host, dst);
+            let later = (Bound::Excluded(dst), Bound::Unbounded);
+            next = self.nics[host].flows.range(later).next().map(|(&d, _)| d);
         }
     }
 
-    /// A flow packet reached its destination host: receiver sequence
-    /// accounting, ack generation, and completion detection.
-    pub(crate) fn transport_receive(&mut self, now: Picos, q: &mut EventQueue<Event>, pkt: Packet) {
+    /// `pkt` reached its destination host: if it belongs to a closed-loop
+    /// flow, receiver sequence accounting, ack generation and completion
+    /// detection, and `true`; otherwise nothing, and `false`.
+    pub(crate) fn transport_receive(
+        &mut self,
+        now: Picos,
+        q: &mut EventQueue<Event>,
+        pkt: &Packet,
+    ) -> bool {
+        let Some(rx) = self.flow_rx.get_mut(&flow_key(pkt)) else {
+            return false;
+        };
         self.counters.delivered_packets += 1;
         self.counters.delivered_bytes += pkt.size as u64;
         let latency = now.saturating_sub(pkt.injected_at);
         self.counters.latency_ns.push(latency.as_ns_f64());
-        self.observer.on_delivered(now, &pkt);
+        observe!(self.on_delivered(now, pkt));
 
-        let k = flow_key(&pkt);
-        let rx = self.flow_rx.get_mut(&k).expect("caller checked membership");
         let Some(ack_delay) = self.cfg.transport.config().map(|c| c.ack_delay) else {
             // Open loop: no retransmission, so every arrival is distinct.
-            if rx.done {
-                return;
+            if !rx.done {
+                rx.received += 1;
+                if rx.received >= rx.total_pkts {
+                    rx.done = true;
+                    let start = rx.start;
+                    self.flow_complete(now, pkt.src, pkt.dst, start);
+                }
             }
-            rx.received += 1;
-            if rx.received >= rx.total_pkts {
-                rx.done = true;
-                let start = rx.start;
-                self.flow_complete(now, pkt.src, pkt.dst, start);
-            }
-            return;
+            return true;
         };
         let mut nack = NO_NACK;
         let mut completed = None;
@@ -279,6 +291,7 @@ impl Network {
         if let Some(start) = completed {
             self.flow_complete(now, pkt.src, pkt.dst, start);
         }
+        true
     }
 
     /// `Event::TransportAck` — cumulative ack (and optional NACK rewind)
@@ -345,6 +358,6 @@ impl Network {
     fn flow_complete(&mut self, now: Picos, src: HostId, dst: HostId, start: Picos) {
         self.counters.flows_completed += 1;
         let fct = now.saturating_sub(start);
-        self.observer.on_flow_complete(now, src, dst, fct);
+        observe!(self.on_flow_complete(now, src, dst, fct));
     }
 }

@@ -3,19 +3,23 @@
 
 use simcore::{EventQueue, Picos};
 
+use crate::observer::HookSet;
 use crate::packet::{Packet, Payload, RevPayload};
 
-use super::{flow, Event, LinkDown, Network, Wakeup};
+use super::{Event, LinkDown, Network, Wakeup};
 
 impl Network {
     /// Reports a change of `delta` bytes (negative: consumed, positive:
     /// replenished) in `link`'s credit view to the observer (no-op for
-    /// infinite host-sink views, which have no meaningful balance).
+    /// infinite host-sink views, which have no meaningful balance, and
+    /// when nobody listens: reading the view back is the hook's cost).
     pub(crate) fn note_credit(&mut self, now: Picos, link: usize, queue: u16, delta: i64) {
+        if !self.interests.contains(HookSet::NONE.on_credit_change()) {
+            return;
+        }
         if let Some(free) = self.links[link].credits.free_bytes(queue) {
             let cap = self.links[link].credits.queue_cap();
-            self.observer
-                .on_credit_change(now, link, queue, delta, free, cap);
+            observe!(self.on_credit_change(now, link, queue, delta, free, cap));
         }
     }
 
@@ -93,8 +97,7 @@ impl Network {
         // Closed-loop flows bypass the sequence check: duplicates and
         // gaps are legal under retransmission, and the transport receiver
         // does its own sequence accounting.
-        if self.has_flows && self.flow_rx.contains_key(&flow::flow_key(&pkt)) {
-            self.transport_receive(now, q, pkt);
+        if self.has_flows && self.transport_receive(now, q, &pkt) {
             return;
         }
         let flow = self.flow_seq.entry(pkt.src, pkt.dst);
@@ -115,7 +118,7 @@ impl Network {
         self.counters.delivered_bytes += pkt.size as u64;
         let latency = now.saturating_sub(pkt.injected_at);
         self.counters.latency_ns.push(latency.as_ns_f64());
-        self.observer.on_delivered(now, &pkt);
+        observe!(self.on_delivered(now, &pkt));
     }
 
     /// `Event::DeliverRev` — something arrived at the upstream end of
@@ -148,11 +151,11 @@ impl Network {
             }
             RevPayload::PfcPause => {
                 self.links[link].paused = true;
-                self.observer.on_pause_change(now, link, true);
+                observe!(self.on_pause_change(now, link, true));
             }
             RevPayload::PfcResume => {
                 self.links[link].paused = false;
-                self.observer.on_pause_change(now, link, false);
+                observe!(self.on_pause_change(now, link, false));
                 // The transmitter may send again.
                 self.kick(now, now, q, Wakeup::EgressArb { link });
             }

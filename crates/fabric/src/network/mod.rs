@@ -6,6 +6,17 @@
 //! (congestion protocols), `flow` (transport), `lazy` (scheduling),
 //! `inspect` and `stats` (reporting).
 
+/// Calls an observer hook — `observe!(self.on_hop(now, &pkt, link))` — if
+/// someone asked for it ([`NetObserver::interests`]); otherwise not even the
+/// arguments are evaluated. The only way `network/` reaches the observer.
+macro_rules! observe {
+    ($net:ident.$hook:ident($($arg:expr),* $(,)?)) => {
+        if $net.interests.contains($crate::observer::HookSet::NONE.$hook()) {
+            $net.observer.$hook($($arg),*);
+        }
+    };
+}
+
 mod arn;
 mod build;
 mod egress;
@@ -26,7 +37,7 @@ use topology::Topology;
 use crate::arn::ArnTable;
 use crate::config::FabricConfig;
 use crate::credit::CreditView;
-use crate::observer::NetObserver;
+use crate::observer::{HookSet, NetObserver};
 use crate::packet::{Packet, Payload, RevPayload};
 use crate::queue::QueueSet;
 
@@ -269,6 +280,8 @@ pub struct Network {
     pub(crate) nics: Vec<Nic>,
     pub(crate) links: Vec<LinkState>,
     pub(crate) observer: Box<dyn NetObserver>,
+    /// What `observer` asked for when the network was built (`observe!`).
+    pub(crate) interests: HookSet,
     pub(crate) counters: NetCounters,
     /// Sender and receiver sequence numbers of every open-loop flow that
     /// has sent a packet.

@@ -161,7 +161,7 @@ impl Network {
         self.next_packet_id += 1;
         self.counters.injected_packets += 1;
         self.counters.injected_bytes += size as u64;
-        self.observer.on_injected(now, &pkt);
+        observe!(self.on_injected(now, &pkt));
         self.nics[host].admit_push(pkt);
     }
 
@@ -182,7 +182,7 @@ impl Network {
             // (application back-pressure); it never enters the network.
             self.counters.source_dropped_messages += 1;
             self.counters.source_dropped_bytes += msg.bytes as u64;
-            self.observer.on_drop_attempt(now, host, dst, msg.bytes);
+            observe!(self.on_drop_attempt(now, host, dst, msg.bytes));
         } else {
             let flow = self.flow_seq.entry(HostId::new(host as u32), dst);
             let mut seq = flow.next_send;

@@ -103,8 +103,7 @@ impl Network {
             Reserved::Queue => qs.commit_reserved(queue, QueueItem::Packet(pkt)),
             Reserved::Pooled => qs.commit_pooled(queue, QueueItem::Packet(pkt)),
         }
-        self.observer
-            .on_enqueue(now, port, queue, kind_of(is_recn, queue), &pkt);
+        observe!(self.on_enqueue(now, port, queue, kind_of(is_recn, queue), &pkt));
         if is_recn && queue != 0 {
             let qs = self.port_mut(port);
             let saq = qs.saq_at_queue(queue).expect("packet stored in a live SAQ");
@@ -158,8 +157,7 @@ impl Network {
         let QueueItem::Packet(pkt) = self.port_mut(port).pop(queue) else {
             unreachable!("markers are drained before reaching arbitration");
         };
-        self.observer
-            .on_dequeue(now, port, queue, kind_of(is_recn, queue), &pkt);
+        observe!(self.on_dequeue(now, port, queue, kind_of(is_recn, queue), &pkt));
         match port {
             PortRef::SwitchOut { sw, port } => {
                 self.output_occupancy_changed(now, q, sw, port, queue)

@@ -146,8 +146,7 @@ impl Network {
         let action = recn.dealloc(saq);
         self.counters.saq_deallocs += 1;
         let (site, idx) = self.saq_site(port);
-        self.observer
-            .on_saq_dealloc(now, site, idx, saq.line(), &path);
+        observe!(self.on_saq_dealloc(now, site, idx, saq.line(), &path));
         self.census_change(now, port, false);
         match action.token_to {
             TokenDest::EgressSameSwitch {
@@ -200,7 +199,7 @@ impl Network {
     ) {
         self.counters.saq_allocs += 1;
         let (site, idx) = self.saq_site(port);
-        self.observer.on_saq_alloc(now, site, idx, saq.line(), path);
+        observe!(self.on_saq_alloc(now, site, idx, saq.line(), path));
         self.census_change(now, port, true);
         let plan = self
             .port(port)
@@ -276,7 +275,7 @@ impl Network {
         match change {
             Some(RootChange::BecameRoot) => {
                 self.counters.root_activations += 1;
-                self.observer.on_root_change(now, sw, port, true);
+                observe!(self.on_root_change(now, sw, port, true));
                 // ARN: a fresh congested root is the RECN-side trigger —
                 // tell the children so their up-phase can route around
                 // this subtree (no-op unless routing is `ArnUp`).
@@ -284,7 +283,7 @@ impl Network {
             }
             Some(RootChange::ClearedRoot) => {
                 self.counters.root_clears += 1;
-                self.observer.on_root_change(now, sw, port, false);
+                observe!(self.on_root_change(now, sw, port, false));
                 self.arn_broadcast(now, q, sw, false);
             }
             None => return,
@@ -334,7 +333,7 @@ impl Network {
             self.output_recn_changed(sw, port);
         }
         let (max_in, max_out, total) = self.census.values();
-        self.observer.on_saq_census(now, max_in, max_out, total);
+        observe!(self.on_saq_census(now, max_in, max_out, total));
     }
 }
 

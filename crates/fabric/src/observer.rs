@@ -40,10 +40,10 @@ pub enum QueueKind {
 }
 
 /// The hook list, said once: expands to [`NetObserver`] — every hook with
-/// its documentation and an empty default body — and to
-/// [`FanoutObserver`]'s forwarding of each hook to its observers. A new
-/// hook is one entry here (plus its row in `trace.rs`'s kind table if it is
-/// traced).
+/// its documentation and an empty default body, and `interests` — to
+/// [`HookSet`]'s one bit per hook, and to [`FanoutObserver`]'s forwarding of
+/// each hook to its observers. A new hook is one entry here (plus its row in
+/// `trace.rs`'s kind table if it is traced).
 macro_rules! net_observer_hooks {
     ($($(#[$doc:meta])* fn $hook:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
         /// Receives simulation events of interest. All methods have empty
@@ -53,6 +53,36 @@ macro_rules! net_observer_hooks {
                 $(#[$doc])*
                 #[allow(unused_variables)]
                 fn $hook(&mut self, $($arg: $ty),*) {}
+            )*
+
+            /// The hooks this observer wants called. [`crate::Network`]
+            /// reads the set once, when it is built, and never calls a hook
+            /// outside it — nor does the work of preparing its arguments —
+            /// so a hook costs nothing unless someone listens. The default
+            /// asks for every hook; an observer on the hot path of every
+            /// run names the ones it implements
+            /// (`HookSet::NONE.on_delivered().on_saq_census()`).
+            fn interests(&self) -> HookSet {
+                HookSet::ALL
+            }
+        }
+
+        /// One bit position per hook, in list order.
+        #[allow(non_camel_case_types)]
+        enum HookBit {
+            $($hook),*
+        }
+
+        impl HookSet {
+            /// Every hook.
+            pub const ALL: HookSet = HookSet(0 $(| 1 << HookBit::$hook as u16)*);
+
+            $(
+                /// This set plus the hook of the same name.
+                #[must_use]
+                pub const fn $hook(self) -> HookSet {
+                    HookSet(self.0 | 1 << HookBit::$hook as u16)
+                }
             )*
         }
 
@@ -64,8 +94,36 @@ macro_rules! net_observer_hooks {
                     }
                 }
             )*
+
+            /// Whatever any member asks for.
+            fn interests(&self) -> HookSet {
+                let members = self.observers.iter();
+                members.fold(HookSet::NONE, |set, o| set.union(o.interests()))
+            }
         }
     };
+}
+
+/// A set of [`NetObserver`] hooks: what an observer
+/// [asks to be called for](NetObserver::interests). Built from
+/// [`HookSet::NONE`] by the methods named after the hooks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HookSet(u16);
+
+impl HookSet {
+    /// No hook.
+    pub const NONE: HookSet = HookSet(0);
+
+    /// The hooks in either set.
+    #[must_use]
+    pub const fn union(self, other: HookSet) -> HookSet {
+        HookSet(self.0 | other.0)
+    }
+
+    /// Whether every hook of `other` is in this set.
+    pub const fn contains(self, other: HookSet) -> bool {
+        self.0 & other.0 == other.0
+    }
 }
 
 net_observer_hooks! {
@@ -145,7 +203,11 @@ net_observer_hooks! {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl NetObserver for NullObserver {}
+impl NetObserver for NullObserver {
+    fn interests(&self) -> HookSet {
+        HookSet::NONE
+    }
+}
 
 /// Drives several observers from one `Box<dyn NetObserver>` slot, in the
 /// order they were added — so a [`metrics`-style probe](NetObserver), a
@@ -342,6 +404,45 @@ mod tests {
             "fct",
         ];
         assert_eq!(*log.borrow(), in_push_order(2, &hooks));
+    }
+
+    #[test]
+    fn hook_sets_are_one_bit_per_hook() {
+        let each = [
+            HookSet::NONE.on_injected(),
+            HookSet::NONE.on_delivered(),
+            HookSet::NONE.on_saq_census(),
+            HookSet::NONE.on_root_change(),
+            HookSet::NONE.on_hop(),
+            HookSet::NONE.on_enqueue(),
+            HookSet::NONE.on_dequeue(),
+            HookSet::NONE.on_credit_change(),
+            HookSet::NONE.on_saq_alloc(),
+            HookSet::NONE.on_saq_dealloc(),
+            HookSet::NONE.on_drop_attempt(),
+            HookSet::NONE.on_retransmit(),
+            HookSet::NONE.on_pause_change(),
+            HookSet::NONE.on_flow_complete(),
+        ];
+        for (i, &one) in each.iter().enumerate() {
+            assert!(HookSet::ALL.contains(one) && !HookSet::NONE.contains(one));
+            assert_eq!(one.0.count_ones(), 1);
+            assert!(each[..i].iter().all(|other| !other.contains(one)));
+        }
+        let all = each.iter().fold(HookSet::NONE, |set, &one| set.union(one));
+        assert_eq!(all, HookSet::ALL);
+        assert!(HookSet::NONE.on_hop().on_enqueue().contains(each[4]));
+    }
+
+    #[test]
+    fn observers_ask_for_everything_unless_they_say_otherwise() {
+        let (fan, _) = tagged_fanout(2);
+        assert_eq!(fan.interests(), HookSet::ALL);
+        assert_eq!(NullObserver.interests(), HookSet::NONE);
+        assert_eq!(FanoutObserver::new().interests(), HookSet::NONE);
+        let quiet = FanoutObserver::new().push(Box::new(NullObserver));
+        assert_eq!(quiet.interests(), HookSet::NONE);
+        assert_eq!(quiet.push(Box::new(fan)).interests(), HookSet::ALL);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! and nothing else, which at fabric sizes that leave the cache is what an
 //! operation costs (DESIGN.md §4). A RECN set's SAQ records, like its CAM
 //! lines, exist from the first store to one of them on: a port no
-//! congestion tree has reached owns neither.
+//! congestion tree has reached owns neither. A baseline set also keeps one
+//! bit per queue past queue 0 — set while the queue holds an item — so its
+//! round-robin service order reads a word per 64 queues, not a record per
+//! queue.
 
 use recn::{Classify, RecnPort, SaqId};
 
@@ -114,7 +117,50 @@ pub struct QueueSet {
     /// Queues `1..`: record `q - 1` is queue `q`'s. All of them for a
     /// baseline scheme; under RECN none until the first store to a SAQ,
     /// `max_saqs` from then on.
-    rest: Vec<Fifo>,
+    rest: Box<[Fifo]>,
+    /// Baseline schemes: bit `q - 1` is set while queue `q` holds an item,
+    /// one word per 64 records of `rest`. Empty under RECN, whose service
+    /// order asks the CAM.
+    nonempty: Bits,
+}
+
+/// A bitmap that costs no allocation until it outgrows a word (every
+/// baseline set but VOQnet's past 65 hosts fits one).
+#[derive(Debug)]
+enum Bits {
+    Word(u64),
+    Words(Box<[u64]>),
+}
+
+impl Bits {
+    fn new(bits: usize) -> Bits {
+        match bits.div_ceil(64) {
+            0 => Bits::Words(Box::default()),
+            1 => Bits::Word(0),
+            words => Bits::Words(vec![0; words].into()),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Bits::Word(_) => 0,
+            Bits::Words(words) => std::mem::size_of_val(&**words),
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Bits::Word(word) => std::slice::from_ref(word),
+            Bits::Words(words) => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match self {
+            Bits::Word(word) => std::slice::from_mut(word),
+            Bits::Words(words) => words,
+        }
+    }
 }
 
 impl QueueSet {
@@ -155,7 +201,8 @@ impl QueueSet {
             normal_streak: 0,
             rr: 0,
             nqueues: u32::try_from(nqueues).expect("queue count fits 32 bits"),
-            rest: vec![Fifo::default(); built],
+            rest: vec![Fifo::default(); built].into(),
+            nonempty: Bits::new(built),
             recn,
         }
     }
@@ -201,7 +248,7 @@ impl QueueSet {
     #[cold]
     #[inline(never)]
     fn build_saq_records(&mut self) {
-        self.rest = vec![Fifo::default(); self.num_queues() - 1];
+        self.rest = vec![Fifo::default(); self.num_queues() - 1].into();
     }
 
     /// The RECN state machine, when the scheme is RECN.
@@ -260,7 +307,7 @@ impl QueueSet {
     /// RECN, the port's CAM lines. Zero for 1Q, and for a RECN port until
     /// a congestion tree reaches it.
     pub fn queue_storage_bytes(&self) -> u64 {
-        (self.rest.capacity() * std::mem::size_of::<Fifo>()) as u64
+        (std::mem::size_of_val(&*self.rest) + self.nonempty.heap_bytes()) as u64
             + self.recn.as_ref().map_or(0, RecnPort::backing_bytes)
     }
 
@@ -305,7 +352,27 @@ impl QueueSet {
         fifo.len += 1;
         match tail {
             Some(tail) => self.items.get_mut(tail).next = Some(h),
-            None => self.fifo_mut(queue).head = Some(h),
+            None => {
+                fifo.head = Some(h);
+                self.mark_nonempty(queue, true);
+            }
+        }
+    }
+
+    /// Queue `queue` gained its first item or lost its last: its bit
+    /// follows, if it has one (a baseline queue past queue 0).
+    #[inline]
+    fn mark_nonempty(&mut self, queue: usize, nonempty: bool) {
+        let Some(bit) = queue.checked_sub(1) else {
+            return;
+        };
+        if let Some(word) = self.nonempty.words_mut().get_mut(bit / 64) {
+            let mask = 1 << (bit % 64);
+            if nonempty {
+                *word |= mask;
+            } else {
+                *word &= !mask;
+            }
         }
     }
 
@@ -318,6 +385,7 @@ impl QueueSet {
         fifo.len -= 1;
         if fifo.head.is_none() {
             fifo.tail = None;
+            self.mark_nonempty(queue, false);
         }
         Some(node.item)
     }
@@ -469,10 +537,14 @@ impl QueueSet {
         out.clear();
         let n = self.num_queues();
         if !matches!(self.mapping, Mapping::Recn) {
-            // Round-robin from `rr`: `rr..n`, then the wrap.
-            let rr = self.rr as usize;
-            let listed = (rr..n).chain(0..rr);
-            out.extend(listed.filter(|&q| self.fifo(q).len > 0));
+            // Round-robin from `rr`: `rr..n`, then the wrap — queue 0 by
+            // its record, the others by their bits.
+            let first = if self.rr == 0 { n } else { self.rr as usize };
+            self.list_nonempty(first, n, out);
+            if self.q0.len > 0 {
+                out.push(0);
+            }
+            self.list_nonempty(1, first, out);
             return;
         }
         // Fast path: every stored item sits in the normal queue, so no SAQ
@@ -519,6 +591,26 @@ impl QueueSet {
             // Rotate the normal queue behind the SAQs for one round.
             out.remove(normal_pos);
             out.push(0);
+        }
+    }
+
+    /// Appends the non-empty queues among `from..to` (`from >= 1`), in
+    /// ascending order, to `out`: the set bits `from - 1..to - 1`.
+    fn list_nonempty(&self, from: usize, to: usize, out: &mut Vec<usize>) {
+        let (lo, hi) = (from - 1, to - 1);
+        for wi in lo / 64..hi.div_ceil(64) {
+            let base = wi * 64;
+            let mut word = self.nonempty.words()[wi];
+            if base < lo {
+                word &= !0 << (lo - base);
+            }
+            if hi < base + 64 {
+                word &= (1 << (hi - base)) - 1;
+            }
+            while word != 0 {
+                out.push(base + word.trailing_zeros() as usize + 1);
+                word &= word - 1;
+            }
         }
     }
 
@@ -877,23 +969,30 @@ mod tests {
     /// A seeded sequence of every mutating call, on every scheme, against
     /// [`Model`]: direct stores, two-phase stores whose commit comes later,
     /// takes in service order, and under RECN SAQs allocated (marker into
-    /// the normal queue), filled, drained and freed along the way.
+    /// the normal queue), filled, drained and freed along the way. VOQnet
+    /// runs at 64, 65 and 130 queues: the non-empty bits of queues `1..`
+    /// then fill one word short of a bit, one word exactly, and two words
+    /// and a bit, and the round-robin pointer starts a listing on either
+    /// side of each word boundary.
     #[test]
     fn random_operations_match_plain_containers() {
         let recn = RecnConfig {
             drain_boost_pkts: 2,
             ..RecnConfig::default().with_max_saqs(4)
         };
-        for (scheme, mem) in [
-            (SchemeKind::OneQ, 1024),
-            (SchemeKind::FourQ, 4 * 256),
-            (SchemeKind::VoqSw, 4 * 256),
-            (SchemeKind::VoqNet, 64 * 192),
-            (SchemeKind::Recn(recn), 2048),
+        for (scheme, hosts, mem) in [
+            (SchemeKind::OneQ, 64, 1024),
+            (SchemeKind::FourQ, 64, 4 * 256),
+            (SchemeKind::VoqSw, 64, 4 * 256),
+            (SchemeKind::VoqNet, 64, 64 * 192),
+            (SchemeKind::VoqNet, 65, 65 * 192),
+            (SchemeKind::VoqNet, 130, 130 * 192),
+            (SchemeKind::Recn(recn), 64, 2048),
         ] {
             let mut rng = simcore::SplitMix64::new(0x9e7 + mem);
-            let mut qs = QueueSet::new(scheme, PortSide::SwitchInput, 4, 64, mem);
+            let mut qs = QueueSet::new(scheme, PortSide::SwitchInput, 4, hosts, mem);
             let n = qs.num_queues();
+            let mut rr_seen = vec![false; n];
             let is_recn = qs.recn().is_some();
             let per_queue_cap = (!is_recn).then_some(mem / n as u64);
             let mut model = Model {
@@ -908,8 +1007,11 @@ mod tests {
             let mut in_flight: VecDeque<(usize, Packet)> = VecDeque::new();
             let (mut next_id, mut takes, mut saq_takes) = (0, 0, 0);
             for step in 0..20_000 {
-                let at = format!("{} step {step}", scheme.name());
-                let mut p = pkt((rng.next_u64() % 64) as u32, 0);
+                let at = format!("{} x {n} step {step}", scheme.name());
+                // The route is the 64-host fabric's; only VOQnet reads `dst`.
+                let dst = (rng.next_u64() % hosts as u64) as u32;
+                let mut p = pkt(dst % 64, 0);
+                p.dst = HostId::new(dst);
                 p.id = next_id;
                 next_id += 1;
                 let queue = qs.classify(&p);
@@ -997,6 +1099,7 @@ mod tests {
                         }
                         qs.rr_granted(queue);
                         model.rr = (queue + 1) % n;
+                        rr_seen[model.rr] = true;
                         model.normal_streak = if queue == 0 {
                             model.normal_streak + 1
                         } else {
@@ -1007,6 +1110,11 @@ mod tests {
                 model.assert_matches(&qs, per_queue_cap, &at);
             }
             assert!(takes > 2_000, "{}: {takes} takes", scheme.name());
+            // Queue `q` is bit `q - 1`: listings started at the last bit of
+            // a word, the first of the next, and wrapped past the last queue.
+            for rr in (64..n).step_by(64).flat_map(|q| [q, q + 1]) {
+                assert!(rr_seen[rr % n], "{} x {n}: rr {rr}", scheme.name());
+            }
             assert_eq!(
                 is_recn,
                 saq_takes > 200,

@@ -10,7 +10,7 @@
 //! drives seeded random bursty scripts through every scheme.
 
 use fabric::{
-    assert_recn_idle, ConstantRateSource, Event, EventModel, FabricConfig, FanoutObserver,
+    assert_recn_idle, ConstantRateSource, Event, EventModel, FabricConfig, FanoutObserver, HookSet,
     MessageSource, NetObserver, Network, Packet, PortRef, QueueItem, QueueKind, QueueSet,
     RoutingPolicy, SaqSite, SchemeKind, ScriptSource, SilentSource, SourcedMessage, TraceSink,
     ValidatingObserver, ValidatorHandle,
@@ -104,6 +104,63 @@ fn all_schemes_deliver_uniform_traffic() {
         }
         assert!(c.latency_ns.mean() > 0.0);
     }
+}
+
+/// Counts six hooks — `[injected, hop, enqueue, dequeue, credit,
+/// delivered]` — and asks for the set it was given.
+struct Asks(HookSet, Rc<RefCell<[u64; 6]>>);
+
+impl NetObserver for Asks {
+    fn on_injected(&mut self, _: Picos, _: &Packet) {
+        self.1.borrow_mut()[0] += 1;
+    }
+    fn on_hop(&mut self, _: Picos, _: &Packet, _: usize) {
+        self.1.borrow_mut()[1] += 1;
+    }
+    fn on_enqueue(&mut self, _: Picos, _: PortRef, _: usize, _: QueueKind, _: &Packet) {
+        self.1.borrow_mut()[2] += 1;
+    }
+    fn on_dequeue(&mut self, _: Picos, _: PortRef, _: usize, _: QueueKind, _: &Packet) {
+        self.1.borrow_mut()[3] += 1;
+    }
+    fn on_credit_change(&mut self, _: Picos, _: usize, _: u16, _: i64, _: u64, _: Option<u64>) {
+        self.1.borrow_mut()[4] += 1;
+    }
+    fn on_delivered(&mut self, _: Picos, _: &Packet) {
+        self.1.borrow_mut()[5] += 1;
+    }
+    fn interests(&self) -> HookSet {
+        self.0
+    }
+}
+
+#[test]
+fn the_network_calls_the_hooks_its_observer_asked_for_and_no_other() {
+    let calls_with = |asked: HookSet| {
+        let calls = Rc::new(RefCell::new([0; 6]));
+        // Inside a fan-out, as every run's observer is.
+        let fan = FanoutObserver::new().push(Box::new(Asks(asked, calls.clone())));
+        let params = MinParams::new(16, 4, 2);
+        let sources = random_sources(16, 50, 64, 0.5, 7);
+        let cfg = FabricConfig::paper(SchemeKind::Recn(test_recn_config()));
+        let net = run_to_drain(Network::new(params, cfg, 64, sources, Box::new(fan)));
+        assert_eq!(net.counters().delivered_packets, 16 * 50);
+        let calls = *calls.borrow();
+        calls
+    };
+    let all = calls_with(HookSet::ALL);
+    assert_eq!((all[0], all[5]), (800, 800));
+    assert!(all.iter().all(|&n| n >= 800), "{all:?}");
+    let [_, hops, _, _, credits, _] = all;
+    assert_eq!(calls_with(HookSet::NONE), [0; 6]);
+    assert_eq!(
+        calls_with(HookSet::NONE.on_delivered()),
+        [0, 0, 0, 0, 0, 800]
+    );
+    assert_eq!(
+        calls_with(HookSet::NONE.on_hop().on_credit_change()),
+        [0, hops, 0, 0, credits, 0]
+    );
 }
 
 #[test]

@@ -30,7 +30,7 @@ pub mod report;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fabric::{NetObserver, Packet};
+use fabric::{HookSet, NetObserver, Packet};
 use simcore::{BinnedSeries, GaugeSeries, Picos, SeriesPoint};
 use topology::HostId;
 
@@ -116,6 +116,16 @@ impl Probe {
 }
 
 impl NetObserver for Probe {
+    /// The five hooks below: a probe-only run pays for no per-hop hook.
+    fn interests(&self) -> HookSet {
+        HookSet::NONE
+            .on_delivered()
+            .on_saq_census()
+            .on_root_change()
+            .on_drop_attempt()
+            .on_flow_complete()
+    }
+
     fn on_delivered(&mut self, now: Picos, pkt: &Packet) {
         self.0.borrow_mut().delivered.add(now, pkt.size as f64);
     }

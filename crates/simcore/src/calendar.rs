@@ -62,11 +62,12 @@
 //!   far-future events — timers, the tail of a sparse schedule — do not
 //!   wrap around the circular array into the buckets of the dense cluster
 //!   near `now` and turn its appends into walks. A rebuild sizes the window
-//!   to reach the last pending event, and an empty overflow tier lets it
-//!   slide, so the tier is for what is scheduled more than a window ahead
-//!   of `now`; it is *not* used for near-term events, whatever their
-//!   number per timestamp, and a run whose reach fits the window never
-//!   migrates. Every overflow key is strictly greater than every bucketed
+//!   to reach the last pending event — as far as [`REACH`] times the
+//!   buckets the population itself asks for will go — and an empty
+//!   overflow tier lets it slide, so the tier is for what is scheduled more
+//!   than a window ahead of `now`; it is *not* used for near-term events,
+//!   whatever their number per timestamp, and a run whose reach fits the
+//!   window never migrates. Every overflow key is strictly greater than every bucketed
 //!   key, so the head always lives in the buckets; once something is
 //!   parked the window stays put until it drains, and a migration (sort
 //!   the overflow, append the next cohort) re-anchors it at the overflow
@@ -76,8 +77,13 @@
 //!   width is the *coarsest* one whose busiest day holds at most
 //!   [`RUN_LIMIT`] distinct timestamps (so a mid-run insert walks few
 //!   steps), and the bucket count gives ~2 buckets per event *and* a
-//!   window reaching the last pending event's day (capped), so only what
-//!   is scheduled later can overflow.
+//!   window reaching the last pending event's day, so only what is
+//!   scheduled later can overflow — up to [`REACH`] times the former: a
+//!   cluster of timestamps a few picoseconds apart (the end of a hotspot
+//!   burst) makes the days that fine, and a few thousand pending events
+//!   with a timer 20 µs out would otherwise get the 2²⁰-bucket ceiling, 8 MiB
+//!   of index. The index follows the depth; the timers wait in the
+//!   overflow tier and the window migrates to them.
 //! * [`QueueWork`] counts the work of the cold paths exactly (rebuilds,
 //!   migrations, events sorted by them, steps walked by out-of-order
 //!   inserts): a schedule replays them bit for bit on any host.
@@ -104,6 +110,10 @@ const RUN_LIMIT: usize = 16;
 /// (the workload got denser than the last width choice) forces an early
 /// re-width.
 const LONG_RUN: usize = 4 * RUN_LIMIT;
+/// A rebuild's window reaches the last pending event only as far as this
+/// many times the buckets the population asks for (~2 per event) go; what
+/// lies beyond waits in the overflow tier.
+const REACH: usize = 2;
 /// "No node": an empty bucket's head and tail, the end of a run, the end
 /// of the free list.
 const NIL: u32 = u32::MAX;
@@ -235,6 +245,23 @@ impl<E> CalendarQueue<E> {
     /// Events ever scheduled: the next one's `seq`.
     pub(crate) fn scheduled_total(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Numbers one schedule. [`schedule`](Self::schedule) does it for the
+    /// events stored here; the queue's same-time lane draws from the same
+    /// counter, so `seq` orders every pending event wherever it waits.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// The `seq` of the head event (for the queue's debug assertions).
+    /// Panics on an empty calendar.
+    pub(crate) fn head_seq(&self) -> u64 {
+        let (_, b) = self.head.expect("a pending event");
+        let front = &self.nodes[self.buckets[b].0 as usize];
+        front.ev.as_ref().expect("linked node").seq
     }
 
     pub(crate) fn work(&self) -> QueueWork {
@@ -424,8 +451,7 @@ impl<E> CalendarQueue<E> {
 
     /// Schedules `event` at `time` behind every pending event due then.
     pub(crate) fn schedule(&mut self, time: Picos, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let ev = ScheduledEvent { time, seq, event };
         let hint = self.hint.take();
         let day = self.day_of(time);
@@ -652,10 +678,12 @@ impl<E> CalendarQueue<E> {
 
         // Bucket count: enough for ~2 buckets per event AND for the
         // window to reach the last pending event's day, so only later
-        // schedules overflow. Dense workloads with a wide reach get big
-        // sparse arrays — that's fine, the occupancy bitmap makes empty
-        // buckets nearly free, while a too-narrow window would drain and
-        // migrate constantly.
+        // schedules overflow. A wide reach gets a sparse array — the
+        // occupancy bitmap makes empty buckets nearly free, while a
+        // too-narrow window would drain and migrate constantly — but no
+        // more than REACH times what the population asks for: days made
+        // picoseconds wide by one dense cluster must not buy an index
+        // the size of the ceiling for a few thousand events.
         let nbuckets = {
             let pop = (2 * self.len).next_power_of_two();
             let cover = if events.is_empty() {
@@ -667,7 +695,8 @@ impl<E> CalendarQueue<E> {
                     + 1;
                 days.min(MAX_BUCKETS as u64).next_power_of_two() as usize
             };
-            pop.max(cover).clamp(MIN_BUCKETS, MAX_BUCKETS)
+            pop.max(cover.min(REACH * pop))
+                .clamp(MIN_BUCKETS, MAX_BUCKETS)
         };
 
         if self.buckets.len() != nbuckets {

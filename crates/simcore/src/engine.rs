@@ -109,11 +109,7 @@ impl<M: SimModel> Engine<M> {
     /// Panics if an event is scheduled before the current simulated time.
     pub fn run_until(&mut self, deadline: Picos) -> u64 {
         let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must exist");
+        while let Some(ev) = self.queue.pop_due(deadline) {
             assert!(
                 ev.time >= self.now,
                 "event scheduled in the past: {} < {}",

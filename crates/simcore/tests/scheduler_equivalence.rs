@@ -198,6 +198,8 @@ impl Pair {
         let payload = self.cal.scheduled_total();
         self.cal.schedule(time, payload);
         self.heap.schedule(time, payload);
+        assert_eq!(self.cal.peek_time(), self.heap.peek_time());
+        assert_eq!(self.cal.len(), self.heap.len());
     }
 
     fn pop(&mut self) -> Option<Picos> {
@@ -205,6 +207,7 @@ impl Pair {
         let b = self.heap.pop();
         assert_eq!(a, b, "pop diverged");
         assert_eq!(self.cal.peek_time(), self.heap.peek_time());
+        assert_eq!(self.cal.len(), self.heap.len());
         a.map(|(time, ..)| time)
     }
 
@@ -331,6 +334,61 @@ fn slab_is_reused_across_rebuilds_that_resize_the_index() {
         q.assert_memory_follows_depth();
     }
     q.drain();
+}
+
+#[test]
+fn same_time_schedules_match() {
+    // What a handler does: wake something up "now". Over a third of the
+    // schedules are due at the time of the last pop, alone or in blocks,
+    // and take the queue's same-time lane; the rest land a link time or
+    // less ahead, or far ahead. One op in sixteen is what only a standalone
+    // queue sees: between two same-time blocks — so with the lane occupied
+    // — a schedule *earlier* than the last pop, which the next pop must
+    // deliver before the waiting lane, after which the lane's time and the
+    // time of the last pop differ. `Pair` compares the popped event,
+    // `peek_time` and `len` with the heap's at every step.
+    let mut rng = SplitMix64::new(0x1a9e_5a3e);
+    let mut q = Pair::new();
+    let mut now = Picos::from_us(1);
+    let (mut schedules, mut same_time, mut rewinds) = (0u64, 0u64, 0u64);
+    q.schedule(now);
+    for _ in 0..120_000 {
+        let r = rng.next_u64();
+        let arg = r >> 8;
+        match r % 16 {
+            0..=5 => now = q.pop().unwrap_or(now),
+            6..=8 => {
+                let n = 1 + arg % 6;
+                block(&mut q, now, n as usize);
+                same_time += n;
+                schedules += n;
+            }
+            9..=13 => {
+                // Quantized, so later same-time schedules find company.
+                q.schedule(now + Picos::new(arg % 4_096 * 100));
+                schedules += 1;
+            }
+            14 => {
+                q.schedule(now + Picos::from_us(20 + arg % 64));
+                schedules += 1;
+            }
+            _ => {
+                block(&mut q, now, 2);
+                q.schedule(now.saturating_sub(Picos::new(1 + arg % 50_000)));
+                block(&mut q, now, 2);
+                same_time += 4;
+                schedules += 5;
+                rewinds += 1;
+            }
+        }
+    }
+    assert!(q.cal.scheduled_total() > 100_000);
+    assert!(
+        3 * same_time >= schedules && rewinds > 5_000,
+        "{same_time} of {schedules} schedules at the time of the last pop, {rewinds} rewinds"
+    );
+    q.drain();
+    assert_eq!(q.cal.len(), 0);
 }
 
 /// `n` events due at `time`: one block of a lock-step schedule.

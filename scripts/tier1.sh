@@ -29,6 +29,12 @@ for hook in on_enqueue on_dequeue; do
   n="$(cat $net/*.rs | grep -c "\.$hook(")"
   test "$n" = 1 || { echo "$net: $n .$hook( call sites, want 1 (port.rs)" >&2; exit 1; }
 done
+# A hook costs nothing unless someone listens (DESIGN §6c): network/ calls
+# the observer through observe! (mod.rs), which checks the interest set
+# first, and by no other path.
+if grep -rn 'observer\.on_' $net; then
+  echo "$net: an observer hook called past observe!'s interest check" >&2; exit 1
+fi
 for f in $net/*.rs; do
   test "$(wc -l < "$f")" -le 500 || { echo "$f is over 500 lines" >&2; exit 1; }
 done

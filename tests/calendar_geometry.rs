@@ -1,4 +1,4 @@
-//! The event queue's geometry on the three shapes of schedule the fabric
+//! The event queue's geometry on the four shapes of schedule the fabric
 //! produces, pinned as exact work counts ([`simcore::QueueWork`]): how often
 //! the calendar re-derived its day width, how often its window drained into
 //! the overflow tier, how many events those sorted, and how many timestamps
@@ -8,18 +8,25 @@
 //! anywhere, so they are asserted *at equality*. A change that moves one has
 //! changed how the queue lays a run out — look at `calendar.rs`,
 //! "Mechanics", before re-pinning. The runs are the benchmark's
-//! `ft4096_recn`, `hotspot256_recn` and `uniform64_1q` workloads at seed
-//! 2005 (`benchmark/src/workloads.rs`); all three start with one
-//! `NextMessage` per host at t = 0, the lock-step block that used to pin
-//! the calendar at 1 ps days (23, 23 and 2,960 migrations respectively;
-//! none now).
+//! `ft4096_recn`, `hotspot256_recn`, `uniform64_1q` and `incast64_gbn`
+//! workloads at seed 2005 (`benchmark/src/workloads.rs`); the first three
+//! start with one `NextMessage` per host at t = 0, the lock-step block that
+//! used to pin the calendar at 1 ps days (23, 23 and 2,960 migrations
+//! respectively; none, 17 of another kind — see the test — and none now).
+//!
+//! Events scheduled for the time of the last pop wait in the queue's
+//! same-time lane and never reach the calendar, so `steps_walked` counts
+//! near-future inserts only. Before the lane the four runs walked 819,777,
+//! 3,012,846, 5,320,651 and 12,808,686 timestamps.
 
 use experiments::runner::{scaled_recn_config, Workload};
 use experiments::RunSpec;
-use fabric::{NullObserver, SchemeKind};
+use fabric::{NullObserver, SchemeKind, TransportConfig, TransportKind};
 use simcore::{Picos, QueueWork};
 use topology::{FatTreeParams, MinParams};
-use traffic::corner::CornerCase;
+use traffic::corner::{CornerCase, GangLayout};
+use traffic::flows::FlowPattern;
+use traffic::FlowSet;
 
 const SEED: u64 = 2005;
 
@@ -62,10 +69,12 @@ fn ft4096_hotspot_needs_no_migration() {
     // the queue fills (they sort 165 k events between them), a window that
     // reaches the horizon — nothing overflows, nothing migrates — and most
     // out-of-order schedules land right behind the previous one, so the
-    // walks to a slot add up to 0.3 timestamps per schedule.
+    // walks to a slot add up to 0.3 timestamps per schedule. (The one run
+    // the lane costs walks, +3.7 %: without the same-time events the
+    // rebuilds see fewer events and settle on slightly coarser days.)
     assert_eq!(
         work_of(&spec),
-        (2_729_123, 82_507, work(7, 0, 165_203, 819_777))
+        (2_729_123, 82_507, work(7, 0, 154_382, 850_497))
     );
 }
 
@@ -79,12 +88,17 @@ fn min256_hotspot_window_follows_the_run() {
     let spec = RunSpec::corner(MinParams::paper_256(), recn(), corner)
         .with_horizon(Picos::from_us(25))
         .with_bin(Picos::from_us(1));
-    // 16,384 days of 1 ns are 17 µs of a 25 µs run, but nothing is ever
-    // scheduled that far ahead, so the window follows the day being
-    // drained and never has to be re-anchored.
+    // The burst ends in thousands of timestamps a few picoseconds apart:
+    // the rebuild that follows (an insert walked 64 of them) settles on
+    // 16 ps days, at which the idle timers 20 µs out are a million days
+    // away. The index stays at twice what 4 k events ask for (32,768
+    // buckets, half a microsecond), the timers wait in the overflow tier,
+    // and the window migrates to them 17 times, sorting what is pending —
+    // 6 % of the run's events in all — where an index at the 2²⁰-bucket
+    // ceiling (8 MiB for this run's 9 MiB) would have held them.
     assert_eq!(
         work_of(&spec),
-        (1_490_736, 6_296, work(5, 0, 7_729, 3_012_846))
+        (1_490_736, 6_296, work(5, 17, 99_233, 1_455_437))
     );
 }
 
@@ -101,6 +115,31 @@ fn uniform64_one_queue_follows_its_sources() {
     // No lock step after t = 0 and only ~600 events pending: three
     // rebuilds while the queue fills, then 1,024 days of 16 ns that the
     // 400 µs run laps 23 times without a migration. Days this coarse for so
-    // few events cost walks: 1.4 timestamps per event.
-    assert_eq!(work_of(&spec), (3_703_886, 594, work(3, 0, 711, 5_320_651)));
+    // few events cost walks: 0.56 timestamps per event, all of them by
+    // near-future inserts (1.4 while same-time events walked too).
+    assert_eq!(work_of(&spec), (3_703_886, 594, work(3, 0, 867, 2_086_713)));
+}
+
+#[test]
+fn incast64_go_back_n_walks_only_for_the_near_future() {
+    let flows = FlowSet {
+        pattern: FlowPattern::Incast {
+            fanin: 16,
+            victim: (SEED % 48) as u32,
+            layout: GangLayout::TailRange,
+        },
+        ..FlowSet::incast64().with_flow_bytes(768 * 1024 - 64 * (SEED % 256))
+    };
+    let spec = RunSpec::flows(MinParams::paper_64(), recn(), flows)
+        .with_transport(TransportKind::GoBackN(TransportConfig::default()))
+        .with_horizon(Picos::from_us(20_000))
+        .with_bin(Picos::from_us(1));
+    // 27.7 events per delivered packet and never 300 of them pending: 38 %
+    // are sweeps due at once, which take the lane. What still walks are the
+    // acks, credits and retries due a fraction of a link time ahead, one
+    // timestamp per schedule on average.
+    assert_eq!(
+        work_of(&spec),
+        (5_353_396, 1_137, work(3, 1, 1_362, 5_444_275))
+    );
 }
