@@ -248,7 +248,7 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Numbers one schedule. [`schedule`](Self::schedule) does it for the
-    /// events stored here; the queue's same-time lane draws from the same
+    /// events stored here; the queue's delay lanes draw from the same
     /// counter, so `seq` orders every pending event wherever it waits.
     pub(crate) fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
@@ -256,8 +256,8 @@ impl<E> CalendarQueue<E> {
         seq
     }
 
-    /// The `seq` of the head event (for the queue's debug assertions).
-    /// Panics on an empty calendar.
+    /// The `seq` of the head event: what the queue compares when a lane's
+    /// front is due at the same time. Panics on an empty calendar.
     pub(crate) fn head_seq(&self) -> u64 {
         let (_, b) = self.head.expect("a pending event");
         let front = &self.nodes[self.buckets[b].0 as usize];

@@ -1,11 +1,26 @@
-//! Stable event priority queue: the calendar queue and the same-time lane
-//! beside it, behind their counters.
+//! Stable event priority queue: the calendar queue and, beside it, one FIFO
+//! lane per delay after the last pop, behind their counters.
 
 use std::collections::VecDeque;
 use std::mem::size_of;
 
 use crate::calendar::CalendarQueue;
 use crate::Picos;
+
+/// How many delays the queue keeps a lane for at once. The fabric's hops
+/// are a handful of fixed delays (a link hop, a crossbar transfer, a credit
+/// on the reverse channel, an egress port's self-kick, a same-time wakeup,
+/// a transport timer); chosen by measurement, see CHANGES.md.
+const LANES: usize = 8;
+
+/// `(time, seq)` packed into one integer that orders the same way, so
+/// a pop compares lane fronts without branching on the tie.
+fn key(time: Picos, seq: u64) -> u128 {
+    u128::from(time.as_ps()) << 64 | u128::from(seq)
+}
+
+/// The front key of an empty lane: after every pending event's.
+const EMPTY: u128 = u128::MAX;
 
 /// An event with its scheduled delivery time and a tie-breaking sequence
 /// number assigned at insertion (by the calendar: it counts schedules).
@@ -19,10 +34,11 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Exact counts of the work the queue's cold paths did, for a schedule
-/// rather than a host: the same schedule replays them bit for bit
-/// anywhere, so a change in them is a change in the queue's geometry (see
-/// `calendar.rs`, "Mechanics"), never noise.
+/// Exact counts of the work the queue did — the calendar's cold paths and
+/// the lanes' share of the schedules — for a schedule rather than a host:
+/// the same schedule replays them bit for bit anywhere, so a change in them
+/// is a change in the queue's geometry (see `calendar.rs`, "Mechanics"),
+/// never noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueWork {
     /// Times the day width and bucket count were re-derived.
@@ -35,31 +51,36 @@ pub struct QueueWork {
     /// Timestamps stepped over, in total, by schedules that were due
     /// earlier than the latest event of their day.
     pub steps_walked: u64,
+    /// Schedules a delay lane took; the calendar took the rest of
+    /// [`EventQueue::scheduled_total`].
+    pub lane_schedules: u64,
 }
 
 /// A stable priority queue of simulation events.
 ///
 /// Events are delivered in nondecreasing time order; events scheduled for
 /// the same instant are delivered in the order they were scheduled. This
-/// stability is what makes multi-component simulations reproducible. The
-/// storage is a calendar queue (see `calendar.rs`; O(1) amortized for the
-/// clustered event times the fabric model produces) and, beside it, a
-/// *same-time lane*: an event scheduled for the time of the last pop — a
-/// handler waking something up "now" — is due before anything the calendar
-/// holds for a later time, so it waits in a FIFO and never enters a day
-/// that already holds later timestamps.
+/// stability is what makes multi-component simulations reproducible.
 ///
-/// The lane is exact, not a heuristic. Its entries share one time (the
-/// time it accepts only changes while it is empty) and carry ascending
-/// `seq`s (one counter numbers every schedule), so it is sorted by
-/// `(time, seq)`; so is the calendar; `pop` takes the smaller of the two
-/// fronts by that key, and a merge of two sorted sequences is sorted
-/// whichever of them an event was put in. A tie of times goes to the
-/// calendar: while the lane accepts a time every schedule for it takes the
-/// lane, so what the calendar holds for that time is older. None of this
-/// assumes an engine — a standalone queue that schedules below the last
-/// pop and comes back stays exact — and the whole queue is checked op for
-/// op against a binary-heap reference model in
+/// Almost every event a fabric handler schedules is due a fixed delay after
+/// the event it handles — a link hop, a crossbar transfer, a credit, a
+/// wakeup "now" — and with time moving forward the events of one delay
+/// arrive already sorted. So the queue files a schedule by its delay from
+/// the time of the last pop: it joins the FIFO *lane* keyed to that delay
+/// if that lane's tail is due no later, or else claims an empty lane
+/// (re-keyed to the delay), or else — and always before the first pop, or
+/// for a time below the last pop — goes to a calendar queue (see
+/// `calendar.rs`; O(1) amortized for clustered event times).
+///
+/// The lanes are exact, not a heuristic:
+/// 1. a lane appends only behind a tail due no later, and one counter
+///    numbers every schedule, so each lane is sorted by `(time, seq)`;
+/// 2. the calendar is sorted by `(time, seq)`;
+/// 3. `pop` takes the smallest `(time, seq)` among the lane fronts and the
+///    calendar head, and a merge of sorted sequences is sorted.
+///
+/// Which lane takes a schedule decides cost, never order. The whole queue
+/// is checked op for op against a binary-heap reference model in
 /// `tests/scheduler_equivalence.rs`.
 ///
 /// ```
@@ -74,12 +95,21 @@ pub struct QueueWork {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     calendar: CalendarQueue<E>,
-    /// The same-time lane: pending events due at `lane_time`, in `seq`
-    /// order.
-    lane: VecDeque<ScheduledEvent<E>>,
-    /// What a schedule must be due at to take the lane: the time of the
-    /// last pop made while the lane was empty (`None` before the first).
-    lane_time: Option<Picos>,
+    /// The [`key`] of each lane's front, `EMPTY` for an empty lane: what a
+    /// pop compares, packed apart from the events.
+    fronts: [u128; LANES],
+    /// The delay after the last pop each lane is keyed to.
+    delays: [Picos; LANES],
+    /// When each lane's tail is due (stale while the lane is empty).
+    tails: [Picos; LANES],
+    /// Bit `i` set ⇔ lane `i` holds an event.
+    occupied: u32,
+    /// Each lane's pending events, in `(time, seq)` order.
+    lanes: [VecDeque<ScheduledEvent<E>>; LANES],
+    /// Time of the last pop (`None` before the first).
+    last_pop: Option<Picos>,
+    lane_len: usize,
+    lane_schedules: u64,
     peak_len: usize,
 }
 
@@ -88,34 +118,78 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             calendar: CalendarQueue::new(),
-            lane: VecDeque::new(),
-            lane_time: None,
+            fronts: [EMPTY; LANES],
+            delays: [Picos::ZERO; LANES],
+            tails: [Picos::ZERO; LANES],
+            occupied: 0,
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            last_pop: None,
+            lane_len: 0,
+            lane_schedules: 0,
             peak_len: 0,
         }
     }
 
     /// Schedules `event` for delivery at `time`.
     pub fn schedule(&mut self, time: Picos, event: E) {
-        if self.lane_time == Some(time) {
-            let seq = self.calendar.take_seq();
-            self.lane.push_back(ScheduledEvent { time, seq, event });
-        } else {
-            self.calendar.schedule(time, event);
+        match self.lane_for(time) {
+            Some(i) => {
+                let seq = self.calendar.take_seq();
+                let lane = &mut self.lanes[i];
+                debug_assert!(lane.back().is_none_or(|t| (t.time, t.seq) < (time, seq)));
+                if lane.is_empty() {
+                    self.fronts[i] = key(time, seq);
+                    self.occupied |= 1 << i;
+                }
+                lane.push_back(ScheduledEvent { time, seq, event });
+                self.tails[i] = time;
+                self.lane_len += 1;
+                self.lane_schedules += 1;
+            }
+            None => self.calendar.schedule(time, event),
         }
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// The time of the lane's front, if that is the earliest pending event.
-    /// When the calendar's head is due at the same time it goes first: it
-    /// was scheduled before the lane last began to accept that time, so
-    /// before everything now in the lane.
-    fn lane_next(&self) -> Option<Picos> {
-        let &ScheduledEvent { time, seq, .. } = self.lane.front()?;
-        let first = self.calendar.peek_time().is_none_or(|head| {
-            debug_assert!(head != time || self.calendar.head_seq() < seq);
-            time < head
-        });
-        first.then_some(time)
+    /// The lane a schedule due at `time` joins: one keyed to its delay
+    /// after the last pop whose tail is due no later, or else an empty
+    /// lane, re-keyed. `None`: the calendar takes it.
+    fn lane_for(&mut self, time: Picos) -> Option<usize> {
+        let last_pop = self.last_pop?;
+        if time < last_pop {
+            return None;
+        }
+        let delay = time - last_pop;
+        let mut keyed = 0u32;
+        for (i, &d) in self.delays.iter().enumerate() {
+            keyed |= u32::from(d == delay) << i;
+        }
+        while keyed != 0 {
+            let i = keyed.trailing_zeros() as usize;
+            if self.occupied & 1 << i == 0 || self.tails[i] <= time {
+                return Some(i);
+            }
+            keyed &= keyed - 1;
+        }
+        let empty = !self.occupied & ((1 << LANES) - 1);
+        if empty == 0 {
+            return None;
+        }
+        let i = empty.trailing_zeros() as usize;
+        self.delays[i] = delay;
+        Some(i)
+    }
+
+    /// The lane whose front has the smallest [`key`], and that key
+    /// (`EMPTY` when every lane is).
+    fn first_lane(&self) -> (usize, u128) {
+        let (mut first, mut min) = (0, self.fronts[0]);
+        for (i, &front) in self.fronts.iter().enumerate().skip(1) {
+            let less = front < min;
+            first = if less { i } else { first };
+            min = if less { front } else { min };
+        }
+        (first, min)
     }
 
     /// Removes and returns the earliest event, if any.
@@ -124,28 +198,44 @@ impl<E> EventQueue<E> {
     }
 
     /// [`pop`](Self::pop) unless the earliest event is due after `deadline`:
-    /// the engine's step, with one comparison of lane and calendar where
+    /// the engine's step, with one merge of lanes and calendar where
     /// `peek_time` then `pop` make two.
     pub(crate) fn pop_due(&mut self, deadline: Picos) -> Option<ScheduledEvent<E>> {
-        if let Some(time) = self.lane_next() {
-            if time > deadline {
-                return None;
+        let (i, front) = self.first_lane();
+        let ev = match self.calendar.peek_time() {
+            // The calendar's head goes first: due earlier, or due then and
+            // scheduled earlier.
+            Some(head) if key(head, 0) <= front && key(head, self.calendar.head_seq()) < front => {
+                if head > deadline {
+                    return None;
+                }
+                self.calendar.pop()?
             }
-            return self.lane.pop_front();
-        }
-        if self.calendar.peek_time()? > deadline {
-            return None;
-        }
-        let ev = self.calendar.pop()?;
-        if self.lane.is_empty() {
-            self.lane_time = Some(ev.time);
-        }
+            _ => {
+                if front == EMPTY || front >> 64 > u128::from(deadline.as_ps()) {
+                    return None;
+                }
+                let lane = &mut self.lanes[i];
+                let ev = lane.pop_front().expect("a lane with a front");
+                match lane.front() {
+                    Some(next) => self.fronts[i] = key(next.time, next.seq),
+                    None => {
+                        self.fronts[i] = EMPTY;
+                        self.occupied &= !(1 << i);
+                    }
+                }
+                self.lane_len -= 1;
+                ev
+            }
+        };
+        self.last_pop = Some(ev.time);
         Some(ev)
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Picos> {
-        let lane = self.lane.front().map(|e| e.time);
+        let front = self.first_lane().1;
+        let lane = (front != EMPTY).then(|| Picos::new((front >> 64) as u64));
         match (lane, self.calendar.peek_time()) {
             (Some(lane), Some(head)) => Some(lane.min(head)),
             (lane, head) => lane.or(head),
@@ -154,21 +244,25 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.calendar.len() + self.lane.len()
+        self.calendar.len() + self.lane_len
     }
 
     /// Bytes of backing store the queue currently holds reserved — node
-    /// slab, bucket index, occupancy bitmap, overflow tier and same-time
-    /// lane by capacity. Deterministic for a given schedule, unlike
-    /// resident-set size, and bounded by the deepest the queue ever got
-    /// plus the index, not by how long the run was.
+    /// slab, bucket index, occupancy bitmap, overflow tier and every lane,
+    /// re-keyed or not, by capacity. Deterministic for a given schedule,
+    /// unlike resident-set size, and bounded by the deepest the queue ever
+    /// got plus the index, not by how long the run was.
     pub fn backing_bytes(&self) -> usize {
-        self.calendar.backing_bytes() + self.lane.capacity() * size_of::<ScheduledEvent<E>>()
+        let lanes: usize = self.lanes.iter().map(VecDeque::capacity).sum();
+        self.calendar.backing_bytes() + lanes * size_of::<ScheduledEvent<E>>()
     }
 
-    /// What the queue's cold paths have done so far.
+    /// What the queue has done so far.
     pub fn work(&self) -> QueueWork {
-        self.calendar.work()
+        QueueWork {
+            lane_schedules: self.lane_schedules,
+            ..self.calendar.work()
+        }
     }
 
     /// Whether no events are pending.
@@ -269,47 +363,77 @@ mod tests {
     }
 
     #[test]
-    fn schedules_at_the_time_of_the_last_pop_take_the_lane() {
-        let (t1, t2) = (Picos::from_ns(1), Picos::from_ns(2));
+    fn schedules_a_fixed_delay_after_the_last_pop_share_a_lane() {
+        let ns = Picos::from_ns;
         let mut q = EventQueue::new();
-        q.schedule(t1, 'a');
-        q.schedule(t1, 'b');
-        assert!(q.lane.is_empty(), "nothing popped yet: no lane time");
+        q.schedule(ns(1), 'a');
+        q.schedule(ns(85), 'b');
+        assert_eq!(q.work().lane_schedules, 0, "nothing popped yet: no delays");
         assert_eq!(q.pop().unwrap().event, 'a');
-        q.schedule(t2, 'x');
-        q.schedule(t1, 'c'); // the time of the last pop
-        q.schedule(t1, 'd');
-        assert_eq!((q.lane.len(), q.len(), q.peak_len()), (2, 4, 4));
-        assert_eq!(q.scheduled_total(), 5);
-        assert_eq!(q.peek_time(), Some(t1));
-        // 'b' waits in the calendar for the same instant: it is older.
+        q.schedule(ns(85), 'c'); // 84 ns after the last pop
+        q.schedule(ns(85), 'd'); // the same lane
+        q.schedule(ns(1), 'e'); // due now: the lane of delay 0
+        q.schedule(ns(43), 'f'); // a third lane
+        assert_eq!(q.work().lane_schedules, 4);
+        assert_eq!((q.len(), q.peak_len(), q.scheduled_total()), (5, 5, 6));
+        assert_eq!(q.peek_time(), Some(ns(1)));
+        assert_eq!(q.pop().unwrap().event, 'e');
+        assert_eq!(q.pop().unwrap().event, 'f');
+        // 42 ns after the last pop: the lane 'f' left empty, due with 'c'.
+        q.schedule(ns(85), 'g');
+        assert_eq!(q.work().lane_schedules, 5);
+        // One time reached through the calendar and two lanes: `seq` order.
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
-        assert_eq!(order, [(1, 'b'), (3, 'c'), (4, 'd'), (2, 'x')]);
-        assert!(q.backing_bytes() >= 2 * size_of::<ScheduledEvent<char>>());
+        assert_eq!(order, [(1, 'b'), (2, 'c'), (3, 'd'), (6, 'g')]);
+        assert!(q.backing_bytes() >= 3 * size_of::<ScheduledEvent<char>>());
     }
 
     #[test]
-    fn a_rewind_below_a_waiting_lane_stays_exact() {
+    fn a_rewind_below_the_last_pop_goes_to_the_calendar() {
         let ns = Picos::from_ns;
         let mut q = EventQueue::new();
         q.schedule(ns(10), 0);
         q.pop();
-        q.schedule(ns(10), 1); // lane
-        q.schedule(ns(5), 2); // below the last pop, lane waiting
-        q.schedule(ns(10), 3); // lane again: it still accepts 10 ns
-        assert_eq!(q.lane.len(), 2);
+        q.schedule(ns(10), 1); // delay 0
+        q.schedule(ns(30), 2); // delay 20 ns
+        q.schedule(ns(5), 3); // below the last pop
+        assert_eq!(q.work().lane_schedules, 2);
         assert_eq!(q.peek_time(), Some(ns(5)));
-        assert_eq!(q.pop().unwrap().event, 2);
-        // The lane was not empty at that pop, so it still accepts 10 ns,
-        // not 5 ns.
+        assert_eq!(q.pop().unwrap().event, 3);
+        // The last pop went back to 5 ns. Delays 0 and 20 ns now mean 5 and
+        // 25 ns, before the tails of their lanes: each claims an empty lane.
         q.schedule(ns(5), 4);
-        q.schedule(ns(10), 5);
-        assert_eq!(q.lane.len(), 3);
+        q.schedule(ns(25), 5);
+        q.schedule(ns(30), 6);
+        assert_eq!(q.work().lane_schedules, 5);
+        assert_eq!(q.occupied.count_ones(), 5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, [4, 1, 3, 5]);
-        // Drained at 10 ns, where the lane's last entry was due.
-        q.schedule(ns(10), 6);
-        assert_eq!(q.lane.len(), 1);
+        assert_eq!(order, [4, 1, 5, 2, 6]);
+        assert!(q.fronts.iter().all(|&f| f == EMPTY));
+    }
+
+    #[test]
+    fn a_delay_without_a_lane_goes_to_the_calendar() {
+        let ns = Picos::from_ns;
+        let mut q = EventQueue::new();
+        q.schedule(Picos::ZERO, 0);
+        q.pop();
+        for d in 1..=LANES as u64 {
+            q.schedule(ns(d), d);
+        }
+        q.schedule(ns(LANES as u64 + 1), 100); // every lane holds another delay
+        q.schedule(ns(1), 101); // behind the lane of 1 ns
+        assert_eq!(q.work().lane_schedules, LANES as u64 + 1);
+        assert_eq!(q.calendar.len(), 1);
+        assert_eq!(q.pop().unwrap().event, 1);
+        assert_eq!(q.pop().unwrap().event, 101);
+        // The lane of 1 ns drained: a new delay re-keys it.
+        q.schedule(ns(1 + 100), 102);
+        assert_eq!(q.work().lane_schedules, LANES as u64 + 2);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        let mut expect: Vec<u64> = (2..=LANES as u64).collect();
+        expect.extend([100, 102]);
+        assert_eq!(rest, expect);
     }
 
     #[test]

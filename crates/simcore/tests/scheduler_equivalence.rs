@@ -203,12 +203,39 @@ impl Pair {
     }
 
     fn pop(&mut self) -> Option<Picos> {
+        self.pop_key().map(|(time, _)| time)
+    }
+
+    /// [`pop`](Self::pop), returning the popped event's `(time, seq)`.
+    fn pop_key(&mut self) -> Option<(Picos, u64)> {
         let a = self.cal.pop().map(|e| (e.time, e.seq, e.event));
         let b = self.heap.pop();
         assert_eq!(a, b, "pop diverged");
         assert_eq!(self.cal.peek_time(), self.heap.peek_time());
         assert_eq!(self.cal.len(), self.heap.len());
-        a.map(|(time, ..)| time)
+        a.map(|(time, seq, _)| (time, seq))
+    }
+
+    /// Fills every delay lane of a fresh queue: after one pop at t = 0,
+    /// schedules an event at each of `far`, `far` − 1 ps, … — every one a
+    /// delay after that pop no other schedule uses — until one lands in the
+    /// calendar, and pops that one, the earliest. Until the parked events
+    /// are popped, every lane holds one and every other schedule reaches
+    /// the calendar. Returns how many are parked.
+    fn occupy_every_lane(&mut self, far: Picos) -> usize {
+        assert_eq!(self.cal.scheduled_total(), 0, "a fresh queue");
+        self.schedule(Picos::ZERO);
+        self.pop();
+        let mut parked = 0;
+        loop {
+            let lanes = self.cal.work().lane_schedules;
+            self.schedule(far.saturating_sub(Picos::new(parked as u64)));
+            if self.cal.work().lane_schedules == lanes {
+                assert!(self.pop() < Some(far), "the one the lanes refused");
+                return parked;
+            }
+            parked += 1;
+        }
     }
 
     fn drain(&mut self) {
@@ -238,8 +265,14 @@ fn memory_follows_depth_not_simulated_time() {
     // array over 70 times, even at the 2^20-bucket cap; a burst now counts
     // as one timestamp and the days are coarse. Either way what is held
     // reserved must follow the depth, not the time simulated.
+    //
+    // The bursts are due a few fixed hops after the burst before, which the
+    // queue's delay lanes would take; lanes parked a second ahead send
+    // them all to the calendar.
     let mut rng = SplitMix64::new(0xca1e_0da2);
     let mut q = Pair::new();
+    let parked = q.occupy_every_lane(Picos::from_us(1_000_000));
+    let lanes = q.cal.work().lane_schedules;
     for burst in 0..50 {
         for _ in 0..20 {
             q.schedule(Picos::new(burst * 7_919));
@@ -269,7 +302,12 @@ fn memory_follows_depth_not_simulated_time() {
         q.cal.peek_time() > Some(Picos::from_us(9)),
         "swept 8+ windows"
     );
-    assert!(q.cal.peak_len() <= 1_000);
+    assert!(q.cal.peak_len() <= 1_000 + parked);
+    assert_eq!(
+        q.cal.work().lane_schedules,
+        lanes,
+        "the calendar took every burst"
+    );
     let bytes = q.cal.backing_bytes();
     assert!(
         bytes <= after_first_windows,
@@ -340,13 +378,13 @@ fn slab_is_reused_across_rebuilds_that_resize_the_index() {
 fn same_time_schedules_match() {
     // What a handler does: wake something up "now". Over a third of the
     // schedules are due at the time of the last pop, alone or in blocks,
-    // and take the queue's same-time lane; the rest land a link time or
+    // and take the queue's lane of delay 0; the rest land a link time or
     // less ahead, or far ahead. One op in sixteen is what only a standalone
-    // queue sees: between two same-time blocks — so with the lane occupied
+    // queue sees: between two same-time blocks — so with that lane occupied
     // — a schedule *earlier* than the last pop, which the next pop must
-    // deliver before the waiting lane, after which the lane's time and the
-    // time of the last pop differ. `Pair` compares the popped event,
-    // `peek_time` and `len` with the heap's at every step.
+    // deliver before the waiting lane, after which "delay 0" means an
+    // earlier time than the waiting lane's tail. `Pair` compares the popped
+    // event, `peek_time` and `len` with the heap's at every step.
     let mut rng = SplitMix64::new(0x1a9e_5a3e);
     let mut q = Pair::new();
     let mut now = Picos::from_us(1);
@@ -391,6 +429,72 @@ fn same_time_schedules_match() {
     assert_eq!(q.cal.len(), 0);
 }
 
+#[test]
+fn delay_lane_schedules_match() {
+    // What the fabric's handlers do: schedule most events a fixed delay
+    // after the event they handle. The delays here are twelve, more than
+    // the queue keeps lanes for, so lanes are re-keyed as they drain and
+    // some schedules find none. The rest are at random offsets. One op in
+    // sixteen is a rewind below the last pop, which must go to the calendar
+    // (and moves the next delays' origin back). The fixed delays are
+    // multiples of 21 ns, so events due at one time arrive through
+    // different lanes and the merge must order them by `seq`. `Pair`
+    // compares the popped event, `peek_time` and `len` with the heap's at
+    // every step.
+    const DELAYS_NS: [u64; 12] = [0, 21, 42, 63, 84, 105, 126, 168, 252, 336, 504, 20_160];
+    const RANDOM: u64 = u64::MAX;
+    let mut rng = SplitMix64::new(0xde1a_7a9e);
+    let mut q = Pair::new();
+    let mut now = Picos::from_us(1);
+    // The delay class of each schedule, by `seq`.
+    let mut class = vec![RANDOM];
+    let (mut rewinds, mut mixed_ties) = (0u64, 0u64);
+    let mut last: Option<(Picos, u64)> = None;
+    q.schedule(now);
+    for _ in 0..120_000 {
+        let r = rng.next_u64();
+        let arg = r >> 8;
+        let (time, c) = match r % 16 {
+            0..=7 => {
+                if let Some((time, seq)) = q.pop_key() {
+                    // Due with the event before, from a different delay.
+                    let c = class[seq as usize];
+                    if last.is_some_and(|(t, lc)| t == time && lc != c) {
+                        mixed_ties += 1;
+                    }
+                    last = Some((time, c));
+                    now = time;
+                }
+                continue;
+            }
+            8..=12 => {
+                let ns = DELAYS_NS[(arg % 12) as usize];
+                (now + Picos::from_ns(ns), ns)
+            }
+            13 | 14 => (now + Picos::new(arg % 1_000_000), RANDOM),
+            _ => {
+                rewinds += 1;
+                (now.saturating_sub(Picos::new(1 + arg % 50_000)), RANDOM)
+            }
+        };
+        q.schedule(time);
+        class.push(c);
+    }
+    let schedules = q.cal.scheduled_total();
+    let in_lanes = q.cal.work().lane_schedules;
+    assert!(
+        schedules > 50_000 && rewinds > 5_000,
+        "{schedules} schedules, {rewinds} rewinds"
+    );
+    assert!(
+        in_lanes * 4 > schedules && schedules - in_lanes > rewinds + 10_000,
+        "lanes took {in_lanes} of {schedules} schedules ({rewinds} rewinds)"
+    );
+    assert!(mixed_ties > 1_000, "{mixed_ties} ties across delays");
+    q.drain();
+    assert_eq!(q.cal.len(), 0);
+}
+
 /// `n` events due at `time`: one block of a lock-step schedule.
 fn block(q: &mut Pair, time: Picos, n: usize) {
     for _ in 0..n {
@@ -404,8 +508,14 @@ fn lock_step_blocks_match() {
     // one picosecond, a few picoseconds apart — one day at any width the
     // rebuilds can choose for so few timestamps. Growing the first block
     // rebuilds three times mid-block (64 → 256 → 1,024 → 4,096 buckets).
+    //
+    // Past the first pop the blocks are due a few picoseconds after the last
+    // pop, which the queue's delay lanes would take: lanes parked a second
+    // ahead send them all to the calendar.
     let t = |ps: u64| Picos::from_ns(100) + Picos::new(ps);
     let mut q = Pair::new();
+    q.occupy_every_lane(Picos::from_us(1_000_000));
+    let lanes = q.cal.work().lane_schedules;
     block(&mut q, t(10), 4_096);
     assert_eq!(q.cal.work().rebuilds, 3, "rebuilds while the block grew");
     block(&mut q, t(30), 4_096);
@@ -439,6 +549,11 @@ fn lock_step_blocks_match() {
         q.pop();
     }
     block(&mut q, t(5), 3);
+    assert_eq!(
+        q.cal.work().lane_schedules,
+        lanes,
+        "the calendar took every block"
+    );
     q.drain();
 }
 
