@@ -8,9 +8,10 @@
 //! * [`EventQueue`] and [`Engine`]: a stable priority queue of events and a
 //!   driver loop. Events scheduled for the same instant are delivered in
 //!   insertion order, which makes the simulation deterministic even when many
-//!   components act "simultaneously". The queue is a calendar queue (O(1)
-//!   amortized); `tests/scheduler_equivalence.rs` checks it op for op
-//!   against a binary-heap reference model.
+//!   components act "simultaneously". The queue is one FIFO lane per fixed
+//!   delay after the last pop, with a binary heap for the rest;
+//!   `tests/scheduler_equivalence.rs` checks it op for op against a
+//!   binary-heap reference model.
 //! * [`SplitMix64`] / [`Xoshiro256`]: small, dependency-free PRNGs with
 //!   explicit seeding, so traffic generation is reproducible.
 //! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`] / [`Fnv1a64`]:
@@ -45,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 mod canon;
 mod engine;
 mod queue;

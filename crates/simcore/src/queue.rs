@@ -1,10 +1,10 @@
-//! Stable event priority queue: the calendar queue and, beside it, one FIFO
-//! lane per delay after the last pop, behind their counters.
+//! Stable event priority queue: one FIFO lane per delay after the last pop,
+//! and a binary heap for what no lane takes.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::mem::size_of;
 
-use crate::calendar::CalendarQueue;
 use crate::Picos;
 
 /// How many delays the queue keeps a lane for at once. The fabric's hops
@@ -14,16 +14,17 @@ use crate::Picos;
 const LANES: usize = 8;
 
 /// `(time, seq)` packed into one integer that orders the same way, so
-/// a pop compares lane fronts without branching on the tie.
+/// a pop compares lane fronts and the heap's top without branching on the
+/// tie.
 fn key(time: Picos, seq: u64) -> u128 {
     u128::from(time.as_ps()) << 64 | u128::from(seq)
 }
 
-/// The front key of an empty lane: after every pending event's.
+/// The front key of an empty lane or heap: after every pending event's.
 const EMPTY: u128 = u128::MAX;
 
 /// An event with its scheduled delivery time and a tie-breaking sequence
-/// number assigned at insertion (by the calendar: it counts schedules).
+/// number assigned at insertion (the queue counts schedules).
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// Delivery time.
@@ -34,24 +35,43 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Exact counts of the work the queue did — the calendar's cold paths and
-/// the lanes' share of the schedules — for a schedule rather than a host:
-/// the same schedule replays them bit for bit anywhere, so a change in them
-/// is a change in the queue's geometry (see `calendar.rs`, "Mechanics"),
-/// never noise.
+impl<E> ScheduledEvent<E> {
+    fn key(&self) -> u128 {
+        key(self.time, self.seq)
+    }
+}
+
+/// A heap entry: ordered by [`key`], reversed, so std's max-heap pops the
+/// earliest `(time, seq)`. The key is unique, so the payload never decides.
+#[derive(Debug)]
+struct Pending<E>(ScheduledEvent<E>);
+
+impl<E> Ord for Pending<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.key().cmp(&self.0.key())
+    }
+}
+
+impl<E> PartialOrd for Pending<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Pending<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key() == other.0.key()
+    }
+}
+
+impl<E> Eq for Pending<E> {}
+
+/// Exact counts of the work the queue did, for a schedule rather than a
+/// host: the same schedule replays them bit for bit anywhere, so a change
+/// in them is a change in how the queue lays a run out, never noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueWork {
-    /// Times the day width and bucket count were re-derived.
-    pub rebuilds: u64,
-    /// Times the drained window was re-anchored at the overflow tier's
-    /// earliest event.
-    pub migrations: u64,
-    /// Events sorted by those rebuilds and migrations, in total.
-    pub events_sorted: u64,
-    /// Timestamps stepped over, in total, by schedules that were due
-    /// earlier than the latest event of their day.
-    pub steps_walked: u64,
-    /// Schedules a delay lane took; the calendar took the rest of
+    /// Schedules a delay lane took; the heap took the rest of
     /// [`EventQueue::scheduled_total`].
     pub lane_schedules: u64,
 }
@@ -69,15 +89,14 @@ pub struct QueueWork {
 /// the time of the last pop: it joins the FIFO *lane* keyed to that delay
 /// if that lane's tail is due no later, or else claims an empty lane
 /// (re-keyed to the delay), or else — and always before the first pop, or
-/// for a time below the last pop — goes to a calendar queue (see
-/// `calendar.rs`; O(1) amortized for clustered event times).
+/// for a time below the last pop — goes to a binary heap.
 ///
 /// The lanes are exact, not a heuristic:
 /// 1. a lane appends only behind a tail due no later, and one counter
 ///    numbers every schedule, so each lane is sorted by `(time, seq)`;
-/// 2. the calendar is sorted by `(time, seq)`;
+/// 2. the heap is sorted by `(time, seq)`;
 /// 3. `pop` takes the smallest `(time, seq)` among the lane fronts and the
-///    calendar head, and a merge of sorted sequences is sorted.
+///    heap's top, and a merge of sorted sequences is sorted.
 ///
 /// Which lane takes a schedule decides cost, never order. The whole queue
 /// is checked op for op against a binary-heap reference model in
@@ -94,7 +113,8 @@ pub struct QueueWork {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    calendar: CalendarQueue<E>,
+    /// What no lane takes.
+    heap: BinaryHeap<Pending<E>>,
     /// The [`key`] of each lane's front, `EMPTY` for an empty lane: what a
     /// pop compares, packed apart from the events.
     fronts: [u128; LANES],
@@ -108,6 +128,8 @@ pub struct EventQueue<E> {
     lanes: [VecDeque<ScheduledEvent<E>>; LANES],
     /// Time of the last pop (`None` before the first).
     last_pop: Option<Picos>,
+    /// The `seq` of the next schedule: the number made so far.
+    next_seq: u64,
     lane_len: usize,
     lane_schedules: u64,
     peak_len: usize,
@@ -117,13 +139,14 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            calendar: CalendarQueue::new(),
+            heap: BinaryHeap::new(),
             fronts: [EMPTY; LANES],
             delays: [Picos::ZERO; LANES],
             tails: [Picos::ZERO; LANES],
             occupied: 0,
             lanes: std::array::from_fn(|_| VecDeque::new()),
             last_pop: None,
+            next_seq: 0,
             lane_len: 0,
             lane_schedules: 0,
             peak_len: 0,
@@ -132,9 +155,10 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` for delivery at `time`.
     pub fn schedule(&mut self, time: Picos, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         match self.lane_for(time) {
             Some(i) => {
-                let seq = self.calendar.take_seq();
                 let lane = &mut self.lanes[i];
                 debug_assert!(lane.back().is_none_or(|t| (t.time, t.seq) < (time, seq)));
                 if lane.is_empty() {
@@ -146,14 +170,14 @@ impl<E> EventQueue<E> {
                 self.lane_len += 1;
                 self.lane_schedules += 1;
             }
-            None => self.calendar.schedule(time, event),
+            None => self.heap.push(Pending(ScheduledEvent { time, seq, event })),
         }
         self.peak_len = self.peak_len.max(self.len());
     }
 
     /// The lane a schedule due at `time` joins: one keyed to its delay
     /// after the last pop whose tail is due no later, or else an empty
-    /// lane, re-keyed. `None`: the calendar takes it.
+    /// lane, re-keyed. `None`: the heap takes it.
     fn lane_for(&mut self, time: Picos) -> Option<usize> {
         let last_pop = self.last_pop?;
         if time < last_pop {
@@ -198,35 +222,29 @@ impl<E> EventQueue<E> {
     }
 
     /// [`pop`](Self::pop) unless the earliest event is due after `deadline`:
-    /// the engine's step, with one merge of lanes and calendar where
+    /// the engine's step, with one merge of lanes and heap where
     /// `peek_time` then `pop` make two.
     pub(crate) fn pop_due(&mut self, deadline: Picos) -> Option<ScheduledEvent<E>> {
         let (i, front) = self.first_lane();
-        let ev = match self.calendar.peek_time() {
-            // The calendar's head goes first: due earlier, or due then and
-            // scheduled earlier.
-            Some(head) if key(head, 0) <= front && key(head, self.calendar.head_seq()) < front => {
-                if head > deadline {
-                    return None;
+        let top = self.heap.peek().map_or(EMPTY, |p| p.0.key());
+        let first = front.min(top);
+        if first == EMPTY || first >> 64 > u128::from(deadline.as_ps()) {
+            return None;
+        }
+        let ev = if top < front {
+            self.heap.pop().expect("a top").0
+        } else {
+            let lane = &mut self.lanes[i];
+            let ev = lane.pop_front().expect("a lane with a front");
+            match lane.front() {
+                Some(next) => self.fronts[i] = next.key(),
+                None => {
+                    self.fronts[i] = EMPTY;
+                    self.occupied &= !(1 << i);
                 }
-                self.calendar.pop()?
             }
-            _ => {
-                if front == EMPTY || front >> 64 > u128::from(deadline.as_ps()) {
-                    return None;
-                }
-                let lane = &mut self.lanes[i];
-                let ev = lane.pop_front().expect("a lane with a front");
-                match lane.front() {
-                    Some(next) => self.fronts[i] = key(next.time, next.seq),
-                    None => {
-                        self.fronts[i] = EMPTY;
-                        self.occupied &= !(1 << i);
-                    }
-                }
-                self.lane_len -= 1;
-                ev
-            }
+            self.lane_len -= 1;
+            ev
         };
         self.last_pop = Some(ev.time);
         Some(ev)
@@ -234,34 +252,29 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Picos> {
-        let front = self.first_lane().1;
-        let lane = (front != EMPTY).then(|| Picos::new((front >> 64) as u64));
-        match (lane, self.calendar.peek_time()) {
-            (Some(lane), Some(head)) => Some(lane.min(head)),
-            (lane, head) => lane.or(head),
-        }
+        let top = self.heap.peek().map_or(EMPTY, |p| p.0.key());
+        let first = self.first_lane().1.min(top);
+        (first != EMPTY).then(|| Picos::new((first >> 64) as u64))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.calendar.len() + self.lane_len
+        self.heap.len() + self.lane_len
     }
 
-    /// Bytes of backing store the queue currently holds reserved — node
-    /// slab, bucket index, occupancy bitmap, overflow tier and every lane,
-    /// re-keyed or not, by capacity. Deterministic for a given schedule,
-    /// unlike resident-set size, and bounded by the deepest the queue ever
-    /// got plus the index, not by how long the run was.
+    /// Bytes of backing store the queue currently holds reserved — the
+    /// heap and every lane, re-keyed or not, by capacity. Deterministic for
+    /// a given schedule, unlike resident-set size, and bounded by the
+    /// deepest the queue ever got, not by how long the run was.
     pub fn backing_bytes(&self) -> usize {
         let lanes: usize = self.lanes.iter().map(VecDeque::capacity).sum();
-        self.calendar.backing_bytes() + lanes * size_of::<ScheduledEvent<E>>()
+        (self.heap.capacity() + lanes) * size_of::<ScheduledEvent<E>>()
     }
 
     /// What the queue has done so far.
     pub fn work(&self) -> QueueWork {
         QueueWork {
             lane_schedules: self.lane_schedules,
-            ..self.calendar.work()
         }
     }
 
@@ -272,7 +285,7 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever scheduled (for engine statistics).
     pub fn scheduled_total(&self) -> u64 {
-        self.calendar.scheduled_total()
+        self.next_seq
     }
 
     /// High-water mark of [`len`](Self::len): the deepest the pending-event
@@ -382,7 +395,7 @@ mod tests {
         // 42 ns after the last pop: the lane 'f' left empty, due with 'c'.
         q.schedule(ns(85), 'g');
         assert_eq!(q.work().lane_schedules, 5);
-        // One time reached through the calendar and two lanes: `seq` order.
+        // One time reached through the heap and two lanes: `seq` order.
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
         assert_eq!(order, [(1, 'b'), (2, 'c'), (3, 'd'), (6, 'g')]);
         assert!(q.backing_bytes() >= 3 * size_of::<ScheduledEvent<char>>());
@@ -396,7 +409,7 @@ mod tests {
         q.pop();
         q.schedule(ns(10), 1); // delay 0
         q.schedule(ns(30), 2); // delay 20 ns
-        q.schedule(ns(5), 3); // below the last pop
+        q.schedule(ns(5), 3); // below the last pop: the heap
         assert_eq!(q.work().lane_schedules, 2);
         assert_eq!(q.peek_time(), Some(ns(5)));
         assert_eq!(q.pop().unwrap().event, 3);
@@ -424,7 +437,7 @@ mod tests {
         q.schedule(ns(LANES as u64 + 1), 100); // every lane holds another delay
         q.schedule(ns(1), 101); // behind the lane of 1 ns
         assert_eq!(q.work().lane_schedules, LANES as u64 + 1);
-        assert_eq!(q.calendar.len(), 1);
+        assert_eq!(q.heap.len(), 1);
         assert_eq!(q.pop().unwrap().event, 1);
         assert_eq!(q.pop().unwrap().event, 101);
         // The lane of 1 ns drained: a new delay re-keys it.
@@ -437,9 +450,9 @@ mod tests {
     }
 
     #[test]
-    fn wide_time_span_resizes_correctly() {
-        // Push enough events across a huge span to force calendar rebuilds
-        // (growth past 2× buckets) and the sparse direct-search fallback.
+    fn unpopped_schedules_across_a_wide_span_pop_in_order() {
+        // Before the first pop there is no delay to file by: every schedule
+        // goes to the heap, here 2,000 of them spread over a millisecond.
         let mut q = EventQueue::new();
         let mut expect = Vec::new();
         for i in 0u64..2000 {
@@ -455,5 +468,6 @@ mod tests {
         }
         assert_eq!(popped, expect);
         assert_eq!(q.peak_len(), 2000);
+        assert_eq!(q.work().lane_schedules, 0);
     }
 }

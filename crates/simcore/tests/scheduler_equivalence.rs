@@ -1,7 +1,12 @@
-//! Differential tests: the calendar queue and the heap reference model
-//! below must pop identical `(time, seq, event)` sequences for identical
+//! Differential tests: the event queue and the heap reference model below
+//! must pop identical `(time, seq, event)` sequences for identical
 //! schedules — including FIFO stability at equal times and interleaved
 //! pops.
+//!
+//! The queue keeps what its delay lanes refuse in std's `BinaryHeap`, as
+//! the model does, so what these tests check is the lanes and the merge of
+//! lanes and heap; `heap_model_pops_a_hand_written_sequence` anchors the
+//! order itself.
 //!
 //! Driven by the crate's own seeded PRNG.
 
@@ -70,38 +75,37 @@ fn heap_model_pops_a_hand_written_sequence() {
 
 /// One randomized op-sequence driven through the queue and the model.
 ///
-/// `time_range_ps` shapes the schedule: small ranges force dense buckets
-/// and heavy same-time tie-breaking; huge ranges force calendar rebuilds
-/// and the sparse direct-search fallback.
+/// `time_range_ps` shapes the schedule: small ranges force heavy same-time
+/// tie-breaking; huge ranges spread the schedules over decades.
 fn drive(seed: u64, ops: usize, time_range_ps: u64, pop_bias_percent: u64) {
     let mut rng = SplitMix64::new(seed);
-    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut queue: EventQueue<u64> = EventQueue::new();
     let mut heap = HeapModel::default();
     let mut payload = 0u64;
     for _ in 0..ops {
         if rng.next_u64() % 100 < pop_bias_percent {
-            let a = cal.pop().map(|e| (e.time, e.seq, e.event));
+            let a = queue.pop().map(|e| (e.time, e.seq, e.event));
             let b = heap.pop();
             assert_eq!(a, b, "pop diverged (seed {seed})");
             assert_eq!(
-                cal.peek_time(),
+                queue.peek_time(),
                 heap.peek_time(),
                 "peek diverged (seed {seed})"
             );
         } else {
             // Quantize times so equal instants are common.
             let t = Picos::new((rng.next_u64() % time_range_ps) / 64 * 64);
-            cal.schedule(t, payload);
+            queue.schedule(t, payload);
             heap.schedule(t, payload);
             payload += 1;
         }
-        assert_eq!(cal.len(), heap.len(), "len diverged (seed {seed})");
+        assert_eq!(queue.len(), heap.len(), "len diverged (seed {seed})");
     }
     // Drain both completely: a stable priority queue yields time order,
     // ties in insertion (seq) order.
     let mut last = None;
     loop {
-        let a = cal.pop().map(|e| (e.time, e.seq, e.event));
+        let a = queue.pop().map(|e| (e.time, e.seq, e.event));
         let b = heap.pop();
         assert_eq!(a, b, "drain diverged (seed {seed})");
         if a.is_none() {
@@ -110,9 +114,9 @@ fn drive(seed: u64, ops: usize, time_range_ps: u64, pop_bias_percent: u64) {
         assert!(last < a, "drain out of order (seed {seed})");
         last = a;
     }
-    assert_eq!(cal.scheduled_total(), heap.scheduled_total());
+    assert_eq!(queue.scheduled_total(), heap.scheduled_total());
     assert_eq!(
-        cal.peak_len(),
+        queue.peak_len(),
         heap.peak_len,
         "peak depth diverged (seed {seed})"
     );
@@ -120,9 +124,9 @@ fn drive(seed: u64, ops: usize, time_range_ps: u64, pop_bias_percent: u64) {
 
 #[test]
 fn dense_schedules_match() {
-    // Tight time range: many ties per bucket, little bucket spread. (The
-    // out-of-range seeds here and below are the pinned replay corpus of
-    // the retired property suite, one per schedule shape.)
+    // Tight time range: many ties. (The out-of-range seeds here and below
+    // are the pinned replay corpus of the retired property suite, one per
+    // schedule shape.)
     for seed in (0..8).chain([0xa927_3d54_f80c_1be6]) {
         drive(seed, 4_000, 50_000, 40);
     }
@@ -130,7 +134,7 @@ fn dense_schedules_match() {
 
 #[test]
 fn sparse_schedules_match() {
-    // Times across four decades: rebuilds + direct-search fallback.
+    // Times across four decades.
     for seed in (100..108).chain([0x1c88_f06e_b3a5_92d0]) {
         drive(seed, 4_000, 10_000_000_000, 40);
     }
@@ -138,7 +142,7 @@ fn sparse_schedules_match() {
 
 #[test]
 fn pop_heavy_schedules_match() {
-    // Mostly pops: the queue repeatedly empties and re-anchors.
+    // Mostly pops: the queue repeatedly empties.
     for seed in (200..204).chain([0x5b1e_43a0_c2f8_d617]) {
         drive(seed, 4_000, 1_000_000, 70);
     }
@@ -150,7 +154,7 @@ fn monotone_engine_like_schedules_match() {
     // deltas resembling link/crossbar latencies (0, ~43 ns, ~64+20 ns).
     for seed in 300..304 {
         let mut rng = SplitMix64::new(seed);
-        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut heap = HeapModel::default();
         let mut now = Picos::ZERO;
         let deltas = [
@@ -160,19 +164,19 @@ fn monotone_engine_like_schedules_match() {
             Picos::from_ns(512),
         ];
         for i in 0..20_000u64 {
-            if rng.next_u64().is_multiple_of(3) && !cal.is_empty() {
-                let a = cal.pop().unwrap();
+            if rng.next_u64().is_multiple_of(3) && !queue.is_empty() {
+                let a = queue.pop().unwrap();
                 let b = heap.pop().unwrap();
                 assert_eq!((a.time, a.seq, a.event), b);
                 assert!(a.time >= now, "popped an event from the past");
                 now = a.time;
             } else {
                 let d = deltas[(rng.next_u64() % 4) as usize];
-                cal.schedule(now + d, i);
+                queue.schedule(now + d, i);
                 heap.schedule(now + d, i);
             }
         }
-        while let Some(a) = cal.pop() {
+        while let Some(a) = queue.pop() {
             let b = heap.pop().unwrap();
             assert_eq!((a.time, a.seq, a.event), b);
         }
@@ -180,26 +184,26 @@ fn monotone_engine_like_schedules_match() {
     }
 }
 
-/// The calendar and the heap oracle side by side: every pop is checked.
+/// The queue and the heap oracle side by side: every pop is checked.
 struct Pair {
-    cal: EventQueue<u64>,
+    queue: EventQueue<u64>,
     heap: HeapModel,
 }
 
 impl Pair {
     fn new() -> Self {
         Pair {
-            cal: EventQueue::new(),
+            queue: EventQueue::new(),
             heap: HeapModel::default(),
         }
     }
 
     fn schedule(&mut self, time: Picos) {
-        let payload = self.cal.scheduled_total();
-        self.cal.schedule(time, payload);
+        let payload = self.queue.scheduled_total();
+        self.queue.schedule(time, payload);
         self.heap.schedule(time, payload);
-        assert_eq!(self.cal.peek_time(), self.heap.peek_time());
-        assert_eq!(self.cal.len(), self.heap.len());
+        assert_eq!(self.queue.peek_time(), self.heap.peek_time());
+        assert_eq!(self.queue.len(), self.heap.len());
     }
 
     fn pop(&mut self) -> Option<Picos> {
@@ -208,29 +212,29 @@ impl Pair {
 
     /// [`pop`](Self::pop), returning the popped event's `(time, seq)`.
     fn pop_key(&mut self) -> Option<(Picos, u64)> {
-        let a = self.cal.pop().map(|e| (e.time, e.seq, e.event));
+        let a = self.queue.pop().map(|e| (e.time, e.seq, e.event));
         let b = self.heap.pop();
         assert_eq!(a, b, "pop diverged");
-        assert_eq!(self.cal.peek_time(), self.heap.peek_time());
-        assert_eq!(self.cal.len(), self.heap.len());
+        assert_eq!(self.queue.peek_time(), self.heap.peek_time());
+        assert_eq!(self.queue.len(), self.heap.len());
         a.map(|(time, seq, _)| (time, seq))
     }
 
     /// Fills every delay lane of a fresh queue: after one pop at t = 0,
     /// schedules an event at each of `far`, `far` − 1 ps, … — every one a
     /// delay after that pop no other schedule uses — until one lands in the
-    /// calendar, and pops that one, the earliest. Until the parked events
-    /// are popped, every lane holds one and every other schedule reaches
-    /// the calendar. Returns how many are parked.
+    /// heap, and pops that one, the earliest. Until the parked events are
+    /// popped, every lane holds one and every other schedule reaches the
+    /// heap. Returns how many are parked.
     fn occupy_every_lane(&mut self, far: Picos) -> usize {
-        assert_eq!(self.cal.scheduled_total(), 0, "a fresh queue");
+        assert_eq!(self.queue.scheduled_total(), 0, "a fresh queue");
         self.schedule(Picos::ZERO);
         self.pop();
         let mut parked = 0;
         loop {
-            let lanes = self.cal.work().lane_schedules;
+            let lanes = self.queue.work().lane_schedules;
             self.schedule(far.saturating_sub(Picos::new(parked as u64)));
-            if self.cal.work().lane_schedules == lanes {
+            if self.queue.work().lane_schedules == lanes {
                 assert!(self.pop() < Some(far), "the one the lanes refused");
                 return parked;
             }
@@ -240,49 +244,45 @@ impl Pair {
 
     fn drain(&mut self) {
         while self.pop().is_some() {}
-        assert_eq!(self.cal.peak_len(), self.heap.peak_len);
+        assert_eq!(self.queue.peak_len(), self.heap.peak_len);
     }
 
-    /// What the calendar may hold reserved at this peak depth: slab and
-    /// overflow tier each at most double the peak (`Vec` growth), a node
-    /// being an event plus 16 B of option tag and links — plus the index
-    /// at its ceiling, 2^20 buckets of 8 B and one bit.
+    /// What the queue may hold reserved at this peak depth: the heap and
+    /// each of the eight lanes at most double the peak (`Vec` and
+    /// `VecDeque` growth).
     fn assert_memory_follows_depth(&self) {
-        let node = std::mem::size_of::<simcore::ScheduledEvent<u64>>() + 16;
-        let bound = 4 * self.cal.peak_len() * node + (8 << 20) + (1 << 17);
-        let bytes = self.cal.backing_bytes();
+        let event = std::mem::size_of::<simcore::ScheduledEvent<u64>>();
+        let bound = 2 * 9 * self.queue.peak_len() * event;
+        let bytes = self.queue.backing_bytes();
         assert!(bytes <= bound, "{bytes} B reserved, bound {bound} B");
     }
 }
 
 #[test]
 fn memory_follows_depth_not_simulated_time() {
-    // The hotspot profile that used to hold 222 MiB for 6.4 k events: a
-    // hold model of 50 same-picosecond bursts of 20 events, each
-    // re-scheduled whole 43–512 ns ahead, one in 64 as a timer 50 µs out —
-    // ~1 k pending events for 20 k bursts × ~4 ns, ~80 µs of simulated
-    // time. When ties forced 1 ps days the window swept the whole bucket
-    // array over 70 times, even at the 2^20-bucket cap; a burst now counts
-    // as one timestamp and the days are coarse. Either way what is held
-    // reserved must follow the depth, not the time simulated.
+    // The hotspot profile that once held 222 MiB for 6.4 k events: a hold
+    // model of 50 same-picosecond bursts of 20 events, each re-scheduled
+    // whole 43–512 ns ahead, one in 64 as a timer 50 µs out — ~1 k pending
+    // events for 20 k bursts × ~4 ns, ~80 µs of simulated time. What is
+    // held reserved must follow the depth, not the time simulated.
     //
     // The bursts are due a few fixed hops after the burst before, which the
     // queue's delay lanes would take; lanes parked a second ahead send
-    // them all to the calendar.
+    // them all to the heap.
     let mut rng = SplitMix64::new(0xca1e_0da2);
     let mut q = Pair::new();
     let parked = q.occupy_every_lane(Picos::from_us(1_000_000));
-    let lanes = q.cal.work().lane_schedules;
+    let lanes = q.queue.work().lane_schedules;
     for burst in 0..50 {
         for _ in 0..20 {
             q.schedule(Picos::new(burst * 7_919));
         }
     }
-    let mut after_first_windows = 0;
+    let mut after_warm_up = 0;
     for round in 0..20_000 {
-        let now = q.cal.peek_time().expect("a hold model never drains");
+        let now = q.queue.peek_time().expect("a hold model never drains");
         let mut burst = 0;
-        while q.cal.peek_time() == Some(now) {
+        while q.queue.peek_time() == Some(now) {
             q.pop();
             burst += 1;
         }
@@ -295,23 +295,23 @@ fn memory_follows_depth_not_simulated_time() {
             q.schedule(at);
         }
         if round == 2_500 {
-            after_first_windows = q.cal.backing_bytes();
+            after_warm_up = q.queue.backing_bytes();
         }
     }
     assert!(
-        q.cal.peek_time() > Some(Picos::from_us(9)),
-        "swept 8+ windows"
+        q.queue.peek_time() > Some(Picos::from_us(9)),
+        "held for 9+ µs"
     );
-    assert!(q.cal.peak_len() <= 1_000 + parked);
+    assert!(q.queue.peak_len() <= 1_000 + parked);
     assert_eq!(
-        q.cal.work().lane_schedules,
+        q.queue.work().lane_schedules,
         lanes,
-        "the calendar took every burst"
+        "the heap took every burst"
     );
-    let bytes = q.cal.backing_bytes();
+    let bytes = q.queue.backing_bytes();
     assert!(
-        bytes <= after_first_windows,
-        "{after_first_windows} B after the first windows grew to {bytes} B"
+        bytes <= after_warm_up,
+        "{after_warm_up} B after the first 2,500 rounds grew to {bytes} B"
     );
     q.assert_memory_follows_depth();
     q.drain();
@@ -319,12 +319,10 @@ fn memory_follows_depth_not_simulated_time() {
 
 #[test]
 fn insert_heavy_schedules_match() {
-    // The incast/go-back-N profile: ~1 k pending events 300 ps apart (the
-    // rebuild settles on 4 ns days, `width_shift` 12), two thirds of them
-    // scheduled a fixed ack or serialization time ahead — monotone, so
-    // they append — and a third at a random nearer offset, which lands
-    // mid-run in an occupied bucket (30 % of all schedules, counted with
-    // the calendar's internals once while writing this).
+    // The incast/go-back-N profile: ~1 k pending events 300 ps apart, two
+    // thirds of them scheduled a fixed ack or serialization time ahead —
+    // a delay lane's case — and a third at a random nearer offset, which
+    // goes to the heap and is due before events already in the lanes.
     for seed in 400..404 {
         let mut rng = SplitMix64::new(seed);
         let mut q = Pair::new();
@@ -347,28 +345,27 @@ fn insert_heavy_schedules_match() {
 #[test]
 fn slab_is_reused_across_rebuilds_that_resize_the_index() {
     // A sawtooth: grow to 4096 pending (two schedules per pop), fall back
-    // to 32, four times over, at alternately fine and coarse time scales —
-    // so rebuilds re-derive the width and re-size the index both up and
-    // down (128 … 2^17 buckets) while events are pending and freed slots
-    // sit on the free list. The slab is recycled from tooth to tooth.
+    // to 32, four times over, at alternately fine and coarse time scales.
+    // What the queue reserves is set by the first tooth and reused by the
+    // others.
     let mut rng = SplitMix64::new(0x51ab);
     let mut q = Pair::new();
     let mut now = Picos::ZERO;
     q.schedule(now);
     for range in [10_000, 10_000_000, 10_000, 1_000_000_000] {
-        while q.cal.len() < 4_096 {
+        while q.queue.len() < 4_096 {
             now = q.pop().expect("never empty while growing");
             q.schedule(now + Picos::new(rng.next_u64() % range));
             q.schedule(now + Picos::new(rng.next_u64() % range));
         }
         q.assert_memory_follows_depth();
-        while q.cal.len() > 32 {
+        while q.queue.len() > 32 {
             now = q.pop().expect("len > 32");
             if rng.next_u64().is_multiple_of(4) {
                 q.schedule(now + Picos::new(rng.next_u64() % range));
             }
         }
-        assert_eq!(q.cal.peak_len(), 4_096);
+        assert_eq!(q.queue.peak_len(), 4_096);
         q.assert_memory_follows_depth();
     }
     q.drain();
@@ -420,13 +417,13 @@ fn same_time_schedules_match() {
             }
         }
     }
-    assert!(q.cal.scheduled_total() > 100_000);
+    assert!(q.queue.scheduled_total() > 100_000);
     assert!(
         3 * same_time >= schedules && rewinds > 5_000,
         "{same_time} of {schedules} schedules at the time of the last pop, {rewinds} rewinds"
     );
     q.drain();
-    assert_eq!(q.cal.len(), 0);
+    assert_eq!(q.queue.len(), 0);
 }
 
 #[test]
@@ -435,7 +432,7 @@ fn delay_lane_schedules_match() {
     // after the event they handle. The delays here are twelve, more than
     // the queue keeps lanes for, so lanes are re-keyed as they drain and
     // some schedules find none. The rest are at random offsets. One op in
-    // sixteen is a rewind below the last pop, which must go to the calendar
+    // sixteen is a rewind below the last pop, which must go to the heap
     // (and moves the next delays' origin back). The fixed delays are
     // multiples of 21 ns, so events due at one time arrive through
     // different lanes and the merge must order them by `seq`. `Pair`
@@ -480,8 +477,8 @@ fn delay_lane_schedules_match() {
         q.schedule(time);
         class.push(c);
     }
-    let schedules = q.cal.scheduled_total();
-    let in_lanes = q.cal.work().lane_schedules;
+    let schedules = q.queue.scheduled_total();
+    let in_lanes = q.queue.work().lane_schedules;
     assert!(
         schedules > 50_000 && rewinds > 5_000,
         "{schedules} schedules, {rewinds} rewinds"
@@ -492,7 +489,7 @@ fn delay_lane_schedules_match() {
     );
     assert!(mixed_ties > 1_000, "{mixed_ties} ties across delays");
     q.drain();
-    assert_eq!(q.cal.len(), 0);
+    assert_eq!(q.queue.len(), 0);
 }
 
 /// `n` events due at `time`: one block of a lock-step schedule.
@@ -503,67 +500,57 @@ fn block(q: &mut Pair, time: Picos, n: usize) {
 }
 
 #[test]
-fn lock_step_blocks_match() {
+fn lock_step_blocks_and_rewinds_below_a_half_popped_head_match() {
     // Every host acts on the same clock edge: blocks of 4,096 events due at
-    // one picosecond, a few picoseconds apart — one day at any width the
-    // rebuilds can choose for so few timestamps. Growing the first block
-    // rebuilds three times mid-block (64 → 256 → 1,024 → 4,096 buckets).
+    // one picosecond, a few picoseconds apart, scheduled out of order, then
+    // blocks landing before, between and into pending blocks while the
+    // earliest is half popped.
     //
     // Past the first pop the blocks are due a few picoseconds after the last
     // pop, which the queue's delay lanes would take: lanes parked a second
-    // ahead send them all to the calendar.
+    // ahead send them all to the heap.
     let t = |ps: u64| Picos::from_ns(100) + Picos::new(ps);
     let mut q = Pair::new();
     q.occupy_every_lane(Picos::from_us(1_000_000));
-    let lanes = q.cal.work().lane_schedules;
+    let lanes = q.queue.work().lane_schedules;
     block(&mut q, t(10), 4_096);
-    assert_eq!(q.cal.work().rebuilds, 3, "rebuilds while the block grew");
     block(&mut q, t(30), 4_096);
-    block(&mut q, t(20), 4_096); // before a pending block of its day
+    block(&mut q, t(20), 4_096); // before a pending block
     for _ in 0..2_048 {
         assert_eq!(q.pop(), Some(t(10)));
     }
-    let walked = q.cal.work().steps_walked;
     block(&mut q, t(10), 100); // into the block being drained: behind it
     block(&mut q, t(25), 100); // between two pending blocks
-    block(&mut q, t(20), 100); // onto a pending block in mid-run
-    let walked = q.cal.work().steps_walked - walked;
-    assert!(
-        (3..300).contains(&walked),
-        "{walked} steps for three blocks of 100: stepped over by timestamp, once per block"
-    );
-    // A rewind below the current head while its block is half popped, then
-    // the same again once the rewound block is itself half popped.
+    block(&mut q, t(20), 100); // onto a pending block
+                               // A rewind below the current head while its block is half popped, then
+                               // the same again once the rewound block is itself half popped.
     block(&mut q, t(5), 64);
     for _ in 0..32 {
         assert_eq!(q.pop(), Some(t(5)));
     }
     block(&mut q, t(0), 64);
     block(&mut q, t(5), 1);
-    // A rebuild landing mid-block: the head block is half popped when the
-    // next one outgrows the index.
-    let rebuilds = q.cal.work().rebuilds;
+    // A block larger than everything pending while the head block is half
+    // popped.
     block(&mut q, t(40), 8_192);
-    assert!(q.cal.work().rebuilds > rebuilds);
     for _ in 0..64 + 16 {
         q.pop();
     }
     block(&mut q, t(5), 3);
     assert_eq!(
-        q.cal.work().lane_schedules,
+        q.queue.work().lane_schedules,
         lanes,
-        "the calendar took every block"
+        "the heap took every block"
     );
     q.drain();
 }
 
 #[test]
-fn migration_mid_block_matches() {
-    // Two lock-step blocks a second ahead of everything else — past any
-    // window — scheduled in alternation with near-term traffic, so the
-    // overflow tier holds their events out of order. The window drains,
-    // the migration sorts them into two blocks, and schedules keep landing
-    // in and between those blocks while they drain.
+fn far_future_blocks_scheduled_among_near_traffic_match() {
+    // Two lock-step blocks a second ahead of everything else, scheduled in
+    // alternation with near-term traffic before the first pop, so every
+    // event is in the heap. The near traffic drains, and schedules keep
+    // landing in, between and behind the two blocks while they drain.
     let far = |ps: u64| Picos::from_us(1_000_000) + Picos::new(ps);
     let mut rng = SplitMix64::new(0x319);
     let mut q = Pair::new();
@@ -574,16 +561,11 @@ fn migration_mid_block_matches() {
     for _ in 0..2_000 {
         assert!(q.pop() < Some(far(0)));
     }
-    assert_eq!(
-        q.cal.work().migrations,
-        1,
-        "the window drained into the overflow tier"
-    );
     for _ in 0..500 {
         assert_eq!(q.pop(), Some(far(0)));
     }
     block(&mut q, far(0), 10); // the block being drained
-    block(&mut q, far(4), 10); // between the migrated blocks
+    block(&mut q, far(4), 10); // between the two blocks
     block(&mut q, far(8), 10); // the pending one
     block(&mut q, far(16), 10); // behind both
     q.drain();

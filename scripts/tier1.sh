@@ -12,14 +12,10 @@ recn="$PWD/target/release/recn"
 # One front door: the workspace links exactly one executable.
 exes="$(cargo build --release --message-format=json 2> /dev/null | grep -o '"executable":"[^"]*"' | sed 's|.*/||; s|"||' | sort | xargs)"
 test "$exes" = "recn" || { echo "unexpected executables: $exes" >&2; exit 1; }
-# One storage: the engine reads no environment (a library destructor once
-# printed stats on CAL_STATS), and calendar buckets are index pairs into
-# one node slab, not a container each (DESIGN §6d).
+# The engine reads no environment (a library destructor once printed
+# stats on CAL_STATS).
 if grep -rn "std::env" crates/simcore/src; then
   echo "simcore must not read the environment" >&2; exit 1
-fi
-if grep -q VecDeque crates/simcore/src/calendar.rs; then
-  echo "calendar.rs: per-bucket VecDeque is back" >&2; exit 1
 fi
 # One port path (DESIGN §6c): a packet enters and leaves a queue set in
 # network/port.rs and nowhere else, and no file of the module grows back
