@@ -234,7 +234,7 @@ fn fig(which: &str, f: &Parsed<'_>) -> Result<(), String> {
 /// injection rates.
 fn table1_audit() -> Result<(), String> {
     out!("{}", table1::render(&table1::spec()))?;
-    for (case, corner) in [(1, CornerCase::case1_64()), (2, CornerCase::case2_64())] {
+    for (case, corner) in figures::table1_cases() {
         let (bg, hot) = table1::audit_rates(&corner, Picos::from_us(1600));
         outln!(
             "audit case {case}: background {bg:.3} B/ns per source, hotspot {hot:.3} B/ns per source"
@@ -283,13 +283,8 @@ fn ablation_tables(opts: &Opts) -> Result<(), String> {
 /// {deterministic, adaptive, arn} × scheme matrix (the EXPERIMENTS.md
 /// fat-tree headline tables).
 fn hotspot(opts: &Opts) -> Result<(), String> {
-    if opts.net == Some(512) && opts.topology != TopologyKind::FatTree {
-        return Err(format!(
-            "--net 512 needs --topology fattree; {}",
-            usage_line(HOTSPOT_FLAGS)
-        ));
-    }
-    let fig = figures::topology_hotspot(opts);
+    let fig = figures::topology_hotspot(opts)
+        .map_err(|no_preset| format!("{no_preset}; {}", usage_line(HOTSPOT_FLAGS)))?;
     fig.print(opts)?;
     outln!("mean throughput inside the congestion window:")?;
     for (label, mean) in figures::congestion_window_means(&fig, opts) {
@@ -297,11 +292,11 @@ fn hotspot(opts: &Opts) -> Result<(), String> {
     }
     if opts.routing.is_arn() {
         outln!()?;
-        let rows = figures::scheme_matrix(opts);
+        let rows = figures::scheme_matrix(opts)?;
         out!("{}", figures::render_scheme_matrix(&rows))?;
     } else if opts.routing.is_adaptive() {
         outln!()?;
-        let rows = figures::routing_comparison(&fig, opts);
+        let rows = figures::routing_comparison(&fig, opts)?;
         out!("{}", figures::render_routing_comparison(&rows))?;
     }
     Ok(())
@@ -422,6 +417,7 @@ fn inspect(opts: &Opts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::Value;
 
     /// The flag names each command's `--help` lists are exactly the ones
     /// the command reads.
@@ -547,6 +543,53 @@ mod tests {
             let err = run(words).expect_err(&words.join(" "));
             assert!(err.contains(needle), "{words:?}: {err}");
         }
+    }
+
+    /// Every `--topology` × `--net` pair `recn hotspot`'s parser admits
+    /// either has a preset or is the command's `Err` before any run: no
+    /// pair reaches a run without a network.
+    #[test]
+    fn every_hotspot_topology_and_net_has_a_preset_or_an_error() {
+        let nets = HOTSPOT_FLAGS
+            .iter()
+            .find_map(|f| match f.value {
+                Some(Value::OneOf(set)) if f.name == "--net" => Some(set),
+                _ => None,
+            })
+            .expect("hotspot takes --net");
+        assert_eq!(nets, [64, 512]);
+        let mut refused = Vec::new();
+        for topology in ["min", "fattree"] {
+            for net in [None].into_iter().chain(nets.iter().map(Some)) {
+                let mut words = vec!["--topology".to_owned(), topology.to_owned()];
+                words.extend(
+                    net.map(|n| ["--net".to_owned(), n.to_string()])
+                        .into_iter()
+                        .flatten(),
+                );
+                let parsed = parse_flags(words.clone(), HOTSPOT_FLAGS).expect("in the table");
+                let opts = Opts::from_flags(&parsed).expect("in the table");
+                let hosts = opts.net.unwrap_or(64);
+                if let Err(e) = figures::hotspot_preset(opts.topology, hosts) {
+                    let command = ["hotspot".to_owned()].into_iter().chain(words.clone());
+                    let err = run(command).expect_err("no preset, no run");
+                    assert!(err.starts_with(&format!("{e}; options:")), "{err}");
+                    refused.push(words.join(" "));
+                }
+            }
+        }
+        assert_eq!(refused, ["--topology min --net 512"]);
+        let parsed = parse_flags(["--net".to_owned(), "256".to_owned()], HOTSPOT_FLAGS);
+        assert!(
+            parsed.is_err(),
+            "the parser refuses sizes outside its table"
+        );
+        let cases = figures::table1_cases().map(|(case, corner)| (case, corner.hosts));
+        assert_eq!(
+            cases,
+            [(1, 64), (2, 64)],
+            "fig 2 and 4 run both corner cases"
+        );
     }
 
     /// An output path that cannot be written is the command's `Err` (one

@@ -78,12 +78,13 @@ fn series_bin(opts: &Opts) -> Picos {
     Picos::from_us((5 / opts.time_div()).max(1))
 }
 
-fn corner_case(which: u8, opts: &Opts) -> CornerCase {
-    let base = match which {
-        1 => CornerCase::case1_64(),
-        2 => CornerCase::case2_64(),
-        other => panic!("no corner case {other}"),
-    };
+/// Table 1's two corner cases on the paper's 64-host MIN, by number.
+pub(crate) fn table1_cases() -> [(u8, CornerCase); 2] {
+    [(1, CornerCase::case1_64()), (2, CornerCase::case2_64())]
+}
+
+/// `base` at the figure's packet size and time compression.
+fn corner_case(base: CornerCase, opts: &Opts) -> CornerCase {
     base.with_msg_bytes(opts.packet_size())
         .shrunk(opts.time_div())
 }
@@ -109,10 +110,10 @@ fn corner_spec(
 pub fn fig2(opts: &Opts) -> Vec<Figure> {
     let schemes = SchemeSet::All.schemes_scaled(opts.time_div());
     let per_case = schemes.len();
-    let cases = [(1u8, 'a'), (2, 'b')];
+    let cases = table1_cases().into_iter().zip(['a', 'b']);
     let mut specs = Vec::new();
-    for (case, sub) in cases {
-        let corner = corner_case(case, opts);
+    for ((_, base), sub) in cases.clone() {
+        let corner = corner_case(base, opts);
         for scheme in &schemes {
             specs.push(corner_spec(
                 opts,
@@ -125,7 +126,7 @@ pub fn fig2(opts: &Opts) -> Vec<Figure> {
     }
     let mut outs = opts.sweep("fig2", specs).into_iter();
     let mut figures = Vec::new();
-    for (case, sub) in cases {
+    for ((case, _), sub) in cases {
         let mut series = Vec::new();
         let mut runs = Vec::new();
         for out in outs.by_ref().take(per_case) {
@@ -191,15 +192,15 @@ pub fn fig3(opts: &Opts) -> Vec<Figure> {
 /// Figure 4: SAQ utilization over time for the corner cases (RECN):
 /// max at any ingress port, max at any egress port, network total.
 pub fn fig4(opts: &Opts) -> Vec<Figure> {
-    let cases = [1u8, 2];
+    let cases = table1_cases();
     let specs = cases
         .iter()
-        .map(|&case| {
+        .map(|&(case, base)| {
             corner_spec(
                 opts,
                 MinParams::paper_64(),
                 SchemeSet::RecnOnly.schemes_scaled(opts.time_div())[0],
-                corner_case(case, opts),
+                corner_case(base, opts),
                 format!("fig4_case{case}"),
             )
         })
@@ -207,6 +208,7 @@ pub fn fig4(opts: &Opts) -> Vec<Figure> {
     let outs = opts.sweep("fig4", specs);
     cases
         .into_iter()
+        .map(|(case, _)| case)
         .zip(outs)
         .map(|(case, out)| Figure {
             name: format!("fig4_case{case}"),
@@ -350,30 +352,10 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
 /// curve per scheme — `recn hotspot` renders this as the cross-topology
 /// headline table.
 ///
-/// # Panics
-///
-/// Panics on a `(topology, net)` pair without a preset (the `hotspot`
-/// command refuses those before getting here).
-pub fn topology_hotspot(opts: &Opts) -> Figure {
+/// A `(topology, net)` pair without a preset is an `Err`, before any run.
+pub fn topology_hotspot(opts: &Opts) -> Result<Figure, String> {
     let hosts = opts.net.unwrap_or(64);
-    let (params, corner, desc) = match (opts.topology, hosts) {
-        (TopologyKind::Min, 64) => (
-            TopoParams::from(MinParams::paper_64()),
-            CornerCase::case2_64(),
-            "64-host MIN, corner case 2",
-        ),
-        (TopologyKind::FatTree, 64) => (
-            TopoParams::from(FatTreeParams::ft_64()),
-            CornerCase::fattree_64(),
-            "64-host 4-ary 3-tree, one-attacker-per-leaf hotspot",
-        ),
-        (TopologyKind::FatTree, 512) => (
-            TopoParams::from(FatTreeParams::ft_512()),
-            CornerCase::fattree_512(),
-            "512-host 8-ary 3-tree, one-attacker-per-leaf hotspot",
-        ),
-        (topology, _) => panic!("no {} hotspot preset at {hosts} hosts", topology.name()),
-    };
+    let (params, corner, desc) = hotspot_preset(opts.topology, hosts)?;
     let corner = corner
         .with_msg_bytes(opts.packet_size())
         .shrunk(opts.time_div());
@@ -404,7 +386,7 @@ pub fn topology_hotspot(opts: &Opts) -> Figure {
         series.push(Labeled::new(out.scheme, out.throughput.clone()));
         runs.push(out);
     }
-    Figure {
+    Ok(Figure {
         name,
         title: format!(
             "network throughput (bytes/ns), {desc}, {}B packets",
@@ -412,7 +394,37 @@ pub fn topology_hotspot(opts: &Opts) -> Figure {
         ),
         series,
         runs,
-    }
+    })
+}
+
+/// The network, hotspot and description [`topology_hotspot`] runs for a
+/// topology family at `hosts` endnodes; `Err` for a pair without one.
+pub(crate) fn hotspot_preset(
+    topology: TopologyKind,
+    hosts: u32,
+) -> Result<(TopoParams, CornerCase, &'static str), String> {
+    Ok(match (topology, hosts) {
+        (TopologyKind::Min, 64) => (
+            TopoParams::from(MinParams::paper_64()),
+            CornerCase::case2_64(),
+            "64-host MIN, corner case 2",
+        ),
+        (TopologyKind::FatTree, 64) => (
+            TopoParams::from(FatTreeParams::ft_64()),
+            CornerCase::fattree_64(),
+            "64-host 4-ary 3-tree, one-attacker-per-leaf hotspot",
+        ),
+        (TopologyKind::FatTree, 512) => (
+            TopoParams::from(FatTreeParams::ft_512()),
+            CornerCase::fattree_512(),
+            "512-host 8-ary 3-tree, one-attacker-per-leaf hotspot",
+        ),
+        (TopologyKind::Min, 512) => return Err("--net 512 needs --topology fattree".to_owned()),
+        (topology, _) => {
+            let name = topology.name();
+            return Err(format!("no {name} hotspot preset at {hosts} hosts"));
+        }
+    })
 }
 
 /// Convenience: the headline comparison behind the paper's abstract —
@@ -445,7 +457,7 @@ pub struct RoutingRow {
 /// `adaptive_fig` (which must come from a `--routing adaptive`
 /// [`topology_hotspot`] sweep) under [`fabric::RoutingPolicy::Deterministic`]
 /// and pairs the congestion-window means scheme by scheme.
-pub fn routing_comparison(adaptive_fig: &Figure, opts: &Opts) -> Vec<RoutingRow> {
+pub fn routing_comparison(adaptive_fig: &Figure, opts: &Opts) -> Result<Vec<RoutingRow>, String> {
     assert!(
         opts.routing.is_adaptive(),
         "routing_comparison needs an adaptive figure to compare against"
@@ -454,7 +466,7 @@ pub fn routing_comparison(adaptive_fig: &Figure, opts: &Opts) -> Vec<RoutingRow>
         routing: fabric::RoutingPolicy::Deterministic,
         ..opts.clone()
     };
-    let det_fig = topology_hotspot(&det_opts);
+    let det_fig = topology_hotspot(&det_opts)?;
     let a_means = congestion_window_means(adaptive_fig, opts);
     let d_means = congestion_window_means(&det_fig, &det_opts);
     let mean_of = |means: &[(String, f64)], scheme: &str| {
@@ -464,7 +476,7 @@ pub fn routing_comparison(adaptive_fig: &Figure, opts: &Opts) -> Vec<RoutingRow>
             .map(|(_, v)| *v)
             .unwrap_or(0.0)
     };
-    adaptive_fig
+    Ok(adaptive_fig
         .runs
         .iter()
         .zip(&det_fig.runs)
@@ -477,7 +489,7 @@ pub fn routing_comparison(adaptive_fig: &Figure, opts: &Opts) -> Vec<RoutingRow>
                 saq_totals: (d.saq_peaks.2, a.saq_peaks.2),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// One cell of the full routing × scheme matrix: a single hotspot run's
@@ -512,24 +524,19 @@ pub struct MatrixRow {
 /// Each sweep keeps its own summary file (`hotspot_<topo>`, `…_adaptive`,
 /// `…_arn`), so the matrix composes with the run cache — a repeated
 /// invocation is fifteen cache hits.
-pub fn scheme_matrix(opts: &Opts) -> Vec<MatrixRow> {
-    let policies = [
-        fabric::RoutingPolicy::Deterministic,
-        fabric::RoutingPolicy::adaptive(),
-        fabric::RoutingPolicy::arn(),
-    ];
-    let mut figs = policies.into_iter().map(|routing| {
+pub fn scheme_matrix(opts: &Opts) -> Result<Vec<MatrixRow>, String> {
+    let sweep = |routing| {
         let o = Opts {
             routing,
             ..opts.clone()
         };
-        let fig = topology_hotspot(&o);
+        let fig = topology_hotspot(&o)?;
         let means = congestion_window_means(&fig, &o);
-        (fig, means)
-    });
-    let (det, det_means) = figs.next().expect("three policies");
-    let (ada, ada_means) = figs.next().expect("three policies");
-    let (arn, arn_means) = figs.next().expect("three policies");
+        Ok::<_, String>((fig, means))
+    };
+    let (det, det_means) = sweep(fabric::RoutingPolicy::Deterministic)?;
+    let (ada, ada_means) = sweep(fabric::RoutingPolicy::adaptive())?;
+    let (arn, arn_means) = sweep(fabric::RoutingPolicy::arn())?;
     let cell = |run: &RunOutput, means: &[(String, f64)]| MatrixCell {
         mean: means
             .iter()
@@ -539,7 +546,8 @@ pub fn scheme_matrix(opts: &Opts) -> Vec<MatrixRow> {
         peak_saqs: run.saq_peaks.2,
         arn_hot: run.counters.arn_hot_notifications,
     };
-    det.runs
+    Ok(det
+        .runs
         .iter()
         .zip(&ada.runs)
         .zip(&arn.runs)
@@ -553,7 +561,7 @@ pub fn scheme_matrix(opts: &Opts) -> Vec<MatrixRow> {
                 arn: cell(n, &arn_means),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Renders the full matrix as a text table: one row per scheme, one
@@ -637,7 +645,7 @@ mod tests {
             topology: TopologyKind::FatTree,
             ..quick_opts()
         };
-        let fig = topology_hotspot(&opts);
+        let fig = topology_hotspot(&opts).expect("a preset");
         assert_eq!(fig.name, "hotspot_fattree");
         assert_eq!(fig.series.len(), 5);
         let means = congestion_window_means(&fig, &opts);
@@ -662,9 +670,9 @@ mod tests {
             routing: fabric::RoutingPolicy::adaptive(),
             ..quick_opts()
         };
-        let fig = topology_hotspot(&opts);
+        let fig = topology_hotspot(&opts).expect("a preset");
         assert_eq!(fig.name, "hotspot_fattree_adaptive");
-        let rows = routing_comparison(&fig, &opts);
+        let rows = routing_comparison(&fig, &opts).expect("a preset");
         assert_eq!(rows.len(), 5);
         let get = |name: &str| rows.iter().find(|r| r.scheme == name).unwrap();
         // The acceptance shape of the adaptive experiment: spreading the
@@ -696,9 +704,9 @@ mod tests {
             routing: fabric::RoutingPolicy::arn(),
             ..quick_opts()
         };
-        let fig = topology_hotspot(&opts);
+        let fig = topology_hotspot(&opts).expect("a preset");
         assert_eq!(fig.name, "hotspot_fattree_arn");
-        let rows = scheme_matrix(&opts);
+        let rows = scheme_matrix(&opts).expect("a preset");
         assert_eq!(rows.len(), 5, "full five-scheme matrix");
         let get = |name: &str| rows.iter().find(|r| r.scheme == name).unwrap();
         for r in &rows {

@@ -4,8 +4,8 @@
 use std::time::Instant;
 
 use fabric::{
-    FabricConfig, FanoutObserver, MessageSource, NetCounters, NetObserver, Network, SchemeKind,
-    SilentSource, TraceHandle, TraceSink, ValidatingObserver,
+    FabricConfig, FanoutObserver, Footprint, MessageSource, NetCounters, NetObserver, Network,
+    SchemeKind, SilentSource, TraceHandle, TraceSink, ValidatingObserver,
 };
 use metrics::{FctSummary, Probe, ProbeHandle};
 use recn::RecnConfig;
@@ -127,11 +127,11 @@ pub struct RunOutput {
     /// enabled tracing via [`RunSpec::with_trace`](crate::spec::RunSpec::with_trace)).
     pub trace_digest: Option<u64>,
     /// Estimated peak bytes of simulator backing storage for the run:
-    /// network model (queue slabs, admit pools, credit views, per-flow
-    /// arrays) + the event queue's reserved backing
+    /// network model ([`Network::memory_footprint`]) + the event queue's
+    /// reserved backing
     /// ([`EventQueue::backing_bytes`](simcore::EventQueue::backing_bytes):
-    /// node slab, bucket index, overflow tier) + the probe's series state.
-    /// Deterministic — derived from capacities, never from the
+    /// delay lanes and heap) + the probe's series state; `recn scale`
+    /// prints the split. Deterministic — derived from capacities, never from the
     /// allocator — so cached results replay it exactly.
     pub peak_bytes_estimate: u64,
     /// Per-flow completion-time summary (`None` unless the run completed
@@ -223,6 +223,13 @@ impl SchemeSet {
 /// only the plain-data [`RunOutput`] escapes, which is what lets
 /// [`crate::sweep::Sweep`] fan runs out across threads.
 pub fn run_one(spec: &RunSpec) -> RunOutput {
+    run_with(spec, EventModel::Lazy).0
+}
+
+/// [`run_one`], plus where its [`RunOutput::peak_bytes_estimate`] goes —
+/// what `recn scale` prints under its table. The parts are not part of
+/// [`RunOutput`], so the run cache never stores them.
+pub(crate) fn run_with_footprint(spec: &RunSpec) -> (RunOutput, RunFootprint) {
     run_with(spec, EventModel::Lazy)
 }
 
@@ -231,7 +238,41 @@ pub fn run_one(spec: &RunSpec) -> RunOutput {
 /// API — no command or library module calls it.
 #[doc(hidden)]
 pub fn run_one_eager_reference(spec: &RunSpec) -> RunOutput {
-    run_with(spec, EventModel::Eager)
+    run_with(spec, EventModel::Eager).0
+}
+
+/// A run's [`peak_bytes_estimate`](RunOutput::peak_bytes_estimate) by
+/// part: the network model's [`Footprint`], the event queue's delay lanes
+/// and heap, and the probe's series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RunFootprint {
+    /// The network model's parts.
+    pub network: Footprint,
+    /// The event queue's delay lanes, by capacity.
+    pub event_lanes: u64,
+    /// The event queue's heap, by capacity.
+    pub event_heap: u64,
+    /// The probe's series state.
+    pub probe: u64,
+}
+
+impl RunFootprint {
+    /// Every part with its display name: the network's, then the event
+    /// queue's and the probe's.
+    pub fn parts(&self) -> Vec<(&'static str, u64)> {
+        let mut parts = self.network.parts().to_vec();
+        parts.extend([
+            ("event lanes", self.event_lanes),
+            ("event heap", self.event_heap),
+            ("probe", self.probe),
+        ]);
+        parts
+    }
+
+    /// The run's `peak_bytes_estimate`: the parts' sum.
+    pub fn total(&self) -> u64 {
+        self.parts().iter().map(|&(_, bytes)| bytes).sum()
+    }
 }
 
 impl RunSpec {
@@ -273,7 +314,7 @@ impl RunSpec {
     }
 }
 
-fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
+fn run_with(spec: &RunSpec, event_model: EventModel) -> (RunOutput, RunFootprint) {
     let (probe, handle) = Probe::new(spec.bin());
     // Validator and tracer ride the same observer slot as the probe via a
     // fan-out; all three are Rc<RefCell>-based and constructed here, on the
@@ -294,9 +335,9 @@ fn run_with(spec: &RunSpec, event_model: EventModel) -> RunOutput {
     let mut engine = net.build_engine();
     engine.run_until(spec.horizon());
     let wall_secs = started.elapsed().as_secs_f64();
-    let mut out = finish(spec.scheme(), engine, handle, spec.horizon(), wall_secs);
+    let (mut out, footprint) = finish(spec.scheme(), engine, handle, spec.horizon(), wall_secs);
     out.trace_digest = trace.map(|t| t.digest());
-    out
+    (out, footprint)
 }
 
 fn finish(
@@ -305,13 +346,18 @@ fn finish(
     handle: ProbeHandle,
     horizon: Picos,
     wall_secs: f64,
-) -> RunOutput {
+) -> (RunOutput, RunFootprint) {
     let events = engine.processed();
     let peak_event_queue_depth = engine.queue().peak_len();
-    let event_queue_bytes = engine.queue().backing_bytes() as u64;
+    let (event_lanes, event_heap) = (engine.queue().lane_bytes(), engine.queue().heap_bytes());
     let model = engine.into_model();
-    let peak_bytes_estimate = model.memory_footprint() + event_queue_bytes + handle.backing_bytes();
-    RunOutput {
+    let footprint = RunFootprint {
+        network: model.memory_footprint(),
+        event_lanes: event_lanes as u64,
+        event_heap: event_heap as u64,
+        probe: handle.backing_bytes(),
+    };
+    let out = RunOutput {
         schema_version: OUTPUT_SCHEMA_VERSION,
         scheme: scheme.name(),
         throughput: handle.throughput(horizon),
@@ -324,9 +370,10 @@ fn finish(
         events,
         peak_event_queue_depth,
         trace_digest: None,
-        peak_bytes_estimate,
+        peak_bytes_estimate: footprint.total(),
         fct: handle.fct_summary(),
-    }
+    };
+    (out, footprint)
 }
 
 /// One-line run summary for the stdout tables. Deliberately omits wall

@@ -10,7 +10,8 @@
 //! `recn scale` ([`command`]) attaches *measured* numbers (network-wide
 //! peak SAQs and the simulator's own [`peak_bytes_estimate`]) from real
 //! hotspot runs — serially, since the memory high-water mark is the
-//! measurement and runs must not overlap.
+//! measurement and runs must not overlap — and prints the estimate of
+//! each run by part under the table.
 //!
 //! ```text
 //! recn scale [--net N] [--time-div D] [--json FILE] [--budget BYTES]
@@ -37,7 +38,7 @@ use traffic::corner::CornerCase;
 
 use crate::opts::flag::flag;
 use crate::opts::{FlagDef, Parsed, Value};
-use crate::runner::{run_one, scaled_recn_config, summarize};
+use crate::runner::{run_with_footprint, scaled_recn_config, summarize, RunFootprint};
 use crate::spec::RunSpec;
 
 /// Bytes of control state per queue in the analytic model: head, tail
@@ -183,6 +184,30 @@ pub fn render_scale_table(rows: &[ScaleRow]) -> String {
     s
 }
 
+/// Renders where each measured run's `sim peak` goes: one column per run,
+/// one row per [`RunFootprint`] part, and the total, which is the table's
+/// `sim peak`.
+fn render_footprints(runs: &[(u32, RunFootprint)]) -> String {
+    let mut s = format!("{:<17}", "sim peak by part");
+    for (hosts, _) in runs {
+        s.push_str(&format!(" {:>12}", format!("{hosts} hosts")));
+    }
+    s.push('\n');
+    let columns: Vec<_> = runs
+        .iter()
+        .map(|(_, f)| [f.parts(), vec![("total", f.total())]].concat())
+        .collect();
+    let names = columns.first().map_or(&[][..], Vec::as_slice);
+    for (i, (name, _)) in names.iter().enumerate() {
+        s.push_str(&format!("  {name:<15}"));
+        for column in &columns {
+            s.push_str(&format!(" {:>12}", human_bytes(column[i].1)));
+        }
+        s.push('\n');
+    }
+    s
+}
+
 /// The flag table of `recn scale`.
 pub const SCALE_FLAGS: &[FlagDef] = &[
     flag(
@@ -250,6 +275,7 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
     let mut rows = analytic_rows(&points, &schemes);
 
     let mut over_budget = Vec::new();
+    let mut footprints = Vec::new();
     for (p, corner) in rungs {
         let hosts = p.hosts();
         let spec = RunSpec::corner(p, recn, corner.shrunk(div))
@@ -257,7 +283,8 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
             .with_bin(Picos::from_us(1))
             .with_label(format!("scale_{hosts}"));
         eprintln!("running {hosts}-host RECN hotspot (time/{div})...");
-        let out = run_one(&spec);
+        let (out, footprint) = run_with_footprint(&spec);
+        footprints.push((hosts, footprint));
         eprintln!(
             "  {} [peak {} bytes, {:.1}s wall]",
             summarize(&out),
@@ -280,6 +307,7 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
     }
 
     outln!("{}", render_scale_table(&rows))?;
+    outln!("{}", render_footprints(&footprints))?;
     if let Some(path) = f.get("--json") {
         std::fs::write(path, render_json(&rows, div, budget))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -366,6 +394,43 @@ mod tests {
         assert!(t.contains("137") && t.contains("5.0 MiB"));
         // Every (point, scheme) pair got a row.
         assert_eq!(rows.len(), 9);
+    }
+
+    /// The parts `recn scale` prints add up to the `peak_bytes_estimate`
+    /// a run reports (and the cache stores): the split moves nothing.
+    #[test]
+    fn footprint_parts_sum_to_the_estimate() {
+        let (p, corner) = ladder().swap_remove(0);
+        let div = 256;
+        let recn = SchemeKind::Recn(scaled_recn_config(div));
+        let spec = RunSpec::corner(p, recn, corner.shrunk(div))
+            .with_horizon(Picos::from_us(1600 / div))
+            .with_bin(Picos::from_us(1));
+        let (out, footprint) = run_with_footprint(&spec);
+        let parts = footprint.parts();
+        assert_eq!(parts.len(), 10);
+        let sum: u64 = parts.iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(sum, out.peak_bytes_estimate);
+        assert_eq!(footprint.total(), out.peak_bytes_estimate);
+        let network: u64 = footprint.network.parts().iter().map(|&(_, b)| b).sum();
+        assert_eq!(network, footprint.network.total());
+        assert_eq!(
+            crate::run_one(&spec).peak_bytes_estimate,
+            out.peak_bytes_estimate
+        );
+        // A hotspot under RECN fills every part: a tree formed, so some
+        // ports hold SAQ storage, and the lanes took most schedules.
+        for (name, bytes) in &parts {
+            assert!(*bytes > 0, "{name} is empty");
+        }
+        let table = render_footprints(&[(p.hosts(), footprint)]);
+        let total = table.lines().last().expect("a total row");
+        assert!(total.starts_with("  total "), "{table}");
+        assert!(
+            total.ends_with(&human_bytes(out.peak_bytes_estimate)),
+            "{table}"
+        );
+        assert_eq!(table.lines().count(), 1 + parts.len() + 1);
     }
 
     /// An over-budget run is the command's `Err` (the binary's one error

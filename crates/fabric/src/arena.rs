@@ -120,11 +120,16 @@ impl<T> Arena<T> {
     }
 
     /// Stores `value`, returning its handle. Reuses the most recently
-    /// freed slot when one exists; grows the backing storage otherwise.
+    /// freed slot when one exists; grows the backing storage otherwise, by
+    /// [`simcore::growth`] when it is full: a slab that never holds more
+    /// than one item reserves one slot.
     pub fn insert(&mut self, value: T) -> Handle {
         self.len += 1;
         if self.free_head == NIL {
             let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
+            if self.slots.len() == self.slots.capacity() {
+                self.slots.reserve_exact(simcore::growth(self.slots.len()));
+            }
             self.slots.push(Slot::Occupied { gen: 0, value });
             return Handle::new(idx, 0);
         }
@@ -253,6 +258,21 @@ mod tests {
         let h = a.insert(0u64);
         a.remove(h);
         assert!(a.backing_bytes() > 0, "high-water storage persists");
+    }
+
+    #[test]
+    fn storage_grows_by_a_quarter_of_what_it_holds() {
+        let slot = std::mem::size_of::<Slot<u64>>() as u64;
+        let mut a = Arena::new();
+        for n in 1..=200u64 {
+            a.insert(n);
+            let reserved = a.backing_bytes() / slot;
+            let most = n + (n / 4).max(1);
+            assert!(
+                (n..=most).contains(&reserved),
+                "{n} held, {reserved} reserved"
+            );
+        }
     }
 
     #[test]

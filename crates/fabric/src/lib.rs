@@ -75,8 +75,8 @@ pub use arn::{ArnTable, ARN_COLD_BYTES, ARN_HOT_BYTES, ARN_TTL};
 pub use config::{FabricConfig, RoutingPolicy, SchemeKind};
 pub use credit::{CreditView, POOLED_QUEUE};
 pub use network::{
-    assert_recn_idle, paper_network, render_port, ArbiterSummary, CounterMut, Event, NetCounters,
-    Network, PortRef, PortSnapshot, SaqSnapshot,
+    assert_recn_idle, paper_network, render_port, ArbiterSummary, CounterMut, Event, Footprint,
+    NetCounters, Network, PortRef, PortSnapshot, SaqSnapshot,
 };
 pub use observer::{FanoutObserver, HookSet, NetObserver, NullObserver, QueueKind, SaqSite};
 pub use packet::{Packet, Payload, QueueItem, RevPayload};

@@ -7,6 +7,7 @@ use topology::PathSpec;
 
 use crate::arn::ArnTable;
 use crate::config::RoutingPolicy;
+use crate::credit::CreditView;
 use crate::queue::QueueSet;
 
 use super::nic::{AdmitFifo, Nic};
@@ -43,6 +44,50 @@ pub struct PortSnapshot {
     pub is_root: bool,
     /// Live SAQs (empty for non-RECN schemes).
     pub saqs: Vec<SaqSnapshot>,
+}
+
+/// Where [`Network::memory_footprint`] goes: the simulator's backing
+/// storage behind a network model, in bytes, by part.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Every port's [`QueueSet`] record: queue 0, the accounting and the
+    /// RECN port, whatever the port holds.
+    pub queue_sets: u64,
+    /// Every port's item slab at its high-water allocation.
+    pub item_slabs: u64,
+    /// Queue records past queue 0 and CAM lines: the CAM/SAQ storage of the
+    /// RECN ports a congestion tree reached, the static queues of 4Q, VOQsw
+    /// and VOQnet ([`QueueSet::queue_storage_bytes`]).
+    pub queue_storage: u64,
+    /// Link descriptors and their credit views.
+    pub links: u64,
+    /// Per-flow state: the sequence table and the transports' sender and
+    /// receiver records.
+    pub flow_table: u64,
+    /// NIC admittance: the pools and FIFOs of messages not yet injected.
+    pub nic_admittance: u64,
+    /// Switch and NIC records, crossbar slots, port maps and ARN state.
+    pub switches: u64,
+}
+
+impl Footprint {
+    /// The parts with their display names, in field order.
+    pub fn parts(&self) -> [(&'static str, u64); 7] {
+        [
+            ("queue sets", self.queue_sets),
+            ("item slabs", self.item_slabs),
+            ("CAM/SAQ storage", self.queue_storage),
+            ("links", self.links),
+            ("flow table", self.flow_table),
+            ("NIC admittance", self.nic_admittance),
+            ("switches", self.switches),
+        ]
+    }
+
+    /// The whole network model's estimate: the parts' sum.
+    pub fn total(&self) -> u64 {
+        self.parts().iter().map(|&(_, bytes)| bytes).sum()
+    }
 }
 
 fn snapshot_of(qs: &QueueSet) -> PortSnapshot {
@@ -121,51 +166,60 @@ impl Network {
     }
 
     /// Estimated bytes of host-process backing storage behind this
-    /// network model: queue-set slabs and per-queue arrays at their
-    /// high-water allocation, the SAQ storage (CAM lines, SAQ records) of
-    /// the RECN ports a congestion tree has reached, the switch and NIC
-    /// records, NIC admittance pools, the per-flow sequence table, and link
-    /// descriptors with their credit views. This measures the
+    /// network model, by [part](Footprint). This measures the
     /// *simulator's* memory, not simulated buffer capacity; it is
-    /// deterministic for a given run (derived from slab high-water marks),
-    /// so cached results replay it exactly.
-    pub fn memory_footprint(&self) -> u64 {
+    /// deterministic for a given run (derived from slab high-water marks
+    /// and capacities, never from the allocator), so cached results replay
+    /// it exactly.
+    pub fn memory_footprint(&self) -> Footprint {
         use std::mem::size_of;
-        let mut total: u64 = self.ports().map(|(_, qs)| qs.backing_bytes()).sum();
-        total += (self.switches.capacity() * size_of::<Switch>()) as u64;
-        // A NIC's injection queue set was counted with the ports.
-        total += (self.nics.capacity() * (size_of::<Nic>() - size_of::<QueueSet>())) as u64;
-        for s in &self.switches {
-            total += (s.in_flight.capacity() * size_of::<Option<XbarTransfer>>()) as u64;
-            total += ((s.out_link.capacity() + s.in_link.capacity()) * size_of::<usize>()) as u64;
-        }
-        for n in &self.nics {
-            total += n.admit_pool.backing_bytes();
-            // By capacity: a drained network still reports the peak.
-            total += (n.admit.capacity() * size_of::<(u32, AdmitFifo)>()) as u64;
-            // Transport flow state (zero without installed flows).
-            total += (n.flows.len() * (size_of::<u32>() + size_of::<FlowTx>())) as u64;
+        let mut f = Footprint::default();
+        for (_, qs) in self.ports() {
+            f.queue_sets += size_of::<QueueSet>() as u64;
+            f.item_slabs += qs.item_slab_bytes();
+            f.queue_storage += qs.queue_storage_bytes();
         }
         for l in &self.links {
-            total += size_of::<LinkState>() as u64 + l.credits.backing_bytes();
+            f.links += size_of::<LinkState>() as u64 + l.credits.backing_bytes();
         }
-        total += self.flow_seq.backing_bytes();
-        total += (self.flow_rx.len() * (size_of::<u64>() + size_of::<FlowRx>())) as u64;
-        total += (self.port_base.capacity() * size_of::<usize>()) as u64;
+        f.flow_table = self.flow_seq.backing_bytes()
+            + (self.flow_rx.len() * (size_of::<u64>() + size_of::<FlowRx>())) as u64;
+        for n in &self.nics {
+            // Transport flow state (zero without installed flows).
+            f.flow_table += (n.flows.len() * (size_of::<u32>() + size_of::<FlowTx>())) as u64;
+            // By capacity: a drained network still reports the peak.
+            f.nic_admittance += n.admit_pool.backing_bytes()
+                + (n.admit.capacity() * size_of::<(u32, AdmitFifo)>()) as u64;
+        }
+        f.switches = (self.switches.capacity() * size_of::<Switch>()) as u64
+            // A NIC's injection queue set is one of the queue sets.
+            + (self.nics.capacity() * (size_of::<Nic>() - size_of::<QueueSet>())) as u64
+            + (self.port_base.capacity() * size_of::<usize>()) as u64;
+        for s in &self.switches {
+            f.switches += (s.in_flight.capacity() * size_of::<Option<XbarTransfer>>()) as u64;
+            f.switches +=
+                ((s.out_link.capacity() + s.in_link.capacity()) * size_of::<usize>()) as u64;
+        }
         // ARN notification state (all three vectors empty outside ArnUp,
         // so the other policies' footprints are untouched).
-        total += self
+        f.switches += self
             .arn_tables
             .iter()
             .map(|t| (t.len() * 16 + size_of::<ArnTable>()) as u64)
             .sum::<u64>();
-        total += self
+        f.switches += self
             .arn_child_links
             .iter()
             .map(|v| (v.capacity() * size_of::<usize>() + size_of::<Vec<usize>>()) as u64)
             .sum::<u64>();
-        total += self.arn_out_hot.capacity() as u64;
-        total
+        f.switches += self.arn_out_hot.capacity() as u64;
+        f
+    }
+
+    /// Every link's sender-side credit view, in link order: at quiescence
+    /// each is back at its capacity.
+    pub fn credit_views(&self) -> impl Iterator<Item = &CreditView> {
+        self.links.iter().map(|l| &l.credits)
     }
 
     /// Mean forward-channel utilization over all links at `now`

@@ -47,7 +47,7 @@ use nic::Nic;
 use recn_glue::SaqCensus;
 
 pub use build::paper_network;
-pub use inspect::{render_port, PortSnapshot, SaqSnapshot};
+pub use inspect::{render_port, Footprint, PortSnapshot, SaqSnapshot};
 pub use recn_glue::assert_recn_idle;
 pub use stats::{CounterMut, NetCounters};
 pub use switch::ArbiterSummary;

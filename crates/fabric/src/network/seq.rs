@@ -28,8 +28,9 @@ struct Slot {
 /// The dense arrays this replaces cost 16 bytes per *possible* flow, so a
 /// 24-byte slot only pays off if the table stays tight and growing it
 /// never holds two copies. Hence the slots live in fixed-size chunks that
-/// are only ever added (a quarter more at a time, keeping the table
-/// between 70 % and 7/8 full) and the entries are rehashed in place.
+/// are only ever added ([`simcore::growth`]: a quarter more at a time,
+/// keeping the table between 70 % and 7/8 full) and the entries are
+/// rehashed in place.
 #[derive(Debug, Default)]
 pub(crate) struct FlowSeqTable {
     chunks: Vec<Box<[Slot]>>,
@@ -101,7 +102,7 @@ impl FlowSeqTable {
     /// every probe path stays unbroken.
     fn grow(&mut self) {
         let old = self.slots();
-        for _ in 0..(self.chunks.len() / 4).max(1) {
+        for _ in 0..simcore::growth(self.chunks.len()) {
             self.chunks
                 .push(vec![Slot::default(); Self::CHUNK].into_boxed_slice());
         }

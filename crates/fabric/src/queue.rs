@@ -291,16 +291,11 @@ impl QueueSet {
         self.fifo(queue).len
     }
 
-    /// Estimated bytes of backing storage for this queue set: the set
-    /// itself (queue 0's record, the accounting, the RECN port), the shared
-    /// node slab at its high-water allocation, and what
-    /// [`queue_storage_bytes`](Self::queue_storage_bytes) counts.
-    /// Simulation-model accounting, not simulated port memory — see
-    /// [`capacity`](Self::capacity) for the latter.
-    pub fn backing_bytes(&self) -> u64 {
-        std::mem::size_of::<QueueSet>() as u64
-            + self.items.backing_bytes()
-            + self.queue_storage_bytes()
+    /// Heap bytes of the node slab the set's queues share, at its
+    /// high-water allocation. Simulation-model accounting, not simulated
+    /// port memory — see [`capacity`](Self::capacity) for the latter.
+    pub fn item_slab_bytes(&self) -> u64 {
+        self.items.backing_bytes()
     }
 
     /// Heap bytes behind the queues past queue 0: their records and, under

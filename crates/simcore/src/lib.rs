@@ -12,6 +12,8 @@
 //!   delay after the last pop, with a binary heap for the rest;
 //!   `tests/scheduler_equivalence.rs` checks it op for op against a
 //!   binary-heap reference model.
+//! * [`growth`]: the one growth rule of the stores a run fills (a quarter
+//!   of what they hold), so reserved memory follows what a run holds.
 //! * [`SplitMix64`] / [`Xoshiro256`]: small, dependency-free PRNGs with
 //!   explicit seeding, so traffic generation is reproducible.
 //! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`] / [`Fnv1a64`]:
@@ -48,6 +50,7 @@
 
 mod canon;
 mod engine;
+mod growth;
 mod queue;
 mod rng;
 mod series;
@@ -57,6 +60,7 @@ mod timer;
 
 pub use canon::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, Fnv1a64};
 pub use engine::{Engine, EventModel, SimModel};
+pub use growth::growth;
 pub use queue::{EventQueue, QueueWork, ScheduledEvent};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use series::{BinnedSeries, GaugeSeries, SeriesPoint};

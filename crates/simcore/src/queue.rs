@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::mem::size_of;
 
-use crate::Picos;
+use crate::{growth, Picos};
 
 /// How many delays the queue keeps a lane for at once. The fabric's hops
 /// are a handful of fixed delays (a link hop, a crossbar transfer, a credit
@@ -124,7 +124,8 @@ pub struct EventQueue<E> {
     tails: [Picos; LANES],
     /// Bit `i` set ⇔ lane `i` holds an event.
     occupied: u32,
-    /// Each lane's pending events, in `(time, seq)` order.
+    /// Each lane's pending events, in `(time, seq)` order; a full lane
+    /// grows by [`growth`], not by doubling.
     lanes: [VecDeque<ScheduledEvent<E>>; LANES],
     /// Time of the last pop (`None` before the first).
     last_pop: Option<Picos>,
@@ -164,6 +165,9 @@ impl<E> EventQueue<E> {
                 if lane.is_empty() {
                     self.fronts[i] = key(time, seq);
                     self.occupied |= 1 << i;
+                }
+                if lane.len() == lane.capacity() {
+                    lane.reserve_exact(growth(lane.len()));
                 }
                 lane.push_back(ScheduledEvent { time, seq, event });
                 self.tails[i] = time;
@@ -267,8 +271,21 @@ impl<E> EventQueue<E> {
     /// a given schedule, unlike resident-set size, and bounded by the
     /// deepest the queue ever got, not by how long the run was.
     pub fn backing_bytes(&self) -> usize {
+        self.lane_bytes() + self.heap_bytes()
+    }
+
+    /// The lanes' part of [`backing_bytes`](Self::backing_bytes). A lane
+    /// grows by [`growth`] when full, so each holds at most a quarter (plus
+    /// one event) more than the deepest it got.
+    pub fn lane_bytes(&self) -> usize {
         let lanes: usize = self.lanes.iter().map(VecDeque::capacity).sum();
-        (self.heap.capacity() + lanes) * size_of::<ScheduledEvent<E>>()
+        lanes * size_of::<ScheduledEvent<E>>()
+    }
+
+    /// The heap's part of [`backing_bytes`](Self::backing_bytes), grown by
+    /// std's doubling.
+    pub fn heap_bytes(&self) -> usize {
+        self.heap.capacity() * size_of::<ScheduledEvent<E>>()
     }
 
     /// What the queue has done so far.
@@ -399,6 +416,22 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
         assert_eq!(order, [(1, 'b'), (2, 'c'), (3, 'd'), (6, 'g')]);
         assert!(q.backing_bytes() >= 3 * size_of::<ScheduledEvent<char>>());
+    }
+
+    #[test]
+    fn a_lane_grows_by_a_quarter_of_what_it_holds() {
+        let mut q = EventQueue::new();
+        q.schedule(Picos::ZERO, 0);
+        q.pop();
+        for n in 1..=200 {
+            q.schedule(Picos::from_ns(84), n); // every one in the lane of 84 ns
+            let reserved = q.lanes[0].capacity();
+            assert!(
+                (n..=n + growth(n)).contains(&reserved),
+                "{n} held, {reserved} reserved"
+            );
+        }
+        assert_eq!(q.work().lane_schedules, 200);
     }
 
     #[test]

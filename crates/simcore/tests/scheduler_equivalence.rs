@@ -247,14 +247,25 @@ impl Pair {
         assert_eq!(self.queue.peak_len(), self.heap.peak_len);
     }
 
-    /// What the queue may hold reserved at this peak depth: the heap and
-    /// each of the eight lanes at most double the peak (`Vec` and
-    /// `VecDeque` growth).
+    /// What the queue may hold reserved at this peak depth: each of the
+    /// eight lanes at most a quarter (and one event) past the peak, the
+    /// quarter rule of `simcore::growth`; the heap at most double the peak,
+    /// four events at least (std's `Vec` growth).
     fn assert_memory_follows_depth(&self) {
         let event = std::mem::size_of::<simcore::ScheduledEvent<u64>>();
-        let bound = 2 * 9 * self.queue.peak_len() * event;
-        let bytes = self.queue.backing_bytes();
-        assert!(bytes <= bound, "{bytes} B reserved, bound {bound} B");
+        let peak = self.queue.peak_len();
+        let lanes = 8 * (peak + simcore::growth(peak)) * event;
+        let heap = (2 * peak).max(4) * event;
+        let (lane_bytes, heap_bytes) = (self.queue.lane_bytes(), self.queue.heap_bytes());
+        assert!(
+            lane_bytes <= lanes,
+            "lanes reserve {lane_bytes} B, bound {lanes} B"
+        );
+        assert!(
+            heap_bytes <= heap,
+            "heap reserves {heap_bytes} B, bound {heap} B"
+        );
+        assert_eq!(self.queue.backing_bytes(), lane_bytes + heap_bytes);
     }
 }
 
