@@ -23,7 +23,7 @@ use crate::opts::{is_help, parse_flags, render_help, usage_line, FlagDef, Opts, 
 use crate::runner::{scaled_recn_config, summarize, SchemeSet};
 use crate::spec::RunSpec;
 use crate::sweep::Sweep;
-use crate::{ablations, incast, scale, serve, table1};
+use crate::{ablations, incast, scale, table1};
 
 /// One `recn` command.
 pub struct Command {
@@ -132,13 +132,6 @@ pub const COMMANDS: &[Command] = &[
         about: "queue-memory scaling ladder ft_64 -> ft_512 -> ft_4096",
         flags: scale::SCALE_FLAGS,
         run: |_, f| scale::command(f),
-    },
-    Command {
-        name: "serve",
-        operand: &[],
-        about: "batch daemon: run spooled spec files through the run cache",
-        flags: serve::SERVE_FLAGS,
-        run: |_, f| serve::command(f),
     },
 ];
 
@@ -423,7 +416,7 @@ mod tests {
     /// the command reads.
     #[test]
     fn flag_surface_is_the_binaries() {
-        let expected: [(&str, &[&str]); 9] = [
+        let expected: [(&str, &[&str]); 8] = [
             (
                 "fig",
                 &[
@@ -485,17 +478,6 @@ mod tests {
             ),
             ("inspect", &["--quick", "--pkt", "--trace", "--trace-last"]),
             ("scale", &["--net", "--time-div", "--json", "--budget"]),
-            (
-                "serve",
-                &[
-                    "--spool",
-                    "--cache",
-                    "--jobs",
-                    "--once",
-                    "--poll-ms",
-                    "--demo",
-                ],
-            ),
         ];
         assert_eq!(COMMANDS.len(), expected.len());
         for (cmd, (name, flags)) in COMMANDS.iter().zip(expected) {

@@ -112,13 +112,20 @@ impl Json {
     }
 }
 
-/// Parses one JSON document (rejecting trailing garbage). Supports the
-/// subset this crate writes: objects, arrays, strings with basic escapes,
-/// number tokens, `true`/`false`/`null`.
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. Cache
+/// entries nest 4 deep; the bound keeps the recursive parser's stack small
+/// whatever a corrupt file holds.
+pub const MAX_NESTING: usize = 32;
+
+/// Parses one JSON document (rejecting trailing garbage and nesting deeper
+/// than [`MAX_NESTING`]). Supports the subset this crate writes: objects,
+/// arrays, strings with basic escapes, number tokens, `true`/`false`/`null`.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = JsonParser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -129,8 +136,11 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -165,8 +175,8 @@ impl JsonParser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' if self.eat_word("true") => Ok(Json::Bool(true)),
             b'f' if self.eat_word("false") => Ok(Json::Bool(false)),
@@ -174,6 +184,20 @@ impl JsonParser<'_> {
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
         }
+    }
+
+    /// Runs `parse` on the array or object at `pos`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -260,10 +284,13 @@ impl JsonParser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 character: every token before it
+                    // is ASCII, so `pos` is on a character boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -308,6 +335,30 @@ mod tests {
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("[1, 2] tail").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nest(MAX_NESTING)).is_ok());
+        let err = parse_json(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far deeper than any stack holds: an error, not an overflow.
+        let err = parse_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = parse_json(&"{\"a\": ".repeat(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    /// String parsing is linear in the string's length.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "é".repeat(2 << 20); // 4 MiB of two-byte characters
+        let start = std::time::Instant::now();
+        let v = parse_json(&format!("[\"{body}\"]")).unwrap();
+        assert_eq!(v.arr().unwrap()[0].str(), Some(body.as_str()));
+        let secs = start.elapsed().as_secs_f64();
+        assert!(secs < 5.0, "a 4 MiB string took {secs:.2} s");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! Beyond the paper, [`ablations`] sweeps the design parameters (SAQ pool
 //! size, detection threshold, drain boost) and measures the per-class
 //! latency split (`recn ablations`); `recn hotspot`, `incast`, `validate`,
-//! `inspect`, `scale` and `serve` cover the routing × scheme matrix, flow
-//! completion times, the invariant checker, mid-run state, the 4096-host
-//! memory ladder and the batch daemon.
+//! `inspect` and `scale` cover the routing × scheme matrix, flow
+//! completion times, the invariant checker, mid-run state and the
+//! 4096-host memory ladder.
 //!
 //! Each run simulates the exact scenario of the paper (64/256/512-host
 //! perfect-shuffle MINs, 8 Gbps links, 12 Gbps crossbars, 128 KB port
@@ -57,7 +57,7 @@
 //! assert_eq!(spec.routing().name(), "adaptive");
 //! // `experiments::run_one(&spec)` (or a `Sweep` of many specs) runs it;
 //! // `spec.spec_hash()` is the content address the run cache files it
-//! // under (`Sweep::cache`, `recn serve`).
+//! // under (`Sweep::cache`).
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,7 +84,6 @@ pub mod json;
 pub mod opts;
 pub mod runner;
 pub mod scale;
-pub mod serve;
 pub mod spec;
 pub mod sweep;
 pub mod table1;

@@ -510,7 +510,7 @@ mod tests {
             ("scale", ["--time-div", "0"]),
             ("scale", ["--time-div", "fast"]),
             ("fig", ["--jobs", "0"]),
-            ("serve", ["--jobs", "zero"]),
+            ("validate", ["--jobs", "zero"]),
             ("fig", ["--stride", "0"]),
             ("fig", ["--stride", "-1"]),
             ("inspect", ["--trace-last", "0"]),

@@ -27,14 +27,18 @@
 //!
 //! let spec = RunSpec::corner(MinParams::paper_64(), SchemeKind::OneQ, CornerCase::case1_64());
 //! let bytes = spec.encode();
-//! let back = RunSpec::decode(&bytes).unwrap();
-//! assert_eq!(back.spec_hash(), spec.spec_hash());
+//! assert_eq!(bytes[..3], *b"RS\x07", "magic, then the version byte");
 //! // The label is presentation, not behaviour: changing it keeps the hash.
 //! assert_eq!(spec.clone().with_label("renamed").spec_hash(), spec.spec_hash());
+//! // The packet size is behaviour: changing it moves the hash.
+//! assert_ne!(spec.clone().with_packet_size(512).spec_hash(), spec.spec_hash());
 //! ```
+//!
+//! Specs are only ever encoded: the cache compares encodings and never
+//! reads a spec back from bytes.
 
 use fabric::{RoutingPolicy, SchemeKind, TransportKind};
-use simcore::{fnv1a64, Canon, CanonError, CanonReader, CanonWriter, Picos};
+use simcore::{fnv1a64, Canon, CanonWriter, Picos};
 use topology::TopoParams;
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
@@ -48,16 +52,9 @@ const SPEC_MAGIC: [u8; 2] = *b"RS";
 /// fields, then the [`TransportKind`] block, always present. Bump it
 /// whenever a behaviour-affecting field is added, removed or reordered:
 /// every spec hash then moves at once (`tests/spec_hash_golden.rs` is
-/// re-pinned, old cache entries stop matching) and [`RunSpec::decode`]
-/// rejects every other version (DESIGN.md §6e).
+/// re-pinned) and the cache entries of every other version stop matching
+/// (DESIGN.md §6e).
 pub const SPEC_VERSION: u8 = 7;
-
-/// Most bins (`horizon / bin`) a spec may ask the probe to record. Every
-/// run allocates and renders that many points for each of its four series
-/// whatever the traffic, so [`RunSpec::decode`] refuses foreign bytes that
-/// would make the process abort on allocation; 50× the longest series any
-/// preset uses (20,000 bins).
-pub const MAX_SERIES_BINS: u64 = 1 << 20;
 
 impl Canon for Workload {
     fn encode_canon(&self, w: &mut CanonWriter) {
@@ -84,29 +81,6 @@ impl Canon for Workload {
                 w.u8(3);
                 f.encode_canon(w);
             }
-        }
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(Workload::Corner(CornerCase::decode_canon(r)?)),
-            1 => Ok(Workload::San(SanParams::decode_canon(r)?)),
-            2 => {
-                let (load, msg_bytes, seed) = (r.f64()?, r.u32()?, r.u64()?);
-                if !(load.is_finite() && load > 0.0 && load <= 1.0) {
-                    return Err(CanonError::new("uniform load outside (0, 1]"));
-                }
-                if msg_bytes == 0 {
-                    return Err(CanonError::new("uniform message size must be positive"));
-                }
-                Ok(Workload::Uniform {
-                    load,
-                    msg_bytes,
-                    seed,
-                })
-            }
-            3 => Ok(Workload::Flows(FlowSet::decode_canon(r)?)),
-            t => Err(CanonError::new(format!("unknown workload tag {t}"))),
         }
     }
 }
@@ -328,89 +302,16 @@ impl RunSpec {
         w.finish()
     }
 
-    /// Decodes a `spec_v1` byte string back into a spec. Exact inverse of
-    /// [`encode`](RunSpec::encode) for the encoded fields; the excluded
-    /// fields come back at their defaults (label = scheme name, no
-    /// validation, no trace). Rejects wrong magic/version, truncated or
-    /// trailing bytes, values that violate the types' invariants, and
-    /// series longer than [`MAX_SERIES_BINS`].
-    pub fn decode(bytes: &[u8]) -> Result<RunSpec, CanonError> {
-        let mut r = CanonReader::new(bytes);
-        let magic = [r.u8()?, r.u8()?];
-        if magic != SPEC_MAGIC {
-            return Err(CanonError::new(format!(
-                "bad spec magic {magic:02x?} (expected \"RS\")"
-            )));
-        }
-        let version = r.u8()?;
-        if version != SPEC_VERSION {
-            return Err(CanonError::new(format!(
-                "unsupported spec version {version} (this build reads version {SPEC_VERSION} only)"
-            )));
-        }
-        let params = TopoParams::decode_canon(&mut r)?;
-        let scheme = SchemeKind::decode_canon(&mut r)?;
-        let workload = Workload::decode_canon(&mut r)?;
-        let routing = RoutingPolicy::decode_canon(&mut r)?;
-        let packet_size = r.u32()?;
-        let horizon = Picos::decode_canon(&mut r)?;
-        let bin = Picos::decode_canon(&mut r)?;
-        let transport = TransportKind::decode_canon(&mut r)?;
-        r.finish()?;
-        if packet_size == 0 {
-            return Err(CanonError::new("packet size must be positive"));
-        }
-        if bin == Picos::ZERO {
-            return Err(CanonError::new("series bin must be positive"));
-        }
-        let bins = horizon.div_duration(bin);
-        if bins > MAX_SERIES_BINS {
-            return Err(CanonError::new(format!(
-                "horizon / bin asks for {bins} series bins (at most {MAX_SERIES_BINS})"
-            )));
-        }
-        if let Workload::Corner(c) = &workload {
-            if c.hosts != params.hosts() {
-                return Err(CanonError::new(format!(
-                    "corner case sized for {} hosts on a {}-host network",
-                    c.hosts,
-                    params.hosts()
-                )));
-            }
-        }
-        if let Workload::Flows(f) = &workload {
-            if f.hosts != params.hosts() {
-                return Err(CanonError::new(format!(
-                    "flow set sized for {} hosts on a {}-host network",
-                    f.hosts,
-                    params.hosts()
-                )));
-            }
-        }
-        Ok(RunSpec::new(params, scheme, workload)
-            .with_routing(routing)
-            .with_packet_size(packet_size)
-            .with_horizon(horizon)
-            .with_bin(bin)
-            .with_transport(transport))
-    }
-
     /// The spec's content address: FNV-1a 64 over [`encode`](Self::encode).
     /// Equal hashes ⇒ equal behaviour (labels and observers excluded).
     pub fn spec_hash(&self) -> u64 {
         fnv1a64(&self.encode())
     }
 
-    /// [`encode`](Self::encode) as lowercase hex — the line format `recn
-    /// serve` reads from spool files and stdin.
+    /// [`encode`](Self::encode) as lowercase hex — the form a cache entry
+    /// stores and compares.
     pub fn encode_hex(&self) -> String {
         to_hex(&self.encode())
-    }
-
-    /// Decodes a spec from the hex form produced by
-    /// [`encode_hex`](Self::encode_hex).
-    pub fn decode_hex(s: &str) -> Result<RunSpec, CanonError> {
-        RunSpec::decode(&from_hex(s)?)
     }
 }
 
@@ -421,25 +322,6 @@ pub fn to_hex(bytes: &[u8]) -> String {
         s.push_str(&format!("{b:02x}"));
     }
     s
-}
-
-/// Inverse of [`to_hex`]; rejects odd lengths and non-hex digits.
-pub fn from_hex(s: &str) -> Result<Vec<u8>, CanonError> {
-    let s = s.trim();
-    if !s.len().is_multiple_of(2) {
-        return Err(CanonError::new("odd-length hex string"));
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(
-                s.get(i..i + 2)
-                    .ok_or_else(|| CanonError::new("hex string split inside a character"))?,
-                16,
-            )
-            .map_err(|_| CanonError::new(format!("invalid hex at offset {i}")))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -504,23 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips() {
-        for spec in sample_specs() {
-            let bytes = spec.encode();
-            let back = RunSpec::decode(&bytes).expect("decode");
-            assert_eq!(back.encode(), bytes, "re-encode must be identical");
-            assert_eq!(back.spec_hash(), spec.spec_hash());
-            assert_eq!(back.params(), spec.params());
-            assert_eq!(back.scheme(), spec.scheme());
-            assert_eq!(back.packet_size(), spec.packet_size());
-            assert_eq!(back.horizon(), spec.horizon());
-            assert_eq!(back.bin(), spec.bin());
-            assert_eq!(back.routing(), spec.routing());
-            assert_eq!(back.transport(), spec.transport());
-        }
-    }
-
-    #[test]
     fn every_spec_encodes_under_the_one_version_and_layout() {
         for spec in sample_specs() {
             assert_eq!(spec.encode()[2], SPEC_VERSION, "{spec:?}");
@@ -540,61 +405,32 @@ mod tests {
             .encode();
         assert_eq!(gbn[..full.len() - 1], full[..full.len() - 1]);
         assert!(gbn.len() > full.len());
-        // A future version byte is refused by name (the pre-collapse ones
-        // are covered on real bytes by `tests/spec_hash_golden.rs`).
-        let mut next = full.clone();
-        next[2] = SPEC_VERSION + 1;
-        let err = RunSpec::decode(&next).unwrap_err().to_string();
-        let want = format!("unsupported spec version {}", SPEC_VERSION + 1);
-        assert!(err.contains(&want), "{err}");
     }
 
-    /// `spec`'s canonical bytes with the topology swapped for `params` —
-    /// an inconsistency the builders cannot express but foreign bytes can.
-    fn encode_on(params: impl Into<TopoParams>, spec: &RunSpec) -> Vec<u8> {
-        let mut w = CanonWriter::new();
-        w.u8(SPEC_MAGIC[0]);
-        w.u8(SPEC_MAGIC[1]);
-        w.u8(SPEC_VERSION);
-        params.into().encode_canon(&mut w);
-        spec.scheme().encode_canon(&mut w);
-        spec.workload().encode_canon(&mut w);
-        spec.routing().encode_canon(&mut w);
-        w.u32(spec.packet_size());
-        spec.horizon().encode_canon(&mut w);
-        spec.bin().encode_canon(&mut w);
-        spec.transport().encode_canon(&mut w);
-        w.finish()
-    }
-
+    /// A flow set sized for another network is refused when the run is
+    /// built, before anything is simulated; open-loop flows are legal (the
+    /// counting-receiver mode).
     #[test]
     fn flows_workload_requires_matching_hosts() {
         let spec = RunSpec::flows(MinParams::paper_64(), SchemeKind::OneQ, FlowSet::incast64());
-        let bytes = spec.encode();
-        assert_eq!(encode_on(MinParams::paper_64(), &spec), bytes);
-        // Same workload bytes on a 256-host network: rejected.
-        let err = RunSpec::decode(&encode_on(MinParams::paper_256(), &spec)).unwrap_err();
-        assert!(err.to_string().contains("flow set sized"), "{err}");
-        // The well-formed encoding round-trips (open-loop flows are legal:
-        // the counting-receiver mode).
-        let back = RunSpec::decode(&bytes).unwrap();
-        assert_eq!(back.spec_hash(), spec.spec_hash());
-        assert_eq!(back.transport(), TransportKind::OpenLoop);
-        assert!(
-            RunSpec::decode(&bytes[..bytes.len() - 1]).is_err(),
-            "truncation"
+        assert_eq!(spec.transport(), TransportKind::OpenLoop);
+        spec.network(Box::new(fabric::NullObserver));
+        let wrong = RunSpec::flows(
+            MinParams::paper_256(),
+            SchemeKind::OneQ,
+            FlowSet::incast64(),
         );
-    }
-
-    #[test]
-    fn hex_round_trips() {
-        let spec = sample_specs().remove(0);
-        let hex = spec.encode_hex();
-        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-        let back = RunSpec::decode_hex(&hex).unwrap();
-        assert_eq!(back.encode_hex(), hex);
-        assert!(RunSpec::decode_hex("zz").is_err());
-        assert!(RunSpec::decode_hex("abc").is_err(), "odd length rejected");
+        assert_ne!(wrong.spec_hash(), spec.spec_hash());
+        let built = std::panic::catch_unwind(|| wrong.network(Box::new(fabric::NullObserver)));
+        let err = built.expect_err("a 64-host flow set on a 256-host network");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or("");
+        assert!(
+            msg.contains("flow set sized for a different network"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -610,6 +446,9 @@ mod tests {
         assert_eq!(base.clone().with_trace(4096).spec_hash(), h);
     }
 
+    /// One variant per encoded field and per workload, scheme, routing and
+    /// transport kind: every one hashes differently from the base and from
+    /// every other.
     #[test]
     fn every_behaviour_field_changes_the_hash() {
         let base = RunSpec::corner(
@@ -617,15 +456,25 @@ mod tests {
             SchemeKind::OneQ,
             CornerCase::case1_64(),
         );
-        let h = base.spec_hash();
+        let uniform = |load, msg_bytes, seed| {
+            RunSpec::new(
+                MinParams::paper_64(),
+                SchemeKind::OneQ,
+                Workload::Uniform {
+                    load,
+                    msg_bytes,
+                    seed,
+                },
+            )
+        };
+        let gbn = fabric::TransportConfig::default();
         let variants = [
-            base.clone().with_packet_size(512),
-            base.clone().with_horizon(Picos::from_us(40)),
-            base.clone().with_bin(Picos::from_us(2)),
-            base.clone().with_routing(RoutingPolicy::adaptive()),
-            base.clone().with_routing(RoutingPolicy::arn()),
-            base.clone()
-                .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default())),
+            base.clone(),
+            RunSpec::corner(
+                FatTreeParams::ft_64(),
+                SchemeKind::OneQ,
+                CornerCase::case1_64(),
+            ),
             RunSpec::corner(
                 MinParams::paper_64(),
                 SchemeKind::FourQ,
@@ -636,9 +485,44 @@ mod tests {
                 SchemeKind::OneQ,
                 CornerCase::case2_64(),
             ),
+            RunSpec::san(SchemeKind::OneQ, SanParams::cello_like(20.0)),
+            uniform(0.6, 64, 7),
+            uniform(0.5, 64, 7),
+            uniform(0.6, 512, 7),
+            uniform(0.6, 64, 8),
+            RunSpec::flows(MinParams::paper_64(), SchemeKind::OneQ, FlowSet::incast64()),
+            base.clone().with_routing(RoutingPolicy::adaptive()),
+            base.clone().with_routing(RoutingPolicy::arn()),
+            base.clone().with_packet_size(512),
+            base.clone().with_horizon(Picos::from_us(40)),
+            base.clone().with_bin(Picos::from_us(2)),
+            base.clone().with_transport(TransportKind::GoBackN(gbn)),
+            base.clone().with_transport(TransportKind::Nack(gbn)),
+            base.clone()
+                .with_transport(TransportKind::Pfc(gbn, fabric::PfcConfig::default())),
         ];
-        for v in variants {
-            assert_ne!(v.spec_hash(), h, "{v:?} must hash differently");
+        let hashes: Vec<u64> = variants.iter().map(RunSpec::spec_hash).collect();
+        for (i, h) in hashes.iter().enumerate() {
+            for (j, other) in hashes[..i].iter().enumerate() {
+                assert_ne!(h, other, "{:?} and {:?}", variants[i], variants[j]);
+            }
+        }
+        // A workload encodes as its kind's tag, then its parameters.
+        let corner = CornerCase::case2_64();
+        let san = SanParams::cello_like(20.0);
+        let flows = FlowSet::incast64();
+        let mut uniform = CanonWriter::new();
+        uniform.f64(0.6);
+        uniform.u32(64);
+        uniform.u64(7);
+        let workloads = [
+            (variants[3].workload(), 0, corner.canon_bytes()),
+            (variants[4].workload(), 1, san.canon_bytes()),
+            (variants[5].workload(), 2, uniform.finish()),
+            (variants[9].workload(), 3, flows.canon_bytes()),
+        ];
+        for (workload, tag, params) in workloads {
+            assert_eq!(workload.canon_bytes(), [&[tag][..], &params].concat());
         }
         // Distinct RECN configs are distinct behaviours.
         let recn = |cfg: recn::RecnConfig| {
@@ -653,49 +537,5 @@ mod tests {
             recn(paper_recn_config()),
             recn(paper_recn_config().with_max_saqs(64)),
         );
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(RunSpec::decode(&[]).is_err());
-        assert!(RunSpec::decode(b"XX\x01").is_err(), "bad magic");
-        assert!(RunSpec::decode(b"RS\x09").is_err(), "future version");
-        let mut bytes = sample_specs().remove(0).encode();
-        bytes.push(0);
-        assert!(RunSpec::decode(&bytes).is_err(), "trailing bytes");
-        bytes.pop();
-        bytes.pop();
-        assert!(RunSpec::decode(&bytes).is_err(), "truncation");
-    }
-
-    #[test]
-    fn decode_bounds_the_series_length() {
-        let base = RunSpec::corner(
-            MinParams::paper_64(),
-            SchemeKind::OneQ,
-            CornerCase::case2_64(),
-        );
-        // The default 1.6 ms horizon in 1 ps bins: 1.6e9 points per series.
-        let err = RunSpec::decode(&base.clone().with_bin(Picos::new(1)).encode()).unwrap_err();
-        assert!(err.to_string().contains("1600000000 series bins"), "{err}");
-        // The bound itself is legal, one bin more is not.
-        let at_bound = base
-            .with_bin(Picos::from_ns(1))
-            .with_horizon(Picos::from_ns(MAX_SERIES_BINS));
-        assert!(RunSpec::decode(&at_bound.encode()).is_ok());
-        let over = at_bound.with_horizon(Picos::from_ns(MAX_SERIES_BINS + 1));
-        assert!(RunSpec::decode(&over.encode()).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_inconsistent_specs() {
-        // A corner case sized for 64 hosts on a 256-host network.
-        let spec = RunSpec::corner(
-            MinParams::paper_64(),
-            SchemeKind::OneQ,
-            CornerCase::case1_64(),
-        );
-        let err = RunSpec::decode(&encode_on(MinParams::paper_256(), &spec)).unwrap_err();
-        assert!(err.to_string().contains("corner case sized"), "{err}");
     }
 }

@@ -197,6 +197,34 @@ fn corrupt_entries_are_evicted_and_rerun() {
     assert!(path.exists(), "sweep repopulated the evicted entry");
 }
 
+/// An entry whose body nests far deeper than any stack holds is corrupt
+/// like any other: evicted, re-run, and the sweep's results are those of a
+/// cold pass.
+#[test]
+fn a_deeply_nested_entry_is_evicted_and_rerun() {
+    let dir = scratch("cache_deep");
+    let cold = Sweep::new(quick_specs()).cache(&dir).run_report();
+    let path = RunCache::new(&dir).path_for(&quick_specs()[1]);
+    let text = std::fs::read_to_string(&path).expect("read entry");
+    const MARKER: &str = "\n  \"body\": ";
+    let head = &text[..text.find(MARKER).expect("body field") + MARKER.len()];
+    let deep = format!("{head}{}\n}}\n", "[".repeat(50_000));
+    std::fs::write(&path, deep).expect("rewrite entry");
+
+    let warm = Sweep::new(quick_specs()).cache(&dir).run_report();
+    assert_eq!(
+        warm.cache,
+        vec![CacheStatus::Hit, CacheStatus::Miss, CacheStatus::Hit]
+    );
+    for (a, b) in cold.outputs.iter().zip(&warm.outputs) {
+        assert_eq!(summarize(a), summarize(b));
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.trace_digest, b.trace_digest);
+    }
+    let text = std::fs::read_to_string(&path).expect("entry re-stored");
+    assert!(!text.contains("[[["), "the re-run overwrote the deep entry");
+}
+
 #[test]
 fn stale_schema_or_foreign_spec_is_ignored_not_evicted() {
     let dir = scratch("cache_stale");

@@ -1,7 +1,7 @@
 //! Fabric configuration: queueing scheme and physical parameters.
 
 use recn::RecnConfig;
-use simcore::{Canon, CanonError, CanonReader, CanonWriter, EventModel, Picos};
+use simcore::{Canon, CanonWriter, EventModel, Picos};
 
 use crate::transport::TransportKind;
 
@@ -82,17 +82,6 @@ impl Canon for SchemeKind {
                 w.u8(4);
                 cfg.encode_canon(w);
             }
-        }
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(SchemeKind::OneQ),
-            1 => Ok(SchemeKind::FourQ),
-            2 => Ok(SchemeKind::VoqSw),
-            3 => Ok(SchemeKind::VoqNet),
-            4 => Ok(SchemeKind::Recn(RecnConfig::decode_canon(r)?)),
-            t => Err(CanonError::new(format!("unknown scheme tag {t}"))),
         }
     }
 }
@@ -194,19 +183,6 @@ impl Canon for RoutingPolicy {
                 w.u8(2);
                 w.u8(UP_SELECTOR_TAG);
             }
-        }
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let policy = match r.u8()? {
-            0 => return Ok(RoutingPolicy::Deterministic),
-            1 => RoutingPolicy::AdaptiveUp,
-            2 => RoutingPolicy::ArnUp,
-            t => return Err(CanonError::new(format!("unknown routing tag {t}"))),
-        };
-        match r.u8()? {
-            UP_SELECTOR_TAG => Ok(policy),
-            t => Err(CanonError::new(format!("unknown up-selector tag {t}"))),
         }
     }
 }
@@ -420,9 +396,27 @@ mod tests {
         assert_eq!(RoutingPolicy::default(), RoutingPolicy::Deterministic);
     }
 
+    /// A scheme encodes as its tag, and RECN's tag is followed by its full
+    /// config.
+    #[test]
+    fn scheme_canon_is_a_tag_then_recn_config() {
+        let recn = RecnConfig::default();
+        let schemes = [
+            SchemeKind::OneQ,
+            SchemeKind::FourQ,
+            SchemeKind::VoqSw,
+            SchemeKind::VoqNet,
+            SchemeKind::Recn(recn),
+        ];
+        for (tag, scheme) in schemes.iter().enumerate() {
+            assert_eq!(scheme.canon_bytes()[..1], [tag as u8], "{}", scheme.name());
+        }
+        assert_eq!(schemes[4].canon_bytes()[1..], recn.canon_bytes());
+    }
+
     /// The adaptive policies keep the selector byte the one-variant
-    /// `UpSelector` used to write, so spec hashes and cache keys hold; any
-    /// other selector is refused, not read as credit-weighted.
+    /// `UpSelector` used to write, so spec hashes and cache keys hold, and
+    /// the three policies encode to three different byte strings.
     #[test]
     fn routing_policy_canon_keeps_the_selector_byte() {
         let cases: [(RoutingPolicy, &[u8]); 3] = [
@@ -431,16 +425,7 @@ mod tests {
             (RoutingPolicy::arn(), &[2, 0]),
         ];
         for (policy, bytes) in cases {
-            let mut w = CanonWriter::new();
-            policy.encode_canon(&mut w);
-            assert_eq!(w.finish(), bytes, "{}", policy.name());
-            let mut r = CanonReader::new(bytes);
-            assert_eq!(RoutingPolicy::decode_canon(&mut r).unwrap(), policy);
-            r.finish().expect("every byte consumed");
-        }
-        for bytes in [&[1u8, 1][..], &[2, 7], &[3]] {
-            let err = RoutingPolicy::decode_canon(&mut CanonReader::new(bytes)).unwrap_err();
-            assert!(err.to_string().contains("unknown"), "{bytes:?}: {err}");
+            assert_eq!(policy.canon_bytes(), bytes, "{}", policy.name());
         }
     }
 

@@ -44,7 +44,7 @@
 //! rearming bumps the generation and stale timeout events are ignored,
 //! so no timer bookkeeping depends on event-queue removal.
 
-use simcore::{Canon, CanonError, CanonReader, CanonWriter, Picos};
+use simcore::{Canon, CanonWriter, Picos};
 
 /// Parameters of the closed-loop sender/receiver machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +72,8 @@ impl Default for TransportConfig {
 impl TransportConfig {
     /// The first violated rule, if any: a positive window, and strictly
     /// positive timers (a same-time transport event would break the lazy
-    /// event model's ordering contract). Decoding untrusted canonical
-    /// bytes reports it; [`TransportKind::validate`] panics with it.
+    /// event model's ordering contract). [`TransportKind::validate`]
+    /// panics with it.
     fn check(&self) -> Result<(), &'static str> {
         if self.window_pkts == 0 {
             return Err("transport window must be positive");
@@ -90,16 +90,6 @@ impl Canon for TransportConfig {
         w.u32(self.window_pkts);
         self.timeout.encode_canon(w);
         self.ack_delay.encode_canon(w);
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let c = TransportConfig {
-            window_pkts: r.u32()?,
-            timeout: Picos::decode_canon(r)?,
-            ack_delay: Picos::decode_canon(r)?,
-        };
-        c.check().map_err(CanonError::new)?;
-        Ok(c)
     }
 }
 
@@ -124,7 +114,7 @@ impl Default for PfcConfig {
 
 impl PfcConfig {
     /// The threshold rule, `pause_threshold > resume_threshold > 0`, for
-    /// the decoder to report and [`TransportKind::validate`] to panic with.
+    /// [`TransportKind::validate`] to panic with.
     fn check(&self) -> Result<(), &'static str> {
         if self.resume_threshold == 0 || self.pause_threshold <= self.resume_threshold {
             return Err("PFC thresholds must satisfy pause > resume > 0");
@@ -137,15 +127,6 @@ impl Canon for PfcConfig {
     fn encode_canon(&self, w: &mut CanonWriter) {
         w.u64(self.pause_threshold);
         w.u64(self.resume_threshold);
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let p = PfcConfig {
-            pause_threshold: r.u64()?,
-            resume_threshold: r.u64()?,
-        };
-        p.check().map_err(CanonError::new)?;
-        Ok(p)
     }
 }
 
@@ -253,19 +234,6 @@ impl Canon for TransportKind {
             }
         }
     }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(TransportKind::OpenLoop),
-            1 => Ok(TransportKind::GoBackN(TransportConfig::decode_canon(r)?)),
-            2 => Ok(TransportKind::Nack(TransportConfig::decode_canon(r)?)),
-            3 => Ok(TransportKind::Pfc(
-                TransportConfig::decode_canon(r)?,
-                PfcConfig::decode_canon(r)?,
-            )),
-            t => Err(CanonError::new(format!("unknown transport tag {t}"))),
-        }
-    }
 }
 
 /// One closed-loop flow: `bytes` from `src` to `dst`, starting at
@@ -286,12 +254,6 @@ pub struct FlowDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn canon_bytes(kind: &TransportKind) -> Vec<u8> {
-        let mut w = CanonWriter::new();
-        kind.encode_canon(&mut w);
-        w.finish()
-    }
 
     #[test]
     fn names_round_trip() {
@@ -319,35 +281,64 @@ mod tests {
         assert!(pfc.is_pfc() && pfc.pfc().is_some());
     }
 
+    /// Every kind and every config field reaches the bytes: two transports
+    /// that differ anywhere encode differently, and the kind is the first
+    /// byte.
     #[test]
-    fn canon_round_trips_and_kinds_differ() {
+    fn canon_bytes_differ_by_kind_and_by_field() {
+        let c = TransportConfig::default();
+        let p = PfcConfig::default();
         let kinds = [
             TransportKind::OpenLoop,
-            TransportKind::GoBackN(TransportConfig::default()),
-            TransportKind::Nack(TransportConfig::default()),
-            TransportKind::Pfc(TransportConfig::default(), PfcConfig::default()),
-            TransportKind::GoBackN(TransportConfig {
-                window_pkts: 8,
-                ..TransportConfig::default()
-            }),
+            TransportKind::GoBackN(c),
+            TransportKind::Nack(c),
+            TransportKind::Pfc(c, p),
         ];
-        let encodings: Vec<Vec<u8>> = kinds.iter().map(canon_bytes).collect();
+        for (tag, kind) in kinds.iter().enumerate() {
+            assert_eq!(kind.canon_bytes()[0], tag as u8, "{kind:?}");
+        }
+        let configs = [
+            TransportConfig {
+                window_pkts: 8,
+                ..c
+            },
+            TransportConfig {
+                timeout: Picos::from_us(7),
+                ..c
+            },
+            TransportConfig {
+                ack_delay: Picos::from_ns(7),
+                ..c
+            },
+        ];
+        let thresholds = [
+            PfcConfig {
+                pause_threshold: p.pause_threshold + 64,
+                ..p
+            },
+            PfcConfig {
+                resume_threshold: p.resume_threshold - 64,
+                ..p
+            },
+        ];
+        let variants: Vec<TransportKind> = kinds
+            .into_iter()
+            .chain(configs.map(TransportKind::GoBackN))
+            .chain(configs.map(TransportKind::Nack))
+            .chain(configs.map(|c| TransportKind::Pfc(c, p)))
+            .chain(thresholds.map(|p| TransportKind::Pfc(c, p)))
+            .collect();
+        let encodings: Vec<Vec<u8>> = variants.iter().map(Canon::canon_bytes).collect();
         for (i, bytes) in encodings.iter().enumerate() {
-            let mut r = CanonReader::new(bytes);
-            let back = TransportKind::decode_canon(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, kinds[i]);
-            for (j, other) in encodings.iter().enumerate() {
-                if i != j {
-                    assert_ne!(bytes, other, "kinds {i} and {j} must encode differently");
-                }
+            for (j, other) in encodings[..i].iter().enumerate() {
+                assert_ne!(bytes, other, "{:?} and {:?}", variants[i], variants[j]);
             }
         }
     }
 
-    /// The decoder reports the rule `validate` panics with.
+    /// `check` names the rule `validate` panics with.
     #[test]
-    fn decoding_refuses_what_validate_rejects() {
+    fn check_names_the_rule_validate_panics_with() {
         let zero_timeout = TransportConfig {
             timeout: Picos::ZERO,
             ..TransportConfig::default()
@@ -361,20 +352,13 @@ mod tests {
             resume_threshold: 4096,
         };
         let cases = [
-            (TransportKind::Nack(zero_timeout), "strictly positive"),
-            (
-                TransportKind::GoBackN(zero_window),
-                "window must be positive",
-            ),
-            (
-                TransportKind::Pfc(TransportConfig::default(), inverted),
-                "pause > resume",
-            ),
+            (zero_timeout.check(), "strictly positive"),
+            (zero_window.check(), "window must be positive"),
+            (inverted.check(), "pause > resume"),
         ];
-        for (kind, rule) in cases {
-            let bytes = canon_bytes(&kind);
-            let err = TransportKind::decode_canon(&mut CanonReader::new(&bytes)).unwrap_err();
-            assert!(err.to_string().contains(rule), "{kind:?}: {err}");
+        for (result, rule) in cases {
+            let err = result.unwrap_err();
+            assert!(err.contains(rule), "{rule}: {err}");
         }
     }
 

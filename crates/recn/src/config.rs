@@ -1,6 +1,6 @@
 //! RECN tunables.
 
-use simcore::{Canon, CanonError, CanonReader, CanonWriter};
+use simcore::{Canon, CanonWriter};
 
 /// Configuration of the RECN mechanism at every port.
 ///
@@ -79,8 +79,7 @@ impl RecnConfig {
 
     /// Checks internal consistency, returning the first violated invariant
     /// as an error message (the non-panicking form of
-    /// [`validate`](RecnConfig::validate), used when decoding untrusted
-    /// canonical bytes).
+    /// [`validate`](RecnConfig::validate)).
     pub fn check(&self) -> Result<(), String> {
         if self.max_saqs < 1 {
             return Err("need at least one SAQ".into());
@@ -120,25 +119,38 @@ impl Canon for RecnConfig {
         w.u32(self.drain_boost_pkts);
         w.u64(self.root_clear_threshold);
     }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let cfg = RecnConfig {
-            max_saqs: r.u64()? as usize,
-            detection_threshold: r.u64()?,
-            propagation_threshold: r.u64()?,
-            xoff_threshold: r.u64()?,
-            xon_threshold: r.u64()?,
-            drain_boost_pkts: r.u32()?,
-            root_clear_threshold: r.u64()?,
-        };
-        cfg.check().map_err(CanonError::new)?;
-        Ok(cfg)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every field reaches the canonical bytes: a config that differs from
+    /// the default in any one field encodes differently from it and from
+    /// every other such config.
+    #[test]
+    fn every_field_changes_the_canonical_bytes() {
+        let edits: [fn(&mut RecnConfig); 7] = [
+            |c| c.max_saqs += 1,
+            |c| c.detection_threshold += 1,
+            |c| c.propagation_threshold += 1,
+            |c| c.xoff_threshold += 1,
+            |c| c.xon_threshold += 1,
+            |c| c.drain_boost_pkts += 1,
+            |c| c.root_clear_threshold += 1,
+        ];
+        let mut encodings = vec![RecnConfig::default().canon_bytes()];
+        for edit in edits {
+            let mut c = RecnConfig::default();
+            edit(&mut c);
+            encodings.push(c.canon_bytes());
+        }
+        for (i, bytes) in encodings.iter().enumerate() {
+            for (j, other) in encodings[..i].iter().enumerate() {
+                assert_ne!(bytes, other, "variants {i} and {j}");
+            }
+        }
+    }
 
     #[test]
     fn default_is_valid() {

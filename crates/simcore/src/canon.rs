@@ -11,33 +11,38 @@
 //!
 //! * fixed-width little-endian integers (`u8`/`u16`/`u32`/`u64`/`i64`),
 //! * `f64` as its IEEE-754 bit pattern (little-endian), so `-0.0`, subnormals
-//!   and every other value round-trip exactly,
-//! * `bool` as one byte (`0`/`1`, anything else is a decode error),
+//!   and every other value encode distinctly,
+//! * `bool` as one byte (`0`/`1`),
 //! * enums as a one-byte discriminant tag followed by the variant payload,
-//! * **no field names, no padding, no varints** — decoding replays the
-//!   field order of encoding, and a trailing-byte check catches drift.
+//! * **no field names, no padding, no varints** — the bytes are the fields
+//!   in declaration order, so two values that differ in any encoded field
+//!   encode differently.
 //!
 //! Every behaviour-affecting type implements [`Canon`]; presentational
 //! fields (labels, progress settings) are excluded by *not encoding them*,
 //! which is what makes [`fnv1a64`] over the bytes a semantic hash.
 //!
 //! ```
-//! use simcore::{Canon, CanonReader, CanonWriter, Picos};
+//! use simcore::{fnv1a64, Canon, CanonWriter, Picos};
 //!
 //! let mut w = CanonWriter::new();
 //! Picos::from_us(800).encode_canon(&mut w);
+//! w.bool(true);
 //! let bytes = w.finish();
-//! let mut r = CanonReader::new(&bytes);
-//! assert_eq!(Picos::decode_canon(&mut r).unwrap(), Picos::from_us(800));
-//! assert!(r.finish().is_ok());
+//! assert_eq!(bytes, [0x00, 0x08, 0xaf, 0x2f, 0, 0, 0, 0, 1]);
+//! assert_ne!(fnv1a64(&bytes), fnv1a64(&bytes[..8]));
 //! ```
+//!
+//! Specs are only ever encoded. [`CanonReader`] reads the same primitives
+//! back for formats that are parsed, such as the trace layer's records.
 
 use std::fmt;
 
 use crate::Picos;
 
-/// Error produced when canonical bytes cannot be decoded (truncation, an
-/// unknown enum tag, or a value that fails the type's own invariants).
+/// Error produced when canonical bytes cannot be read (truncation, an
+/// invalid `bool` byte, bytes left over, or a value the reader's format
+/// does not describe).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonError(String);
 
@@ -191,11 +196,6 @@ impl<'a> CanonReader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CanonError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a `bool`; bytes other than `0`/`1` are an error.
     pub fn bool(&mut self) -> Result<bool, CanonError> {
         match self.u8()? {
@@ -225,24 +225,23 @@ impl<'a> CanonReader<'a> {
 }
 
 /// A type with a stable canonical byte encoding. See the module docs for
-/// the format rules; implementations must keep `decode_canon` an exact
-/// inverse of `encode_canon` and reject values that violate the type's
-/// invariants.
-pub trait Canon: Sized {
+/// the format rules; implementations must encode every behaviour-affecting
+/// field, so that two values that behave differently never share bytes.
+pub trait Canon {
     /// Appends this value's canonical bytes to `w`.
     fn encode_canon(&self, w: &mut CanonWriter);
-    /// Decodes a value previously written by
-    /// [`encode_canon`](Canon::encode_canon).
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError>;
+
+    /// This value's canonical bytes on their own.
+    fn canon_bytes(&self) -> Vec<u8> {
+        let mut w = CanonWriter::new();
+        self.encode_canon(&mut w);
+        w.finish()
+    }
 }
 
 impl Canon for Picos {
     fn encode_canon(&self, w: &mut CanonWriter) {
         w.u64(self.as_ps());
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        Ok(Picos::new(r.u64()?))
     }
 }
 
@@ -324,8 +323,8 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.f64().unwrap(), f64::MIN_POSITIVE / 2.0);
+        assert_eq!(r.u64().unwrap(), (-0.0f64).to_bits());
+        assert_eq!(r.u64().unwrap(), (f64::MIN_POSITIVE / 2.0).to_bits());
         assert!(r.bool().unwrap());
         assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.i64().unwrap(), i64::MIN + 1);
@@ -359,12 +358,14 @@ mod tests {
 
     #[test]
     fn picos_round_trips() {
-        for t in [Picos::ZERO, Picos::from_us(800), Picos::MAX] {
-            let mut w = CanonWriter::new();
-            t.encode_canon(&mut w);
-            let bytes = w.finish();
+        // Picos encodes as its picosecond count, a little-endian u64, and
+        // nothing else: reading that u64 back gives the value again.
+        for t in [Picos::ZERO, Picos::new(1), Picos::from_us(800), Picos::MAX] {
+            let bytes = t.canon_bytes();
+            assert_eq!(bytes, t.as_ps().to_le_bytes());
             let mut r = CanonReader::new(&bytes);
-            assert_eq!(Picos::decode_canon(&mut r).unwrap(), t);
+            assert_eq!(Picos::new(r.u64().unwrap()), t);
+            r.finish().unwrap();
         }
     }
 

@@ -21,7 +21,7 @@
 //! make the route a pure function of `(src, dst)` — deterministic, so a
 //! congestion tree's turnpool prefix identifies the same set of paths on
 //! every run.
-use simcore::{Canon, CanonError, CanonReader, CanonWriter};
+use simcore::{Canon, CanonWriter};
 
 use crate::{HostId, PortId, Route, SwitchId, MAX_PORTS, MAX_STAGES};
 
@@ -57,9 +57,8 @@ impl FatTreeParams {
     }
 
     /// Fallible constructor with the same invariants as
-    /// [`FatTreeParams::new`], for inputs that come from outside the
-    /// program (canonical decoding) where a panic would be the wrong
-    /// failure mode.
+    /// [`FatTreeParams::new`], for callers that want the violated rule as
+    /// an error rather than a panic.
     pub fn checked(k: u32, n: u32) -> Result<FatTreeParams, String> {
         if k < 2 {
             return Err("arity must be at least 2".to_owned());
@@ -162,11 +161,6 @@ impl Canon for FatTreeParams {
     fn encode_canon(&self, w: &mut CanonWriter) {
         w.u32(self.k);
         w.u32(self.n);
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let (k, n) = (r.u32()?, r.u32()?);
-        FatTreeParams::checked(k, n).map_err(CanonError::new)
     }
 }
 

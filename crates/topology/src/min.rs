@@ -1,6 +1,6 @@
 //! Perfect-shuffle (delta) multistage network construction.
 
-use simcore::{Canon, CanonError, CanonReader, CanonWriter};
+use simcore::{Canon, CanonWriter};
 
 use crate::{HostId, PortId, Route, SwitchId, MAX_PORTS, MAX_STAGES};
 
@@ -37,8 +37,8 @@ impl MinParams {
     }
 
     /// Fallible constructor with the same invariants as [`MinParams::new`],
-    /// for inputs that come from outside the program (canonical decoding,
-    /// config files) where a panic would be the wrong failure mode.
+    /// for callers that want the violated rule as an error rather than a
+    /// panic.
     pub fn checked(hosts: u32, radix: u32, stages: u32) -> Result<MinParams, String> {
         if radix < 2 {
             return Err("radix must be at least 2".to_owned());
@@ -141,11 +141,6 @@ impl Canon for MinParams {
         w.u32(self.hosts);
         w.u32(self.radix);
         w.u32(self.stages);
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let (hosts, radix, stages) = (r.u32()?, r.u32()?, r.u32()?);
-        MinParams::checked(hosts, radix, stages).map_err(CanonError::new)
     }
 }
 

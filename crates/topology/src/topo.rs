@@ -9,7 +9,7 @@
 //! on the simulation hot path), and [`TopoParams`] is its cheap, copyable
 //! description used by run specs and CLIs.
 
-use simcore::{Canon, CanonError, CanonReader, CanonWriter};
+use simcore::{Canon, CanonWriter};
 
 use crate::{
     FatTreeParams, FatTreeTopology, HostId, MinParams, MinTopology, PortId, Route, SwitchId,
@@ -124,14 +124,6 @@ impl Canon for TopoParams {
                 w.u8(1);
                 p.encode_canon(w);
             }
-        }
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(TopoParams::Min(MinParams::decode_canon(r)?)),
-            1 => Ok(TopoParams::FatTree(FatTreeParams::decode_canon(r)?)),
-            t => Err(CanonError::new(format!("unknown topology tag {t}"))),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! on both backends, and a seeded sweep walks random shapes of both
 //! families.
 
-use simcore::{Canon, CanonReader, CanonWriter};
+use simcore::{Canon, CanonWriter};
 use topology::{FatTreeParams, HostId, MinParams, PortId, Route, TopoParams, Topology};
 
 /// Walks `route(src, dst)` turn by turn through the wiring and asserts it
@@ -189,17 +189,25 @@ fn switches_wider_than_a_port_mask_are_refused() {
     assert!(FatTreeParams::checked(128, 1).is_err());
     let err = MinParams::checked(65, 65, 1).unwrap_err();
     assert!(err.contains("radix-65"), "{err}");
-    // Outside input arrives through the canonical decoding: the same
-    // shapes, as bytes, are errors there too.
-    let decode = |tag: u8, words: &[u32]| {
+    // The canonical bytes of a shape are its family's tag, then its
+    // parameters as little-endian u32s, so no two shapes share bytes.
+    let bytes = |tag: u8, words: &[u32]| {
         let mut w = CanonWriter::new();
         w.u8(tag);
         words.iter().for_each(|&v| w.u32(v));
-        let bytes = w.finish();
-        TopoParams::decode_canon(&mut CanonReader::new(&bytes))
+        w.finish()
     };
-    assert_eq!(decode(1, &[32, 2]).unwrap(), TopoParams::FatTree(widest));
-    assert!(decode(1, &[33, 2]).is_err());
-    assert!(decode(0, &[64, 64, 1]).is_ok());
-    assert!(decode(0, &[65, 65, 1]).is_err());
+    let shapes = [
+        (TopoParams::from(widest), bytes(1, &[32, 2])),
+        (FatTreeParams::ft_64().into(), bytes(1, &[4, 3])),
+        (
+            MinParams::checked(64, 64, 1).unwrap().into(),
+            bytes(0, &[64, 64, 1]),
+        ),
+        (MinParams::paper_64().into(), bytes(0, &[64, 4, 3])),
+        (MinParams::paper_256().into(), bytes(0, &[256, 4, 4])),
+    ];
+    for (params, want) in shapes {
+        assert_eq!(params.canon_bytes(), want, "{params:?}");
+    }
 }

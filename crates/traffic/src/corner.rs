@@ -13,7 +13,7 @@
 //! 384 random + 128 hotspot sources (512 hosts).
 
 use fabric::{ConstantRateSource, MessageSource};
-use simcore::{Canon, CanonError, CanonReader, CanonWriter, Picos};
+use simcore::{Canon, CanonWriter, Picos};
 use topology::HostId;
 
 use crate::RandomUniformSource;
@@ -44,20 +44,6 @@ impl Canon for GangLayout {
                 w.u8(1);
                 w.u32(*stride);
             }
-        }
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(GangLayout::TailRange),
-            1 => {
-                let stride = r.u32()?;
-                if stride == 0 {
-                    return Err(CanonError::new("gang stride must be positive"));
-                }
-                Ok(GangLayout::Strided { stride })
-            }
-            t => Err(CanonError::new(format!("unknown gang-layout tag {t}"))),
         }
     }
 }
@@ -283,38 +269,48 @@ impl Canon for CornerCase {
         w.u64(self.seed);
         self.gang.encode_canon(w);
     }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let c = CornerCase {
-            hosts: r.u32()?,
-            random_sources: r.u32()?,
-            random_rate: r.f64()?,
-            hotspot_dst: HostId::new(r.u32()?),
-            hotspot_start: Picos::decode_canon(r)?,
-            hotspot_end: Picos::decode_canon(r)?,
-            msg_bytes: r.u32()?,
-            seed: r.u64()?,
-            gang: GangLayout::decode_canon(r)?,
-        };
-        if c.random_sources > c.hosts {
-            return Err(CanonError::new("more random sources than hosts"));
-        }
-        if (c.hotspot_dst.index() as u32) >= c.hosts {
-            return Err(CanonError::new("hotspot destination outside host range"));
-        }
-        if !c.random_rate.is_finite() || c.random_rate < 0.0 || c.random_rate > 1.0 {
-            return Err(CanonError::new("random rate outside [0, 1]"));
-        }
-        if c.msg_bytes == 0 {
-            return Err(CanonError::new("message size must be positive"));
-        }
-        Ok(c)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The gang layouts are pinned byte for byte, and every field of a
+    /// corner case reaches the bytes: a case that differs from Table 1's
+    /// first in any one field encodes differently from it and from every
+    /// other such variant.
+    #[test]
+    fn every_field_changes_the_canonical_bytes() {
+        assert_eq!(GangLayout::TailRange.canon_bytes(), [0]);
+        assert_eq!(
+            GangLayout::Strided { stride: 4 }.canon_bytes(),
+            [1, 4, 0, 0, 0]
+        );
+        let edits: [fn(&mut CornerCase); 10] = [
+            |c| c.hosts += 1,
+            |c| c.random_sources += 1,
+            |c| c.random_rate /= 2.0,
+            |c| c.hotspot_dst = HostId::new(33),
+            |c| c.hotspot_start = Picos::from_us(801),
+            |c| c.hotspot_end = Picos::from_us(971),
+            |c| c.msg_bytes += 1,
+            |c| c.seed += 1,
+            |c| c.gang = GangLayout::Strided { stride: 4 },
+            |c| c.gang = GangLayout::Strided { stride: 2 },
+        ];
+        let base = CornerCase::case1_64();
+        let mut encodings = vec![base.canon_bytes()];
+        for edit in edits {
+            let mut c = base;
+            edit(&mut c);
+            encodings.push(c.canon_bytes());
+        }
+        for (i, bytes) in encodings.iter().enumerate() {
+            for (j, other) in encodings[..i].iter().enumerate() {
+                assert_ne!(bytes, other, "variants {i} and {j}");
+            }
+        }
+    }
 
     #[test]
     fn table1_parameters() {

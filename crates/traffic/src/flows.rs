@@ -20,7 +20,7 @@
 //! and the [`Canon`] encoding makes them spec-hashable.
 
 use fabric::FlowDesc;
-use simcore::{Canon, CanonError, CanonReader, CanonWriter, Picos};
+use simcore::{Canon, CanonWriter, Picos};
 
 use crate::corner::GangLayout;
 
@@ -101,8 +101,8 @@ impl FlowSet {
         }
     }
 
-    /// Checks the structural invariants shared by encode and decode.
-    /// Returns a message describing the first violation.
+    /// Checks the structural invariants [`validate`](FlowSet::validate)
+    /// enforces. Returns a message describing the first violation.
     fn check(&self) -> Result<(), &'static str> {
         if self.hosts < 2 {
             return Err("flow set needs at least two hosts");
@@ -142,8 +142,7 @@ impl FlowSet {
     }
 
     /// Panics if the set violates a structural invariant. Binaries call
-    /// this right after flag parsing; [`Canon`] decoding performs the same
-    /// checks and returns errors instead.
+    /// this right after flag parsing.
     pub fn validate(&self) {
         if let Err(msg) = self.check() {
             panic!("{msg}");
@@ -240,19 +239,6 @@ impl Canon for FlowPattern {
             }
         }
     }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        match r.u8()? {
-            0 => Ok(FlowPattern::Incast {
-                fanin: r.u32()?,
-                victim: r.u32()?,
-                layout: GangLayout::decode_canon(r)?,
-            }),
-            1 => Ok(FlowPattern::Shuffle),
-            2 => Ok(FlowPattern::Permutation { shift: r.u32()? }),
-            t => Err(CanonError::new(format!("unknown flow-pattern tag {t}"))),
-        }
-    }
 }
 
 impl Canon for FlowSet {
@@ -261,17 +247,6 @@ impl Canon for FlowSet {
         self.pattern.encode_canon(w);
         w.u64(self.flow_bytes);
         self.start.encode_canon(w);
-    }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let f = FlowSet {
-            hosts: r.u32()?,
-            pattern: FlowPattern::decode_canon(r)?,
-            flow_bytes: r.u64()?,
-            start: Picos::decode_canon(r)?,
-        };
-        f.check().map_err(CanonError::new)?;
-        Ok(f)
     }
 }
 
@@ -337,26 +312,60 @@ mod tests {
         assert!(flows.iter().all(|d| d.dst == (d.src + 1) % 64));
     }
 
+    /// Each pattern is pinned byte for byte, and every field of a set
+    /// reaches the bytes: two sets that differ anywhere encode differently.
     #[test]
-    fn canon_round_trips() {
-        for f in [
-            FlowSet::incast64(),
+    fn canon_bytes_pin_the_patterns_and_differ_by_field() {
+        let incast = FlowPattern::Incast {
+            fanin: 16,
+            victim: 32,
+            layout: GangLayout::TailRange,
+        };
+        assert_eq!(incast.canon_bytes(), [0, 16, 0, 0, 0, 32, 0, 0, 0, 0]);
+        assert_eq!(FlowPattern::Shuffle.canon_bytes(), [1]);
+        assert_eq!(
+            FlowPattern::Permutation { shift: 3 }.canon_bytes(),
+            [2, 3, 0, 0, 0]
+        );
+
+        let base = FlowSet::incast64();
+        let incast = |fanin, victim, layout| FlowSet {
+            pattern: FlowPattern::Incast {
+                fanin,
+                victim,
+                layout,
+            },
+            ..base
+        };
+        let sets = [
+            base,
+            FlowSet { hosts: 128, ..base },
+            base.with_flow_bytes(1024),
+            FlowSet {
+                start: Picos::from_us(1),
+                ..base
+            },
+            incast(8, 32, GangLayout::TailRange),
+            incast(16, 33, GangLayout::TailRange),
             strided(),
+            incast(16, 21, GangLayout::Strided { stride: 8 }),
             FlowSet::shuffle64(),
             permutation(),
-        ] {
-            let mut w = CanonWriter::new();
-            f.encode_canon(&mut w);
-            let bytes = w.finish();
-            let mut r = CanonReader::new(&bytes);
-            let back = FlowSet::decode_canon(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, f);
+            FlowSet {
+                pattern: FlowPattern::Permutation { shift: 2 },
+                ..base
+            },
+        ];
+        let encodings: Vec<Vec<u8>> = sets.iter().map(Canon::canon_bytes).collect();
+        for (i, bytes) in encodings.iter().enumerate() {
+            for (j, other) in encodings[..i].iter().enumerate() {
+                assert_ne!(bytes, other, "{:?} and {:?}", sets[i], sets[j]);
+            }
         }
     }
 
     #[test]
-    fn decode_rejects_bad_geometry() {
+    fn check_rejects_bad_geometry() {
         let bad = [
             FlowSet {
                 hosts: 64,
@@ -386,11 +395,7 @@ mod tests {
             },
         ];
         for f in bad {
-            let mut w = CanonWriter::new();
-            f.encode_canon(&mut w);
-            let bytes = w.finish();
-            let mut r = CanonReader::new(&bytes);
-            assert!(FlowSet::decode_canon(&mut r).is_err());
+            assert!(f.check().is_err(), "{f:?}");
         }
     }
 

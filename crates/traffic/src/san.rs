@@ -22,7 +22,7 @@
 //! [`fabric::ScriptSource`].
 
 use fabric::{MessageSource, ScriptSource, SourcedMessage};
-use simcore::{Canon, CanonError, CanonReader, CanonWriter, Picos, Xoshiro256};
+use simcore::{Canon, CanonWriter, Picos, Xoshiro256};
 use topology::HostId;
 
 /// Parameters of the synthetic SAN workload. Time-valued fields are in
@@ -216,62 +216,48 @@ impl Canon for SanParams {
         w.f64(self.hot_duration_xm_ns);
         w.f64(self.hot_affinity);
     }
-
-    fn decode_canon(r: &mut CanonReader<'_>) -> Result<Self, CanonError> {
-        let p = SanParams {
-            disks: r.u32()?,
-            compression: r.f64()?,
-            seed: r.u64()?,
-            think_ns: r.f64()?,
-            burst_xm: r.f64()?,
-            burst_alpha: r.f64()?,
-            intra_gap_ns: r.f64()?,
-            write_fraction: r.f64()?,
-            payload_xm: r.f64()?,
-            payload_alpha: r.f64()?,
-            payload_cap: r.u32()?,
-            request_bytes: r.u32()?,
-            service_ns: r.f64()?,
-            hot_gap_ns: r.f64()?,
-            hot_duration_xm_ns: r.f64()?,
-            hot_affinity: r.f64()?,
-        };
-        if p.disks == 0 {
-            return Err(CanonError::new("need at least one disk"));
-        }
-        if !(p.compression.is_finite() && p.compression > 0.0) {
-            return Err(CanonError::new("compression must be positive"));
-        }
-        for (name, v) in [
-            ("write_fraction", p.write_fraction),
-            ("hot_affinity", p.hot_affinity),
-        ] {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return Err(CanonError::new(format!("{name} outside [0, 1]")));
-            }
-        }
-        for (name, v) in [
-            ("think_ns", p.think_ns),
-            ("burst_xm", p.burst_xm),
-            ("burst_alpha", p.burst_alpha),
-            ("intra_gap_ns", p.intra_gap_ns),
-            ("payload_xm", p.payload_xm),
-            ("payload_alpha", p.payload_alpha),
-            ("service_ns", p.service_ns),
-            ("hot_gap_ns", p.hot_gap_ns),
-            ("hot_duration_xm_ns", p.hot_duration_xm_ns),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CanonError::new(format!("{name} must be positive")));
-            }
-        }
-        Ok(p)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every field reaches the canonical bytes: parameters that differ from
+    /// the preset in any one field encode differently from it and from
+    /// every other such variant.
+    #[test]
+    fn every_field_changes_the_canonical_bytes() {
+        let edits: [fn(&mut SanParams); 16] = [
+            |p| p.disks += 1,
+            |p| p.compression *= 2.0,
+            |p| p.seed += 1,
+            |p| p.think_ns *= 2.0,
+            |p| p.burst_xm *= 2.0,
+            |p| p.burst_alpha *= 2.0,
+            |p| p.intra_gap_ns *= 2.0,
+            |p| p.write_fraction /= 2.0,
+            |p| p.payload_xm *= 2.0,
+            |p| p.payload_alpha *= 2.0,
+            |p| p.payload_cap += 1,
+            |p| p.request_bytes += 1,
+            |p| p.service_ns *= 2.0,
+            |p| p.hot_gap_ns *= 2.0,
+            |p| p.hot_duration_xm_ns *= 2.0,
+            |p| p.hot_affinity /= 2.0,
+        ];
+        let base = SanParams::cello_like(20.0);
+        let mut encodings = vec![base.canon_bytes()];
+        for edit in edits {
+            let mut p = base.clone();
+            edit(&mut p);
+            encodings.push(p.canon_bytes());
+        }
+        for (i, bytes) in encodings.iter().enumerate() {
+            for (j, other) in encodings[..i].iter().enumerate() {
+                assert_ne!(bytes, other, "variants {i} and {j}");
+            }
+        }
+    }
 
     #[test]
     fn disk_range_is_tail() {
