@@ -20,10 +20,12 @@
 //! that keeps number tokens as text (`u64` and `f64` parse exactly —
 //! Rust's shortest-representation float formatting round-trips).
 
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fabric::{CounterMut, NetCounters};
+use metrics::SaqSeries;
 use simcore::{fnv1a64, Running, SeriesPoint};
 
 use crate::json::{self, parse_json, Json};
@@ -153,12 +155,17 @@ pub fn render_entry(spec: &RunSpec, out: &RunOutput) -> String {
     s
 }
 
-fn series_json(points: &[SeriesPoint]) -> String {
-    let cells: Vec<String> = points
-        .iter()
-        .map(|p| format!("[{},{}]", json::num(p.t_us), json::num(p.value)))
-        .collect();
-    format!("[{}]", cells.join(","))
+/// A series as a values-only array: its time axis is the body's `bin_ps`.
+fn values_json(values: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
+    let mut s = String::from("[");
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = write!(s, "{v}"); // a String takes every write
+    }
+    s.push(']');
+    s
 }
 
 fn render_body(out: &RunOutput) -> String {
@@ -178,16 +185,24 @@ fn render_body(out: &RunOutput) -> String {
             }
         })
         .collect();
+    // Throughput and the SAQ census share the probe's bins: the body stores
+    // one bin width and the values; loading rebuilds the time axis.
+    let saq = &out.saq;
+    debug_assert!(
+        out.throughput == SeriesPoint::on_axis(saq.bin, out.throughput.iter().map(|p| p.value)),
+        "throughput is on the SAQ series' bins"
+    );
     format!(
-        "{{\"scheme\":\"{}\",\"throughput\":{},\"saq_ingress\":{},\"saq_egress\":{},\
-         \"saq_total\":{},\"saq_peaks\":[{},{},{}],\"counters\":{{{}}},\
+        "{{\"scheme\":\"{}\",\"bin_ps\":{},\"throughput\":{},\"saq_ingress\":{},\
+         \"saq_egress\":{},\"saq_total\":{},\"saq_peaks\":[{},{},{}],\"counters\":{{{}}},\
          \"wall_secs\":{},\"events\":{},\"peak_event_queue_depth\":{},\"trace_digest\":{},\
          \"peak_bytes_estimate\":{},\"fct\":{}}}",
         out.scheme,
-        series_json(&out.throughput),
-        series_json(&out.saq_ingress),
-        series_json(&out.saq_egress),
-        series_json(&out.saq_total),
+        saq.bin.as_ps(),
+        values_json(out.throughput.iter().map(|p| json::num(p.value))),
+        values_json(&saq.ingress),
+        values_json(&saq.egress),
+        values_json(&saq.total),
         out.saq_peaks.0,
         out.saq_peaks.1,
         out.saq_peaks.2,
@@ -238,16 +253,23 @@ fn parse_running(v: &Json) -> Option<Running> {
 /// entry is intact but does not apply (stale schema version, or a
 /// different spec landed on the same hash); `Err` means corruption.
 fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> {
-    // Checksum the raw body substring before parsing anything: a torn
-    // write fails here without needing the parser to stumble on it.
+    // Only the envelope ahead of the body is parsed before the checksum is
+    // compared on the body's raw text: a torn or corrupt body fails there,
+    // and the parser never sees it.
     const MARKER: &str = "\n  \"body\": ";
     let idx = text.find(MARKER).ok_or("no body field")?;
     let body_text = text[idx + MARKER.len()..]
         .strip_suffix("\n}\n")
         .ok_or("entry does not end with the envelope's closing brace")?;
-
-    let top = parse_json(text)?;
-    let field = |k: &str| top.get(k).ok_or_else(|| format!("missing {k:?} field"));
+    let head = text[..idx]
+        .strip_suffix(',')
+        .ok_or("no comma before the body field")?;
+    let envelope = parse_json(&format!("{head}\n}}"))?;
+    let field = |k: &str| {
+        envelope
+            .get(k)
+            .ok_or_else(|| format!("missing {k:?} field"))
+    };
     let cache_schema = field("cache_schema")?.u64().ok_or("bad cache_schema")?;
     let output_schema = field("output_schema")?.u64().ok_or("bad output_schema")?;
     let checksum = field("checksum")?.str().ok_or("bad checksum")?;
@@ -265,21 +287,30 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
         return Ok(None);
     }
 
-    let body = field("body")?;
-    let series = |k: &str| -> Result<Vec<SeriesPoint>, String> {
+    let body = parse_json(body_text)?;
+    // Every series has one value per bin of the spec's horizon.
+    let bin = spec.bin();
+    if body.get("bin_ps").and_then(|v| v.u64()) != Some(bin.as_ps()) {
+        return Err("bin_ps is not the spec's bin width".into());
+    }
+    let bins = spec.horizon().div_duration(bin) as usize;
+    let values = |k: &str| -> Result<&[Json], String> {
         body.get(k)
             .and_then(|v| v.arr())
-            .ok_or_else(|| format!("missing series {k:?}"))?
+            .filter(|a| a.len() == bins)
+            .ok_or_else(|| format!("missing series {k:?}, or not {bins} bins long"))
+    };
+    let throughput = values("throughput")?
+        .iter()
+        .map(|v| v.f64().ok_or("bad throughput value"))
+        .collect::<Result<Vec<f64>, _>>()?;
+    let counts = |k: &str| -> Result<Vec<u32>, String> {
+        values(k)?
             .iter()
-            .map(|cell| {
-                let pair = cell
-                    .arr()
-                    .filter(|a| a.len() == 2)
-                    .ok_or("bad series cell")?;
-                Ok(SeriesPoint {
-                    t_us: pair[0].f64().ok_or("bad series time")?,
-                    value: pair[1].f64().ok_or("bad series value")?,
-                })
+            .map(|v| {
+                v.u64()
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| format!("bad {k} value"))
             })
             .collect()
     };
@@ -309,10 +340,13 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
     let out = RunOutput {
         schema_version: output_schema as u32,
         scheme: spec.scheme().name(),
-        throughput: series("throughput")?,
-        saq_ingress: series("saq_ingress")?,
-        saq_egress: series("saq_egress")?,
-        saq_total: series("saq_total")?,
+        throughput: SeriesPoint::on_axis(bin, throughput),
+        saq: SaqSeries {
+            bin,
+            ingress: counts("saq_ingress")?,
+            egress: counts("saq_egress")?,
+            total: counts("saq_total")?,
+        },
         saq_peaks: (peak(0)?, peak(1)?, peak(2)?),
         counters,
         wall_secs: body
@@ -347,6 +381,33 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric::SchemeKind;
+    use topology::MinParams;
+    use traffic::corner::CornerCase;
+
+    /// An entry whose envelope is intact but whose body is neither what
+    /// the checksum names nor JSON: the checksum refuses it before the body
+    /// reaches the parser.
+    #[test]
+    fn the_checksum_is_compared_before_the_body_is_parsed() {
+        let spec = RunSpec::corner(
+            MinParams::paper_64(),
+            SchemeKind::OneQ,
+            CornerCase::case1_64(),
+        );
+        let entry = format!(
+            "{{\n  \"cache_schema\": {CACHE_SCHEMA_VERSION},\n  \
+             \"output_schema\": {OUTPUT_SCHEMA_VERSION},\n  \"spec_hash\": \"{:016x}\",\n  \
+             \"spec_v1\": \"{}\",\n  \"checksum\": \"0123456789abcdef\",\n  \
+             \"body\": {{\"scheme\": [[[ not json\n}}\n",
+            spec.spec_hash(),
+            spec.encode_hex(),
+        );
+        assert_eq!(
+            parse_entry(&entry, &spec).err().as_deref(),
+            Some("body checksum mismatch")
+        );
+    }
 
     #[test]
     fn status_names() {

@@ -216,11 +216,7 @@ pub fn fig4(opts: &Opts) -> Vec<Figure> {
                 "SAQ utilization, corner case {case} (peaks {:?})",
                 out.saq_peaks
             ),
-            series: vec![
-                Labeled::new("max_ingress", out.saq_ingress.clone()),
-                Labeled::new("max_egress", out.saq_egress.clone()),
-                Labeled::new("total", out.saq_total.clone()),
-            ],
+            series: out.saq.labeled(),
             runs: vec![out],
         })
         .collect()
@@ -260,9 +256,7 @@ fn san_figures(
         let mut runs = Vec::new();
         for out in outs.by_ref().take(per_group) {
             if saq_series {
-                series.push(Labeled::new("max_ingress", out.saq_ingress.clone()));
-                series.push(Labeled::new("max_egress", out.saq_egress.clone()));
-                series.push(Labeled::new("total", out.saq_total.clone()));
+                series.extend(out.saq.labeled());
             } else {
                 series.push(Labeled::new(out.scheme, out.throughput.clone()));
             }
@@ -319,11 +313,7 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
         for out in outs.by_ref().take(per_net) {
             series.push(Labeled::new(out.scheme, out.throughput.clone()));
             if out.scheme == "RECN" {
-                saq = vec![
-                    Labeled::new("max_ingress", out.saq_ingress.clone()),
-                    Labeled::new("max_egress", out.saq_egress.clone()),
-                    Labeled::new("total", out.saq_total.clone()),
-                ];
+                saq = out.saq.labeled();
             }
             runs.push(out);
         }

@@ -7,7 +7,7 @@ use fabric::{
     FabricConfig, FanoutObserver, Footprint, MessageSource, NetCounters, NetObserver, Network,
     SchemeKind, SilentSource, TraceHandle, TraceSink, ValidatingObserver,
 };
-use metrics::{FctSummary, Probe, ProbeHandle};
+use metrics::{FctSummary, Probe, ProbeHandle, SaqSeries};
 use recn::RecnConfig;
 use simcore::{Engine, EventModel, Picos, SeriesPoint};
 use traffic::corner::CornerCase;
@@ -19,10 +19,10 @@ use crate::spec::RunSpec;
 /// cache's body format. Bump on any field addition/removal/meaning change;
 /// cache entries written under another version are rejected on load.
 ///
-/// Version 7 dropped the `stream` block from the cache body and the
-/// per-run `metrics` field from the sweep summaries (the series are the
-/// only probe storage).
-pub const OUTPUT_SCHEMA_VERSION: u32 = 7;
+/// Version 8 stores the cache body's series as one bin width plus a
+/// values-only array per series, the SAQ census as integers (version 7
+/// stored `[t_us, value]` pairs).
+pub const OUTPUT_SCHEMA_VERSION: u32 = 8;
 
 /// The workload of a run.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ impl Workload {
     fn sources(&self, hosts: u32, horizon: Picos) -> Vec<Box<dyn MessageSource>> {
         match self {
             Workload::Corner(c) => {
-                assert_eq!(c.hosts, hosts, "corner case sized for a different network");
+                debug_assert_eq!(c.hosts, hosts, "RunSpec::new checks the size");
                 c.build_sources(horizon)
             }
             Workload::San(p) => p.build_sources(hosts, horizon),
@@ -75,7 +75,7 @@ impl Workload {
                 })
                 .collect(),
             Workload::Flows(f) => {
-                assert_eq!(f.hosts, hosts, "flow set sized for a different network");
+                debug_assert_eq!(f.hosts, hosts, "RunSpec::new checks the size");
                 (0..hosts)
                     .map(|_| Box::new(SilentSource) as Box<dyn MessageSource>)
                     .collect()
@@ -105,13 +105,9 @@ pub struct RunOutput {
     pub scheme: &'static str,
     /// Delivered throughput, bytes/ns per bin.
     pub throughput: Vec<SeriesPoint>,
-    /// Max SAQs at any switch input port, per bin (RECN only; zeros
+    /// The SAQ census per bin, on the same bins (RECN only; zeros
     /// otherwise).
-    pub saq_ingress: Vec<SeriesPoint>,
-    /// Max SAQs at any switch output port, per bin.
-    pub saq_egress: Vec<SeriesPoint>,
-    /// Network-wide SAQ total, per bin.
-    pub saq_total: Vec<SeriesPoint>,
+    pub saq: SaqSeries,
     /// Whole-run SAQ peaks `(ingress, egress, total)`.
     pub saq_peaks: (u32, u32, u32),
     /// Fabric counters at the end of the run.
@@ -361,9 +357,7 @@ fn finish(
         schema_version: OUTPUT_SCHEMA_VERSION,
         scheme: scheme.name(),
         throughput: handle.throughput(horizon),
-        saq_ingress: handle.saq_max_ingress(horizon),
-        saq_egress: handle.saq_max_egress(horizon),
-        saq_total: handle.saq_total(horizon),
+        saq: handle.saq_series(horizon),
         saq_peaks: handle.saq_peaks(),
         counters: model.counters().clone(),
         wall_secs,

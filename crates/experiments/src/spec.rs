@@ -129,10 +129,29 @@ impl RunSpec {
     /// A run of `workload` under `scheme` on a `params`-shaped network,
     /// with the paper's defaults (64-byte packets, 1600 µs horizon, 5 µs
     /// bins).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a corner case or a flow set is sized for a network with
+    /// another host count: such a spec could never run.
     pub fn new(params: impl Into<TopoParams>, scheme: SchemeKind, workload: Workload) -> RunSpec {
+        let params = params.into();
+        match &workload {
+            Workload::Corner(c) => assert_eq!(
+                c.hosts,
+                params.hosts(),
+                "corner case sized for a different network"
+            ),
+            Workload::Flows(f) => assert_eq!(
+                f.hosts,
+                params.hosts(),
+                "flow set sized for a different network"
+            ),
+            Workload::San(_) | Workload::Uniform { .. } => {}
+        }
         RunSpec {
             label: scheme.name().to_owned(),
-            params: params.into(),
+            params,
             scheme,
             workload,
             packet_size: 64,
@@ -415,22 +434,43 @@ mod tests {
         let spec = RunSpec::flows(MinParams::paper_64(), SchemeKind::OneQ, FlowSet::incast64());
         assert_eq!(spec.transport(), TransportKind::OpenLoop);
         spec.network(Box::new(fabric::NullObserver));
-        let wrong = RunSpec::flows(
+        let wrong = || {
+            RunSpec::flows(
+                MinParams::paper_256(),
+                SchemeKind::OneQ,
+                FlowSet::incast64(),
+            )
+        };
+        assert_refused(wrong, "flow set sized for a different network");
+    }
+
+    #[test]
+    fn corner_workload_requires_matching_hosts() {
+        let spec = RunSpec::corner(
             MinParams::paper_256(),
             SchemeKind::OneQ,
-            FlowSet::incast64(),
+            CornerCase::case2_256(),
         );
-        assert_ne!(wrong.spec_hash(), spec.spec_hash());
-        let built = std::panic::catch_unwind(|| wrong.network(Box::new(fabric::NullObserver)));
-        let err = built.expect_err("a 64-host flow set on a 256-host network");
+        spec.network(Box::new(fabric::NullObserver));
+        let wrong = || {
+            RunSpec::corner(
+                MinParams::paper_256(),
+                SchemeKind::OneQ,
+                CornerCase::case1_64(),
+            )
+        };
+        assert_refused(wrong, "corner case sized for a different network");
+    }
+
+    /// `build` panics while the spec is built — before any network or
+    /// sweep exists — with `message`.
+    fn assert_refused(build: impl FnOnce() -> RunSpec + std::panic::UnwindSafe, message: &str) {
+        let err = std::panic::catch_unwind(build).expect_err("a spec sized for another network");
         let msg = err
             .downcast_ref::<String>()
             .map(String::as_str)
             .unwrap_or("");
-        assert!(
-            msg.contains("flow set sized for a different network"),
-            "{msg}"
-        );
+        assert!(msg.contains(message), "{msg}");
     }
 
     #[test]

@@ -358,7 +358,7 @@ mod tests {
     }
 
     /// The tentpole determinism contract: a 4-job parallel sweep returns
-    /// outputs bit-identical (same SeriesPoint values, same order) to the
+    /// outputs bit-identical (same series values, same order) to the
     /// serial sweep.
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
@@ -368,9 +368,7 @@ mod tests {
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.scheme, p.scheme, "submission order must be preserved");
             assert!(series_eq(&s.throughput, &p.throughput), "{}", s.scheme);
-            assert!(series_eq(&s.saq_ingress, &p.saq_ingress), "{}", s.scheme);
-            assert!(series_eq(&s.saq_egress, &p.saq_egress), "{}", s.scheme);
-            assert!(series_eq(&s.saq_total, &p.saq_total), "{}", s.scheme);
+            assert_eq!(s.saq, p.saq, "{}", s.scheme);
             assert_eq!(s.saq_peaks, p.saq_peaks);
             assert_eq!(s.counters.delivered_packets, p.counters.delivered_packets);
             assert_eq!(s.counters.delivered_bytes, p.counters.delivered_bytes);

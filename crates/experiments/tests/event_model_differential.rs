@@ -96,15 +96,7 @@ fn assert_outputs_equal(eager: &RunOutput, lazy: &RunOutput, ctx: &str) {
         eager.throughput, lazy.throughput,
         "{ctx}: throughput series"
     );
-    assert_eq!(
-        eager.saq_ingress, lazy.saq_ingress,
-        "{ctx}: SAQ ingress series"
-    );
-    assert_eq!(
-        eager.saq_egress, lazy.saq_egress,
-        "{ctx}: SAQ egress series"
-    );
-    assert_eq!(eager.saq_total, lazy.saq_total, "{ctx}: SAQ total series");
+    assert_eq!(eager.saq, lazy.saq, "{ctx}: SAQ series");
     assert_eq!(eager.saq_peaks, lazy.saq_peaks, "{ctx}: SAQ peaks");
     assert_eq!(eager.fct, lazy.fct, "{ctx}: flow completion times");
     assert_eq!(eager.scheme, lazy.scheme);

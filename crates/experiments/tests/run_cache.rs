@@ -8,7 +8,7 @@ use experiments::runner::{scaled_recn_config, summarize};
 use experiments::spec::RunSpec;
 use experiments::sweep::{render_summary, Sweep};
 use fabric::{CounterMut, SchemeKind};
-use simcore::Picos;
+use simcore::{fnv1a64, Picos, SeriesPoint};
 use topology::MinParams;
 use traffic::corner::CornerCase;
 
@@ -56,9 +56,7 @@ fn store_then_load_round_trips_every_field() {
     assert_eq!(back.schema_version, out.schema_version);
     assert_eq!(back.scheme, out.scheme);
     assert_eq!(back.throughput, out.throughput);
-    assert_eq!(back.saq_ingress, out.saq_ingress);
-    assert_eq!(back.saq_egress, out.saq_egress);
-    assert_eq!(back.saq_total, out.saq_total);
+    assert_eq!(back.saq, out.saq);
     assert_eq!(back.saq_peaks, out.saq_peaks);
     assert_eq!(back.events, out.events);
     assert_eq!(back.peak_event_queue_depth, out.peak_event_queue_depth);
@@ -98,6 +96,44 @@ fn store_then_load_round_trips_every_field() {
     }
     let back = cache.load(&spec).expect("hit after store");
     assert_eq!(format!("{:?}", back.counters), debug);
+}
+
+/// A RECN run's throughput and SAQ series, on bins that are not a whole
+/// number of microseconds: the body stores one bin width and the values,
+/// and loading rebuilds every point bit for bit. A body whose series is
+/// one bin short is corrupt even under a valid checksum.
+#[test]
+fn recn_series_round_trip_bit_for_bit() {
+    let dir = scratch("cache_series");
+    let cache = RunCache::new(&dir);
+    let spec = quick_specs().remove(2).with_bin(Picos::from_ns(1_300));
+    let out = experiments::run_one(&spec);
+    assert!(out.saq.total.iter().any(|&n| n > 0), "{:?}", out.saq);
+    assert!(out.throughput.iter().any(|p| p.value > 0.0));
+    let path = cache.store(&spec, &out).expect("store");
+    let back = cache.load(&spec).expect("hit after store");
+    let bits = |pts: &[SeriesPoint]| -> Vec<(u64, u64)> {
+        pts.iter()
+            .map(|p| (p.t_us.to_bits(), p.value.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&back.throughput), bits(&out.throughput));
+    assert_eq!(back.saq, out.saq);
+    assert_eq!(back.saq.total.len(), 30, "40 µs of 1.3 µs bins");
+
+    let text = std::fs::read_to_string(&path).expect("read entry");
+    assert!(text.contains("\"bin_ps\":1300000,"), "{text}");
+    const MARKER: &str = "\n  \"body\": ";
+    let at = text.find(MARKER).expect("body field") + MARKER.len();
+    let body = text[at..].strip_suffix("\n}\n").expect("closing brace");
+    let first = format!("\"saq_total\":[{},", back.saq.total[0]);
+    let short = body.replacen(&first, "\"saq_total\":[", 1);
+    assert_ne!(short, body, "one bin dropped");
+    let checksum = |b: &str| format!("{:016x}", fnv1a64(b.as_bytes()));
+    let text = text[..at].replace(&checksum(body), &checksum(&short)) + &short + "\n}\n";
+    std::fs::write(&path, text).expect("rewrite entry");
+    assert!(cache.load(&spec).is_none(), "a short series is corrupt");
+    assert!(!path.exists(), "and evicted");
 }
 
 #[test]

@@ -61,6 +61,15 @@ const GOLDEN_FATTREE_ARN: [u64; 5] = [
     0xf034b1b4193ccf62,
 ];
 
+/// A SAN-trace run (Figures 3 and 5's parameters) and a uniform-load run
+/// (the benchmark's background traffic). Their parameters are plain
+/// numbers, so two writes swapped inside an encoder would keep every
+/// injectivity test green and still move these hashes. The SAN run's mean
+/// hot-spell length is moved off the think time it equals in the preset,
+/// so no two of its fields encode the same bytes and any swap shows.
+const GOLDEN_SAN: u64 = 0xf9b60d5b885447f6;
+const GOLDEN_UNIFORM: u64 = 0x6f6cb8f5e5a5697a;
+
 fn min_spec(scheme: SchemeKind) -> RunSpec {
     RunSpec::corner(MinParams::paper_64(), scheme, CornerCase::case2_64())
 }
@@ -158,6 +167,39 @@ fn transport_spec_hashes_are_pinned_and_distinct() {
 }
 
 #[test]
+fn san_and_uniform_spec_hashes_are_pinned() {
+    use experiments::runner::Workload;
+    use traffic::san::SanParams;
+
+    let san = RunSpec::san(
+        SchemeKind::Recn(paper_recn_config()),
+        SanParams {
+            hot_duration_xm_ns: 5e6,
+            ..SanParams::cello_like(20.0)
+        },
+    );
+    let uniform = RunSpec::new(
+        MinParams::paper_64(),
+        SchemeKind::OneQ,
+        Workload::Uniform {
+            load: 0.6,
+            msg_bytes: 64,
+            seed: 2005,
+        },
+    );
+    for (spec, golden) in [(san, GOLDEN_SAN), (uniform, GOLDEN_UNIFORM)] {
+        assert_eq!(
+            spec.spec_hash(),
+            golden,
+            "{:?}: spec_v1 encoding drifted (hash {:#018x}); this breaks \
+             existing cache directories — bump SPEC_VERSION instead",
+            spec.workload(),
+            spec.spec_hash(),
+        );
+    }
+}
+
+#[test]
 fn observers_do_not_move_the_content_address() {
     let base = min_spec(SchemeKind::VoqNet);
     let decorated = min_spec(SchemeKind::VoqNet)
@@ -174,9 +216,10 @@ fn every_scheme_gets_a_distinct_address() {
         .chain(GOLDEN_FATTREE_ADAPTIVE.iter())
         .chain(GOLDEN_FATTREE_ARN.iter())
         .chain(GOLDEN_MIN_TRANSPORT.iter())
+        .chain([GOLDEN_SAN, GOLDEN_UNIFORM].iter())
         .copied()
         .collect();
     hashes.sort_unstable();
     hashes.dedup();
-    assert_eq!(hashes.len(), 18, "all eighteen golden hashes are distinct");
+    assert_eq!(hashes.len(), 20, "all twenty golden hashes are distinct");
 }

@@ -1,6 +1,11 @@
 //! Time-series recording primitives for the paper's plots.
+//!
+//! A series is one value per fixed-width bin; bin `i` starts at `i · bin`.
+//! The recorders keep values only — the time axis is the bin width — and
+//! grow a bin at a time by [`growth`], so a series reserves within a
+//! quarter of the bins it has touched.
 
-use crate::Picos;
+use crate::{growth, Picos};
 
 /// One rendered point of a series: bin start time and value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -9,6 +14,37 @@ pub struct SeriesPoint {
     pub t_us: f64,
     /// Value (meaning depends on the series: bytes/ns, a count, ...).
     pub value: f64,
+}
+
+impl SeriesPoint {
+    /// Renders per-bin `values` on the time axis of `bin`-wide bins: point
+    /// `i` starts at `i · bin`. Every rendered series takes its `t_us` from
+    /// here, so a series stored as values alone renders back bit for bit.
+    ///
+    /// ```
+    /// use simcore::{Picos, SeriesPoint};
+    /// let pts = SeriesPoint::on_axis(Picos::from_ns(2500), [7.0, 9.0]);
+    /// assert_eq!((pts[1].t_us, pts[1].value), (2.5, 9.0));
+    /// ```
+    pub fn on_axis(bin: Picos, values: impl IntoIterator<Item = f64>) -> Vec<SeriesPoint> {
+        values
+            .into_iter()
+            .enumerate()
+            .map(|(i, value)| SeriesPoint {
+                t_us: (bin * i as u64).as_us_f64(),
+                value,
+            })
+            .collect()
+    }
+}
+
+/// Extends `bins` to `len` slots of `fill`, reserving by [`growth`] when it
+/// is full.
+fn extend_to<T: Copy>(bins: &mut Vec<T>, len: usize, fill: T) {
+    if len > bins.capacity() {
+        bins.reserve_exact((len - bins.len()).max(growth(bins.len())));
+    }
+    bins.resize(len, fill);
 }
 
 /// Accumulates scalar contributions into fixed-width time bins — used for
@@ -55,7 +91,7 @@ impl BinnedSeries {
     pub fn add(&mut self, t: Picos, amount: f64) {
         let idx = t.div_duration(self.bin) as usize;
         if idx >= self.sums.len() {
-            self.sums.resize(idx + 1, 0.0);
+            extend_to(&mut self.sums, idx + 1, 0.0);
         }
         self.sums[idx] += amount;
     }
@@ -65,49 +101,50 @@ impl BinnedSeries {
         self.sums.iter().sum()
     }
 
-    /// Allocated bin slots (capacity of the backing vector) — memory
-    /// accounting for `peak_bytes_estimate`.
-    pub fn bin_slots(&self) -> usize {
-        self.sums.capacity()
+    /// Bytes reserved for the bins (by capacity) — memory accounting for
+    /// `peak_bytes_estimate`.
+    pub fn backing_bytes(&self) -> usize {
+        self.sums.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Renders bins up to `horizon` as raw per-bin sums.
     pub fn sums_until(&self, horizon: Picos) -> Vec<SeriesPoint> {
-        let nbins = horizon.div_duration(self.bin) as usize;
-        (0..nbins)
-            .map(|i| SeriesPoint {
-                t_us: (self.bin * i as u64).as_us_f64(),
-                value: self.sums.get(i).copied().unwrap_or(0.0),
-            })
-            .collect()
+        SeriesPoint::on_axis(self.bin, self.bins_until(horizon))
     }
 
     /// Renders bins up to `horizon` as rates in units-per-nanosecond
     /// (e.g. bytes/ns when `add` was fed byte counts).
     pub fn rate_per_ns(&self, horizon: Picos) -> Vec<SeriesPoint> {
         let ns_per_bin = self.bin.as_ns_f64();
-        self.sums_until(horizon)
-            .into_iter()
-            .map(|p| SeriesPoint {
-                t_us: p.t_us,
-                value: p.value / ns_per_bin,
-            })
-            .collect()
+        SeriesPoint::on_axis(self.bin, self.bins_until(horizon).map(|v| v / ns_per_bin))
+    }
+
+    fn bins_until(&self, horizon: Picos) -> impl Iterator<Item = f64> + '_ {
+        let nbins = horizon.div_duration(self.bin) as usize;
+        (0..nbins).map(|i| self.sums.get(i).copied().unwrap_or(0.0))
     }
 }
 
-/// Samples a gauge (an instantaneous quantity such as "SAQs in use") and
+/// Samples a gauge (an instantaneous count such as "SAQs in use") and
 /// records, per fixed-width bin, the **maximum** observed value — used for
-/// the SAQ-utilization curves (Figures 4, 5, 6).
+/// the SAQ-utilization curves (Figures 4, 5, 6). A bin costs one `u32`.
 ///
 /// Between updates the gauge is assumed to hold its value, so a bin with no
 /// update reports the value carried over from the previous update.
+///
+/// ```
+/// use simcore::{GaugeSeries, Picos};
+/// let mut g = GaugeSeries::new(Picos::from_us(10));
+/// g.set(Picos::from_us(1), 3);
+/// g.set(Picos::from_us(2), 1);
+/// g.set(Picos::from_us(25), 5);
+/// assert_eq!(g.maxima_until(Picos::from_us(40)), [3, 1, 5, 5]);
+/// ```
 #[derive(Debug, Clone)]
 pub struct GaugeSeries {
     bin: Picos,
-    maxima: Vec<f64>,
-    current: f64,
-    last_bin_touched: usize,
+    maxima: Vec<u32>,
+    current: u32,
 }
 
 impl GaugeSeries {
@@ -121,74 +158,48 @@ impl GaugeSeries {
         GaugeSeries {
             bin,
             maxima: Vec::new(),
-            current: 0.0,
-            last_bin_touched: 0,
+            current: 0,
         }
     }
 
-    /// Sets the gauge to `value` at time `t`.
-    pub fn set(&mut self, t: Picos, value: f64) {
+    /// Sets the gauge to `value` at time `t`. Times must not decrease from
+    /// one call to the next (a simulation's clock does not).
+    pub fn set(&mut self, t: Picos, value: u32) {
         let idx = t.div_duration(self.bin) as usize;
-        // Carry the held value into any bins skipped since the last update.
-        self.fill_through(idx);
-        self.maxima[idx] = self.maxima[idx].max(value);
+        if idx >= self.maxima.len() {
+            // The bins skipped since the last update held its value.
+            extend_to(&mut self.maxima, idx + 1, self.current);
+        }
+        let max = &mut self.maxima[idx];
+        *max = (*max).max(value);
         self.current = value;
-        self.last_bin_touched = idx;
+    }
+
+    /// Bin width.
+    pub fn bin(&self) -> Picos {
+        self.bin
     }
 
     /// Current gauge value.
-    pub fn current(&self) -> f64 {
+    pub fn current(&self) -> u32 {
         self.current
     }
 
-    /// Allocated bin slots (capacity of the backing vector) — memory
-    /// accounting for `peak_bytes_estimate`.
-    pub fn bin_slots(&self) -> usize {
-        self.maxima.capacity()
+    /// Bytes reserved for the bins (by capacity) — memory accounting for
+    /// `peak_bytes_estimate`.
+    pub fn backing_bytes(&self) -> usize {
+        self.maxima.capacity() * std::mem::size_of::<u32>()
     }
 
-    fn fill_through(&mut self, idx: usize) {
-        if idx >= self.maxima.len() {
-            let held = self.current;
-            let start = self.maxima.len();
-            self.maxima.resize(idx + 1, 0.0);
-            for b in start..=idx {
-                self.maxima[b] = held;
-            }
-            // Bins between last touched and start were created earlier;
-            // nothing more to do.
-        }
-        for b in (self.last_bin_touched + 1)..=idx {
-            if self.maxima[b] < self.current {
-                self.maxima[b] = self.current;
-            }
-        }
-    }
-
-    /// Renders per-bin maxima up to `horizon`, carrying the held value into
+    /// Per-bin maxima up to `horizon`, carrying the held value into
     /// trailing bins that saw no update.
-    pub fn maxima_until(&self, horizon: Picos) -> Vec<SeriesPoint> {
+    pub fn maxima_until(&self, horizon: Picos) -> Vec<u32> {
         let nbins = horizon.div_duration(self.bin) as usize;
         (0..nbins)
-            .map(|i| {
-                let value = if i < self.maxima.len() {
-                    let mut v = self.maxima[i];
-                    if i > self.last_bin_touched {
-                        v = v.max(self.current);
-                    }
-                    v
-                } else {
-                    self.current
-                };
-                SeriesPoint {
-                    t_us: (self.bin * i as u64).as_us_f64(),
-                    value,
-                }
-            })
+            .map(|i| self.maxima.get(i).copied().unwrap_or(self.current))
             .collect()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,33 +235,62 @@ mod tests {
     #[test]
     fn gauge_tracks_bin_maxima() {
         let mut g = GaugeSeries::new(Picos::from_us(10));
-        g.set(Picos::from_us(1), 3.0);
-        g.set(Picos::from_us(2), 1.0); // max in bin 0 stays 3
-        g.set(Picos::from_us(25), 5.0); // bin 1 carries held value 1, bin 2 -> 5
-        let pts = g.maxima_until(Picos::from_us(50));
-        let vals: Vec<f64> = pts.iter().map(|p| p.value).collect();
-        assert_eq!(vals, vec![3.0, 1.0, 5.0, 5.0, 5.0]);
-        assert_eq!(g.current(), 5.0);
+        g.set(Picos::from_us(1), 3);
+        g.set(Picos::from_us(2), 1); // max in bin 0 stays 3
+        g.set(Picos::from_us(25), 5); // bin 1 carries held value 1, bin 2 -> 5
+        assert_eq!(g.maxima_until(Picos::from_us(50)), [3, 1, 5, 5, 5]);
+        assert_eq!(g.current(), 5);
     }
 
     #[test]
     fn gauge_carries_value_across_silent_bins() {
         let mut g = GaugeSeries::new(Picos::from_us(5));
-        g.set(Picos::ZERO, 2.0);
+        g.set(Picos::ZERO, 2);
         // No updates for a long time; every bin should report 2.
-        let pts = g.maxima_until(Picos::from_us(25));
-        assert!(pts.iter().all(|p| p.value == 2.0));
+        assert_eq!(g.maxima_until(Picos::from_us(25)), [2; 5]);
     }
 
     #[test]
     fn gauge_drop_is_visible_next_bin() {
         let mut g = GaugeSeries::new(Picos::from_us(5));
-        g.set(Picos::from_us(1), 8.0);
-        g.set(Picos::from_us(4), 0.0);
-        let pts = g.maxima_until(Picos::from_us(15));
-        assert_eq!(pts[0].value, 8.0); // peak within the bin
-        assert_eq!(pts[1].value, 0.0); // dropped afterwards
-        assert_eq!(pts[2].value, 0.0);
+        g.set(Picos::from_us(1), 8);
+        g.set(Picos::from_us(4), 0);
+        // Peak within the bin, dropped afterwards.
+        assert_eq!(g.maxima_until(Picos::from_us(15)), [8, 0, 0]);
+    }
+
+    /// Both recorders grow by the quarter rule and count their bins by
+    /// element size: after 20,000 one-bin steps a gauge reserves within a
+    /// quarter of its 20,000 `u32`s, where doubling would hold 32,768.
+    #[test]
+    fn series_grow_by_a_quarter_and_count_their_element_size() {
+        let bin = Picos::from_us(1);
+        let (mut g, mut b) = (GaugeSeries::new(bin), BinnedSeries::new(bin));
+        for i in 0..20_000u64 {
+            g.set(bin * i, (i % 7) as u32);
+            b.add(bin * i, 1.0);
+        }
+        let n = 20_000;
+        for (bytes, size) in [(g.backing_bytes(), 4), (b.backing_bytes(), 8)] {
+            assert!(
+                (n * size..=(n + growth(n)) * size).contains(&bytes),
+                "{bytes}"
+            );
+        }
+        // A jump reserves what it needs, not a quarter more.
+        let mut g = GaugeSeries::new(bin);
+        g.set(bin * 999, 1);
+        assert_eq!(g.backing_bytes(), 1000 * 4);
+    }
+
+    #[test]
+    fn on_axis_matches_the_rendered_series() {
+        let bin = Picos::new(1_300_001);
+        let mut s = BinnedSeries::new(bin);
+        s.add(bin * 3, 5.0);
+        let sums = s.sums_until(bin * 40);
+        let values = sums.iter().map(|p| p.value);
+        assert_eq!(SeriesPoint::on_axis(bin, values), sums);
     }
 
     /// Seeded property: per-bin sums and the total agree with a plain
@@ -289,8 +329,8 @@ mod tests {
         let nbins = 60;
         for seed in 0..64 {
             let mut rng = SplitMix64::new(seed);
-            let mut updates: Vec<(u64, f64)> = (0..1 + rng.next_u64() % 99)
-                .map(|_| (rng.next_u64() % 50_000, (rng.next_u64() % 100) as f64))
+            let mut updates: Vec<(u64, u32)> = (0..1 + rng.next_u64() % 99)
+                .map(|_| (rng.next_u64() % 50_000, (rng.next_u64() % 100) as u32))
                 .collect();
             updates.sort_by_key(|&(t, _)| t);
             let mut g = GaugeSeries::new(bin);
@@ -298,7 +338,7 @@ mod tests {
                 g.set(Picos::from_ns(t_ns), v);
             }
             let mut naive = Vec::with_capacity(nbins);
-            let mut held = 0.0f64;
+            let mut held = 0u32;
             let mut next = 0;
             for b in 0..nbins as u64 {
                 let mut m = held;
@@ -309,9 +349,7 @@ mod tests {
                 }
                 naive.push(m);
             }
-            let rendered = g.maxima_until(bin * nbins as u64);
-            let values: Vec<f64> = rendered.iter().map(|p| p.value).collect();
-            assert_eq!(values, naive, "seed {seed}");
+            assert_eq!(g.maxima_until(bin * nbins as u64), naive, "seed {seed}");
         }
     }
 }

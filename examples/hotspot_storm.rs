@@ -89,7 +89,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     println!("\nSAQ total over time:");
-    for p in metrics::report::thin(&handle.saq_total(horizon), 4) {
+    let saq = handle.saq_series(horizon);
+    for p in metrics::report::thin(&saq.points(&saq.total), 4) {
         let bar = "#".repeat(p.value as usize / 4);
         println!("{:>6.0}us {:>5.0} {bar}", p.t_us, p.value);
     }

@@ -64,14 +64,12 @@ fn collected(spec: &RunSpec, listener: bool) -> String {
     engine.run_until(spec.horizon());
     let h = spec.horizon();
     format!(
-        "{:?}\n{} events, depth {}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?} {:?} {:?} {:?}",
+        "{:?}\n{} events, depth {}\n{:?}\n{:?}\n{:?} {:?} {:?} {:?}",
         engine.model().counters(),
         engine.processed(),
         engine.queue().peak_len(),
         handle.throughput(h),
-        handle.saq_max_ingress(h),
-        handle.saq_max_egress(h),
-        handle.saq_total(h),
+        handle.saq_series(h),
         handle.saq_peaks(),
         handle.fct_summary(),
         handle.root_events(),
