@@ -12,81 +12,42 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use fabric::{NetObserver, Packet, SchemeKind};
-use metrics::report::window_stats;
 use recn::RecnConfig;
 use simcore::{Picos, Running};
 use topology::{HostId, MinParams};
 use traffic::corner::CornerCase;
 
+use crate::figures::corner_spec;
 use crate::opts::Opts;
 use crate::runner::{scaled_recn_config, RunOutput};
 use crate::sweep::RunSpec;
-
-/// One row of an ablation table.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// The varied parameter, rendered.
-    pub setting: String,
-    /// Mean throughput inside the congestion window (bytes/ns).
-    pub window_throughput: f64,
-    /// SAQ peaks `(ingress, egress, total)`.
-    pub saq_peaks: (u32, u32, u32),
-    /// Notifications rejected for lack of a free SAQ.
-    pub rejects: u64,
-    /// SAQs allocated over the run.
-    pub allocs: u64,
-    /// SAQs deallocated over the run.
-    pub deallocs: u64,
-}
 
 /// Corner case 2 on the 64-host MIN under `scheme`, sized and compressed
 /// by `opts` — the run every table of this module, and `recn inspect`, is
 /// made of.
 pub(crate) fn corner2_spec(opts: &Opts, scheme: SchemeKind) -> RunSpec {
-    let corner = CornerCase::case2_64()
-        .with_msg_bytes(opts.packet_size())
-        .shrunk(opts.time_div());
-    RunSpec::corner(MinParams::paper_64(), scheme, corner)
-        .with_packet_size(opts.packet_size())
-        .with_horizon(Picos::from_us(1600 / opts.time_div()))
+    corner_spec(opts, MinParams::paper_64(), scheme, CornerCase::case2_64())
 }
 
 /// Fans the RECN configurations out over one parallel sweep (corner case
-/// 2 for all of them) and folds each output into an [`AblationRow`].
+/// 2 for all of them), each output beside its setting.
 fn run_recn_sweep(
     opts: &Opts,
     name: &str,
     settings: Vec<(String, RecnConfig)>,
-) -> Vec<AblationRow> {
+) -> Vec<(String, RunOutput)> {
     let specs = settings
         .iter()
         .map(|(setting, cfg)| {
-            corner2_spec(opts, SchemeKind::Recn(*cfg))
-                .with_bin(Picos::from_us((5 / opts.time_div()).max(1)))
-                .with_label(format!("{name}:{setting}"))
+            corner2_spec(opts, SchemeKind::Recn(*cfg)).with_label(format!("{name}:{setting}"))
         })
         .collect();
-    let row = |setting: String, out: RunOutput| {
-        let from = 810.0 / opts.time_div() as f64;
-        let to = 960.0 / opts.time_div() as f64;
-        AblationRow {
-            setting,
-            window_throughput: window_stats(&out.throughput, from, to).0,
-            saq_peaks: out.saq_peaks,
-            rejects: out.counters.recn_rejects,
-            allocs: out.counters.saq_allocs,
-            deallocs: out.counters.saq_deallocs,
-        }
-    };
-    settings
-        .into_iter()
-        .zip(opts.sweep(name, specs))
-        .map(|((setting, _), out)| row(setting, out))
-        .collect()
+    let settings = settings.into_iter().map(|(setting, _)| setting);
+    settings.zip(opts.sweep(name, specs)).collect()
 }
 
 /// Sweep the SAQ pool size (corner case 2).
-pub fn saq_pool_sweep(opts: &Opts) -> Vec<AblationRow> {
+pub fn saq_pool_sweep(opts: &Opts) -> Vec<(String, RunOutput)> {
     let settings = [1usize, 2, 4, 8, 16, 64]
         .into_iter()
         .map(|n| {
@@ -100,7 +61,7 @@ pub fn saq_pool_sweep(opts: &Opts) -> Vec<AblationRow> {
 }
 
 /// Sweep the detection threshold (corner case 2).
-pub fn detection_sweep(opts: &Opts) -> Vec<AblationRow> {
+pub fn detection_sweep(opts: &Opts) -> Vec<(String, RunOutput)> {
     let settings = [2u64, 4, 8, 16, 32, 64]
         .into_iter()
         .map(|kb| {
@@ -118,7 +79,7 @@ pub fn detection_sweep(opts: &Opts) -> Vec<AblationRow> {
 }
 
 /// Drain boost on vs off (corner case 2).
-pub fn drain_boost_ablation(opts: &Opts) -> Vec<AblationRow> {
+pub fn drain_boost_ablation(opts: &Opts) -> Vec<(String, RunOutput)> {
     let settings = [("boost=on", 2u32), ("boost=off", 0)]
         .into_iter()
         .map(|(label, pkts)| {
@@ -131,21 +92,23 @@ pub fn drain_boost_ablation(opts: &Opts) -> Vec<AblationRow> {
     run_recn_sweep(opts, "ablation_drain_boost", settings)
 }
 
-/// Renders ablation rows as an aligned table.
-pub fn render_rows(title: &str, rows: &[AblationRow]) -> String {
+/// Renders an ablation sweep as an aligned table: per setting, the mean
+/// throughput inside the congestion window, the SAQ peaks, rejected
+/// notifications and SAQ allocations.
+pub fn render_rows(title: &str, rows: &[(String, RunOutput)], opts: &Opts) -> String {
     let mut out = format!("# {title}\n");
     out.push_str(&format!(
         "{:>14} {:>12} {:>16} {:>9} {:>8}\n",
         "setting", "win-thr(B/ns)", "peaks(in,eg,tot)", "rejects", "allocs"
     ));
-    for r in rows {
+    for (setting, r) in rows {
         out.push_str(&format!(
             "{:>14} {:>12.2} {:>16} {:>9} {:>8}\n",
-            r.setting,
-            r.window_throughput,
+            setting,
+            opts.window_mean(&r.throughput),
             format!("{:?}", r.saq_peaks),
-            r.rejects,
-            r.allocs
+            r.counters.recn_rejects,
+            r.counters.saq_allocs
         ));
     }
     out
@@ -238,16 +201,25 @@ mod tests {
         let rows = saq_pool_sweep(&quick());
         assert_eq!(rows.len(), 6);
         // A pool of one SAQ must reject far more notifications than eight.
-        let one = &rows[0];
-        let eight = &rows[3];
-        assert!(one.rejects > eight.rejects, "{one:?} vs {eight:?}");
+        let (one, eight) = (&rows[0].1.counters, &rows[3].1.counters);
+        assert!(
+            one.recn_rejects > eight.recn_rejects,
+            "{} vs {}",
+            one.recn_rejects,
+            eight.recn_rejects
+        );
         // And more SAQs never hurt window throughput much.
-        assert!(eight.window_throughput >= one.window_throughput * 0.95);
+        let window = |i: usize| quick().window_mean(&rows[i].1.throughput);
+        assert!(window(3) >= window(0) * 0.95);
         // SAQ conservation, with and without the drain boost: every
         // deallocation matches an allocation. (Not equality — at the
         // compressed horizon a few trees are still live at the cutoff.)
-        for r in drain_boost_ablation(&quick()) {
-            assert!(r.allocs > 0 && r.deallocs <= r.allocs, "{r:?}");
+        for (setting, r) in drain_boost_ablation(&quick()) {
+            let (allocs, deallocs) = (r.counters.saq_allocs, r.counters.saq_deallocs);
+            assert!(
+                allocs > 0 && deallocs <= allocs,
+                "{setting}: {allocs} {deallocs}"
+            );
         }
     }
 

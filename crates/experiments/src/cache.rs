@@ -264,7 +264,8 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
     let head = text[..idx]
         .strip_suffix(',')
         .ok_or("no comma before the body field")?;
-    let envelope = parse_json(&format!("{head}\n}}"))?;
+    let envelope_text = format!("{head}\n}}");
+    let envelope = parse_json(&envelope_text)?;
     let field = |k: &str| {
         envelope
             .get(k)

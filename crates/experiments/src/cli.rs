@@ -9,7 +9,9 @@
 
 use std::io::Write;
 
-use fabric::{render_port, FanoutObserver, SchemeKind, TraceSink, ValidatingObserver};
+use fabric::{
+    render_port, FanoutObserver, RoutingPolicy, SchemeKind, TraceSink, ValidatingObserver,
+};
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
 use traffic::corner::CornerCase;
@@ -20,7 +22,7 @@ use crate::opts::flag::{
     TRANSPORT,
 };
 use crate::opts::{is_help, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed};
-use crate::runner::{scaled_recn_config, summarize, SchemeSet};
+use crate::runner::{scaled_recn_config, summarize, RunOutput, SchemeSet};
 use crate::spec::RunSpec;
 use crate::sweep::Sweep;
 use crate::{ablations, incast, scale, table1};
@@ -101,8 +103,9 @@ pub const COMMANDS: &[Command] = &[
         about: "incast64 flow-completion times, five schemes under --transport",
         flags: INCAST_FLAGS,
         run: |_, f| {
-            let rows = incast::incast_sweep(&Opts::from_flags(f)?);
-            out!("{}", incast::render_rows(&rows))
+            let opts = Opts::from_flags(f)?;
+            let runs = incast::incast_sweep(&opts);
+            out!("{}", incast::render_rows(&runs, &opts))
         },
     },
     Command {
@@ -238,7 +241,7 @@ fn table1_audit() -> Result<(), String> {
 
 /// The RECN design ablations and the per-class latency measurement.
 fn ablation_tables(opts: &Opts) -> Result<(), String> {
-    type Sweep = fn(&Opts) -> Vec<ablations::AblationRow>;
+    type Sweep = fn(&Opts) -> Vec<(String, RunOutput)>;
     let tables: [(&str, Sweep); 3] = [
         (
             "SAQ pool size sweep (corner case 2)",
@@ -254,7 +257,7 @@ fn ablation_tables(opts: &Opts) -> Result<(), String> {
         ),
     ];
     for (title, sweep) in tables {
-        outln!("{}", ablations::render_rows(title, &sweep(opts)))?;
+        outln!("{}", ablations::render_rows(title, &sweep(opts), opts))?;
     }
     let splits: Vec<_> = [
         SchemeKind::VoqNet,
@@ -270,27 +273,36 @@ fn ablation_tables(opts: &Opts) -> Result<(), String> {
 /// Cross-topology headline table: the five-scheme hotspot comparison on
 /// the selected topology — the throughput-over-time table plus the mean
 /// throughput inside the congestion window. With `--routing adaptive` the
-/// sweep additionally reruns under deterministic self-routing and prints
-/// the deterministic-vs-adaptive comparison; with `--routing arn` it
-/// reruns under *both* other policies and prints the full
+/// hotspot also runs under deterministic self-routing and the two figures
+/// print as the deterministic-vs-adaptive comparison; with `--routing arn`
+/// it runs under *both* other policies and the three print as the full
 /// {deterministic, adaptive, arn} × scheme matrix (the EXPERIMENTS.md
-/// fat-tree headline tables).
+/// fat-tree headline tables). Each policy runs once.
 fn hotspot(opts: &Opts) -> Result<(), String> {
     let fig = figures::topology_hotspot(opts)
         .map_err(|no_preset| format!("{no_preset}; {}", usage_line(HOTSPOT_FLAGS)))?;
     fig.print(opts)?;
     outln!("mean throughput inside the congestion window:")?;
-    for (label, mean) in figures::congestion_window_means(&fig, opts) {
-        outln!("  {label:>7}: {mean:.3} bytes/ns")?;
+    for l in &fig.series {
+        let mean = opts.window_mean(&l.points);
+        outln!("  {:>7}: {mean:.3} bytes/ns", l.label)?;
     }
+    let under = |routing| {
+        figures::topology_hotspot(&Opts {
+            routing,
+            ..opts.clone()
+        })
+    };
     if opts.routing.is_arn() {
+        let det = under(RoutingPolicy::Deterministic)?;
+        let ada = under(RoutingPolicy::adaptive())?;
         outln!()?;
-        let rows = figures::scheme_matrix(opts)?;
-        out!("{}", figures::render_scheme_matrix(&rows))?;
+        let matrix = figures::render_scheme_matrix([&det, &ada, &fig], opts);
+        out!("{matrix}")?;
     } else if opts.routing.is_adaptive() {
+        let det = under(RoutingPolicy::Deterministic)?;
         outln!()?;
-        let rows = figures::routing_comparison(&fig, opts)?;
-        out!("{}", figures::render_routing_comparison(&rows))?;
+        out!("{}", figures::render_routing_comparison(&det, &fig, opts))?;
     }
     Ok(())
 }

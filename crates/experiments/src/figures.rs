@@ -1,14 +1,18 @@
 //! One function per figure of the paper ([`FIGURES`] is the table `recn fig`
 //! dispatches through).
 //!
-//! Each figure describes its runs as [`RunSpec`]s and executes them in a
-//! single [`Sweep`](crate::sweep::Sweep) (via [`Opts::sweep`]), so the
-//! whole figure is bound by its slowest simulation instead of the sum of
-//! all of them. Outputs come back in submission order, which keeps the
-//! tables and CSVs bit-identical to a serial run.
+//! A figure is a list of panels: each panel names its runs as [`RunSpec`]s
+//! and says what it plots of them (one throughput curve per run, or a run's
+//! three SAQ curves). One function, `run_panels`, submits every panel of a
+//! figure in a single [`Sweep`](crate::sweep::Sweep) (via [`Opts::sweep`]),
+//! so the whole figure is bound by its slowest simulation instead of the sum
+//! of all of them, and splits the outputs back into one [`Figure`] per
+//! panel. Outputs come back in submission order, which keeps the tables and
+//! CSVs bit-identical to a serial run. Whatever else a figure shows (fig 2's
+//! zoom, fig 4's peaks, fig 6's SAQ panel, the routing comparisons of `recn
+//! hotspot`) is derived from the returned figures, never from another run.
 
-use metrics::report::{render_csv, render_table, thin, window_stats, Labeled};
-use simcore::Picos;
+use metrics::report::{render_csv, render_table, thin, Labeled};
 use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
 use traffic::corner::CornerCase;
 use traffic::san::SanParams;
@@ -69,13 +73,52 @@ impl Figure {
     }
 }
 
-fn corner_horizon(opts: &Opts) -> Picos {
-    Picos::from_us(1600 / opts.time_div())
+/// What a panel plots of each of its runs.
+#[derive(Clone, Copy)]
+enum Plot {
+    /// One throughput curve per run, labelled by its scheme.
+    Throughput,
+    /// The run's three SAQ curves: max at any ingress port, max at any
+    /// egress port, network total.
+    Saq,
 }
 
-fn series_bin(opts: &Opts) -> Picos {
-    // 5 µs bins at paper scale, shrunk with the time axis in quick mode.
-    Picos::from_us((5 / opts.time_div()).max(1))
+/// One panel of a figure: its runs and what it plots of them.
+struct Panel {
+    name: String,
+    title: String,
+    specs: Vec<RunSpec>,
+    plot: Plot,
+}
+
+/// Runs every panel in one sweep named `sweep` and splits the outputs back
+/// into one [`Figure`] per panel, in panel order: the one place a figure's
+/// outputs are split.
+fn run_panels(opts: &Opts, sweep: &str, panels: Vec<Panel>) -> Vec<Figure> {
+    let specs = panels
+        .iter()
+        .flat_map(|p| p.specs.iter().cloned())
+        .collect();
+    let mut outs = opts.sweep(sweep, specs).into_iter();
+    panels
+        .into_iter()
+        .map(|p| {
+            let runs: Vec<RunOutput> = outs.by_ref().take(p.specs.len()).collect();
+            let series = runs
+                .iter()
+                .flat_map(|r| match p.plot {
+                    Plot::Throughput => vec![Labeled::new(r.scheme, r.throughput.clone())],
+                    Plot::Saq => r.saq.labeled(),
+                })
+                .collect();
+            Figure {
+                name: p.name,
+                title: p.title,
+                series,
+                runs,
+            }
+        })
+        .collect()
 }
 
 /// Table 1's two corner cases on the paper's 64-host MIN, by number.
@@ -83,25 +126,23 @@ pub(crate) fn table1_cases() -> [(u8, CornerCase); 2] {
     [(1, CornerCase::case1_64()), (2, CornerCase::case2_64())]
 }
 
-/// `base` at the figure's packet size and time compression.
-fn corner_case(base: CornerCase, opts: &Opts) -> CornerCase {
-    base.with_msg_bytes(opts.packet_size())
-        .shrunk(opts.time_div())
-}
-
-/// A corner-case spec with the figure defaults from `opts` applied.
-fn corner_spec(
+/// Corner case `base` on `params` under `scheme`, at the command line's
+/// packet size and time compression (horizon and bin from [`Opts`]): the
+/// run every corner-case figure, the hotspot table, the ablations and `recn
+/// inspect` are made of.
+pub(crate) fn corner_spec(
     opts: &Opts,
     params: impl Into<TopoParams>,
     scheme: fabric::SchemeKind,
-    corner: CornerCase,
-    label: impl Into<String>,
+    base: CornerCase,
 ) -> RunSpec {
+    let corner = base
+        .with_msg_bytes(opts.packet_size())
+        .shrunk(opts.time_div());
     RunSpec::corner(params, scheme, corner)
         .with_packet_size(opts.packet_size())
-        .with_horizon(corner_horizon(opts))
-        .with_bin(series_bin(opts))
-        .with_label(label)
+        .with_horizon(opts.horizon())
+        .with_bin(opts.bin())
 }
 
 /// Figure 2: network throughput over time for corner cases 1 and 2 under
@@ -109,68 +150,48 @@ fn corner_spec(
 /// RECN-vs-VOQnet zoom of Figures 2c/2d around the congestion-tree window.
 pub fn fig2(opts: &Opts) -> Vec<Figure> {
     let schemes = SchemeSet::All.schemes_scaled(opts.time_div());
-    let per_case = schemes.len();
-    let cases = table1_cases().into_iter().zip(['a', 'b']);
-    let mut specs = Vec::new();
-    for ((_, base), sub) in cases.clone() {
-        let corner = corner_case(base, opts);
-        for scheme in &schemes {
-            specs.push(corner_spec(
-                opts,
-                MinParams::paper_64(),
-                *scheme,
-                corner,
-                format!("fig2{sub}"),
-            ));
-        }
-    }
-    let mut outs = opts.sweep("fig2", specs).into_iter();
-    let mut figures = Vec::new();
-    for ((case, _), sub) in cases {
-        let mut series = Vec::new();
-        let mut runs = Vec::new();
-        for out in outs.by_ref().take(per_case) {
-            series.push(Labeled::new(out.scheme, out.throughput.clone()));
-            runs.push(out);
-        }
-        figures.push(Figure {
-            name: format!("fig2{sub}"),
-            title: format!(
-                "network throughput (bytes/ns), corner case {case}, {}B packets",
-                opts.packet_size()
-            ),
-            series,
-            runs,
-        });
-    }
-    // 2c/2d: zoom of RECN vs VOQnet around the hotspot window.
-    let zoomed: Vec<Figure> = [('c', 0usize), ('d', 1usize)]
+    let panels = table1_cases()
         .into_iter()
-        .map(|(sub, idx)| {
-            let f = &figures[idx];
-            let from = 750.0 / opts.time_div() as f64;
-            let to = 1100.0 / opts.time_div() as f64;
-            let zoom = |l: &Labeled| {
-                Labeled::new(
-                    l.label.clone(),
-                    l.points
-                        .iter()
-                        .copied()
-                        .filter(|p| p.t_us >= from && p.t_us < to)
-                        .collect(),
-                )
-            };
-            Figure {
-                name: format!("fig2{sub}"),
-                title: format!("zoom on the congestion window, corner case {}", idx + 1),
-                series: f
-                    .series
+        .zip(['a', 'b'])
+        .map(|((case, base), sub)| {
+            let name = format!("fig2{sub}");
+            Panel {
+                title: format!(
+                    "network throughput (bytes/ns), corner case {case}, {}B packets",
+                    opts.packet_size()
+                ),
+                specs: schemes
                     .iter()
-                    .filter(|l| l.label == "RECN" || l.label == "VOQnet")
-                    .map(zoom)
+                    .map(|&s| corner_spec(opts, MinParams::paper_64(), s, base).with_label(&name))
                     .collect(),
-                runs: Vec::new(),
+                name,
+                plot: Plot::Throughput,
             }
+        })
+        .collect();
+    let mut figures = run_panels(opts, "fig2", panels);
+    // 2c/2d: zoom of RECN vs VOQnet around the hotspot window.
+    let from = 750.0 / opts.time_div() as f64;
+    let to = 1100.0 / opts.time_div() as f64;
+    let zoom = |l: &Labeled| {
+        let points = l.points.iter().copied();
+        let points = points.filter(|p| p.t_us >= from && p.t_us < to).collect();
+        Labeled::new(l.label.clone(), points)
+    };
+    let zoomed: Vec<Figure> = figures
+        .iter()
+        .zip(['c', 'd'])
+        .enumerate()
+        .map(|(idx, (f, sub))| Figure {
+            name: format!("fig2{sub}"),
+            title: format!("zoom on the congestion window, corner case {}", idx + 1),
+            series: f
+                .series
+                .iter()
+                .filter(|l| l.label == "RECN" || l.label == "VOQnet")
+                .map(zoom)
+                .collect(),
+            runs: Vec::new(),
         })
         .collect();
     figures.extend(zoomed);
@@ -185,91 +206,67 @@ pub fn fig3(opts: &Opts) -> Vec<Figure> {
         SchemeSet::TraceComparison,
         "fig3",
         "network throughput (bytes/ns)",
-        false,
+        Plot::Throughput,
     )
 }
 
 /// Figure 4: SAQ utilization over time for the corner cases (RECN):
 /// max at any ingress port, max at any egress port, network total.
 pub fn fig4(opts: &Opts) -> Vec<Figure> {
-    let cases = table1_cases();
-    let specs = cases
-        .iter()
-        .map(|&(case, base)| {
-            corner_spec(
-                opts,
-                MinParams::paper_64(),
-                SchemeSet::RecnOnly.schemes_scaled(opts.time_div())[0],
-                corner_case(base, opts),
-                format!("fig4_case{case}"),
-            )
+    let recn = SchemeSet::RecnOnly.schemes_scaled(opts.time_div())[0];
+    let panels = table1_cases()
+        .into_iter()
+        .map(|(case, base)| {
+            let name = format!("fig4_case{case}");
+            Panel {
+                title: format!("SAQ utilization, corner case {case}"),
+                specs: vec![corner_spec(opts, MinParams::paper_64(), recn, base).with_label(&name)],
+                name,
+                plot: Plot::Saq,
+            }
         })
         .collect();
-    let outs = opts.sweep("fig4", specs);
-    cases
-        .into_iter()
-        .map(|(case, _)| case)
-        .zip(outs)
-        .map(|(case, out)| Figure {
-            name: format!("fig4_case{case}"),
-            title: format!(
-                "SAQ utilization, corner case {case} (peaks {:?})",
-                out.saq_peaks
-            ),
-            series: out.saq.labeled(),
-            runs: vec![out],
-        })
-        .collect()
+    let mut figures = run_panels(opts, "fig4", panels);
+    for f in &mut figures {
+        let peaks = f.runs[0].saq_peaks;
+        f.title = format!("{} (peaks {peaks:?})", f.title);
+    }
+    figures
 }
 
 /// Figure 5: SAQ utilization over time for the SAN traces (RECN).
 pub fn fig5(opts: &Opts) -> Vec<Figure> {
-    san_figures(opts, SchemeSet::RecnOnly, "fig5", "SAQ utilization", true)
+    san_figures(
+        opts,
+        SchemeSet::RecnOnly,
+        "fig5",
+        "SAQ utilization",
+        Plot::Saq,
+    )
 }
 
-fn san_figures(
-    opts: &Opts,
-    set: SchemeSet,
-    prefix: &str,
-    what: &str,
-    saq_series: bool,
-) -> Vec<Figure> {
+fn san_figures(opts: &Opts, set: SchemeSet, prefix: &str, what: &str, plot: Plot) -> Vec<Figure> {
     let schemes = set.schemes_scaled(opts.time_div());
-    let per_group = schemes.len();
-    let compressions = [20.0, 40.0];
-    let mut specs = Vec::new();
-    for compression in compressions {
-        for scheme in &schemes {
-            specs.push(
-                RunSpec::san(*scheme, SanParams::cello_like(compression))
-                    .with_packet_size(opts.pkt.unwrap_or(64))
-                    .with_horizon(corner_horizon(opts))
-                    .with_bin(series_bin(opts))
-                    .with_label(format!("{prefix}_c{}", compression as u32)),
-            );
-        }
-    }
-    let mut outs = opts.sweep(prefix, specs).into_iter();
-    let mut figures = Vec::new();
-    for compression in compressions {
-        let mut series = Vec::new();
-        let mut runs = Vec::new();
-        for out in outs.by_ref().take(per_group) {
-            if saq_series {
-                series.extend(out.saq.labeled());
-            } else {
-                series.push(Labeled::new(out.scheme, out.throughput.clone()));
+    let panels = [20.0, 40.0]
+        .into_iter()
+        .map(|compression| {
+            let name = format!("{prefix}_c{}", compression as u32);
+            let spec = |scheme| {
+                RunSpec::san(scheme, SanParams::cello_like(compression))
+                    .with_packet_size(opts.packet_size())
+                    .with_horizon(opts.horizon())
+                    .with_bin(opts.bin())
+                    .with_label(&name)
+            };
+            Panel {
+                title: format!("{what}, SAN traces, compression {compression}x"),
+                specs: schemes.iter().map(|&s| spec(s)).collect(),
+                name,
+                plot,
             }
-            runs.push(out);
-        }
-        figures.push(Figure {
-            name: format!("{prefix}_c{}", compression as u32),
-            title: format!("{what}, SAN traces, compression {compression}x"),
-            series,
-            runs,
-        });
-    }
-    figures
+        })
+        .collect();
+    run_panels(opts, prefix, panels)
 }
 
 /// Figure 6: throughput and RECN SAQ utilization on the 256- and 512-host
@@ -288,49 +285,36 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
     // transient as a congestion tree. The hotspot still fills an 8 KB
     // root queue within the compressed window.
     let schemes = SchemeSet::Scalability.schemes_scaled(opts.time_div().min(2));
-    let per_net = schemes.len();
-    let mut specs = Vec::new();
-    for &(hosts, params, corner) in &nets {
-        let corner = corner
-            .with_msg_bytes(opts.packet_size())
-            .shrunk(opts.time_div());
-        for scheme in &schemes {
-            specs.push(corner_spec(
-                opts,
-                params,
-                *scheme,
-                corner,
-                format!("fig6_{hosts}"),
-            ));
-        }
-    }
-    let mut outs = opts.sweep("fig6", specs).into_iter();
-    let mut figures = Vec::new();
-    for (hosts, ..) in nets {
-        let mut series = Vec::new();
-        let mut saq = Vec::new();
-        let mut runs = Vec::new();
-        for out in outs.by_ref().take(per_net) {
-            series.push(Labeled::new(out.scheme, out.throughput.clone()));
-            if out.scheme == "RECN" {
-                saq = out.saq.labeled();
-            }
-            runs.push(out);
-        }
-        figures.push(Figure {
+    let panels = nets
+        .iter()
+        .map(|&(hosts, params, base)| Panel {
             name: format!("fig6_{hosts}_throughput"),
             title: format!("network throughput (bytes/ns), {hosts}-host MIN, corner case 2"),
-            series,
-            runs,
-        });
-        figures.push(Figure {
-            name: format!("fig6_{hosts}_saq"),
-            title: format!("RECN SAQ utilization, {hosts}-host MIN"),
-            series: saq,
-            runs: Vec::new(),
-        });
-    }
-    figures
+            specs: schemes
+                .iter()
+                .map(|&s| corner_spec(opts, params, s, base).with_label(format!("fig6_{hosts}")))
+                .collect(),
+            plot: Plot::Throughput,
+        })
+        .collect();
+    run_panels(opts, "fig6", panels)
+        .into_iter()
+        .zip(&nets)
+        .flat_map(|(throughput, (hosts, ..))| {
+            let saq = Figure {
+                name: format!("fig6_{hosts}_saq"),
+                title: format!("RECN SAQ utilization, {hosts}-host MIN"),
+                series: throughput
+                    .runs
+                    .iter()
+                    .filter(|r| r.scheme == "RECN")
+                    .flat_map(|r| r.saq.labeled())
+                    .collect(),
+                runs: Vec::new(),
+            };
+            [throughput, saq]
+        })
+        .collect()
 }
 
 /// The five-scheme hotspot comparison on the topology selected by
@@ -340,51 +324,37 @@ pub fn fig6(opts: &Opts) -> Vec<Figure> {
 /// swaps in the 8-ary 3-tree and its strided-gang hotspot — the scale the
 /// EXPERIMENTS.md routing-matrix tables are produced at. One throughput
 /// curve per scheme — `recn hotspot` renders this as the cross-topology
-/// headline table.
+/// headline table, and one such figure per routing policy as
+/// [`render_routing_comparison`] and [`render_scheme_matrix`].
 ///
 /// A `(topology, net)` pair without a preset is an `Err`, before any run.
 pub fn topology_hotspot(opts: &Opts) -> Result<Figure, String> {
     let hosts = opts.net.unwrap_or(64);
-    let (params, corner, desc) = hotspot_preset(opts.topology, hosts)?;
-    let corner = corner
-        .with_msg_bytes(opts.packet_size())
-        .shrunk(opts.time_div());
-    // Each routing policy gets its own summary file so the back-to-back
-    // sweeps of `routing_comparison` / `scheme_matrix` never overwrite
-    // each other; a non-default network size gets its own file too.
-    let net = if hosts == 64 {
-        String::new()
-    } else {
-        hosts.to_string()
-    };
-    let name = if opts.routing.is_arn() {
-        format!("hotspot_{}{net}_arn", opts.topology.name())
-    } else if opts.routing.is_adaptive() {
-        format!("hotspot_{}{net}_adaptive", opts.topology.name())
-    } else {
-        format!("hotspot_{}{net}", opts.topology.name())
-    };
-    let specs = SchemeSet::All
-        .schemes_scaled(opts.time_div())
-        .into_iter()
-        .map(|scheme| corner_spec(opts, params, scheme, corner, name.clone()))
-        .collect();
-    let outs = opts.sweep(&name, specs);
-    let mut series = Vec::new();
-    let mut runs = Vec::new();
-    for out in outs {
-        series.push(Labeled::new(out.scheme, out.throughput.clone()));
-        runs.push(out);
+    let (params, base, desc) = hotspot_preset(opts.topology, hosts)?;
+    // Each routing policy gets its own summary file, so the figures of one
+    // routing comparison never overwrite each other; a non-default network
+    // size gets its own file too.
+    let mut name = format!("hotspot_{}", opts.topology.name());
+    if hosts != 64 {
+        name += &hosts.to_string();
     }
-    Ok(Figure {
-        name,
+    if opts.routing.is_adaptive() {
+        name += &format!("_{}", opts.routing.name());
+    }
+    let panel = Panel {
         title: format!(
             "network throughput (bytes/ns), {desc}, {}B packets",
             opts.packet_size()
         ),
-        series,
-        runs,
-    })
+        specs: SchemeSet::All
+            .schemes_scaled(opts.time_div())
+            .into_iter()
+            .map(|s| corner_spec(opts, params, s, base).with_label(&name))
+            .collect(),
+        name: name.clone(),
+        plot: Plot::Throughput,
+    };
+    Ok(run_panels(opts, &name, vec![panel]).remove(0))
 }
 
 /// The network, hotspot and description [`topology_hotspot`] runs for a
@@ -417,182 +387,51 @@ pub(crate) fn hotspot_preset(
     })
 }
 
-/// Convenience: the headline comparison behind the paper's abstract —
-/// mean throughput inside the congestion window for each mechanism.
-pub fn congestion_window_means(fig: &Figure, opts: &Opts) -> Vec<(String, f64)> {
-    let from = 810.0 / opts.time_div() as f64;
-    let to = 960.0 / opts.time_div() as f64;
-    fig.series
-        .iter()
-        .map(|l| (l.label.clone(), window_stats(&l.points, from, to).0))
-        .collect()
-}
-
-/// One scheme's deterministic-vs-adaptive hotspot comparison.
-#[derive(Debug)]
-pub struct RoutingRow {
-    /// Scheme display name.
-    pub scheme: &'static str,
-    /// Congestion-window mean throughput (bytes/ns) under deterministic
-    /// self-routing.
-    pub deterministic: f64,
-    /// Congestion-window mean throughput under adaptive up-routing.
-    pub adaptive: f64,
-    /// Whole-run network-wide SAQ peaks `(deterministic, adaptive)` —
-    /// nonzero only for RECN.
-    pub saq_totals: (u32, u32),
-}
-
-/// The deterministic-vs-adaptive comparison: reruns the hotspot of
-/// `adaptive_fig` (which must come from a `--routing adaptive`
-/// [`topology_hotspot`] sweep) under [`fabric::RoutingPolicy::Deterministic`]
-/// and pairs the congestion-window means scheme by scheme.
-pub fn routing_comparison(adaptive_fig: &Figure, opts: &Opts) -> Result<Vec<RoutingRow>, String> {
-    assert!(
-        opts.routing.is_adaptive(),
-        "routing_comparison needs an adaptive figure to compare against"
-    );
-    let det_opts = Opts {
-        routing: fabric::RoutingPolicy::Deterministic,
-        ..opts.clone()
-    };
-    let det_fig = topology_hotspot(&det_opts)?;
-    let a_means = congestion_window_means(adaptive_fig, opts);
-    let d_means = congestion_window_means(&det_fig, &det_opts);
-    let mean_of = |means: &[(String, f64)], scheme: &str| {
-        means
-            .iter()
-            .find(|(l, _)| l == scheme)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    Ok(adaptive_fig
-        .runs
-        .iter()
-        .zip(&det_fig.runs)
-        .map(|(a, d)| {
-            assert_eq!(a.scheme, d.scheme, "sweeps must share submission order");
-            RoutingRow {
-                scheme: a.scheme,
-                deterministic: mean_of(&d_means, d.scheme),
-                adaptive: mean_of(&a_means, a.scheme),
-                saq_totals: (d.saq_peaks.2, a.saq_peaks.2),
-            }
-        })
-        .collect())
-}
-
-/// One cell of the full routing × scheme matrix: a single hotspot run's
-/// headline numbers under one routing policy.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixCell {
-    /// Congestion-window mean throughput in bytes/ns.
-    pub mean: f64,
-    /// Whole-run network-wide peak SAQ count (nonzero only for RECN).
-    pub peak_saqs: u32,
-    /// ARN congestion notifications broadcast during the run (nonzero
-    /// only under `--routing arn`).
-    pub arn_hot: u64,
-}
-
-/// One scheme's row of the full
-/// {deterministic, adaptive, arn} × {1Q, 4Q, VOQsw, VOQnet, RECN} matrix.
-#[derive(Debug)]
-pub struct MatrixRow {
-    /// Scheme display name.
-    pub scheme: &'static str,
-    /// Headline numbers under deterministic self-routing.
-    pub deterministic: MatrixCell,
-    /// Headline numbers under credit-weighted adaptive up-routing.
-    pub adaptive: MatrixCell,
-    /// Headline numbers under notification-driven (ARN) up-routing.
-    pub arn: MatrixCell,
-}
-
-/// Runs the full routing × scheme matrix: the [`topology_hotspot`] sweep
-/// once per routing policy (fifteen runs total), paired scheme by scheme.
-/// Each sweep keeps its own summary file (`hotspot_<topo>`, `…_adaptive`,
-/// `…_arn`), so the matrix composes with the run cache — a repeated
-/// invocation is fifteen cache hits.
-pub fn scheme_matrix(opts: &Opts) -> Result<Vec<MatrixRow>, String> {
-    let sweep = |routing| {
-        let o = Opts {
-            routing,
-            ..opts.clone()
-        };
-        let fig = topology_hotspot(&o)?;
-        let means = congestion_window_means(&fig, &o);
-        Ok::<_, String>((fig, means))
-    };
-    let (det, det_means) = sweep(fabric::RoutingPolicy::Deterministic)?;
-    let (ada, ada_means) = sweep(fabric::RoutingPolicy::adaptive())?;
-    let (arn, arn_means) = sweep(fabric::RoutingPolicy::arn())?;
-    let cell = |run: &RunOutput, means: &[(String, f64)]| MatrixCell {
-        mean: means
-            .iter()
-            .find(|(l, _)| l == run.scheme)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0),
-        peak_saqs: run.saq_peaks.2,
-        arn_hot: run.counters.arn_hot_notifications,
-    };
-    Ok(det
-        .runs
-        .iter()
-        .zip(&ada.runs)
-        .zip(&arn.runs)
-        .map(|((d, a), n)| {
-            assert_eq!(d.scheme, a.scheme, "sweeps must share submission order");
-            assert_eq!(d.scheme, n.scheme, "sweeps must share submission order");
-            MatrixRow {
-                scheme: d.scheme,
-                deterministic: cell(d, &det_means),
-                adaptive: cell(a, &ada_means),
-                arn: cell(n, &arn_means),
-            }
-        })
-        .collect())
-}
-
-/// Renders the full matrix as a text table: one row per scheme, one
-/// column group per routing policy, plus the ARN notification counts.
-pub fn render_scheme_matrix(rows: &[MatrixRow]) -> String {
+/// The full {deterministic, adaptive, arn} × scheme matrix of three
+/// [`topology_hotspot`] figures of one network, in that routing order: one
+/// row per scheme, the congestion-window mean throughput under each policy,
+/// the network-wide SAQ peaks and the ARN notification count.
+pub fn render_scheme_matrix([det, ada, arn]: [&Figure; 3], opts: &Opts) -> String {
     let mut s =
         String::from("congestion-window mean throughput (bytes/ns), routing × scheme matrix\n");
     s.push_str(
         "scheme   deterministic   adaptive        arn   peak SAQs (det/ada/arn)   arn-notifs\n",
     );
-    for r in rows {
+    let runs = det.runs.iter().zip(&ada.runs).zip(&arn.runs);
+    for ((d, a), n) in runs {
         s.push_str(&format!(
             "{:>6}   {:>13.2}   {:>8.2}   {:>8.2}   {:>9}   {:>10}\n",
-            r.scheme,
-            r.deterministic.mean,
-            r.adaptive.mean,
-            r.arn.mean,
-            format!(
-                "{}/{}/{}",
-                r.deterministic.peak_saqs, r.adaptive.peak_saqs, r.arn.peak_saqs
-            ),
-            r.arn.arn_hot,
+            d.scheme,
+            opts.window_mean(&d.throughput),
+            opts.window_mean(&a.throughput),
+            opts.window_mean(&n.throughput),
+            format!("{}/{}/{}", d.saq_peaks.2, a.saq_peaks.2, n.saq_peaks.2),
+            n.counters.arn_hot_notifications,
         ));
     }
     s
 }
 
-/// Renders the deterministic-vs-adaptive rows as a text table.
-pub fn render_routing_comparison(rows: &[RoutingRow]) -> String {
+/// The deterministic-vs-adaptive comparison of two [`topology_hotspot`]
+/// figures of one network: one row per scheme, the congestion-window means,
+/// their difference and the network-wide SAQ peaks.
+pub fn render_routing_comparison(det: &Figure, ada: &Figure, opts: &Opts) -> String {
     let mut s =
         String::from("congestion-window mean throughput (bytes/ns), deterministic vs adaptive\n");
     s.push_str("scheme   deterministic   adaptive      delta   peak SAQs (det -> adaptive)\n");
-    for r in rows {
+    for (d, a) in det.runs.iter().zip(&ada.runs) {
+        let (d_mean, a_mean) = (
+            opts.window_mean(&d.throughput),
+            opts.window_mean(&a.throughput),
+        );
         s.push_str(&format!(
             "{:>6}   {:>13.2}   {:>8.2}   {:>+8.2}   {:>9} -> {}\n",
-            r.scheme,
-            r.deterministic,
-            r.adaptive,
-            r.adaptive - r.deterministic,
-            r.saq_totals.0,
-            r.saq_totals.1,
+            d.scheme,
+            d_mean,
+            a_mean,
+            a_mean - d_mean,
+            d.saq_peaks.2,
+            a.saq_peaks.2,
         ));
     }
     s
@@ -610,14 +449,35 @@ mod tests {
         }
     }
 
+    /// The run of `scheme` in a figure.
+    fn run<'a>(fig: &'a Figure, scheme: &str) -> &'a RunOutput {
+        fig.runs.iter().find(|r| r.scheme == scheme).unwrap()
+    }
+
+    /// The congestion-window mean of `scheme`'s curve in a figure.
+    fn mean(fig: &Figure, scheme: &str) -> f64 {
+        let curve = fig.series.iter().find(|l| l.label == scheme).unwrap();
+        quick_opts().window_mean(&curve.points)
+    }
+
+    /// The quick fat-tree hotspot figure under `routing`.
+    fn fattree_hotspot(routing: fabric::RoutingPolicy) -> Figure {
+        let opts = Opts {
+            topology: TopologyKind::FatTree,
+            routing,
+            ..quick_opts()
+        };
+        topology_hotspot(&opts).expect("a preset")
+    }
+
     #[test]
     fn fig2_quick_shapes_hold() {
         let figs = fig2(&quick_opts());
         assert_eq!(figs.len(), 4);
         let f2a = &figs[0];
         assert_eq!(f2a.series.len(), 5);
-        let means = congestion_window_means(f2a, &quick_opts());
-        let get = |name: &str| means.iter().find(|(l, _)| l == name).unwrap().1;
+        let get = |name: &str| mean(f2a, name);
+        let means: Vec<(&str, f64)> = ["VOQnet", "1Q", "RECN"].map(|s| (s, get(s))).into();
         // The paper's ordering inside the congestion window:
         // RECN ≈ VOQnet, both above 1Q. (The 8× time compression leaves the
         // tree only ~21 µs to develop, so the 1Q degradation is milder than
@@ -631,15 +491,11 @@ mod tests {
 
     #[test]
     fn fattree_hotspot_quick_recn_wins() {
-        let opts = Opts {
-            topology: TopologyKind::FatTree,
-            ..quick_opts()
-        };
-        let fig = topology_hotspot(&opts).expect("a preset");
+        let fig = fattree_hotspot(fabric::RoutingPolicy::Deterministic);
         assert_eq!(fig.name, "hotspot_fattree");
         assert_eq!(fig.series.len(), 5);
-        let means = congestion_window_means(&fig, &opts);
-        let get = |name: &str| means.iter().find(|(l, _)| l == name).unwrap().1;
+        let get = |name: &str| mean(&fig, name);
+        let means: Vec<(&str, f64)> = ["VOQnet", "1Q", "RECN"].map(|s| (s, get(s))).into();
         // The fat tree has full bisection bandwidth, so the congestion tree
         // only costs the blocking schemes ~1 byte/ns inside the window — but
         // the HOL-blocking ordering still holds: RECN recovers the ideal
@@ -649,22 +505,19 @@ mod tests {
         assert!(get("RECN") > get("1Q") + 0.4, "{means:?}");
         assert!(get("VOQnet") > get("1Q") + 0.4, "{means:?}");
         // RECN must actually have built a congestion tree to earn the win.
-        let recn = fig.runs.iter().find(|r| r.scheme == "RECN").unwrap();
-        assert!(recn.saq_peaks.2 > 0, "hotspot must allocate SAQs");
+        assert!(
+            run(&fig, "RECN").saq_peaks.2 > 0,
+            "hotspot must allocate SAQs"
+        );
     }
 
     #[test]
     fn fattree_adaptive_quick_beats_deterministic_where_it_should() {
-        let opts = Opts {
-            topology: TopologyKind::FatTree,
-            routing: fabric::RoutingPolicy::adaptive(),
-            ..quick_opts()
-        };
-        let fig = topology_hotspot(&opts).expect("a preset");
-        assert_eq!(fig.name, "hotspot_fattree_adaptive");
-        let rows = routing_comparison(&fig, &opts).expect("a preset");
-        assert_eq!(rows.len(), 5);
-        let get = |name: &str| rows.iter().find(|r| r.scheme == name).unwrap();
+        let ada = fattree_hotspot(fabric::RoutingPolicy::adaptive());
+        assert_eq!(ada.name, "hotspot_fattree_adaptive");
+        let det = fattree_hotspot(fabric::RoutingPolicy::Deterministic);
+        let table = render_routing_comparison(&det, &ada, &quick_opts());
+        assert_eq!(table.lines().count(), 2 + 5, "{table}");
         // The acceptance shape of the adaptive experiment: spreading the
         // victims' climbs across roots helps exactly the scheme that
         // shares queues with the hotspot (1Q), while RECN+adaptive holds
@@ -672,15 +525,14 @@ mod tests {
         // climbs dodge the roots the gang saturates, so fewer upstream
         // ports ever cross the detection threshold).
         assert!(
-            get("1Q").adaptive > get("1Q").deterministic,
-            "adaptive 1Q must strictly improve: {rows:?}"
+            mean(&ada, "1Q") > mean(&det, "1Q"),
+            "adaptive 1Q must strictly improve: {table}"
         );
-        let recn = get("RECN");
         assert!(
-            recn.adaptive >= 0.95 * get("VOQnet").adaptive,
-            "RECN+adaptive must stay within 5% of VOQnet: {rows:?}"
+            mean(&ada, "RECN") >= 0.95 * mean(&ada, "VOQnet"),
+            "RECN+adaptive must stay within 5% of VOQnet: {table}"
         );
-        let (det_saqs, ada_saqs) = recn.saq_totals;
+        let (det_saqs, ada_saqs) = (run(&det, "RECN").saq_peaks.2, run(&ada, "RECN").saq_peaks.2);
         assert!(
             ada_saqs < det_saqs,
             "adaptivity must reduce SAQ allocations: {det_saqs} -> {ada_saqs}"
@@ -689,37 +541,38 @@ mod tests {
 
     #[test]
     fn fattree_arn_quick_matrix_holds() {
-        let opts = Opts {
-            topology: TopologyKind::FatTree,
-            routing: fabric::RoutingPolicy::arn(),
-            ..quick_opts()
-        };
-        let fig = topology_hotspot(&opts).expect("a preset");
-        assert_eq!(fig.name, "hotspot_fattree_arn");
-        let rows = scheme_matrix(&opts).expect("a preset");
-        assert_eq!(rows.len(), 5, "full five-scheme matrix");
-        let get = |name: &str| rows.iter().find(|r| r.scheme == name).unwrap();
-        for r in &rows {
+        let arn = fattree_hotspot(fabric::RoutingPolicy::arn());
+        assert_eq!(arn.name, "hotspot_fattree_arn");
+        let det = fattree_hotspot(fabric::RoutingPolicy::Deterministic);
+        let ada = fattree_hotspot(fabric::RoutingPolicy::adaptive());
+        let table = render_scheme_matrix([&det, &ada, &arn], &quick_opts());
+        assert_eq!(
+            table.lines().count(),
+            2 + 5,
+            "full five-scheme matrix: {table}"
+        );
+        let hot = |r: &RunOutput| r.counters.arn_hot_notifications;
+        for ((d, a), n) in det.runs.iter().zip(&ada.runs).zip(&arn.runs) {
             // Notifications exist only under ARN routing...
-            assert_eq!(r.deterministic.arn_hot, 0, "{}: {r:?}", r.scheme);
-            assert_eq!(r.adaptive.arn_hot, 0, "{}: {r:?}", r.scheme);
-            assert!(r.arn.mean > 0.0, "{}: {r:?}", r.scheme);
+            assert_eq!(hot(d), 0, "{}: {table}", d.scheme);
+            assert_eq!(hot(a), 0, "{}: {table}", a.scheme);
+            assert!(mean(&arn, n.scheme) > 0.0, "{}: {table}", n.scheme);
         }
         // ...and the RECN run's come from the congested-root CAM trigger
         // (roots demonstrably formed: nonzero SAQ peak).
-        let recn = get("RECN");
-        assert!(recn.arn.arn_hot > 0, "{rows:?}");
-        assert!(recn.arn.peak_saqs > 0, "{rows:?}");
+        let recn = run(&arn, "RECN");
+        assert!(hot(recn) > 0, "{table}");
+        assert!(recn.saq_peaks.2 > 0, "{table}");
         // The occupancy trigger covers at least one non-RECN scheme even
         // in the mild quick-mode hotspot.
         assert!(
-            rows.iter().any(|r| r.scheme != "RECN" && r.arn.arn_hot > 0),
-            "{rows:?}"
+            arn.runs.iter().any(|r| r.scheme != "RECN" && hot(r) > 0),
+            "{table}"
         );
         // The headline verdict must survive the extra signal: RECN+ARN
         // stays within 5% of the ideal VOQnet under the same routing.
-        assert!(recn.arn.mean >= 0.95 * get("VOQnet").arn.mean, "{rows:?}");
-        assert!(render_scheme_matrix(&rows).contains("RECN"));
+        assert!(mean(&arn, "RECN") >= 0.95 * mean(&arn, "VOQnet"), "{table}");
+        assert!(table.contains("RECN"));
     }
 
     #[test]

@@ -8,35 +8,13 @@
 //! *innocent* traffic flowing, which the per-flow p99 makes visible where
 //! mean throughput hides it.
 
-use metrics::FctSummary;
 use simcore::Picos;
 use topology::MinParams;
 use traffic::FlowSet;
 
 use crate::opts::Opts;
-use crate::runner::SchemeSet;
+use crate::runner::{RunOutput, SchemeSet};
 use crate::spec::RunSpec;
-
-/// One row of the incast table: a scheme under the sweep's transport.
-#[derive(Debug, Clone)]
-pub struct IncastRow {
-    /// Queueing scheme name (e.g. "RECN").
-    pub scheme: &'static str,
-    /// Transport name ("open", "gbn", "nack" or "pfc").
-    pub transport: &'static str,
-    /// Flows that completed inside the horizon (out of 16).
-    pub flows_completed: u64,
-    /// Per-flow completion-time summary (`None` if no flow finished).
-    pub fct: Option<FctSummary>,
-    /// Packets retransmitted by the closed-loop senders.
-    pub retransmits: u64,
-    /// Retransmission timeouts that fired.
-    pub timeouts: u64,
-    /// Packets dropped at switch inputs (PFC transport only).
-    pub drops: u64,
-    /// Order-sensitive trace digest (for parallelism/determinism checks).
-    pub digest: u64,
-}
 
 /// The incast64 flow set at the sweep's time scale: quick mode shrinks
 /// each flow by the time divisor so the whole table stays in the seconds
@@ -47,8 +25,9 @@ pub fn incast_flows(opts: &Opts) -> FlowSet {
 }
 
 /// Runs incast64 across the five schemes in one sweep (the transport and
-/// routing come from `opts`, like every other command) and folds each run into an [`IncastRow`].
-pub fn incast_sweep(opts: &Opts) -> Vec<IncastRow> {
+/// routing come from `opts`, like every other command), traced so each run
+/// carries its order-sensitive digest.
+pub fn incast_sweep(opts: &Opts) -> Vec<RunOutput> {
     let flows = incast_flows(opts);
     let specs: Vec<RunSpec> = SchemeSet::All
         .schemes_scaled(opts.time_div())
@@ -60,28 +39,18 @@ pub fn incast_sweep(opts: &Opts) -> Vec<IncastRow> {
             // when its events drain anyway.
             RunSpec::flows(MinParams::paper_64(), scheme, flows)
                 .with_horizon(Picos::from_us(2000))
-                .with_bin(Picos::from_us((5 / opts.time_div()).max(1)))
+                .with_bin(opts.bin())
                 .with_trace(64)
                 .with_label("incast64")
         })
         .collect();
     opts.sweep("incast64", specs)
-        .into_iter()
-        .map(|out| IncastRow {
-            scheme: out.scheme,
-            transport: opts.transport.name(),
-            flows_completed: out.counters.flows_completed,
-            fct: out.fct,
-            retransmits: out.counters.retransmitted_packets,
-            timeouts: out.counters.transport_timeouts,
-            drops: out.counters.pfc_dropped_packets,
-            digest: out.trace_digest.expect("incast specs enable tracing"),
-        })
-        .collect()
 }
 
-/// Renders the incast rows as an aligned table (FCT in microseconds).
-pub fn render_rows(rows: &[IncastRow]) -> String {
+/// Renders the incast runs as an aligned table (FCT in microseconds): per
+/// scheme, the flows completed out of 16, the completion-time percentiles,
+/// retransmissions, timeouts, PFC drops and the trace digest.
+pub fn render_rows(runs: &[RunOutput], opts: &Opts) -> String {
     let mut out = String::from("# incast64: 16-to-1 flow completion times\n");
     out.push_str(&format!(
         "{:>8} {:>6} {:>6} {:>10} {:>10} {:>10} {:>8} {:>8} {:>7} {:>18}\n",
@@ -96,23 +65,27 @@ pub fn render_rows(rows: &[IncastRow]) -> String {
         "drops",
         "digest"
     ));
-    for r in rows {
+    for r in runs {
         let us = |ns: f64| ns / 1000.0;
         let (p50, p99, max) = r.fct.map_or((f64::NAN, f64::NAN, f64::NAN), |f| {
             (us(f.p50_ns), us(f.p99_ns), us(f.max_ns))
         });
+        let digest = r
+            .trace_digest
+            .map_or("-".to_owned(), |d| format!("{d:#018x}"));
+        let c = &r.counters;
         out.push_str(&format!(
-            "{:>8} {:>6} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>8} {:>8} {:>7} {:#018x}\n",
+            "{:>8} {:>6} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>8} {:>8} {:>7} {:>18}\n",
             r.scheme,
-            r.transport,
-            r.flows_completed,
+            opts.transport.name(),
+            c.flows_completed,
             p50,
             p99,
             max,
-            r.retransmits,
-            r.timeouts,
-            r.drops,
-            r.digest,
+            c.retransmitted_packets,
+            c.transport_timeouts,
+            c.pfc_dropped_packets,
+            digest,
         ));
     }
     out
@@ -134,30 +107,32 @@ mod tests {
     #[test]
     fn incast_table_completes_under_every_transport() {
         for transport in ["open", "gbn", "nack", "pfc"] {
-            let rows = incast_sweep(&quick(transport));
-            assert_eq!(rows.len(), 5, "{transport}: one row per scheme");
-            for r in &rows {
-                assert_eq!(r.flows_completed, 16, "{transport}/{}", r.scheme);
+            let opts = quick(transport);
+            let runs = incast_sweep(&opts);
+            assert_eq!(runs.len(), 5, "{transport}: one row per scheme");
+            for r in &runs {
+                assert_eq!(r.counters.flows_completed, 16, "{transport}/{}", r.scheme);
                 assert!(r.fct.is_some(), "{transport}/{}", r.scheme);
             }
-            let text = render_rows(&rows);
+            let text = render_rows(&runs, &opts);
             assert!(text.contains("RECN") && text.contains(transport));
         }
     }
 
     #[test]
     fn incast_rows_are_deterministic_across_jobs() {
+        let opts = quick("gbn");
         let serial = incast_sweep(&Opts {
             jobs: Some(1),
-            ..quick("gbn")
+            ..opts.clone()
         });
         let parallel = incast_sweep(&Opts {
             jobs: Some(4),
-            ..quick("gbn")
+            ..opts.clone()
         });
         for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.digest, b.digest, "{}", a.scheme);
-            assert_eq!(render_rows(&serial), render_rows(&parallel));
+            assert_eq!(a.trace_digest, b.trace_digest, "{}", a.scheme);
+            assert_eq!(render_rows(&serial, &opts), render_rows(&parallel, &opts));
         }
     }
 }

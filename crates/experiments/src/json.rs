@@ -1,8 +1,9 @@
 //! The crate's hand-rolled JSON: the writers every renderer shares and a
 //! minimal reader (the workspace has no external dependencies).
 //!
-//! The reader keeps number tokens as text, so `u64` and `f64` parse
-//! exactly — Rust's shortest-representation float formatting round-trips.
+//! The reader keeps number tokens as slices of the parsed text, so `u64`
+//! and `f64` parse exactly — Rust's shortest-representation float
+//! formatting round-trips — and a number costs no allocation.
 
 /// `s` as a quoted, escaped JSON string literal.
 pub fn string(s: &str) -> String {
@@ -44,27 +45,28 @@ pub fn fct(fct: &Option<metrics::FctSummary>, sep: &str) -> String {
     }
 }
 
-/// A parsed JSON value. Numbers keep their raw token so integers parse as
-/// exact `u64` and floats as the exact shortest-representation `f64`.
+/// A parsed JSON value, borrowing from the text it was parsed from.
+/// Numbers keep their raw token so integers parse as exact `u64` and floats
+/// as the exact shortest-representation `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
     /// A number, kept as its raw token.
-    Num(String),
+    Num(&'a str),
     /// A string (unescaped).
     Str(String),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in source order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(String, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -104,7 +106,7 @@ impl Json {
     }
 
     /// The elements, when an array.
-    pub fn arr(&self) -> Option<&[Json]> {
+    pub fn arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -120,7 +122,7 @@ pub const MAX_NESTING: usize = 32;
 /// Parses one JSON document (rejecting trailing garbage and nesting deeper
 /// than [`MAX_NESTING`]). Supports the subset this crate writes: objects,
 /// arrays, strings with basic escapes, number tokens, `true`/`false`/`null`.
-pub fn parse_json(text: &str) -> Result<Json, String> {
+pub fn parse_json(text: &str) -> Result<Json<'_>, String> {
     let mut p = JsonParser {
         text,
         bytes: text.as_bytes(),
@@ -143,7 +145,7 @@ struct JsonParser<'a> {
     depth: usize,
 }
 
-impl JsonParser<'_> {
+impl<'a> JsonParser<'a> {
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
             self.pos += 1;
@@ -172,7 +174,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json<'a>, String> {
         self.skip_ws();
         match self.peek().ok_or("unexpected end of input")? {
             b'{' => self.nested(Self::object),
@@ -187,7 +189,10 @@ impl JsonParser<'_> {
     }
 
     /// Runs `parse` on the array or object at `pos`, one level deeper.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json<'a>, String>,
+    ) -> Result<Json<'a>, String> {
         if self.depth == MAX_NESTING {
             return Err(format!(
                 "nesting deeper than {MAX_NESTING} at byte {}",
@@ -200,7 +205,7 @@ impl JsonParser<'_> {
         v
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -226,7 +231,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -298,16 +303,18 @@ impl JsonParser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
         while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // `start` is on an ASCII byte and every byte taken is ASCII, so both
+        // ends are character boundaries.
+        let token = &self.text[start..self.pos];
         if token.parse::<f64>().is_err() {
             return Err(format!("bad number token {token:?}"));
         }
-        Ok(Json::Num(token.to_owned()))
+        Ok(Json::Num(token))
     }
 }
 
@@ -355,7 +362,8 @@ mod tests {
     fn long_strings_parse_in_linear_time() {
         let body = "é".repeat(2 << 20); // 4 MiB of two-byte characters
         let start = std::time::Instant::now();
-        let v = parse_json(&format!("[\"{body}\"]")).unwrap();
+        let text = format!("[\"{body}\"]");
+        let v = parse_json(&text).unwrap();
         assert_eq!(v.arr().unwrap()[0].str(), Some(body.as_str()));
         let secs = start.elapsed().as_secs_f64();
         assert!(secs < 5.0, "a 4 MiB string took {secs:.2} s");

@@ -33,6 +33,15 @@
 //! parallelism). Results return in submission order, so tables and CSVs
 //! are bit-identical to serial runs, and each sweep writes a
 //! machine-readable JSON summary under `results/` (`--json DIR|none`).
+//! A figure is a list of panels — a name, a title, the panel's specs and
+//! whether it plots each run's throughput or its three SAQ curves — and
+//! one function in [`figures`], `run_panels`, submits all of a figure's
+//! panels as one sweep and splits the outputs back into one
+//! [`figures::Figure`] per panel. Fig. 2's zoom, fig. 4's peaks, fig. 6's
+//! SAQ panel and `recn hotspot`'s routing comparisons are derived from
+//! those figures; the ablation and incast tables render straight from the
+//! [`RunOutput`]s, and [`Opts`] says the time compression (horizon, bin,
+//! congestion window) once.
 //!
 //! [`RunSpec`] is the single description of "one simulation run" shared by
 //! the figures, the benches, the golden-trace suite and the run cache —

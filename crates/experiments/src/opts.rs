@@ -14,6 +14,8 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
+use metrics::report::window_stats;
+use simcore::{Picos, SeriesPoint};
 use topology::TopologyKind;
 
 use crate::runner::RunOutput;
@@ -378,6 +380,25 @@ impl Opts {
         }
     }
 
+    /// A figure run's horizon: the paper's 1600 µs, compressed.
+    pub fn horizon(&self) -> Picos {
+        Picos::from_us(1600 / self.time_div())
+    }
+
+    /// A series bin: 5 µs at paper scale, shrunk with the time axis (never
+    /// below 1 µs).
+    pub fn bin(&self) -> Picos {
+        Picos::from_us((5 / self.time_div()).max(1))
+    }
+
+    /// The mean of `points` inside the congestion window, 810–960 µs at
+    /// paper scale (compressed with the time axis): the headline number
+    /// behind the paper's abstract.
+    pub fn window_mean(&self, points: &[SeriesPoint]) -> f64 {
+        let div = self.time_div() as f64;
+        window_stats(points, 810.0 / div, 960.0 / div).0
+    }
+
     /// `spec` under the command line's `--routing` and `--transport`: what
     /// [`sweep`](Opts::sweep) does to every spec it runs, for the commands
     /// that drive a network by hand.
@@ -464,6 +485,36 @@ mod tests {
         assert_eq!(Opts::default().json_dir, None);
         // The run cache is opt-in either way.
         assert_eq!(o.cache_dir, None);
+    }
+
+    /// The time compression is said once: horizon, bin and congestion
+    /// window at paper scale and under `--quick`.
+    #[test]
+    fn time_axis_at_paper_scale_and_quick() {
+        let full = Opts::default();
+        let quick = Opts {
+            quick: true,
+            ..Opts::default()
+        };
+        assert_eq!(full.horizon(), Picos::from_us(1600));
+        assert_eq!(quick.horizon(), Picos::from_us(200));
+        assert_eq!(full.bin(), Picos::from_us(5));
+        assert_eq!(quick.bin(), Picos::from_us(1));
+        // One point on each side of both window bounds, valued by its own
+        // time: only bounds [810, 960) µs, divided by the time divisor,
+        // take in exactly the middle two.
+        let edges = |div: f64| -> Vec<SeriesPoint> {
+            [809.75, 810.0, 959.75, 960.0]
+                .map(|t| SeriesPoint {
+                    t_us: t / div,
+                    value: t / div,
+                })
+                .into()
+        };
+        assert_eq!(full.window_mean(&edges(1.0)), (810.0 + 959.75) / 2.0);
+        assert_eq!(quick.window_mean(&edges(8.0)), (101.25 + 119.968_75) / 2.0);
+        // Paper-scale bounds on the quick axis see none of its points.
+        assert_eq!(full.window_mean(&edges(8.0)), 0.0);
     }
 
     #[test]

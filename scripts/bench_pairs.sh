@@ -109,6 +109,8 @@ PER_LAYER = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "B"
     "recn.cam_lookup_ns",
     "recn.port_enq_deq_ns",
     "metrics.probe_ns_per_call",
+    "experiments.cache_store_ms",
+    "experiments.cache_load_ms",
 ]
 
 workloads = {}

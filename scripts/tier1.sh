@@ -195,6 +195,22 @@ for fig in 2 4; do
 done
 echo "run-cache smoke passed: warm passes all hits, output byte-identical"
 
+echo "== tier1: routing-matrix smoke (recn hotspot --routing arn from an empty cache) =="
+# The routing x scheme matrix renders from the three hotspot figures the
+# command runs, the printed ARN one included: from an empty cache each of
+# the 15 runs is a miss, none is served a second time, and stderr shows one
+# progress line per run.
+(cd "$smoke" && "$recn" hotspot --quick --topology fattree --routing arn --jobs 2 \
+  --cache rcm --json cm > matrix.txt 2> matrix.err)
+count() { awk -v pat="$1" '{ n += gsub(pat, "") } END { print n + 0 }' "${@:2}"; }
+misses="$(count '"cache": "miss"' "$smoke"/cm/*.sweep.json)"
+hits="$(count '"cache": "hit"' "$smoke"/cm/*.sweep.json)"
+progress="$(count '^[[][0-9]+/[0-9]+[]]' "$smoke/matrix.err")"
+test "$misses $hits $progress" = "15 0 15" ||
+  { echo "routing-matrix smoke: $misses misses, $hits hits, $progress runs; want 15 0 15" >&2; exit 1; }
+grep -q 'routing × scheme matrix' "$smoke/matrix.txt"
+echo "routing-matrix smoke passed: 15 runs, each policy once"
+
 echo "== tier1: unwritable stdout (recn table1 > /dev/full) =="
 # A command whose stdout cannot be written fails with the binary's one
 # error status (2) and one line on stderr, never a panic (101).
