@@ -1,4 +1,4 @@
-//! Content-addressed run cache: `results/cache/<spec_hash>.json`.
+//! Content-addressed run cache: `results/cache/<spec_hash>.run`.
 //!
 //! Every cache entry stores one [`RunOutput`] under the FNV-1a 64 content
 //! address of its spec's canonical `spec_v1` encoding
@@ -15,27 +15,33 @@
 //! sweep that populated it (apart from the per-run `"cache"` marker and
 //! the sweep's own total wall time).
 //!
-//! The workspace has no external dependencies, so both directions are
-//! hand-rolled: a one-line JSON body plus a tiny recursive-descent parser
-//! that keeps number tokens as text (`u64` and `f64` parse exactly —
-//! Rust's shortest-representation float formatting round-trips).
+//! An entry is text: one `key values…` line per field, values separated by
+//! one space. A header (`recn-cache 2`, `output_schema`, `spec_hash`,
+//! `spec_v1`, `checksum`) and a blank line come before the body the
+//! checksum covers. Numbers are written as Rust displays them (floats in
+//! their shortest round-tripping form) and `-` stands for an absent value.
+//! The reader takes a value only in exactly that spelling and each key
+//! once, so a body loads only if it is what the writer writes for the
+//! output it returns.
 
-use std::fmt::Write;
+use std::collections::BTreeMap;
+use std::fmt::{self, Display, Write};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fabric::{CounterMut, NetCounters};
-use metrics::SaqSeries;
+use metrics::{FctSummary, SaqSeries};
 use simcore::{fnv1a64, Running, SeriesPoint};
 
-use crate::json::{self, parse_json, Json};
 use crate::runner::{RunOutput, OUTPUT_SCHEMA_VERSION};
 use crate::spec::RunSpec;
 
-/// Version of the cache *entry envelope* (the fields around the body).
-/// Bumped independently of [`OUTPUT_SCHEMA_VERSION`], which versions the
-/// body/JSON-summary shape; a mismatch in either rejects the entry.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+/// Version of the cache *entry layout* (the header and the line format),
+/// the number on an entry's first line. Bumped independently of
+/// [`OUTPUT_SCHEMA_VERSION`], which versions the body/JSON-summary shape;
+/// a mismatch in either makes the entry a miss.
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// How a sweep satisfied one spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +84,9 @@ impl RunCache {
         &self.dir
     }
 
-    /// The entry path for `spec`: `<dir>/<16-hex spec hash>.json`.
+    /// The entry path for `spec`: `<dir>/<16-hex spec hash>.run`.
     pub fn path_for(&self, spec: &RunSpec) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", spec.spec_hash()))
+        self.dir.join(format!("{:016x}.run", spec.spec_hash()))
     }
 
     /// Loads the cached output for `spec`, verifying the entry end to end
@@ -106,7 +112,7 @@ impl RunCache {
                 }
                 Some(out)
             }
-            Ok(None) => None, // stale schema or foreign spec: overwrite later
+            Ok(None) => None, // another layout, stale schema or foreign spec: overwrite later
             Err(e) => {
                 eprintln!("evicting corrupt cache entry {}: {e}", path.display());
                 let _ = std::fs::remove_file(&path);
@@ -132,59 +138,42 @@ impl RunCache {
     }
 }
 
-// ---- entry rendering ---------------------------------------------------
+// ---- entry writing -----------------------------------------------------
 
 /// Renders the complete cache entry for `spec`/`out`.
-pub fn render_entry(spec: &RunSpec, out: &RunOutput) -> String {
+fn render_entry(spec: &RunSpec, out: &RunOutput) -> String {
     let body = render_body(out);
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"cache_schema\": {CACHE_SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"output_schema\": {OUTPUT_SCHEMA_VERSION},\n"));
-    s.push_str(&format!(
-        "  \"spec_hash\": \"{:016x}\",\n",
-        spec.spec_hash()
-    ));
-    s.push_str(&format!("  \"spec_v1\": \"{}\",\n", spec.encode_hex()));
-    s.push_str(&format!(
-        "  \"checksum\": \"{:016x}\",\n",
-        fnv1a64(body.as_bytes())
-    ));
-    s.push_str("  \"body\": ");
-    s.push_str(&body);
-    s.push_str("\n}\n");
-    s
+    format!(
+        "recn-cache {CACHE_SCHEMA_VERSION}\noutput_schema {OUTPUT_SCHEMA_VERSION}\n\
+         spec_hash {:016x}\nspec_v1 {}\nchecksum {:016x}\n\n{body}",
+        spec.spec_hash(),
+        spec.encode_hex(),
+        fnv1a64(body.as_bytes()),
+    )
 }
 
-/// A series as a values-only array: its time axis is the body's `bin_ps`.
-fn values_json(values: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
-    let mut s = String::from("[");
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+/// An optional value as written: `-` for `None`.
+struct Dash<T>(Option<T>);
+
+impl<T: Display> Display for Dash<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("-"),
         }
-        let _ = write!(s, "{v}"); // a String takes every write
     }
-    s.push(']');
-    s
+}
+
+/// Appends the line `key v1 v2 …`.
+fn line<T: Display>(s: &mut String, key: &str, values: impl IntoIterator<Item = T>) {
+    s.push_str(key);
+    for v in values {
+        let _ = write!(s, " {v}"); // a String takes every write
+    }
+    s.push('\n');
 }
 
 fn render_body(out: &RunOutput) -> String {
-    // `fields_mut` is the one walk over the counters; rendering reads
-    // through it on a copy.
-    let mut counters = out.counters.clone();
-    let counters: Vec<String> = counters
-        .fields_mut()
-        .into_iter()
-        .map(|(name, field)| match field {
-            CounterMut::Count(v) => format!("\"{name}\":{v}"),
-            CounterMut::Stat(r) => {
-                let (count, mean, m2, min, max) = r.raw_parts();
-                let (mean, m2) = (json::num(mean), json::num(m2));
-                let (min, max) = (json::opt(min), json::opt(max));
-                format!("\"{name}\":[{count},{mean},{m2},{min},{max}]")
-            }
-        })
-        .collect();
     // Throughput and the SAQ census share the probe's bins: the body stores
     // one bin width and the values; loading rebuilds the time axis.
     let saq = &out.saq;
@@ -192,191 +181,217 @@ fn render_body(out: &RunOutput) -> String {
         out.throughput == SeriesPoint::on_axis(saq.bin, out.throughput.iter().map(|p| p.value)),
         "throughput is on the SAQ series' bins"
     );
-    format!(
-        "{{\"scheme\":\"{}\",\"bin_ps\":{},\"throughput\":{},\"saq_ingress\":{},\
-         \"saq_egress\":{},\"saq_total\":{},\"saq_peaks\":[{},{},{}],\"counters\":{{{}}},\
-         \"wall_secs\":{},\"events\":{},\"peak_event_queue_depth\":{},\"trace_digest\":{},\
-         \"peak_bytes_estimate\":{},\"fct\":{}}}",
-        out.scheme,
-        saq.bin.as_ps(),
-        values_json(out.throughput.iter().map(|p| json::num(p.value))),
-        values_json(&saq.ingress),
-        values_json(&saq.egress),
-        values_json(&saq.total),
-        out.saq_peaks.0,
-        out.saq_peaks.1,
-        out.saq_peaks.2,
-        counters.join(","),
-        json::num(out.wall_secs),
-        out.events,
-        out.peak_event_queue_depth,
-        match out.trace_digest {
-            Some(d) => format!("\"{d:016x}\""),
-            None => "null".to_owned(),
-        },
-        out.peak_bytes_estimate,
-        json::fct(&out.fct, ","),
-    )
-}
-
-/// Inverse of [`json::fct`].
-fn parse_fct(v: &Json) -> Result<Option<metrics::FctSummary>, String> {
-    match v {
-        Json::Null => Ok(None),
-        v => {
-            let a = v.arr().filter(|a| a.len() == 4).ok_or("bad fct")?;
-            Ok(Some(metrics::FctSummary {
-                flows: a[0].u64().ok_or("bad fct flows")?,
-                p50_ns: a[1].f64().ok_or("bad fct p50")?,
-                p99_ns: a[2].f64().ok_or("bad fct p99")?,
-                max_ns: a[3].f64().ok_or("bad fct max")?,
-            }))
+    let mut s = String::new();
+    line(&mut s, "bin_ps", [saq.bin.as_ps()]);
+    line(&mut s, "throughput", out.throughput.iter().map(|p| p.value));
+    line(&mut s, "saq_ingress", &saq.ingress);
+    line(&mut s, "saq_egress", &saq.egress);
+    line(&mut s, "saq_total", &saq.total);
+    let (ingress, egress, total) = out.saq_peaks;
+    line(&mut s, "saq_peaks", [ingress, egress, total]);
+    // `fields_mut` is the one walk over the counters; writing reads
+    // through it on a copy.
+    let mut counters = out.counters.clone();
+    for (name, field) in counters.fields_mut() {
+        match field {
+            CounterMut::Count(v) => line(&mut s, name, [*v]),
+            CounterMut::Stat(r) => {
+                let (count, mean, m2, min, max) = r.raw_parts();
+                let parts: [&dyn Display; 5] = [&count, &mean, &m2, &Dash(min), &Dash(max)];
+                line(&mut s, name, parts);
+            }
         }
     }
+    let digest = Dash(out.trace_digest.map(|d| format!("{d:016x}")));
+    let fct = Dash(
+        out.fct
+            .as_ref()
+            .map(|f| format!("{} {} {} {}", f.flows, f.p50_ns, f.p99_ns, f.max_ns)),
+    );
+    let _ = write!(
+        s,
+        "wall_secs {}\nevents {}\npeak_event_queue_depth {}\ntrace_digest {digest}\n\
+         peak_bytes_estimate {}\nfct {fct}\n",
+        out.wall_secs, out.events, out.peak_event_queue_depth, out.peak_bytes_estimate,
+    );
+    s
 }
 
-/// Inverse of the five-number array a [`CounterMut::Stat`] renders to.
-fn parse_running(v: &Json) -> Option<Running> {
-    let a = v.arr().filter(|a| a.len() == 5)?;
-    Some(Running::from_raw_parts(
-        a[0].u64()?,
-        a[1].f64()?,
-        a[2].f64()?,
-        a[3].f64_or_null()?,
-        a[4].f64_or_null()?,
-    ))
-}
+// ---- entry reading -----------------------------------------------------
 
-// ---- entry parsing -----------------------------------------------------
+/// An entry's header or body: each line's values by its key.
+struct Record<'a>(BTreeMap<&'a str, &'a str>);
 
-/// Parses and verifies a cache entry against `spec`. `Ok(None)` means the
-/// entry is intact but does not apply (stale schema version, or a
-/// different spec landed on the same hash); `Err` means corruption.
-fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> {
-    // Only the envelope ahead of the body is parsed before the checksum is
-    // compared on the body's raw text: a torn or corrupt body fails there,
-    // and the parser never sees it.
-    const MARKER: &str = "\n  \"body\": ";
-    let idx = text.find(MARKER).ok_or("no body field")?;
-    let body_text = text[idx + MARKER.len()..]
-        .strip_suffix("\n}\n")
-        .ok_or("entry does not end with the envelope's closing brace")?;
-    let head = text[..idx]
-        .strip_suffix(',')
-        .ok_or("no comma before the body field")?;
-    let envelope_text = format!("{head}\n}}");
-    let envelope = parse_json(&envelope_text)?;
-    let field = |k: &str| {
-        envelope
-            .get(k)
-            .ok_or_else(|| format!("missing {k:?} field"))
-    };
-    let cache_schema = field("cache_schema")?.u64().ok_or("bad cache_schema")?;
-    let output_schema = field("output_schema")?.u64().ok_or("bad output_schema")?;
-    let checksum = field("checksum")?.str().ok_or("bad checksum")?;
+/// Reads one value.
+type Parse<T> = fn(&str) -> Result<T, String>;
 
-    if checksum != format!("{:016x}", fnv1a64(body_text.as_bytes())) {
-        return Err("body checksum mismatch".into());
+impl<'a> Record<'a> {
+    /// Reads `text`'s `\n`-separated lines, refusing a key that appears
+    /// twice.
+    fn parse(text: &'a str) -> Result<Record<'a>, String> {
+        let mut lines = BTreeMap::new();
+        for line in text.split('\n') {
+            // The rest of the line keeps its leading space, so a line with
+            // no values and one ending in a space stay apart.
+            let (key, rest) = line.split_at(line.find(' ').unwrap_or(line.len()));
+            if lines.insert(key, rest).is_some() {
+                return Err(format!("key {key:?} appears twice"));
+            }
+        }
+        Ok(Record(lines))
     }
-    if cache_schema != CACHE_SCHEMA_VERSION as u64 || output_schema != OUTPUT_SCHEMA_VERSION as u64
-    {
-        return Ok(None);
+
+    /// The values on `key`'s line, taking the line out of the record.
+    fn take(&mut self, key: &str) -> Result<Vec<&'a str>, String> {
+        let rest = self.0.remove(key);
+        let rest = rest.ok_or_else(|| format!("no {key:?} line"))?;
+        Ok(rest.split(' ').skip(1).collect())
+    }
+
+    /// The `N` values on `key`'s line.
+    fn tokens<const N: usize>(&mut self, key: &str) -> Result<[&'a str; N], String> {
+        let values = self.take(key)?;
+        <[&str; N]>::try_from(values).map_err(|_| format!("{key:?} does not hold {N} values"))
+    }
+
+    /// `key`'s one value.
+    fn one<T>(&mut self, key: &str, parse: Parse<T>) -> Result<T, String> {
+        let [v] = self.tokens(key)?;
+        parse(v)
+    }
+
+    /// `key`'s values, one per bin of a `bins`-long series.
+    fn series<T>(&mut self, key: &str, bins: usize, parse: Parse<T>) -> Result<Vec<T>, String> {
+        let values = self.take(key)?;
+        if values.len() != bins {
+            return Err(format!("series {key:?} is not {bins} bins long"));
+        }
+        values.into_iter().map(parse).collect()
+    }
+}
+
+/// Whether `args` writes exactly `tok`, compared piece by piece as it is
+/// written.
+fn spelled(tok: &str, args: fmt::Arguments<'_>) -> bool {
+    struct Rest<'a>(&'a str);
+    impl Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(tok);
+    rest.write_fmt(args).is_ok() && rest.0.is_empty()
+}
+
+/// `tok` as a `T`, if it is spelled as the writer spells that value.
+fn num<T: FromStr + Display>(tok: &str) -> Result<T, String> {
+    let v = tok.parse::<T>().ok();
+    let v = v.filter(|v| spelled(tok, format_args!("{v}")));
+    v.ok_or_else(|| format!("bad value {tok:?}"))
+}
+
+/// `tok` as a finite float.
+fn float(tok: &str) -> Result<f64, String> {
+    let x = num(tok).ok().filter(|x: &f64| x.is_finite());
+    x.ok_or_else(|| format!("bad float {tok:?}"))
+}
+
+/// `tok` as 16 lower-case hex digits.
+fn hex(tok: &str) -> Result<u64, String> {
+    let v = u64::from_str_radix(tok, 16).ok();
+    let v = v.filter(|v| spelled(tok, format_args!("{v:016x}")));
+    v.ok_or_else(|| format!("bad hex {tok:?}"))
+}
+
+/// `None` for `-`, else `tok` read by `parse`.
+fn opt<T>(tok: &str, parse: Parse<T>) -> Result<Option<T>, String> {
+    (tok != "-").then(|| parse(tok)).transpose()
+}
+
+/// Reads and verifies a cache entry for `spec`. `Ok(None)` means the entry
+/// is intact but does not apply (another layout version, a stale output
+/// schema, or a different spec landed on the same hash); `Err` means
+/// corruption.
+fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> {
+    let Some(text) = text.strip_prefix(&format!("recn-cache {CACHE_SCHEMA_VERSION}\n")) else {
+        return Ok(None); // an older build's JSON entry, or another layout
+    };
+    let (head, body) = text
+        .split_once("\n\n")
+        .ok_or("no blank line after the header")?;
+    let mut head = Record::parse(head)?;
+    // The checksum is compared on the body's raw text before the body is
+    // read: a torn or corrupt body fails here.
+    if head.one("checksum", hex)? != fnv1a64(body.as_bytes()) {
+        return Err("body checksum mismatch".into());
     }
     // Full-encoding comparison: the 64-bit filename alone would serve a
     // colliding spec's results.
-    if field("spec_v1")?.str() != Some(spec.encode_hex().as_str()) {
+    if head.one("output_schema", num::<u32>)? != OUTPUT_SCHEMA_VERSION
+        || head.take("spec_v1")? != [spec.encode_hex().as_str()]
+    {
         return Ok(None);
     }
 
-    let body = parse_json(body_text)?;
-    // Every series has one value per bin of the spec's horizon.
+    let body = body
+        .strip_suffix('\n')
+        .ok_or("the body does not end with a newline")?;
+    let mut rec = Record::parse(body)?;
     let bin = spec.bin();
-    if body.get("bin_ps").and_then(|v| v.u64()) != Some(bin.as_ps()) {
+    if rec.one("bin_ps", num::<u64>)? != bin.as_ps() {
         return Err("bin_ps is not the spec's bin width".into());
     }
+    // Every series has one value per bin of the spec's horizon.
     let bins = spec.horizon().div_duration(bin) as usize;
-    let values = |k: &str| -> Result<&[Json], String> {
-        body.get(k)
-            .and_then(|v| v.arr())
-            .filter(|a| a.len() == bins)
-            .ok_or_else(|| format!("missing series {k:?}, or not {bins} bins long"))
+    let throughput = rec.series("throughput", bins, float)?;
+    let saq = SaqSeries {
+        bin,
+        ingress: rec.series("saq_ingress", bins, num)?,
+        egress: rec.series("saq_egress", bins, num)?,
+        total: rec.series("saq_total", bins, num)?,
     };
-    let throughput = values("throughput")?
-        .iter()
-        .map(|v| v.f64().ok_or("bad throughput value"))
-        .collect::<Result<Vec<f64>, _>>()?;
-    let counts = |k: &str| -> Result<Vec<u32>, String> {
-        values(k)?
-            .iter()
-            .map(|v| {
-                v.u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| format!("bad {k} value"))
-            })
-            .collect()
-    };
-    let peaks = body
-        .get("saq_peaks")
-        .and_then(|v| v.arr())
-        .filter(|a| a.len() == 3)
-        .ok_or("bad saq_peaks")?;
-    let peak = |i: usize| -> Result<u32, String> {
-        peaks[i]
-            .u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| "bad saq peak".into())
-    };
-
-    let stored = body.get("counters").ok_or("missing counters")?;
+    let [ingress, egress, total] = rec.tokens("saq_peaks")?;
+    let saq_peaks = (num(ingress)?, num(egress)?, num(total)?);
     let mut counters = NetCounters::default();
     for (name, field) in counters.fields_mut() {
-        let v = stored.get(name);
-        let bad = || format!("missing or malformed counter {name:?}");
         match field {
-            CounterMut::Count(c) => *c = v.and_then(|v| v.u64()).ok_or_else(bad)?,
-            CounterMut::Stat(r) => *r = v.and_then(parse_running).ok_or_else(bad)?,
+            CounterMut::Count(c) => *c = rec.one(name, num)?,
+            CounterMut::Stat(r) => {
+                let [count, mean, m2, min, max] = rec.tokens(name)?;
+                let (mean, m2) = (float(mean)?, float(m2)?);
+                let (min, max) = (opt(min, float)?, opt(max, float)?);
+                *r = Running::from_raw_parts(num(count)?, mean, m2, min, max);
+            }
         }
     }
-
     let out = RunOutput {
-        schema_version: output_schema as u32,
+        schema_version: OUTPUT_SCHEMA_VERSION,
         scheme: spec.scheme().name(),
         throughput: SeriesPoint::on_axis(bin, throughput),
-        saq: SaqSeries {
-            bin,
-            ingress: counts("saq_ingress")?,
-            egress: counts("saq_egress")?,
-            total: counts("saq_total")?,
-        },
-        saq_peaks: (peak(0)?, peak(1)?, peak(2)?),
+        saq,
+        saq_peaks,
         counters,
-        wall_secs: body
-            .get("wall_secs")
-            .and_then(|v| v.f64())
-            .ok_or("bad wall_secs")?,
-        events: body
-            .get("events")
-            .and_then(|v| v.u64())
-            .ok_or("bad events")?,
-        peak_event_queue_depth: body
-            .get("peak_event_queue_depth")
-            .and_then(|v| v.u64())
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or("bad peak_event_queue_depth")?,
-        trace_digest: match body.get("trace_digest").ok_or("missing trace_digest")? {
-            Json::Null => None,
-            v => Some(
-                u64::from_str_radix(v.str().ok_or("bad trace_digest")?, 16)
-                    .map_err(|_| "bad trace_digest hex")?,
-            ),
+        wall_secs: rec.one("wall_secs", float)?,
+        events: rec.one("events", num)?,
+        peak_event_queue_depth: rec.one("peak_event_queue_depth", num)?,
+        trace_digest: rec.one("trace_digest", |t| opt(t, hex))?,
+        peak_bytes_estimate: rec.one("peak_bytes_estimate", num)?,
+        fct: match rec.take("fct")?[..] {
+            ["-"] => None,
+            [flows, p50, p99, max] => Some(FctSummary {
+                flows: num(flows)?,
+                p50_ns: float(p50)?,
+                p99_ns: float(p99)?,
+                max_ns: float(max)?,
+            }),
+            _ => return Err("fct is neither - nor four values".into()),
         },
-        peak_bytes_estimate: body
-            .get("peak_bytes_estimate")
-            .and_then(|v| v.u64())
-            .ok_or("bad peak_bytes_estimate")?,
-        fct: parse_fct(body.get("fct").ok_or("missing fct")?)?,
     };
-    Ok(Some(out))
+    match rec.0.keys().next() {
+        Some(key) => Err(format!("unknown key {key:?}")),
+        None => Ok(Some(out)),
+    }
 }
 
 #[cfg(test)]
@@ -386,9 +401,9 @@ mod tests {
     use topology::MinParams;
     use traffic::corner::CornerCase;
 
-    /// An entry whose envelope is intact but whose body is neither what
-    /// the checksum names nor JSON: the checksum refuses it before the body
-    /// reaches the parser.
+    /// An entry whose header is intact but whose body is neither what the
+    /// checksum names nor a body: the checksum refuses it before the body
+    /// is read.
     #[test]
     fn the_checksum_is_compared_before_the_body_is_parsed() {
         let spec = RunSpec::corner(
@@ -397,10 +412,9 @@ mod tests {
             CornerCase::case1_64(),
         );
         let entry = format!(
-            "{{\n  \"cache_schema\": {CACHE_SCHEMA_VERSION},\n  \
-             \"output_schema\": {OUTPUT_SCHEMA_VERSION},\n  \"spec_hash\": \"{:016x}\",\n  \
-             \"spec_v1\": \"{}\",\n  \"checksum\": \"0123456789abcdef\",\n  \
-             \"body\": {{\"scheme\": [[[ not json\n}}\n",
+            "recn-cache {CACHE_SCHEMA_VERSION}\noutput_schema {OUTPUT_SCHEMA_VERSION}\n\
+             spec_hash {:016x}\nspec_v1 {}\nchecksum 0123456789abcdef\n\n\
+             bin_ps\nbin_ps [[[ not a body\n",
             spec.spec_hash(),
             spec.encode_hex(),
         );

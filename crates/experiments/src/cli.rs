@@ -348,7 +348,9 @@ fn validate(opts: &Opts) -> Result<(), String> {
     let n = specs.len();
     let outs = Sweep::new(specs).jobs(opts.jobs.unwrap_or(0)).run();
     for out in &outs {
-        let digest = out.trace_digest.expect("tracing was requested");
+        let digest = out
+            .trace_digest
+            .ok_or("validate: a traced run returned no trace digest")?;
         outln!("{}  trace digest {digest:#018x}", summarize(out))?;
     }
     outln!("{n} schemes validated: zero invariant violations")

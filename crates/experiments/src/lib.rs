@@ -68,6 +68,9 @@
 //! // `spec.spec_hash()` is the content address the run cache files it
 //! // under (`Sweep::cache`).
 //! ```
+//!
+//! The run cache ([`cache`]) files each output as `<spec_hash>.run`, text
+//! of `key values…` lines; it is the only file the crate reads back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,7 +92,7 @@ pub mod cache;
 pub mod cli;
 pub mod figures;
 pub mod incast;
-pub mod json;
+mod json;
 pub mod opts;
 pub mod runner;
 pub mod scale;

@@ -291,6 +291,8 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
             out.peak_bytes_estimate,
             out.wall_secs
         );
+        // `analytic_rows` made one row per (rung, scheme), and `schemes`
+        // holds `recn`: this rung's RECN row exists.
         let row = rows
             .iter_mut()
             .find(|r| r.hosts == hosts && r.scheme == "RECN")

@@ -193,6 +193,8 @@ impl Sweep {
                     out.wall_secs,
                 );
             }
+            // Cannot be poisoned: a lock is held only for this store, which
+            // cannot panic.
             *slots[i].lock().expect("result slot poisoned") = Some((out, status));
         };
 
@@ -206,6 +208,10 @@ impl Sweep {
             });
         }
 
+        // Unreachable `expect`s: the slots are never poisoned (above), and
+        // every index below `n` is claimed once and stored by its worker
+        // unless that worker panicked — which `thread::scope` (or the serial
+        // call) re-raises here, before any slot is read.
         let (outputs, statuses): (Vec<RunOutput>, Vec<CacheStatus>) = slots
             .into_iter()
             .map(|m| {
@@ -314,7 +320,7 @@ pub fn render_summary(name: &str, report: &SweepReport) -> String {
             out.peak_event_queue_depth,
             out.peak_bytes_estimate,
             json::string(spec.transport().name()),
-            json::fct(&out.fct, ", "),
+            json::fct(&out.fct),
             out.counters.retransmitted_packets,
             out.counters.transport_timeouts,
             out.counters.pfc_dropped_packets,

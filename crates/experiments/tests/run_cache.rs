@@ -21,6 +21,19 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// `entry` with its body replaced by `body`, sealed under `body`'s own
+/// checksum (the header's last line): the reader, not the checksum, has to
+/// judge it.
+fn reseal(entry: &str, body: &[u8]) -> Vec<u8> {
+    let head = entry
+        .split_once("\n\n")
+        .expect("header, blank line, body")
+        .0;
+    let (head, _) = head.rsplit_once("\nchecksum ").expect("checksum line");
+    let head = format!("{head}\nchecksum {:016x}\n\n", fnv1a64(body));
+    [head.as_bytes(), body].concat()
+}
+
 fn quick_specs() -> Vec<RunSpec> {
     [
         SchemeKind::OneQ,
@@ -89,7 +102,7 @@ fn store_then_load_round_trips_every_field() {
                 "{name} in {debug}"
             );
             assert!(
-                text.contains(&format!("\"{name}\":{v}")),
+                text.contains(&format!("\n{name} {v}\n")),
                 "{name} in {text}"
             );
         }
@@ -122,16 +135,12 @@ fn recn_series_round_trip_bit_for_bit() {
     assert_eq!(back.saq.total.len(), 30, "40 µs of 1.3 µs bins");
 
     let text = std::fs::read_to_string(&path).expect("read entry");
-    assert!(text.contains("\"bin_ps\":1300000,"), "{text}");
-    const MARKER: &str = "\n  \"body\": ";
-    let at = text.find(MARKER).expect("body field") + MARKER.len();
-    let body = text[at..].strip_suffix("\n}\n").expect("closing brace");
-    let first = format!("\"saq_total\":[{},", back.saq.total[0]);
-    let short = body.replacen(&first, "\"saq_total\":[", 1);
+    assert!(text.contains("\n\nbin_ps 1300000\n"), "{text}");
+    let body = text.split_once("\n\n").expect("header and body").1;
+    let first = format!("\nsaq_total {} ", back.saq.total[0]);
+    let short = body.replacen(&first, "\nsaq_total ", 1);
     assert_ne!(short, body, "one bin dropped");
-    let checksum = |b: &str| format!("{:016x}", fnv1a64(b.as_bytes()));
-    let text = text[..at].replace(&checksum(body), &checksum(&short)) + &short + "\n}\n";
-    std::fs::write(&path, text).expect("rewrite entry");
+    std::fs::write(&path, reseal(&text, short.as_bytes())).expect("rewrite entry");
     assert!(cache.load(&spec).is_none(), "a short series is corrupt");
     assert!(!path.exists(), "and evicted");
 }
@@ -233,19 +242,22 @@ fn corrupt_entries_are_evicted_and_rerun() {
     assert!(path.exists(), "sweep repopulated the evicted entry");
 }
 
-/// An entry whose body nests far deeper than any stack holds is corrupt
-/// like any other: evicted, re-run, and the sweep's results are those of a
-/// cold pass.
+/// An entry whose body holds one key line twice, under a valid checksum,
+/// is corrupt like any other: evicted, re-run, and the sweep's results are
+/// those of a cold pass.
 #[test]
-fn a_deeply_nested_entry_is_evicted_and_rerun() {
-    let dir = scratch("cache_deep");
+fn a_duplicated_key_line_is_evicted_and_rerun() {
+    let dir = scratch("cache_duplicate");
     let cold = Sweep::new(quick_specs()).cache(&dir).run_report();
     let path = RunCache::new(&dir).path_for(&quick_specs()[1]);
     let text = std::fs::read_to_string(&path).expect("read entry");
-    const MARKER: &str = "\n  \"body\": ";
-    let head = &text[..text.find(MARKER).expect("body field") + MARKER.len()];
-    let deep = format!("{head}{}\n}}\n", "[".repeat(50_000));
-    std::fs::write(&path, deep).expect("rewrite entry");
+    let body = text.split_once("\n\n").expect("header and body").1;
+    let events = body
+        .lines()
+        .find(|l| l.starts_with("events "))
+        .expect("events line");
+    let twice = format!("{body}{events}\n");
+    std::fs::write(&path, reseal(&text, twice.as_bytes())).expect("rewrite entry");
 
     let warm = Sweep::new(quick_specs()).cache(&dir).run_report();
     assert_eq!(
@@ -258,7 +270,11 @@ fn a_deeply_nested_entry_is_evicted_and_rerun() {
         assert_eq!(a.trace_digest, b.trace_digest);
     }
     let text = std::fs::read_to_string(&path).expect("entry re-stored");
-    assert!(!text.contains("[[["), "the re-run overwrote the deep entry");
+    assert_eq!(
+        text.matches("\nevents ").count(),
+        1,
+        "the re-run overwrote it"
+    );
 }
 
 #[test]
@@ -272,10 +288,10 @@ fn stale_schema_or_foreign_spec_is_ignored_not_evicted() {
     // Rewriting the entry with a bumped cache schema version makes it a
     // plain miss (a future version's file is not corruption).
     let text = std::fs::read_to_string(&path).expect("read entry");
-    let bumped = text.replace("\"cache_schema\": 1", "\"cache_schema\": 999");
+    let bumped = text.replace("recn-cache 2\n", "recn-cache 999\n");
     assert_ne!(text, bumped, "schema field must be present to patch");
     // Recompute nothing: the checksum only covers the body, so the
-    // envelope patch leaves the entry internally consistent.
+    // header patch leaves the entry internally consistent.
     std::fs::write(&path, &bumped).expect("rewrite");
     assert!(cache.load(&spec).is_none(), "future schema is a miss");
     assert!(path.exists(), "future schema must not be evicted");
@@ -477,4 +493,176 @@ fn trace_digest_rules() {
     assert_eq!(for_traced.trace_digest, out.trace_digest);
     let for_plain = cache.load(&plain).expect("hit");
     assert_eq!(for_plain.trace_digest, None, "digest masked off");
+}
+
+/// Floats are written in their shortest round-tripping form, so each one
+/// reads back bit for bit, negative zero and 1e-300 included.
+#[test]
+fn float_tokens_parse_exactly() {
+    let dir = scratch("cache_floats");
+    let cache = RunCache::new(&dir);
+    let spec = quick_specs().remove(0);
+    let mut out = experiments::run_one(&spec);
+    let xs = [0.1f64, 1.0 / 3.0, 1e-300, -0.0, 123_456_789.123_456_79];
+    for (p, x) in out.throughput.iter_mut().zip(xs) {
+        p.value = x;
+    }
+    cache.store(&spec, &out).expect("store");
+    let back = cache.load(&spec).expect("hit after store");
+    for (p, x) in back.throughput.iter().zip(xs) {
+        assert_eq!(p.value.to_bits(), x.to_bits(), "{x}");
+    }
+}
+
+/// Two sweeps of the same specs on one cache directory at once (a barrier
+/// starts them together): both return a cold run's results, every entry
+/// they leave loads, and no temp file is left behind.
+#[test]
+fn concurrent_sweeps_on_one_cache_agree_with_a_cold_run() {
+    let dir = scratch("cache_concurrent");
+    let cold = Sweep::new(quick_specs()).run_report();
+    let start = std::sync::Barrier::new(2);
+    let reports = std::thread::scope(|s| {
+        let sweep = || {
+            s.spawn(|| {
+                start.wait();
+                Sweep::new(quick_specs()).jobs(2).cache(&dir).run_report()
+            })
+        };
+        [sweep(), sweep()].map(|h| h.join().expect("sweep thread"))
+    });
+    for report in &reports {
+        for (a, b) in cold.outputs.iter().zip(&report.outputs) {
+            assert_eq!(summarize(a), summarize(b));
+            assert_eq!(a.events, b.events);
+            assert_eq!(a.trace_digest, b.trace_digest);
+        }
+    }
+    let cache = RunCache::new(&dir);
+    for spec in quick_specs() {
+        assert!(cache.load(&spec).is_some(), "{} loads", spec.label());
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read cache dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    let entries: Vec<String> = quick_specs()
+        .iter()
+        .map(|s| format!("{:016x}.run", s.spec_hash()))
+        .collect();
+    assert!(names.iter().all(|n| entries.contains(n)), "{names:?}");
+    assert_eq!(names.len(), 3, "{names:?}");
+}
+
+/// Mutation fuzzer over a real RECN entry. Each mutant body — a flipped
+/// byte; a dropped, duplicated or swapped line; a truncation; one value or
+/// a line's values replaced by `-`, `NaN`, `inf`, 2^32 or 2^64 — is
+/// resealed under a correct checksum, so the reader has to judge it.
+/// `load` never panics, and either refuses and evicts the entry or returns
+/// an output that (a) is what the body says: written again, it is the
+/// mutant's lines in some order, and (b) has one value per bin of the spec
+/// in every series.
+#[test]
+fn mutated_entries_are_refused_or_load_as_written() {
+    use simcore::Xoshiro256;
+
+    let dir = scratch("cache_fuzz");
+    let cache = RunCache::new(&dir);
+    let spec = quick_specs().remove(2);
+    let out = experiments::run_one(&spec);
+    let path = cache.store(&spec, &out).expect("store");
+    let entry = std::fs::read_to_string(&path).expect("read entry");
+    let body = entry.split_once("\n\n").expect("header and body").1;
+    let lines: Vec<&str> = body.lines().collect();
+    let sorted_lines = |text: &[u8]| {
+        let mut l: Vec<Vec<u8>> = text.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        l.sort();
+        l
+    };
+    const TOKENS: [&str; 5] = ["-", "NaN", "inf", "4294967296", "18446744073709551616"];
+
+    let mut rng = Xoshiro256::new(0x5eed_cac4e);
+    let mut below = |n: usize| rng.next_below(n as u64) as usize;
+    let (mut refused, mut loaded) = ([0u32; 7], [0u32; 7]);
+    for i in 0..2_400 {
+        // 0 flips a byte; 1, 2 and 3 drop, duplicate and swap lines; 4
+        // truncates; 5 replaces one value and 6 a line's values.
+        let kind = i % 7;
+        let mut ls: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        let mutant: Vec<u8> = match kind {
+            0 => {
+                let mut b = body.as_bytes().to_vec();
+                let at = below(b.len());
+                b[at] ^= 1 + below(255) as u8;
+                b
+            }
+            1..=3 => {
+                let (a, b) = (below(ls.len()), below(ls.len()));
+                match kind {
+                    1 => drop(ls.remove(a)),
+                    2 => ls.insert(b, ls[a].clone()),
+                    _ => ls.swap(a, b),
+                }
+                (ls.join("\n") + "\n").into_bytes()
+            }
+            4 => body.as_bytes()[..below(body.len())].to_vec(),
+            _ => {
+                let at = below(ls.len());
+                let mut words: Vec<&str> = ls[at].split(' ').collect();
+                let token = TOKENS[below(TOKENS.len())];
+                if kind == 5 && words.len() > 1 {
+                    let w = 1 + below(words.len() - 1);
+                    words[w] = token;
+                } else {
+                    words.truncate(1);
+                    words.push(token);
+                }
+                ls[at] = words.join(" ");
+                (ls.join("\n") + "\n").into_bytes()
+            }
+        };
+        std::fs::write(&path, reseal(&entry, &mutant)).expect("write mutant");
+        match cache.load(&spec) {
+            None => {
+                assert!(
+                    !path.exists(),
+                    "mutant {i} (kind {kind}) refused but not evicted"
+                );
+                refused[kind] += 1;
+            }
+            Some(back) => {
+                for (name, n) in [
+                    ("throughput", back.throughput.len()),
+                    ("saq_ingress", back.saq.ingress.len()),
+                    ("saq_egress", back.saq.egress.len()),
+                    ("saq_total", back.saq.total.len()),
+                ] {
+                    assert_eq!(n, out.throughput.len(), "mutant {i} (kind {kind}): {name}");
+                }
+                cache.store(&spec, &back).expect("store the loaded output");
+                let again = std::fs::read_to_string(&path).expect("read entry");
+                let again = again.split_once("\n\n").expect("header and body").1;
+                assert!(
+                    sorted_lines(again.as_bytes()) == sorted_lines(&mutant),
+                    "mutant {i} (kind {kind}) loaded as something else:\n{}",
+                    String::from_utf8_lossy(&mutant)
+                );
+                loaded[kind] += 1;
+            }
+        }
+    }
+    // Every kind ran; the refusals are most of them, and swaps always load.
+    let counts = format!("refused {refused:?}, loaded {loaded:?}");
+    assert!(
+        refused.iter().zip(&loaded).all(|(r, l)| r + l > 300),
+        "{counts}"
+    );
+    assert_eq!(refused[3], 0, "a swap changes nothing the reader reads");
+    assert!(refused.iter().sum::<u32>() > 1_500, "{counts}");
 }

@@ -172,28 +172,42 @@ test "$rc" = 2 || { echo "scale over its budget exited $rc, want 2" >&2; exit 1;
 grep -q 'SAQs/port pk' "$smoke/over.txt" && test "$(grep -c 'memory budget exceeded' "$smoke/over.err")" = 1
 echo "scale smoke passed: 4096-host run under budget, JSON summary written, over-budget run exits 2"
 
-echo "== tier1: run-cache smoke test (recn fig 2 and fig 4 --cache twice, all hits) =="
+echo "== tier1: run-cache smoke test (recn fig 2 --cache twice, all hits; fig 4 with one entry corrupted) =="
 # Second pass over a warm cache must serve every run from disk and render
 # byte-identical output: stdout tables compare exactly, and the JSON
 # summaries compare after masking the per-run cache status and the sweep's
 # own wall time (the only fields allowed to differ on a replay). Figure 2
 # replays throughput series, figure 4 the SAQ census series; each starts
 # from its own empty cache (figure 2 also runs figure 4's two RECN specs).
+# Between figure 4's passes one byte of one entry's body is flipped: the
+# warm pass evicts that entry (one stderr line), re-runs it (one miss) and
+# still prints the cold pass's tables.
 for fig in 2 4; do
   (cd "$smoke" && "$recn" fig $fig --quick --jobs 2 --json c1 --cache rc$fig > cold.txt 2> /dev/null)
-  (cd "$smoke" && "$recn" fig $fig --quick --jobs 2 --json c2 --cache rc$fig > warm.txt 2> /dev/null)
+  mask='s/"cache": "[a-z]*"/"cache": "X"/; /"total_wall_secs"/d'
+  want_misses=0
+  if test $fig = 4; then
+    entry="$(ls "$smoke"/rc4/*.run | head -n 1)"
+    body="$(grep -b -m 1 '^bin_ps ' "$entry" | cut -d: -f1)"
+    at="$(( body + ($(wc -c < "$entry") - body) / 2 ))"
+    printf '\377' | dd of="$entry" bs=1 seek="$at" conv=notrunc status=none
+    # The re-run measures its own wall time.
+    mask="$mask"'; s/"wall_secs": [^,]*/"wall_secs": X/; s/"events_per_sec": [^,]*/"events_per_sec": X/'
+    want_misses=1
+  fi
+  (cd "$smoke" && "$recn" fig $fig --quick --jobs 2 --json c2 --cache rc$fig > warm.txt 2> warm.err)
   cmp "$smoke/cold.txt" "$smoke/warm.txt"
   grep -q '"cache": "miss"' "$smoke/c1/fig$fig.sweep.json"
   grep -q '"cache": "hit"' "$smoke/c2/fig$fig.sweep.json"
-  if grep -q '"cache": "miss"' "$smoke/c2/fig$fig.sweep.json"; then
-    echo "run-cache smoke FAILED: warm pass of fig $fig still re-ran something" >&2
-    exit 1
-  fi
-  sed -e 's/"cache": "[a-z]*"/"cache": "X"/' -e '/"total_wall_secs"/d' "$smoke/c1/fig$fig.sweep.json" > "$smoke/c1.masked"
-  sed -e 's/"cache": "[a-z]*"/"cache": "X"/' -e '/"total_wall_secs"/d' "$smoke/c2/fig$fig.sweep.json" > "$smoke/c2.masked"
+  misses="$(grep -c '"cache": "miss"' "$smoke/c2/fig$fig.sweep.json" || true)"
+  evicted="$(grep -c 'evicting corrupt cache entry' "$smoke/warm.err" || true)"
+  test "$misses $evicted" = "$want_misses $want_misses" ||
+    { echo "run-cache smoke FAILED: warm fig $fig: $misses misses, $evicted evictions; want $want_misses each" >&2; exit 1; }
+  sed -e "$mask" "$smoke/c1/fig$fig.sweep.json" > "$smoke/c1.masked"
+  sed -e "$mask" "$smoke/c2/fig$fig.sweep.json" > "$smoke/c2.masked"
   cmp "$smoke/c1.masked" "$smoke/c2.masked"
 done
-echo "run-cache smoke passed: warm passes all hits, output byte-identical"
+echo "run-cache smoke passed: warm passes byte-identical, the corrupted entry evicted and re-run once"
 
 echo "== tier1: routing-matrix smoke (recn hotspot --routing arn from an empty cache) =="
 # The routing x scheme matrix renders from the three hotspot figures the
