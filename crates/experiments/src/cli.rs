@@ -1,7 +1,7 @@
 //! The `recn` command line: one table of commands, one dispatcher.
 //!
 //! `recn <command> [options]` — each [`Command`] carries its name, a
-//! one-line description, the flag table [`parse_flags`] checks its
+//! one-line description, the flag table [`Opts::parse`] reads its
 //! arguments against, and the function that runs it. `recn --help` lists
 //! the table, `recn <command> --help` renders that command's flags, and
 //! an unknown command, flag or value is an `Err` carrying the usage text
@@ -17,11 +17,11 @@ use topology::{FatTreeParams, MinParams, TopoParams, TopologyKind};
 use traffic::corner::CornerCase;
 
 use crate::figures::{self, FIGURES};
-use crate::opts::flag::{
-    net, CACHE, CSV, JOBS, JSON, PKT, QUICK, ROUTING, STRIDE, TOPOLOGY, TRACE, TRACE_LAST,
-    TRANSPORT,
+use crate::opts::Flag::{
+    self, Budget, Cache, Csv, Jobs, Json, JsonFile, Net, Pkt, Quick, Routing, Rung, Stride,
+    TimeDiv, Topology, Trace, TraceLast, Transport,
 };
-use crate::opts::{is_help, parse_flags, render_help, usage_line, FlagDef, Opts, Parsed};
+use crate::opts::{render_help, usage_line, Opts};
 use crate::runner::{scaled_recn_config, summarize, RunOutput, SchemeSet};
 use crate::spec::RunSpec;
 use crate::sweep::Sweep;
@@ -36,42 +36,22 @@ pub struct Command {
     /// One-line description for `recn --help`.
     pub about: &'static str,
     /// The flags the command accepts.
-    pub flags: &'static [FlagDef],
-    /// Runs the command on its operand (`""` without one) and flags.
-    pub run: fn(&str, &Parsed<'_>) -> Result<(), String>,
+    pub flags: &'static [Flag],
+    /// Runs the command on its operand (`""` without one) and options.
+    pub run: fn(&str, &Opts) -> Result<(), String>,
 }
 
 // Each command's table is the flags it reads: anything else is an unknown
-// option, not a flag accepted and silently ignored.
-const FIG_FLAGS: &[FlagDef] = &[
-    QUICK,
-    PKT,
-    CSV,
-    JSON,
-    CACHE,
-    JOBS,
-    net(&[256, 512]),
-    STRIDE,
-    ROUTING,
-    TRANSPORT,
+// option, not a flag accepted and silently ignored. `fig 6` runs 256 and 512
+// hosts, `hotspot` 64 (or 512 on the fat tree).
+const FIG_NET: Flag = Net(&[256, 512]);
+const HOT_NET: Flag = Net(&[64, 512]);
+const FIG_FLAGS: &[Flag] = &[
+    Quick, Pkt, Csv, Json, Cache, Jobs, FIG_NET, Stride, Routing, Transport,
 ];
-const HOTSPOT_FLAGS: &[FlagDef] = &[
-    QUICK,
-    PKT,
-    CSV,
-    JSON,
-    CACHE,
-    JOBS,
-    net(&[64, 512]),
-    STRIDE,
-    TOPOLOGY,
-    ROUTING,
-    TRANSPORT,
+const HOTSPOT_FLAGS: &[Flag] = &[
+    Quick, Pkt, Csv, Json, Cache, Jobs, HOT_NET, Stride, Topology, Routing, Transport,
 ];
-const INCAST_FLAGS: &[FlagDef] = &[QUICK, JSON, CACHE, JOBS, ROUTING, TRANSPORT];
-const ABLATIONS_FLAGS: &[FlagDef] = &[QUICK, PKT, JSON, CACHE, JOBS, ROUTING, TRANSPORT];
-const VALIDATE_FLAGS: &[FlagDef] = &[QUICK, JOBS, TOPOLOGY, ROUTING];
-const INSPECT_FLAGS: &[FlagDef] = &[QUICK, PKT, TRACE, TRACE_LAST];
 
 /// Every command of the binary, in `recn --help` order.
 pub const COMMANDS: &[Command] = &[
@@ -95,46 +75,42 @@ pub const COMMANDS: &[Command] = &[
         about:
             "five-scheme hotspot table on --topology min|fattree (routing matrix with --routing)",
         flags: HOTSPOT_FLAGS,
-        run: |_, f| hotspot(&Opts::from_flags(f)?),
+        run: |_, opts| hotspot(opts),
     },
     Command {
         name: "incast",
         operand: &[],
         about: "incast64 flow-completion times, five schemes under --transport",
-        flags: INCAST_FLAGS,
-        run: |_, f| {
-            let opts = Opts::from_flags(f)?;
-            let runs = incast::incast_sweep(&opts);
-            out!("{}", incast::render_rows(&runs, &opts))
-        },
+        flags: &[Quick, Json, Cache, Jobs, Routing, Transport],
+        run: |_, opts| out!("{}", incast::render_rows(&incast::incast_sweep(opts), opts)),
     },
     Command {
         name: "ablations",
         operand: &[],
         about: "RECN design ablations and the per-class latency split",
-        flags: ABLATIONS_FLAGS,
-        run: |_, f| ablation_tables(&Opts::from_flags(f)?),
+        flags: &[Quick, Pkt, Json, Cache, Jobs, Routing, Transport],
+        run: |_, opts| ablation_tables(opts),
     },
     Command {
         name: "validate",
         operand: &[],
         about: "one hotspot run per scheme with the invariant checker on",
-        flags: VALIDATE_FLAGS,
-        run: |_, f| validate(&Opts::from_flags(f)?),
+        flags: &[Quick, Jobs, Topology, Routing],
+        run: |_, opts| validate(opts),
     },
     Command {
         name: "inspect",
         operand: &[],
         about: "mid-congestion port/SAQ state of corner case 2 under RECN",
-        flags: INSPECT_FLAGS,
-        run: |_, f| inspect(&Opts::from_flags(f)?),
+        flags: &[Quick, Pkt, Trace, TraceLast],
+        run: |_, opts| inspect(opts),
     },
     Command {
         name: "scale",
         operand: &[],
         about: "queue-memory scaling ladder ft_64 -> ft_512 -> ft_4096",
-        flags: scale::SCALE_FLAGS,
-        run: |_, f| scale::command(f),
+        flags: &[Rung, TimeDiv, JsonFile, Budget],
+        run: |_, opts| scale::command(opts),
     },
 ];
 
@@ -188,39 +164,64 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), String> {
     std::io::stdout().flush().map_err(cannot_write_stdout)
 }
 
-fn dispatch(mut args: Vec<String>) -> Result<(), String> {
+fn dispatch(args: Vec<String>) -> Result<(), String> {
+    match parse(args)? {
+        Line::Help(text) => outln!("{text}"),
+        Line::Run(cmd, operand, opts) => (cmd.run)(&operand, &opts),
+    }
+}
+
+/// What a command line asks for, read and checked but not acted on.
+enum Line {
+    /// Print this help text.
+    Help(String),
+    /// Run the command on its operand and options.
+    Run(&'static Command, String, Box<Opts>),
+}
+
+/// Reads a command line without running anything: every usage error is
+/// found here.
+fn parse(mut args: Vec<String>) -> Result<Line, String> {
+    let is_help = |arg: &str| arg == "--help" || arg == "-h";
     if args.is_empty() {
         return Err(overview());
     }
     let name = args.remove(0);
     if is_help(&name) {
-        return outln!("{}", overview());
+        return Ok(Line::Help(overview()));
     }
     let cmd = COMMANDS
         .iter()
         .find(|c| c.name == name)
         .ok_or_else(|| format!("unknown command {name}; {}", overview()))?;
     if args.iter().any(|a| is_help(a)) {
-        return outln!("{}", cmd.help());
+        return Ok(Line::Help(cmd.help()));
     }
     let operand = match args.first() {
         _ if cmd.operand.is_empty() => String::new(),
         Some(word) if cmd.operand.contains(&word.as_str()) => args.remove(0),
         _ => return Err(cmd.usage()),
     };
-    (cmd.run)(&operand, &parse_flags(args, cmd.flags)?)
+    let opts = Opts::parse(args, cmd.flags)?;
+    // Only fig 6 runs more than one network size.
+    if cmd.name == "fig" && opts.net.is_some() && !["6", "all"].contains(&&*operand) {
+        let usage = usage_line(cmd.flags);
+        return Err(format!(
+            "--net is for fig 6 and all, not fig {operand}; {usage}"
+        ));
+    }
+    Ok(Line::Run(cmd, operand, Box::new(opts)))
 }
 
-fn fig(which: &str, f: &Parsed<'_>) -> Result<(), String> {
-    let opts = Opts::from_flags(f)?;
+fn fig(which: &str, opts: &Opts) -> Result<(), String> {
     for (n, figure) in FIGURES {
         if which == "all" {
             eprintln!("== Figure {n} ==");
         } else if which != n {
             continue;
         }
-        for fig in figure(&opts) {
-            fig.print(&opts)?;
+        for fig in figure(opts) {
+            fig.print(opts)?;
         }
     }
     Ok(())
@@ -342,7 +343,7 @@ fn validate(opts: &Opts) -> Result<(), String> {
                 .with_label("validate")
                 .with_routing(opts.routing)
                 .with_validation(true)
-                .with_trace(opts.trace_capacity())
+                .with_trace(opts.trace_last)
         })
         .collect();
     let n = specs.len();
@@ -371,7 +372,7 @@ fn inspect(opts: &Opts) -> Result<(), String> {
     let mut fan = FanoutObserver::new().push(Box::new(validator));
     let mut trace = None;
     if opts.trace_file.is_some() {
-        let (sink, handle) = TraceSink::new(opts.trace_capacity(), "inspect case2_64 RECN");
+        let (sink, handle) = TraceSink::new(opts.trace_last, "inspect case2_64 RECN");
         fan = fan.push(Box::new(sink));
         trace = Some(handle);
     }
@@ -424,7 +425,6 @@ fn inspect(opts: &Opts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::Value;
 
     /// The flag names each command's `--help` lists are exactly the ones
     /// the command reads.
@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(COMMANDS.len(), expected.len());
         for (cmd, (name, flags)) in COMMANDS.iter().zip(expected) {
             assert_eq!(cmd.name, name);
-            let names: Vec<&str> = cmd.flags.iter().map(|d| d.name).collect();
+            let names: Vec<&str> = cmd.flags.iter().map(|f| f.name()).collect();
             assert_eq!(names, flags, "{name}");
             let help = cmd.help();
             for flag in flags {
@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn bad_commands_and_operands_are_usage_errors() {
         let run = |words: &[&str]| run(words.iter().map(|s| s.to_string()));
-        let cases: [(&[&str], &str); 9] = [
+        let cases: [(&[&str], &str); 11] = [
             (&[], "usage: recn <command>"),
             (&["nosuch"], "unknown command nosuch; usage: recn <command>"),
             (&["fig"], "usage: recn fig 2|3|4|5|6|all"),
@@ -534,11 +534,107 @@ mod tests {
                 &["hotspot", "--net", "512"],
                 "--net 512 needs --topology fattree; options:",
             ),
+            // Only fig 6 (and all) reads --net.
+            (
+                &["fig", "2", "--net", "256"],
+                "--net is for fig 6 and all, not fig 2; options: [--quick]",
+            ),
+            (
+                &["fig", "5", "--quick", "--net", "512"],
+                "--net is for fig 6 and all, not fig 5; options: [--quick]",
+            ),
         ];
         for (words, needle) in cases {
             let err = run(words).expect_err(&words.join(" "));
             assert!(err.contains(needle), "{words:?}: {err}");
         }
+    }
+
+    /// Mutants of real command lines — words dropped, repeated or swapped,
+    /// values replaced by odd numbers, set non-members or other flags'
+    /// names — read by the parse half only (nothing runs): each is a usage
+    /// error carrying its usage line, or options holding admitted values.
+    #[test]
+    fn mutated_command_lines_are_usage_errors_or_admitted_values() {
+        let lines = [
+            "fig 6 --quick --pkt 512 --net 256 --jobs 2",
+            "fig all --stride 3 --csv c --json none --net 512",
+            "hotspot --topology fattree --net 512 --routing arn",
+            "incast --quick --transport gbn --cache c --jobs 4",
+            "ablations --pkt 64 --routing adaptive --json j",
+            "validate --quick --jobs 1 --topology min",
+            "inspect --pkt 512 --trace t --trace-last 100",
+            "scale --net 4096 --time-div 256 --json s --budget 9",
+        ];
+        let odd = ["", "0", "-1", "18446744073709551616", "100", "256", "4096"];
+        let names: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|c| c.flags)
+            .map(|f| f.name())
+            .collect();
+        let mut rng = simcore::Xoshiro256::new(43);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        let (mut refused, mut admitted) = (0, 0);
+        for _ in 0..2000 {
+            let line = lines[pick(lines.len())];
+            let mut words: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            for _ in 0..1 + pick(2) {
+                let (i, j) = (pick(words.len()), pick(words.len()));
+                // A value follows a flag that takes one.
+                let values: Vec<usize> = (1..words.len())
+                    .filter(|&k| words[k - 1].starts_with("--") && words[k - 1] != "--quick")
+                    .collect();
+                let v = values.get(pick(values.len().max(1))).copied().unwrap_or(i);
+                match pick(5) {
+                    0 => drop(words.remove(i)),
+                    1 => words.insert(i, words[j].clone()),
+                    2 => words.swap(i, j),
+                    3 => words[v] = odd[pick(odd.len())].to_owned(),
+                    _ => words[v] = names[pick(names.len())].to_owned(),
+                }
+                if words.is_empty() {
+                    break;
+                }
+            }
+            let cmd = COMMANDS
+                .iter()
+                .find(|c| words.first().is_some_and(|w| w == c.name));
+            match parse(words.clone()) {
+                Err(e) => {
+                    refused += 1;
+                    let fixed = ["unknown command ", "unknown option ", "usage: recn "];
+                    let known = fixed.iter().any(|k| e.starts_with(k))
+                        || e.starts_with("--net is for fig ")
+                        || names.iter().any(|n| {
+                            e.starts_with(&format!("{n} needs "))
+                                || e.starts_with(&format!("{n} expects "))
+                        });
+                    assert!(known, "{words:?}: {e}");
+                    let usage = match cmd {
+                        None => overview(),
+                        Some(c) if e.starts_with("usage: ") => c.usage(),
+                        Some(c) => usage_line(c.flags),
+                    };
+                    assert!(e.ends_with(&usage), "{words:?}: {e}");
+                }
+                Ok(Line::Help(_)) => panic!("{words:?} asked for help"),
+                Ok(Line::Run(cmd, operand, o)) => {
+                    admitted += 1;
+                    let net = cmd.flags.iter().find(|f| f.name() == "--net");
+                    let nets = net.and_then(|f| f.sizes()).unwrap_or_default();
+                    assert!(o.net.is_none_or(|n| nets.contains(&n.into())), "{words:?}");
+                    let fig_net = cmd.name == "fig" && o.net.is_some();
+                    assert!(!fig_net || ["6", "all"].contains(&&*operand), "{words:?}");
+                    assert!(o.pkt.is_none_or(|p| p == 64 || p == 512), "{words:?}");
+                    let counts = [o.jobs.unwrap_or(1), o.stride, o.trace_last];
+                    assert!(counts.iter().all(|&n| n >= 1) && o.scale_div >= 1, "{o:?}");
+                }
+            }
+        }
+        assert!(
+            refused > 1000 && admitted > 100,
+            "{refused} refused, {admitted} admitted"
+        );
     }
 
     /// Every `--topology` × `--net` pair `recn hotspot`'s parser admits
@@ -548,8 +644,8 @@ mod tests {
     fn every_hotspot_topology_and_net_has_a_preset_or_an_error() {
         let nets = HOTSPOT_FLAGS
             .iter()
-            .find_map(|f| match f.value {
-                Some(Value::OneOf(set)) if f.name == "--net" => Some(set),
+            .find_map(|f| match f {
+                Net(set) => Some(*set),
                 _ => None,
             })
             .expect("hotspot takes --net");
@@ -563,8 +659,7 @@ mod tests {
                         .into_iter()
                         .flatten(),
                 );
-                let parsed = parse_flags(words.clone(), HOTSPOT_FLAGS).expect("in the table");
-                let opts = Opts::from_flags(&parsed).expect("in the table");
+                let opts = Opts::parse(words.clone(), HOTSPOT_FLAGS).expect("in the table");
                 let hosts = opts.net.unwrap_or(64);
                 if let Err(e) = figures::hotspot_preset(opts.topology, hosts) {
                     let command = ["hotspot".to_owned()].into_iter().chain(words.clone());
@@ -575,7 +670,7 @@ mod tests {
             }
         }
         assert_eq!(refused, ["--topology min --net 512"]);
-        let parsed = parse_flags(["--net".to_owned(), "256".to_owned()], HOTSPOT_FLAGS);
+        let parsed = Opts::parse(["--net".to_owned(), "256".to_owned()], HOTSPOT_FLAGS);
         assert!(
             parsed.is_err(),
             "the parser refuses sizes outside its table"

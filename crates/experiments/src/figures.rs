@@ -449,6 +449,20 @@ mod tests {
         }
     }
 
+    /// A figure prints under the library's default options, which are
+    /// the command line's (row stride 4), not a zero stride.
+    #[test]
+    fn a_figure_prints_under_the_default_options() {
+        let points = [0.0, 5.0].map(|t_us| simcore::SeriesPoint { t_us, value: 1.0 });
+        let fig = Figure {
+            name: "hand".to_owned(),
+            title: "two points".to_owned(),
+            series: vec![Labeled::new("RECN", points.into())],
+            runs: Vec::new(),
+        };
+        fig.print(&Opts::default()).expect("stdout is writable");
+    }
+
     /// The run of `scheme` in a figure.
     fn run<'a>(fig: &'a Figure, scheme: &str) -> &'a RunOutput {
         fig.runs.iter().find(|r| r.scheme == scheme).unwrap()

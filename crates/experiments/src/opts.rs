@@ -1,18 +1,14 @@
 //! Command-line options shared by the `recn` commands.
 //!
-//! Two layers:
-//!
-//! * A reusable declarative flag parser — [`FlagDef`], [`parse_flags`],
-//!   [`usage_line`], [`render_help`] — used by every command of the `recn`
-//!   binary (see [`crate::cli`]). One table per
-//!   command, one `--help` renderer, `Result` errors instead of panics;
-//!   the table states each value's legal set, so a bad value is rejected
-//!   with the usage line before any command code runs.
-//! * [`Opts`], the typed option set of the figure/validation commands,
-//!   built on that parser.
+//! A [`Flag`] is one command-line flag: its name, what follows it, its help
+//! line, and the one `match` arm that checks a value and stores it in its
+//! [`Opts`] field. Each command lists the flags it reads (see
+//! [`crate::cli::COMMANDS`]) and [`Opts::parse`] reads its arguments once
+//! against that list, so an unknown flag, a missing value or a value
+//! outside the flag's legal set is an `Err` carrying the usage line before
+//! any command code runs.
 
 use std::path::PathBuf;
-use std::str::FromStr;
 
 use metrics::report::window_stats;
 use simcore::{Picos, SeriesPoint};
@@ -21,269 +17,169 @@ use topology::TopologyKind;
 use crate::runner::RunOutput;
 use crate::sweep::{RunSpec, Sweep};
 
-/// One command-line flag a command accepts.
+/// One command-line flag. A command's table lists exactly the flags it
+/// acts on, so a flag it would ignore is an unknown option there rather
+/// than a silent no-op.
 #[derive(Debug, Clone, Copy)]
-pub struct FlagDef {
+pub enum Flag {
+    /// `--quick`: [`Opts::quick`].
+    Quick,
+    /// `--pkt 64|512`: [`Opts::pkt`].
+    Pkt,
+    /// `--csv DIR`: [`Opts::csv_dir`].
+    Csv,
+    /// `--json DIR|none`: [`Opts::json_dir`].
+    Json,
+    /// `--cache DIR|none`: [`Opts::cache_dir`].
+    Cache,
+    /// `--jobs N`: [`Opts::jobs`].
+    Jobs,
+    /// `--net`, admitting the sizes given — each command runs its own set
+    /// of networks: [`Opts::net`].
+    Net(&'static [u64]),
+    /// `--stride N`: [`Opts::stride`].
+    Stride,
+    /// `--trace FILE`: [`Opts::trace_file`].
+    Trace,
+    /// `--trace-last N`: [`Opts::trace_last`].
+    TraceLast,
+    /// `--topology min|fattree`: [`Opts::topology`].
+    Topology,
+    /// `--routing deterministic|adaptive|arn`: [`Opts::routing`].
+    Routing,
+    /// `--transport open|gbn|nack|pfc`: [`Opts::transport`].
+    Transport,
+    /// `recn scale`'s `--net 64|512|4096`, one rung of its ladder:
+    /// [`Opts::net`].
+    Rung,
+    /// `recn scale`'s `--time-div D`: [`Opts::scale_div`].
+    TimeDiv,
+    /// `recn scale`'s `--json FILE`: [`Opts::json_file`].
+    JsonFile,
+    /// `recn scale`'s `--budget BYTES`: [`Opts::budget`].
+    Budget,
+}
+
+impl Flag {
+    /// The flag as typed, the metavar of its value (`""` for a switch or a
+    /// closed set, which renders itself), what error messages call the
+    /// value ("needs …", "expects …"), and the help line.
+    fn row(self) -> [&'static str; 4] {
+        match self {
+            Flag::Quick => ["--quick", "", "", "8x time compression (benches/CI; curve shapes preserved)"],
+            Flag::Pkt => ["--pkt", "", "", "packet size in bytes (default 64)"],
+            Flag::Csv => ["--csv", "DIR", "a directory", "also write CSV files under DIR"],
+            Flag::Json => ["--json", "DIR|none", "a directory (or `none`)", "JSON sweep summaries under DIR (default results/; `none` disables)"],
+            Flag::Cache => ["--cache", "DIR|none", "a directory (or `none`)", "content-addressed run cache under DIR (resumes interrupted sweeps)"],
+            Flag::Jobs => ["--jobs", "N", "a worker count", "sweep worker count (default = available parallelism)"],
+            Flag::Net(_) => ["--net", "", "", "network size for fig 6 (both when absent) and the fat-tree hotspot (512 swaps in the 8-ary 3-tree)"],
+            Flag::Stride => ["--stride", "N", "a row count", "print every Nth series row (default 4)"],
+            Flag::Trace => ["--trace", "FILE", "a file", "write an event-trace JSONL file"],
+            Flag::TraceLast => ["--trace-last", "N", "a record count", "trace ring capacity (default 4096; digest covers the whole run)"],
+            Flag::Topology => ["--topology", "min|fattree", "min or fattree", "topology family to build (MIN default)"],
+            Flag::Routing => ["--routing", "deterministic|adaptive|arn", "deterministic, adaptive or arn", "routing policy (deterministic default; arn = notification-driven adaptive)"],
+            Flag::Transport => ["--transport", "open|gbn|nack|pfc", "open, gbn, nack or pfc", "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)"],
+            Flag::Rung => ["--net", "", "", "run only the N-host rung of the ladder (default: all)"],
+            Flag::TimeDiv => ["--time-div", "D", "a divisor", "time compression for the measured runs (default 16)"],
+            Flag::JsonFile => ["--json", "FILE", "a file", "write the table as flat JSON to FILE"],
+            Flag::Budget => ["--budget", "BYTES", "a byte count", "exit nonzero if any run's peak_bytes_estimate exceeds BYTES"],
+        }
+    }
+
     /// The flag as typed, e.g. `--jobs`.
-    pub name: &'static str,
-    /// What follows the flag; `None` for a switch.
-    pub value: Option<Value>,
-    /// One-line help text.
-    pub help: &'static str,
-}
+    pub fn name(self) -> &'static str {
+        self.row()[0]
+    }
 
-/// The value a flag takes. [`parse_flags`] rejects anything outside it.
-#[derive(Debug, Clone, Copy)]
-pub enum Value {
-    /// Free text — a path, or a name the typed layer parses: the metavar
-    /// of the usage line and the description used in error messages.
-    Text(&'static str, &'static str),
-    /// A positive integer (metavar, description).
-    Count(&'static str, &'static str),
-    /// One of a closed set of integers; the usage line renders it `a|b`.
-    OneOf(&'static [u64]),
-}
-
-impl Value {
-    fn metavar(&self) -> String {
+    /// The closed set of values the flag admits, if it has one.
+    pub fn sizes(self) -> Option<&'static [u64]> {
         match self {
-            Value::Text(metavar, _) | Value::Count(metavar, _) => (*metavar).to_owned(),
-            Value::OneOf(set) => set.iter().map(u64::to_string).collect::<Vec<_>>().join("|"),
+            Flag::Pkt => Some(&[64, 512]),
+            Flag::Net(sizes) => Some(sizes),
+            Flag::Rung => Some(&[64, 512, 4096]),
+            _ => None,
         }
     }
 
-    /// The description error messages use ("needs …", "expects …").
-    fn what(&self) -> String {
-        match self {
-            Value::Text(_, what) | Value::Count(_, what) => (*what).to_owned(),
-            Value::OneOf(_) => format!("one of {}", self.metavar()),
+    /// What follows the flag in the usage line (`""` for a switch).
+    fn metavar(self) -> String {
+        self.sizes().map_or(self.row()[1].to_owned(), |set| {
+            set.iter().map(u64::to_string).collect::<Vec<_>>().join("|")
+        })
+    }
+
+    /// What error messages call the flag's value.
+    fn what(self) -> String {
+        match self.sizes() {
+            Some(_) => format!("one of {}", self.metavar()),
+            None => self.row()[2].to_owned(),
         }
     }
 
-    fn admits(&self, v: &str) -> bool {
+    fn left_column(self) -> String {
         match self {
-            Value::Text(..) => true,
-            Value::Count(..) => v.parse::<u64>().is_ok_and(|n| n > 0),
-            Value::OneOf(set) => v.parse().is_ok_and(|n| set.contains(&n)),
+            Flag::Quick => self.name().to_owned(),
+            _ => format!("{} {}", self.name(), self.metavar()),
         }
     }
-}
 
-/// A parsed argument list: `(name, value)` pairs in argument
-/// order, read back through the table that admitted them.
-#[derive(Debug)]
-pub struct Parsed<'a> {
-    defs: &'a [FlagDef],
-    flags: Vec<(&'static str, Option<String>)>,
-}
-
-impl Parsed<'_> {
-    /// Whether `name` was given.
-    pub fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| *n == name)
-    }
-
-    /// The value of `name` (the last one, when repeated).
-    pub fn get(&self, name: &str) -> Option<&str> {
-        let (_, value) = self.flags.iter().rev().find(|(n, _)| *n == name)?;
-        value.as_deref()
-    }
-
-    /// The directory a `DIR|none` flag selects: `none` switches the output
-    /// off, an absent flag means `default`.
-    pub fn dir_or(&self, name: &str, default: Option<&str>) -> Option<PathBuf> {
-        let dir = self.get(name).or(default).filter(|d| *d != "none");
-        dir.map(PathBuf::from)
-    }
-
-    /// The value of `name` read through `parse`; `None` from `parse` is
-    /// the "`name` expects …, got …" error with the usage line attached.
-    pub fn named<T>(
-        &self,
-        name: &str,
-        parse: impl Fn(&str) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        self.get(name)
-            .map(|v| parse(v).ok_or_else(|| expects(self.defs, name, v)))
-            .transpose()
-    }
-
-    /// The value of `name` parsed as a number.
-    pub fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.named(name, |v| v.parse().ok())
-    }
-}
-
-fn expects(defs: &[FlagDef], name: &str, v: &str) -> String {
-    let what = defs
-        .iter()
-        .find(|d| d.name == name)
-        .and_then(|d| d.value)
-        .map_or(String::from("no value"), |value| value.what());
-    format!("{name} expects {what}, got {v:?}; {}", usage_line(defs))
-}
-
-/// Whether `arg` asks for help (`--help` / `-h`); callers check this
-/// before parsing and render [`render_help`].
-pub fn is_help(arg: &str) -> bool {
-    arg == "--help" || arg == "-h"
-}
-
-/// Parses `args` against a flag table. Errors (with the usage line
-/// attached) on unknown flags, missing values and values outside the
-/// table's [`Value`] for the flag.
-pub fn parse_flags(
-    args: impl IntoIterator<Item = String>,
-    defs: &[FlagDef],
-) -> Result<Parsed<'_>, String> {
-    let usage = usage_line(defs);
-    let mut flags = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let def = defs
-            .iter()
-            .find(|d| d.name == arg)
-            .ok_or_else(|| format!("unknown option {arg}; {usage}"))?;
-        let value = match def.value {
-            None => None,
-            Some(value) => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{} needs {}; {usage}", def.name, value.what()))?;
-                if !value.admits(&v) {
-                    return Err(expects(defs, def.name, &v));
-                }
-                Some(v)
-            }
+    /// Checks `v` and stores it in the flag's field of `o`: `None` when `v`
+    /// is outside the flag's legal set.
+    fn store(self, v: &str, o: &mut Opts) -> Option<()> {
+        let count = || v.parse().ok().filter(|&n: &usize| n > 0);
+        let member = || {
+            let n: u64 = v.parse().ok()?;
+            self.sizes()?.contains(&n).then_some(n as u32)
         };
-        flags.push((def.name, value));
+        let dir = || Some(PathBuf::from(v)).filter(|_| v != "none");
+        match self {
+            Flag::Quick => o.quick = true,
+            Flag::Pkt => o.pkt = Some(member()?),
+            Flag::Net(_) | Flag::Rung => o.net = Some(member()?),
+            Flag::Csv => o.csv_dir = Some(v.into()),
+            Flag::Json => o.json_dir = dir(),
+            Flag::Cache => o.cache_dir = dir(),
+            Flag::Jobs => o.jobs = Some(count()?),
+            Flag::Stride => o.stride = count()?,
+            Flag::Trace => o.trace_file = Some(v.into()),
+            Flag::TraceLast => o.trace_last = count()?,
+            Flag::Topology => o.topology = TopologyKind::parse(v)?,
+            Flag::Routing => o.routing = fabric::RoutingPolicy::parse(v)?,
+            Flag::Transport => o.transport = fabric::TransportKind::parse(v)?,
+            Flag::TimeDiv => o.scale_div = count()? as u64,
+            Flag::JsonFile => o.json_file = Some(v.into()),
+            Flag::Budget => o.budget = Some(v.parse().ok()?),
+        }
+        Some(())
     }
-    Ok(Parsed { defs, flags })
 }
 
 /// The one-line usage summary for a flag table:
 /// `options: [--quick] [--jobs N] …`.
-pub fn usage_line(defs: &[FlagDef]) -> String {
-    let mut s = String::from("options:");
-    for d in defs {
-        s.push_str(&format!(" [{}]", left_column(d)));
-    }
-    s
-}
-
-fn left_column(d: &FlagDef) -> String {
-    match d.value {
-        None => d.name.to_owned(),
-        Some(value) => format!("{} {}", d.name, value.metavar()),
-    }
+pub fn usage_line(flags: &[Flag]) -> String {
+    let columns: String = flags
+        .iter()
+        .map(|f| format!(" [{}]", f.left_column()))
+        .collect();
+    format!("options:{columns}")
 }
 
 /// The full `--help` text for a flag table: the usage line plus one
 /// aligned line per flag.
-pub fn render_help(defs: &[FlagDef]) -> String {
-    let mut s = usage_line(defs);
+pub fn render_help(flags: &[Flag]) -> String {
+    let mut s = usage_line(flags);
     s.push('\n');
-    let left: Vec<String> = defs.iter().map(left_column).collect();
+    let left: Vec<String> = flags.iter().map(|f| f.left_column()).collect();
     let width = left.iter().map(|l| l.len()).max().unwrap_or(0);
-    for (d, l) in defs.iter().zip(&left) {
-        s.push_str(&format!("  {l:width$}  {}\n", d.help));
+    for (f, l) in flags.iter().zip(&left) {
+        s.push_str(&format!("  {l:width$}  {}\n", f.row()[3]));
     }
     s
 }
 
-/// The flags [`Opts::from_flags`] reads, one constant each: a command's
-/// table lists exactly the ones the command acts on (see
-/// [`crate::cli::COMMANDS`]), so a flag it would ignore is an unknown
-/// option there rather than a silent no-op.
-pub(crate) mod flag {
-    use super::{FlagDef, Value};
-
-    /// A table row: every command's flag table is written with this.
-    pub(crate) const fn flag(
-        name: &'static str,
-        value: Option<Value>,
-        help: &'static str,
-    ) -> FlagDef {
-        FlagDef { name, value, help }
-    }
-
-    pub const QUICK: FlagDef = flag(
-        "--quick",
-        None,
-        "8x time compression (benches/CI; curve shapes preserved)",
-    );
-    pub const PKT: FlagDef = flag(
-        "--pkt",
-        Some(Value::OneOf(&[64, 512])),
-        "packet size in bytes (default 64)",
-    );
-    pub const CSV: FlagDef = flag(
-        "--csv",
-        Some(Value::Text("DIR", "a directory")),
-        "also write CSV files under DIR",
-    );
-    pub const JSON: FlagDef = flag(
-        "--json",
-        Some(Value::Text("DIR|none", "a directory (or `none`)")),
-        "JSON sweep summaries under DIR (default results/; `none` disables)",
-    );
-    pub const CACHE: FlagDef = flag(
-        "--cache",
-        Some(Value::Text("DIR|none", "a directory (or `none`)")),
-        "content-addressed run cache under DIR (resumes interrupted sweeps)",
-    );
-    pub const JOBS: FlagDef = flag(
-        "--jobs",
-        Some(Value::Count("N", "a worker count")),
-        "sweep worker count (default = available parallelism)",
-    );
-    /// `--net`, admitting the sizes in `sizes` — each command runs its own
-    /// set of networks.
-    pub const fn net(sizes: &'static [u64]) -> FlagDef {
-        flag(
-            "--net",
-            Some(Value::OneOf(sizes)),
-            "network size for fig 6 (both when absent) and the fat-tree \
-             hotspot (512 swaps in the 8-ary 3-tree)",
-        )
-    }
-    pub const STRIDE: FlagDef = flag(
-        "--stride",
-        Some(Value::Count("N", "a row count")),
-        "print every Nth series row (default 4)",
-    );
-    pub const TRACE: FlagDef = flag(
-        "--trace",
-        Some(Value::Text("FILE", "a file")),
-        "write an event-trace JSONL file",
-    );
-    pub const TRACE_LAST: FlagDef = flag(
-        "--trace-last",
-        Some(Value::Count("N", "a record count")),
-        "trace ring capacity (default 4096; digest covers the whole run)",
-    );
-    pub const TOPOLOGY: FlagDef = flag(
-        "--topology",
-        Some(Value::Text("min|fattree", "min or fattree")),
-        "topology family to build (MIN default)",
-    );
-    pub const ROUTING: FlagDef = flag(
-        "--routing",
-        Some(Value::Text(
-            "deterministic|adaptive|arn",
-            "deterministic, adaptive or arn",
-        )),
-        "routing policy (deterministic default; arn = notification-driven adaptive)",
-    );
-    pub const TRANSPORT: FlagDef = flag(
-        "--transport",
-        Some(Value::Text("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
-        "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)",
-    );
-}
-
-/// Options common to the figure/validation commands.
-#[derive(Debug, Clone, Default)]
+/// The options of every `recn` command; a command's flag table sets the
+/// ones it reads and the rest keep their defaults.
+#[derive(Debug, Clone)]
 pub struct Opts {
     /// 8× time compression: shorter warm-up, earlier hotspot, shorter run.
     /// Used by benches/CI; the shapes of all curves are preserved.
@@ -293,7 +189,7 @@ pub struct Opts {
     /// Write CSV files into this directory in addition to stdout tables.
     pub csv_dir: Option<PathBuf>,
     /// Write machine-readable JSON sweep summaries into this directory.
-    /// [`Opts::from_flags`] defaults it to `results/` (`--json none` disables);
+    /// [`Opts::parse`] defaults it to `results/` (`--json none` disables);
     /// the programmatic `Opts::default()` leaves it off.
     pub json_dir: Option<PathBuf>,
     /// Content-addressed run cache directory (`--cache DIR`; off by
@@ -303,16 +199,16 @@ pub struct Opts {
     /// Sweep worker count (`--jobs N`; default = available parallelism).
     pub jobs: Option<usize>,
     /// Network size selector (`fig 6`: 256 or 512, both when `None`;
-    /// `hotspot`: 64, or 512 on the fat tree).
+    /// `hotspot`: 64, or 512 on the fat tree; `scale`: one rung).
     pub net: Option<u32>,
     /// Print every Nth series row (default 4; 1 = all rows).
     pub stride: usize,
     /// Write an event-trace JSONL file here (`--trace FILE`; commands that
     /// support it install a [`fabric::TraceSink`]).
     pub trace_file: Option<PathBuf>,
-    /// Ring-buffer capacity for `--trace`: how many of the run's last
-    /// events the JSONL retains (`--trace-last N`, default 4096; the
-    /// digest always covers the whole run).
+    /// Ring-buffer capacity for a traced run: how many of the run's last
+    /// events the JSONL retains (`--trace-last N`, default 4096, at least
+    /// 1; the digest always covers the whole run).
     pub trace_last: usize,
     /// Topology family to build (`--topology min|fattree`; MIN default).
     pub topology: TopologyKind,
@@ -327,43 +223,67 @@ pub struct Opts {
     /// behaviour bit-exactly. gbn/nack add windowed senders with
     /// retransmission; pfc swaps credits for pause/drop at the switches).
     pub transport: fabric::TransportKind,
+    /// `recn scale`'s time compression for its measured runs
+    /// (`--time-div D`, default 16).
+    pub scale_div: u64,
+    /// `recn scale`'s flat JSON table (`--json FILE`; off by default).
+    pub json_file: Option<PathBuf>,
+    /// `recn scale`'s memory budget: the command fails if a run's
+    /// `peak_bytes_estimate` exceeds it (`--budget BYTES`).
+    pub budget: Option<u64>,
+}
+
+impl Default for Opts {
+    /// The command line's defaults, except that the JSON summaries stay
+    /// off ([`Opts::parse`] turns them on under `results/`).
+    fn default() -> Opts {
+        Opts {
+            quick: false,
+            pkt: None,
+            csv_dir: None,
+            json_dir: None,
+            cache_dir: None,
+            jobs: None,
+            net: None,
+            stride: 4,
+            trace_file: None,
+            trace_last: 4096,
+            topology: TopologyKind::default(),
+            routing: fabric::RoutingPolicy::default(),
+            transport: fabric::TransportKind::default(),
+            scale_div: 16,
+            json_file: None,
+            budget: None,
+        }
+    }
 }
 
 impl Opts {
-    /// Reads the options out of a parsed argument list (a command's table
-    /// of these flags; one the table leaves out keeps its default).
-    /// Returns `Err` with a message that includes the usage text on a name
-    /// `--topology`/`--routing`/`--transport` do not know; everything else
-    /// the table already checked.
-    pub fn from_flags(f: &Parsed<'_>) -> Result<Opts, String> {
-        let path = |name| f.get(name).map(PathBuf::from);
-        Ok(Opts {
-            quick: f.has("--quick"),
-            pkt: f.num("--pkt")?,
-            csv_dir: path("--csv"),
-            json_dir: f.dir_or("--json", Some("results")),
-            cache_dir: f.dir_or("--cache", None),
-            jobs: f.num("--jobs")?,
-            net: f.num("--net")?,
-            stride: f.num("--stride")?.unwrap_or(4),
-            trace_file: path("--trace"),
-            trace_last: f.num("--trace-last")?.unwrap_or(4096),
-            topology: f
-                .named("--topology", TopologyKind::parse)?
-                .unwrap_or_default(),
-            routing: f
-                .named("--routing", fabric::RoutingPolicy::parse)?
-                .unwrap_or_default(),
-            transport: f
-                .named("--transport", fabric::TransportKind::parse)?
-                .unwrap_or_default(),
-        })
-    }
-
-    /// The trace ring capacity when tracing is on (always at least 1; the
-    /// programmatic `Opts::default()` leaves `trace_last` at 0).
-    pub fn trace_capacity(&self) -> usize {
-        self.trace_last.max(1)
+    /// Reads `args` once against a command's flag table; a flag the table
+    /// leaves out keeps its default. Returns `Err` with the usage line
+    /// attached on an unknown flag, a missing value, or a value outside the
+    /// flag's legal set.
+    pub fn parse(args: impl IntoIterator<Item = String>, flags: &[Flag]) -> Result<Opts, String> {
+        let mut opts = Opts {
+            json_dir: Some(PathBuf::from("results")),
+            ..Opts::default()
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let usage = || usage_line(flags);
+            let Some(&flag) = flags.iter().find(|f| f.name() == arg) else {
+                return Err(format!("unknown option {arg}; {}", usage()));
+            };
+            let v = match flag {
+                Flag::Quick => String::new(),
+                _ => args
+                    .next()
+                    .ok_or_else(|| format!("{arg} needs {}; {}", flag.what(), usage()))?,
+            };
+            flag.store(&v, &mut opts)
+                .ok_or_else(|| format!("{arg} expects {}, got {v:?}; {}", flag.what(), usage()))?;
+        }
+        Ok(opts)
     }
 
     /// Packet size to use (default 64, per the paper's headline figures).
@@ -446,25 +366,25 @@ impl Opts {
 mod tests {
     use super::*;
 
-    fn parse_with(words: &[&str], defs: &[FlagDef]) -> Result<Opts, String> {
-        Opts::from_flags(&parse_flags(words.iter().map(|s| s.to_string()), defs)?)
+    fn parse_with(words: &[&str], flags: &[Flag]) -> Result<Opts, String> {
+        Opts::parse(words.iter().map(|s| s.to_string()), flags)
     }
 
-    /// Every flag [`Opts::from_flags`] reads (no command takes them all).
-    const ALL: [FlagDef; 13] = [
-        flag::QUICK,
-        flag::PKT,
-        flag::CSV,
-        flag::JSON,
-        flag::CACHE,
-        flag::JOBS,
-        flag::net(&[64, 256, 512]),
-        flag::STRIDE,
-        flag::TRACE,
-        flag::TRACE_LAST,
-        flag::TOPOLOGY,
-        flag::ROUTING,
-        flag::TRANSPORT,
+    /// Every flag the figure commands read (no command takes them all).
+    const ALL: [Flag; 13] = [
+        Flag::Quick,
+        Flag::Pkt,
+        Flag::Csv,
+        Flag::Json,
+        Flag::Cache,
+        Flag::Jobs,
+        Flag::Net(&[64, 256, 512]),
+        Flag::Stride,
+        Flag::Trace,
+        Flag::TraceLast,
+        Flag::Topology,
+        Flag::Routing,
+        Flag::Transport,
     ];
 
     fn parse(words: &[&str]) -> Result<Opts, String> {
@@ -481,8 +401,20 @@ mod tests {
         assert_eq!(o.jobs, None);
         // CLI parsing defaults the JSON summaries on, under results/.
         assert_eq!(o.json_dir, Some(PathBuf::from("results")));
-        // ... while the programmatic default leaves them off.
-        assert_eq!(Opts::default().json_dir, None);
+        // ... while the programmatic default leaves them off, and is the
+        // command line's everywhere else.
+        let lib = Opts::default();
+        assert_eq!(lib.json_dir, None);
+        assert_eq!(
+            format!("{lib:?}"),
+            format!(
+                "{:?}",
+                Opts {
+                    json_dir: None,
+                    ..o.clone()
+                }
+            )
+        );
         // The run cache is opt-in either way.
         assert_eq!(o.cache_dir, None);
     }
@@ -585,13 +517,10 @@ mod tests {
     /// their defaults and are unknown options on that command line.
     #[test]
     fn a_table_without_a_flag_leaves_its_default_and_rejects_it() {
-        let defs = [flag::QUICK, flag::JOBS];
+        let defs = [Flag::Quick, Flag::Jobs];
         let o = parse_with(&["--quick", "--jobs", "2"], &defs).unwrap();
         assert!(o.quick && o.jobs == Some(2));
-        assert_eq!(
-            (o.packet_size(), o.stride, o.trace_capacity()),
-            (64, 4, 4096)
-        );
+        assert_eq!((o.packet_size(), o.stride, o.trace_last), (64, 4, 4096));
         assert_eq!(o.json_dir, Some(PathBuf::from("results")));
         assert_eq!(o.routing, fabric::RoutingPolicy::Deterministic);
         assert_eq!(o.transport, fabric::TransportKind::OpenLoop);
@@ -603,17 +532,15 @@ mod tests {
     fn trace_flags_parse() {
         let o = parse(&["--trace", "out.jsonl", "--trace-last", "100"]).unwrap();
         assert_eq!(o.trace_file, Some(PathBuf::from("out.jsonl")));
-        assert_eq!(o.trace_capacity(), 100);
+        assert_eq!(o.trace_last, 100);
         // Any count parses: the ring grows with what a run records, so
         // the flag bounds its memory without sizing it.
         let o = parse(&["--trace-last", "99999999999"]).unwrap();
-        assert_eq!(o.trace_capacity(), 99_999_999_999);
+        assert_eq!(o.trace_last, 99_999_999_999);
         // Defaults: tracing off, generous ring.
         let o = parse(&[]).unwrap();
         assert_eq!(o.trace_file, None);
-        assert_eq!(o.trace_capacity(), 4096);
-        // The programmatic default still holds at least one record.
-        assert_eq!(Opts::default().trace_capacity(), 1);
+        assert_eq!(o.trace_last, 4096);
         assert!(parse(&["--trace"]).unwrap_err().contains("--trace needs"));
     }
 
@@ -717,9 +644,9 @@ mod tests {
         assert!(u.contains("[--cache DIR|none]"));
         assert!(u.contains("[--quick]"), "boolean flags have no metavar");
         let help = render_help(&ALL);
-        for d in &ALL {
-            assert!(help.contains(d.name), "{} in help", d.name);
-            assert!(help.contains(d.help), "{} help text present", d.name);
+        for f in ALL {
+            assert!(help.contains(f.name()), "{} in help", f.name());
+            assert!(help.contains(f.row()[3]), "{} help text present", f.name());
         }
     }
 }

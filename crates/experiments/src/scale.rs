@@ -36,8 +36,7 @@ use simcore::Picos;
 use topology::FatTreeParams;
 use traffic::corner::CornerCase;
 
-use crate::opts::flag::flag;
-use crate::opts::{FlagDef, Parsed, Value};
+use crate::opts::Opts;
 use crate::runner::{run_with_footprint, scaled_recn_config, summarize, RunFootprint};
 use crate::spec::RunSpec;
 
@@ -208,30 +207,6 @@ fn render_footprints(runs: &[(u32, RunFootprint)]) -> String {
     s
 }
 
-/// The flag table of `recn scale`.
-pub const SCALE_FLAGS: &[FlagDef] = &[
-    flag(
-        "--net",
-        Some(Value::OneOf(&[64, 512, 4096])),
-        "run only the N-host rung of the ladder (default: all)",
-    ),
-    flag(
-        "--time-div",
-        Some(Value::Count("D", "a divisor")),
-        "time compression for the measured runs (default 16)",
-    ),
-    flag(
-        "--json",
-        Some(Value::Text("FILE", "a file")),
-        "write the table as flat JSON to FILE",
-    ),
-    flag(
-        "--budget",
-        Some(Value::Text("BYTES", "a byte count")),
-        "exit nonzero if any run's peak_bytes_estimate exceeds BYTES",
-    ),
-];
-
 fn render_json(rows: &[ScaleRow], time_div: u64, budget: Option<u64>) -> String {
     fn opt<T: ToString>(v: Option<T>) -> String {
         v.map_or("null".to_owned(), |v| v.to_string())
@@ -263,12 +238,10 @@ fn render_json(rows: &[ScaleRow], time_div: u64, budget: Option<u64>) -> String 
 
 /// `recn scale`: runs the strided fat-tree hotspot under RECN on each
 /// rung and prints the scaling table with the measured columns filled in.
-pub fn command(f: &Parsed<'_>) -> Result<(), String> {
-    let net: Option<u32> = f.num("--net")?;
-    let div: u64 = f.num("--time-div")?.unwrap_or(16);
-    let budget: Option<u64> = f.num("--budget")?;
+pub fn command(opts: &Opts) -> Result<(), String> {
+    let (div, budget) = (opts.scale_div, opts.budget);
     let mut rungs = ladder();
-    rungs.retain(|(p, _)| net.is_none_or(|n| n == p.hosts()));
+    rungs.retain(|(p, _)| opts.net.is_none_or(|n| n == p.hosts()));
     let recn = SchemeKind::Recn(scaled_recn_config(div));
     let schemes = [SchemeKind::VoqNet, SchemeKind::VoqSw, recn];
     let points: Vec<FatTreeParams> = rungs.iter().map(|(p, _)| *p).collect();
@@ -310,10 +283,10 @@ pub fn command(f: &Parsed<'_>) -> Result<(), String> {
 
     outln!("{}", render_scale_table(&rows))?;
     outln!("{}", render_footprints(&footprints))?;
-    if let Some(path) = f.get("--json") {
+    if let Some(path) = &opts.json_file {
         std::fs::write(path, render_json(&rows, div, budget))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
     }
     if !over_budget.is_empty() {
         return Err(format!(

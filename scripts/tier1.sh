@@ -85,6 +85,13 @@ echo "== tier1: rustdoc gate (RUSTDOCFLAGS=-D warnings) =="
 # All seven crates warn on missing_docs (doc examples ran under cargo test).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+echo "== tier1: CLI surface (every --help, usage errors and their exit status) =="
+# The help texts and the one-line usage errors are pinned byte for byte in
+# ci/recn_cli.txt; after a deliberate change, regenerate it with
+# `scripts/cli_surface.sh target/release/recn > ci/recn_cli.txt`.
+scripts/cli_surface.sh "$recn" | diff ci/recn_cli.txt -
+echo "CLI surface passed: help texts, usage errors and exit statuses as pinned"
+
 echo "== tier1: quick-mode sweep smoke test (recn fig 2, --jobs 4 vs --jobs 1) =="
 # The parallel executor must return results in submission order, so the
 # rendered tables are byte-identical at any parallelism; the JSON sweep
