@@ -284,16 +284,19 @@ fn spelled(tok: &str, args: fmt::Arguments<'_>) -> bool {
     rest.write_fmt(args).is_ok() && rest.0.is_empty()
 }
 
-/// `tok` as a `T`, if it is spelled as the writer spells that value.
-fn num<T: FromStr + Display>(tok: &str) -> Result<T, String> {
-    let v = tok.parse::<T>().ok();
-    let v = v.filter(|v| spelled(tok, format_args!("{v}")));
-    v.ok_or_else(|| format!("bad value {tok:?}"))
+/// `tok` as an unsigned integer, if it is spelled as the writer spells
+/// one: ASCII digits only, and no leading zero unless the value is `0`.
+fn num<T: FromStr>(tok: &str) -> Result<T, String> {
+    let digits = !tok.is_empty() && tok.bytes().all(|b| b.is_ascii_digit());
+    let v = (digits && (tok == "0" || !tok.starts_with('0'))).then(|| tok.parse().ok());
+    v.flatten().ok_or_else(|| format!("bad value {tok:?}"))
 }
 
-/// `tok` as a finite float.
+/// `tok` as a finite float, if it is spelled as the writer spells that
+/// value.
 fn float(tok: &str) -> Result<f64, String> {
-    let x = num(tok).ok().filter(|x: &f64| x.is_finite());
+    let x = tok.parse::<f64>().ok();
+    let x = x.filter(|x| x.is_finite() && spelled(tok, format_args!("{x}")));
     x.ok_or_else(|| format!("bad float {tok:?}"))
 }
 

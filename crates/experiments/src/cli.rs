@@ -18,8 +18,8 @@ use traffic::corner::CornerCase;
 
 use crate::figures::{self, FIGURES};
 use crate::opts::Flag::{
-    self, Budget, Cache, Csv, Jobs, Json, JsonFile, Net, Pkt, Quick, Routing, Rung, Stride,
-    TimeDiv, Topology, Trace, TraceLast, Transport,
+    self, Budget, Cache, Csv, FigNet, HotspotNet, Jobs, Json, JsonFile, Pkt, Quick, Routing, Rung,
+    Stride, TimeDiv, Topology, Trace, TraceLast, Transport,
 };
 use crate::opts::{render_help, usage_line, Opts};
 use crate::runner::{scaled_recn_config, summarize, RunOutput, SchemeSet};
@@ -44,13 +44,11 @@ pub struct Command {
 // Each command's table is the flags it reads: anything else is an unknown
 // option, not a flag accepted and silently ignored. `fig 6` runs 256 and 512
 // hosts, `hotspot` 64 (or 512 on the fat tree).
-const FIG_NET: Flag = Net(&[256, 512]);
-const HOT_NET: Flag = Net(&[64, 512]);
 const FIG_FLAGS: &[Flag] = &[
-    Quick, Pkt, Csv, Json, Cache, Jobs, FIG_NET, Stride, Routing, Transport,
+    Quick, Pkt, Csv, Json, Cache, Jobs, FigNet, Stride, Routing, Transport,
 ];
 const HOTSPOT_FLAGS: &[Flag] = &[
-    Quick, Pkt, Csv, Json, Cache, Jobs, HOT_NET, Stride, Topology, Routing, Transport,
+    Quick, Pkt, Csv, Json, Cache, Jobs, HotspotNet, Stride, Topology, Routing, Transport,
 ];
 
 /// Every command of the binary, in `recn --help` order.
@@ -642,13 +640,8 @@ mod tests {
     /// pair reaches a run without a network.
     #[test]
     fn every_hotspot_topology_and_net_has_a_preset_or_an_error() {
-        let nets = HOTSPOT_FLAGS
-            .iter()
-            .find_map(|f| match f {
-                Net(set) => Some(*set),
-                _ => None,
-            })
-            .expect("hotspot takes --net");
+        assert!(HOTSPOT_FLAGS.iter().any(|f| matches!(f, HotspotNet)));
+        let nets = HotspotNet.sizes().expect("a closed set");
         assert_eq!(nets, [64, 512]);
         let mut refused = Vec::new();
         for topology in ["min", "fattree"] {

@@ -34,9 +34,12 @@ pub enum Flag {
     Cache,
     /// `--jobs N`: [`Opts::jobs`].
     Jobs,
-    /// `--net`, admitting the sizes given — each command runs its own set
-    /// of networks: [`Opts::net`].
-    Net(&'static [u64]),
+    /// `recn fig`'s `--net 256|512`, the size of fig 6's network:
+    /// [`Opts::net`].
+    FigNet,
+    /// `recn hotspot`'s `--net 64|512`, the size of the hotspot's network:
+    /// [`Opts::net`].
+    HotspotNet,
     /// `--stride N`: [`Opts::stride`].
     Stride,
     /// `--trace FILE`: [`Opts::trace_file`].
@@ -64,6 +67,7 @@ impl Flag {
     /// The flag as typed, the metavar of its value (`""` for a switch or a
     /// closed set, which renders itself), what error messages call the
     /// value ("needs …", "expects …"), and the help line.
+    #[rustfmt::skip] // one line per flag: the rows read as a table
     fn row(self) -> [&'static str; 4] {
         match self {
             Flag::Quick => ["--quick", "", "", "8x time compression (benches/CI; curve shapes preserved)"],
@@ -72,7 +76,8 @@ impl Flag {
             Flag::Json => ["--json", "DIR|none", "a directory (or `none`)", "JSON sweep summaries under DIR (default results/; `none` disables)"],
             Flag::Cache => ["--cache", "DIR|none", "a directory (or `none`)", "content-addressed run cache under DIR (resumes interrupted sweeps)"],
             Flag::Jobs => ["--jobs", "N", "a worker count", "sweep worker count (default = available parallelism)"],
-            Flag::Net(_) => ["--net", "", "", "network size for fig 6 (both when absent) and the fat-tree hotspot (512 swaps in the 8-ary 3-tree)"],
+            Flag::FigNet => ["--net", "", "", "network size for fig 6 and all (both when absent; fig 2..5 refuse it)"],
+            Flag::HotspotNet => ["--net", "", "", "network size (default 64; 512 swaps in the 8-ary 3-tree, fattree only)"],
             Flag::Stride => ["--stride", "N", "a row count", "print every Nth series row (default 4)"],
             Flag::Trace => ["--trace", "FILE", "a file", "write an event-trace JSONL file"],
             Flag::TraceLast => ["--trace-last", "N", "a record count", "trace ring capacity (default 4096; digest covers the whole run)"],
@@ -95,7 +100,8 @@ impl Flag {
     pub fn sizes(self) -> Option<&'static [u64]> {
         match self {
             Flag::Pkt => Some(&[64, 512]),
-            Flag::Net(sizes) => Some(sizes),
+            Flag::FigNet => Some(&[256, 512]),
+            Flag::HotspotNet => Some(&[64, 512]),
             Flag::Rung => Some(&[64, 512, 4096]),
             _ => None,
         }
@@ -135,7 +141,7 @@ impl Flag {
         match self {
             Flag::Quick => o.quick = true,
             Flag::Pkt => o.pkt = Some(member()?),
-            Flag::Net(_) | Flag::Rung => o.net = Some(member()?),
+            Flag::FigNet | Flag::HotspotNet | Flag::Rung => o.net = Some(member()?),
             Flag::Csv => o.csv_dir = Some(v.into()),
             Flag::Json => o.json_dir = dir(),
             Flag::Cache => o.cache_dir = dir(),
@@ -378,7 +384,7 @@ mod tests {
         Flag::Json,
         Flag::Cache,
         Flag::Jobs,
-        Flag::Net(&[64, 256, 512]),
+        Flag::FigNet,
         Flag::Stride,
         Flag::Trace,
         Flag::TraceLast,

@@ -135,26 +135,12 @@ pub struct RunOutput {
     pub fct: Option<FctSummary>,
 }
 
-/// The RECN configuration used by all paper-scale experiments: thresholds
-/// as fractions of the 128 KB port memory (the paper gives the threshold
-/// structure but not byte values; these reproduce its curves).
-pub fn paper_recn_config() -> RecnConfig {
-    RecnConfig {
-        max_saqs: 8,
-        detection_threshold: 16 * 1024,
-        propagation_threshold: 2 * 1024,
-        xoff_threshold: 4 * 1024,
-        xon_threshold: 1024,
-        drain_boost_pkts: 2,
-        root_clear_threshold: 8 * 1024,
-    }
-}
-
-/// `paper_recn_config` with thresholds divided by `div` — used by quick
-/// (time-compressed) runs so congestion detection scales with the shrunken
-/// buffers-fill time and the curve shapes are preserved.
+/// The paper configuration ([`RecnConfig::default`]) with thresholds
+/// divided by `div` — used by quick (time-compressed) runs so congestion
+/// detection scales with the shrunken buffers-fill time and the curve
+/// shapes are preserved.
 pub fn scaled_recn_config(div: u64) -> RecnConfig {
-    let base = paper_recn_config();
+    let base = RecnConfig::default();
     RecnConfig {
         detection_threshold: (base.detection_threshold / div).max(256),
         propagation_threshold: (base.propagation_threshold / div).max(128),
@@ -399,7 +385,7 @@ mod tests {
         assert_eq!(SchemeSet::All.schemes()[0].name(), "VOQnet");
         // Uncompressed, the scaled config is the paper's: callers need no
         // `div == 1` special case.
-        assert_eq!(scaled_recn_config(1), paper_recn_config());
+        assert_eq!(scaled_recn_config(1), RecnConfig::default());
     }
 
     #[test]

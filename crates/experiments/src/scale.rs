@@ -57,22 +57,6 @@ fn ladder() -> Vec<(FatTreeParams, CornerCase)> {
     ]
 }
 
-/// Queues one *port unit* (one input or one output) needs under a
-/// scheme, in a network of `hosts` endnodes built from switches of the
-/// given `radix`. This is the per-port row of the paper's Table in §6:
-/// constant for 1Q/4Q/RECN, radix-bound for VOQsw, and `N`-bound for
-/// VOQnet.
-pub fn queues_per_port(scheme: &SchemeKind, hosts: u32, radix: u32) -> u64 {
-    match scheme {
-        SchemeKind::OneQ => 1,
-        SchemeKind::FourQ => 4,
-        SchemeKind::VoqSw => radix as u64,
-        SchemeKind::VoqNet => hosts as u64,
-        // One cold queue plus the fixed SAQ pool.
-        SchemeKind::Recn(cfg) => 1 + cfg.max_saqs as u64,
-    }
-}
-
 /// Total physical switch ports in the tree (hosts attach to `k` down
 /// ports of level-0 switches; inner levels have `2k` ports, the root
 /// level `k`).
@@ -89,7 +73,7 @@ pub struct ScaleRow {
     pub hosts: u32,
     /// Scheme display name.
     pub scheme: &'static str,
-    /// Queues per port unit (analytic; see [`queues_per_port`]).
+    /// Queues per port unit (analytic; see [`SchemeKind::queues_per_port`]).
     pub queues_per_port: u64,
     /// Total queues across the network: port units × queues per port.
     /// Every physical port contributes an input and an output unit.
@@ -123,7 +107,7 @@ pub fn analytic_rows(points: &[FatTreeParams], schemes: &[SchemeKind]) -> Vec<Sc
         // Input and output units per physical port.
         let port_units = 2 * switch_ports(p);
         for scheme in schemes {
-            let qpp = queues_per_port(scheme, p.hosts(), 2 * p.k());
+            let qpp = scheme.queues_per_port(2 * p.k() as usize, p.hosts() as usize) as u64;
             let network_queues = port_units * qpp;
             rows.push(ScaleRow {
                 hosts: p.hosts(),

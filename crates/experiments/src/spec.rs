@@ -346,7 +346,8 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{paper_recn_config, SchemeSet};
+    use crate::runner::SchemeSet;
+    use recn::RecnConfig;
     use topology::{FatTreeParams, MinParams};
 
     fn sample_specs() -> Vec<RunSpec> {
@@ -358,7 +359,7 @@ mod tests {
         specs.push(
             RunSpec::corner(
                 FatTreeParams::ft_64(),
-                SchemeKind::Recn(paper_recn_config()),
+                SchemeKind::Recn(RecnConfig::default()),
                 CornerCase::fattree_64(),
             )
             .with_routing(RoutingPolicy::adaptive())
@@ -385,7 +386,7 @@ mod tests {
         specs.push(
             RunSpec::flows(
                 MinParams::paper_64(),
-                SchemeKind::Recn(paper_recn_config()),
+                SchemeKind::Recn(RecnConfig::default()),
                 FlowSet::incast64(),
             )
             .with_transport(TransportKind::GoBackN(fabric::TransportConfig::default())),
@@ -574,8 +575,8 @@ mod tests {
             .spec_hash()
         };
         assert_ne!(
-            recn(paper_recn_config()),
-            recn(paper_recn_config().with_max_saqs(64)),
+            recn(RecnConfig::default()),
+            recn(RecnConfig::default().with_max_saqs(64)),
         );
     }
 }

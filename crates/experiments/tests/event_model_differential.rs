@@ -25,11 +25,10 @@
 //! Every cell also asserts the lazy run scheduled *strictly fewer* events:
 //! the fast path must actually elide work, not just match.
 
-use experiments::runner::{
-    paper_recn_config, run_one, run_one_eager_reference, RunOutput, SchemeSet, Workload,
-};
+use experiments::runner::{run_one, run_one_eager_reference, RunOutput, SchemeSet, Workload};
 use experiments::RunSpec;
 use fabric::{RoutingPolicy, SchemeKind, TransportKind};
+use recn::RecnConfig;
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams};
 use traffic::corner::CornerCase;
@@ -137,7 +136,7 @@ fn closed_loop_incast_is_bit_exact() {
     for transport in ["gbn", "nack", "pfc"] {
         let spec = RunSpec::flows(
             MinParams::paper_64(),
-            SchemeKind::Recn(paper_recn_config()),
+            SchemeKind::Recn(RecnConfig::default()),
             FlowSet::incast64().with_flow_bytes(2048),
         )
         .with_transport(TransportKind::parse(transport).expect("known transport"))

@@ -8,9 +8,9 @@
 //! tag byte); entries of any other version are then cache misses, which
 //! `tests/run_cache.rs` pins.
 
-use experiments::runner::paper_recn_config;
 use experiments::spec::RunSpec;
 use fabric::{RoutingPolicy, SchemeKind};
+use recn::RecnConfig;
 use topology::{FatTreeParams, MinParams};
 use traffic::corner::CornerCase;
 
@@ -21,7 +21,7 @@ fn schemes() -> [SchemeKind; 5] {
         SchemeKind::FourQ,
         SchemeKind::VoqSw,
         SchemeKind::VoqNet,
-        SchemeKind::Recn(paper_recn_config()),
+        SchemeKind::Recn(RecnConfig::default()),
     ]
 }
 
@@ -142,7 +142,7 @@ fn transport_spec_hashes_are_pinned_and_distinct() {
     let base = || {
         RunSpec::flows(
             MinParams::paper_64(),
-            SchemeKind::Recn(paper_recn_config()),
+            SchemeKind::Recn(RecnConfig::default()),
             FlowSet::incast64(),
         )
     };
@@ -172,7 +172,7 @@ fn san_and_uniform_spec_hashes_are_pinned() {
     use traffic::san::SanParams;
 
     let san = RunSpec::san(
-        SchemeKind::Recn(paper_recn_config()),
+        SchemeKind::Recn(RecnConfig::default()),
         SanParams {
             hot_duration_xm_ns: 5e6,
             ..SanParams::cello_like(20.0)

@@ -220,11 +220,8 @@ impl Network {
             return CreditView::Infinite;
         }
         match cfg.scheme {
-            SchemeKind::OneQ => CreditView::per_queue(cfg.input_mem, 1),
-            SchemeKind::FourQ => CreditView::per_queue(cfg.input_mem, 4),
-            SchemeKind::VoqSw => CreditView::per_queue(cfg.input_mem, ports),
-            SchemeKind::VoqNet => CreditView::per_queue(cfg.input_mem, hosts),
             SchemeKind::Recn(_) => CreditView::pooled(cfg.input_mem),
+            scheme => CreditView::per_queue(cfg.input_mem, scheme.queues_per_port(ports, hosts)),
         }
     }
 

@@ -2,7 +2,7 @@
 //! routing tokens through dealloc cascades, consuming in-order markers and
 //! maintaining the network-wide SAQ census.
 
-use recn::{NotifOutcome, RootChange, SaqId, TokenDest};
+use recn::{NotifOutcome, Returned, RootChange, SaqId, TokenDest};
 use simcore::{EventQueue, Picos};
 use topology::PathSpec;
 
@@ -39,40 +39,22 @@ impl Network {
         None
     }
 
-    /// An egress port notified same-switch input port `input` about the
-    /// congestion tree at `path` (input-port coordinates). Internal wiring:
-    /// processed immediately.
+    /// An egress port of switch `sw` notified input port `input` about the
+    /// congestion tree at `path` (input-port coordinates, so its first turn
+    /// is the egress port). Internal wiring: processed immediately.
     pub(crate) fn deliver_internal_notification(
         &mut self,
         now: Picos,
         q: &mut EventQueue<Event>,
         sw: usize,
-        egress_port: usize,
         input: usize,
         path: PathSpec,
     ) {
         self.counters.recn_notifications += 1;
         let notified = PortRef::SwitchIn { sw, port: input };
-        if self.alloc_on_notification(now, q, notified, path).is_some() {
-            return;
-        }
-        // The token bounces straight back to the notifying egress port; its
-        // notified flag stays set (§3.8).
-        let (_, path_at_egress) = path
-            .split_first()
-            .expect("internal notification paths are nonempty");
-        let egress = PortRef::SwitchOut {
-            sw,
-            port: egress_port,
-        };
-        let (change, dealloc) = self
-            .port_mut(egress)
-            .recn_mut()
-            .expect("RECN scheme")
-            .on_token_rejected_from_input(input, path_at_egress);
-        self.note_root_change(now, q, sw, egress_port, change);
-        if let Some(saq) = dealloc {
-            self.dealloc(now, q, egress, saq);
+        if self.alloc_on_notification(now, q, notified, path).is_none() {
+            // The token bounces straight back to the notifying egress port.
+            self.token_to_egress(now, q, sw, input, path, Returned::Rejected);
         }
     }
 
@@ -117,8 +99,8 @@ impl Network {
                 }
                 None
             }
-            Payload::RecnReject { path } => recn.on_upstream_reject(path),
-            Payload::RecnToken { path } => recn.on_token_from_upstream(path),
+            Payload::RecnReject { path } => recn.token_from_upstream(path, Returned::Rejected),
+            Payload::RecnToken { path } => recn.token_from_upstream(path, Returned::Released),
             Payload::Data { .. } => unreachable!("data is stored, not handled as control"),
         };
         if let Some(saq) = dealloc {
@@ -149,36 +131,51 @@ impl Network {
         observe!(self.on_saq_dealloc(now, site, idx, saq.line(), &path));
         self.census_change(now, port, false);
         match action.token_to {
-            TokenDest::EgressSameSwitch {
-                out_port,
-                path_at_egress,
-            } => {
+            TokenDest::EgressSameSwitch { .. } => {
                 let PortRef::SwitchIn { sw, port: input } = port else {
                     unreachable!("only ingress SAQ tokens stay within the switch");
                 };
                 if action.xon_needed {
                     let in_link = self.switches[sw].in_link[input];
-                    let path = path_at_egress.prepend(out_port);
                     self.counters.xons += 1;
                     self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
                 }
-                let out_port = out_port as usize;
-                let parent = PortRef::SwitchOut { sw, port: out_port };
-                let (change, dealloc) = self
-                    .port_mut(parent)
-                    .recn_mut()
-                    .expect("RECN scheme")
-                    .on_token_from_input(input, path_at_egress);
-                self.note_root_change(now, q, sw, out_port, change);
-                if let Some(next) = dealloc {
-                    self.dealloc(now, q, parent, next);
-                }
+                self.token_to_egress(now, q, sw, input, path, Returned::Released);
             }
             TokenDest::DownstreamLink { path } => {
                 let link = self.egress_link(port);
                 self.counters.recn_tokens += 1;
                 self.send_fwd_ctrl(now, q, link, Payload::RecnToken { path });
             }
+        }
+    }
+
+    /// Input port `input` of switch `sw` hands back the token of the
+    /// notification it got for the tree at `path` (its own coordinates) to
+    /// the egress port the path's first turn names: that port may stop
+    /// being a root, or its SAQ deallocate in turn.
+    fn token_to_egress(
+        &mut self,
+        now: Picos,
+        q: &mut EventQueue<Event>,
+        sw: usize,
+        input: usize,
+        path: PathSpec,
+        how: Returned,
+    ) {
+        let (out_port, path_at_egress) = path
+            .split_first()
+            .expect("a path from an input port starts at an egress port");
+        let out_port = out_port as usize;
+        let egress = PortRef::SwitchOut { sw, port: out_port };
+        let (change, dealloc) = self
+            .port_mut(egress)
+            .recn_mut()
+            .expect("RECN scheme")
+            .token_from_input(input, path_at_egress, how);
+        self.note_root_change(now, q, sw, out_port, change);
+        if let Some(saq) = dealloc {
+            self.dealloc(now, q, egress, saq);
         }
     }
 

@@ -422,7 +422,7 @@ impl Network {
         let class = recn.classify(pkt.route.resolved_remaining(1));
         let notifs = recn.on_forward_from_input(i, class);
         for path in notifs.iter() {
-            self.deliver_internal_notification(now, q, sw, out, i, path);
+            self.deliver_internal_notification(now, q, sw, i, path);
         }
     }
 
@@ -466,7 +466,7 @@ impl Network {
                     .expect("RECN scheme")
                     .on_forward_from_input(input, class);
                 for path in notifs.iter() {
-                    self.deliver_internal_notification(now, q, sw, output, input, path);
+                    self.deliver_internal_notification(now, q, sw, input, path);
                 }
             }
         }

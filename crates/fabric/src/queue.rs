@@ -167,26 +167,23 @@ impl QueueSet {
     /// Builds the queue set for `scheme` at `side` with `mem` bytes of
     /// port memory. `radix` and `hosts` size the VOQsw/VOQnet layouts.
     pub fn new(scheme: SchemeKind, side: PortSide, radix: u32, hosts: u32, mem: u64) -> QueueSet {
-        let (mapping, nqueues, per_queue_cap, recn) = match scheme {
-            SchemeKind::OneQ => (Mapping::OneQ, 1usize, Some(mem), None),
-            SchemeKind::FourQ => (Mapping::FourQ, 4, Some(mem / 4), None),
-            SchemeKind::VoqSw => {
-                let per_queue = Some(mem / radix as u64);
-                (Mapping::VoqSw, radix as usize, per_queue, None)
-            }
-            SchemeKind::VoqNet => {
-                let per_queue = Some(mem / hosts as u64);
-                (Mapping::VoqNet, hosts as usize, per_queue, None)
-            }
+        let (mapping, recn) = match scheme {
+            SchemeKind::OneQ => (Mapping::OneQ, None),
+            SchemeKind::FourQ => (Mapping::FourQ, None),
+            SchemeKind::VoqSw => (Mapping::VoqSw, None),
+            SchemeKind::VoqNet => (Mapping::VoqNet, None),
             SchemeKind::Recn(cfg) => {
                 let port = match side {
                     PortSide::SwitchInput => RecnPort::new_ingress(cfg),
                     PortSide::SwitchOutput { turn } => RecnPort::new_egress(cfg, turn),
                     PortSide::NicInjection => RecnPort::new_nic_injection(cfg),
                 };
-                (Mapping::Recn, 1 + cfg.max_saqs, None, Some(port))
+                (Mapping::Recn, Some(port))
             }
         };
+        let nqueues = scheme.queues_per_port(radix as usize, hosts as usize);
+        // A baseline scheme splits the memory evenly; RECN pools it.
+        let per_queue_cap = recn.is_none().then_some(mem / nqueues as u64);
         // A baseline scheme's queues all exist; SAQ records come with a tree.
         let built = if recn.is_some() { 0 } else { nqueues - 1 };
         QueueSet {

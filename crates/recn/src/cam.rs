@@ -48,8 +48,9 @@ pub(crate) struct CamLine {
     /// them reached the head of their queues.
     pub markers_outstanding: u8,
     /// Upward-crossing detector: propagation fires only when occupancy
-    /// crosses the threshold from below while armed; re-armed on rejection
-    /// or token return so the tree can regrow.
+    /// crosses the threshold from below while armed; re-armed when the
+    /// occupancy dips below the threshold, or when a released token comes
+    /// home, so the tree can regrow.
     pub armed: bool,
     /// Ingress: a notification was sent upstream (flag of §3.4).
     pub notified_upstream: bool,

@@ -5,9 +5,10 @@ use simcore::{Canon, CanonWriter};
 /// Configuration of the RECN mechanism at every port.
 ///
 /// The paper specifies the *structure* of the thresholds (detection,
-/// propagation, Xon/Xoff, drain boost) but not concrete byte values; the
-/// defaults here are the values used by our experiment reproduction and are
-/// expressed as fractions of the paper's 128 KB per-port memory.
+/// propagation, Xon/Xoff, drain boost) but not concrete byte values. The
+/// [default](RecnConfig::default) is the configuration every paper-scale
+/// experiment runs: thresholds as fractions of the paper's 128 KB per-port
+/// memory, chosen so that the reproduction's curves match the paper's.
 ///
 /// Construct with [`RecnConfig::default`] and override fields through the
 /// with-methods:
@@ -47,12 +48,12 @@ impl Default for RecnConfig {
     fn default() -> Self {
         RecnConfig {
             max_saqs: 8,
-            detection_threshold: 32 * 1024,
-            propagation_threshold: 8 * 1024,
-            xoff_threshold: 16 * 1024,
-            xon_threshold: 4 * 1024,
+            detection_threshold: 16 * 1024,
+            propagation_threshold: 2 * 1024,
+            xoff_threshold: 4 * 1024,
+            xon_threshold: 1024,
             drain_boost_pkts: 2,
-            root_clear_threshold: 16 * 1024,
+            root_clear_threshold: 8 * 1024,
         }
     }
 }

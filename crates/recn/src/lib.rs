@@ -25,10 +25,12 @@
 //!    extending the path by one turn), so queue isolation always runs ahead
 //!    of the growing tree.
 //! 4. **Deallocation** — notifications carry **tokens** marking the tree's
-//!    leaves. An empty leaf SAQ deallocates and returns its token toward the
-//!    root; branch points wait for all branch tokens. When the root's queue
-//!    drains below the threshold and all tokens came home, the tree is gone
-//!    and every resource has been reclaimed.
+//!    leaves. A token comes home to the port that sent it in one of two ways
+//!    ([`Returned`]): the notified port rejects the notification, or the
+//!    SAQ it created drains empty and deallocates. Branch points wait for
+//!    all branch tokens. When the root's queue drains below the threshold
+//!    and all tokens came home, the tree is gone and every resource has
+//!    been reclaimed.
 //! 5. **In-order delivery** — a freshly allocated SAQ stays *blocked* behind
 //!    a marker placed in the normal queue, so packets that entered the
 //!    normal queue before the SAQ existed still leave first.
@@ -36,11 +38,12 @@
 //!    SAQ bounds SAQ growth; port-level credits stay global.
 //!
 //! This crate contains the complete per-port protocol state machine
-//! ([`RecnPort`]), the CAM ([`CamTable`]), the control-message vocabulary
-//! ([`RecnMsg`]) and the tunables ([`RecnConfig`]). It owns *control state
-//! and occupancy counters* only — actual packet storage lives in the
-//! `fabric` crate, which drives these state machines and obeys the signals
-//! they emit ([`EnqueueSignals`], [`DequeueSignals`], [`DeallocAction`]).
+//! ([`RecnPort`]), the CAM ([`CamTable`]) and the tunables ([`RecnConfig`]).
+//! It owns *control state and occupancy counters* only — actual packet
+//! storage and the control messages on the wire live in the `fabric`
+//! crate, which drives these state machines, one call per message, and
+//! obeys the signals they emit ([`EnqueueSignals`], [`DequeueSignals`],
+//! [`DeallocAction`]).
 //!
 //! ## Example: one notification hop
 //!
@@ -70,13 +73,11 @@
 
 mod cam;
 mod config;
-mod msg;
 mod port;
 
 pub use cam::{CamTable, SaqId};
 pub use config::RecnConfig;
-pub use msg::RecnMsg;
 pub use port::{
     Classify, DeallocAction, DequeueSignals, EnqueueSignals, ForwardNotifications, NotifOutcome,
-    RecnPort, RootChange, TokenDest,
+    RecnPort, Returned, RootChange, TokenDest,
 };

@@ -99,6 +99,16 @@ pub enum TokenDest {
     },
 }
 
+/// How a notification's token came home to the port that sent it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Returned {
+    /// The notified port refused the notification: no free SAQ, or a SAQ
+    /// for the path already exists (paper §3.8).
+    Rejected,
+    /// The SAQ the notification created deallocated (paper §3.5).
+    Released,
+}
+
 /// Everything the fabric must do after a successful [`RecnPort::dealloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeallocAction {
@@ -138,9 +148,6 @@ struct RootState {
     notified_inputs: u64,
     tokens_sent: u32,
     tokens_returned: u32,
-    /// Times this port became a root (statistics). Each one takes a packet
-    /// stored past the detection threshold, so 32 bits outlast any run.
-    activations: u32,
 }
 
 /// Change of the root detector reported to the fabric (informational; used
@@ -421,7 +428,6 @@ impl RecnPort {
         self.normal_occupancy = bytes_now;
         if !self.root.active && bytes_now >= self.cfg.detection_threshold {
             self.root.active = true;
-            self.root.activations += 1;
             return Some(RootChange::BecameRoot);
         }
         if self.root.active {
@@ -448,9 +454,9 @@ impl RecnPort {
     /// port `input` is stored into this egress port under `class`. Returns
     /// the notifications (already in the input port's coordinates) that
     /// must be delivered to that input port — each carries a token, so the
-    /// fabric must route the respective outcome back via
-    /// [`on_token_from_input`](Self::on_token_from_input) when the input
-    /// rejects or later deallocates.
+    /// fabric must hand it back through
+    /// [`token_from_input`](Self::token_from_input) when the input rejects
+    /// the notification or later deallocates the SAQ.
     ///
     /// # Panics
     ///
@@ -484,18 +490,17 @@ impl RecnPort {
         self.root.active
     }
 
-    /// How many times this port became a root (statistics).
-    pub fn root_activations(&self) -> u64 {
-        self.root.activations.into()
-    }
-
     // ------------------------------------------------------------------
     // Token plumbing
     // ------------------------------------------------------------------
 
-    /// An input port of the same switch returned a token for the tree
-    /// `path_at_egress` (empty ⇒ this port's root tree). The input port's
-    /// notified flag is cleared so re-congestion can re-notify it.
+    /// A same-switch input port returned the token of the notification it
+    /// got for the tree `path_at_egress` (empty ⇒ this port's root tree).
+    /// A [`Released`](Returned::Released) token clears the input's notified
+    /// bit, so re-congestion can notify it again, and re-arms the SAQ's
+    /// propagation; a [`Rejected`](Returned::Rejected) one does neither,
+    /// so an input with no free line is not notified at every packet
+    /// (paper §3.8).
     ///
     /// Returns `(root_change, saq_deallocatable)` — at most one is
     /// meaningful per call.
@@ -503,57 +508,30 @@ impl RecnPort {
     /// # Panics
     ///
     /// Panics when called on an ingress port.
-    pub fn on_token_from_input(
+    pub fn token_from_input(
         &mut self,
         input: usize,
         path_at_egress: PathSpec,
+        how: Returned,
     ) -> (Option<RootChange>, Option<SaqId>) {
         assert!(
             self.is_egress_like(),
             "tokens from inputs arrive at egress ports"
         );
-        let bit = 1u64 << input;
+        let released = how == Returned::Released;
+        let clear = if released { 1u64 << input } else { 0 };
         if path_at_egress.is_empty() {
             self.root.tokens_returned += 1;
             debug_assert!(self.root.tokens_returned <= self.root.tokens_sent);
-            self.root.notified_inputs &= !bit;
+            self.root.notified_inputs &= !clear;
             return (self.try_clear_root(), None);
         }
         if let Some(saq) = self.cam.find_path(&path_at_egress) {
             let line = self.cam.get_mut(saq);
             line.tokens_returned += 1;
             debug_assert!(line.tokens_returned <= line.tokens_sent);
-            line.notified_inputs &= !bit;
-            line.armed = true;
-            if line.is_drained_leaf() {
-                return (None, Some(saq));
-            }
-        }
-        (None, None)
-    }
-
-    /// Same as [`on_token_from_input`](Self::on_token_from_input) but for a
-    /// *rejected or duplicate* notification: the token comes back but the
-    /// notified flag **stays set**, preventing a notification storm while
-    /// the input port has no free SAQ (paper §3.8).
-    pub fn on_token_rejected_from_input(
-        &mut self,
-        _input: usize,
-        path_at_egress: PathSpec,
-    ) -> (Option<RootChange>, Option<SaqId>) {
-        assert!(
-            self.is_egress_like(),
-            "tokens from inputs arrive at egress ports"
-        );
-        if path_at_egress.is_empty() {
-            self.root.tokens_returned += 1;
-            debug_assert!(self.root.tokens_returned <= self.root.tokens_sent);
-            return (self.try_clear_root(), None);
-        }
-        if let Some(saq) = self.cam.find_path(&path_at_egress) {
-            let line = self.cam.get_mut(saq);
-            line.tokens_returned += 1;
-            debug_assert!(line.tokens_returned <= line.tokens_sent);
+            line.notified_inputs &= !clear;
+            line.armed |= released;
             if line.is_drained_leaf() {
                 return (None, Some(saq));
             }
@@ -582,49 +560,28 @@ impl RecnPort {
         false
     }
 
-    /// Ingress only: the upstream egress rejected our notification (or
-    /// reported a duplicate); the token returns. The upstream-notified flag
-    /// is cleared so the tree can regrow once the SAQ occupancy dips below
-    /// and crosses the propagation threshold again.
-    pub fn on_upstream_reject(&mut self, path: PathSpec) -> Option<SaqId> {
-        assert!(
-            matches!(self.role, Role::Ingress),
-            "rejects arrive at ingress ports"
-        );
-        if let Some(saq) = self.cam.find_path(&path) {
-            let line = self.cam.get_mut(saq);
-            line.tokens_returned += 1;
-            debug_assert!(line.tokens_returned <= line.tokens_sent);
-            line.notified_upstream = false;
-            line.upstream_line = None;
-            line.xoff_sent = false;
-            if line.is_drained_leaf() {
-                return Some(saq);
-            }
-        }
-        None
-    }
-
-    /// Ingress only: the upstream SAQ (our child) deallocated and returned
-    /// its token. Returns the SAQ if it is now deallocatable itself.
-    pub fn on_token_from_upstream(&mut self, path: PathSpec) -> Option<SaqId> {
+    /// Ingress only: the token of our notification came back from the
+    /// upstream egress across the link, which rejected the notification
+    /// (or reported a duplicate) or deallocated the SAQ it created. The
+    /// upstream-notified flag is cleared either way; a
+    /// [`Released`](Returned::Released) token also re-arms propagation at
+    /// once, while after a [`Rejected`](Returned::Rejected) one the tree
+    /// regrows only once the SAQ dips below and crosses the propagation
+    /// threshold again. Returns the SAQ if it is now deallocatable itself.
+    pub fn token_from_upstream(&mut self, path: PathSpec, how: Returned) -> Option<SaqId> {
         assert!(
             matches!(self.role, Role::Ingress),
             "upstream tokens arrive at ingress ports"
         );
-        if let Some(saq) = self.cam.find_path(&path) {
-            let line = self.cam.get_mut(saq);
-            line.tokens_returned += 1;
-            debug_assert!(line.tokens_returned <= line.tokens_sent);
-            line.notified_upstream = false;
-            line.upstream_line = None;
-            line.xoff_sent = false;
-            line.armed = true;
-            if line.is_drained_leaf() {
-                return Some(saq);
-            }
-        }
-        None
+        let saq = self.cam.find_path(&path)?;
+        let line = self.cam.get_mut(saq);
+        line.tokens_returned += 1;
+        debug_assert!(line.tokens_returned <= line.tokens_sent);
+        line.notified_upstream = false;
+        line.upstream_line = None;
+        line.xoff_sent = false;
+        line.armed |= how == Returned::Released;
+        line.is_drained_leaf().then_some(saq)
     }
 
     // ------------------------------------------------------------------
@@ -888,7 +845,7 @@ mod tests {
         p.saq_enqueued(saq, 60);
         assert!(!p.saq_dequeued(saq, 60).deallocatable, "child outstanding");
         // Upstream child deallocates and returns the token.
-        let dealloc_now = p.on_token_from_upstream(path);
+        let dealloc_now = p.token_from_upstream(path, Returned::Released);
         assert_eq!(dealloc_now, Some(saq), "empty leaf after token return");
         let act = p.dealloc(saq);
         assert_eq!(
@@ -907,7 +864,10 @@ mod tests {
         let saq = accepted(p.alloc_on_notification(path));
         p.marker_consumed(saq);
         p.saq_enqueued(saq, 60);
-        assert!(p.on_upstream_reject(path).is_none(), "not empty yet");
+        assert!(
+            p.token_from_upstream(path, Returned::Rejected).is_none(),
+            "not empty yet"
+        );
         // Still above the threshold: the armed flag is down, no immediate renotify.
         let s = p.saq_enqueued(saq, 5);
         assert!(s.propagate.is_none());
@@ -936,10 +896,9 @@ mod tests {
         assert_eq!(e.normal_occupancy_changed(10), None);
         assert!(e.is_root());
         // Token returns: root clears.
-        let (rc, _) = e.on_token_from_input(3, PathSpec::EMPTY);
+        let (rc, _) = e.token_from_input(3, PathSpec::EMPTY, Returned::Released);
         assert_eq!(rc, Some(RootChange::ClearedRoot));
         assert!(!e.is_root());
-        assert_eq!(e.root_activations(), 1);
         // Re-congestion re-detects and re-notifies.
         assert_eq!(
             e.normal_occupancy_changed(150),
@@ -980,12 +939,30 @@ mod tests {
         e.on_forward_from_input(2, Classify::Saq(saq));
         let d = e.saq_dequeued(saq, 60);
         assert!(!d.deallocatable, "two branch tokens outstanding");
-        let (_, dealloc) = e.on_token_from_input(0, path);
+        let (_, dealloc) = e.token_from_input(0, path, Returned::Released);
         assert_eq!(dealloc, None);
-        let (_, dealloc) = e.on_token_from_input(2, path);
+        let (_, dealloc) = e.token_from_input(2, path, Returned::Released);
         assert_eq!(dealloc, Some(saq));
         let act = e.dealloc(saq);
         assert_eq!(act.token_to, TokenDest::DownstreamLink { path });
+    }
+
+    /// At an egress line only the line's own flag shows the re-arm of a
+    /// released token: `propagating` never clears, so nothing reads the
+    /// flag again.
+    #[test]
+    fn egress_line_rearms_on_a_released_token_only() {
+        let mut e = RecnPort::new_egress(small_cfg(), 1);
+        let path = PathSpec::from_turns(&[3]);
+        let saq = accepted(e.alloc_on_notification(path));
+        e.marker_consumed(saq);
+        e.saq_enqueued(saq, 60); // past the threshold: disarmed, propagating
+        e.on_forward_from_input(0, Classify::Saq(saq));
+        e.on_forward_from_input(2, Classify::Saq(saq));
+        e.token_from_input(0, path, Returned::Rejected);
+        assert!(!e.cam.get(saq).armed);
+        e.token_from_input(2, path, Returned::Released);
+        assert!(e.cam.get(saq).armed);
     }
 
     #[test]
@@ -1048,7 +1025,7 @@ mod tests {
         assert!(p.drain_boost(saq), "1 packet, owns token");
         p.saq_enqueued(saq, 60); // propagate -> child outstanding
         assert!(!p.drain_boost(saq), "no longer a leaf");
-        p.on_token_from_upstream(path);
+        p.token_from_upstream(path, Returned::Released);
         // 2 packets <= drain_boost_pkts
         assert!(p.drain_boost(saq));
         p.saq_enqueued(saq, 10);

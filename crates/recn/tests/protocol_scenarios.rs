@@ -11,7 +11,7 @@
 //! The last test drives one ingress port with seeded *random* protocol
 //! traffic against a shadow model instead of a script.
 
-use recn::{Classify, NotifOutcome, RecnConfig, RecnPort, SaqId, TokenDest};
+use recn::{Classify, NotifOutcome, RecnConfig, RecnPort, Returned, SaqId, TokenDest};
 use simcore::Xoshiro256;
 use topology::PathSpec;
 
@@ -186,7 +186,7 @@ fn full_tree_lifecycle_across_two_switches() {
     // up_in receives the token, drains, deallocates toward up_eg.
     let ready = p
         .up_in
-        .on_token_from_upstream(PathSpec::from_turns(&[1, 2]));
+        .token_from_upstream(PathSpec::from_turns(&[1, 2]), Returned::Released);
     assert!(ready.is_none(), "still holds 400 bytes");
     assert!(p.up_in.saq_dequeued(up_in_saq, 400).deallocatable);
     ledger.dealloc(1, up_in_saq);
@@ -202,7 +202,9 @@ fn full_tree_lifecycle_across_two_switches() {
     assert_eq!(path_at_egress, PathSpec::from_turns(&[2]));
 
     // up_eg collects the branch token, drains, deallocates across the link.
-    let (_, dealloc) = p.up_eg.on_token_from_input(3, path_at_egress);
+    let (_, dealloc) = p
+        .up_eg
+        .token_from_input(3, path_at_egress, Returned::Released);
     assert!(dealloc.is_none(), "up_eg still holds bytes");
     assert!(p.up_eg.saq_dequeued(up_saq, 350).deallocatable);
     ledger.dealloc(2, up_saq);
@@ -217,7 +219,7 @@ fn full_tree_lifecycle_across_two_switches() {
     // down_in gets the token back, drains the rest, returns to the root.
     assert!(p
         .down_in
-        .on_token_from_upstream(PathSpec::from_turns(&[2]))
+        .token_from_upstream(PathSpec::from_turns(&[2]), Returned::Released)
         .is_none());
     assert!(p.down_in.saq_dequeued(down_saq, 100).deallocatable);
     ledger.dealloc(3, down_saq);
@@ -231,7 +233,9 @@ fn full_tree_lifecycle_across_two_switches() {
     );
 
     // Root: token home + queue drained = tree gone.
-    let (change, _) = p.down_eg.on_token_from_input(0, PathSpec::EMPTY);
+    let (change, _) = p
+        .down_eg
+        .token_from_input(0, PathSpec::EMPTY, Returned::Released);
     assert!(
         change.is_none(),
         "occupancy still above the clear threshold"
@@ -343,7 +347,7 @@ fn rejection_keeps_tree_consistent() {
     assert_eq!(input.alloc_on_notification(path), NotifOutcome::Rejected);
     // Token returns as a rejection: flag stays, no re-notify on the next
     // forward from the same input.
-    let (change, dealloc) = egress.on_token_rejected_from_input(2, PathSpec::EMPTY);
+    let (change, dealloc) = egress.token_from_input(2, PathSpec::EMPTY, Returned::Rejected);
     assert!(change.is_none() && dealloc.is_none());
     assert!(egress.on_forward_from_input(2, Classify::Normal).is_empty());
     // A different input still gets notified.
@@ -380,7 +384,8 @@ fn recongestion_after_token_return() {
     else {
         panic!("in-switch token expected");
     };
-    let (change, _) = egress.on_token_from_input(out_port as usize, path_at_egress);
+    let (change, _) =
+        egress.token_from_input(out_port as usize, path_at_egress, Returned::Released);
     // Wait: token came from input 0; the egress clears that input's flag.
     assert!(change.is_none(), "queue still above clear threshold");
 
@@ -390,6 +395,60 @@ fn recongestion_after_token_return() {
     assert_ne!(saq1, saq2, "fresh generation");
     assert!(!input.is_live(saq1));
     assert!(input.is_live(saq2));
+}
+
+/// A branch token that comes home released lets its input be notified
+/// about the same tree again; one that comes home rejected leaves the
+/// input's notified bit set, so a port with no free line is not notified
+/// at every packet (§3.8).
+#[test]
+fn egress_saq_renotifies_an_input_only_after_a_released_token() {
+    let mut egress = RecnPort::new_egress(cfg(), 1);
+    let at_egress = PathSpec::from_turns(&[3]);
+    let tree = accept(egress.alloc_on_notification(at_egress));
+    egress.marker_consumed(tree);
+    egress.saq_enqueued(tree, 400); // propagating
+    let at_input = Some(PathSpec::from_turns(&[1, 3]));
+    for input in [0, 2] {
+        let n = egress.on_forward_from_input(input, Classify::Saq(tree));
+        assert_eq!(n.tree, at_input);
+    }
+
+    let (_, d) = egress.token_from_input(0, at_egress, Returned::Rejected);
+    assert!(d.is_none());
+    assert!(egress
+        .on_forward_from_input(0, Classify::Saq(tree))
+        .is_empty());
+
+    let (_, d) = egress.token_from_input(2, at_egress, Returned::Released);
+    assert!(d.is_none(), "still holds bytes");
+    let n = egress.on_forward_from_input(2, Classify::Saq(tree));
+    assert_eq!(n.tree, at_input, "a fresh branch for the same tree");
+}
+
+/// The token of an ingress SAQ's upstream child comes home either way with
+/// the upstream flag cleared, but only a released one re-arms propagation
+/// at once: a SAQ still past the threshold notifies upstream again at its
+/// next packet. After a rejection it must dip below the threshold first.
+#[test]
+fn ingress_regrows_at_once_only_after_a_released_token() {
+    let mut input = RecnPort::new_ingress(cfg());
+    let path = PathSpec::from_turns(&[2]);
+    let saq = accept(input.alloc_on_notification(path));
+    input.marker_consumed(saq);
+    assert_eq!(input.saq_enqueued(saq, 400).propagate, Some(path));
+
+    assert!(input
+        .token_from_upstream(path, Returned::Rejected)
+        .is_none());
+    assert_eq!(input.saq_enqueued(saq, 64).propagate, None, "not re-armed");
+    input.saq_dequeued(saq, 400); // 64 B, below the threshold: re-armed
+    assert_eq!(input.saq_enqueued(saq, 400).propagate, Some(path));
+
+    assert!(input
+        .token_from_upstream(path, Returned::Released)
+        .is_none());
+    assert_eq!(input.saq_enqueued(saq, 64).propagate, Some(path));
 }
 
 /// Branch tokens: an egress SAQ that notified several inputs only
@@ -423,7 +482,7 @@ fn branch_tokens_with_mixed_outcomes() {
 
     // Input 0 rejects; input 1 accepts.
     assert_eq!(in_full.alloc_on_notification(n0), NotifOutcome::Rejected);
-    let (_, d) = egress.on_token_rejected_from_input(0, PathSpec::from_turns(&[3]));
+    let (_, d) = egress.token_from_input(0, PathSpec::from_turns(&[3]), Returned::Rejected);
     assert!(d.is_none());
     let child = accept(in_free.alloc_on_notification(n1));
 
@@ -438,7 +497,7 @@ fn branch_tokens_with_mixed_outcomes() {
     let TokenDest::EgressSameSwitch { path_at_egress, .. } = act.token_to else {
         panic!("in-switch token expected");
     };
-    let (_, dealloc) = egress.on_token_from_input(1, path_at_egress);
+    let (_, dealloc) = egress.token_from_input(1, path_at_egress, Returned::Released);
     assert_eq!(dealloc, Some(tree), "all branches home, empty: tear down");
     let act = egress.dealloc(tree);
     assert_eq!(
@@ -465,7 +524,7 @@ fn drain_boost_window() {
     // Spawning an upstream child suspends the boost until the token is home.
     input.saq_enqueued(saq, 400); // crosses propagation threshold
     assert!(!input.drain_boost(saq));
-    input.on_token_from_upstream(PathSpec::from_turns(&[2]));
+    input.token_from_upstream(PathSpec::from_turns(&[2]), Returned::Released);
     input.saq_dequeued(saq, 400);
     assert!(input.drain_boost(saq));
 }
@@ -544,7 +603,8 @@ fn ingress_port_protocol_invariants() {
                     }
                     4 if s.child => {
                         s.child = false;
-                        let back = port.on_token_from_upstream(port.path_of(s.saq));
+                        let back =
+                            port.token_from_upstream(port.path_of(s.saq), Returned::Released);
                         assert!(back.is_none_or(|d| d == s.saq), "seed {seed}");
                         back.is_some()
                     }
@@ -568,7 +628,7 @@ fn ingress_port_protocol_invariants() {
                 port.marker_consumed(s.saq);
             }
             if s.child {
-                port.on_token_from_upstream(port.path_of(s.saq));
+                port.token_from_upstream(port.path_of(s.saq), Returned::Released);
             }
             while let Some(bytes) = s.queue.pop() {
                 port.saq_dequeued(s.saq, bytes);
