@@ -41,8 +41,8 @@ pub enum Workload {
         /// Base PRNG seed; host `h` derives its stream from `seed + h`.
         seed: u64,
     },
-    /// Closed-loop byte transfers driven by the transport layer
-    /// (incast/shuffle/permutation — the FCT experiments). Hosts have no
+    /// Closed-loop byte transfers driven by the transport layer (the
+    /// incast of the FCT experiments). Hosts have no
     /// open-loop message sources; the flow set is installed directly into
     /// the network before priming.
     Flows(traffic::FlowSet),

@@ -178,8 +178,8 @@ impl RunSpec {
         RunSpec::new(topology::MinParams::paper_64(), scheme, Workload::San(san))
     }
 
-    /// A closed-loop flow run (incast/shuffle/permutation byte transfers
-    /// driven by the transport layer — see [`RunSpec::with_transport`]).
+    /// A closed-loop flow run (incast byte transfers driven by the
+    /// transport layer — see [`RunSpec::with_transport`]).
     pub fn flows(params: impl Into<TopoParams>, scheme: SchemeKind, flows: FlowSet) -> RunSpec {
         RunSpec::new(params, scheme, Workload::Flows(flows))
     }
@@ -395,7 +395,7 @@ mod tests {
             RunSpec::flows(
                 MinParams::paper_64(),
                 SchemeKind::OneQ,
-                FlowSet::shuffle64(),
+                FlowSet::incast64().with_flow_bytes(4 * 1024),
             )
             .with_transport(TransportKind::Pfc(
                 fabric::TransportConfig::default(),

@@ -195,13 +195,9 @@ pub struct FabricConfig {
     pub link_gbps: u64,
     /// Crossbar per-transfer bandwidth in Gbps (paper: 12).
     pub xbar_gbps: u64,
-    /// Memory per switch input port, bytes (paper: 128 KB; 192 KB for the
-    /// 512-host network).
-    pub input_mem: u64,
-    /// Memory per switch output port, bytes.
-    pub output_mem: u64,
-    /// Memory of the NIC injection port, bytes.
-    pub nic_inject_mem: u64,
+    /// Memory per port, bytes: every switch input, switch output and NIC
+    /// injection port (paper: 128 KB; 192 KB for the 512-host network).
+    pub port_mem: u64,
     /// Link propagation delay (pipelined serial links).
     pub link_delay: Picos,
     /// Stop threshold of each NIC admittance VOQ, in bytes: once a queue
@@ -241,9 +237,7 @@ impl FabricConfig {
             scheme,
             link_gbps: 8,
             xbar_gbps: 12,
-            input_mem: 128 * 1024,
-            output_mem: 128 * 1024,
-            nic_inject_mem: 128 * 1024,
+            port_mem: 128 * 1024,
             link_delay: Picos::from_ns(20),
             admit_cap: 4 * 1024,
             saq_idle_timeout: Picos::from_us(20),
@@ -288,9 +282,7 @@ impl FabricConfig {
     /// VOQnet still fits one packet per queue).
     pub fn paper_512(scheme: SchemeKind) -> FabricConfig {
         let mut cfg = FabricConfig::paper(scheme);
-        cfg.input_mem = 192 * 1024;
-        cfg.output_mem = 192 * 1024;
-        cfg.nic_inject_mem = 192 * 1024;
+        cfg.port_mem = 192 * 1024;
         cfg
     }
 
@@ -308,16 +300,13 @@ impl FabricConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero rates or empty memories.
+    /// Panics on zero rates or an empty port memory.
     pub fn validate(&self) {
         assert!(
             self.link_gbps > 0 && self.xbar_gbps > 0,
             "rates must be positive"
         );
-        assert!(
-            self.input_mem > 0 && self.output_mem > 0 && self.nic_inject_mem > 0,
-            "port memories must be positive"
-        );
+        assert!(self.port_mem > 0, "port memory must be positive");
         if let SchemeKind::Recn(r) = &self.scheme {
             r.validate();
         }
@@ -335,7 +324,7 @@ mod tests {
         cfg.validate();
         assert_eq!(cfg.link_gbps, 8);
         assert_eq!(cfg.xbar_gbps, 12);
-        assert_eq!(cfg.input_mem, 128 * 1024);
+        assert_eq!(cfg.port_mem, 128 * 1024);
         assert_eq!(cfg.link_time(64), Picos::from_ns(64));
         assert_eq!(cfg.xbar_time(64), Picos::new(42_667));
         assert_eq!(cfg.event_model, EventModel::Lazy);
@@ -344,7 +333,7 @@ mod tests {
     #[test]
     fn paper_512_uses_bigger_ram() {
         let cfg = FabricConfig::paper_512(SchemeKind::VoqNet);
-        assert_eq!(cfg.input_mem, 192 * 1024);
+        assert_eq!(cfg.port_mem, 192 * 1024);
     }
 
     #[test]

@@ -102,19 +102,18 @@ impl Network {
             }
         }
 
-        let queue_set =
-            |side, np: usize, mem| QueueSet::new(cfg.scheme, side, np as u32, hosts as u32, mem);
+        let queue_set = |side, np: usize| {
+            QueueSet::new(cfg.scheme, side, np as u32, hosts as u32, cfg.port_mem)
+        };
         let switches = (0..nswitches)
             .map(|s| {
                 let np = ports[s];
                 Switch {
                     inputs: (0..np)
-                        .map(|_| queue_set(PortSide::SwitchInput, np, cfg.input_mem))
+                        .map(|_| queue_set(PortSide::SwitchInput, np))
                         .collect(),
                     outputs: (0..np)
-                        .map(|p| {
-                            queue_set(PortSide::SwitchOutput { turn: p as u8 }, np, cfg.output_mem)
-                        })
+                        .map(|p| queue_set(PortSide::SwitchOutput { turn: p as u8 }, np))
                         .collect(),
                     in_flight: (0..np).map(|_| None).collect(),
                     arb: ArbiterSummary::new(),
@@ -142,7 +141,7 @@ impl Network {
                     admit: Vec::new(),
                     admit_pool: crate::arena::Arena::new(),
                     admit_rr: 0,
-                    inject: queue_set(PortSide::NicInjection, np, cfg.nic_inject_mem),
+                    inject: queue_set(PortSide::NicInjection, np),
                     link: h,
                     transfer_scheduled: false,
                     source,
@@ -220,8 +219,8 @@ impl Network {
             return CreditView::Infinite;
         }
         match cfg.scheme {
-            SchemeKind::Recn(_) => CreditView::pooled(cfg.input_mem),
-            scheme => CreditView::per_queue(cfg.input_mem, scheme.queues_per_port(ports, hosts)),
+            SchemeKind::Recn(_) => CreditView::pooled(cfg.port_mem),
+            scheme => CreditView::per_queue(cfg.port_mem, scheme.queues_per_port(ports, hosts)),
         }
     }
 

@@ -2,7 +2,7 @@
 //! routing tokens through dealloc cascades, consuming in-order markers and
 //! maintaining the network-wide SAQ census.
 
-use recn::{NotifOutcome, Returned, RootChange, SaqId, TokenDest};
+use recn::{NotifOutcome, Returned, RootChange, SaqId};
 use simcore::{EventQueue, Picos};
 use topology::PathSpec;
 
@@ -60,7 +60,7 @@ impl Network {
 
     /// A notification arrived over a link's reverse channel at its upstream
     /// egress port (switch output or NIC injection), which answers on the
-    /// data channel: an ack naming the new SAQ's line, or a reject.
+    /// data channel: an ack, or a reject.
     pub(crate) fn egress_recn_notification(
         &mut self,
         now: Picos,
@@ -70,10 +70,7 @@ impl Network {
     ) {
         let port = self.links[link].up.port();
         let reply = match self.alloc_on_notification(now, q, port, path) {
-            Some(saq) => Payload::RecnAck {
-                path,
-                line: saq.line() as u8,
-            },
+            Some(_) => Payload::RecnAck { path },
             None => Payload::RecnReject { path },
         };
         self.send_fwd_ctrl(now, q, link, reply);
@@ -92,8 +89,8 @@ impl Network {
         let port = self.links[link].down.port();
         let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
         let dealloc = match payload {
-            Payload::RecnAck { path, line } => {
-                if recn.on_upstream_ack(path, line) {
+            Payload::RecnAck { path } => {
+                if recn.on_upstream_ack(path) {
                     self.counters.xoffs += 1;
                     self.send_rev_ctrl(now, q, link, RevPayload::RecnXoff { path });
                 }
@@ -112,10 +109,10 @@ impl Network {
     // Deallocation cascades
     // ------------------------------------------------------------------
 
-    /// Deallocates `saq` at `port` and delivers its token to the parent:
-    /// an ingress SAQ hands it to the egress port of the same switch (which
-    /// may clear its root or cascade), an egress or NIC SAQ sends it
-    /// downstream across the port's link.
+    /// Deallocates `saq` at `port` and delivers its token to the parent
+    /// the port's side names: an ingress SAQ hands it to the egress port of
+    /// the same switch (which may clear its root or cascade), an egress or
+    /// NIC SAQ sends it downstream across the port's link.
     pub(crate) fn dealloc(
         &mut self,
         now: Picos,
@@ -125,28 +122,22 @@ impl Network {
     ) {
         let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
         let path = recn.path_of(saq);
-        let action = recn.dealloc(saq);
+        let xon_needed = recn.dealloc(saq);
         self.counters.saq_deallocs += 1;
         let (site, idx) = self.saq_site(port);
         observe!(self.on_saq_dealloc(now, site, idx, saq.line(), &path));
         self.census_change(now, port, false);
-        match action.token_to {
-            TokenDest::EgressSameSwitch { .. } => {
-                let PortRef::SwitchIn { sw, port: input } = port else {
-                    unreachable!("only ingress SAQ tokens stay within the switch");
-                };
-                if action.xon_needed {
-                    let in_link = self.switches[sw].in_link[input];
-                    self.counters.xons += 1;
-                    self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
-                }
-                self.token_to_egress(now, q, sw, input, path, Returned::Released);
+        if let PortRef::SwitchIn { sw, port: input } = port {
+            if xon_needed {
+                let in_link = self.switches[sw].in_link[input];
+                self.counters.xons += 1;
+                self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
             }
-            TokenDest::DownstreamLink { path } => {
-                let link = self.egress_link(port);
-                self.counters.recn_tokens += 1;
-                self.send_fwd_ctrl(now, q, link, Payload::RecnToken { path });
-            }
+            self.token_to_egress(now, q, sw, input, path, Returned::Released);
+        } else {
+            let link = self.egress_link(port);
+            self.counters.recn_tokens += 1;
+            self.send_fwd_ctrl(now, q, link, Payload::RecnToken { path });
         }
     }
 

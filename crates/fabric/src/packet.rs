@@ -59,12 +59,10 @@ pub enum Payload {
         /// Reserved downstream queue.
         target_queue: u16,
     },
-    /// RECN: notification accepted, upstream CAM line id attached.
+    /// RECN: notification accepted; the upstream SAQ exists.
     RecnAck {
         /// Path the ack answers.
         path: PathSpec,
-        /// CAM line at the accepting upstream port.
-        line: u8,
     },
     /// RECN: notification rejected (or duplicate); token returns.
     RecnReject {
@@ -83,8 +81,9 @@ impl Payload {
     pub fn wire_bytes(&self) -> u64 {
         match self {
             Payload::Data { pkt, .. } => pkt.size as u64,
-            Payload::RecnAck { path, .. } => 8 + path.len() as u64,
-            Payload::RecnReject { path } | Payload::RecnToken { path } => 8 + path.len() as u64,
+            Payload::RecnAck { path }
+            | Payload::RecnReject { path }
+            | Payload::RecnToken { path } => 8 + path.len() as u64,
         }
     }
 }
@@ -185,7 +184,7 @@ mod tests {
             64
         );
         let path = PathSpec::from_turns(&[1, 2]);
-        assert_eq!(Payload::RecnAck { path, line: 0 }.wire_bytes(), 10);
+        assert_eq!(Payload::RecnAck { path }.wire_bytes(), 10);
         assert_eq!(Payload::RecnToken { path }.wire_bytes(), 10);
         assert_eq!(
             RevPayload::Credit {

@@ -112,7 +112,7 @@ fn assert_zero_load_latency(params: TopoParams, paper: fn(SchemeKind) -> FabricC
         for routing in routings() {
             for bytes in [64, 512] {
                 let cfg = paper(scheme).with_routing(routing);
-                if scheme == SchemeKind::VoqNet && cfg.input_mem / hosts < u64::from(bytes) {
+                if scheme == SchemeKind::VoqNet && cfg.port_mem / hosts < u64::from(bytes) {
                     // A queue per destination smaller than one packet is
                     // never granted one (VOQnet's 512 B packets on 512
                     // hosts).

@@ -118,8 +118,6 @@ pub struct ProbeState {
     peak_saq_ingress: u32,
     peak_saq_egress: u32,
     root_events: Vec<(Picos, usize, usize, bool)>,
-    source_drops: u64,
-    source_dropped_bytes: u64,
     fcts: Vec<Picos>,
 }
 
@@ -145,8 +143,6 @@ impl Probe {
             peak_saq_ingress: 0,
             peak_saq_egress: 0,
             root_events: Vec::new(),
-            source_drops: 0,
-            source_dropped_bytes: 0,
             fcts: Vec::new(),
         }));
         (Probe(state.clone()), ProbeHandle(state))
@@ -154,13 +150,13 @@ impl Probe {
 }
 
 impl NetObserver for Probe {
-    /// The five hooks below: a probe-only run pays for no per-hop hook.
+    /// The four hooks below: a probe-only run pays for no per-hop hook.
+    /// Source drops are counted by `NetCounters`, not here.
     fn interests(&self) -> HookSet {
         HookSet::NONE
             .on_delivered()
             .on_saq_census()
             .on_root_change()
-            .on_drop_attempt()
             .on_flow_complete()
     }
 
@@ -183,12 +179,6 @@ impl NetObserver for Probe {
             .borrow_mut()
             .root_events
             .push((now, switch, port, active));
-    }
-
-    fn on_drop_attempt(&mut self, _now: Picos, _host: usize, _dst: HostId, bytes: u32) {
-        let mut s = self.0.borrow_mut();
-        s.source_drops += 1;
-        s.source_dropped_bytes += bytes as u64;
     }
 
     fn on_flow_complete(&mut self, _now: Picos, _src: HostId, _dst: HostId, fct: Picos) {
@@ -239,11 +229,6 @@ impl ProbeHandle {
         FctSummary::from_fcts(&self.0.borrow().fcts)
     }
 
-    /// Number of flow completions recorded.
-    pub fn flows_completed(&self) -> u64 {
-        self.0.borrow().fcts.len() as u64
-    }
-
     /// Highest values observed over the whole run:
     /// `(max ingress, max egress, max total)`.
     pub fn saq_peaks(&self) -> (u32, u32, u32) {
@@ -254,13 +239,6 @@ impl ProbeHandle {
     /// Chronological root activations/clears: `(time, switch, port, active)`.
     pub fn root_events(&self) -> Vec<(Picos, usize, usize, bool)> {
         self.0.borrow().root_events.clone()
-    }
-
-    /// Messages refused at the NIC admittance stage (application
-    /// back-pressure): `(count, bytes)`.
-    pub fn source_drops(&self) -> (u64, u64) {
-        let s = self.0.borrow();
-        (s.source_drops, s.source_dropped_bytes)
     }
 }
 
@@ -314,15 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_counts_source_drops() {
-        let (mut probe, handle) = Probe::new(Picos::from_us(1));
-        assert_eq!(handle.source_drops(), (0, 0));
-        probe.on_drop_attempt(Picos::from_ns(3), 0, HostId::new(5), 4096);
-        probe.on_drop_attempt(Picos::from_ns(4), 1, HostId::new(5), 1024);
-        assert_eq!(handle.source_drops(), (2, 5120));
-    }
-
-    #[test]
     fn fct_summary_uses_nearest_rank() {
         assert_eq!(FctSummary::from_fcts(&[]), None);
         let fcts: Vec<Picos> = (1..=100).map(Picos::from_ns).collect();
@@ -352,7 +321,6 @@ mod tests {
         }
         let expect = FctSummary::from_fcts(&[Picos::from_us(2), Picos::from_us(3)]);
         assert_eq!(handle.fct_summary(), expect);
-        assert_eq!(handle.flows_completed(), 2);
         // A flowless run reports no FCT at all.
         let (_, empty_h) = Probe::new(Picos::from_us(1));
         assert_eq!(empty_h.fct_summary(), None);

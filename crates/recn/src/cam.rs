@@ -47,21 +47,22 @@ pub(crate) struct CamLine {
     /// will reclassify into this SAQ); it may not transmit until all of
     /// them reached the head of their queues.
     pub markers_outstanding: u8,
-    /// Upward-crossing detector: propagation fires only when occupancy
-    /// crosses the threshold from below while armed; re-armed when the
-    /// occupancy dips below the threshold, or when a released token comes
-    /// home, so the tree can regrow.
+    /// Ingress: upward-crossing detector. Propagation fires only when
+    /// occupancy crosses the threshold from below while armed; re-armed
+    /// when the occupancy dips below the threshold, or when a released
+    /// token comes home, so the tree can regrow.
     pub armed: bool,
     /// Ingress: a notification was sent upstream (flag of §3.4).
     pub notified_upstream: bool,
-    /// Ingress: CAM line id at the upstream egress port (from the ack),
-    /// kept to model the paper's compressed flow-control addressing.
-    pub upstream_line: Option<u8>,
+    /// Ingress: the upstream egress acked the notification, so Xoff has a
+    /// SAQ to address.
+    pub acked: bool,
     /// Ingress: Xoff currently asserted toward the upstream SAQ.
     pub xoff_sent: bool,
     /// Egress: Xoff received from the downstream SAQ — must not transmit.
     pub remote_xoff: bool,
-    /// Egress: past the propagation threshold — notify inputs on forward.
+    /// Egress: has reached the propagation threshold — notify inputs on
+    /// forward. Never cleared while the line lives.
     pub propagating: bool,
     /// Egress: bitmask of same-switch input ports already notified.
     pub notified_inputs: u64,
@@ -87,7 +88,7 @@ impl CamLine {
             markers_outstanding: 0,
             armed: true,
             notified_upstream: false,
-            upstream_line: None,
+            acked: false,
             xoff_sent: false,
             remote_xoff: false,
             propagating: false,

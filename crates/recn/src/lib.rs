@@ -43,7 +43,7 @@
 //! storage and the control messages on the wire live in the `fabric`
 //! crate, which drives these state machines, one call per message, and
 //! obeys the signals they emit ([`EnqueueSignals`], [`DequeueSignals`],
-//! [`DeallocAction`]).
+//! and the Xon that [`RecnPort::dealloc`] may still owe upstream).
 //!
 //! ## Example: one notification hop
 //!
@@ -78,6 +78,6 @@ mod port;
 pub use cam::{CamTable, SaqId};
 pub use config::RecnConfig;
 pub use port::{
-    Classify, DeallocAction, DequeueSignals, EnqueueSignals, ForwardNotifications, NotifOutcome,
-    RecnPort, Returned, RootChange, TokenDest,
+    Classify, DequeueSignals, EnqueueSignals, ForwardNotifications, NotifOutcome, RecnPort,
+    Returned, RootChange,
 };

@@ -79,26 +79,6 @@ pub struct DequeueSignals {
     pub deallocatable: bool,
 }
 
-/// Who receives the token released by a deallocating SAQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenDest {
-    /// Parent of an ingress SAQ: the egress port of the same switch chosen
-    /// by the path's first turn. `path_at_egress` identifies the tree in
-    /// that port's coordinates (empty ⇒ the parent is the root itself).
-    EgressSameSwitch {
-        /// Output port index (the first turn of the ingress path).
-        out_port: u8,
-        /// Tree path in the egress port's coordinates.
-        path_at_egress: PathSpec,
-    },
-    /// Parent of an egress/NIC SAQ: the ingress port across the downstream
-    /// link; the tree keeps the same path across a link.
-    DownstreamLink {
-        /// Tree path (unchanged across the link).
-        path: PathSpec,
-    },
-}
-
 /// How a notification's token came home to the port that sent it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Returned {
@@ -107,15 +87,6 @@ pub enum Returned {
     Rejected,
     /// The SAQ the notification created deallocated (paper §3.5).
     Released,
-}
-
-/// Everything the fabric must do after a successful [`RecnPort::dealloc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeallocAction {
-    /// Deliver the token here.
-    pub token_to: TokenDest,
-    /// Defensive: the SAQ still had Xoff asserted upstream — release it.
-    pub xon_needed: bool,
 }
 
 /// Notifications triggered by forwarding a packet into an egress port
@@ -356,24 +327,20 @@ impl RecnPort {
         line.packets += 1;
         line.ever_used = true;
         let mut signals = EnqueueSignals::default();
-        if line.occupancy >= prop_threshold && line.armed {
-            line.armed = false;
-            if is_ingress {
+        if line.occupancy >= prop_threshold {
+            if !is_ingress {
+                // Egress: notify-on-forward from now on (a latch).
+                line.propagating = true;
+            } else if line.armed {
+                line.armed = false;
                 if !line.notified_upstream {
                     line.notified_upstream = true;
                     line.tokens_sent += 1;
                     signals.propagate = Some(line.path);
                 }
-            } else {
-                // Egress: enter notify-on-forward mode.
-                line.propagating = true;
             }
         }
-        if is_ingress
-            && line.occupancy >= xoff_threshold
-            && !line.xoff_sent
-            && line.upstream_line.is_some()
-        {
+        if is_ingress && line.occupancy >= xoff_threshold && !line.xoff_sent && line.acked {
             line.xoff_sent = true;
             signals.xoff = true;
         }
@@ -399,7 +366,7 @@ impl RecnPort {
         line.occupancy -= bytes;
         line.packets -= 1;
         let mut signals = DequeueSignals::default();
-        if line.occupancy < prop_threshold {
+        if is_ingress && line.occupancy < prop_threshold {
             line.armed = true;
         }
         if is_ingress && line.xoff_sent && line.occupancy < xon_threshold {
@@ -497,10 +464,9 @@ impl RecnPort {
     /// A same-switch input port returned the token of the notification it
     /// got for the tree `path_at_egress` (empty ⇒ this port's root tree).
     /// A [`Released`](Returned::Released) token clears the input's notified
-    /// bit, so re-congestion can notify it again, and re-arms the SAQ's
-    /// propagation; a [`Rejected`](Returned::Rejected) one does neither,
-    /// so an input with no free line is not notified at every packet
-    /// (paper §3.8).
+    /// bit, so re-congestion can notify it again; a
+    /// [`Rejected`](Returned::Rejected) one does not, so an input with no
+    /// free line is not notified at every packet (paper §3.8).
     ///
     /// Returns `(root_change, saq_deallocatable)` — at most one is
     /// meaningful per call.
@@ -531,7 +497,6 @@ impl RecnPort {
             line.tokens_returned += 1;
             debug_assert!(line.tokens_returned <= line.tokens_sent);
             line.notified_inputs &= !clear;
-            line.armed |= released;
             if line.is_drained_leaf() {
                 return (None, Some(saq));
             }
@@ -539,11 +504,11 @@ impl RecnPort {
         (None, None)
     }
 
-    /// Ingress only: the upstream egress across the link answered our
-    /// notification with an ack carrying its CAM line id. Returns `true`
-    /// if Xoff must be sent right away (occupancy already past the
-    /// threshold when the ack arrived).
-    pub fn on_upstream_ack(&mut self, path: PathSpec, remote_line: u8) -> bool {
+    /// Ingress only: the upstream egress across the link accepted our
+    /// notification for `path`, so it has a SAQ that Xoff can address.
+    /// Returns `true` if Xoff must be sent right away (occupancy already
+    /// past the threshold when the ack arrived).
+    pub fn on_upstream_ack(&mut self, path: PathSpec) -> bool {
         assert!(
             matches!(self.role, Role::Ingress),
             "acks arrive at ingress ports"
@@ -551,7 +516,7 @@ impl RecnPort {
         let xoff_threshold = self.cfg.xoff_threshold;
         if let Some(saq) = self.cam.find_path(&path) {
             let line = self.cam.get_mut(saq);
-            line.upstream_line = Some(remote_line);
+            line.acked = true;
             if line.occupancy >= xoff_threshold && !line.xoff_sent {
                 line.xoff_sent = true;
                 return true;
@@ -578,7 +543,7 @@ impl RecnPort {
         line.tokens_returned += 1;
         debug_assert!(line.tokens_returned <= line.tokens_sent);
         line.notified_upstream = false;
-        line.upstream_line = None;
+        line.acked = false;
         line.xoff_sent = false;
         line.armed |= how == Returned::Released;
         line.is_drained_leaf().then_some(saq)
@@ -588,35 +553,24 @@ impl RecnPort {
     // Deallocation
     // ------------------------------------------------------------------
 
-    /// Deallocates `saq` (which must be an empty, unblocked leaf) and says
-    /// where its token goes.
+    /// Deallocates `saq` (which must be an empty, unblocked leaf). The
+    /// port's side names the parent its token goes to: an ingress SAQ's is
+    /// the same-switch egress port its path's first turn names, an egress or
+    /// NIC SAQ's the ingress port across its link. Returns `true` if Xoff is
+    /// still asserted toward the upstream SAQ, which the fabric must then
+    /// release with an Xon: an ingress SAQ drains empty with Xoff asserted
+    /// only when `xon_threshold` is 0.
     ///
     /// # Panics
     ///
     /// Panics on a stale handle or if the SAQ is not an empty unblocked
     /// leaf — the fabric must only call this when told to.
-    pub fn dealloc(&mut self, saq: SaqId) -> DeallocAction {
+    pub fn dealloc(&mut self, saq: SaqId) -> bool {
         let line = self.cam.get(saq);
         assert!(line.is_empty_leaf(), "SAQ not ready to dealloc");
         let xon_needed = line.xoff_sent;
-        let path = line.path;
-        let token_to = match self.role {
-            Role::Ingress => {
-                let (out_port, path_at_egress) = path
-                    .split_first()
-                    .expect("ingress SAQ path cannot be empty");
-                TokenDest::EgressSameSwitch {
-                    out_port,
-                    path_at_egress,
-                }
-            }
-            Role::Egress { .. } | Role::NicInjection => TokenDest::DownstreamLink { path },
-        };
         self.cam.free(saq);
-        DeallocAction {
-            token_to,
-            xon_needed,
-        }
+        xon_needed
     }
 
     // ------------------------------------------------------------------
@@ -754,15 +708,7 @@ mod tests {
         );
         let sig = p.saq_dequeued(saq, 30);
         assert!(sig.deallocatable);
-        let act = p.dealloc(saq);
-        assert_eq!(
-            act.token_to,
-            TokenDest::EgressSameSwitch {
-                out_port: 2,
-                path_at_egress: PathSpec::EMPTY
-            }
-        );
-        assert!(!act.xon_needed);
+        assert!(!p.dealloc(saq), "no Xoff asserted");
         assert!(!p.is_live(saq));
         assert_eq!(p.peak_saqs(), 1);
     }
@@ -814,7 +760,7 @@ mod tests {
         assert!(s.propagate.is_some());
         assert!(!s.xoff, "xoff deferred until the upstream line is known");
         // Ack arrives while already past the threshold: xoff immediately.
-        assert!(p.on_upstream_ack(PathSpec::from_turns(&[3]), 5));
+        assert!(p.on_upstream_ack(PathSpec::from_turns(&[3])));
         // Drain below xon threshold: xon.
         let d = p.saq_dequeued(saq, 80); // occupancy 10 < 20
         assert!(d.xon);
@@ -829,7 +775,7 @@ mod tests {
         let s = p.saq_enqueued(saq, 60);
         assert!(s.propagate.is_some());
         assert!(
-            !p.on_upstream_ack(PathSpec::from_turns(&[3]), 1),
+            !p.on_upstream_ack(PathSpec::from_turns(&[3])),
             "below xoff at ack time"
         );
         let s2 = p.saq_enqueued(saq, 30); // 90 >= 80
@@ -847,14 +793,8 @@ mod tests {
         // Upstream child deallocates and returns the token.
         let dealloc_now = p.token_from_upstream(path, Returned::Released);
         assert_eq!(dealloc_now, Some(saq), "empty leaf after token return");
-        let act = p.dealloc(saq);
-        assert_eq!(
-            act.token_to,
-            TokenDest::EgressSameSwitch {
-                out_port: 1,
-                path_at_egress: PathSpec::from_turns(&[2])
-            }
-        );
+        assert!(!p.dealloc(saq));
+        assert!(!p.is_live(saq));
     }
 
     #[test]
@@ -943,26 +883,7 @@ mod tests {
         assert_eq!(dealloc, None);
         let (_, dealloc) = e.token_from_input(2, path, Returned::Released);
         assert_eq!(dealloc, Some(saq));
-        let act = e.dealloc(saq);
-        assert_eq!(act.token_to, TokenDest::DownstreamLink { path });
-    }
-
-    /// At an egress line only the line's own flag shows the re-arm of a
-    /// released token: `propagating` never clears, so nothing reads the
-    /// flag again.
-    #[test]
-    fn egress_line_rearms_on_a_released_token_only() {
-        let mut e = RecnPort::new_egress(small_cfg(), 1);
-        let path = PathSpec::from_turns(&[3]);
-        let saq = accepted(e.alloc_on_notification(path));
-        e.marker_consumed(saq);
-        e.saq_enqueued(saq, 60); // past the threshold: disarmed, propagating
-        e.on_forward_from_input(0, Classify::Saq(saq));
-        e.on_forward_from_input(2, Classify::Saq(saq));
-        e.token_from_input(0, path, Returned::Rejected);
-        assert!(!e.cam.get(saq).armed);
-        e.token_from_input(2, path, Returned::Released);
-        assert!(e.cam.get(saq).armed);
+        assert!(!e.dealloc(saq));
     }
 
     #[test]
@@ -1054,8 +975,7 @@ mod tests {
         nic.saq_enqueued(saq, 200); // far past every threshold: nothing propagates
         let d = nic.saq_dequeued(saq, 200);
         assert!(d.deallocatable, "NIC SAQ is always a leaf");
-        let act = nic.dealloc(saq);
-        assert_eq!(act.token_to, TokenDest::DownstreamLink { path });
+        assert!(!nic.dealloc(saq));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The last test drives one ingress port with seeded *random* protocol
 //! traffic against a shadow model instead of a script.
 
-use recn::{Classify, NotifOutcome, RecnConfig, RecnPort, Returned, SaqId, TokenDest};
+use recn::{Classify, NotifOutcome, RecnConfig, RecnPort, Returned, SaqId};
 use simcore::Xoshiro256;
 use topology::PathSpec;
 
@@ -132,9 +132,7 @@ fn full_tree_lifecycle_across_two_switches() {
         2,
         accept(p.up_eg.alloc_on_notification(PathSpec::from_turns(&[2]))),
     );
-    assert!(!p
-        .down_in
-        .on_upstream_ack(PathSpec::from_turns(&[2]), up_saq.line() as u8));
+    assert!(!p.down_in.on_upstream_ack(PathSpec::from_turns(&[2])));
 
     // 4. The upstream egress SAQ fills and switches to notify-on-forward;
     //    forwarding from up_in extends the path with the egress turn (1).
@@ -153,9 +151,7 @@ fn full_tree_lifecycle_across_two_switches() {
         0,
         accept(p.nic.alloc_on_notification(PathSpec::from_turns(&[1, 2]))),
     );
-    assert!(!p
-        .up_in
-        .on_upstream_ack(PathSpec::from_turns(&[1, 2]), nic_saq.line() as u8));
+    assert!(!p.up_in.on_upstream_ack(PathSpec::from_turns(&[1, 2])));
 
     // 6. Xoff chain: down_in crosses its Xoff threshold.
     let sig = p.down_in.saq_enqueued(down_saq, 300); // 650 >= 600
@@ -175,29 +171,19 @@ fn full_tree_lifecycle_across_two_switches() {
     p.nic.saq_enqueued(nic_saq, 64);
     assert!(p.nic.saq_dequeued(nic_saq, 64).deallocatable);
     ledger.dealloc(0, nic_saq);
-    let act = p.nic.dealloc(nic_saq);
-    assert_eq!(
-        act.token_to,
-        TokenDest::DownstreamLink {
-            path: PathSpec::from_turns(&[1, 2])
-        }
-    );
+    assert!(!p.nic.dealloc(nic_saq));
 
-    // up_in receives the token, drains, deallocates toward up_eg.
+    // up_in receives the token across the link (same path), drains, and
+    // deallocates toward up_eg, the egress its path's first turn names.
     let ready = p
         .up_in
         .token_from_upstream(PathSpec::from_turns(&[1, 2]), Returned::Released);
     assert!(ready.is_none(), "still holds 400 bytes");
     assert!(p.up_in.saq_dequeued(up_in_saq, 400).deallocatable);
     ledger.dealloc(1, up_in_saq);
-    let act = p.up_in.dealloc(up_in_saq);
-    let TokenDest::EgressSameSwitch {
-        out_port,
-        path_at_egress,
-    } = act.token_to
-    else {
-        panic!("ingress token stays in-switch");
-    };
+    let up_in_path = p.up_in.path_of(up_in_saq);
+    assert!(!p.up_in.dealloc(up_in_saq));
+    let (out_port, path_at_egress) = up_in_path.split_first().unwrap();
     assert_eq!(out_port, 1);
     assert_eq!(path_at_egress, PathSpec::from_turns(&[2]));
 
@@ -208,13 +194,7 @@ fn full_tree_lifecycle_across_two_switches() {
     assert!(dealloc.is_none(), "up_eg still holds bytes");
     assert!(p.up_eg.saq_dequeued(up_saq, 350).deallocatable);
     ledger.dealloc(2, up_saq);
-    let act = p.up_eg.dealloc(up_saq);
-    assert_eq!(
-        act.token_to,
-        TokenDest::DownstreamLink {
-            path: PathSpec::from_turns(&[2])
-        }
-    );
+    assert!(!p.up_eg.dealloc(up_saq));
 
     // down_in gets the token back, drains the rest, returns to the root.
     assert!(p
@@ -223,14 +203,9 @@ fn full_tree_lifecycle_across_two_switches() {
         .is_none());
     assert!(p.down_in.saq_dequeued(down_saq, 100).deallocatable);
     ledger.dealloc(3, down_saq);
-    let act = p.down_in.dealloc(down_saq);
-    assert_eq!(
-        act.token_to,
-        TokenDest::EgressSameSwitch {
-            out_port: 2,
-            path_at_egress: PathSpec::EMPTY
-        }
-    );
+    let down_path = p.down_in.path_of(down_saq);
+    assert!(!p.down_in.dealloc(down_saq));
+    assert_eq!(down_path.split_first(), Some((2, PathSpec::EMPTY)));
 
     // Root: token home + queue drained = tree gone.
     let (change, _) = p
@@ -361,36 +336,32 @@ fn rejection_keeps_tree_consistent() {
 }
 
 /// Re-congestion while a tree is tearing down: the flag cleared by a token
-/// return allows a fresh notification and a fresh SAQ generation.
+/// return allows a fresh notification and a fresh SAQ generation. The
+/// egress turn (2) and the input (1) differ, so the token must clear the
+/// bit of the input it came from, not of the turn.
 #[test]
 fn recongestion_after_token_return() {
+    const INPUT: usize = 1;
     let mut input = RecnPort::new_ingress(cfg());
-    let mut egress = RecnPort::new_egress(cfg(), 0);
+    let mut egress = RecnPort::new_egress(cfg(), 2);
     egress.normal_occupancy_changed(1200);
 
     let path = egress
-        .on_forward_from_input(0, Classify::Normal)
+        .on_forward_from_input(INPUT, Classify::Normal)
         .root
         .unwrap();
+    assert_eq!(path, PathSpec::from_turns(&[2]));
     let saq1 = accept(input.alloc_on_notification(path));
     input.marker_consumed(saq1);
     input.saq_enqueued(saq1, 64);
     assert!(input.saq_dequeued(saq1, 64).deallocatable);
-    let act = input.dealloc(saq1);
-    let TokenDest::EgressSameSwitch {
-        out_port,
-        path_at_egress,
-    } = act.token_to
-    else {
-        panic!("in-switch token expected");
-    };
-    let (change, _) =
-        egress.token_from_input(out_port as usize, path_at_egress, Returned::Released);
-    // Wait: token came from input 0; the egress clears that input's flag.
+    assert!(!input.dealloc(saq1));
+    let (_, path_at_egress) = path.split_first().unwrap();
+    let (change, _) = egress.token_from_input(INPUT, path_at_egress, Returned::Released);
     assert!(change.is_none(), "queue still above clear threshold");
 
-    // Congestion persists: the next forward re-notifies input 0.
-    let n2 = egress.on_forward_from_input(0, Classify::Normal);
+    // Congestion persists: the next forward re-notifies the input.
+    let n2 = egress.on_forward_from_input(INPUT, Classify::Normal);
     let saq2 = accept(input.alloc_on_notification(n2.root.unwrap()));
     assert_ne!(saq1, saq2, "fresh generation");
     assert!(!input.is_live(saq1));
@@ -451,6 +422,32 @@ fn ingress_regrows_at_once_only_after_a_released_token() {
     assert_eq!(input.saq_enqueued(saq, 64).propagate, Some(path));
 }
 
+/// `dealloc` answers whether Xoff is still asserted upstream. With a
+/// nonzero `xon_threshold` the last dequeue has already released it, so the
+/// answer can only be `true` when the threshold is 0: an acked SAQ that
+/// went past Xoff (the propagation threshold out of reach, so it stays a
+/// leaf) drains empty with Xoff up, and the fabric owes the upstream SAQ
+/// an Xon.
+#[test]
+fn dealloc_owes_an_xon_only_if_the_saq_drained_with_xoff_asserted() {
+    let path = PathSpec::from_turns(&[2]);
+    for (xon_threshold, owed) in [(0, true), (150, false)] {
+        let mut input = RecnPort::new_ingress(RecnConfig {
+            propagation_threshold: u64::MAX,
+            xon_threshold,
+            ..cfg()
+        });
+        let saq = accept(input.alloc_on_notification(path));
+        input.marker_consumed(saq);
+        assert!(!input.on_upstream_ack(path), "empty at ack time");
+        assert!(input.saq_enqueued(saq, 700).xoff, "past Xoff (600)");
+        let drained = input.saq_dequeued(saq, 700);
+        assert_eq!(drained.xon, !owed, "xon_threshold {xon_threshold}");
+        assert!(drained.deallocatable);
+        assert_eq!(input.dealloc(saq), owed, "xon_threshold {xon_threshold}");
+    }
+}
+
 /// Branch tokens: an egress SAQ that notified several inputs only
 /// deallocates after every branch returned its token — mixed acceptance
 /// and rejection included.
@@ -493,19 +490,11 @@ fn branch_tokens_with_mixed_outcomes() {
     in_free.marker_consumed(child);
     in_free.saq_enqueued(child, 64);
     assert!(in_free.saq_dequeued(child, 64).deallocatable);
-    let act = in_free.dealloc(child);
-    let TokenDest::EgressSameSwitch { path_at_egress, .. } = act.token_to else {
-        panic!("in-switch token expected");
-    };
+    assert!(!in_free.dealloc(child));
+    let (_, path_at_egress) = n1.split_first().unwrap();
     let (_, dealloc) = egress.token_from_input(1, path_at_egress, Returned::Released);
     assert_eq!(dealloc, Some(tree), "all branches home, empty: tear down");
-    let act = egress.dealloc(tree);
-    assert_eq!(
-        act.token_to,
-        TokenDest::DownstreamLink {
-            path: PathSpec::from_turns(&[3])
-        }
-    );
+    assert!(!egress.dealloc(tree));
 }
 
 /// The drain-boost rule kicks in exactly when a lingering SAQ owns its

@@ -4,16 +4,11 @@
 //! rate regardless of fabric state), a [`FlowSet`] describes a finite set
 //! of byte transfers between host pairs. The fabric's transport layer
 //! paces them against its send window and reports per-flow completion
-//! times, so these are the workloads behind the FCT experiments:
-//!
-//! * [`FlowPattern::Incast`] — N sources send to one victim at once, the
-//!   canonical congestion-tree trigger in closed-loop form. The gang is
-//!   picked with the same [`GangLayout`] rules as the corner cases, so
-//!   the strided fat-tree geometry carries over.
-//! * [`FlowPattern::Shuffle`] — all-to-all: every host sends one flow to
-//!   every other host (a map-reduce shuffle stage).
-//! * [`FlowPattern::Permutation`] — a storm of disjoint pairs, host `h`
-//!   sending to `(h + shift) mod hosts`.
+//! times, so these are the workloads behind the FCT experiments. The one
+//! pattern is [`FlowPattern::Incast`]: N sources send to one victim at
+//! once, the canonical congestion-tree trigger in closed-loop form. The
+//! gang is picked with the same [`GangLayout`] rules as the corner cases,
+//! so the strided fat-tree geometry carries over.
 //!
 //! Flow sets are pure data: [`FlowSet::build`] expands them into
 //! `fabric::FlowDesc` records deterministically (no randomness at all),
@@ -37,13 +32,6 @@ pub enum FlowPattern {
         /// [`GangLayout::Strided`] stride must satisfy
         /// `hosts / stride == fanin`.
         layout: GangLayout,
-    },
-    /// Every host sends one flow to every other host.
-    Shuffle,
-    /// Host `h` sends to `(h + shift) mod hosts`.
-    Permutation {
-        /// Destination offset; `shift % hosts` must be nonzero.
-        shift: u32,
     },
 }
 
@@ -76,16 +64,6 @@ impl FlowSet {
         }
     }
 
-    /// All-to-all shuffle on 64 hosts, 4 KiB per flow.
-    pub fn shuffle64() -> FlowSet {
-        FlowSet {
-            hosts: 64,
-            pattern: FlowPattern::Shuffle,
-            flow_bytes: 4 * 1024,
-            start: Picos::ZERO,
-        }
-    }
-
     /// Overrides the per-flow byte count.
     pub fn with_flow_bytes(mut self, bytes: u64) -> FlowSet {
         self.flow_bytes = bytes;
@@ -94,11 +72,8 @@ impl FlowSet {
 
     /// Number of flows the set expands to.
     pub fn num_flows(&self) -> u32 {
-        match self.pattern {
-            FlowPattern::Incast { fanin, .. } => fanin,
-            FlowPattern::Shuffle => self.hosts * (self.hosts - 1),
-            FlowPattern::Permutation { .. } => self.hosts,
-        }
+        let FlowPattern::Incast { fanin, .. } = self.pattern;
+        fanin
     }
 
     /// Checks the structural invariants [`validate`](FlowSet::validate)
@@ -110,32 +85,20 @@ impl FlowSet {
         if self.flow_bytes == 0 {
             return Err("flow bytes must be positive");
         }
-        match self.pattern {
-            FlowPattern::Incast {
-                fanin,
-                victim,
-                layout,
-            } => {
-                if victim >= self.hosts {
-                    return Err("incast victim outside host range");
-                }
-                if fanin == 0 || fanin >= self.hosts {
-                    return Err("incast fanin must be in 1..hosts");
-                }
-                if let GangLayout::Strided { stride } = layout {
-                    if stride == 0
-                        || !self.hosts.is_multiple_of(stride)
-                        || self.hosts / stride != fanin
-                    {
-                        return Err("incast stride must satisfy hosts / stride == fanin");
-                    }
-                }
-            }
-            FlowPattern::Shuffle => {}
-            FlowPattern::Permutation { shift } => {
-                if shift % self.hosts == 0 {
-                    return Err("permutation shift must be nonzero mod hosts");
-                }
+        let FlowPattern::Incast {
+            fanin,
+            victim,
+            layout,
+        } = self.pattern;
+        if victim >= self.hosts {
+            return Err("incast victim outside host range");
+        }
+        if fanin == 0 || fanin >= self.hosts {
+            return Err("incast fanin must be in 1..hosts");
+        }
+        if let GangLayout::Strided { stride } = layout {
+            if stride == 0 || !self.hosts.is_multiple_of(stride) || self.hosts / stride != fanin {
+                return Err("incast stride must satisfy hosts / stride == fanin");
             }
         }
         Ok(())
@@ -158,10 +121,7 @@ impl FlowSet {
             fanin,
             victim,
             layout,
-        } = self.pattern
-        else {
-            return false;
-        };
+        } = self.pattern;
         match layout {
             GangLayout::TailRange => {
                 let gang_start = self.hosts - fanin;
@@ -190,54 +150,35 @@ impl FlowSet {
         }
     }
 
-    /// Expands the set into per-flow descriptors, ordered by `(src, dst)`.
+    /// Expands the set into per-flow descriptors, ordered by source.
     pub fn build(&self) -> Vec<FlowDesc> {
         self.validate();
-        let flow = |src: u32, dst: u32| FlowDesc {
-            src,
-            dst,
-            bytes: self.flow_bytes,
-            start: self.start,
-        };
-        match self.pattern {
-            FlowPattern::Incast { victim, .. } => (0..self.hosts)
-                .filter(|&h| self.is_incast_source(h))
-                .map(|h| flow(h, victim))
-                .collect(),
-            FlowPattern::Shuffle => (0..self.hosts)
-                .flat_map(|s| {
-                    (0..self.hosts)
-                        .filter(move |&d| d != s)
-                        .map(move |d| (s, d))
-                })
-                .map(|(s, d)| flow(s, d))
-                .collect(),
-            FlowPattern::Permutation { shift } => (0..self.hosts)
-                .map(|h| flow(h, (h + shift) % self.hosts))
-                .collect(),
-        }
+        let FlowPattern::Incast { victim, .. } = self.pattern;
+        (0..self.hosts)
+            .filter(|&h| self.is_incast_source(h))
+            .map(|src| FlowDesc {
+                src,
+                dst: victim,
+                bytes: self.flow_bytes,
+                start: self.start,
+            })
+            .collect()
     }
 }
 
 impl Canon for FlowPattern {
+    /// A leading tag byte (0, the incast) stays in the encoding of the
+    /// one pattern, so spec hashes and cache keys over a flow set hold.
     fn encode_canon(&self, w: &mut CanonWriter) {
-        match self {
-            FlowPattern::Incast {
-                fanin,
-                victim,
-                layout,
-            } => {
-                w.u8(0);
-                w.u32(*fanin);
-                w.u32(*victim);
-                layout.encode_canon(w);
-            }
-            FlowPattern::Shuffle => w.u8(1),
-            FlowPattern::Permutation { shift } => {
-                w.u8(2);
-                w.u32(*shift);
-            }
-        }
+        let FlowPattern::Incast {
+            fanin,
+            victim,
+            layout,
+        } = self;
+        w.u8(0);
+        w.u32(*fanin);
+        w.u32(*victim);
+        layout.encode_canon(w);
     }
 }
 
@@ -267,14 +208,6 @@ mod tests {
         }
     }
 
-    /// Host `h` sends to `h + 1`.
-    fn permutation() -> FlowSet {
-        FlowSet {
-            pattern: FlowPattern::Permutation { shift: 1 },
-            ..FlowSet::incast64()
-        }
-    }
-
     #[test]
     fn incast_presets_expand_correctly() {
         let f = FlowSet::incast64();
@@ -291,28 +224,7 @@ mod tests {
         assert_eq!(leaves.len(), 16);
     }
 
-    #[test]
-    fn shuffle_is_all_to_all() {
-        let f = FlowSet {
-            hosts: 4,
-            ..FlowSet::shuffle64()
-        };
-        let flows = f.build();
-        assert_eq!(flows.len(), 12);
-        let pairs: std::collections::HashSet<(u32, u32)> =
-            flows.iter().map(|d| (d.src, d.dst)).collect();
-        assert_eq!(pairs.len(), 12, "pairs are unique");
-        assert!(flows.iter().all(|d| d.src != d.dst));
-    }
-
-    #[test]
-    fn permutation_shifts() {
-        let flows = permutation().build();
-        assert_eq!(flows.len(), 64);
-        assert!(flows.iter().all(|d| d.dst == (d.src + 1) % 64));
-    }
-
-    /// Each pattern is pinned byte for byte, and every field of a set
+    /// The incast is pinned byte for byte, and every field of a set
     /// reaches the bytes: two sets that differ anywhere encode differently.
     #[test]
     fn canon_bytes_pin_the_patterns_and_differ_by_field() {
@@ -322,11 +234,6 @@ mod tests {
             layout: GangLayout::TailRange,
         };
         assert_eq!(incast.canon_bytes(), [0, 16, 0, 0, 0, 32, 0, 0, 0, 0]);
-        assert_eq!(FlowPattern::Shuffle.canon_bytes(), [1]);
-        assert_eq!(
-            FlowPattern::Permutation { shift: 3 }.canon_bytes(),
-            [2, 3, 0, 0, 0]
-        );
 
         let base = FlowSet::incast64();
         let incast = |fanin, victim, layout| FlowSet {
@@ -349,12 +256,6 @@ mod tests {
             incast(16, 33, GangLayout::TailRange),
             strided(),
             incast(16, 21, GangLayout::Strided { stride: 8 }),
-            FlowSet::shuffle64(),
-            permutation(),
-            FlowSet {
-                pattern: FlowPattern::Permutation { shift: 2 },
-                ..base
-            },
         ];
         let encodings: Vec<Vec<u8>> = sets.iter().map(Canon::canon_bytes).collect();
         for (i, bytes) in encodings.iter().enumerate() {
@@ -389,7 +290,11 @@ mod tests {
             },
             FlowSet {
                 hosts: 64,
-                pattern: FlowPattern::Permutation { shift: 64 }, // ≡ 0
+                pattern: FlowPattern::Incast {
+                    fanin: 64, // every host, the victim included
+                    victim: 0,
+                    layout: GangLayout::TailRange,
+                },
                 flow_bytes: 1024,
                 start: Picos::ZERO,
             },

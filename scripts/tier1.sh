@@ -243,17 +243,24 @@ echo "unwritable-stdout smoke passed: one line, exit 2"
 echo "== tier1: benchmark-harness guard (benchmark/ builds against the crates, digests hold) =="
 # benchmark/ is a separate package that the pipeline builds from this
 # checkout and gates every PR with. This only *reads* it: one short pass of
-# one workload must build against the current `fabric::{Event, PortRef,
-# NetObserver, ..}` surface and reproduce benchmark/expected.json. (Its lock
-# file still lists the deleted serde stubs, which `--offline` prunes in
-# place; put it back so the tree stays clean until a [benchmark] PR
-# regenerates it.)
+# each of two workloads must build against the current `fabric::{Event,
+# PortRef, NetObserver, ..}` surface and reproduce benchmark/expected.json —
+# hotspot256_recn for the RECN fabric, incast64_gbn for the flow sets, the
+# go-back-N transport and the probe's FCTs. (Its lock file still lists the
+# deleted serde stubs, which `--offline` prunes in place; put it back so the
+# tree stays clean until a [benchmark] PR regenerates it.)
+bench_workloads="hotspot256_recn incast64_gbn"
 cp benchmark/Cargo.lock "$smoke/benchmark.lock"
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload hotspot256_recn --seed 2005 --seconds 2 --trace 0 2> /dev/null \
-  | tail -n 1 > "$smoke/bench.json" || true
+for w in $bench_workloads; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$w" --seed 2005 --seconds 2 --trace 0 2> /dev/null \
+    | tail -n 1 > "$smoke/bench-$w.json" || true
+done
 cp "$smoke/benchmark.lock" benchmark/Cargo.lock
-grep -q '"correct": true' "$smoke/bench.json"
-echo "benchmark-harness guard passed: hotspot256_recn builds and reports correct"
+for w in $bench_workloads; do
+  grep -q '"correct": true' "$smoke/bench-$w.json" \
+    || { echo "benchmark-harness guard: $w does not report correct" >&2; exit 1; }
+done
+echo "benchmark-harness guard passed: $bench_workloads build and report correct"
 
 echo "== tier1: all checks passed =="

@@ -23,7 +23,6 @@ fn probe_hooks() -> HookSet {
         .on_delivered()
         .on_saq_census()
         .on_root_change()
-        .on_drop_attempt()
         .on_flow_complete()
 }
 
@@ -64,7 +63,7 @@ fn collected(spec: &RunSpec, listener: bool) -> String {
     engine.run_until(spec.horizon());
     let h = spec.horizon();
     format!(
-        "{:?}\n{} events, depth {}\n{:?}\n{:?}\n{:?} {:?} {:?} {:?}",
+        "{:?}\n{} events, depth {}\n{:?}\n{:?}\n{:?} {:?} {:?}",
         engine.model().counters(),
         engine.processed(),
         engine.queue().peak_len(),
@@ -73,7 +72,6 @@ fn collected(spec: &RunSpec, listener: bool) -> String {
         handle.saq_peaks(),
         handle.fct_summary(),
         handle.root_events(),
-        handle.source_drops(),
     )
 }
 
