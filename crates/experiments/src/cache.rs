@@ -369,7 +369,6 @@ fn parse_entry(text: &str, spec: &RunSpec) -> Result<Option<RunOutput>, String> 
         }
     }
     let out = RunOutput {
-        schema_version: OUTPUT_SCHEMA_VERSION,
         scheme: spec.scheme().name(),
         throughput: SeriesPoint::on_axis(bin, throughput),
         saq,

@@ -98,9 +98,6 @@ impl Workload {
 /// Results of one simulation run.
 #[derive(Debug)]
 pub struct RunOutput {
-    /// Shape version of this output (always [`OUTPUT_SCHEMA_VERSION`] for
-    /// outputs produced by this build; cache loads verify it).
-    pub schema_version: u32,
     /// Scheme display name.
     pub scheme: &'static str,
     /// Delivered throughput, bytes/ns per bin.
@@ -340,7 +337,6 @@ fn finish(
         probe: handle.backing_bytes(),
     };
     let out = RunOutput {
-        schema_version: OUTPUT_SCHEMA_VERSION,
         scheme: scheme.name(),
         throughput: handle.throughput(horizon),
         saq: handle.saq_series(horizon),
@@ -396,7 +392,6 @@ mod tests {
             .with_bin(Picos::from_us(2));
         let out = run_one(&spec);
         assert_eq!(out.throughput.len(), 20);
-        assert_eq!(out.schema_version, OUTPUT_SCHEMA_VERSION);
         assert!(out.counters.delivered_packets > 0);
         assert!(out.throughput.iter().any(|p| p.value > 1.0));
         assert!(!summarize(&out).is_empty());

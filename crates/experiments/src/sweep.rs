@@ -37,7 +37,7 @@
 //! events/sec, cache status) under a directory — the `recn` commands default
 //! this to `results/`. The shape is versioned by
 //! [`OUTPUT_SCHEMA_VERSION`] and
-//! documented in `DESIGN.md`.
+//! documented in DESIGN.md §6e.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -273,7 +273,7 @@ fn write_summary(dir: &Path, name: &str, report: &SweepReport) -> std::io::Resul
 /// Renders the machine-readable summary (hand-rolled JSON: the workspace
 /// has no external dependencies, and the shape is small and stable). The
 /// shape is versioned by the top-level `schema_version` field and
-/// documented in `DESIGN.md`.
+/// documented in DESIGN.md §6e.
 pub fn render_summary(name: &str, report: &SweepReport) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"sweep\": {},\n", json::string(name)));

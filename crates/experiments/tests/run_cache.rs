@@ -66,7 +66,6 @@ fn store_then_load_round_trips_every_field() {
     let back = cache.load(&spec).expect("hit after store");
 
     // The replay must agree field for field, bit for bit.
-    assert_eq!(back.schema_version, out.schema_version);
     assert_eq!(back.scheme, out.scheme);
     assert_eq!(back.throughput, out.throughput);
     assert_eq!(back.saq, out.saq);
@@ -342,7 +341,6 @@ fn pre_collapse_cache_entries_are_misses_and_are_overwritten() {
         let report = Sweep::new(vec![spec.clone()]).cache(&dir).run_report();
         assert_eq!(report.cache, vec![CacheStatus::Miss]);
         let back = cache.load(&spec).expect("the re-run replaced the entry");
-        assert_eq!(back.schema_version, experiments::OUTPUT_SCHEMA_VERSION);
         // Same simulation as the old builds ran; the schema-5 build still
         // scheduled eager events (76,206), the schema-6 one today's 44,264.
         assert_eq!(back.counters.delivered_packets, 2462);

@@ -186,15 +186,17 @@ impl Canon for RoutingPolicy {
     }
 }
 
+/// Link bandwidth in Gbps (paper §4.1: 8 Gbps serial links).
+pub const LINK_GBPS: u64 = 8;
+
+/// Crossbar per-transfer bandwidth in Gbps (paper §4.1: 12 Gbps).
+pub const XBAR_GBPS: u64 = 12;
+
 /// Physical and architectural parameters of the fabric (paper §4.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// Queueing scheme at every port.
     pub scheme: SchemeKind,
-    /// Link bandwidth in Gbps (paper: 8).
-    pub link_gbps: u64,
-    /// Crossbar per-transfer bandwidth in Gbps (paper: 12).
-    pub xbar_gbps: u64,
     /// Memory per port, bytes: every switch input, switch output and NIC
     /// injection port (paper: 128 KB; 192 KB for the 512-host network).
     pub port_mem: u64,
@@ -226,7 +228,7 @@ pub struct FabricConfig {
     pub event_model: EventModel,
     /// End-host transport: open-loop passthrough (the default — bit-exact
     /// with the pre-transport fabric), windowed go-back-N, NACK, or the
-    /// PFC pause/drop switch mode. See DESIGN.md § "Transport layer".
+    /// PFC pause/drop switch mode. See DESIGN.md §6g.
     pub transport: TransportKind,
 }
 
@@ -235,8 +237,6 @@ impl FabricConfig {
     pub fn paper(scheme: SchemeKind) -> FabricConfig {
         FabricConfig {
             scheme,
-            link_gbps: 8,
-            xbar_gbps: 12,
             port_mem: 128 * 1024,
             link_delay: Picos::from_ns(20),
             admit_cap: 4 * 1024,
@@ -288,24 +288,21 @@ impl FabricConfig {
 
     /// Serialization time of `bytes` on a link.
     pub fn link_time(&self, bytes: u64) -> Picos {
-        Picos::serialize_bytes(bytes, self.link_gbps)
+        Picos::serialize_bytes(bytes, LINK_GBPS)
     }
 
     /// Serialization time of `bytes` through the crossbar.
     pub fn xbar_time(&self, bytes: u64) -> Picos {
-        Picos::serialize_bytes(bytes, self.xbar_gbps)
+        Picos::serialize_bytes(bytes, XBAR_GBPS)
     }
 
     /// Validates parameter sanity.
     ///
     /// # Panics
     ///
-    /// Panics on zero rates or an empty port memory.
+    /// Panics on an empty port memory or an inconsistent RECN or
+    /// transport configuration.
     pub fn validate(&self) {
-        assert!(
-            self.link_gbps > 0 && self.xbar_gbps > 0,
-            "rates must be positive"
-        );
         assert!(self.port_mem > 0, "port memory must be positive");
         if let SchemeKind::Recn(r) = &self.scheme {
             r.validate();
@@ -322,8 +319,6 @@ mod tests {
     fn paper_defaults() {
         let cfg = FabricConfig::paper(SchemeKind::OneQ);
         cfg.validate();
-        assert_eq!(cfg.link_gbps, 8);
-        assert_eq!(cfg.xbar_gbps, 12);
         assert_eq!(cfg.port_mem, 128 * 1024);
         assert_eq!(cfg.link_time(64), Picos::from_ns(64));
         assert_eq!(cfg.xbar_time(64), Picos::new(42_667));

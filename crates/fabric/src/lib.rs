@@ -72,7 +72,7 @@ mod validate;
 
 pub use arena::{Arena, Handle};
 pub use arn::{ArnTable, ARN_COLD_BYTES, ARN_HOT_BYTES, ARN_TTL};
-pub use config::{FabricConfig, RoutingPolicy, SchemeKind};
+pub use config::{FabricConfig, RoutingPolicy, SchemeKind, LINK_GBPS, XBAR_GBPS};
 pub use credit::{CreditView, POOLED_QUEUE};
 pub use network::{
     assert_recn_idle, paper_network, render_port, ArbiterSummary, CounterMut, Event, Footprint,

@@ -1,7 +1,7 @@
 //! Closed-loop flow machinery: the sender window/retransmission state at
 //! each NIC, the receiver sequence accounting, and the out-of-band
 //! ack/timeout event handlers. See `crate::transport` for the knobs
-//! and DESIGN.md § "Transport layer" for the model.
+//! and DESIGN.md §6g for the model.
 //!
 //! Everything here is gated on `Network::has_flows` (or on per-map
 //! lookups that miss when no flows exist), so the open-loop default

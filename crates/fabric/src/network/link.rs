@@ -3,6 +3,7 @@
 
 use simcore::{EventQueue, Picos};
 
+use crate::config::LINK_GBPS;
 use crate::observer::HookSet;
 use crate::packet::{Packet, Payload, RevPayload};
 
@@ -34,7 +35,7 @@ impl Network {
         let bytes = payload.wire_bytes();
         let l = &mut self.links[link];
         let depart = l.fwd_busy_until.max(now);
-        let ser = Picos::serialize_bytes(bytes, self.cfg.link_gbps);
+        let ser = Picos::serialize_bytes(bytes, LINK_GBPS);
         l.fwd_busy_until = depart + ser;
         l.fwd_busy_total += ser;
         let at = depart + ser + self.cfg.link_delay;
@@ -52,7 +53,7 @@ impl Network {
         let bytes = payload.wire_bytes();
         let l = &mut self.links[link];
         let depart = l.rev_busy_until.max(now);
-        let ser = Picos::serialize_bytes(bytes, self.cfg.link_gbps);
+        let ser = Picos::serialize_bytes(bytes, LINK_GBPS);
         l.rev_busy_until = depart + ser;
         let at = depart + ser + self.cfg.link_delay;
         self.schedule(now, q, at, Event::DeliverRev { link, payload });

@@ -122,17 +122,12 @@ impl Network {
     ) {
         let recn = self.port_mut(port).recn_mut().expect("RECN scheme");
         let path = recn.path_of(saq);
-        let xon_needed = recn.dealloc(saq);
+        recn.dealloc(saq);
         self.counters.saq_deallocs += 1;
         let (site, idx) = self.saq_site(port);
         observe!(self.on_saq_dealloc(now, site, idx, saq.line(), &path));
         self.census_change(now, port, false);
         if let PortRef::SwitchIn { sw, port: input } = port {
-            if xon_needed {
-                let in_link = self.switches[sw].in_link[input];
-                self.counters.xons += 1;
-                self.send_rev_ctrl(now, q, in_link, RevPayload::RecnXon { path });
-            }
             self.token_to_egress(now, q, sw, input, path, Returned::Released);
         } else {
             let link = self.egress_link(port);

@@ -777,7 +777,7 @@ mod tests {
             detection_threshold: 1 << 30,
             propagation_threshold: 1 << 30,
             xoff_threshold: 1 << 30,
-            xon_threshold: 0,
+            xon_threshold: 1,
             drain_boost_pkts: 1,
             root_clear_threshold: 1 << 20,
         };

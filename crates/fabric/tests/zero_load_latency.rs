@@ -1,18 +1,18 @@
 //! Exact zero-load latency. A packet alone in the fabric waits for nothing:
 //! it takes, on every link, its serialisation at the link rate plus the
 //! link delay, and in every switch its transfer through the crossbar. Its
-//! latency is that sum, computed here from [`FabricConfig`]'s constants and
-//! the topology's shape in plain integer picoseconds — no simulator time
-//! arithmetic — and asserted to the picosecond for every packet on the
-//! paper's MINs and two fat trees, under every routing policy and queueing
-//! scheme, for 64 B and 512 B packets.
+//! latency is that sum, computed here from the fabric's rate constants,
+//! [`FabricConfig`]'s link delay and the topology's shape in plain integer
+//! picoseconds — no simulator time arithmetic — and asserted to the
+//! picosecond for every packet on the paper's MINs and two fat trees, under
+//! every routing policy and queueing scheme, for 64 B and 512 B packets.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use fabric::{
     FabricConfig, HookSet, MessageSource, NetObserver, Network, Packet, RoutingPolicy, SchemeKind,
-    ScriptSource, SourcedMessage,
+    ScriptSource, SourcedMessage, LINK_GBPS, XBAR_GBPS,
 };
 use recn::RecnConfig;
 use simcore::Picos;
@@ -30,8 +30,8 @@ fn serialisation_ps(bytes: u64, gbps: u64) -> u64 {
 /// A lone packet's latency across `switches` switches, and so across one
 /// more link than that.
 fn zero_load_ps(cfg: &FabricConfig, bytes: u64, switches: u64) -> u64 {
-    let link = serialisation_ps(bytes, cfg.link_gbps) + cfg.link_delay.as_ps();
-    let xbar = serialisation_ps(bytes, cfg.xbar_gbps);
+    let link = serialisation_ps(bytes, LINK_GBPS) + cfg.link_delay.as_ps();
+    let xbar = serialisation_ps(bytes, XBAR_GBPS);
     (switches + 1) * link + switches * xbar
 }
 

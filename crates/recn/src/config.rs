@@ -33,6 +33,8 @@ pub struct RecnConfig {
     /// Must be at least `xon_threshold`.
     pub xoff_threshold: u64,
     /// SAQ occupancy (bytes) below which Xon re-enables the upstream SAQ.
+    /// Must be positive, so the dequeue that empties a SAQ has released
+    /// its Xoff before the SAQ may deallocate.
     pub xon_threshold: u64,
     /// A SAQ holding at most this many packets *and* owning its token gets
     /// highest arbitration priority, so lingering SAQs drain and deallocate
@@ -88,6 +90,9 @@ impl RecnConfig {
         if self.max_saqs > 64 {
             return Err("paper hardware bounds the CAM at 64 lines".into());
         }
+        if self.xon_threshold == 0 {
+            return Err("xon threshold must be positive".into());
+        }
         if self.xoff_threshold < self.xon_threshold {
             return Err("xoff threshold must be at least xon threshold".into());
         }
@@ -101,8 +106,8 @@ impl RecnConfig {
     ///
     /// # Panics
     ///
-    /// Panics if thresholds are inconsistent (xoff < xon, clear > detect,
-    /// or an empty SAQ pool).
+    /// Panics if thresholds are inconsistent (xon = 0, xoff < xon, clear >
+    /// detect, or an empty SAQ pool).
     pub fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("{e}");

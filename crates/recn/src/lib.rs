@@ -42,8 +42,7 @@
 //! It owns *control state and occupancy counters* only — actual packet
 //! storage and the control messages on the wire live in the `fabric`
 //! crate, which drives these state machines, one call per message, and
-//! obeys the signals they emit ([`EnqueueSignals`], [`DequeueSignals`],
-//! and the Xon that [`RecnPort::dealloc`] may still owe upstream).
+//! obeys the signals they emit ([`EnqueueSignals`], [`DequeueSignals`]).
 //!
 //! ## Example: one notification hop
 //!

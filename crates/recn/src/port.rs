@@ -556,21 +556,19 @@ impl RecnPort {
     /// Deallocates `saq` (which must be an empty, unblocked leaf). The
     /// port's side names the parent its token goes to: an ingress SAQ's is
     /// the same-switch egress port its path's first turn names, an egress or
-    /// NIC SAQ's the ingress port across its link. Returns `true` if Xoff is
-    /// still asserted toward the upstream SAQ, which the fabric must then
-    /// release with an Xon: an ingress SAQ drains empty with Xoff asserted
-    /// only when `xon_threshold` is 0.
+    /// NIC SAQ's the ingress port across its link. No Xon is owed: the
+    /// dequeue that emptied the SAQ fell below the (positive)
+    /// `xon_threshold` and released any Xoff.
     ///
     /// # Panics
     ///
     /// Panics on a stale handle or if the SAQ is not an empty unblocked
     /// leaf — the fabric must only call this when told to.
-    pub fn dealloc(&mut self, saq: SaqId) -> bool {
+    pub fn dealloc(&mut self, saq: SaqId) {
         let line = self.cam.get(saq);
         assert!(line.is_empty_leaf(), "SAQ not ready to dealloc");
-        let xon_needed = line.xoff_sent;
+        debug_assert!(!line.xoff_sent, "an empty SAQ still asserts Xoff");
         self.cam.free(saq);
-        xon_needed
     }
 
     // ------------------------------------------------------------------
@@ -708,7 +706,7 @@ mod tests {
         );
         let sig = p.saq_dequeued(saq, 30);
         assert!(sig.deallocatable);
-        assert!(!p.dealloc(saq), "no Xoff asserted");
+        p.dealloc(saq);
         assert!(!p.is_live(saq));
         assert_eq!(p.peak_saqs(), 1);
     }
@@ -793,7 +791,7 @@ mod tests {
         // Upstream child deallocates and returns the token.
         let dealloc_now = p.token_from_upstream(path, Returned::Released);
         assert_eq!(dealloc_now, Some(saq), "empty leaf after token return");
-        assert!(!p.dealloc(saq));
+        p.dealloc(saq);
         assert!(!p.is_live(saq));
     }
 
@@ -883,7 +881,7 @@ mod tests {
         assert_eq!(dealloc, None);
         let (_, dealloc) = e.token_from_input(2, path, Returned::Released);
         assert_eq!(dealloc, Some(saq));
-        assert!(!e.dealloc(saq));
+        e.dealloc(saq);
     }
 
     #[test]
@@ -975,7 +973,7 @@ mod tests {
         nic.saq_enqueued(saq, 200); // far past every threshold: nothing propagates
         let d = nic.saq_dequeued(saq, 200);
         assert!(d.deallocatable, "NIC SAQ is always a leaf");
-        assert!(!nic.dealloc(saq));
+        nic.dealloc(saq);
     }
 
     #[test]
@@ -994,7 +992,7 @@ mod tests {
         let saq = accepted(p.alloc_on_notification(PathSpec::from_turns(&[1])));
         p.marker_consumed(saq);
         p.saq_enqueued(saq, 10);
-        let _ = p.dealloc(saq);
+        p.dealloc(saq);
     }
 
     #[test]

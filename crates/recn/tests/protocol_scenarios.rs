@@ -171,7 +171,7 @@ fn full_tree_lifecycle_across_two_switches() {
     p.nic.saq_enqueued(nic_saq, 64);
     assert!(p.nic.saq_dequeued(nic_saq, 64).deallocatable);
     ledger.dealloc(0, nic_saq);
-    assert!(!p.nic.dealloc(nic_saq));
+    p.nic.dealloc(nic_saq);
 
     // up_in receives the token across the link (same path), drains, and
     // deallocates toward up_eg, the egress its path's first turn names.
@@ -182,7 +182,7 @@ fn full_tree_lifecycle_across_two_switches() {
     assert!(p.up_in.saq_dequeued(up_in_saq, 400).deallocatable);
     ledger.dealloc(1, up_in_saq);
     let up_in_path = p.up_in.path_of(up_in_saq);
-    assert!(!p.up_in.dealloc(up_in_saq));
+    p.up_in.dealloc(up_in_saq);
     let (out_port, path_at_egress) = up_in_path.split_first().unwrap();
     assert_eq!(out_port, 1);
     assert_eq!(path_at_egress, PathSpec::from_turns(&[2]));
@@ -194,7 +194,7 @@ fn full_tree_lifecycle_across_two_switches() {
     assert!(dealloc.is_none(), "up_eg still holds bytes");
     assert!(p.up_eg.saq_dequeued(up_saq, 350).deallocatable);
     ledger.dealloc(2, up_saq);
-    assert!(!p.up_eg.dealloc(up_saq));
+    p.up_eg.dealloc(up_saq);
 
     // down_in gets the token back, drains the rest, returns to the root.
     assert!(p
@@ -204,7 +204,7 @@ fn full_tree_lifecycle_across_two_switches() {
     assert!(p.down_in.saq_dequeued(down_saq, 100).deallocatable);
     ledger.dealloc(3, down_saq);
     let down_path = p.down_in.path_of(down_saq);
-    assert!(!p.down_in.dealloc(down_saq));
+    p.down_in.dealloc(down_saq);
     assert_eq!(down_path.split_first(), Some((2, PathSpec::EMPTY)));
 
     // Root: token home + queue drained = tree gone.
@@ -355,7 +355,7 @@ fn recongestion_after_token_return() {
     input.marker_consumed(saq1);
     input.saq_enqueued(saq1, 64);
     assert!(input.saq_dequeued(saq1, 64).deallocatable);
-    assert!(!input.dealloc(saq1));
+    input.dealloc(saq1);
     let (_, path_at_egress) = path.split_first().unwrap();
     let (change, _) = egress.token_from_input(INPUT, path_at_egress, Returned::Released);
     assert!(change.is_none(), "queue still above clear threshold");
@@ -422,30 +422,34 @@ fn ingress_regrows_at_once_only_after_a_released_token() {
     assert_eq!(input.saq_enqueued(saq, 64).propagate, Some(path));
 }
 
-/// `dealloc` answers whether Xoff is still asserted upstream. With a
-/// nonzero `xon_threshold` the last dequeue has already released it, so the
-/// answer can only be `true` when the threshold is 0: an acked SAQ that
-/// went past Xoff (the propagation threshold out of reach, so it stays a
-/// leaf) drains empty with Xoff up, and the fabric owes the upstream SAQ
-/// an Xon.
+/// A SAQ never deallocates with Xoff asserted upstream, so `dealloc` owes
+/// no Xon: an acked SAQ that went past Xoff (the propagation threshold out
+/// of reach, so it stays a leaf) releases Xoff on the dequeue that drains
+/// it below the positive `xon_threshold` — which `check` requires, since
+/// under a threshold of 0 the SAQ would drain empty with Xoff still up.
 #[test]
 fn dealloc_owes_an_xon_only_if_the_saq_drained_with_xoff_asserted() {
     let path = PathSpec::from_turns(&[2]);
-    for (xon_threshold, owed) in [(0, true), (150, false)] {
-        let mut input = RecnPort::new_ingress(RecnConfig {
-            propagation_threshold: u64::MAX,
-            xon_threshold,
-            ..cfg()
-        });
-        let saq = accept(input.alloc_on_notification(path));
-        input.marker_consumed(saq);
-        assert!(!input.on_upstream_ack(path), "empty at ack time");
-        assert!(input.saq_enqueued(saq, 700).xoff, "past Xoff (600)");
-        let drained = input.saq_dequeued(saq, 700);
-        assert_eq!(drained.xon, !owed, "xon_threshold {xon_threshold}");
-        assert!(drained.deallocatable);
-        assert_eq!(input.dealloc(saq), owed, "xon_threshold {xon_threshold}");
+    let config = RecnConfig {
+        propagation_threshold: u64::MAX,
+        xon_threshold: 150,
+        ..cfg()
+    };
+    assert!(RecnConfig {
+        xon_threshold: 0,
+        ..config
     }
+    .check()
+    .is_err());
+    let mut input = RecnPort::new_ingress(config);
+    let saq = accept(input.alloc_on_notification(path));
+    input.marker_consumed(saq);
+    assert!(!input.on_upstream_ack(path), "empty at ack time");
+    assert!(input.saq_enqueued(saq, 700).xoff, "past Xoff (600)");
+    let drained = input.saq_dequeued(saq, 700);
+    assert!(drained.xon, "the draining dequeue releases Xoff");
+    assert!(drained.deallocatable);
+    input.dealloc(saq);
 }
 
 /// Branch tokens: an egress SAQ that notified several inputs only
@@ -490,11 +494,11 @@ fn branch_tokens_with_mixed_outcomes() {
     in_free.marker_consumed(child);
     in_free.saq_enqueued(child, 64);
     assert!(in_free.saq_dequeued(child, 64).deallocatable);
-    assert!(!in_free.dealloc(child));
+    in_free.dealloc(child);
     let (_, path_at_egress) = n1.split_first().unwrap();
     let (_, dealloc) = egress.token_from_input(1, path_at_egress, Returned::Released);
     assert_eq!(dealloc, Some(tree), "all branches home, empty: tear down");
-    assert!(!egress.dealloc(tree));
+    egress.dealloc(tree);
 }
 
 /// The drain-boost rule kicks in exactly when a lingering SAQ owns its

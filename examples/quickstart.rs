@@ -8,9 +8,10 @@
 
 use std::error::Error;
 
-use fabric::{FabricConfig, MessageSource, Network, SchemeKind};
-use metrics::report::{render_table, window_stats, Labeled};
-use metrics::Probe;
+use experiments::runner::{run_one, scaled_recn_config};
+use experiments::RunSpec;
+use fabric::SchemeKind;
+use metrics::report::{render_table, thin, window_stats, Labeled};
 use simcore::Picos;
 use topology::MinParams;
 use traffic::corner::CornerCase;
@@ -21,41 +22,27 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 50% of link rate; 16 hosts gang up on host 32 at 100% during a
     // 42.5 µs window.
     let corner = CornerCase::case1_64().shrunk(4);
-    let horizon = Picos::from_us(400);
-    let bin = Picos::from_us(5);
-    let params = MinParams::paper_64();
-
     let mut curves = Vec::new();
-    for scheme in [
-        SchemeKind::OneQ,
-        SchemeKind::Recn(experiments::runner::scaled_recn_config(4)),
-    ] {
-        let sources: Vec<Box<dyn MessageSource>> = corner.build_sources(horizon);
-        let (probe, handle) = Probe::new(bin);
-        let net = Network::new(
-            params,
-            FabricConfig::paper(scheme),
-            64,
-            sources,
-            Box::new(probe),
+    for scheme in [SchemeKind::OneQ, SchemeKind::Recn(scaled_recn_config(4))] {
+        let out = run_one(
+            &RunSpec::corner(MinParams::paper_64(), scheme, corner)
+                .with_horizon(Picos::from_us(400))
+                .with_bin(Picos::from_us(5)),
         );
-        let mut engine = net.build_engine();
-        engine.run_until(horizon);
-        let c = engine.model().counters();
         println!(
             "{:>5}: delivered {} packets, mean latency {:.1} us, SAQ peaks {:?}",
-            scheme.name(),
-            c.delivered_packets,
-            c.latency_ns.mean() / 1000.0,
-            engine.model().saq_census(),
+            out.scheme,
+            out.counters.delivered_packets,
+            out.counters.latency_ns.mean() / 1000.0,
+            out.saq_peaks,
         );
-        curves.push(Labeled::new(scheme.name(), handle.throughput(horizon)));
+        curves.push(Labeled::new(out.scheme, out.throughput));
     }
 
     println!();
     let thinned: Vec<Labeled> = curves
         .iter()
-        .map(|l| Labeled::new(l.label.clone(), metrics::report::thin(&l.points, 8)))
+        .map(|l| Labeled::new(l.label.clone(), thin(&l.points, 8)))
         .collect();
     println!(
         "{}",

@@ -1,7 +1,7 @@
 //! SAN workload: replay the synthetic `cello`-like I/O traces (clients ↔
 //! 23 disks, heavy-tailed bursts, transient hot-disk gang-ups) at several
 //! time-compression factors and compare mechanisms — the scenario of the
-//! paper's Figures 3 and 5.
+//! paper's Figures 3 and 5, with the admittance cap `recn fig 3` uses.
 //!
 //! ```bash
 //! cargo run --release --example san_workload
@@ -9,46 +9,37 @@
 
 use std::error::Error;
 
-use fabric::{FabricConfig, Network, SchemeKind};
-use metrics::Probe;
+use experiments::runner::{run_one, scaled_recn_config};
+use experiments::RunSpec;
+use fabric::SchemeKind;
 use simcore::Picos;
-use topology::MinParams;
 use traffic::san::SanParams;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let params = MinParams::paper_64();
     let horizon = Picos::from_us(400);
 
-    println!("compression  scheme   delivered(MB)  mean-thr(B/ns)  p50-latency(us)  SAQ-peaks");
+    println!("compression  scheme   delivered(MB)  mean-thr(B/ns)  mean-latency(us)  SAQ-peaks");
     for compression in [10.0, 20.0, 40.0] {
-        let san = SanParams::cello_like(compression);
         for scheme in [
             SchemeKind::VoqNet,
             SchemeKind::OneQ,
-            SchemeKind::Recn(experiments::runner::scaled_recn_config(4)),
+            SchemeKind::Recn(scaled_recn_config(4)),
         ] {
-            let sources = san.build_sources(64, horizon);
-            let (probe, handle) = Probe::new(Picos::from_us(5));
-            let net = Network::new(
-                params,
-                FabricConfig::paper(scheme),
-                512,
-                sources,
-                Box::new(probe),
+            let out = run_one(
+                &RunSpec::san(scheme, SanParams::cello_like(compression))
+                    .with_packet_size(512)
+                    .with_horizon(horizon)
+                    .with_bin(Picos::from_us(5)),
             );
-            let mut engine = net.build_engine();
-            engine.run_until(horizon);
-            let c = engine.model().counters();
-            let mb = c.delivered_bytes as f64 / 1e6;
-            let thr = c.mean_throughput(horizon.as_ns_f64());
+            let c = &out.counters;
             println!(
-                "{:>11}  {:>6}  {:>13.2}  {:>14.2}  {:>15.1}  {:?}",
+                "{:>11}  {:>6}  {:>13.2}  {:>14.2}  {:>16.1}  {:?}",
                 format!("{compression}x"),
-                scheme.name(),
-                mb,
-                thr,
+                out.scheme,
+                c.delivered_bytes as f64 / 1e6,
+                c.mean_throughput(horizon.as_ns_f64()),
                 c.latency_ns.mean() / 1000.0,
-                handle.saq_peaks(),
+                out.saq_peaks,
             );
         }
     }

@@ -9,52 +9,34 @@
 
 use std::error::Error;
 
-use fabric::{ConstantRateSource, FabricConfig, MessageSource, Network, SchemeKind};
-use metrics::Probe;
+use experiments::runner::{run_one, scaled_recn_config};
+use experiments::RunSpec;
+use fabric::SchemeKind;
 use simcore::Picos;
 use topology::{HostId, MinParams};
-use traffic::RandomUniformSource;
+use traffic::corner::CornerCase;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let horizon = Picos::from_us(300);
     println!("hosts  switches  stages  max-SAQ/ingress  max-SAQ/egress  peak-total  total/ports");
     for hosts in [16u32, 64, 256] {
         let params = MinParams::for_hosts(hosts, 4);
-        // 1/4 of the hosts gang up on host hosts/2 during 100–200 µs; the
-        // rest send random traffic at 80%.
-        let gang_start = hosts - hosts / 4;
-        let hot = HostId::new(hosts / 2);
-        let sources: Vec<Box<dyn MessageSource>> = (0..hosts)
-            .map(|h| {
-                if h >= gang_start {
-                    Box::new(ConstantRateSource::new(
-                        hot,
-                        64,
-                        Picos::from_ns(64),
-                        Picos::from_us(100),
-                        Picos::from_us(200),
-                    )) as Box<dyn MessageSource>
-                } else {
-                    Box::new(
-                        RandomUniformSource::new(hosts, Some(HostId::new(h)), 64, 0.8)
-                            .window(Picos::ZERO, horizon)
-                            .seed(1000 + h as u64)
-                            .build(),
-                    ) as Box<dyn MessageSource>
-                }
-            })
-            .collect();
-        let (probe, handle) = Probe::new(Picos::from_us(5));
-        let net = Network::new(
-            params,
-            FabricConfig::paper(SchemeKind::Recn(experiments::runner::scaled_recn_config(8))),
-            64,
-            sources,
-            Box::new(probe),
+        // The last quarter of the hosts gang up on host hosts/2 during
+        // 100–200 µs; the rest send random traffic at 80%.
+        let corner = CornerCase {
+            hosts,
+            random_sources: hosts - hosts / 4,
+            random_rate: 0.8,
+            hotspot_dst: HostId::new(hosts / 2),
+            hotspot_start: Picos::from_us(100),
+            hotspot_end: Picos::from_us(200),
+            ..CornerCase::case1_64()
+        };
+        let out = run_one(
+            &RunSpec::corner(params, SchemeKind::Recn(scaled_recn_config(8)), corner)
+                .with_horizon(Picos::from_us(300))
+                .with_bin(Picos::from_us(5)),
         );
-        let mut engine = net.build_engine();
-        engine.run_until(horizon);
-        let (pi, pe, pt) = handle.saq_peaks();
+        let (pi, pe, pt) = out.saq_peaks;
         let ports = params.total_switches() * params.radix() * 2;
         println!(
             "{:>5}  {:>8}  {:>6}  {:>15}  {:>14}  {:>10}  {:>11.3}",

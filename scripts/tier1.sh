@@ -17,7 +17,7 @@ test "$exes" = "recn" || { echo "unexpected executables: $exes" >&2; exit 1; }
 if grep -rn "std::env" crates/simcore/src; then
   echo "simcore must not read the environment" >&2; exit 1
 fi
-# One port path (DESIGN §6c): a packet enters and leaves a queue set in
+# One port path (DESIGN §4): a packet enters and leaves a queue set in
 # network/port.rs and nowhere else, and no file of the module grows back
 # into a catch-all.
 net=crates/fabric/src/network
@@ -63,6 +63,8 @@ n="$(grep -c 'for o in &mut self.observers' crates/fabric/src/observer.rs || tru
 test "$n" -le 1 || { echo "observer.rs: $n hand-written fan-out loops, want the generated one" >&2; exit 1; }
 n="$(cat $(find crates/experiments/src -name '*.rs') | grep -c 'Network::new(')"
 test "$n" = 1 || { echo "crates/experiments/src: $n Network::new( call sites, want 1 (RunSpec::network)" >&2; exit 1; }
+n="$(cat examples/*.rs | grep -c 'Network::new(')"
+test "$n" = 1 || { echo "examples: $n Network::new( call sites, want 1 (hotspot_storm.rs; the rest build a RunSpec)" >&2; exit 1; }
 if grep -rn 'process::exit' crates/*/src --include='*.rs' | grep -v '/src/bin/'; then
   echo "library code exits the process (only bin/ may)" >&2; exit 1
 fi

@@ -26,6 +26,7 @@
 //! cargo run --release --example hotspot_storm
 //! cargo run --release --example san_workload
 //! cargo run --release --example scale_sweep
+//! cargo run --release --example fattree_hotspot
 //! ```
 
 #![forbid(unsafe_code)]
