@@ -173,7 +173,7 @@ fn recn_event_reduction_is_pinned() {
 
 /// Pinned event totals for the RECN MIN corner-2 golden-scale run.
 const EAGER_RECN_EVENTS: u64 = 951_977;
-const LAZY_RECN_EVENTS: u64 = 552_301;
+const LAZY_RECN_EVENTS: u64 = 499_334;
 
 // ---- LCG-seeded property suite ---------------------------------------
 

@@ -221,9 +221,9 @@ pub struct FabricConfig {
     /// switches pick among equivalent up-ports (which relaxes
     /// [`strict_order`](Self::strict_order)).
     pub routing: RoutingPolicy,
-    /// How wakeups become scheduled events: `Lazy` (every run — same-time
-    /// kicks coalesce into sweep events and idle arbiters are elided) or
-    /// `Eager` (the test reference — one event per kick). Behaviour is
+    /// How wakeups become scheduled events: `Lazy` (every run — work due
+    /// at once runs in place and idle arbiters are elided) or `Eager`
+    /// (the test reference — one event per kick). Behaviour is
     /// bit-exact either way; only event counts differ. See DESIGN.md §6f.
     pub event_model: EventModel,
     /// End-host transport: open-loop passthrough (the default — bit-exact

@@ -76,7 +76,7 @@ pub use config::{FabricConfig, RoutingPolicy, SchemeKind, LINK_GBPS, XBAR_GBPS};
 pub use credit::{CreditView, POOLED_QUEUE};
 pub use network::{
     assert_recn_idle, paper_network, render_port, ArbiterSummary, CounterMut, Event, Footprint,
-    NetCounters, Network, PortRef, PortSnapshot, SaqSnapshot,
+    NetCounters, Network, PortRef, PortSnapshot, SameTimeWork, SaqSnapshot,
 };
 pub use observer::{FanoutObserver, HookSet, NetObserver, NullObserver, QueueKind, SaqSite};
 pub use packet::{Packet, Payload, QueueItem, RevPayload};

@@ -42,6 +42,7 @@ use crate::packet::{Packet, Payload, RevPayload};
 use crate::queue::QueueSet;
 
 pub(crate) use flow::{FlowRx, FlowTx};
+pub use lazy::SameTimeWork;
 use lazy::{LazyState, Wakeup};
 use nic::Nic;
 use recn_glue::SaqCensus;
@@ -146,12 +147,9 @@ pub enum Event {
         /// Timer generation stamped at arm time.
         gen: u32,
     },
-    /// Drains one batch of coalesced same-time arbiter wakeups (lazy event
-    /// model only — the eager model schedules each wakeup as its own
-    /// event). The batch membership lives in the network's
-    /// wakeup FIFO; the sweep occupies the queue position of the batch's
-    /// first kick, so the wakeups fire in exactly the order their eager
-    /// counterparts would have.
+    /// Runs the network's same-time work (lazy event model only): queued
+    /// when a handler left work due now while queue events were still due
+    /// now, so it pops after them, as eager's `(time, seq)` order runs them.
     Sweep,
 }
 
@@ -311,7 +309,7 @@ pub struct Network {
     /// (flat `port_base[sw] + port` index) is currently above the
     /// occupancy threshold and has an uncancelled `ArnHot` outstanding.
     pub(crate) arn_out_hot: Vec<bool>,
-    /// Coalesced-wakeup state of the lazy event model (inert under eager).
+    /// Same-time work of the lazy event model (inert under eager).
     pub(crate) lazy: LazyState,
     /// Packet size used when splitting messages.
     pub(crate) packet_size: u32,
@@ -383,6 +381,14 @@ impl SimModel for Network {
     type Event = Event;
 
     fn handle(&mut self, now: Picos, event: Event, q: &mut EventQueue<Event>) {
+        self.dispatch(now, event, q);
+        self.settle(now, q);
+    }
+}
+
+impl Network {
+    /// Runs `event`'s handler.
+    fn dispatch(&mut self, now: Picos, event: Event, q: &mut EventQueue<Event>) {
         match event {
             Event::NextMessage { host } => self.on_next_message(now, q, host),
             Event::NicTransfer { host } => self.on_nic_transfer(now, q, host),
@@ -405,7 +411,7 @@ impl SimModel for Network {
             Event::TransportTimeout { host, dst, gen } => {
                 self.on_transport_timeout(now, q, host, dst, gen)
             }
-            Event::Sweep => self.on_sweep(now, q),
+            Event::Sweep => self.drain(now, q),
         }
     }
 }

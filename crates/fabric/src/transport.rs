@@ -37,9 +37,9 @@
 //! the MIN is unidirectional for data, and an out-of-band ack keeps the
 //! reverse channel semantics (credits, RECN control) untouched. All
 //! transport events are scheduled strictly in the future (`ack_delay`
-//! and `timeout` are validated positive), so the lazy event model's
-//! batch-close rule is never triggered by transport and runs remain
-//! bit-identical at any `--jobs` and under either event model.
+//! and `timeout` are validated positive), so none joins the lazy event
+//! model's same-time FIFO, and runs remain bit-identical at any `--jobs`
+//! and under either event model.
 //! Retransmission timers are generation-checked ([`simcore::TimerGen`]):
 //! rearming bumps the generation and stale timeout events are ignored,
 //! so no timer bookkeeping depends on event-queue removal.

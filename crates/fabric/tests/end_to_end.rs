@@ -652,11 +652,13 @@ fn idle_timer_reclaims_never_used_saqs_at_every_site() {
     assert_recn_idle(&net);
 
     // Zero timeout: the check lands at the time it was scheduled, so it is
-    // a same-time non-wakeup event and must close the lazy model's open
-    // wakeup batch exactly as the eager reference orders it.
+    // a same-time non-wakeup event: the lazy model runs it from its
+    // same-time FIFO, in the order the eager reference gives its event.
     let (lazy_net, lazy_unused, lazy) = idle_reclaim_run(Picos::ZERO, EventModel::Lazy);
     let (_, eager_unused, eager) = idle_reclaim_run(Picos::ZERO, EventModel::Eager);
     assert!(lazy_unused.iter().sum::<u32>() > 0, "{lazy_unused:?}");
+    let in_place = lazy_net.same_time_work();
+    assert!(in_place.events > 0, "no event ran in place: {in_place:?}");
     assert_eq!(lazy_unused, eager_unused);
     assert_eq!(lazy, eager, "lazy digest {lazy:#x} != eager {eager:#x}");
     assert_recn_idle(&lazy_net);

@@ -6,8 +6,8 @@ use crate::{EventQueue, Picos};
 ///
 /// The engine itself is agnostic — it drains whatever the model schedules.
 /// The type lives here because it names a contract *between* models and
-/// observers: [`EventModel::Lazy`], the model every run uses, may coalesce
-/// same-time wakeups into batch events and elide no-op work, but it must
+/// observers: [`EventModel::Lazy`], the model every run uses, may run
+/// same-time work in place of events and elide no-op work, but it must
 /// produce the exact same observable behaviour (observer hook sequence,
 /// counters, series) as [`EventModel::Eager`], the reference the
 /// differential suite checks it against. Only bookkeeping internals — the
@@ -18,8 +18,8 @@ pub enum EventModel {
     /// polled whenever a kick arrives, no elision. Every behaviour claim
     /// is defined against this model; only tests run it.
     Eager,
-    /// The production model: same-time arbiter wakeups coalesce into one
-    /// sweep event, idle arbiters return without scanning, and no-op
+    /// The production model: work due at the instant it is scheduled runs
+    /// in place, idle arbiters return without scanning, and no-op
     /// wakeups are elided at execution time. Bit-exact with `Eager` by
     /// construction (see DESIGN.md §6f); proven by the differential suite.
     #[default]

@@ -31,6 +31,11 @@ done
 if grep -rn 'observer\.on_' $net; then
   echo "$net: an observer hook called past observe!'s interest check" >&2; exit 1
 fi
+# Same-time work never reaches the queue (DESIGN §6f): a handler schedules
+# through Network::schedule and Network::kick (lazy.rs), so the queue's own
+# schedule is called from lazy.rs's three sites and build.rs::prime's two.
+n="$(cat $net/*.rs | grep -oE '[A-Za-z_][A-Za-z0-9_]*\.schedule\(' | grep -vc '^self\.' || true)"
+test "$n" = 5 || { echo "$net: $n queue .schedule( call sites, want 5 (lazy.rs 3, build.rs::prime 2)" >&2; exit 1; }
 for f in $net/*.rs; do
   test "$(wc -l < "$f")" -le 500 || { echo "$f is over 500 lines" >&2; exit 1; }
 done

@@ -135,13 +135,19 @@ fn claim_resources_fully_reclaimed() {
 /// per-port peaks (5, 4); at 512 hosts the peaks are (4, 4) — flat from
 /// 64 to 512 hosts. The 0.95 factor mirrors the measured RECN ≥ VOQsw
 /// ordering, not parity with VOQnet (RECN holds a ~15 % gap there while
-/// the standing tree drains).
+/// the standing tree drains). The demand is read under a 64-SAQ pool: under
+/// the paper's pool of 8 a peak of at most 8 is the cap, not a finding.
 #[test]
 fn claim_scales_to_larger_networks() {
     let w = Workload::Corner(CornerCase::case2_256().shrunk(DIV));
     let recn_out = run_one(&spec(MinParams::paper_256(), recn(), &w));
     let voqsw = run_one(&spec(MinParams::paper_256(), SchemeKind::VoqSw, &w));
-    assert!(recn_out.saq_peaks.0 <= 8 && recn_out.saq_peaks.1 <= 8);
+    let roomy = SchemeKind::Recn(scaled_recn_config(DIV).with_max_saqs(64));
+    let (ingress, egress, _) = run_one(&spec(MinParams::paper_256(), roomy, &w)).saq_peaks;
+    assert!(
+        ingress <= 8 && egress <= 8,
+        "per-port SAQ demand at 256 hosts ({ingress}, {egress}) fits the paper's pool of 8"
+    );
     let (r, s) = (window_mean(&recn_out), window_mean(&voqsw));
     assert!(
         r > 0.95 * s,

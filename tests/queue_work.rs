@@ -4,16 +4,22 @@
 //! ([`simcore::QueueWork`]). The binary heap takes the complement.
 //!
 //! A schedule due a fixed delay after the last pop — a link hop, a crossbar
-//! transfer, a credit, a wakeup "now" — joins the FIFO lane of that delay
-//! in O(1). The heap takes what is left: the first messages, primed before
-//! the first pop, and whatever finds every lane keyed to another delay. So
-//! the lane share is what keeps a run off the heap's O(log n) path, and a
-//! change that lowers it moves work onto that path.
+//! transfer, a credit, a retransmission timer — joins the FIFO lane of that
+//! delay in O(1). The heap takes what is left: the first messages, primed
+//! before the first pop, and whatever finds every lane keyed to another
+//! delay. So the lane share is what keeps a run off the heap's O(log n)
+//! path, and a change that lowers it moves work onto that path.
+//!
+//! Same-time work never enters the queue: under the lazy event model a
+//! wakeup or event a handler schedules for the instant it runs at joins the
+//! network's same-time FIFO and runs in place (DESIGN §6f). Its three counts
+//! — wakeups and other events run in place, `Sweep`s queued to run them
+//! after queue events still due — are pinned beside the queue's.
 //!
 //! The counts belong to the schedule, not the host: they replay bit for bit
 //! anywhere, so they are asserted *at equality*. A change that moves one has
-//! changed how the queue lays a run out — look at `queue.rs` before
-//! re-pinning. The runs are the benchmark's `ft4096_recn`,
+//! changed how the queue lays a run out — look at `queue.rs` and `lazy.rs`
+//! before re-pinning. The runs are the benchmark's `ft4096_recn`,
 //! `hotspot256_recn`, `uniform64_1q` and `incast64_gbn` workloads at seed
 //! 2005 (`benchmark/src/workloads.rs`); the first three start with one
 //! `NextMessage` per host at t = 0.
@@ -53,17 +59,28 @@ fn reserved_bytes(spec: &RunSpec) -> u64 {
     experiments::run_one(spec).peak_bytes_estimate
 }
 
+/// Events handled, peak depth, schedules, lane schedules.
+type QueueWork = (u64, usize, u64, u64);
+/// Wakeups and other events run in place, `Sweep`s queued.
+type InPlace = (u64, u64, u64);
+
 /// Runs `spec` to its horizon; returns the events handled, the queue's
-/// peak depth, the schedules made and how many of them a delay lane took.
-fn work_of(spec: &RunSpec) -> (u64, usize, u64, u64) {
+/// peak depth, the schedules made and how many of them a delay lane took,
+/// then the same-time work run in place: wakeups, other events, and the
+/// `Sweep`s queued to run it ([`fabric::SameTimeWork`]).
+fn work_of(spec: &RunSpec) -> (QueueWork, InPlace) {
     let mut engine = spec.network(Box::new(NullObserver)).build_engine();
     engine.run_until(spec.horizon());
     let q = engine.queue();
+    let now = engine.model().same_time_work();
     (
-        engine.processed(),
-        q.peak_len(),
-        q.scheduled_total(),
-        q.work().lane_schedules,
+        (
+            engine.processed(),
+            q.peak_len(),
+            q.scheduled_total(),
+            q.work().lane_schedules,
+        ),
+        (now.wakeups, now.events, now.sweeps),
     )
 }
 
@@ -75,8 +92,14 @@ fn ft4096_hotspot_leaves_the_heap_its_first_messages() {
         .with_bin(Picos::from_us(1));
     // 82 k pending events in lock step, 2.8 M schedules, and all but the
     // 4,096 first messages take a lane (99.85 %): the heap is filled while
-    // those are primed, then only drains.
-    assert_eq!(work_of(&spec), (2_729_123, 82_507, 2_802_073, 2_797_977));
+    // those are primed, then only drains. 2.2 M wakeups run in place.
+    assert_eq!(
+        work_of(&spec),
+        (
+            (2_728_796, 82_507, 2_801_746, 2_797_650),
+            (2_221_412, 0, 7_731)
+        )
+    );
     assert_eq!(reserved_bytes(&spec), 39_145_676);
 }
 
@@ -90,12 +113,17 @@ fn min256_hotspot_leaves_the_heap_wakeups_and_jittered_hops() {
     let spec = RunSpec::corner(MinParams::paper_256(), recn(), corner)
         .with_horizon(Picos::from_us(25))
         .with_bin(Picos::from_us(1));
-    // Lanes take 97.7 % of the schedules. The heap gets the 256 first
-    // messages and 34 k schedules that found every lane keyed to another
-    // delay: wakeups due at once (32.6 k), arbiter retries and credits a
-    // jittered fraction of a link time ahead. The idle timers 20 µs out
-    // take a lane of their own.
-    assert_eq!(work_of(&spec), (1_490_736, 6_296, 1_496_485, 1_461_856));
+    // Lanes take 98.4 % of the schedules. The heap gets the 256 first
+    // messages and 23 k schedules that found every lane keyed to another
+    // delay: arbiter retries and credits a jittered fraction of a link
+    // time ahead. The idle timers 20 µs out take a lane of their own.
+    assert_eq!(
+        work_of(&spec),
+        (
+            (1_440_562, 6_296, 1_446_311, 1_422_916),
+            (1_520_179, 0, 97_261)
+        )
+    );
     assert_eq!(reserved_bytes(&spec), 5_066_724);
 }
 
@@ -109,12 +137,18 @@ fn uniform64_one_queue_leaves_the_heap_its_sources() {
     let spec = RunSpec::new(MinParams::paper_64(), SchemeKind::OneQ, uniform)
         .with_horizon(Picos::from_us(400))
         .with_bin(Picos::from_us(1));
-    // Lanes take 81.5 % of the schedules. The heap gets what no fixed
+    // Lanes take 83.0 % of the schedules. The heap gets what no fixed
     // delay describes: source arrivals (106.666 or 106.667 ns apart, two
-    // delays), arbiter retries at whatever a busy output has left, and the
-    // wakeups due at once that find every lane taken — 685 k schedules, the
-    // most of the four, into a heap never more than 594 deep.
-    assert_eq!(work_of(&spec), (3_703_886, 594, 3_704_215, 3_019_418));
+    // delays) and arbiter retries at whatever a busy output has left —
+    // 617 k schedules, the most of the four, into a heap never more than
+    // 594 deep.
+    assert_eq!(
+        work_of(&spec),
+        (
+            (3_634_342, 594, 3_634_671, 3_017_616),
+            (3_178_710, 0, 237_374)
+        )
+    );
     assert_eq!(reserved_bytes(&spec), 543_960);
 }
 
@@ -132,10 +166,16 @@ fn incast64_go_back_n_keeps_to_its_delays() {
         .with_transport(TransportKind::GoBackN(TransportConfig::default()))
         .with_horizon(Picos::from_us(20_000))
         .with_bin(Picos::from_us(1));
-    // 27.7 events per delivered packet, all but 3,992 schedules in a lane
-    // (99.93 %): packets, acks, credits and retransmission timers each keep
-    // to a delay. The heap gets the 16 flow starts and, mostly, wakeups due
-    // at once that found all eight lanes keyed to other delays.
-    assert_eq!(work_of(&spec), (5_353_396, 1_137, 5_353_396, 5_349_404));
+    // 18.0 events per delivered packet, all but 1,133 schedules in a lane
+    // (99.97 %): packets, acks, credits and retransmission timers each keep
+    // to a delay. The heap gets the 16 flow starts and what found all
+    // eight lanes keyed to other delays; 4.4 M wakeups run in place.
+    assert_eq!(
+        work_of(&spec),
+        (
+            (3_488_257, 1_137, 3_488_257, 3_487_124),
+            (4_375_946, 0, 193_750)
+        )
+    );
     assert_eq!(reserved_bytes(&spec), 818_608);
 }
